@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
     featurizer_path = out.with_name(out.stem + "_featurizer.json")
     featurizer.save(featurizer_path)
     model = _train_once(data, setting, config, smoothing, seed, mu,
-                        featurizer_ref=str(featurizer_path))
+                        featurizer_ref=featurizer_path.name)
     save_checkpoint(model, out)
     last = model.history[model.best_epoch - 1]
     print(f"best_epoch={model.best_epoch} val_top1={last['val_top1']:.4f} "

@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,27 +72,41 @@ def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
                            idf=idf, min_df=min_df)
 
 
+def _tfidf_csr(vocab: TfidfVocabulary,
+               token_lists: list[list[str]]) -> sparse.csr_matrix:
+    """TF-IDF rows (len x V sparse), each L2-normalized unless all-zero.
+
+    One pass fills ``indptr``/``indices``/``data`` and builds the CSR once.
+    """
+    lookup, missing = vocab.gram_to_index.get, vocab.size
+    indptr = [0]
+    indices: list[int] = []
+    counts: list[int] = []
+    for tokens in token_lists:
+        row = Counter(map(lookup, _grams(tokens), repeat(missing)))
+        row.pop(missing, None)
+        cols = sorted(row)
+        indices.extend(cols)
+        counts.extend(map(row.__getitem__, cols))
+        indptr.append(len(indices))
+    data = np.array(counts, dtype=float) * vocab.idf.take(indices)
+    for start, end in zip(indptr, indptr[1:]):
+        if end > start:
+            values = data[start:end]
+            values /= np.linalg.norm(values)
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(len(token_lists), vocab.size))
+
+
 def tfidf_vectorize(vocab: TfidfVocabulary,
                     tokens: list[str]) -> sparse.csr_matrix:
     """TF-IDF vector (1 x V sparse row), L2-normalized unless all-zero."""
-    counts: Counter[int] = Counter()
-    for gram in _grams(tokens):
-        idx = vocab.gram_to_index.get(gram)
-        if idx is not None:
-            counts[idx] += 1
-    if not counts:
-        return sparse.csr_matrix((1, vocab.size))
-    indices = sorted(counts)
-    values = np.array([counts[i] * vocab.idf[i] for i in indices])
-    values /= np.linalg.norm(values)
-    return sparse.csr_matrix((values, ([0] * len(indices), indices)),
-                             shape=(1, vocab.size))
+    return _tfidf_csr(vocab, [tokens])
 
 
 def tfidf_matrix(vocab: TfidfVocabulary,
                  samples: list[Sample]) -> sparse.csr_matrix:
-    rows = [tfidf_vectorize(vocab, s.tokens) for s in samples]
-    return sparse.vstack(rows, format="csr")
+    return _tfidf_csr(vocab, [s.tokens for s in samples])
 
 
 @dataclass

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic_open
 from .corpus import Dataset, Sample, preprocess
 from .features import (EmbeddingTable, TfidfVocabulary, boe_embed, boe_matrix,
                        fit_tfidf, load_embeddings, tfidf_matrix,
@@ -99,7 +100,7 @@ class Featurizer:
                        "vectors": {tok: [float(v) for v in vec]
                                    for tok, vec in
                                    self.table.word_to_vector.items()}}
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
@@ -362,7 +363,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
                              ("ls", chosen_ls)):
         model = _train_once(data, best_setting, config, smoothing,
                             config.grid_seed, mu,
-                            featurizer_ref=str(featurizer_path))
+                            featurizer_ref=featurizer_path.name)
         row = _final_row(model, featurizer, dataset, config.k)
         row["smoothing"] = {"variant": smoothing.variant,
                             "alpha": smoothing.alpha}
@@ -392,10 +393,13 @@ class Predictor:
 
     @classmethod
     def load(cls, checkpoint_path: str | Path) -> "Predictor":
+        """Load a checkpoint and its featurizer; a relative
+        ``featurizer_ref`` is resolved against the checkpoint's directory."""
         model = load_checkpoint(checkpoint_path)
         if not model.featurizer_ref:
             raise ValueError(f"{checkpoint_path} has no featurizer reference")
-        return cls(model=model, featurizer=Featurizer.load(model.featurizer_ref))
+        featurizer_path = Path(checkpoint_path).parent / model.featurizer_ref
+        return cls(model=model, featurizer=Featurizer.load(featurizer_path))
 
     def top3(self, tokens: list[str]) -> list[tuple[int, float]]:
         x = self.featurizer.transform_tokens(tokens)

@@ -82,8 +82,10 @@ def evaluate_split(predictions: list[list[int]], truths: list[int],
     its confusion column but never appears as a truth.
     """
     _check_lengths(predictions, truths)
-    confusion = confusion_matrix(predictions, truths)
     n = len(truths)
+    if n == 0:
+        raise ValueError("cannot evaluate an empty split")
+    confusion = confusion_matrix(predictions, truths)
     top1 = sum(r[0] == t for r, t in zip(predictions, truths)) / n
     topk = sum(t in r[:k] for r, t in zip(predictions, truths)) / n
     per_class = {cls: _precision_recall_f1(confusion, cls)
@@ -99,6 +101,9 @@ def evaluate_matches(predictions: list[list[int]],
     """Multi-label match rates: a sample scores when any parental criterion
     (entries 1-10 equal to 1; Others never counts) is in the top ranks."""
     _check_lengths(predictions, parentals)
+    n = len(predictions)
+    if n == 0:
+        raise ValueError("cannot compute match rates over no predictions")
     top1_hits = 0
     topk_hits = 0
     for ranking, parental in zip(predictions, parentals):
@@ -108,6 +113,5 @@ def evaluate_matches(predictions: list[list[int]],
             top1_hits += 1
         if parent_set & set(ranking[:k]):
             topk_hits += 1
-    n = len(predictions)
     return MatchReport(top1_match=top1_hits / n, topk_match=topk_hits / n,
                        k=k)

@@ -8,14 +8,17 @@ deterministic.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from . import NUM_CLASSES
+from . import NUM_CLASSES, atomic_open
 from .labels import SmoothingConfig, PriorWeights, smooth
 
 ADAM_BETA1 = 0.9
@@ -151,26 +154,48 @@ def backward(cache: dict, probs: np.ndarray, targets: np.ndarray,
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    # two work buffers per parameter, so a step allocates nothing
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
-        return cls(m={k: np.zeros_like(a) for k, a in params.arrays().items()},
-                   v={k: np.zeros_like(a) for k, a in params.arrays().items()})
+        arrays = params.arrays()
+        return cls(m={k: np.zeros_like(a) for k, a in arrays.items()},
+                   v={k: np.zeros_like(a) for k, a in arrays.items()},
+                   scratch={k: (np.empty_like(a), np.empty_like(a))
+                            for k, a in arrays.items()})
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               learning_rate: float) -> None:
-    """In-place Adam update with the canonical constants."""
+    """In-place Adam update with the canonical constants.
+
+    Evaluates, in this order and with no temporaries,
+    m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    p -= (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps).
+    """
     state.t += 1
     t = state.t
+    grad_arrays = grads.arrays()
     for key, p in params.arrays().items():
-        g = grads.arrays()[key]
-        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
-        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[key] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[key] / (1 - ADAM_BETA2 ** t)
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = grad_arrays[key]
+        m, v = state.m[key], state.v[key]
+        step, denom = state.scratch[key]
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=step)
+        np.add(m, step, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=step)
+        np.multiply(step, g, out=step)
+        np.add(v, step, out=v)
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
+        np.multiply(step, learning_rate, out=step)
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, ADAM_EPS, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(p, step, out=p)
 
 
 def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
@@ -277,20 +302,45 @@ def rank_classes(probs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
+def _decode_array(key: str, spec: dict) -> np.ndarray:
+    shape = [int(n) for n in spec["shape"]]
+    data = spec["data"]
+    if not isinstance(data, str):
+        raise ValueError(f"param {key!r}: data is not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValueError(f"param {key!r}: invalid base64 data") from exc
+    expected = math.prod(shape)
+    if len(raw) != 8 * expected:
+        raise ValueError(f"param {key!r}: {len(raw)} bytes do not hold "
+                         f"{expected} float64 values of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
-    payload = {
-        "config": _config_dict(model.config),
-        "featurizer_ref": model.featurizer_ref,
-        "best_epoch": model.best_epoch,
-        "history": model.history,
-        "params": {
-            key: {"shape": list(arr.shape),
-                  "data": [float(v) for v in arr.ravel()]}
-            for key, arr in model.params.arrays().items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    """Write the model as JSON with sorted keys and no spaces, atomically.
+
+    Each param is ``{"data": <base64>, "shape": [...]}``, where ``data``
+    encodes the little-endian float64 bytes in C order. Base64 needs no
+    JSON escaping, so the params ("params" sorts last) are written as raw
+    bytes rather than through the encoder; the file is byte-for-byte what
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` gives.
+    """
+    head = json.dumps({"best_epoch": model.best_epoch,
+                       "config": asdict(model.config),
+                       "featurizer_ref": model.featurizer_ref,
+                       "history": model.history},
+                      sort_keys=True, separators=(",", ":"))
+    with atomic_open(path, "wb") as fh:
+        fh.write(head[:-1].encode() + b',"params":{')
+        for i, (key, arr) in enumerate(sorted(model.params.arrays().items())):
+            fh.write(f'{"," if i else ""}"{key}":{{"data":"'.encode())
+            fh.write(binascii.b2a_base64(
+                np.ascontiguousarray(arr, dtype="<f8"), newline=False))
+            shape = ",".join(str(n) for n in arr.shape)
+            fh.write(f'","shape":[{shape}]}}'.encode())
+        fh.write(b"}}")
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
@@ -298,10 +348,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         payload = json.load(fh)
     cfg = dict(payload["config"])
     cfg["smoothing"] = SmoothingConfig(**cfg["smoothing"])
-    arrays = {
-        key: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
-        for key, spec in payload["params"].items()
-    }
+    arrays = {key: _decode_array(key, spec)
+              for key, spec in payload["params"].items()}
     return TrainedModel(
         params=MlpParams(**arrays),
         featurizer_ref=payload["featurizer_ref"],
@@ -309,8 +357,3 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         best_epoch=payload["best_epoch"],
         history=payload["history"],
     )
-
-
-def _config_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    return d

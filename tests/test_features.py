@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      boe_embed, fit_tfidf, load_embeddings,
@@ -99,6 +101,58 @@ class TestTfidfVectorize:
         assert matrix.shape == (3, vocab.size)
         row0 = tfidf_vectorize(vocab, samples[0].tokens).toarray()
         np.testing.assert_allclose(matrix[0].toarray(), row0)
+
+
+
+def reference_row(vocab, tokens):
+    """Per-row TF-IDF: counts x idf, then divide by np.linalg.norm."""
+    grams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
+    counts = Counter(vocab.gram_to_index[g] for g in grams
+                     if g in vocab.gram_to_index)
+    if not counts:
+        return sparse.csr_matrix((1, vocab.size))
+    cols = sorted(counts)
+    values = np.array([counts[i] * vocab.idf[i] for i in cols])
+    values /= np.linalg.norm(values)
+    return sparse.csr_matrix((values, ([0] * len(cols), cols)),
+                             shape=(1, vocab.size))
+
+
+class TestTfidfMatrixExact:
+    def test_equals_per_row_reference(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(30)]
+        train = docs_to_samples([" ".join(rng.choice(words, size=12))
+                                 for _ in range(40)])
+        vocab = fit_tfidf(train, min_df=2)
+        docs = [" ".join(rng.choice(words, size=int(n)))
+                for n in rng.integers(1, 25, size=60)]
+        samples = docs_to_samples(docs + ["oov1 oov2", "w1 w1 w1 oov3"])
+        got = tfidf_matrix(vocab, samples)
+        want = sparse.vstack([reference_row(vocab, s.tokens)
+                              for s in samples], format="csr")
+        assert got.shape == want.shape
+        assert got.getrow(len(docs)).nnz == 0  # no in-vocabulary gram
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_vectorize_is_the_one_row_case(self):
+        samples = docs_to_samples(["a b c a", "b c d", "x y"])
+        vocab = fit_tfidf(samples, min_df=1)
+        for sample in samples + docs_to_samples(["q r"]):
+            got = tfidf_vectorize(vocab, sample.tokens)
+            want = reference_row(vocab, sample.tokens)
+            assert got.shape == (1, vocab.size)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_empty_sample_list(self):
+        vocab = fit_tfidf(docs_to_samples(["a b", "a c"]), min_df=1)
+        matrix = tfidf_matrix(vocab, [])
+        assert sparse.issparse(matrix)
+        assert matrix.shape == (0, vocab.size)
+        assert matrix.nnz == 0
 
 
 class TestVocabularyPersistence:

@@ -1,14 +1,17 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from ouv_classifier.harness import (ExperimentConfig, Featurizer, ReportError,
-                                    build_featurizer, confidence_lower_bound,
+from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
+                                    ReportError, build_featurizer,
+                                    confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
+from ouv_classifier.model import save_checkpoint
 from ouv_classifier.corpus import SiteRecord, build_sd_set
 from conftest import make_separable_dataset
 
@@ -146,6 +149,33 @@ class TestRunFinal:
         assert (out / "featurizer.json").exists()
         dataset.sd.clear()
 
+    def test_final_artifacts_are_relocatable(self, dataset, tmp_path,
+                                             monkeypatch):
+        config = toy_config(tmp_path)
+        run_final({"hidden": 16, "batch_size": 64}, SmoothingConfig(),
+                  config, dataset, toy_mu())
+        moved = tmp_path / "elsewhere/final"
+        moved.parent.mkdir()
+        shutil.move(str(tmp_path / "runs/step3_final"), str(moved))
+        monkeypatch.chdir(moved.parent)
+        for path in (moved / "model_ls.json", "final/model_no_ls.json"):
+            predictor = Predictor.load(path)
+            assert predictor.featurizer.kind == "ngram"
+            assert len(predictor.top3(dataset.valid[0].tokens)) == 3
+
+    def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
+                                                 monkeypatch):
+        config = toy_config(tmp_path)
+        payload = run_final({"hidden": 16, "batch_size": 64},
+                            SmoothingConfig(), config, dataset, toy_mu())
+        final_dir = tmp_path / "runs/step3_final"
+        model = payload["models"]["ls"]
+        model.featurizer_ref = str(final_dir / "featurizer.json")
+        save_checkpoint(model, tmp_path / "abs.json")
+        monkeypatch.chdir(final_dir)
+        predictor = Predictor.load(tmp_path / "abs.json")
+        assert predictor.featurizer.dimension == model.params.W1.shape[1]
+
     def test_missing_sd_flagged(self, dataset, tmp_path):
         config = toy_config(tmp_path)
         payload = run_final({"hidden": 16, "batch_size": 64},
@@ -259,6 +289,18 @@ class TestFeaturizer:
         np.testing.assert_allclose(
             featurizer.transform_tokens(dataset.valid[0].tokens),
             loaded.transform_tokens(dataset.valid[0].tokens))
+
+
+    def test_failed_save_keeps_old_file(self, dataset, tmp_path):
+        featurizer = build_featurizer(toy_config(tmp_path), dataset)
+        path = tmp_path / "feat.json"
+        featurizer.save(path)
+        before = path.read_bytes()
+        featurizer.vocab.min_df = object()  # not JSON-serializable
+        with pytest.raises(TypeError):
+            featurizer.save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["feat.json"]
 
 
 class TestReport:

@@ -79,6 +79,10 @@ class TestEvaluateSplit:
         with pytest.raises(ValueError):
             evaluate_split([[1]], [1, 2], k=3)
 
+    def test_empty_input_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            evaluate_split([], [], k=3)
+
     def test_topk_non_decreasing_and_one_at_eleven(self):
         rng = np.random.default_rng(0)
         truths = [int(rng.integers(1, 11)) for _ in range(30)]
@@ -183,3 +187,7 @@ class TestEvaluateMatches:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_matches([[1]], [parental(1), parental(2)], k=3)
+
+    def test_empty_input_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no predictions"):
+            evaluate_matches([], [], k=3)

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -12,7 +13,8 @@ from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
                                   cross_entropy_soft, forward,
                                   init_params, load_checkpoint, predict_topk,
-                                  save_checkpoint, soft_targets, train)
+                                  save_checkpoint, soft_targets, train,
+                                  TrainedModel)
 from conftest import make_separable_dataset
 
 
@@ -207,6 +209,31 @@ class TestAdam:
             assert params.W1[0, 0] == pytest.approx(ref_w, abs=1e-12)
             params.W1[0, 0] = ref_w  # keep trajectories aligned
 
+    def test_matches_unfused_expression_bitwise(self):
+        def unfused_step(p, g, m, v, t, lr):
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+        rng = np.random.default_rng(21)
+        params = random_params(37, 9, seed=22)
+        state = AdamState.for_params(params)
+        ref = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
+               for k, a in params.arrays().items()}
+        for t in range(1, 8):
+            grads = MlpParams(**{k: rng.normal(size=a.shape) * 10.0 ** -t
+                                 for k, a in params.arrays().items()})
+            lr = float(rng.uniform(1e-4, 1e-1))
+            adam_step(params, grads, state, lr)
+            for key, (p, m, v) in ref.items():
+                ref[key] = unfused_step(p, grads.arrays()[key], m, v, t, lr)
+                np.testing.assert_array_equal(params.arrays()[key],
+                                              ref[key][0])
+                np.testing.assert_array_equal(state.m[key], ref[key][1])
+                np.testing.assert_array_equal(state.v[key], ref[key][2])
+
 
 def featurized(dataset):
     vocab = fit_tfidf(dataset.train, min_df=1)
@@ -343,6 +370,67 @@ class TestCheckpoint:
         for key in model.params.arrays():
             np.testing.assert_array_equal(loaded.params.arrays()[key],
                                           model.params.arrays()[key])
+
+    def test_round_trip_keeps_negative_zero_and_subnormals(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        params = random_params(5, 3, seed=30)
+        params.W1[0, :] = [-0.0, 0.0, 5e-324, -tiny / 3, np.inf]
+        params.b2[:3] = [np.nan, -np.inf, -5e-324]
+        model = TrainedModel(params=params, featurizer_ref="f.json",
+                             config=quick_config(), best_epoch=1,
+                             history=[{"epoch": 1}])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for key, arr in params.arrays().items():
+            got = loaded.params.arrays()[key]
+            assert got.shape == arr.shape and got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          arr.view(np.uint64))
+        assert np.signbit(loaded.params.W1[0, 0])
+        loaded.params.W1 += 1.0  # loaded arrays are writeable
+
+    def test_params_are_base64_float64_le(self, tmp_path):
+        params = random_params(4, 3, seed=31)
+        model = TrainedModel(params=params, featurizer_ref="",
+                             config=quick_config(), best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":"))
+        spec = json.loads(text)["params"]["W1"]
+        assert spec["shape"] == [3, 4]
+        assert base64.b64decode(spec["data"]) == \
+            params.W1.astype("<f8").tobytes(order="C")
+
+    @pytest.mark.parametrize("data", ["AAAA", "not base64!", "AAAAé",
+                                      [0.0] * 12])
+    def test_bad_param_data_raises_value_error(self, tmp_path, data):
+        model = TrainedModel(params=random_params(4, 3, seed=32),
+                             featurizer_ref="", config=quick_config(),
+                             best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        payload["params"]["W1"]["data"] = data
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="W1"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        model = TrainedModel(params=random_params(4, 3, seed=33),
+                             featurizer_ref="", config=quick_config(),
+                             best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        # fails after the other keys and W1, W2, b1 are in the temp file
+        model.params.b2 = np.array([object()] * NUM_CLASSES)
+        with pytest.raises(TypeError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
     def test_checkpoint_is_json(self, toy_dataset, tmp_path):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
