@@ -19,9 +19,9 @@ from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, ReportError,
-                      build_featurizer, evaluate_model, featurize, mine,
-                      report, run_final, run_grid_search, run_ls_sweep,
-                      _train_once)
+                      build_featurizer, check_setting_keys, evaluate_model,
+                      featurize, mine, report, run_final, run_grid_search,
+                      run_ls_sweep, _train_once)
 from .labels import (PriorWeights, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .model import save_checkpoint
@@ -92,6 +92,7 @@ def cmd_train(args) -> int:
                                             {"variant": "none", "alpha": 0}))
     mu = _load_prior(config.prior_path) if config.prior_path else None
     setting = extra.get("setting", {})
+    check_setting_keys(setting)
     seed = extra.get("seed", config.grid_seed)
     out = Path(args.out or Path(config.output_dir) / "model.json")
     out.parent.mkdir(parents=True, exist_ok=True)

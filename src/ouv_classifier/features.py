@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import atomic_open
 from .corpus import Sample
 
 
@@ -25,23 +26,29 @@ class TfidfVocabulary:
     def size(self) -> int:
         return len(self.gram_to_index)
 
-    def save(self, path: str | Path) -> None:
+    def to_payload(self) -> dict:
+        """JSON-ready form, grams in index order; ``Featurizer.save`` writes
+        the same keys after its ``"type"``."""
         grams = [None] * self.size
         for gram, idx in self.gram_to_index.items():
             grams[idx] = gram
-        payload = {"grams": grams, "idf": [float(v) for v in self.idf],
-                   "min_df": self.min_df}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        return {"grams": grams, "idf": [float(v) for v in self.idf],
+                "min_df": self.min_df}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "TfidfVocabulary":
+        return cls(gram_to_index={g: i for i, g in enumerate(payload["grams"])},
+                   idf=np.asarray(payload["idf"], dtype=float),
+                   min_df=int(payload["min_df"]))
+
+    def save(self, path: str | Path) -> None:
+        with atomic_open(path) as fh:
+            json.dump(self.to_payload(), fh, ensure_ascii=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "TfidfVocabulary":
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        gram_to_index = {g: i for i, g in enumerate(payload["grams"])}
-        return cls(gram_to_index=gram_to_index,
-                   idf=np.asarray(payload["idf"], dtype=float),
-                   min_df=int(payload["min_df"]))
+            return cls.from_payload(json.load(fh))
 
 
 def _grams(tokens: list[str]) -> list[str]:
@@ -72,7 +79,7 @@ def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
                            idf=idf, min_df=min_df)
 
 
-def _tfidf_csr(vocab: TfidfVocabulary,
+def tfidf_rows(vocab: TfidfVocabulary,
                token_lists: list[list[str]]) -> sparse.csr_matrix:
     """TF-IDF rows (len x V sparse), each L2-normalized unless all-zero.
 
@@ -101,12 +108,12 @@ def _tfidf_csr(vocab: TfidfVocabulary,
 def tfidf_vectorize(vocab: TfidfVocabulary,
                     tokens: list[str]) -> sparse.csr_matrix:
     """TF-IDF vector (1 x V sparse row), L2-normalized unless all-zero."""
-    return _tfidf_csr(vocab, [tokens])
+    return tfidf_rows(vocab, [tokens])
 
 
 def tfidf_matrix(vocab: TfidfVocabulary,
                  samples: list[Sample]) -> sparse.csr_matrix:
-    return _tfidf_csr(vocab, [s.tokens for s in samples])
+    return tfidf_rows(vocab, [s.tokens for s in samples])
 
 
 @dataclass

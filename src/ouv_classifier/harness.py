@@ -13,17 +13,22 @@ import numpy as np
 
 from . import atomic_open
 from .corpus import Dataset, Sample, preprocess
-from .features import (EmbeddingTable, TfidfVocabulary, boe_embed, boe_matrix,
-                       fit_tfidf, load_embeddings, tfidf_matrix,
-                       tfidf_vectorize, token_frequencies)
+from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
+                       fit_tfidf, load_embeddings, tfidf_rows,
+                       token_frequencies)
 from .labels import ALPHA_GRID, PriorWeights, SmoothingConfig
 from .metrics import EvalReport, MatchReport, evaluate_matches, evaluate_split
-from .model import (TrainConfig, TrainedModel, load_checkpoint, predict_proba,
-                    rank_classes, save_checkpoint, train)
+from .model import (TrainConfig, TrainedModel, TrainingDiverged,
+                    load_checkpoint, predict_proba, rank_classes,
+                    save_checkpoint, top_classes, train)
 
 DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
 VARIANT_ORDER = ("vanilla", "uniform", "prior")
+SETTING_KEYS = ("hidden", "batch_size", "learning_rate", "l2", "dropout")
+# lines featurized and scored per model call in ``mine``; bounds the
+# feature matrix on large inputs
+_MINE_BLOCK = 4096
 
 
 class ReportError(RuntimeError):
@@ -77,24 +82,23 @@ class Featurizer:
     def dimension(self) -> int:
         return self.vocab.size if self.kind == "ngram" else self.table.dimension
 
-    def transform(self, samples: list[Sample]):
+    def transform_token_lists(self, token_lists: list[list[str]]):
+        """One feature row per token list: CSR for n-gram, dense for BoE."""
         if self.kind == "ngram":
-            return tfidf_matrix(self.vocab, samples)
-        return boe_matrix(self.table, samples)
+            return tfidf_rows(self.vocab, token_lists)
+        return np.stack([boe_embed(tokens, self.table)
+                         for tokens in token_lists])
+
+    def transform(self, samples: list[Sample]):
+        return self.transform_token_lists([s.tokens for s in samples])
 
     def transform_tokens(self, tokens: list[str]):
-        if self.kind == "ngram":
-            return tfidf_vectorize(self.vocab, tokens)
-        return boe_embed(tokens, self.table)
+        """A 1-row matrix for one token list."""
+        return self.transform_token_lists([tokens])
 
     def save(self, path: str | Path) -> None:
         if self.kind == "ngram":
-            grams = [None] * self.vocab.size
-            for gram, idx in self.vocab.gram_to_index.items():
-                grams[idx] = gram
-            payload = {"type": "ngram", "grams": grams,
-                       "idf": [float(v) for v in self.vocab.idf],
-                       "min_df": self.vocab.min_df}
+            payload = {"type": "ngram", **self.vocab.to_payload()}
         else:
             payload = {"type": "boe", "dimension": self.table.dimension,
                        "vectors": {tok: [float(v) for v in vec]
@@ -108,11 +112,8 @@ class Featurizer:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload["type"] == "ngram":
-            vocab = TfidfVocabulary(
-                gram_to_index={g: i for i, g in enumerate(payload["grams"])},
-                idf=np.asarray(payload["idf"], dtype=float),
-                min_df=int(payload["min_df"]))
-            return cls(kind="ngram", vocab=vocab)
+            return cls(kind="ngram",
+                       vocab=TfidfVocabulary.from_payload(payload))
         table = EmbeddingTable(
             word_to_vector={tok: np.asarray(vec, dtype=float)
                             for tok, vec in payload["vectors"].items()},
@@ -155,6 +156,15 @@ def featurize(featurizer: Featurizer, dataset: Dataset) -> FeaturizedData:
     )
 
 
+def check_setting_keys(keys) -> None:
+    """Raise ``ValueError`` naming the first key that is not a training
+    setting (``SETTING_KEYS``), so a typo cannot fall back to a default."""
+    for key in keys:
+        if key not in SETTING_KEYS:
+            raise ValueError(f"unknown setting key {key!r}; expected one of "
+                             + ", ".join(SETTING_KEYS))
+
+
 def _train_once(data: FeaturizedData, setting: dict, config: ExperimentConfig,
                 smoothing: SmoothingConfig, seed: int,
                 mu: PriorWeights | None,
@@ -190,6 +200,7 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
     """Single-seed grid search; best setting by validation top-k."""
     if not config.grid or not all(config.grid.values()):
         raise ValueError("grid must be non-empty")
+    check_setting_keys(config.grid)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
@@ -202,7 +213,7 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
         try:
             model = _train_once(data, setting, config, SmoothingConfig(),
                                 config.grid_seed, mu=None)
-        except Exception as exc:  # noqa: BLE001 - sweep must continue
+        except (TrainingDiverged, ValueError) as exc:  # the grid continues
             entry["error"] = str(exc)
             log.append(entry)
             continue
@@ -216,7 +227,7 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
         raise RuntimeError("every grid setting failed to train")
     out = Path(config.output_dir) / "step1_grid"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "log.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "log.json") as fh:
         json.dump({"log": log, "best": best, "seed": config.grid_seed},
                   fh, indent=1)
     return {k: v for k, v in best.items()
@@ -254,6 +265,7 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     maximizing the summed 95%-CI lower bounds of val top-1 and top-k."""
     if len(config.seeds) < 2:
         raise ValueError("the sweep requires at least two seeds")
+    check_setting_keys(best_setting)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
@@ -269,7 +281,7 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                 try:
                     model = _train_once(data, best_setting, config,
                                         smoothing, seed, mu)
-                except Exception as exc:  # noqa: BLE001
+                except (TrainingDiverged, ValueError) as exc:
                     failures.append({"seed": seed, "error": str(exc)})
                     continue
                 top1, topk = _best_epoch_scores(model)
@@ -303,7 +315,7 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                          chosen_alpha=winner["alpha"])
     out = Path(config.output_dir) / "step2_sweep"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "sweep.json") as fh:
         json.dump({"setting": best_setting, **result.to_dict()}, fh, indent=1)
     return result
 
@@ -349,6 +361,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
               featurizer: Featurizer | None = None) -> dict:
     """Train the chosen-LS and no-LS models on the grid seed and evaluate
     on valid/test plus the SD set when present."""
+    check_setting_keys(best_setting)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     out = Path(config.output_dir) / "step3_final"
@@ -377,7 +390,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     payload = {"baseline": config.baseline, "setting": best_setting,
                "seed": config.grid_seed, "rows": rows,
                "sd_evaluated": not sd_missing}
-    with open(out / "final.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "final.json") as fh:
         json.dump(payload, fh, indent=1)
     payload["models"] = models
     return payload
@@ -390,6 +403,9 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
 class Predictor:
     model: TrainedModel
     featurizer: Featurizer
+    # resolved featurizer file, set by ``load``; ``mine`` featurizes once
+    # for two predictors that share it
+    featurizer_path: Path | None = None
 
     @classmethod
     def load(cls, checkpoint_path: str | Path) -> "Predictor":
@@ -398,14 +414,20 @@ class Predictor:
         model = load_checkpoint(checkpoint_path)
         if not model.featurizer_ref:
             raise ValueError(f"{checkpoint_path} has no featurizer reference")
-        featurizer_path = Path(checkpoint_path).parent / model.featurizer_ref
-        return cls(model=model, featurizer=Featurizer.load(featurizer_path))
+        path = (Path(checkpoint_path).parent / model.featurizer_ref).resolve()
+        return cls(model=model, featurizer=Featurizer.load(path),
+                   featurizer_path=path)
 
-    def top3(self, tokens: list[str]) -> list[tuple[int, float]]:
-        x = self.featurizer.transform_tokens(tokens)
-        probs = np.asarray(predict_proba(self.model, x)).reshape(-1)
-        order = np.argsort(-probs, kind="stable")[:3]
-        return [(int(i) + 1, float(probs[i])) for i in order]
+    def topk(self, token_lists: list[list[str]], k: int = 3,
+             features=None) -> list[list[tuple[int, float]]]:
+        """Per token list, the ``k`` best (criterion id, confidence) pairs,
+        best first, from one batched forward. ``features`` may carry the
+        rows this predictor's featurizer gives for ``token_lists``."""
+        if features is None:
+            features = self.featurizer.transform_token_lists(token_lists)
+        ids, confs = top_classes(predict_proba(self.model, features), k)
+        return [list(zip(row_ids, row_confs))
+                for row_ids, row_confs in zip(ids.tolist(), confs.tolist())]
 
 
 def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
@@ -415,26 +437,39 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 
     A sentence passes when each model's top-3 confidence sum exceeds the
     confidence threshold and the IoU of the two top-3 class sets exceeds
-    the IoU threshold (both strict).
+    the IoU threshold (both strict). Lines are preprocessed once (lines
+    with no tokens are dropped), then featurized and scored in blocks of
+    ``_MINE_BLOCK`` with one ``topk`` call per model per block.
     """
+    lines = [(text, tokens)
+             for text, tokens in zip(texts, map(preprocess, texts)) if tokens]
+    path_a = getattr(predictor_a, "featurizer_path", None)
+    shared = path_a is not None and path_a == getattr(
+        predictor_b, "featurizer_path", None)
     kept = []
-    for text in texts:
-        tokens = preprocess(text)
-        if not tokens:
-            continue
-        top_a = predictor_a.top3(tokens)
-        top_b = predictor_b.top3(tokens)
-        conf_a = sum(c for _, c in top_a)
-        conf_b = sum(c for _, c in top_b)
-        set_a = {cls for cls, _ in top_a}
-        set_b = {cls for cls, _ in top_b}
-        iou = len(set_a & set_b) / len(set_a | set_b)
-        if (conf_a > confidence_threshold and conf_b > confidence_threshold
-                and iou > iou_threshold):
-            kept.append({"sentence": text,
-                         "predictions_a": top_a, "predictions_b": top_b,
-                         "confidence_a": conf_a, "confidence_b": conf_b,
-                         "iou": iou})
+    for start in range(0, len(lines), _MINE_BLOCK):
+        block = lines[start:start + _MINE_BLOCK]
+        token_lists = [tokens for _, tokens in block]
+        if shared:
+            x = predictor_a.featurizer.transform_token_lists(token_lists)
+            tops_a = predictor_a.topk(token_lists, k=3, features=x)
+            tops_b = predictor_b.topk(token_lists, k=3, features=x)
+        else:
+            tops_a = predictor_a.topk(token_lists, k=3)
+            tops_b = predictor_b.topk(token_lists, k=3)
+        for (text, _), top_a, top_b in zip(block, tops_a, tops_b):
+            conf_a = sum(c for _, c in top_a)
+            conf_b = sum(c for _, c in top_b)
+            set_a = {cls for cls, _ in top_a}
+            set_b = {cls for cls, _ in top_b}
+            iou = len(set_a & set_b) / len(set_a | set_b)
+            if (conf_a > confidence_threshold
+                    and conf_b > confidence_threshold
+                    and iou > iou_threshold):
+                kept.append({"sentence": text,
+                             "predictions_a": top_a, "predictions_b": top_b,
+                             "confidence_a": conf_a, "confidence_b": conf_b,
+                             "iou": iou})
     return kept
 
 
@@ -499,10 +534,10 @@ def report(artifacts_dir: str | Path) -> dict:
                           if k not in ("history", "valid_report",
                                        "test_report")}
                   for label, row in final["rows"].items()}}
-    with open(root / "summary.json", "w", encoding="utf-8") as fh:
+    with atomic_open(root / "summary.json") as fh:
         json.dump(summary, fh, indent=1)
-    with open(root / "summary.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(root / "summary.txt") as fh:
         fh.write(summary_text + "\n")
-    with open(root / "curves.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(root / "curves.csv") as fh:
         fh.write("\n".join(curve_rows) + "\n")
     return {"text": summary_text, "summary": summary}

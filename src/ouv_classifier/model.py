@@ -206,12 +206,10 @@ def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
 
 
 def _topk_hits(probs: np.ndarray, labels: np.ndarray, k: int) -> tuple[float, float]:
-    """(top-1, top-k) accuracy; ties broken toward the lower class index."""
-    # argsort on (-prob, index): stable sort over index handles ties
-    order = np.argsort(-probs, axis=1, kind="stable")
-    top1 = float((order[:, 0] == labels).mean())
-    topk = float((order[:, :k] == labels[:, None]).any(axis=1).mean())
-    return top1, topk
+    """(top-1, top-k) accuracy of 0-based ``labels``; ties toward the lower
+    class index."""
+    hits = rank_classes(probs)[:, :k] == labels[:, None] + 1
+    return float(hits[:, 0].mean()), float(hits.any(axis=1).mean())
 
 
 def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
@@ -288,15 +286,22 @@ def predict_topk(model: TrainedModel, features,
     """Ranked (criterion id, confidence) pairs for a single feature vector."""
     if not 1 <= k <= NUM_CLASSES:
         raise ValueError("k must be in [1, 11]")
-    probs = np.asarray(predict_proba(model, features)).reshape(-1)
-    order = np.argsort(-probs, kind="stable")
-    return [(int(i) + 1, float(probs[i])) for i in order[:k]]
+    ids, confs = top_classes(predict_proba(model, features.reshape(1, -1)), k)
+    return list(zip(ids[0].tolist(), confs[0].tolist()))
 
 
 def rank_classes(probs: np.ndarray) -> np.ndarray:
     """Full per-sample class rankings (1-based ids), ties to lower index."""
     order = np.argsort(-np.atleast_2d(probs), axis=1, kind="stable")
     return order + 1
+
+
+def top_classes(probs: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` columns of ``rank_classes`` and their probabilities,
+    both ``rows x k``."""
+    ids = rank_classes(probs)[:, :k]
+    return ids, np.take_along_axis(np.atleast_2d(probs), ids - 1, axis=1)
 
 
 # ---------------------------------------------------------------------------

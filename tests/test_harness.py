@@ -5,14 +5,15 @@ import shutil
 import numpy as np
 import pytest
 
+from ouv_classifier import harness
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     ReportError, build_featurizer,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
-from ouv_classifier.model import save_checkpoint
-from ouv_classifier.corpus import SiteRecord, build_sd_set
+from ouv_classifier.model import predict_proba, save_checkpoint
+from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
 from conftest import make_separable_dataset
 
 
@@ -161,7 +162,7 @@ class TestRunFinal:
         for path in (moved / "model_ls.json", "final/model_no_ls.json"):
             predictor = Predictor.load(path)
             assert predictor.featurizer.kind == "ngram"
-            assert len(predictor.top3(dataset.valid[0].tokens)) == 3
+            assert len(predictor.topk([dataset.valid[0].tokens], k=3)[0]) == 3
 
     def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
                                                  monkeypatch):
@@ -190,8 +191,8 @@ class StubPredictor:
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def top3(self, tokens):
-        return self.outputs[tokens[0]]
+    def topk(self, token_lists, k=3):
+        return [self.outputs[tokens[0]] for tokens in token_lists]
 
 
 class TestMine:
@@ -272,6 +273,18 @@ class TestFeaturizer:
         x2 = loaded.transform_tokens(dataset.valid[0].tokens)
         np.testing.assert_allclose(x1.toarray(), x2.toarray())
 
+    def test_ngram_file_is_the_vocabulary_file_plus_type(self, dataset,
+                                                          tmp_path):
+        featurizer = build_featurizer(toy_config(tmp_path), dataset)
+        featurizer.save(tmp_path / "feat.json")
+        featurizer.vocab.save(tmp_path / "vocab.json")
+        feat = json.loads((tmp_path / "feat.json").read_text())
+        assert feat.pop("type") == "ngram"
+        assert feat == json.loads((tmp_path / "vocab.json").read_text())
+        loaded = Featurizer.load(tmp_path / "feat.json").vocab
+        assert loaded.gram_to_index == featurizer.vocab.gram_to_index
+        np.testing.assert_array_equal(loaded.idf, featurizer.vocab.idf)
+
     def test_boe_round_trip(self, dataset, tmp_path):
         emb = tmp_path / "emb.txt"
         tokens = sorted({t for s in dataset.train for t in s.tokens})
@@ -339,3 +352,235 @@ def test_pipeline_determinism(dataset, tmp_path):
     log_a = (tmp_path / "a/runs/step1_grid/log.json").read_text()
     log_b = (tmp_path / "b/runs/step1_grid/log.json").read_text()
     assert log_a == log_b
+
+
+class TestSettingKeys:
+    def test_grid_typo_key_fails_before_training(self, dataset, tmp_path,
+                                                 monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite a bad grid key")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        config = toy_config(tmp_path, grid={"hiden": [8, 64]})
+        with pytest.raises(ValueError, match="'hiden'"):
+            run_grid_search(config, dataset)
+        assert not (tmp_path / "runs").exists()
+
+    def test_sweep_and_final_check_the_setting(self, dataset, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(harness, "train", None)  # never reached
+        config = toy_config(tmp_path)
+        with pytest.raises(ValueError, match="'batchsize'"):
+            run_ls_sweep({"hidden": 16, "batchsize": 64}, config, dataset,
+                         toy_mu())
+        with pytest.raises(ValueError, match="'l_2'"):
+            run_final({"l_2": 0.0}, SmoothingConfig(), config, dataset,
+                      toy_mu())
+
+    def test_value_error_in_training_is_logged(self, dataset, tmp_path):
+        config = toy_config(tmp_path, grid={"hidden": [16],
+                                            "dropout": [0.2, 1.5]})
+        assert run_grid_search(config, dataset)["dropout"] == 0.2
+        log = json.loads(
+            (tmp_path / "runs/step1_grid/log.json").read_text())
+        assert ["error" in entry for entry in log["log"]] == [False, True]
+
+    def test_type_error_propagates(self, dataset, tmp_path):
+        config = toy_config(tmp_path, grid={"hidden": [None]})
+        with pytest.raises(TypeError):
+            run_grid_search(config, dataset)
+        with pytest.raises(TypeError):
+            run_ls_sweep({"hidden": None}, config, dataset, toy_mu())
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize("artifact", ["step1_grid/log.json",
+                                          "step2_sweep/sweep.json",
+                                          "step3_final/final.json",
+                                          "summary.json"])
+    def test_failed_write_keeps_old_file(self, dataset, tmp_path,
+                                         monkeypatch, artifact):
+        config = toy_config(tmp_path, alpha_grid=[0.0], variants=["vanilla"])
+
+        def run_all():
+            best = run_grid_search(config, dataset)
+            result = run_ls_sweep(best, config, dataset, toy_mu())
+            run_final(best, SmoothingConfig(result.chosen_variant,
+                                            result.chosen_alpha),
+                      config, dataset, toy_mu())
+            report(config.output_dir)
+
+        run_all()
+        path = tmp_path / "runs" / artifact
+        before = path.read_bytes()
+        real_dump = json.dump
+
+        def dump_then_fail(obj, fh, **kwargs):
+            real_dump(obj, fh, **kwargs)
+            if fh.name.startswith(f"{path}."):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_all()
+        assert path.read_bytes() == before
+        assert not list((tmp_path / "runs").rglob("*.tmp"))
+
+
+def _embeddings_file(dataset, path):
+    tokens = sorted({t for s in dataset.train for t in s.tokens})
+    rng = np.random.default_rng(0)
+    path.write_text("\n".join(
+        f"{t} " + " ".join(f"{v:.4f}" for v in rng.normal(size=5))
+        for t in tokens) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def mine_dataset():
+    """Six-class toy corpus whose words survive ``preprocess`` unchanged
+    (digits spelled as letters: "c1w0" -> "cbwa")."""
+    dataset = make_separable_dataset(n_train=120, n_valid=30, n_test=30,
+                                     n_classes=6, seed=3)
+    letters = str.maketrans("0123456789", "abcdefghij")
+    for sample in dataset.train + dataset.valid + dataset.test:
+        sample.tokens = [t.translate(letters) for t in sample.tokens]
+    return dataset
+
+
+@pytest.fixture(scope="module")
+def predictors(mine_dataset, tmp_path_factory):
+    """Loaded (no-LS, LS) predictor pairs from n-gram and BoE final runs."""
+    root = tmp_path_factory.mktemp("mine")
+    pairs = {}
+    for baseline in ("ngram", "boe"):
+        config = toy_config(root / baseline, baseline=baseline,
+                            embeddings_path=str(_embeddings_file(
+                                mine_dataset, root / "emb.txt")))
+        run_final({"hidden": 16, "batch_size": 32},
+                  SmoothingConfig("uniform", 0.1), config, mine_dataset,
+                  toy_mu())
+        final = root / baseline / "runs/step3_final"
+        pairs[baseline] = (Predictor.load(final / "model_no_ls.json"),
+                           Predictor.load(final / "model_ls.json"))
+    return pairs
+
+
+def _mine_lines(dataset, count=30):
+    rng = np.random.default_rng(5)
+    words = sorted({t for s in dataset.train for t in s.tokens})
+    words += ["unseen", "1850", "Héritage", "!"]
+    lines = [" ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+             for _ in range(count)]
+    lines[3] = ""
+    lines[11] = "   "
+    return lines
+
+
+def per_sentence_mine(texts, a, b, confidence, iou_threshold):
+    """Reference: a 1-row featurize and forward per model per sentence."""
+    kept = []
+    for text in texts:
+        tokens = preprocess(text)
+        if not tokens:
+            continue
+        tops = []
+        for p in (a, b):
+            x = p.featurizer.transform_tokens(tokens)
+            probs = np.asarray(predict_proba(p.model, x))[0]
+            order = np.argsort(-probs, kind="stable")[:3]
+            tops.append([(int(i) + 1, float(probs[i])) for i in order])
+        sets = [{c for c, _ in top} for top in tops]
+        confs = [sum(c for _, c in top) for top in tops]
+        iou = len(sets[0] & sets[1]) / len(sets[0] | sets[1])
+        if min(confs) > confidence and iou > iou_threshold:
+            kept.append({"sentence": text, "tops": tops, "iou": iou})
+    return kept
+
+
+def assert_matches_reference(kept, expected):
+    assert [k["sentence"] for k in kept] == [e["sentence"] for e in expected]
+    for got, want in zip(kept, expected):
+        assert got["iou"] == want["iou"]
+        for side, top in zip("ab", want["tops"]):
+            pairs = got[f"predictions_{side}"]
+            assert [c for c, _ in pairs] == [c for c, _ in top]
+            np.testing.assert_allclose([v for _, v in pairs],
+                                       [v for _, v in top], rtol=0,
+                                       atol=1e-12)
+            assert got[f"confidence_{side}"] == pytest.approx(
+                sum(v for _, v in top), rel=0, abs=1e-12)
+
+
+class TestBatchedMine:
+    @pytest.mark.parametrize("kinds", [("ngram", "ngram"), ("boe", "boe"),
+                                       ("ngram", "boe")])
+    @pytest.mark.parametrize("thresholds", [(0.0, 0.0), (0.3, 0.4)])
+    def test_equals_per_sentence_reference(self, mine_dataset, predictors,
+                                           monkeypatch, kinds, thresholds):
+        monkeypatch.setattr(harness, "_MINE_BLOCK", 7)  # several blocks
+        a, b = predictors[kinds[0]][0], predictors[kinds[1]][1]
+        lines = _mine_lines(mine_dataset)
+        kept = mine(lines, a, b, *thresholds)
+        expected = per_sentence_mine(lines, a, b, *thresholds)
+        assert_matches_reference(kept, expected)
+        if thresholds == (0.0, 0.0):
+            assert len(kept) == len(lines) - 2  # all but the blank lines
+            assert len({tuple(c for c, _ in k["predictions_a"])
+                        for k in kept}) > 5
+
+    def test_default_block_size_matches_reference(self, mine_dataset,
+                                                  predictors):
+        a, b = predictors["ngram"]
+        lines = _mine_lines(mine_dataset)
+        assert_matches_reference(mine(lines, a, b, 0.0, 0.0),
+                                 per_sentence_mine(lines, a, b, 0.0, 0.0))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_forward_per_model_per_block(self, mine_dataset, predictors,
+                                             monkeypatch, shared):
+        calls = {"predict_proba": 0, "featurize": 0}
+        real_predict = harness.predict_proba
+        real_featurize = Featurizer.transform_token_lists
+
+        def counting_predict(model, x):
+            calls["predict_proba"] += 1
+            return real_predict(model, x)
+
+        def counting_featurize(self, token_lists):
+            calls["featurize"] += 1
+            return real_featurize(self, token_lists)
+
+        monkeypatch.setattr(harness, "predict_proba", counting_predict)
+        monkeypatch.setattr(Featurizer, "transform_token_lists",
+                            counting_featurize)
+        monkeypatch.setattr(harness, "_MINE_BLOCK", 8)
+        a, b = predictors["ngram"]
+        if not shared:  # same featurizer, but not known to be shared
+            b = Predictor(model=b.model, featurizer=b.featurizer)
+        lines = _mine_lines(mine_dataset, count=26)  # 24 non-blank: 3 blocks
+        mine(lines, a, b, 0.0, 0.0)
+        assert calls == {"predict_proba": 6,
+                         "featurize": 3 if shared else 6}
+
+    def test_empty_input_runs_no_model(self, predictors, monkeypatch):
+        monkeypatch.setattr(harness, "predict_proba", None)
+        a, b = predictors["ngram"]
+        assert mine([], a, b) == []
+        assert mine(["", "  "], a, b) == []
+
+    def test_loaded_pair_shares_featurizer_path(self, predictors):
+        a, b = predictors["ngram"]
+        assert a.featurizer_path == b.featurizer_path
+        assert a.featurizer_path.is_absolute()
+        assert predictors["boe"][0].featurizer_path != a.featurizer_path
+
+    def test_topk_rows(self, mine_dataset, predictors):
+        a, _ = predictors["boe"]
+        token_lists = [s.tokens for s in mine_dataset.valid[:4]]
+        tops = a.topk(token_lists, k=5)
+        assert [len(top) for top in tops] == [5] * 4
+        for top in tops:
+            confs = [c for _, c in top]
+            assert confs == sorted(confs, reverse=True)
+            assert all(isinstance(c, int) for c, _ in top)
