@@ -18,14 +18,15 @@ OTHERS_NOISE = 0.2
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb")
-    through a temp file in the same directory, moved over ``path`` with
-    ``os.replace`` on success, so readers see the old file or the whole
-    new one, never a partial one."""
+def atomic_open(path, mode: str = "w", newline: str | None = None):
+    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb";
+    ``newline`` as for ``open``) through a temp file in the same directory,
+    moved over ``path`` with ``os.replace`` on success, so readers see the
+    old file or the whole new one, never a partial one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
+                  newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -12,33 +12,17 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import NUM_CRITERIA
+from . import NUM_CRITERIA, atomic_open
 from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, ReportError,
                       build_featurizer, check_setting_keys, evaluate_model,
-                      featurize, mine, report, run_final, run_grid_search,
-                      run_ls_sweep, _train_once)
-from .labels import (PriorWeights, SmoothingConfig, cooccurrence,
-                     prior_weights)
+                      featurize, load_prior, mine, report, run_final,
+                      run_grid_search, run_ls_sweep, setting_of,
+                      train_setting)
+from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .model import save_checkpoint
-
-
-def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    extra = {k: payload.pop(k) for k in list(payload) if k not in known}
-    return ExperimentConfig(**payload), extra
-
-
-def _load_prior(path: str) -> PriorWeights:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return PriorWeights(mu=np.asarray(payload["mu"], dtype=float))
 
 
 def cmd_ingest(args) -> int:
@@ -66,10 +50,10 @@ def cmd_prior(args) -> int:
     mu = prior_weights(matrix)
     out = Path(args.out)
     payload = {"counts": matrix.counts.tolist(), "mu": mu.mu.tolist()}
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_open(out) as fh:
         json.dump(payload, fh, indent=1)
     csv_path = out.with_suffix(".csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         header = [""] + [str(k) for k in range(1, NUM_CRITERIA + 1)]
         writer.writerow(["counts"] + header[1:])
@@ -83,23 +67,21 @@ def cmd_prior(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, extra = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     config.baseline = args.baseline or config.baseline
+    check_setting_keys(config.setting)
+    smoothing = SmoothingConfig(**config.smoothing)
     dataset = read_dataset(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
-    smoothing = SmoothingConfig(**extra.get("smoothing",
-                                            {"variant": "none", "alpha": 0}))
-    mu = _load_prior(config.prior_path) if config.prior_path else None
-    setting = extra.get("setting", {})
-    check_setting_keys(setting)
-    seed = extra.get("seed", config.grid_seed)
+    mu = load_prior(config)
     out = Path(args.out or Path(config.output_dir) / "model.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     featurizer_path = out.with_name(out.stem + "_featurizer.json")
     featurizer.save(featurizer_path)
-    model = _train_once(data, setting, config, smoothing, seed, mu,
-                        featurizer_ref=featurizer_path.name)
+    model = train_setting(data, config.setting, config, smoothing,
+                          config.grid_seed, mu,
+                          featurizer_ref=featurizer_path.name)
     save_checkpoint(model, out)
     last = model.history[model.best_epoch - 1]
     print(f"best_epoch={model.best_epoch} val_top1={last['val_top1']:.4f} "
@@ -108,14 +90,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, _ = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     dataset = read_dataset(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     best = run_grid_search(config, dataset, featurizer=featurizer)
-    mu = _load_prior(config.prior_path) if config.prior_path else None
-    if mu is None:
-        sites = read_sites(Path(config.dataset_dir) / "sites.json")
-        mu = prior_weights(cooccurrence(sites))
+    mu = load_prior(config)
     result = run_ls_sweep(best, config, dataset, mu, featurizer=featurizer)
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
@@ -123,22 +102,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_final(args) -> int:
-    config, _ = _load_config(args.config)
+    config = ExperimentConfig.from_json(args.config)
     dataset = read_dataset(config.dataset_dir)
     out = Path(config.output_dir)
     with open(out / "step1_grid/log.json", encoding="utf-8") as fh:
-        grid = json.load(fh)
-    best = {k: v for k, v in grid["best"].items()
-            if k not in ("val_top1", "val_topk", "best_epoch", "error")}
+        best = setting_of(json.load(fh)["best"])
     with open(out / "step2_sweep/sweep.json", encoding="utf-8") as fh:
         sweep = json.load(fh)
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
-    mu = _load_prior(config.prior_path) if config.prior_path else None
-    if mu is None:
-        sites = read_sites(Path(config.dataset_dir) / "sites.json")
-        mu = prior_weights(cooccurrence(sites))
-    payload = run_final(best, chosen, config, dataset, mu)
+    payload = run_final(best, chosen, config, dataset, load_prior(config))
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "
               f"val_topk={row['val_topk']:.4f} "
@@ -171,11 +144,12 @@ def cmd_mine(args) -> int:
     kept = mine(texts, predictor_a, predictor_b,
                 confidence_threshold=args.confidence,
                 iou_threshold=args.iou)
-    output = json.dumps(kept, indent=1)
     if args.out:
-        Path(args.out).write_text(output + "\n", encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            json.dump(kept, fh, indent=1)
+            fh.write("\n")
     else:
-        print(output)
+        print(json.dumps(kept, indent=1))
     print(f"kept {len(kept)} of {len(texts)} sentences", file=sys.stderr)
     return 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE
+from . import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open
 
 ROMAN = {
     "i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
@@ -455,7 +455,7 @@ def sample_from_json(line: str) -> Sample:
 
 
 def write_samples(samples: list[Sample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sample in samples:
             fh.write(sample_to_json(sample) + "\n")
 
@@ -486,7 +486,7 @@ def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
     """Persist the site-level criteria sets (input to the prior)."""
     payload = [{"site_id": s.site_id, "name": s.name,
                 "criteria": sorted(s.criteria)} for s in sites]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1)
 
 

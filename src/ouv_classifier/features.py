@@ -105,17 +105,6 @@ def tfidf_rows(vocab: TfidfVocabulary,
                              shape=(len(token_lists), vocab.size))
 
 
-def tfidf_vectorize(vocab: TfidfVocabulary,
-                    tokens: list[str]) -> sparse.csr_matrix:
-    """TF-IDF vector (1 x V sparse row), L2-normalized unless all-zero."""
-    return tfidf_rows(vocab, [tokens])
-
-
-def tfidf_matrix(vocab: TfidfVocabulary,
-                 samples: list[Sample]) -> sparse.csr_matrix:
-    return tfidf_rows(vocab, [s.tokens for s in samples])
-
-
 @dataclass
 class EmbeddingTable:
     word_to_vector: dict[str, np.ndarray]
@@ -169,10 +158,6 @@ def boe_embed(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     if not tokens:
         raise ValueError("cannot embed an empty token sequence")
     return np.mean([table.vector(t) for t in tokens], axis=0)
-
-
-def boe_matrix(table: EmbeddingTable, samples: list[Sample]) -> np.ndarray:
-    return np.stack([boe_embed(s.tokens, table) for s in samples])
 
 
 def token_frequencies(samples: list[Sample]) -> dict[str, int]:

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic_open
-from .corpus import Dataset, Sample, preprocess
+from .corpus import Dataset, Sample, preprocess, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
                        fit_tfidf, load_embeddings, tfidf_rows,
                        token_frequencies)
-from .labels import ALPHA_GRID, PriorWeights, SmoothingConfig
+from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
+                     prior_weights)
 from .metrics import EvalReport, MatchReport, evaluate_matches, evaluate_split
 from .model import (TrainConfig, TrainedModel, TrainingDiverged,
                     load_checkpoint, predict_proba, rank_classes,
@@ -60,12 +61,34 @@ class ExperimentConfig:
     embeddings_path: str = ""
     prior_path: str = ""
     output_dir: str = "runs"
+    # the one model ``ouvclf train`` fits
+    setting: dict = field(default_factory=dict)
+    smoothing: dict = field(
+        default_factory=lambda: {"variant": "none", "alpha": 0})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        """Load a config file; an unknown top-level key is a ``ValueError``
+        naming it, so a typo cannot fall back to a default."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        unknown = [key for key in payload
+                   if key not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"{path}: unknown config key(s) "
+                             + ", ".join(map(repr, unknown)))
         return cls(**payload)
+
+
+def load_prior(config: ExperimentConfig) -> PriorWeights:
+    """The prior written by ``ouvclf prior`` at ``config.prior_path``, or
+    else the one derived from ``dataset_dir/sites.json``."""
+    if config.prior_path:
+        with open(config.prior_path, encoding="utf-8") as fh:
+            mu = json.load(fh)["mu"]
+        return PriorWeights(mu=np.asarray(mu, dtype=float))
+    sites = read_sites(Path(config.dataset_dir) / "sites.json")
+    return prior_weights(cooccurrence(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +114,6 @@ class Featurizer:
 
     def transform(self, samples: list[Sample]):
         return self.transform_token_lists([s.tokens for s in samples])
-
-    def transform_tokens(self, tokens: list[str]):
-        """A 1-row matrix for one token list."""
-        return self.transform_token_lists([tokens])
 
     def save(self, path: str | Path) -> None:
         if self.kind == "ngram":
@@ -165,10 +184,18 @@ def check_setting_keys(keys) -> None:
                              + ", ".join(SETTING_KEYS))
 
 
-def _train_once(data: FeaturizedData, setting: dict, config: ExperimentConfig,
-                smoothing: SmoothingConfig, seed: int,
-                mu: PriorWeights | None,
-                featurizer_ref: str = "") -> TrainedModel:
+def setting_of(entry: dict) -> dict:
+    """The training setting of a grid log entry: its ``SETTING_KEYS``, in
+    entry order."""
+    return {k: v for k, v in entry.items() if k in SETTING_KEYS}
+
+
+def train_setting(data: FeaturizedData, setting: dict,
+                  config: ExperimentConfig, smoothing: SmoothingConfig,
+                  seed: int, mu: PriorWeights | None,
+                  featurizer_ref: str = "") -> TrainedModel:
+    """Train one model on ``data`` with a setting's hyper-parameters, the
+    rest taken from ``config``."""
     train_config = TrainConfig(
         hidden=int(setting.get("hidden", 200)),
         batch_size=int(setting.get("batch_size", 128)),
@@ -211,8 +238,8 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
         setting = dict(zip(keys, values))
         entry = dict(setting)
         try:
-            model = _train_once(data, setting, config, SmoothingConfig(),
-                                config.grid_seed, mu=None)
+            model = train_setting(data, setting, config, SmoothingConfig(),
+                                  config.grid_seed, mu=None)
         except (TrainingDiverged, ValueError) as exc:  # the grid continues
             entry["error"] = str(exc)
             log.append(entry)
@@ -230,8 +257,7 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
     with atomic_open(out / "log.json") as fh:
         json.dump({"log": log, "best": best, "seed": config.grid_seed},
                   fh, indent=1)
-    return {k: v for k, v in best.items()
-            if k not in ("val_top1", "val_topk", "best_epoch", "error")}
+    return setting_of(best)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +305,8 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
             for seed in config.seeds:
                 smoothing = SmoothingConfig(variant=variant, alpha=alpha)
                 try:
-                    model = _train_once(data, best_setting, config,
-                                        smoothing, seed, mu)
+                    model = train_setting(data, best_setting, config,
+                                          smoothing, seed, mu)
                 except (TrainingDiverged, ValueError) as exc:
                     failures.append({"seed": seed, "error": str(exc)})
                     continue
@@ -326,18 +352,24 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
 def evaluate_model(model: TrainedModel, featurizer: Featurizer,
                    samples: list[Sample], k: int = 3,
                    multilabel: bool = False) -> EvalReport | MatchReport:
-    x = featurizer.transform(samples)
-    probs = predict_proba(model, x)
-    rankings = rank_classes(probs).tolist()
+    return evaluate_features(model, featurizer.transform(samples), samples,
+                             k=k, multilabel=multilabel)
+
+
+def evaluate_features(model: TrainedModel, x, samples: list[Sample],
+                      k: int = 3,
+                      multilabel: bool = False) -> EvalReport | MatchReport:
+    """``evaluate_model`` on ``x``, the feature rows of ``samples``."""
+    rankings = rank_classes(predict_proba(model, x)).tolist()
     if multilabel:
         return evaluate_matches(rankings, [s.parental for s in samples], k=k)
     return evaluate_split(rankings, [s.sentence_label for s in samples], k=k)
 
 
-def _final_row(model: TrainedModel, featurizer: Featurizer,
-               dataset: Dataset, k: int) -> dict:
-    valid_report = evaluate_model(model, featurizer, dataset.valid, k=k)
-    test_report = evaluate_model(model, featurizer, dataset.test, k=k)
+def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
+               k: int) -> dict:
+    valid_report = evaluate_features(model, valid_x, dataset.valid, k=k)
+    test_report = evaluate_features(model, test_x, dataset.test, k=k)
     row = {
         "val_top1": valid_report.top1_accuracy,
         "val_topk": valid_report.topk_accuracy,
@@ -348,9 +380,9 @@ def _final_row(model: TrainedModel, featurizer: Featurizer,
         "valid_report": valid_report.to_dict(),
         "test_report": test_report.to_dict(),
     }
-    if dataset.sd:
-        sd_report = evaluate_model(model, featurizer, dataset.sd, k=k,
-                                   multilabel=True)
+    if sd_x is not None:
+        sd_report = evaluate_features(model, sd_x, dataset.sd, k=k,
+                                      multilabel=True)
         row["sd_top1_match"] = sd_report.top1_match
         row["sd_topk_match"] = sd_report.topk_match
     return row
@@ -360,7 +392,8 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
               config: ExperimentConfig, dataset: Dataset, mu: PriorWeights,
               featurizer: Featurizer | None = None) -> dict:
     """Train the chosen-LS and no-LS models on the grid seed and evaluate
-    on valid/test plus the SD set when present."""
+    on valid/test plus the SD set when present. Each split is featurized
+    once; test and SD only after both models are trained."""
     check_setting_keys(best_setting)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
@@ -370,26 +403,28 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     featurizer.save(featurizer_path)
     data = featurize(featurizer, dataset)
 
-    rows = {}
     models = {}
     for label, smoothing in (("no_ls", SmoothingConfig()),
                              ("ls", chosen_ls)):
-        model = _train_once(data, best_setting, config, smoothing,
-                            config.grid_seed, mu,
-                            featurizer_ref=featurizer_path.name)
-        row = _final_row(model, featurizer, dataset, config.k)
-        row["smoothing"] = {"variant": smoothing.variant,
-                            "alpha": smoothing.alpha}
+        models[label] = train_setting(data, best_setting, config, smoothing,
+                                      config.grid_seed, mu,
+                                      featurizer_ref=featurizer_path.name)
+        save_checkpoint(models[label], out / f"model_{label}.json")
+
+    test_x = featurizer.transform(dataset.test)
+    sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
+    rows = {}
+    for label, model in models.items():
+        row = _final_row(model, dataset, data.valid_x, test_x, sd_x, config.k)
+        row["smoothing"] = {"variant": model.config.smoothing.variant,
+                            "alpha": model.config.smoothing.alpha}
         row["history"] = model.history
         row["best_epoch"] = model.best_epoch
         rows[label] = row
-        models[label] = model
-        save_checkpoint(model, out / f"model_{label}.json")
 
-    sd_missing = not dataset.sd
     payload = {"baseline": config.baseline, "setting": best_setting,
                "seed": config.grid_seed, "rows": rows,
-               "sd_evaluated": not sd_missing}
+               "sd_evaluated": sd_x is not None}
     with atomic_open(out / "final.json") as fh:
         json.dump(payload, fh, indent=1)
     payload["models"] = models

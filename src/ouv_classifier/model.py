@@ -95,14 +95,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: MlpParams, x, dropout_mask: np.ndarray | None = None):
-    """Forward pass over a batch (dense or CSR rows).
+    """Forward pass over a 2-D batch (dense or CSR rows).
 
     Returns (logits, probabilities, cache). The dropout mask, when given,
     is an inverted-dropout multiplier for the hidden activations.
     """
-    single = not sparse.issparse(x) and np.ndim(x) == 1
-    if single:
-        x = np.asarray(x)[None, :]
+    if getattr(x, "ndim", None) != 2:
+        raise ValueError("expected a 2-D batch of feature rows, got "
+                         f"{np.ndim(x)}-D input")
     if x.shape[1] != params.W1.shape[1]:
         raise ValueError(
             f"input dim {x.shape[1]} != expected {params.W1.shape[1]}")
@@ -114,25 +114,19 @@ def forward(params: MlpParams, x, dropout_mask: np.ndarray | None = None):
     logits = h @ params.W2.T + params.b2
     probs = _softmax_rows(logits)
     cache = {"x": x, "z1": z1, "h": h, "mask": dropout_mask}
-    if single:
-        return logits[0], probs[0], cache
     return logits, probs, cache
 
 
 def cross_entropy_soft(probabilities: np.ndarray,
                        target: np.ndarray) -> float:
     """-sum_t target_t * ln(prob_t + eps), averaged over batch rows."""
-    probs = np.atleast_2d(probabilities)
-    targets = np.atleast_2d(target)
-    losses = -(targets * np.log(probs + LOG_EPS)).sum(axis=1)
+    losses = -(target * np.log(probabilities + LOG_EPS)).sum(axis=1)
     return float(losses.mean())
 
 
 def backward(cache: dict, probs: np.ndarray, targets: np.ndarray,
              params: MlpParams, l2: float) -> MlpParams:
     """Gradients of mean cross-entropy plus (l2/2)*||params||^2."""
-    probs = np.atleast_2d(probs)
-    targets = np.atleast_2d(targets)
     batch = probs.shape[0]
     dlogits = (probs - targets) / batch
     h, z1, x, mask = cache["h"], cache["z1"], cache["x"], cache["mask"]
@@ -292,7 +286,7 @@ def predict_topk(model: TrainedModel, features,
 
 def rank_classes(probs: np.ndarray) -> np.ndarray:
     """Full per-sample class rankings (1-based ids), ties to lower index."""
-    order = np.argsort(-np.atleast_2d(probs), axis=1, kind="stable")
+    order = np.argsort(-probs, axis=1, kind="stable")
     return order + 1
 
 
@@ -301,7 +295,7 @@ def top_classes(probs: np.ndarray,
     """The first ``k`` columns of ``rank_classes`` and their probabilities,
     both ``rows x k``."""
     ids = rank_classes(probs)[:, :k]
-    return ids, np.take_along_axis(np.atleast_2d(probs), ids - 1, axis=1)
+    return ids, np.take_along_axis(probs, ids - 1, axis=1)
 
 
 # ---------------------------------------------------------------------------

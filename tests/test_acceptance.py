@@ -19,8 +19,8 @@ import pytest
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
 from ouv_classifier.corpus import (build_dataset, build_sd_set, make_one_hot,
                                    parse_syndication)
-from ouv_classifier.features import fit_tfidf, load_embeddings, tfidf_matrix, \
-    token_frequencies
+from ouv_classifier.features import boe_embed, fit_tfidf, load_embeddings, \
+    tfidf_rows, token_frequencies
 from ouv_classifier.harness import mine
 from ouv_classifier.labels import (ALPHA_GRID, PriorWeights, SmoothingConfig,
                                    cooccurrence, epsilon_for_alpha,
@@ -206,10 +206,10 @@ def test_acceptance_06_metric_oracles():
 def _toy_features():
     dataset = make_separable_dataset(n_train=300, n_valid=60)
     vocab = fit_tfidf(dataset.train, min_df=1)
-    return (tfidf_matrix(vocab, dataset.train),
+    return (tfidf_rows(vocab, [s.tokens for s in dataset.train]),
             np.stack([s.one_hot for s in dataset.train]),
             np.stack([s.parental for s in dataset.train]),
-            tfidf_matrix(vocab, dataset.valid),
+            tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
             np.array([s.sentence_label - 1 for s in dataset.valid]))
 
 
@@ -370,8 +370,8 @@ def test_acceptance_12_ngram_baseline_accuracy(real_dataset):
                        "accuracy"):
         def features(dataset):
             vocab = fit_tfidf(dataset.train, min_df=2)
-            return (tfidf_matrix(vocab, dataset.train),
-                    tfidf_matrix(vocab, dataset.valid))
+            return (tfidf_rows(vocab, [s.tokens for s in dataset.train]),
+                    tfidf_rows(vocab, [s.tokens for s in dataset.valid]))
 
         start = time.monotonic()
         best = _real_run(real_dataset, features)
@@ -389,9 +389,10 @@ def test_acceptance_13_boe_baseline_accuracy(real_dataset):
             freq = token_frequencies(dataset.train + dataset.valid
                                      + dataset.test + dataset.sd)
             table, _ = load_embeddings(EMBEDDINGS_PATH, 1, freq)
-            from ouv_classifier.features import boe_matrix
-            return (boe_matrix(table, dataset.train),
-                    boe_matrix(table, dataset.valid))
+            return (np.stack([boe_embed(s.tokens, table)
+                              for s in dataset.train]),
+                    np.stack([boe_embed(s.tokens, table)
+                              for s in dataset.valid]))
 
         best = _real_run(real_dataset, features)
         assert best["val_topk"] >= 0.87

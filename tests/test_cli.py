@@ -1,8 +1,12 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from ouv_classifier import cli
 from ouv_classifier.cli import main
+from ouv_classifier.harness import ExperimentConfig, load_prior
 
 HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 ROMANS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -168,3 +172,87 @@ def test_ingest_missing_file(tmp_path):
 
 def test_train_missing_config(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def test_load_prior_fallback_equals_prior_command(workspace):
+    written = json.loads(workspace["prior"].read_text())["mu"]
+    derived = load_prior(ExperimentConfig(dataset_dir=str(workspace["data"])))
+    np.testing.assert_array_equal(derived.mu, np.asarray(written))
+    read = load_prior(ExperimentConfig(prior_path=str(workspace["prior"])))
+    np.testing.assert_array_equal(read.mu, derived.mu)
+
+
+def test_train_honours_setting_and_smoothing(workspace, tmp_path):
+    config = json.loads(workspace["config"].read_text())
+    config.update(setting={"hidden": 8, "dropout": 0.2},
+                  smoothing={"variant": "prior", "alpha": 0.1})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(config_path),
+                 "--out", str(model_path)]) == 0
+    saved = json.loads(model_path.read_text())["config"]
+    assert saved["hidden"] == 8 and saved["dropout"] == 0.2
+    assert saved["smoothing"] == {"variant": "prior", "alpha": 0.1}
+    assert saved["learning_rate"] == 0.01
+    assert saved["seed"] == ExperimentConfig().grid_seed
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "final"])
+def test_unknown_config_key_is_fatal(workspace, tmp_path, capsys, command):
+    config = json.loads(workspace["config"].read_text())
+    config["learning_rte"] = config.pop("learning_rate")
+    config["output_dir"] = str(tmp_path / "runs")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    assert "'learning_rte'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("failing", ["json", "csv"])
+def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
+                                            failing):
+    out = tmp_path / "prior.json"
+    assert main(["prior", str(workspace["data"]), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if failing == "json":
+        def dump_partial(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_partial)
+    else:
+        class FailingWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("partial\r\n")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        main(["prior", str(workspace["data"]), "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.Predictor, "load", staticmethod(lambda path: None))
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("one line\n", encoding="utf-8")
+    out = tmp_path / "mined.json"
+    args = ["mine", "--models", "a.json", "b.json", "--input",
+            str(input_path), "--out", str(out)]
+    monkeypatch.setattr(cli, "mine", lambda texts, a, b, **kw: [{"k": 1}])
+    assert main(args) == 0
+    before = out.read_bytes()
+    # fails after the first entry is in the temp file
+    monkeypatch.setattr(cli, "mine",
+                        lambda texts, a, b, **kw: [{"k": 1}, object()])
+    with pytest.raises(TypeError):
+        main(args)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.txt",
+                                                          "mined.json"]

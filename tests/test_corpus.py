@@ -7,7 +7,7 @@ from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
                                    parse_syndication, preprocess,
                                    read_samples, sample_from_json,
                                    sample_to_json, split_sentences,
-                                   write_samples)
+                                   write_dataset, write_samples, write_sites)
 
 SYNDICATION_HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 
@@ -288,6 +288,31 @@ class TestJsonl:
         assert sample_to_json(sample) == sample_to_json(sample)
         rebuilt = sample_from_json(sample_to_json(sample))
         assert sample_to_json(rebuilt) == sample_to_json(sample)
+
+
+class TestAtomicWrites:
+    def test_failed_write_dataset_keeps_old_files(self, tmp_path):
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        write_dataset(dataset, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # fails after the first train sample is in the temp file
+        dataset.train[1].parental = np.array([object()])
+        with pytest.raises(TypeError):
+            write_dataset(dataset, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_write_sites_keeps_old_file(self, tmp_path):
+        sites = make_justified_sites(3, 2)
+        path = tmp_path / "sites.json"
+        write_sites(sites, path)
+        before = path.read_bytes()
+        # fails after the first two sites are in the temp file
+        sites.append(SiteRecord(site_id=9, name=object(), justification={},
+                                short_description="", criteria=frozenset({1})))
+        with pytest.raises(TypeError):
+            write_sites(sites, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sites.json"]
 
 
 def test_definitions_cover_all_criteria():

@@ -9,8 +9,7 @@ from scipy import sparse
 
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      boe_embed, fit_tfidf, load_embeddings,
-                                     tfidf_matrix, tfidf_vectorize,
-                                     token_frequencies)
+                                     tfidf_rows, token_frequencies)
 from conftest import make_sample
 
 
@@ -68,19 +67,19 @@ class TestFitTfidf:
 class TestTfidfVectorize:
     def test_all_oov_gives_zero_vector(self):
         vocab = fit_tfidf(docs_to_samples(["a b", "a b"]), min_df=2)
-        vec = tfidf_vectorize(vocab, ["z", "q"])
+        vec = tfidf_rows(vocab, [["z", "q"]])
         assert vec.nnz == 0
 
     def test_single_gram_unit_spike(self):
         vocab = fit_tfidf(docs_to_samples(["a b", "a c"]), min_df=2)
-        vec = tfidf_vectorize(vocab, ["a", "z"]).toarray()[0]
+        vec = tfidf_rows(vocab, [["a", "z"]]).toarray()[0]
         assert vec[vocab.gram_to_index["a"]] == pytest.approx(1.0)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_golden_sparse_vector(self):
         docs = ["old town", "old hall", "town hall"]
         vocab = fit_tfidf(docs_to_samples(docs), min_df=1)
-        vec = tfidf_vectorize(vocab, ["old", "old", "town"]).toarray()[0]
+        vec = tfidf_rows(vocab, [["old", "old", "town"]]).toarray()[0]
         idf_old = math.log(4 / 3) + 1
         idf_town = math.log(4 / 3) + 1
         raw = np.zeros(vocab.size)
@@ -92,15 +91,15 @@ class TestTfidfVectorize:
 
     def test_l2_norm(self):
         vocab = fit_tfidf(docs_to_samples(["a b c", "a b d"]), min_df=1)
-        vec = tfidf_vectorize(vocab, ["a", "b", "c", "c"])
+        vec = tfidf_rows(vocab, [["a", "b", "c", "c"]])
         assert np.linalg.norm(vec.toarray()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matrix_stacks_rows(self):
         samples = docs_to_samples(["a b", "a c", "b c"])
         vocab = fit_tfidf(samples, min_df=1)
-        matrix = tfidf_matrix(vocab, samples)
+        matrix = tfidf_rows(vocab, [s.tokens for s in samples])
         assert matrix.shape == (3, vocab.size)
-        row0 = tfidf_vectorize(vocab, samples[0].tokens).toarray()
+        row0 = tfidf_rows(vocab, [samples[0].tokens]).toarray()
         np.testing.assert_allclose(matrix[0].toarray(), row0)
 
 
@@ -129,7 +128,7 @@ class TestTfidfMatrixExact:
         docs = [" ".join(rng.choice(words, size=int(n)))
                 for n in rng.integers(1, 25, size=60)]
         samples = docs_to_samples(docs + ["oov1 oov2", "w1 w1 w1 oov3"])
-        got = tfidf_matrix(vocab, samples)
+        got = tfidf_rows(vocab, [s.tokens for s in samples])
         want = sparse.vstack([reference_row(vocab, s.tokens)
                               for s in samples], format="csr")
         assert got.shape == want.shape
@@ -142,7 +141,7 @@ class TestTfidfMatrixExact:
         samples = docs_to_samples(["a b c a", "b c d", "x y"])
         vocab = fit_tfidf(samples, min_df=1)
         for sample in samples + docs_to_samples(["q r"]):
-            got = tfidf_vectorize(vocab, sample.tokens)
+            got = tfidf_rows(vocab, [sample.tokens])
             want = reference_row(vocab, sample.tokens)
             assert got.shape == (1, vocab.size)
             np.testing.assert_array_equal(got.indices, want.indices)
@@ -150,7 +149,7 @@ class TestTfidfMatrixExact:
 
     def test_empty_sample_list(self):
         vocab = fit_tfidf(docs_to_samples(["a b", "a c"]), min_df=1)
-        matrix = tfidf_matrix(vocab, [])
+        matrix = tfidf_rows(vocab, [])
         assert sparse.issparse(matrix)
         assert matrix.shape == (0, vocab.size)
         assert matrix.nnz == 0

@@ -177,12 +177,77 @@ class TestRunFinal:
         predictor = Predictor.load(tmp_path / "abs.json")
         assert predictor.featurizer.dimension == model.params.W1.shape[1]
 
+    def test_each_split_featurized_once(self, dataset, tmp_path,
+                                        monkeypatch):
+        self.add_sd(dataset)
+        config = toy_config(tmp_path)
+        featurizer = build_featurizer(config, dataset)
+        events = []
+        real_transform, real_train = Featurizer.transform, harness.train
+
+        def transform(self, samples):
+            events.append(next(name for name in ("train", "valid", "test",
+                                                 "sd")
+                               if samples is dataset.split(name)))
+            return real_transform(self, samples)
+
+        def train(*args, **kwargs):
+            events.append("fit")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(Featurizer, "transform", transform)
+        monkeypatch.setattr(harness, "train", train)
+        try:
+            payload = run_final({"hidden": 16, "batch_size": 64},
+                                SmoothingConfig("uniform", 0.1), config,
+                                dataset, toy_mu(), featurizer=featurizer)
+            monkeypatch.undo()
+            assert events == ["train", "valid", "fit", "fit", "test", "sd"]
+            # the shared matrices score as a per-model featurization does
+            for label, model in payload["models"].items():
+                row = payload["rows"][label]
+                for split, key in (("valid", "valid_report"),
+                                   ("test", "test_report")):
+                    expected = harness.evaluate_model(
+                        model, featurizer, dataset.split(split), k=config.k)
+                    assert row[key] == expected.to_dict()
+                sd = harness.evaluate_model(model, featurizer, dataset.sd,
+                                            k=config.k, multilabel=True)
+                assert row["sd_top1_match"] == sd.top1_match
+                assert row["sd_topk_match"] == sd.topk_match
+        finally:
+            dataset.sd.clear()
+
     def test_missing_sd_flagged(self, dataset, tmp_path):
         config = toy_config(tmp_path)
         payload = run_final({"hidden": 16, "batch_size": 64},
                             SmoothingConfig(), config, dataset, toy_mu())
         assert not payload["sd_evaluated"]
         assert "sd_top1_match" not in payload["rows"]["no_ls"]
+
+
+class TestExperimentConfig:
+    def test_from_json_reads_every_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"baseline": "boe", "grid_seed": 7,
+                                    "setting": {"hidden": 8}}))
+        config = ExperimentConfig.from_json(path)
+        assert (config.baseline, config.grid_seed) == ("boe", 7)
+        assert config.setting == {"hidden": 8}
+        assert config.smoothing == {"variant": "none", "alpha": 0}
+
+    def test_from_json_names_an_unknown_key(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"baseline": "ngram",
+                                    "learning_rte": 0.1}))
+        with pytest.raises(ValueError, match="'learning_rte'"):
+            ExperimentConfig.from_json(path)
+
+    def test_setting_of_keeps_setting_keys_in_order(self):
+        entry = {"l2": 0.0, "batch_size": 64, "hidden": 16,
+                 "val_top1": 0.5, "val_topk": 0.9, "best_epoch": 3}
+        assert list(harness.setting_of(entry).items()) == [
+            ("l2", 0.0), ("batch_size", 64), ("hidden", 16)]
 
 
 class StubPredictor:
@@ -269,8 +334,8 @@ class TestFeaturizer:
         path = tmp_path / "feat.json"
         featurizer.save(path)
         loaded = Featurizer.load(path)
-        x1 = featurizer.transform_tokens(dataset.valid[0].tokens)
-        x2 = loaded.transform_tokens(dataset.valid[0].tokens)
+        x1 = featurizer.transform_token_lists([dataset.valid[0].tokens])
+        x2 = loaded.transform_token_lists([dataset.valid[0].tokens])
         np.testing.assert_allclose(x1.toarray(), x2.toarray())
 
     def test_ngram_file_is_the_vocabulary_file_plus_type(self, dataset,
@@ -300,8 +365,8 @@ class TestFeaturizer:
         featurizer.save(path)
         loaded = Featurizer.load(path)
         np.testing.assert_allclose(
-            featurizer.transform_tokens(dataset.valid[0].tokens),
-            loaded.transform_tokens(dataset.valid[0].tokens))
+            featurizer.transform_token_lists([dataset.valid[0].tokens]),
+            loaded.transform_token_lists([dataset.valid[0].tokens]))
 
 
     def test_failed_save_keeps_old_file(self, dataset, tmp_path):
@@ -486,7 +551,7 @@ def per_sentence_mine(texts, a, b, confidence, iou_threshold):
             continue
         tops = []
         for p in (a, b):
-            x = p.featurizer.transform_tokens(tokens)
+            x = p.featurizer.transform_token_lists([tokens])
             probs = np.asarray(predict_proba(p.model, x))[0]
             order = np.argsort(-probs, kind="stable")[:3]
             tops.append([(int(i) + 1, float(probs[i])) for i in order])

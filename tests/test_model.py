@@ -7,7 +7,7 @@ import pytest
 
 from ouv_classifier import NUM_CLASSES
 from ouv_classifier.corpus import make_one_hot
-from ouv_classifier.features import fit_tfidf, tfidf_matrix
+from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
@@ -33,7 +33,7 @@ class TestForward:
         params = MlpParams(W1=np.zeros((4, 6)), b1=np.zeros(4),
                            W2=np.zeros((NUM_CLASSES, 4)),
                            b2=np.zeros(NUM_CLASSES))
-        _, probs, _ = forward(params, np.ones(6))
+        _, probs, _ = forward(params, np.ones(6)[None])
         np.testing.assert_allclose(probs, 1 / NUM_CLASSES)
 
     def test_dominant_logit(self):
@@ -41,13 +41,13 @@ class TestForward:
                            W2=np.zeros((NUM_CLASSES, 3)),
                            b2=np.zeros(NUM_CLASSES))
         params.W2[4, 0] = 10.0
-        _, probs, _ = forward(params, np.array([1.0, 0, 0]))
+        _, probs, _ = forward(params, np.array([1.0, 0, 0])[None])
         assert int(np.argmax(probs)) == 4
 
     def test_against_scalar_recomputation(self):
         params = random_params(5, 4, seed=3)
         x = np.random.default_rng(4).normal(size=5)
-        _, probs, _ = forward(params, x)
+        _, (probs,), _ = forward(params, x[None])
         # plain-loop re-evaluation
         hidden = [max(0.0, sum(params.W1[i, j] * x[j] for j in range(5))
                       + params.b1[i]) for i in range(4)]
@@ -60,7 +60,12 @@ class TestForward:
     def test_dimension_mismatch(self):
         params = random_params(5, 4)
         with pytest.raises(ValueError):
-            forward(params, np.zeros(6))
+            forward(params, np.zeros(6)[None])
+
+    def test_single_vector_rejected(self):
+        params = random_params(5, 4)
+        with pytest.raises(ValueError, match="2-D"):
+            forward(params, np.zeros(5))
 
     def test_probabilities_sum_to_one(self):
         params = random_params(5, 4)
@@ -72,12 +77,12 @@ class TestCrossEntropy:
     def test_spike_near_zero(self):
         target = make_one_hot(2)
         probs = target * (1 - 1e-9) + 1e-10
-        assert cross_entropy_soft(probs, target) < 1e-6
+        assert cross_entropy_soft(probs[None], target) < 1e-6
 
     def test_uniform_gives_log_classes(self):
         probs = np.full(NUM_CLASSES, 1 / NUM_CLASSES)
         target = make_one_hot(5)
-        assert cross_entropy_soft(probs, target) == pytest.approx(
+        assert cross_entropy_soft(probs[None], target) == pytest.approx(
             math.log(NUM_CLASSES), abs=1e-9)
 
     def test_scalar_recomputation(self):
@@ -86,7 +91,7 @@ class TestCrossEntropy:
         target = rng.dirichlet(np.ones(NUM_CLASSES))
         expected = -sum(t * math.log(p + 1e-12)
                         for t, p in zip(target, probs))
-        assert cross_entropy_soft(probs, target) == pytest.approx(
+        assert cross_entropy_soft(probs[None], target) == pytest.approx(
             expected, abs=1e-12)
 
 
@@ -110,7 +115,7 @@ def numerical_gradients(params, x, target, l2, step=1e-5):
 
 
 def _loss(params, x, target, l2):
-    _, probs, _ = forward(params, x)
+    _, probs, _ = forward(params, x[None])
     ce = cross_entropy_soft(probs, target)
     reg = 0.5 * l2 * sum(float((a * a).sum())
                          for a in params.arrays().values())
@@ -126,7 +131,7 @@ class TestBackward:
     def test_target_equals_probs_leaves_only_l2(self):
         params = random_params(4, 3, seed=5)
         x = np.random.default_rng(6).normal(size=4)
-        _, probs, cache = forward(params, x)
+        _, probs, cache = forward(params, x[None])
         l2 = 0.01
         grads = backward(cache, probs, probs.copy(), params, l2)
         for key, arr in params.arrays().items():
@@ -140,7 +145,7 @@ class TestBackward:
             params = random_params(5, 4, seed=int(rng.integers(1e6)))
             x = rng.normal(size=5)
             target = rng.dirichlet(np.ones(NUM_CLASSES))
-            _, probs, cache = forward(params, x)
+            _, probs, cache = forward(params, x[None])
             analytic = backward(cache, probs, target, params, l2)
             numeric = numerical_gradients(params, x, target, l2)
             for key in numeric:
@@ -151,7 +156,7 @@ class TestBackward:
         params = random_params(4, 3, seed=7)
         x = np.random.default_rng(8).normal(size=4)
         target = make_one_hot(3)
-        _, probs, cache = forward(params, x)
+        _, probs, cache = forward(params, x[None])
         g1 = backward(cache, probs, target, params, 0.01)
         g0 = backward(cache, probs, target, params, 0.0)
         g2 = backward(cache, probs, target, params, 0.02)
@@ -238,10 +243,10 @@ class TestAdam:
 def featurized(dataset):
     vocab = fit_tfidf(dataset.train, min_df=1)
     return (vocab,
-            tfidf_matrix(vocab, dataset.train),
+            tfidf_rows(vocab, [s.tokens for s in dataset.train]),
             np.stack([s.one_hot for s in dataset.train]),
             np.stack([s.parental for s in dataset.train]),
-            tfidf_matrix(vocab, dataset.valid),
+            tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
             np.array([s.sentence_label - 1 for s in dataset.valid]))
 
 
@@ -315,7 +320,7 @@ class TestTrain:
                                   smoothing)[0]
             params = random_params(6, 5, seed=int(rng.integers(1e6)))
             x = rng.normal(size=6)
-            _, probs, cache = forward(params, x)
+            _, probs, cache = forward(params, x[None])
             analytic = backward(cache, probs, target, params, 0.0)
             numeric = numerical_gradients(params, x, target, 0.0)
             for key in numeric:
@@ -341,8 +346,7 @@ class TestPredictTopk:
     def test_full_ranking_sums_to_one(self, toy_dataset):
         model = self.make_model(toy_dataset)
         vocab, *_ = featurized(toy_dataset)
-        from ouv_classifier.features import tfidf_vectorize
-        x = tfidf_vectorize(vocab, toy_dataset.valid[0].tokens)
+        x = tfidf_rows(vocab, [toy_dataset.valid[0].tokens])
         ranked = predict_topk(model, x, k=NUM_CLASSES)
         assert sum(conf for _, conf in ranked) == pytest.approx(1.0)
         confs = [conf for _, conf in ranked]
