@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 NUM_CRITERIA = 10
 NUM_CLASSES = 11  # ten selection criteria plus the synthetic "Others" class
-OTHERS_CLASS = 11
 OTHERS_NOISE = 0.2
 
 

@@ -16,11 +16,10 @@ from . import NUM_CRITERIA, atomic_open
 from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
-from .harness import (ExperimentConfig, Predictor, ReportError,
-                      build_featurizer, check_setting_keys, evaluate_model,
-                      featurize, load_prior, mine, report, run_final,
-                      run_grid_search, run_ls_sweep, setting_of,
-                      train_setting)
+from .harness import (ExperimentConfig, Predictor, build_featurizer,
+                      check_setting_keys, evaluate_model, featurize,
+                      load_prior, mine, report, run_final, run_grid_search,
+                      run_ls_sweep, setting_of, train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .model import save_checkpoint
 
@@ -218,9 +217,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ConfigurationError, FileNotFoundError, ValueError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

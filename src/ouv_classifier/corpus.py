@@ -93,10 +93,6 @@ class Sample:
     site_id: int
     split: str
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
 
 def make_one_hot(criterion: int) -> np.ndarray:
     if not 1 <= criterion <= NUM_CRITERIA:

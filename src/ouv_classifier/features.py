@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -12,7 +11,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from . import atomic_open
 from .corpus import Sample
 
 
@@ -25,30 +23,6 @@ class TfidfVocabulary:
     @property
     def size(self) -> int:
         return len(self.gram_to_index)
-
-    def to_payload(self) -> dict:
-        """JSON-ready form, grams in index order; ``Featurizer.save`` writes
-        the same keys after its ``"type"``."""
-        grams = [None] * self.size
-        for gram, idx in self.gram_to_index.items():
-            grams[idx] = gram
-        return {"grams": grams, "idf": [float(v) for v in self.idf],
-                "min_df": self.min_df}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TfidfVocabulary":
-        return cls(gram_to_index={g: i for i, g in enumerate(payload["grams"])},
-                   idf=np.asarray(payload["idf"], dtype=float),
-                   min_df=int(payload["min_df"]))
-
-    def save(self, path: str | Path) -> None:
-        with atomic_open(path) as fh:
-            json.dump(self.to_payload(), fh, ensure_ascii=False)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TfidfVocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
 
 
 def _grams(tokens: list[str]) -> list[str]:
@@ -109,11 +83,6 @@ def tfidf_rows(vocab: TfidfVocabulary,
 class EmbeddingTable:
     word_to_vector: dict[str, np.ndarray]
     dimension: int
-    unk_token: str = "<unk>"
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.word_to_vector.get(token,
-                                       self.word_to_vector[self.unk_token])
 
 
 def load_embeddings(file_path: str | Path, frequency_threshold: int,
@@ -157,7 +126,8 @@ def boe_embed(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     """Mean of the token vectors; unknown tokens map to <unk>."""
     if not tokens:
         raise ValueError("cannot embed an empty token sequence")
-    return np.mean([table.vector(t) for t in tokens], axis=0)
+    unk = table.word_to_vector["<unk>"]
+    return np.mean([table.word_to_vector.get(t, unk) for t in tokens], axis=0)
 
 
 def token_frequencies(samples: list[Sample]) -> dict[str, int]:

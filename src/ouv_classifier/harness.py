@@ -3,6 +3,7 @@ training/evaluation, corpus mining, and report rendering."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -68,12 +69,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        """Load a config file; an unknown top-level key is a ``ValueError``
-        naming it, so a typo cannot fall back to a default."""
+        """Load a config file. A file that is not a JSON object, or an
+        unknown top-level or ``smoothing`` key, is a ``ValueError`` naming
+        it, so a typo cannot fall back to a default."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: a config file holds a JSON object, "
+                             f"not {type(payload).__name__}")
         unknown = [key for key in payload
                    if key not in cls.__dataclass_fields__]
+        unknown += [f"smoothing.{key}" for key in payload.get("smoothing", {})
+                    if key not in SmoothingConfig.__dataclass_fields__]
         if unknown:
             raise ValueError(f"{path}: unknown config key(s) "
                              + ", ".join(map(repr, unknown)))
@@ -116,8 +123,15 @@ class Featurizer:
         return self.transform_token_lists([s.tokens for s in samples])
 
     def save(self, path: str | Path) -> None:
+        """Write the one featurizer file: for n-gram, the grams in index
+        order with their idf and ``min_df``; for BoE, the kept vectors."""
         if self.kind == "ngram":
-            payload = {"type": "ngram", **self.vocab.to_payload()}
+            grams = [None] * self.vocab.size
+            for gram, idx in self.vocab.gram_to_index.items():
+                grams[idx] = gram
+            payload = {"type": "ngram", "grams": grams,
+                       "idf": [float(v) for v in self.vocab.idf],
+                       "min_df": self.vocab.min_df}
         else:
             payload = {"type": "boe", "dimension": self.table.dimension,
                        "vectors": {tok: [float(v) for v in vec]
@@ -131,8 +145,11 @@ class Featurizer:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload["type"] == "ngram":
-            return cls(kind="ngram",
-                       vocab=TfidfVocabulary.from_payload(payload))
+            vocab = TfidfVocabulary(
+                gram_to_index={g: i for i, g in enumerate(payload["grams"])},
+                idf=np.asarray(payload["idf"], dtype=float),
+                min_df=int(payload["min_df"]))
+            return cls(kind="ngram", vocab=vocab)
         table = EmbeddingTable(
             word_to_vector={tok: np.asarray(vec, dtype=float)
                             for tok, vec in payload["vectors"].items()},
@@ -194,21 +211,16 @@ def train_setting(data: FeaturizedData, setting: dict,
                   config: ExperimentConfig, smoothing: SmoothingConfig,
                   seed: int, mu: PriorWeights | None,
                   featurizer_ref: str = "") -> TrainedModel:
-    """Train one model on ``data`` with a setting's hyper-parameters, the
-    rest taken from ``config``."""
-    train_config = TrainConfig(
-        hidden=int(setting.get("hidden", 200)),
-        batch_size=int(setting.get("batch_size", 128)),
-        learning_rate=float(setting.get("learning_rate",
-                                        config.learning_rate)),
-        l2=float(setting.get("l2", 1e-5)),
-        dropout=float(setting.get("dropout", 0.5)),
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        seed=seed,
-        k=config.k,
-        smoothing=smoothing,
-    )
+    """Train one model on ``data`` with a setting's hyper-parameters; the
+    run fields come from ``config`` and the rest are ``TrainConfig``'s
+    defaults. Each setting value is coerced to its field's type, so an
+    integer ``l2`` is stored as a float."""
+    base = TrainConfig(learning_rate=float(config.learning_rate),
+                       max_epochs=config.max_epochs, patience=config.patience,
+                       seed=seed, k=config.k, smoothing=smoothing)
+    train_config = dataclasses.replace(
+        base, **{key: type(getattr(base, key))(value)
+                 for key, value in setting.items()})
     return train(data.train_x, data.train_one_hots, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu,
                  featurizer_ref=featurizer_ref)

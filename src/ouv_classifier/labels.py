@@ -34,16 +34,10 @@ class SmoothingConfig:
 class CooccurrenceMatrix:
     counts: np.ndarray  # 10x10 integer counts
 
-    def column_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 @dataclass
 class PriorWeights:
     mu: np.ndarray  # 10x11; row k-1 holds the weight vector for criterion k
-
-    def for_criterion(self, k: int) -> np.ndarray:
-        return self.mu[k - 1]
 
 
 def cooccurrence(sites: list[SiteRecord]) -> CooccurrenceMatrix:
@@ -87,41 +81,47 @@ def prior_weights(matrix: CooccurrenceMatrix) -> PriorWeights:
 
 
 def soft_softmax(z: np.ndarray) -> np.ndarray:
-    """Normalize a non-negative vector to a distribution, keeping zeros.
+    """Normalize each row of a non-negative 2-D array to a distribution,
+    keeping zeros.
 
     f(z)_t = (e^{z_t} - 1) / (sum_l e^{z_l} - d). The denominator is
-    computed as the sum of numerators so the output sums to 1 exactly up
+    computed as the row sum of numerators so each row sums to 1 exactly up
     to rounding.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("expected a 1-d vector")
+    if z.ndim != 2:
+        raise ValueError(f"expected a 2-d batch of rows, got {z.ndim}-d input")
     if np.any(z < 0):
         raise ValueError("entries must be non-negative")
     numerators = np.expm1(z)
-    denom = numerators.sum()
-    if denom <= 0:
-        raise ValueError("all-zero input: denominator is zero")
-    return numerators / denom
+    denoms = numerators.sum(axis=1, keepdims=True)
+    if np.any(denoms <= 0):
+        raise ValueError("all-zero row: denominator is zero")
+    return numerators / denoms
 
 
-def smooth(one_hot: np.ndarray, parental: np.ndarray,
-           mu: PriorWeights | None, config: SmoothingConfig) -> np.ndarray:
-    """Combine sentence and parental labels into a soft label."""
-    one_hot = np.asarray(one_hot, dtype=float)
+def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
+                 mu: PriorWeights | None,
+                 config: SmoothingConfig) -> np.ndarray:
+    """Combine each row's sentence and parental labels into a soft label.
+
+    The prior variant weighs each row's parental labels by the prior of its
+    sentence criterion, ``mu.mu[argmax(one_hot)]``.
+    """
+    one_hots = np.array(one_hots, dtype=float)
     if config.variant == "none" or config.alpha == 0:
-        return one_hot.copy()
+        return one_hots
     alpha = config.alpha
+    parentals = np.asarray(parentals, dtype=float)
     if config.variant == "vanilla":
-        combined = one_hot + alpha
+        combined = one_hots + alpha
     elif config.variant == "uniform":
-        combined = one_hot + alpha * np.asarray(parental, dtype=float)
+        combined = one_hots + alpha * parentals
     else:  # prior
         if mu is None:
             raise ValueError("prior smoothing requires prior weights")
-        k = int(np.argmax(one_hot)) + 1
-        combined = one_hot + alpha * (mu.for_criterion(k)
-                                      * np.asarray(parental, dtype=float))
+        weights = mu.mu[one_hots.argmax(axis=1)]
+        combined = one_hots + alpha * (weights * parentals)
     return soft_softmax(combined)
 
 

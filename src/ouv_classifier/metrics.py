@@ -47,6 +47,16 @@ def _check_lengths(predictions, truths) -> None:
             f"{len(predictions)} predictions vs {len(truths)} truths")
 
 
+def topk_accuracy(rankings: list[list[int]], truths: list[int],
+                  k: int) -> float:
+    """Share of samples whose truth is among the first ``k`` entries of its
+    ranking."""
+    _check_lengths(rankings, truths)
+    if len(truths) == 0:
+        raise ValueError("cannot evaluate an empty split")
+    return sum(t in r[:k] for r, t in zip(rankings, truths)) / len(truths)
+
+
 def confusion_matrix(predictions: list[list[int]],
                      truths: list[int]) -> np.ndarray:
     """11x11 counts from rank-1 predictions; [t-1][p-1] is truth t -> pred p."""
@@ -81,17 +91,13 @@ def evaluate_split(predictions: list[list[int]], truths: list[int],
     Macro F1 averages over the ten criterion classes only; "Others" keeps
     its confusion column but never appears as a truth.
     """
-    _check_lengths(predictions, truths)
-    n = len(truths)
-    if n == 0:
-        raise ValueError("cannot evaluate an empty split")
+    top1 = topk_accuracy(predictions, truths, 1)
+    topk = topk_accuracy(predictions, truths, k)
     confusion = confusion_matrix(predictions, truths)
-    top1 = sum(r[0] == t for r, t in zip(predictions, truths)) / n
-    topk = sum(t in r[:k] for r, t in zip(predictions, truths)) / n
     per_class = {cls: _precision_recall_f1(confusion, cls)
                  for cls in range(1, NUM_CRITERIA + 1)}
     macro_f1 = sum(v["f1"] for v in per_class.values()) / NUM_CRITERIA
-    return EvalReport(top1_accuracy=float(top1), topk_accuracy=float(topk),
+    return EvalReport(top1_accuracy=top1, topk_accuracy=topk,
                       macro_f1=float(macro_f1), per_class=per_class,
                       confusion=confusion, k=k)
 

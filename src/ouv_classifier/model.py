@@ -19,7 +19,8 @@ import numpy as np
 from scipy import sparse
 
 from . import NUM_CLASSES, atomic_open
-from .labels import SmoothingConfig, PriorWeights, smooth
+from .labels import SmoothingConfig, PriorWeights, soft_targets
+from .metrics import topk_accuracy
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -192,20 +193,6 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
         np.subtract(p, step, out=p)
 
 
-def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
-                 mu: PriorWeights | None,
-                 config: SmoothingConfig) -> np.ndarray:
-    return np.stack([smooth(y, g, mu, config)
-                     for y, g in zip(one_hots, parentals)])
-
-
-def _topk_hits(probs: np.ndarray, labels: np.ndarray, k: int) -> tuple[float, float]:
-    """(top-1, top-k) accuracy of 0-based ``labels``; ties toward the lower
-    class index."""
-    hits = rank_classes(probs)[:, :k] == labels[:, None] + 1
-    return float(hits[:, 0].mean()), float(hits.any(axis=1).mean())
-
-
 def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
           valid_x, valid_labels: np.ndarray, config: TrainConfig,
           mu: PriorWeights | None = None,
@@ -220,6 +207,7 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
         raise ValueError("train and valid splits must be non-empty")
     targets = soft_targets(train_one_hots, train_parentals, mu,
                            config.smoothing)
+    valid_truths = (np.asarray(valid_labels) + 1).tolist()
     rng = np.random.default_rng(config.seed)
     params = init_params(train_x.shape[1], config.hidden, config.seed)
     state = AdamState.for_params(params)
@@ -252,7 +240,9 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
         epoch_loss /= n
 
         _, val_probs, _ = forward(params, valid_x)
-        val_top1, val_topk = _topk_hits(val_probs, valid_labels, config.k)
+        rankings = rank_classes(val_probs).tolist()
+        val_top1 = topk_accuracy(rankings, valid_truths, 1)
+        val_topk = topk_accuracy(rankings, valid_truths, config.k)
         history.append({"epoch": epoch, "train_loss": epoch_loss,
                         "val_top1": val_top1, "val_topk": val_topk})
 
@@ -273,15 +263,6 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
 def predict_proba(model: TrainedModel, x) -> np.ndarray:
     _, probs, _ = forward(model.params, x)
     return probs
-
-
-def predict_topk(model: TrainedModel, features,
-                 k: int = 3) -> list[tuple[int, float]]:
-    """Ranked (criterion id, confidence) pairs for a single feature vector."""
-    if not 1 <= k <= NUM_CLASSES:
-        raise ValueError("k must be in [1, 11]")
-    ids, confs = top_classes(predict_proba(model, features.reshape(1, -1)), k)
-    return list(zip(ids[0].tolist(), confs[0].tolist()))
 
 
 def rank_classes(probs: np.ndarray) -> np.ndarray:

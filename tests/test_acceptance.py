@@ -24,8 +24,8 @@ from ouv_classifier.features import boe_embed, fit_tfidf, load_embeddings, \
 from ouv_classifier.harness import mine
 from ouv_classifier.labels import (ALPHA_GRID, PriorWeights, SmoothingConfig,
                                    cooccurrence, epsilon_for_alpha,
-                                   original_ls, prior_weights, smooth,
-                                   soft_softmax)
+                                   original_ls, prior_weights, soft_softmax,
+                                   soft_targets)
 from ouv_classifier.metrics import evaluate_matches, evaluate_split
 from ouv_classifier.model import (TrainConfig, backward, cross_entropy_soft,
                                   forward, init_params, save_checkpoint,
@@ -51,7 +51,7 @@ def criterion(number, description):
 def test_acceptance_01_softmax_worked_example():
     with criterion(1, "modified and standard softmax worked example"):
         z = np.array([2.0, 0.0, 1.0, 0.0])
-        modified = soft_softmax(z)
+        modified = soft_softmax(z[None])[0]
         np.testing.assert_allclose(np.round(modified, 2),
                                    [0.79, 0.0, 0.21, 0.0])
         standard = np.exp(z) / np.exp(z).sum()
@@ -69,7 +69,7 @@ def test_acceptance_02_vanilla_equals_original_ls():
                 one_hot = np.zeros(num_classes)
                 one_hot[position] = 1.0
                 for alpha in ALPHA_GRID:
-                    vanilla = soft_softmax(one_hot + alpha)
+                    vanilla = soft_softmax((one_hot + alpha)[None])[0]
                     eps = epsilon_for_alpha(alpha, num_classes)
                     classic = original_ls(one_hot, eps, num_classes)
                     worst = max(worst,
@@ -127,8 +127,7 @@ def test_acceptance_04_gradient_check():
             parentals = one_hots.copy()
             parentals[:, NUM_CLASSES - 1] = OTHERS_NOISE
             config = settings[trial % 4]
-            targets = np.stack([smooth(y, g, mu, config)
-                                for y, g in zip(one_hots, parentals)])
+            targets = soft_targets(one_hots, parentals, mu, config)
             l2 = 1e-3
             _, probs, cache = forward(params, x)
             analytic = backward(cache, probs, targets, params, l2)
@@ -164,7 +163,8 @@ def test_acceptance_05_zero_preservation():
                            SmoothingConfig("vanilla", 0.0),
                            SmoothingConfig("uniform", 0.0),
                            SmoothingConfig("prior", 0.0)):
-                soft = smooth(one_hot, parental, mu, config)
+                soft = soft_targets(one_hot[None], parental[None], mu,
+                                    config)[0]
                 assert abs(soft.sum() - 1.0) < 1e-9
                 for c in outside:
                     assert soft[c - 1] == 0.0

@@ -211,6 +211,41 @@ def test_unknown_config_key_is_fatal(workspace, tmp_path, capsys, command):
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_coerces_setting_types(workspace, tmp_path):
+    config = json.loads(workspace["config"].read_text())
+    config.update(setting={"hidden": 8.0, "l2": 0, "learning_rate": 1})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(config_path),
+                 "--out", str(model_path)]) == 0
+    text = model_path.read_text()
+    assert '"hidden":8,' in text and '"l2":0.0,' in text
+    assert '"learning_rate":1.0,' in text
+
+
+def test_smoothing_key_typo_is_fatal(workspace, tmp_path, capsys):
+    config = json.loads(workspace["config"].read_text())
+    config.update(smoothing={"varient": "prior", "alpha": 0.1},
+                  output_dir=str(tmp_path / "runs"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'smoothing.varient'" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_non_object_config_is_fatal(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("5", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
+
+
 @pytest.mark.parametrize("failing", ["json", "csv"])
 def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
                                             failing):

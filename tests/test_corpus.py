@@ -204,7 +204,7 @@ class TestBuildDataset:
         dataset = build_dataset(sites, seed=0)
         for split in ("train", "valid", "test"):
             for s in dataset.split(split):
-                assert 8 <= s.length <= 64
+                assert 8 <= len(s.tokens) <= 64
                 assert s.one_hot.sum() == 1
                 assert s.one_hot[s.sentence_label - 1] == 1
                 assert s.one_hot[NUM_CLASSES - 1] == 0

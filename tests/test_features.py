@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 
@@ -7,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
 
-from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
-                                     boe_embed, fit_tfidf, load_embeddings,
-                                     tfidf_rows, token_frequencies)
+from ouv_classifier.features import (EmbeddingTable, boe_embed, fit_tfidf,
+                                     load_embeddings, tfidf_rows,
+                                     token_frequencies)
 from conftest import make_sample
 
 
@@ -153,38 +152,6 @@ class TestTfidfMatrixExact:
         assert sparse.issparse(matrix)
         assert matrix.shape == (0, vocab.size)
         assert matrix.nnz == 0
-
-
-class TestVocabularyPersistence:
-    def test_round_trip(self, tmp_path):
-        vocab = fit_tfidf(docs_to_samples(["a b", "a c", "b c"]), min_df=1)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        loaded = TfidfVocabulary.load(path)
-        assert loaded.gram_to_index == vocab.gram_to_index
-        np.testing.assert_allclose(loaded.idf, vocab.idf)
-        assert loaded.min_df == vocab.min_df
-
-    def test_file_format(self, tmp_path):
-        vocab = fit_tfidf(docs_to_samples(["héritage b", "héritage c"]),
-                          min_df=1)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        grams = sorted(vocab.gram_to_index, key=vocab.gram_to_index.get)
-        assert path.read_text(encoding="utf-8") == json.dumps(
-            {"grams": grams, "idf": vocab.idf.tolist(), "min_df": 1},
-            ensure_ascii=False)
-
-    def test_failed_save_keeps_old_file(self, tmp_path):
-        vocab = fit_tfidf(docs_to_samples(["a b", "a c"]), min_df=1)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        before = path.read_bytes()
-        vocab.min_df = object()  # not JSON-serializable
-        with pytest.raises(TypeError):
-            vocab.save(path)
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]
 
 
 def write_embeddings(tmp_path, entries):

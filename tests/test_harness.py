@@ -14,7 +14,8 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
 from ouv_classifier.model import predict_proba, save_checkpoint
 from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
-from conftest import make_separable_dataset
+from ouv_classifier.features import fit_tfidf
+from conftest import make_sample, make_separable_dataset
 
 
 def toy_config(tmp_path, **overrides):
@@ -338,17 +339,20 @@ class TestFeaturizer:
         x2 = loaded.transform_token_lists([dataset.valid[0].tokens])
         np.testing.assert_allclose(x1.toarray(), x2.toarray())
 
-    def test_ngram_file_is_the_vocabulary_file_plus_type(self, dataset,
-                                                          tmp_path):
-        featurizer = build_featurizer(toy_config(tmp_path), dataset)
-        featurizer.save(tmp_path / "feat.json")
-        featurizer.vocab.save(tmp_path / "vocab.json")
-        feat = json.loads((tmp_path / "feat.json").read_text())
-        assert feat.pop("type") == "ngram"
-        assert feat == json.loads((tmp_path / "vocab.json").read_text())
-        loaded = Featurizer.load(tmp_path / "feat.json").vocab
-        assert loaded.gram_to_index == featurizer.vocab.gram_to_index
-        np.testing.assert_array_equal(loaded.idf, featurizer.vocab.idf)
+    def test_ngram_file_is_the_vocabulary_file_plus_type(self, tmp_path):
+        vocab = fit_tfidf([make_sample(doc.split(), 1)
+                           for doc in ("héritage b", "héritage c")], min_df=1)
+        path = tmp_path / "feat.json"
+        Featurizer(kind="ngram", vocab=vocab).save(path)
+        grams = sorted(vocab.gram_to_index, key=vocab.gram_to_index.get)
+        assert "héritage" in grams
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            {"type": "ngram", "grams": grams, "idf": vocab.idf.tolist(),
+             "min_df": 1}, ensure_ascii=False)
+        loaded = Featurizer.load(path).vocab
+        assert loaded.gram_to_index == vocab.gram_to_index
+        np.testing.assert_array_equal(loaded.idf, vocab.idf)
+        assert loaded.min_df == 1
 
     def test_boe_round_trip(self, dataset, tmp_path):
         emb = tmp_path / "emb.txt"

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.corpus import make_one_hot
-from ouv_classifier.labels import (ALPHA_GRID, CooccurrenceMatrix,
+from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, CooccurrenceMatrix,
                                    PriorWeights, SmoothingConfig,
                                    cooccurrence, epsilon_for_alpha,
-                                   original_ls, prior_weights, smooth,
-                                   soft_softmax)
+                                   original_ls, prior_weights, soft_softmax,
+                                   soft_targets)
 from conftest import make_sites
 
 
@@ -21,29 +21,37 @@ def identity_mu():
 
 class TestSoftSoftmax:
     def test_worked_example(self):
-        got = soft_softmax(np.array([2.0, 0.0, 1.0, 0.0]))
+        got = soft_softmax(np.array([[2.0, 0.0, 1.0, 0.0]]))[0]
         np.testing.assert_allclose(np.round(got, 2), [0.79, 0, 0.21, 0])
 
     def test_single_positive_entry(self):
-        np.testing.assert_allclose(soft_softmax([1, 0, 0, 0]), [1, 0, 0, 0])
+        np.testing.assert_allclose(soft_softmax([[1, 0, 0, 0]])[0], [1, 0, 0, 0])
 
     def test_symmetry(self):
-        got = soft_softmax([0.3] * 5)
+        got = soft_softmax([[0.3] * 5])[0]
         np.testing.assert_allclose(got, [0.2] * 5)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            soft_softmax([0.0, 0.0])
+            soft_softmax([[0.0, 0.0]])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            soft_softmax([1.0, -0.1])
+            soft_softmax([[1.0, -0.1]])
+
+    def test_one_d_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            soft_softmax(np.array([1.0, 0.0]))
+
+    def test_batch_with_one_all_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            soft_softmax([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
 
     @given(st.lists(st.floats(0, 5), min_size=2, max_size=12)
            .filter(lambda xs: max(xs) > 0))
     def test_probability_vector_and_zero_preservation(self, values):
         z = np.array(values)
-        out = soft_softmax(z)
+        out = soft_softmax(z[None])[0]
         assert abs(out.sum() - 1) < 1e-12
         assert np.all(out[z == 0] == 0)
         assert np.all(out >= 0)
@@ -51,7 +59,7 @@ class TestSoftSoftmax:
     @given(st.lists(st.floats(0.01, 5), min_size=2, max_size=12))
     def test_order_preserving(self, values):
         z = np.array(values)
-        out = soft_softmax(z)
+        out = soft_softmax(z[None])[0]
         assert int(np.argmax(out)) == int(np.argmax(z))
         # strictly increasing map on positive entries
         order_in = np.argsort(z, kind="stable")
@@ -104,8 +112,8 @@ class TestVanillaEquivalence:
             y = np.zeros(num_classes)
             y[position] = 1.0
             for alpha in ALPHA_GRID:
-                vanilla = smooth(y, parental, None,
-                                 SmoothingConfig("vanilla", alpha))
+                vanilla = soft_targets(y[None], parental[None], None,
+                                       SmoothingConfig("vanilla", alpha))[0]
                 eps = epsilon_for_alpha(alpha, num_classes)
                 reference = original_ls(y, eps, num_classes)
                 assert np.max(np.abs(vanilla - reference)) < 1e-9
@@ -124,8 +132,8 @@ class TestSmooth:
         y = make_one_hot(4)
         parental = make_one_hot(4)
         for variant in ("none", "vanilla", "uniform", "prior"):
-            got = smooth(y, parental, identity_mu(),
-                         SmoothingConfig(variant, 0.0))
+            got = soft_targets(y[None], parental[None], identity_mu(),
+                               SmoothingConfig(variant, 0.0))[0]
             np.testing.assert_array_equal(got, y)
 
     def test_uniform_against_scalar_oracle(self):
@@ -133,7 +141,8 @@ class TestSmooth:
         parental = np.zeros(NUM_CLASSES)
         parental[1] = parental[3] = 1.0
         parental[10] = 0.2
-        got = smooth(y, parental, None, SmoothingConfig("uniform", 0.5))
+        got = soft_targets(y[None], parental[None], None,
+                           SmoothingConfig("uniform", 0.5))[0]
         expected = scalar_smooth_uniform(y, parental, 0.5)
         np.testing.assert_allclose(got, expected, atol=1e-12)
         support = {i for i, v in enumerate(got) if v > 0}
@@ -147,15 +156,16 @@ class TestSmooth:
         parental[10] = 0.2
         mu = identity_mu()
         mu.mu[1, 3] = 0.5  # criterion 2 associates with 4
-        got = smooth(y, parental, mu, SmoothingConfig("prior", 0.5))
+        got = soft_targets(y[None], parental[None], mu,
+                           SmoothingConfig("prior", 0.5))[0]
         assert abs(got.sum() - 1) < 1e-9
         support = {i for i, v in enumerate(got) if v > 0}
         assert support == {1, 3, 10}
 
     def test_prior_requires_mu(self):
         with pytest.raises(ValueError):
-            smooth(make_one_hot(1), make_one_hot(1), None,
-                   SmoothingConfig("prior", 0.1))
+            soft_targets(make_one_hot(1)[None], make_one_hot(1)[None], None,
+                         SmoothingConfig("prior", 0.1))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -166,10 +176,48 @@ class TestSmooth:
         y = make_one_hot(3)
         parental = y.copy()
         parental[10] = 0.2
-        uniform = smooth(y, parental, None, SmoothingConfig("uniform", 0.5))
-        prior = smooth(y, parental, identity_mu(),
-                       SmoothingConfig("prior", 0.5))
+        uniform = soft_targets(y[None], parental[None], None,
+                               SmoothingConfig("uniform", 0.5))[0]
+        prior = soft_targets(y[None], parental[None], identity_mu(),
+                             SmoothingConfig("prior", 0.5))[0]
         np.testing.assert_allclose(uniform[10], prior[10], atol=1e-12)
+
+
+def per_row_soft_target(one_hot, parental, mu, config):
+    """One row at a time, in the batch routine's operation order: the
+    reference that ``soft_targets`` must equal bit for bit."""
+    if config.variant == "none" or config.alpha == 0:
+        return one_hot.copy()
+    if config.variant == "vanilla":
+        combined = one_hot + config.alpha
+    elif config.variant == "uniform":
+        combined = one_hot + config.alpha * parental
+    else:
+        criterion = int(np.argmax(one_hot)) + 1
+        combined = one_hot + config.alpha * (mu.mu[criterion - 1] * parental)
+    numerators = np.expm1(combined)
+    return numerators / numerators.sum()
+
+
+class TestSoftTargetsBatch:
+    def test_equals_per_row_reference(self):
+        rng = np.random.default_rng(2021)
+        n = 1200
+        one_hots = np.stack([make_one_hot(int(c))
+                             for c in rng.integers(1, NUM_CRITERIA + 1, n)])
+        parentals = np.where(rng.random((n, NUM_CLASSES)) < 0.3, 1.0,
+                             one_hots)
+        parentals[:, NUM_CLASSES - 1] = 0.2
+        mu = PriorWeights(mu=np.hstack([
+            rng.uniform(0, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
+            np.ones((NUM_CRITERIA, 1))]))
+        for variant in VARIANTS:
+            for alpha in ALPHA_GRID:
+                config = SmoothingConfig(variant, alpha)
+                want = np.stack([per_row_soft_target(y, g, mu, config)
+                                 for y, g in zip(one_hots, parentals)])
+                got = soft_targets(one_hots, parentals, mu, config)
+                np.testing.assert_array_equal(got, want)
 
 
 @st.composite
@@ -194,7 +242,8 @@ class TestSoftLabelProperties:
         mu = PriorWeights(mu=np.hstack([
             rng.uniform(0.01, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
             np.ones((NUM_CRITERIA, 1))]))
-        got = smooth(one_hot, parental, mu, SmoothingConfig(variant, alpha))
+        got = soft_targets(one_hot[None], parental[None], mu,
+                           SmoothingConfig(variant, alpha))[0]
         assert abs(got.sum() - 1) < 1e-9
         allowed = set(np.nonzero(parental)[0]) | {int(np.argmax(one_hot))}
         for idx, value in enumerate(got):
@@ -209,7 +258,8 @@ class TestSoftLabelProperties:
         one_hot, parental = pair
         mu = identity_mu()
         mu.mu[:, :NUM_CRITERIA] = 0.5
-        got = smooth(one_hot, parental, mu, SmoothingConfig(variant, alpha))
+        got = soft_targets(one_hot[None], parental[None], mu,
+                           SmoothingConfig(variant, alpha))[0]
         label = int(np.argmax(one_hot))
         others = np.delete(got, label)
         assert got[label] > others.max()
@@ -260,7 +310,7 @@ class TestPriorWeights:
         expected_col1[1] = 0.75
         expected_col1[2] = 0.25
         expected_col1[10] = 1.0
-        np.testing.assert_allclose(mu.for_criterion(1), expected_col1)
+        np.testing.assert_allclose(mu.mu[0], expected_col1)
 
     def test_rows_sum_to_one(self):
         sites = make_sites([{1, 2}, {2, 3}, {3}, {1, 4}, {5}, {6}, {7},
@@ -277,7 +327,7 @@ class TestPriorWeights:
                             {8}, {9}, {10}, {2, 4, 6}])
         matrix = cooccurrence(sites)
         mu = prior_weights(matrix)
-        col_sums = matrix.column_sums().astype(float)
+        col_sums = matrix.counts.sum(axis=0).astype(float)
         rebuilt = (mu.mu[:, :10].T * col_sums).round().astype(np.int64)
         np.testing.assert_array_equal(rebuilt, matrix.counts)
 
@@ -286,11 +336,11 @@ class TestPriorWeights:
                             {8}, {9}, {10}])
         matrix = cooccurrence(sites)
         mu = prior_weights(matrix)
-        col = matrix.column_sums().astype(float)
+        col = matrix.counts.sum(axis=0).astype(float)
         for k in range(1, 11):
             for l in range(1, 11):
-                lhs = mu.for_criterion(k)[l - 1] * col[k - 1]
-                rhs = mu.for_criterion(l)[k - 1] * col[l - 1]
+                lhs = mu.mu[k - 1][l - 1] * col[k - 1]
+                rhs = mu.mu[l - 1][k - 1] * col[l - 1]
                 assert abs(lhs - rhs) < 1e-9
 
     def test_zero_column_rejected(self):

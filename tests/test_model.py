@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from ouv_classifier import NUM_CLASSES
+from ouv_classifier import NUM_CLASSES, model as model_module
 from ouv_classifier.corpus import make_one_hot
 from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
+from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
                                   cross_entropy_soft, forward,
-                                  init_params, load_checkpoint, predict_topk,
-                                  save_checkpoint, soft_targets, train,
+                                  init_params, load_checkpoint,
+                                  predict_proba, rank_classes,
+                                  save_checkpoint, soft_targets,
+                                  top_classes, train,
                                   TrainedModel)
 from conftest import make_separable_dataset
 
@@ -296,6 +299,27 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(bad, oh, par, vx, vl, quick_config(max_epochs=5))
 
+    def test_history_scores_equal_evaluate_split(self, toy_dataset,
+                                                 monkeypatch):
+        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        rankings = []
+
+        def recording_rank_classes(probs):
+            rankings.append(rank_classes(probs))
+            return rankings[-1]
+
+        monkeypatch.setattr(model_module, "rank_classes",
+                            recording_rank_classes)
+        model = train(tx, oh, par, vx, vl,
+                      quick_config(learning_rate=1e-3, max_epochs=4,
+                                   patience=4, k=2))
+        assert len(rankings) == len(model.history) == 4
+        truths = (vl + 1).tolist()
+        for entry, ranks in zip(model.history, rankings):
+            report = evaluate_split(ranks.tolist(), truths, k=2)
+            assert entry["val_top1"] == report.top1_accuracy
+            assert entry["val_topk"] == report.topk_accuracy
+
     def test_loss_non_increasing_small_lr(self, toy_dataset):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
         config = quick_config(learning_rate=1e-3, dropout=0.0,
@@ -340,22 +364,20 @@ class TestPredictTopk:
         from ouv_classifier.model import TrainedModel
         model = TrainedModel(params=params, featurizer_ref="",
                              config=quick_config(), best_epoch=1, history=[])
-        ranked = predict_topk(model, np.zeros(3), k=NUM_CLASSES)
+        ids, confs = top_classes(predict_proba(model, np.zeros((1, 3))),
+                                 NUM_CLASSES)
+        ranked = list(zip(ids[0].tolist(), confs[0].tolist()))
         assert [cls for cls, _ in ranked] == list(range(1, NUM_CLASSES + 1))
 
     def test_full_ranking_sums_to_one(self, toy_dataset):
         model = self.make_model(toy_dataset)
         vocab, *_ = featurized(toy_dataset)
         x = tfidf_rows(vocab, [toy_dataset.valid[0].tokens])
-        ranked = predict_topk(model, x, k=NUM_CLASSES)
+        ids, confs = top_classes(predict_proba(model, x), NUM_CLASSES)
+        ranked = list(zip(ids[0].tolist(), confs[0].tolist()))
         assert sum(conf for _, conf in ranked) == pytest.approx(1.0)
         confs = [conf for _, conf in ranked]
         assert confs == sorted(confs, reverse=True)
-
-    def test_k_bounds(self, toy_dataset):
-        model = self.make_model(toy_dataset)
-        with pytest.raises(ValueError):
-            predict_topk(model, np.zeros(1), k=12)
 
 
 class TestCheckpoint:

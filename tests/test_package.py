@@ -1,11 +1,14 @@
 """Package-wide structure checks."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import ouv_classifier
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def private_imports(source: str) -> list[str]:
@@ -30,5 +33,44 @@ def test_detector_sees_relative_and_absolute_imports():
 
 def test_no_private_imports_across_modules():
     offenders = {path.name: private_imports(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports that are neither the
+    standard library nor this package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"ouv_classifier"}
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of ``[project] dependencies`` in ``pyproject.toml``,
+    read with a regex because ``tomllib`` is not in Python 3.10."""
+    block = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(),
+                      re.M | re.S).group(1)
+    return {name.lower().replace("-", "_")
+            for name in re.findall(r'"([A-Za-z0-9_.-]+)', block)}
+
+
+def test_detector_sees_third_party_imports():
+    source = ("import os.path, orjson\n"
+              "import numpy as np\n"
+              "from scipy import sparse\n"
+              "from . import atomic_open\n"
+              "from ouv_classifier.model import forward\n"
+              "from collections import Counter\n")
+    assert third_party_imports(source) == {"orjson", "numpy", "scipy"}
+
+
+def test_no_undeclared_third_party_imports():
+    declared = declared_dependencies()
+    offenders = {path.name: sorted(third_party_imports(
+                     path.read_text(encoding="utf-8")) - declared)
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
