@@ -104,7 +104,7 @@ def load_embeddings(file_path: str | Path, frequency_threshold: int,
                 continue
             token = parts[0]
             try:
-                vec = np.array([float(v) for v in parts[1:]])
+                vec = np.array(parts[1:], dtype=float)
             except ValueError:
                 errors.append(f"line {line_no}: non-numeric value")
                 continue

@@ -20,9 +20,9 @@ from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
 from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import EvalReport, MatchReport, evaluate_matches, evaluate_split
-from .model import (TrainConfig, TrainedModel, TrainingDiverged,
-                    load_checkpoint, predict_proba, rank_classes,
-                    save_checkpoint, top_classes, train)
+from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
+                    encode_array, load_checkpoint, predict_proba,
+                    rank_classes, save_checkpoint, top_classes, train)
 
 DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
@@ -69,22 +69,50 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        """Load a config file. A file that is not a JSON object, or an
-        unknown top-level or ``smoothing`` key, is a ``ValueError`` naming
-        it, so a typo cannot fall back to a default."""
+        """Load a config file. A file that is not a JSON object, an
+        unknown top-level or ``smoothing`` key, or a value whose JSON type
+        differs from its default's (an integer passes for a float; setting
+        and grid values are numbers) is a ``ValueError`` naming it, so a
+        typo cannot fall back to a default or fail later."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: a config file holds a JSON object, "
                              f"not {type(payload).__name__}")
+        smoothing = payload.get("smoothing", {})
         unknown = [key for key in payload
                    if key not in cls.__dataclass_fields__]
-        unknown += [f"smoothing.{key}" for key in payload.get("smoothing", {})
+        unknown += [f"smoothing.{key}" for key in
+                    (smoothing if isinstance(smoothing, dict) else ())
                     if key not in SmoothingConfig.__dataclass_fields__]
         if unknown:
             raise ValueError(f"{path}: unknown config key(s) "
                              + ", ".join(map(repr, unknown)))
+        defaults = cls()
+        for key, value in payload.items():
+            _check_json_type(path, key, value, getattr(defaults, key))
+        for key, value in smoothing.items():
+            _check_json_type(path, f"smoothing.{key}", value,
+                             getattr(SmoothingConfig(), key))
+        for key, value in payload.get("setting", {}).items():
+            _check_json_type(path, f"setting.{key}", value, 0.0)
+        for key, values in payload.get("grid", {}).items():
+            _check_json_type(path, f"grid.{key}", values, [0.0])
         return cls(**payload)
+
+
+def _check_json_type(path, name: str, value, default) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` has the JSON
+    type of ``default`` (an integer passes for a float); list items are
+    checked against the default's first item."""
+    want = (float, int) if type(default) is float else (type(default),)
+    if (not isinstance(value, want)
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise ValueError(f"{path}: config key {name!r} is "
+                         f"{type(value).__name__}, expected "
+                         + " or ".join(t.__name__ for t in want))
+    for i, item in enumerate(value if isinstance(default, list) else ()):
+        _check_json_type(path, f"{name}[{i}]", item, default[0])
 
 
 def load_prior(config: ExperimentConfig) -> PriorWeights:
@@ -124,37 +152,47 @@ class Featurizer:
 
     def save(self, path: str | Path) -> None:
         """Write the one featurizer file: for n-gram, the grams in index
-        order with their idf and ``min_df``; for BoE, the kept vectors."""
+        order, their ``idf`` and ``min_df``; for BoE, tokens and vectors."""
         if self.kind == "ngram":
-            grams = [None] * self.vocab.size
-            for gram, idx in self.vocab.gram_to_index.items():
-                grams[idx] = gram
-            payload = {"type": "ngram", "grams": grams,
-                       "idf": [float(v) for v in self.vocab.idf],
+            index = self.vocab.gram_to_index
+            payload = {"type": "ngram", "grams": sorted(index, key=index.get),
+                       "idf": encode_array(self.vocab.idf),
                        "min_df": self.vocab.min_df}
         else:
-            payload = {"type": "boe", "dimension": self.table.dimension,
-                       "vectors": {tok: [float(v) for v in vec]
-                                   for tok, vec in
-                                   self.table.word_to_vector.items()}}
+            vectors = self.table.word_to_vector
+            payload = {"type": "boe", "tokens": list(vectors), "vectors":
+                       encode_array(np.stack(list(vectors.values())))}
         with atomic_open(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
+        """Read a file written by ``save``. Any other file, including one
+        written with JSON float lists before arrays used ``encode_array``,
+        is a ``ValueError`` naming it."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload["type"] == "ngram":
-            vocab = TfidfVocabulary(
-                gram_to_index={g: i for i, g in enumerate(payload["grams"])},
-                idf=np.asarray(payload["idf"], dtype=float),
-                min_df=int(payload["min_df"]))
-            return cls(kind="ngram", vocab=vocab)
-        table = EmbeddingTable(
-            word_to_vector={tok: np.asarray(vec, dtype=float)
-                            for tok, vec in payload["vectors"].items()},
-            dimension=int(payload["dimension"]))
-        return cls(kind="boe", table=table)
+        try:
+            kind = payload["type"]
+            if kind not in ("ngram", "boe"):
+                raise ValueError(f"unknown type {kind!r}")
+            names, key, ndim = (("grams", "idf", 1) if kind == "ngram"
+                                else ("tokens", "vectors", 2))
+            array = decode_array(repr(key), payload[key])
+            if array.ndim != ndim or len(array) != len(payload[names]):
+                raise ValueError(f"{len(payload[names])} {names} but "
+                                 f"{key!r} has shape {list(array.shape)}")
+            if kind == "ngram":
+                return cls(kind, vocab=TfidfVocabulary(
+                    {g: i for i, g in enumerate(payload["grams"])}, array,
+                    int(payload["min_df"])))
+            return cls(kind, table=EmbeddingTable(
+                dict(zip(payload["tokens"], array)), array.shape[1]))
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: not a featurizer file of this version "
+                             f"({detail}); rebuild it with `ouvclf final` "
+                             "or `ouvclf train`") from exc
 
 
 def build_featurizer(config: ExperimentConfig, dataset: Dataset) -> Featurizer:
@@ -291,10 +329,6 @@ class SweepResult:
     chosen_variant: str
     chosen_alpha: float
 
-    def to_dict(self) -> dict:
-        return {"cells": self.cells, "chosen_variant": self.chosen_variant,
-                "chosen_alpha": self.chosen_alpha}
-
 
 def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                  dataset: Dataset, mu: PriorWeights,
@@ -354,7 +388,8 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     out = Path(config.output_dir) / "step2_sweep"
     out.mkdir(parents=True, exist_ok=True)
     with atomic_open(out / "sweep.json") as fh:
-        json.dump({"setting": best_setting, **result.to_dict()}, fh, indent=1)
+        json.dump({"setting": best_setting, **dataclasses.asdict(result)},
+                  fh, indent=1)
     return result
 
 

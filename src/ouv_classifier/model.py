@@ -26,6 +26,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_EPS = 1e-12
+_CHECKPOINT_KEYS = ("best_epoch", "config", "featurizer_ref", "history",
+                    "params")
 
 
 class TrainingDiverged(RuntimeError):
@@ -282,18 +284,28 @@ def top_classes(probs: np.ndarray,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def _decode_array(key: str, spec: dict) -> np.ndarray:
+def encode_array(arr: np.ndarray) -> dict:
+    """``{"data", "shape"}``, ``data`` the base64 of ``arr``'s little-endian
+    float64 bytes in C order: the one stored form of a float array."""
+    data = binascii.b2a_base64(np.ascontiguousarray(arr, dtype="<f8"),
+                               newline=False)
+    return {"data": data.decode("ascii"), "shape": list(arr.shape)}
+
+
+def decode_array(name: str, spec) -> np.ndarray:
+    """Inverse of ``encode_array``; a bad ``spec`` raises ``ValueError``."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("data"), str)
+            and isinstance(spec.get("shape"), list)):
+        raise ValueError(f'{name}: not {{"data": <base64 str>, '
+                         '"shape": [...]}')
     shape = [int(n) for n in spec["shape"]]
-    data = spec["data"]
-    if not isinstance(data, str):
-        raise ValueError(f"param {key!r}: data is not a base64 string")
     try:
-        raw = base64.b64decode(data, validate=True)
+        raw = base64.b64decode(spec["data"], validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise ValueError(f"param {key!r}: invalid base64 data") from exc
+        raise ValueError(f"{name}: invalid base64 data") from exc
     expected = math.prod(shape)
     if len(raw) != 8 * expected:
-        raise ValueError(f"param {key!r}: {len(raw)} bytes do not hold "
+        raise ValueError(f"{name}: {len(raw)} bytes do not hold "
                          f"{expected} float64 values of shape {shape}")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
@@ -301,8 +313,7 @@ def _decode_array(key: str, spec: dict) -> np.ndarray:
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     """Write the model as JSON with sorted keys and no spaces, atomically.
 
-    Each param is ``{"data": <base64>, "shape": [...]}``, where ``data``
-    encodes the little-endian float64 bytes in C order. Base64 needs no
+    Each param is ``encode_array``'s ``{"data", "shape"}``. Base64 needs no
     JSON escaping, so the params ("params" sorts last) are written as raw
     bytes rather than through the encoder; the file is byte-for-byte what
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` gives.
@@ -315,20 +326,26 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(head[:-1].encode() + b',"params":{')
         for i, (key, arr) in enumerate(sorted(model.params.arrays().items())):
-            fh.write(f'{"," if i else ""}"{key}":{{"data":"'.encode())
-            fh.write(binascii.b2a_base64(
-                np.ascontiguousarray(arr, dtype="<f8"), newline=False))
-            shape = ",".join(str(n) for n in arr.shape)
-            fh.write(f'","shape":[{shape}]}}'.encode())
+            spec = encode_array(arr)
+            shape = ",".join(map(str, spec["shape"]))
+            fh.write(f'{"," if i else ""}"{key}":{{"data":"{spec["data"]}",'
+                     f'"shape":[{shape}]}}'.encode())
         fh.write(b"}}")
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
+    """Read a file written by ``save_checkpoint``. A file without one of
+    its keys, or with a malformed param, is a ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    missing = [key for key in _CHECKPOINT_KEYS
+               if not isinstance(payload, dict) or key not in payload]
+    if missing:
+        raise ValueError(f"{path}: not a checkpoint, missing key(s) "
+                         + ", ".join(map(repr, missing)))
     cfg = dict(payload["config"])
     cfg["smoothing"] = SmoothingConfig(**cfg["smoothing"])
-    arrays = {key: _decode_array(key, spec)
+    arrays = {key: decode_array(f"{path}: param {key!r}", spec)
               for key, spec in payload["params"].items()}
     return TrainedModel(
         params=MlpParams(**arrays),

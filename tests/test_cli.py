@@ -1,5 +1,8 @@
+import base64
 import csv
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -291,3 +294,69 @@ def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.txt",
                                                           "mined.json"]
+
+
+@pytest.mark.parametrize("key,value,name", [
+    ("smoothing", 5, "'smoothing'"),
+    ("setting", 5, "'setting'"),
+    ("grid", 5, "'grid'"),
+    ("grid", {"hidden": 16}, "'grid.hidden'"),
+    ("grid", {"hidden": ["16"]}, r"'grid.hidden\[0\]'"),
+    ("setting", {"hidden": "8"}, "'setting.hidden'"),
+    ("smoothing", {"variant": "prior", "alpha": "0.1"}, "'smoothing.alpha'"),
+    ("seeds", [0, 1.5], r"'seeds\[1\]'"),
+    ("max_epochs", 2.0, "'max_epochs'"),
+    ("patience", True, "'patience'"),
+])
+def test_config_value_of_wrong_json_type_is_fatal(workspace, tmp_path,
+                                                  capsys, key, value, name):
+    config = json.loads(workspace["config"].read_text())
+    config.update({key: value, "output_dir": str(tmp_path / "runs")})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert re.search(name, err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_integers_load_where_floats_are_expected(workspace, tmp_path):
+    config = json.loads(workspace["config"].read_text())
+    config.update(learning_rate=1, alpha_grid=[0, 1],
+                  grid={"hidden": [16], "learning_rate": [1], "l2": [0]},
+                  smoothing={"variant": "uniform", "alpha": 1})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    loaded = ExperimentConfig.from_json(config_path)
+    assert loaded.grid == {"hidden": [16], "learning_rate": [1], "l2": [0]}
+    assert main(["train", "--config", str(config_path),
+                 "--out", str(tmp_path / "model.json")]) == 0
+
+
+def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
+    final = workspace["runs"] / "step3_final"
+    for name in ("model_no_ls.json", "model_ls.json"):
+        shutil.copy(final / name, tmp_path / name)
+    featurizer = json.loads((final / "featurizer.json").read_text(
+        encoding="utf-8"))
+    idf = np.frombuffer(base64.b64decode(featurizer["idf"]["data"]), "<f8")
+    featurizer["idf"] = idf.tolist()  # the float-list form
+    (tmp_path / "featurizer.json").write_text(json.dumps(featurizer),
+                                              encoding="utf-8")
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("The ancient walls ensemble.\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["mine", "--models", str(tmp_path / "model_no_ls.json"),
+                 str(tmp_path / "model_ls.json"),
+                 "--input", str(input_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(tmp_path / "featurizer.json") in err and "'idf'" in err
+    # a featurizer file given as a checkpoint names the missing key
+    assert main(["mine", "--models", str(tmp_path / "featurizer.json"),
+                 str(tmp_path / "featurizer.json"),
+                 "--input", str(input_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'config'" in err

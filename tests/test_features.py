@@ -202,6 +202,20 @@ class TestLoadEmbeddings:
         assert len(errors) == 2
         assert set(table.word_to_vector) == {"a", "c", "<unk>"}
 
+    def test_parsed_values_are_bit_equal_to_float(self, tmp_path):
+        values = ["1e-320", "-0.0", "5e-324", "0.30000000000000004", "nan",
+                  "inf", "-inf", "１"]
+        path = tmp_path / "vectors.txt"
+        path.write_text("a " + " ".join(values) + "\nb 0x10 0 0 0 0 0 0 0\n"
+                        "c 1,5 0 0 0 0 0 0 0\n", encoding="utf-8")
+        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1, "c": 1})
+        expected = np.array([float(v) for v in values])
+        np.testing.assert_array_equal(
+            table.word_to_vector["a"].view(np.uint64),
+            expected.view(np.uint64))
+        assert errors == ["line 2: non-numeric value",
+                          "line 3: non-numeric value"]
+
 
 class TestBoeEmbed:
     def table(self):

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import shutil
@@ -14,7 +15,7 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
 from ouv_classifier.model import predict_proba, save_checkpoint
 from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
-from ouv_classifier.features import fit_tfidf
+from ouv_classifier.features import EmbeddingTable, fit_tfidf
 from conftest import make_sample, make_separable_dataset
 
 
@@ -328,6 +329,32 @@ class TestMine:
         assert [k["sentence"] for k in kept] == expected
 
 
+def featurizer_of(kind: str) -> Featurizer:
+    """A small featurizer of each kind: five grams or three 2-d tokens."""
+    if kind == "ngram":
+        return Featurizer(kind="ngram", vocab=fit_tfidf(
+            [make_sample(doc.split(), 1) for doc in ("a b", "a c")],
+            min_df=1))
+    return Featurizer(kind="boe", table=EmbeddingTable(
+        {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0]),
+         "<unk>": np.array([2.0, 3.0])}, dimension=2))
+
+
+def write_float_list_featurizer(featurizer: Featurizer, path) -> None:
+    """The featurizer file as written before arrays were base64-encoded:
+    every float a JSON number."""
+    if featurizer.kind == "ngram":
+        index = featurizer.vocab.gram_to_index
+        payload = {"type": "ngram", "grams": sorted(index, key=index.get),
+                   "idf": featurizer.vocab.idf.tolist(),
+                   "min_df": featurizer.vocab.min_df}
+    else:
+        payload = {"type": "boe", "dimension": featurizer.table.dimension,
+                   "vectors": {tok: vec.tolist() for tok, vec in
+                               featurizer.table.word_to_vector.items()}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 class TestFeaturizer:
     def test_ngram_round_trip(self, dataset, tmp_path):
         config = toy_config(tmp_path)
@@ -346,9 +373,11 @@ class TestFeaturizer:
         Featurizer(kind="ngram", vocab=vocab).save(path)
         grams = sorted(vocab.gram_to_index, key=vocab.gram_to_index.get)
         assert "héritage" in grams
+        idf = {"data": base64.b64encode(vocab.idf.astype("<f8").tobytes())
+               .decode(), "shape": [len(grams)]}
         assert path.read_text(encoding="utf-8") == json.dumps(
-            {"type": "ngram", "grams": grams, "idf": vocab.idf.tolist(),
-             "min_df": 1}, ensure_ascii=False)
+            {"type": "ngram", "grams": grams, "idf": idf, "min_df": 1},
+            ensure_ascii=False)
         loaded = Featurizer.load(path).vocab
         assert loaded.gram_to_index == vocab.gram_to_index
         np.testing.assert_array_equal(loaded.idf, vocab.idf)
@@ -372,6 +401,71 @@ class TestFeaturizer:
             featurizer.transform_token_lists([dataset.valid[0].tokens]),
             loaded.transform_token_lists([dataset.valid[0].tokens]))
 
+    def test_round_trips_are_bit_exact(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        table = EmbeddingTable(word_to_vector={
+            "b": np.array([-0.0, 5e-324, np.inf]),
+            "a": np.array([-tiny / 3, 0.1, -np.inf]),
+            "<unk>": np.array([np.nan, 1.0, -0.0])}, dimension=3)
+        vocab = fit_tfidf([make_sample(doc.split(), 1)
+                           for doc in ("a b c", "a d", "b e f")], min_df=1)
+        vocab.idf[:3] = [-0.0, 5e-324, np.inf]
+        boe, ngram = tmp_path / "boe.json", tmp_path / "ngram.json"
+        Featurizer(kind="boe", table=table).save(boe)
+        Featurizer(kind="ngram", vocab=vocab).save(ngram)
+        loaded = Featurizer.load(boe).table
+        assert list(loaded.word_to_vector) == ["b", "a", "<unk>"]
+        assert loaded.dimension == 3
+        for token, vec in table.word_to_vector.items():
+            np.testing.assert_array_equal(
+                loaded.word_to_vector[token].view(np.uint64),
+                vec.view(np.uint64))
+        loaded_vocab = Featurizer.load(ngram).vocab
+        assert loaded_vocab.gram_to_index == vocab.gram_to_index
+        np.testing.assert_array_equal(loaded_vocab.idf.view(np.uint64),
+                                      vocab.idf.view(np.uint64))
+
+    def test_boe_file_is_tokens_plus_one_matrix(self, tmp_path):
+        vectors = {"zeta": np.array([1.0, 2.0]), "alpha": np.array([3.0, 4.0]),
+                   "<unk>": np.array([2.0, 3.0])}
+        path = tmp_path / "feat.json"
+        Featurizer(kind="boe", table=EmbeddingTable(vectors, 2)).save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["type", "tokens", "vectors"]
+        assert payload["type"] == "boe"
+        assert payload["tokens"] == ["zeta", "alpha", "<unk>"]
+        assert payload["vectors"]["shape"] == [3, 2]
+        assert base64.b64decode(payload["vectors"]["data"]) == np.stack(
+            list(vectors.values())).astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("kind,edit,match", [
+        ("ngram", lambda p: p["idf"].update(data="not base64!"), "'idf'"),
+        ("ngram", lambda p: p["idf"].update(data="AAAAAAAAAAA="), "'idf'"),
+        ("ngram", lambda p: p["grams"].pop(), "grams"),
+        ("boe", lambda p: p["tokens"].append("extra"), "tokens"),
+        ("boe", lambda p: p["vectors"].update(shape=[6]), "'vectors'"),
+        ("ngram", lambda p: p.update(type="bpe"), "'bpe'"),
+        ("ngram", lambda p: p.update(idf=p["idf"]["data"]), "'idf'"),
+    ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
+            "not-a-matrix", "unknown-type", "spec-not-an-object"])
+    def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
+                                               match):
+        path = tmp_path / "feat.json"
+        featurizer_of(kind).save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=match) as excinfo:
+            Featurizer.load(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", ["ngram", "boe"])
+    def test_old_float_list_file_is_rejected(self, tmp_path, kind):
+        path = tmp_path / "feat.json"
+        write_float_list_featurizer(featurizer_of(kind), path)
+        with pytest.raises(ValueError, match="rebuild it") as excinfo:
+            Featurizer.load(path)
+        assert str(path) in str(excinfo.value)
 
     def test_failed_save_keeps_old_file(self, dataset, tmp_path):
         featurizer = build_featurizer(toy_config(tmp_path), dataset)

@@ -12,7 +12,8 @@ from ouv_classifier.labels import PriorWeights, SmoothingConfig
 from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
-                                  cross_entropy_soft, forward,
+                                  cross_entropy_soft, decode_array,
+                                  forward,
                                   init_params, load_checkpoint,
                                   predict_proba, rank_classes,
                                   save_checkpoint, soft_targets,
@@ -442,6 +443,24 @@ class TestCheckpoint:
         payload["params"]["W1"]["data"] = data
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="W1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec", [
+        [1.0, 2.0], {"data": "AAAAAAAAAAA="}, {"shape": [1]},
+        {"data": "AAAAAAAAAAA=", "shape": 1}, None])
+    def test_decode_array_rejects_a_malformed_spec(self, spec):
+        with pytest.raises(ValueError, match="^'idf': not"):
+            decode_array("'idf'", spec)
+
+    def test_non_checkpoint_file_names_file_and_key(self, tmp_path):
+        path = tmp_path / "featurizer.json"
+        path.write_text(json.dumps({"type": "ngram", "grams": [],
+                                    "idf": [], "min_df": 1}))
+        with pytest.raises(ValueError, match="'config'") as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="'params'"):
             load_checkpoint(path)
 
     def test_failed_save_keeps_old_file(self, tmp_path):

@@ -1,11 +1,15 @@
 """Package-wide structure checks."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import ouv_classifier
+import ouv_classifier.cli
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -74,3 +78,27 @@ def test_no_undeclared_third_party_imports():
                      path.read_text(encoding="utf-8")) - declared)
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_console_script_resolves_to_cli_main():
+    """``[project.scripts]`` in ``pyproject.toml``, read with a regex
+    that stays inside the section, points ``ouvclf`` at ``cli.main``."""
+    target = re.search(r'^\[project\.scripts\]\n(?:[^[\n].*\n)*?'
+                       r'ouvclf = "([\w.]+):(\w+)"$',
+                       PYPROJECT.read_text(), re.M)
+    assert target.groups() == ("ouv_classifier.cli", "main")
+    module = importlib.import_module(target.group(1))
+    assert getattr(module, target.group(2)) is ouv_classifier.cli.main
+
+
+def test_cli_module_runs_help():
+    """The console script's module runs; CI runs from the source tree and
+    never installs the package, so nothing else starts it."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ouv_classifier.cli", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ouvclf")
