@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import NUM_CLASSES, atomic_open
 from .labels import SmoothingConfig, PriorWeights, soft_targets
@@ -28,6 +27,9 @@ ADAM_EPS = 1e-8
 LOG_EPS = 1e-12
 _CHECKPOINT_KEYS = ("best_epoch", "config", "featurizer_ref", "history",
                     "params")
+# float64 values per slice of a blocked pass: Adam's six slices (param,
+# gradient, m, v and two work buffers) stay in a core's L2 cache
+_BLOCK = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -36,7 +38,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class MlpParams:
-    W1: np.ndarray  # hidden x input
+    W1: np.ndarray  # input x hidden, C-contiguous (hidden x input on disk)
     b1: np.ndarray  # hidden
     W2: np.ndarray  # 11 x hidden
     b2: np.ndarray  # 11
@@ -84,7 +86,8 @@ def init_params(input_dim: int, hidden: int, seed: int) -> MlpParams:
     lim1 = np.sqrt(6.0 / (input_dim + hidden))
     lim2 = np.sqrt(6.0 / (hidden + NUM_CLASSES))
     return MlpParams(
-        W1=rng.uniform(-lim1, lim1, size=(hidden, input_dim)),
+        W1=np.ascontiguousarray(
+            rng.uniform(-lim1, lim1, size=(hidden, input_dim)).T),
         b1=np.zeros(hidden),
         W2=rng.uniform(-lim2, lim2, size=(NUM_CLASSES, hidden)),
         b2=np.zeros(NUM_CLASSES),
@@ -106,10 +109,10 @@ def forward(params: MlpParams, x, dropout_mask: np.ndarray | None = None):
     if getattr(x, "ndim", None) != 2:
         raise ValueError("expected a 2-D batch of feature rows, got "
                          f"{np.ndim(x)}-D input")
-    if x.shape[1] != params.W1.shape[1]:
+    if x.shape[1] != params.W1.shape[0]:
         raise ValueError(
-            f"input dim {x.shape[1]} != expected {params.W1.shape[1]}")
-    z1 = x @ params.W1.T + params.b1
+            f"input dim {x.shape[1]} != expected {params.W1.shape[0]}")
+    z1 = x @ params.W1 + params.b1
     z1 = np.asarray(z1)
     h = np.maximum(z1, 0.0)
     if dropout_mask is not None:
@@ -139,60 +142,76 @@ def backward(cache: dict, probs: np.ndarray, targets: np.ndarray,
     if mask is not None:
         dh = dh * mask
     dz1 = dh * (z1 > 0)
-    if sparse.issparse(x):
-        dW1 = np.asarray((x.T @ dz1).T) + l2 * params.W1
-    else:
-        dW1 = dz1.T @ x + l2 * params.W1
+    dW1 = np.asarray(x.T @ dz1)
+    decay = np.empty(min(_BLOCK, dW1.size))
+    for d, w in _blocks(dW1, params.W1):
+        np.add(d, np.multiply(w, l2, out=decay[:w.size]), out=d)
     db1 = dz1.sum(axis=0) + l2 * params.b1
     return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2)
+
+
+def _blocks(*arrays: np.ndarray):
+    """Matching flat slices of ``_BLOCK`` values of same-size C-contiguous
+    arrays. The slices are views, so writing one writes its array; any
+    other layout is a ``ValueError``, because its flat form is a copy and
+    an in-place update of it would be lost."""
+    for a in arrays:
+        if not a.flags.c_contiguous:
+            raise ValueError(f"blocked pass needs C-contiguous arrays, got "
+                             f"shape {a.shape} with strides {a.strides}")
+    flat = [a.ravel() for a in arrays]
+    for start in range(0, flat[0].size, _BLOCK):
+        yield [f[start:start + _BLOCK] for f in flat]
 
 
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    # two work buffers per parameter, so a step allocates nothing
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    # two one-block work buffers, shared by the params, so a step
+    # allocates nothing
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamState":
         arrays = params.arrays()
+        size = min(_BLOCK, max(a.size for a in arrays.values()))
         return cls(m={k: np.zeros_like(a) for k, a in arrays.items()},
                    v={k: np.zeros_like(a) for k, a in arrays.items()},
-                   scratch={k: (np.empty_like(a), np.empty_like(a))
-                            for k, a in arrays.items()})
+                   scratch=(np.empty(size), np.empty(size)))
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
               learning_rate: float) -> None:
     """In-place Adam update with the canonical constants.
 
-    Evaluates, in this order and with no temporaries,
+    Evaluates, in this order, block by block and with no temporaries,
     m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
     p -= (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps).
     """
     state.t += 1
     t = state.t
     grad_arrays = grads.arrays()
-    for key, p in params.arrays().items():
-        g = grad_arrays[key]
-        m, v = state.m[key], state.v[key]
-        step, denom = state.scratch[key]
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=step)
-        np.add(m, step, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1 - ADAM_BETA2, out=step)
-        np.multiply(step, g, out=step)
-        np.add(v, step, out=v)
-        np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
-        np.multiply(step, learning_rate, out=step)
-        np.divide(v, 1 - ADAM_BETA2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, ADAM_EPS, out=denom)
-        np.divide(step, denom, out=step)
-        np.subtract(p, step, out=p)
+    for key, param in params.arrays().items():
+        for p, g, m, v in _blocks(param, grad_arrays[key], state.m[key],
+                                  state.v[key]):
+            step = state.scratch[0][:p.size]
+            denom = state.scratch[1][:p.size]
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=step)
+            np.add(m, step, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=step)
+            np.multiply(step, g, out=step)
+            np.add(v, step, out=v)
+            np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
+            np.multiply(step, learning_rate, out=step)
+            np.divide(v, 1 - ADAM_BETA2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, ADAM_EPS, out=denom)
+            np.divide(step, denom, out=step)
+            np.subtract(p, step, out=p)
 
 
 def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
@@ -317,6 +336,7 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     JSON escaping, so the params ("params" sorts last) are written as raw
     bytes rather than through the encoder; the file is byte-for-byte what
     ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` gives.
+    ``W1`` is stored hidden x input, the transpose of its in-memory layout.
     """
     head = json.dumps({"best_epoch": model.best_epoch,
                        "config": asdict(model.config),
@@ -325,7 +345,8 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
                       sort_keys=True, separators=(",", ":"))
     with atomic_open(path, "wb") as fh:
         fh.write(head[:-1].encode() + b',"params":{')
-        for i, (key, arr) in enumerate(sorted(model.params.arrays().items())):
+        arrays = dict(model.params.arrays(), W1=model.params.W1.T)
+        for i, (key, arr) in enumerate(sorted(arrays.items())):
             spec = encode_array(arr)
             shape = ",".join(map(str, spec["shape"]))
             fh.write(f'{"," if i else ""}"{key}":{{"data":"{spec["data"]}",'
@@ -333,9 +354,24 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
         fh.write(b"}}")
 
 
+def _fields(path, name: str, value, cls) -> dict:
+    """A copy of ``value``, a JSON object whose keys are fields of the
+    dataclass ``cls``; anything else is a ``ValueError`` naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {name} is {type(value).__name__}, "
+                         "not an object")
+    unknown = [key for key in value if key not in cls.__dataclass_fields__]
+    if unknown:
+        raise ValueError(f"{path}: unknown {name} key(s) "
+                         + ", ".join(map(repr, unknown)))
+    return dict(value)
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a file written by ``save_checkpoint``. A file without one of
-    its keys, or with a malformed param, is a ``ValueError`` naming it."""
+    its keys, with a ``config`` or ``config.smoothing`` key that is not a
+    field, or with params other than ``W1``, ``b1``, ``W2`` and ``b2`` of
+    agreeing shapes is a ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     missing = [key for key in _CHECKPOINT_KEYS
@@ -343,10 +379,26 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     if missing:
         raise ValueError(f"{path}: not a checkpoint, missing key(s) "
                          + ", ".join(map(repr, missing)))
-    cfg = dict(payload["config"])
-    cfg["smoothing"] = SmoothingConfig(**cfg["smoothing"])
+    cfg = _fields(path, "config", payload["config"], TrainConfig)
+    if "smoothing" in cfg:
+        cfg["smoothing"] = SmoothingConfig(**_fields(
+            path, "config.smoothing", cfg["smoothing"], SmoothingConfig))
+    specs = _fields(path, "params", payload["params"], MlpParams)
+    if len(specs) != len(MlpParams.__dataclass_fields__):
+        raise ValueError(f"{path}: params hold {sorted(specs)}, expected "
+                         "'W1', 'W2', 'b1' and 'b2'")
     arrays = {key: decode_array(f"{path}: param {key!r}", spec)
-              for key, spec in payload["params"].items()}
+              for key, spec in specs.items()}
+    w1 = arrays["W1"]
+    if w1.ndim != 2 or [arrays[k].shape for k in ("b1", "W2", "b2")] != [
+            (len(w1),), (NUM_CLASSES, len(w1)), (NUM_CLASSES,)]:
+        shapes = ", ".join(f"{k} {list(a.shape)}"
+                           for k, a in sorted(arrays.items()))
+        raise ValueError(f"{path}: param shapes {shapes} do not agree; "
+                         "expected W1 [hidden, input], W2 "
+                         f"[{NUM_CLASSES}, hidden], b1 [hidden], "
+                         f"b2 [{NUM_CLASSES}]")
+    arrays["W1"] = np.ascontiguousarray(w1.T)
     return TrainedModel(
         params=MlpParams(**arrays),
         featurizer_ref=payload["featurizer_ref"],

@@ -7,9 +7,11 @@ import shutil
 import numpy as np
 import pytest
 
-from ouv_classifier import cli
+from ouv_classifier import NUM_CLASSES, cli
 from ouv_classifier.cli import main
 from ouv_classifier.harness import ExperimentConfig, load_prior
+from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
+                                  save_checkpoint)
 
 HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 ROMANS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -360,3 +362,20 @@ def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
                  "--input", str(input_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'config'" in err
+
+
+def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
+    params = MlpParams(W1=np.zeros((5, 3)), b1=np.zeros(3),
+                       W2=np.zeros((NUM_CLASSES, 3)), b2=np.zeros(NUM_CLASSES))
+    path = tmp_path / "model.json"
+    save_checkpoint(TrainedModel(params=params, featurizer_ref="f.json",
+                                 config=TrainConfig(), best_epoch=1,
+                                 history=[]), path)
+    payload = json.loads(path.read_text())
+    del payload["params"]["b2"]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(path), "--split", "valid",
+                 "--dataset", str(workspace["data"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: params hold")

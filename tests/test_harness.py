@@ -177,7 +177,7 @@ class TestRunFinal:
         save_checkpoint(model, tmp_path / "abs.json")
         monkeypatch.chdir(final_dir)
         predictor = Predictor.load(tmp_path / "abs.json")
-        assert predictor.featurizer.dimension == model.params.W1.shape[1]
+        assert predictor.featurizer.dimension == model.params.W1.shape[0]
 
     def test_each_split_featurized_once(self, dataset, tmp_path,
                                         monkeypatch):

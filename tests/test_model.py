@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ouv_classifier import NUM_CLASSES, model as model_module
 from ouv_classifier.corpus import make_one_hot
@@ -13,6 +14,7 @@ from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
                                   cross_entropy_soft, decode_array,
+                                  encode_array,
                                   forward,
                                   init_params, load_checkpoint,
                                   predict_proba, rank_classes,
@@ -25,7 +27,8 @@ from conftest import make_separable_dataset
 def random_params(input_dim, hidden, seed=0):
     rng = np.random.default_rng(seed)
     return MlpParams(
-        W1=rng.normal(size=(hidden, input_dim)) * 0.5,
+        # drawn hidden x input, stored input x hidden
+        W1=rng.normal(size=(hidden, input_dim)).T.copy() * 0.5,
         b1=rng.normal(size=hidden) * 0.1,
         W2=rng.normal(size=(NUM_CLASSES, hidden)) * 0.5,
         b2=rng.normal(size=NUM_CLASSES) * 0.1,
@@ -34,7 +37,7 @@ def random_params(input_dim, hidden, seed=0):
 
 class TestForward:
     def test_zero_params_uniform(self):
-        params = MlpParams(W1=np.zeros((4, 6)), b1=np.zeros(4),
+        params = MlpParams(W1=np.zeros((6, 4)), b1=np.zeros(4),
                            W2=np.zeros((NUM_CLASSES, 4)),
                            b2=np.zeros(NUM_CLASSES))
         _, probs, _ = forward(params, np.ones(6)[None])
@@ -53,7 +56,7 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=5)
         _, (probs,), _ = forward(params, x[None])
         # plain-loop re-evaluation
-        hidden = [max(0.0, sum(params.W1[i, j] * x[j] for j in range(5))
+        hidden = [max(0.0, sum(params.W1[j, i] * x[j] for j in range(5))
                       + params.b1[i]) for i in range(4)]
         logits = [sum(params.W2[t, i] * hidden[i] for i in range(4))
                   + params.b2[t] for t in range(NUM_CLASSES)]
@@ -219,29 +222,151 @@ class TestAdam:
             params.W1[0, 0] = ref_w  # keep trajectories aligned
 
     def test_matches_unfused_expression_bitwise(self):
-        def unfused_step(p, g, m, v, t, lr):
-            m = 0.9 * m + (1 - 0.9) * g
-            v = 0.999 * v + (1 - 0.999) * g * g
-            m_hat = m / (1 - 0.9 ** t)
-            v_hat = v / (1 - 0.999 ** t)
-            return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+        assert_adam_matches_unfused_reference(random_params(37, 9, seed=22),
+                                              seed=21)
 
-        rng = np.random.default_rng(21)
-        params = random_params(37, 9, seed=22)
+
+def unfused_adam_step(p, g, m, v, t, lr):
+    """Adam over whole arrays, one expression per line."""
+    m = 0.9 * m + (1 - 0.9) * g
+    v = 0.999 * v + (1 - 0.999) * g * g
+    m_hat = m / (1 - 0.9 ** t)
+    v_hat = v / (1 - 0.999 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+def assert_adam_matches_unfused_reference(params, seed):
+    rng = np.random.default_rng(seed)
+    state = AdamState.for_params(params)
+    ref = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
+           for k, a in params.arrays().items()}
+    for t in range(1, 8):
+        grads = MlpParams(**{k: rng.normal(size=a.shape) * 10.0 ** -t
+                             for k, a in params.arrays().items()})
+        lr = float(rng.uniform(1e-4, 1e-1))
+        adam_step(params, grads, state, lr)
+        for key, (p, m, v) in ref.items():
+            ref[key] = unfused_adam_step(p, grads.arrays()[key], m, v, t, lr)
+            np.testing.assert_array_equal(params.arrays()[key], ref[key][0])
+            np.testing.assert_array_equal(state.m[key], ref[key][1])
+            np.testing.assert_array_equal(state.v[key], ref[key][2])
+
+
+def csr_batch(rows, input_dim, seed):
+    """A TF-IDF-like CSR batch with about 5% non-zeros."""
+    rng = np.random.default_rng(seed)
+    return sparse.random(rows, input_dim, density=0.05, format="csr",
+                         random_state=rng, data_rvs=rng.random)
+
+
+def full_array_dW1(cache, probs, targets, params, l2):
+    """``backward``'s dW1 with the l2 term added over the whole array."""
+    dh = ((probs - targets) / len(probs)) @ params.W2
+    if cache["mask"] is not None:
+        dh = dh * cache["mask"]
+    return np.asarray(cache["x"].T @ (dh * (cache["z1"] > 0))) \
+        + l2 * params.W1
+
+
+class TestBlockedPasses:
+    """The blocked passes against full-array expressions. Blocks of 7
+    values give every array interior blocks and a ragged last block."""
+
+    @pytest.fixture(autouse=True)
+    def seven_value_blocks(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_BLOCK", 7)
+
+    def test_blocks_are_matching_views(self):
+        a, b = np.arange(30.0).reshape(5, 6), np.zeros((6, 5))
+        blocks = list(model_module._blocks(a, b))
+        assert [len(x) for x, _ in blocks] == [7, 7, 7, 7, 2]
+        for x, y in blocks:
+            y += x
+        np.testing.assert_array_equal(b.reshape(-1), a.reshape(-1))
+
+    def test_adam_step_equals_unfused_reference(self):
+        params = random_params(37, 9, seed=23)
+        assert all(a.size > 7 and a.size % 7
+                   for a in params.arrays().values())
+        assert_adam_matches_unfused_reference(params, seed=24)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_backward_equals_full_array_reference(self, dense, l2):
+        params = random_params(40, 9, seed=25)
+        x = csr_batch(16, 40, seed=26)
+        x = x.toarray() if dense else x
+        mask = (np.random.default_rng(27).random((16, 9)) < 0.5) / 0.5
+        target = np.random.default_rng(28).dirichlet(np.ones(NUM_CLASSES),
+                                                     size=16)
+        _, probs, cache = forward(params, x, dropout_mask=mask)
+        grads = backward(cache, probs, target, params, l2)
+        assert grads.W1.flags.c_contiguous
+        np.testing.assert_array_equal(
+            grads.W1, full_array_dW1(cache, probs, target, params, l2))
+
+    def test_f_ordered_param_raises_and_is_not_updated(self):
+        params = random_params(37, 9, seed=29)
+        params.W1 = np.asfortranarray(params.W1)
+        before = params.W1.copy()
+        grads = MlpParams(**{k: np.ones_like(a)
+                             for k, a in params.arrays().items()})
         state = AdamState.for_params(params)
-        ref = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
-               for k, a in params.arrays().items()}
-        for t in range(1, 8):
-            grads = MlpParams(**{k: rng.normal(size=a.shape) * 10.0 ** -t
-                                 for k, a in params.arrays().items()})
-            lr = float(rng.uniform(1e-4, 1e-1))
-            adam_step(params, grads, state, lr)
-            for key, (p, m, v) in ref.items():
-                ref[key] = unfused_step(p, grads.arrays()[key], m, v, t, lr)
-                np.testing.assert_array_equal(params.arrays()[key],
-                                              ref[key][0])
-                np.testing.assert_array_equal(state.m[key], ref[key][1])
-                np.testing.assert_array_equal(state.v[key], ref[key][2])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(params, grads, state, 0.1)
+        np.testing.assert_array_equal(params.W1, before)
+        _, probs, cache = forward(params, np.ones((2, 37)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            backward(cache, probs, probs, params, 1e-3)
+
+
+class TestLayoutParity:
+    """``W1`` stored input x hidden gives the bits the hidden x input
+    layout gave, on a CSR batch."""
+
+    def test_forward_z1(self):
+        params = random_params(300, 50, seed=30)
+        old_W1 = np.ascontiguousarray(params.W1.T)
+        x = csr_batch(64, 300, seed=31)
+        _, _, cache = forward(params, x)
+        np.testing.assert_array_equal(
+            cache["z1"], np.asarray(x @ old_W1.T + params.b1))
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-5])
+    def test_backward_dW1(self, l2):
+        params = random_params(300, 50, seed=32)
+        old_W1 = np.ascontiguousarray(params.W1.T)
+        x = csr_batch(128, 300, seed=33)
+        target = np.random.default_rng(34).dirichlet(np.ones(NUM_CLASSES),
+                                                     size=128)
+        _, probs, cache = forward(params, x)
+        dz1 = (((probs - target) / 128) @ params.W2) * (cache["z1"] > 0)
+        old_dW1 = np.asarray((x.T @ dz1).T) + l2 * old_W1
+        grads = backward(cache, probs, target, params, l2)
+        np.testing.assert_array_equal(grads.W1.T, old_dW1)
+
+    def test_init_params_is_the_transposed_old_draw(self):
+        params = init_params(300, 50, seed=35)
+        rng = np.random.default_rng(35)
+        old_W1 = rng.uniform(-np.sqrt(6 / 350), np.sqrt(6 / 350),
+                             size=(50, 300))
+        old_W2 = rng.uniform(-np.sqrt(6 / 61), np.sqrt(6 / 61),
+                             size=(NUM_CLASSES, 50))
+        assert params.W1.shape == (300, 50) and params.W1.flags.c_contiguous
+        np.testing.assert_array_equal(params.W1, old_W1.T)
+        np.testing.assert_array_equal(params.W2, old_W2)
+
+    def test_save_load_save_keeps_the_bytes(self, tmp_path):
+        model = TrainedModel(params=random_params(300, 50, seed=36),
+                             featurizer_ref="f.json", config=quick_config(),
+                             best_epoch=1, history=[{"epoch": 1}])
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        assert loaded.params.W1.flags.c_contiguous
+        np.testing.assert_array_equal(loaded.params.W1, model.params.W1)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def featurized(dataset):
@@ -359,7 +484,7 @@ class TestPredictTopk:
         return train(tx, oh, par, vx, vl, quick_config(max_epochs=3))
 
     def test_tie_break_prefers_lower_class(self):
-        params = MlpParams(W1=np.zeros((2, 3)), b1=np.zeros(2),
+        params = MlpParams(W1=np.zeros((3, 2)), b1=np.zeros(2),
                            W2=np.zeros((NUM_CLASSES, 2)),
                            b2=np.zeros(NUM_CLASSES))
         from ouv_classifier.model import TrainedModel
@@ -401,7 +526,7 @@ class TestCheckpoint:
     def test_round_trip_keeps_negative_zero_and_subnormals(self, tmp_path):
         tiny = np.finfo(float).tiny
         params = random_params(5, 3, seed=30)
-        params.W1[0, :] = [-0.0, 0.0, 5e-324, -tiny / 3, np.inf]
+        params.W1[:, 0] = [-0.0, 0.0, 5e-324, -tiny / 3, np.inf]
         params.b2[:3] = [np.nan, -np.inf, -5e-324]
         model = TrainedModel(params=params, featurizer_ref="f.json",
                              config=quick_config(), best_epoch=1,
@@ -427,9 +552,9 @@ class TestCheckpoint:
         assert text == json.dumps(json.loads(text), sort_keys=True,
                                   separators=(",", ":"))
         spec = json.loads(text)["params"]["W1"]
-        assert spec["shape"] == [3, 4]
+        assert spec["shape"] == [3, 4]  # hidden x input on disk
         assert base64.b64decode(spec["data"]) == \
-            params.W1.astype("<f8").tobytes(order="C")
+            params.W1.T.astype("<f8").tobytes(order="C")
 
     @pytest.mark.parametrize("data", ["AAAA", "not base64!", "AAAAé",
                                       [0.0] * 12])
@@ -462,6 +587,34 @@ class TestCheckpoint:
         path.write_text("[]")
         with pytest.raises(ValueError, match="'params'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p["params"].pop("b2"),
+         r"params hold \['W1', 'W2', 'b1'\], expected"),
+        (lambda p: p["params"].update(W3=p["params"]["W2"]),
+         "unknown params key\\(s\\) 'W3'"),
+        (lambda p: p["config"].update(smoothing=5),
+         "config.smoothing is int, not an object"),
+        (lambda p: p["config"].update(hiden=3),
+         "unknown config key\\(s\\) 'hiden'"),
+        (lambda p: p["params"].update(
+            W2=encode_array(np.zeros((NUM_CLASSES, 4)))),
+         r"W2 \[11, 4\].* do not agree"),
+    ], ids=["missing-b2", "extra-param", "smoothing-not-object",
+            "unknown-config-key", "W2-hidden-mismatch"])
+    def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
+                                                       match):
+        model = TrainedModel(params=random_params(4, 3, seed=34),
+                             featurizer_ref="", config=quick_config(),
+                             best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_failed_save_keeps_old_file(self, tmp_path):
         model = TrainedModel(params=random_params(4, 3, seed=33),
