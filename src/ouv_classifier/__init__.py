@@ -6,6 +6,8 @@ trains from-scratch n-gram and bag-of-embeddings classifiers, and evaluates
 them with multi-class and multi-label metrics.
 """
 
+import dataclasses
+import json
 import os
 from contextlib import contextmanager
 
@@ -32,3 +34,63 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path, **defaults):
+    """The JSON value in the file at ``path``: an object holding each key of
+    ``defaults`` with a value of its default's JSON type, if any are given.
+    Anything else is a ``ValueError`` naming the file and the key."""
+    with open(path, encoding="utf-8") as fh:
+        value = json.load(fh)
+    missing = [key for key in defaults
+               if not isinstance(value, dict) or key not in value]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) "
+                         + ", ".join(map(repr, missing)))
+    for key, default in defaults.items():
+        check_json_type(path, key, value[key], default)
+    return value
+
+
+def check_json_type(path, name: str, value, default) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` has the JSON
+    type of ``default`` (an integer passes for a float, a bool never for a
+    number); list items are checked against the default's first item."""
+    want = (float, int) if type(default) is float else (type(default),)
+    if (not isinstance(value, want)
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise ValueError(f"{path}: key {name!r} is {type(value).__name__}, "
+                         "expected " + " or ".join(t.__name__ for t in want))
+    for i, item in enumerate(value if isinstance(default, list) else ()):
+        check_json_type(path, f"{name}[{i}]", item, default[0])
+
+
+def json_fields(path, name: str, value, cls) -> dict:
+    """The fields of the dataclass ``cls`` in ``value``, the JSON object at
+    ``name`` ("" for the top level) of the file at ``path``. Each key must
+    be a field, of its default's JSON type if it has one; a dataclass
+    default is read likewise and built. Anything else is a ``ValueError``
+    naming the file and the key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {name or 'the file'} is "
+                         f"{type(value).__name__}, not a JSON object")
+    prefix = f"{name}." if name else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = [prefix + key for key in value if key not in fields]
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s) "
+                         + ", ".join(map(repr, unknown)))
+    out = dict(value)
+    for key, item in value.items():
+        f = fields[key]
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        if dataclasses.is_dataclass(default):
+            kwargs = json_fields(path, prefix + key, item, type(default))
+            try:
+                out[key] = type(default)(**kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {prefix}{key}: {exc}") from exc
+        elif default is not dataclasses.MISSING:
+            check_json_type(path, prefix + key, item, default)
+    return out

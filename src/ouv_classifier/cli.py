@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import NUM_CRITERIA, atomic_open
+from . import NUM_CRITERIA, atomic_open, read_json
 from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
@@ -70,10 +70,10 @@ def cmd_train(args) -> int:
     config.baseline = args.baseline or config.baseline
     check_setting_keys(config.setting)
     smoothing = SmoothingConfig(**config.smoothing)
+    mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
-    mu = load_prior(config)
     out = Path(args.out or Path(config.output_dir) / "model.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     featurizer_path = out.with_name(out.stem + "_featurizer.json")
@@ -90,10 +90,10 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     best = run_grid_search(config, dataset, featurizer=featurizer)
-    mu = load_prior(config)
     result = run_ls_sweep(best, config, dataset, mu, featurizer=featurizer)
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
@@ -102,15 +102,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_final(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    dataset = read_dataset(config.dataset_dir)
     out = Path(config.output_dir)
-    with open(out / "step1_grid/log.json", encoding="utf-8") as fh:
-        best = setting_of(json.load(fh)["best"])
-    with open(out / "step2_sweep/sweep.json", encoding="utf-8") as fh:
-        sweep = json.load(fh)
+    best = setting_of(read_json(out / "step1_grid/log.json", best={})["best"])
+    sweep = read_json(out / "step2_sweep/sweep.json", chosen_variant="",
+                      chosen_alpha=0.0)
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
-    payload = run_final(best, chosen, config, dataset, load_prior(config))
+    mu = load_prior(config)
+    dataset = read_dataset(config.dataset_dir)
+    payload = run_final(best, chosen, config, dataset, mu)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "
               f"val_topk={row['val_topk']:.4f} "

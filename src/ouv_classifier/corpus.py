@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open
+from . import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open, read_json
 
 ROMAN = {
     "i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
@@ -487,8 +487,7 @@ def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
 
 
 def read_sites(path: str | Path) -> list[SiteRecord]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
     return [SiteRecord(site_id=p["site_id"], name=p.get("name", ""),
                        justification={}, short_description="",
-                       criteria=frozenset(p["criteria"])) for p in payload]
+                       criteria=frozenset(p["criteria"]))
+            for p in read_json(path)]

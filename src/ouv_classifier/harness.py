@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic_open
+from . import (NUM_CLASSES, NUM_CRITERIA, atomic_open, check_json_type,
+               json_fields, read_json)
 from .corpus import Dataset, Sample, preprocess, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
                        fit_tfidf, load_embeddings, tfidf_rows,
@@ -48,14 +49,14 @@ class ExperimentConfig:
         "l2": [0.0, 1e-5, 1e-4],
         "dropout": [0.1, 0.2, 0.5],
     })
-    learning_rate: float = 2e-4
+    learning_rate: float = TrainConfig.learning_rate
     seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
     alpha_grid: list[float] = field(default_factory=lambda: list(ALPHA_GRID))
     variants: list[str] = field(default_factory=lambda: list(VARIANT_ORDER))
     grid_seed: int = GRID_SEED
-    max_epochs: int = 100
-    patience: int = 5
-    k: int = 3
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    k: int = TrainConfig.k
     min_df: int = 2
     frequency_threshold: int = 1
     dataset_dir: str = ""
@@ -69,58 +70,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        """Load a config file. A file that is not a JSON object, an
-        unknown top-level or ``smoothing`` key, or a value whose JSON type
-        differs from its default's (an integer passes for a float; setting
-        and grid values are numbers) is a ``ValueError`` naming it, so a
-        typo cannot fall back to a default or fail later."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: a config file holds a JSON object, "
-                             f"not {type(payload).__name__}")
-        smoothing = payload.get("smoothing", {})
-        unknown = [key for key in payload
-                   if key not in cls.__dataclass_fields__]
-        unknown += [f"smoothing.{key}" for key in
-                    (smoothing if isinstance(smoothing, dict) else ())
-                    if key not in SmoothingConfig.__dataclass_fields__]
-        if unknown:
-            raise ValueError(f"{path}: unknown config key(s) "
-                             + ", ".join(map(repr, unknown)))
-        defaults = cls()
-        for key, value in payload.items():
-            _check_json_type(path, key, value, getattr(defaults, key))
-        for key, value in smoothing.items():
-            _check_json_type(path, f"smoothing.{key}", value,
-                             getattr(SmoothingConfig(), key))
+        """Load a config file through ``json_fields`` (``smoothing`` is
+        checked against ``SmoothingConfig``; setting and grid values are
+        numbers), so a typo is a ``ValueError`` naming it, not a default."""
+        payload = json_fields(path, "", read_json(path), cls)
+        json_fields(path, "smoothing", payload.get("smoothing", {}),
+                    SmoothingConfig)
         for key, value in payload.get("setting", {}).items():
-            _check_json_type(path, f"setting.{key}", value, 0.0)
+            check_json_type(path, f"setting.{key}", value, 0.0)
         for key, values in payload.get("grid", {}).items():
-            _check_json_type(path, f"grid.{key}", values, [0.0])
+            check_json_type(path, f"grid.{key}", values, [0.0])
         return cls(**payload)
-
-
-def _check_json_type(path, name: str, value, default) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` has the JSON
-    type of ``default`` (an integer passes for a float); list items are
-    checked against the default's first item."""
-    want = (float, int) if type(default) is float else (type(default),)
-    if (not isinstance(value, want)
-            or isinstance(value, bool) != isinstance(default, bool)):
-        raise ValueError(f"{path}: config key {name!r} is "
-                         f"{type(value).__name__}, expected "
-                         + " or ".join(t.__name__ for t in want))
-    for i, item in enumerate(value if isinstance(default, list) else ()):
-        _check_json_type(path, f"{name}[{i}]", item, default[0])
 
 
 def load_prior(config: ExperimentConfig) -> PriorWeights:
     """The prior written by ``ouvclf prior`` at ``config.prior_path``, or
-    else the one derived from ``dataset_dir/sites.json``."""
+    else the one derived from ``dataset_dir/sites.json``. A prior file
+    whose ``mu`` is missing or is not 10 rows of 11 finite, non-negative
+    numbers is a ``ValueError`` naming the file."""
     if config.prior_path:
-        with open(config.prior_path, encoding="utf-8") as fh:
-            mu = json.load(fh)["mu"]
+        path = config.prior_path
+        mu = read_json(path, mu=[[0.0]])["mu"]
+        if ([len(row) for row in mu] != [NUM_CLASSES] * NUM_CRITERIA
+                or not all(0 <= v < math.inf for row in mu for v in row)):
+            raise ValueError(f"{path}: 'mu' must be {NUM_CRITERIA} rows of "
+                             f"{NUM_CLASSES} finite, non-negative numbers")
         return PriorWeights(mu=np.asarray(mu, dtype=float))
     sites = read_sites(Path(config.dataset_dir) / "sites.json")
     return prior_weights(cooccurrence(sites))
@@ -170,8 +144,7 @@ class Featurizer:
         """Read a file written by ``save``. Any other file, including one
         written with JSON float lists before arrays used ``encode_array``,
         is a ``ValueError`` naming it."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         try:
             kind = payload["type"]
             if kind not in ("ngram", "boe"):
@@ -338,42 +311,43 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     if len(config.seeds) < 2:
         raise ValueError("the sweep requires at least two seeds")
     check_setting_keys(best_setting)
+    for variant in config.variants:
+        if variant not in VARIANT_ORDER:
+            raise ValueError(f"unknown variant {variant!r}")
+    smoothings = [SmoothingConfig(variant=variant, alpha=alpha)
+                  for variant in config.variants
+                  for alpha in config.alpha_grid]
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     cells = []
-    for variant in config.variants:
-        if variant not in VARIANT_ORDER:
-            raise ValueError(f"unknown variant {variant!r}")
-        for alpha in config.alpha_grid:
-            runs = []
-            failures = []
-            for seed in config.seeds:
-                smoothing = SmoothingConfig(variant=variant, alpha=alpha)
-                try:
-                    model = train_setting(data, best_setting, config,
-                                          smoothing, seed, mu)
-                except (TrainingDiverged, ValueError) as exc:
-                    failures.append({"seed": seed, "error": str(exc)})
-                    continue
-                top1, topk = _best_epoch_scores(model)
-                runs.append({"seed": seed, "val_top1": top1,
-                             "val_topk": topk,
-                             "best_epoch": model.best_epoch})
-            cell = {"variant": variant, "alpha": alpha, "runs": runs,
-                    "failures": failures}
-            if len(runs) >= 2:
-                top1s = [r["val_top1"] for r in runs]
-                topks = [r["val_topk"] for r in runs]
-                cell.update(
-                    mean_top1=float(np.mean(top1s)),
-                    sd_top1=float(np.std(top1s, ddof=1)),
-                    mean_topk=float(np.mean(topks)),
-                    sd_topk=float(np.std(topks, ddof=1)),
-                    score=confidence_lower_bound(top1s)
-                    + confidence_lower_bound(topks),
-                )
-            cells.append(cell)
+    for smoothing in smoothings:
+        runs = []
+        failures = []
+        for seed in config.seeds:
+            try:
+                model = train_setting(data, best_setting, config, smoothing,
+                                      seed, mu)
+            except (TrainingDiverged, ValueError) as exc:
+                failures.append({"seed": seed, "error": str(exc)})
+                continue
+            top1, topk = _best_epoch_scores(model)
+            runs.append({"seed": seed, "val_top1": top1, "val_topk": topk,
+                         "best_epoch": model.best_epoch})
+        cell = {"variant": smoothing.variant, "alpha": smoothing.alpha,
+                "runs": runs, "failures": failures}
+        if len(runs) >= 2:
+            top1s = [r["val_top1"] for r in runs]
+            topks = [r["val_topk"] for r in runs]
+            cell.update(
+                mean_top1=float(np.mean(top1s)),
+                sd_top1=float(np.std(top1s, ddof=1)),
+                mean_topk=float(np.mean(topks)),
+                sd_topk=float(np.std(topks, ddof=1)),
+                score=confidence_lower_bound(top1s)
+                + confidence_lower_bound(topks),
+            )
+        cells.append(cell)
 
     scored = [c for c in cells if "score" in c]
     if not scored:
@@ -569,12 +543,7 @@ def report(artifacts_dir: str | Path) -> dict:
                if not (root / rel).exists()]
     if missing:
         raise ReportError(missing)
-    with open(root / "step1_grid/log.json", encoding="utf-8") as fh:
-        grid = json.load(fh)
-    with open(root / "step2_sweep/sweep.json", encoding="utf-8") as fh:
-        sweep = json.load(fh)
-    with open(root / "step3_final/final.json", encoding="utf-8") as fh:
-        final = json.load(fh)
+    grid, sweep, final = (read_json(root / rel) for rel in _EXPECTED_ARTIFACTS)
 
     lines = [f"baseline: {final['baseline']}",
              f"grid best setting: {final['setting']} (seed {final['seed']})",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import NUM_CLASSES, atomic_open
+from . import NUM_CLASSES, atomic_open, json_fields, read_json
 from .labels import SmoothingConfig, PriorWeights, soft_targets
 from .metrics import topk_accuracy
 
@@ -25,8 +25,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_EPS = 1e-12
-_CHECKPOINT_KEYS = ("best_epoch", "config", "featurizer_ref", "history",
-                    "params")
 # float64 values per slice of a blocked pass: Adam's six slices (param,
 # gradient, m, v and two work buffers) stay in a core's L2 cache
 _BLOCK = 1 << 15
@@ -354,36 +352,15 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
         fh.write(b"}}")
 
 
-def _fields(path, name: str, value, cls) -> dict:
-    """A copy of ``value``, a JSON object whose keys are fields of the
-    dataclass ``cls``; anything else is a ``ValueError`` naming ``name``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: {name} is {type(value).__name__}, "
-                         "not an object")
-    unknown = [key for key in value if key not in cls.__dataclass_fields__]
-    if unknown:
-        raise ValueError(f"{path}: unknown {name} key(s) "
-                         + ", ".join(map(repr, unknown)))
-    return dict(value)
-
-
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a file written by ``save_checkpoint``. A file without one of
-    its keys, with a ``config`` or ``config.smoothing`` key that is not a
-    field, or with params other than ``W1``, ``b1``, ``W2`` and ``b2`` of
-    agreeing shapes is a ``ValueError`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    missing = [key for key in _CHECKPOINT_KEYS
-               if not isinstance(payload, dict) or key not in payload]
-    if missing:
-        raise ValueError(f"{path}: not a checkpoint, missing key(s) "
-                         + ", ".join(map(repr, missing)))
-    cfg = _fields(path, "config", payload["config"], TrainConfig)
-    if "smoothing" in cfg:
-        cfg["smoothing"] = SmoothingConfig(**_fields(
-            path, "config.smoothing", cfg["smoothing"], SmoothingConfig))
-    specs = _fields(path, "params", payload["params"], MlpParams)
+    its keys or with one of the wrong JSON type, with a ``config`` that
+    ``json_fields`` rejects, or with params other than ``W1``, ``b1``,
+    ``W2`` and ``b2`` of agreeing shapes is a ``ValueError`` naming it."""
+    payload = read_json(path, best_epoch=0, config={}, featurizer_ref="",
+                        history=[{}], params={})
+    cfg = json_fields(path, "config", payload["config"], TrainConfig)
+    specs = json_fields(path, "params", payload["params"], MlpParams)
     if len(specs) != len(MlpParams.__dataclass_fields__):
         raise ValueError(f"{path}: params hold {sorted(specs)}, expected "
                          "'W1', 'W2', 'b1' and 'b2'")

@@ -1,13 +1,14 @@
 import base64
 import csv
 import json
+import math
 import re
 import shutil
 
 import numpy as np
 import pytest
 
-from ouv_classifier import NUM_CLASSES, cli
+from ouv_classifier import NUM_CLASSES, cli, harness
 from ouv_classifier.cli import main
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
@@ -379,3 +380,85 @@ def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
                  "--dataset", str(workspace["data"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: params hold")
+
+
+@pytest.mark.parametrize("key,value", [("hidden", "x"), ("k", [3]),
+                                       ("best_epoch", "one")])
+def test_evaluate_rejects_a_checkpoint_value_of_wrong_type(workspace, tmp_path,
+                                                           capsys, key,
+                                                           value):
+    model_path = workspace["root"] / "single/model.json"
+    payload = json.loads(model_path.read_text())
+    (payload if key == "best_epoch" else payload["config"])[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(path), "--split", "valid",
+                 "--dataset", str(workspace["data"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err
+
+
+@pytest.mark.parametrize("payload,match", [
+    ({"counts": []}, "missing key\\(s\\) 'mu'"),
+    ([[0.5] * 11] * 10, "missing key\\(s\\) 'mu'"),
+    ({"mu": [[0.5] * 10] * 10}, "'mu' must be 10 rows of 11"),
+    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + [-1]]}, "non-negative"),
+    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + [math.nan]]}, "finite"),
+    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + ["1"]]},
+     r"'mu\[9\]\[10\]' is str"),
+    ({"mu": 5}, "'mu' is int, expected list"),
+], ids=["no-mu", "not-an-object", "10x10", "negative", "nan", "str-entry",
+        "not-a-list"])
+def test_load_prior_rejects_a_malformed_prior_file(tmp_path, payload, match):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as excinfo:
+        load_prior(ExperimentConfig(prior_path=str(path)))
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_sweep_with_a_malformed_prior_trains_nothing(workspace, tmp_path,
+                                                     capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a malformed prior")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    prior_path = tmp_path / "prior.json"
+    prior_path.write_text(json.dumps({"mu": [[0.5] * 10] * 10}),
+                          encoding="utf-8")
+    config = json.loads(workspace["config"].read_text())
+    config.update(prior_path=str(prior_path),
+                  output_dir=str(tmp_path / "runs"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {prior_path}: ")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("artifact,key", [
+    ("step1_grid/log.json", "best"),
+    ("step2_sweep/sweep.json", "chosen_variant"),
+    ("step2_sweep/sweep.json", "chosen_alpha"),
+])
+def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
+                                          artifact, key):
+    runs = tmp_path / "runs"
+    for rel in ("step1_grid/log.json", "step2_sweep/sweep.json"):
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(workspace["runs"] / rel, runs / rel)
+    payload = json.loads((runs / artifact).read_text())
+    del payload[key]
+    (runs / artifact).write_text(json.dumps(payload))
+    config = json.loads(workspace["config"].read_text())
+    config["output_dir"] = str(runs)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["final", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {runs / artifact}: ")
+    assert repr(key) in err
+    assert not (runs / "step3_final").exists()

@@ -540,6 +540,23 @@ class TestSettingKeys:
             run_final({"l_2": 0.0}, SmoothingConfig(), config, dataset,
                       toy_mu())
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"variants": ["vanilla", "unifrom"]}, "'unifrom'"),
+        ({"alpha_grid": [0.0, -0.1]}, "alpha must be non-negative"),
+    ])
+    def test_sweep_checks_every_cell_before_training(self, dataset, tmp_path,
+                                                     monkeypatch, overrides,
+                                                     match):
+        def never(*args, **kwargs):
+            raise AssertionError("featurized or trained despite a bad cell")
+
+        monkeypatch.setattr(harness, "featurize", never)
+        monkeypatch.setattr(harness, "train", never)
+        config = toy_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=match):
+            run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
+        assert not (tmp_path / "runs").exists()
+
     def test_value_error_in_training_is_logged(self, dataset, tmp_path):
         config = toy_config(tmp_path, grid={"hidden": [16],
                                             "dropout": [0.2, 1.5]})

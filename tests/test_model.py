@@ -592,16 +592,32 @@ class TestCheckpoint:
         (lambda p: p["params"].pop("b2"),
          r"params hold \['W1', 'W2', 'b1'\], expected"),
         (lambda p: p["params"].update(W3=p["params"]["W2"]),
-         "unknown params key\\(s\\) 'W3'"),
+         "unknown key\\(s\\) 'params.W3'"),
         (lambda p: p["config"].update(smoothing=5),
-         "config.smoothing is int, not an object"),
+         "config.smoothing is int, not a JSON object"),
         (lambda p: p["config"].update(hiden=3),
-         "unknown config key\\(s\\) 'hiden'"),
+         "unknown key\\(s\\) 'config.hiden'"),
         (lambda p: p["params"].update(
             W2=encode_array(np.zeros((NUM_CLASSES, 4)))),
          r"W2 \[11, 4\].* do not agree"),
+        (lambda p: p["config"].update(hidden="x"),
+         "key 'config.hidden' is str, expected int"),
+        (lambda p: p["config"].update(k=[3]),
+         "key 'config.k' is list, expected int"),
+        (lambda p: p["config"].update(learning_rate=True),
+         "key 'config.learning_rate' is bool, expected float or int"),
+        (lambda p: p["config"]["smoothing"].update(variant="priorr"),
+         "config.smoothing: unknown smoothing variant 'priorr'"),
+        (lambda p: p.update(best_epoch="one"),
+         "key 'best_epoch' is str, expected int"),
+        (lambda p: p.update(history=5), "key 'history' is int, expected list"),
+        (lambda p: p.update(history=[5]), r"key 'history\[0\]' is int"),
+        (lambda p: p.update(featurizer_ref=5),
+         "key 'featurizer_ref' is int, expected str"),
     ], ids=["missing-b2", "extra-param", "smoothing-not-object",
-            "unknown-config-key", "W2-hidden-mismatch"])
+            "unknown-config-key", "W2-hidden-mismatch", "hidden-str",
+            "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
+            "history-int", "history-item-int", "featurizer-ref-int"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
                                                        match):
         model = TrainedModel(params=random_params(4, 3, seed=34),

@@ -8,8 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ouv_classifier
 import ouv_classifier.cli
+from ouv_classifier import json_fields
+from ouv_classifier.labels import SmoothingConfig
+from ouv_classifier.model import MlpParams, TrainConfig
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -102,3 +107,26 @@ def test_cli_module_runs_help():
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: ouvclf")
+
+
+def test_json_fields_checks_types_and_builds_nested_dataclasses():
+    fields = json_fields("f.json", "config", {
+        "hidden": 8, "learning_rate": 1,
+        "smoothing": {"variant": "prior", "alpha": 1}}, TrainConfig)
+    assert fields == {"hidden": 8, "learning_rate": 1,
+                      "smoothing": SmoothingConfig("prior", 1)}
+    # a field with no default gets the key check only
+    assert json_fields("f.json", "params", {"W1": "any"}, MlpParams) == {
+        "W1": "any"}
+
+
+@pytest.mark.parametrize("value, match", [
+    (5, "^f.json: config is int, not a JSON object$"),
+    ({"hidden": 8, "hiden": 8}, "^f.json: unknown key\\(s\\) 'config.hiden'$"),
+    ({"dropout": True}, "'config.dropout' is bool, expected float or int"),
+    ({"smoothing": {"alpha": -1}},
+     "^f.json: config.smoothing: alpha must be non-negative$"),
+])
+def test_json_fields_names_the_file_and_key(value, match):
+    with pytest.raises(ValueError, match=match):
+        json_fields("f.json", "config", value, TrainConfig)
