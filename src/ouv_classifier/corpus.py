@@ -276,50 +276,50 @@ def split_sentences(paragraph: str) -> list[str]:
     return sentences
 
 
-_PUNCT = ".,;:!?()\"'"
+# Each pattern begins with the character it consumes (any lookbehind comes
+# after it), so ``re`` skips to candidates instead of trying every position.
+_DIGIT_THEN_LETTER = re.compile(r"\d(?=[^\d\s.,])")  # "16th" -> "16 th"
+_LETTER_THEN_DIGIT = re.compile(r"\d(?<=[^\d\s.,]\d)")  # "x9" -> "x 9"
+# a whole token of digits, with at most one inner '.' or ','
+_NUM_TOKEN = re.compile(r"\d(?<!\S\d)\d*(?:[.,]\d+)?(?!\S)")
+# punctuation to pad with spaces, but a '.' or ',' between two characters of
+# the class {0} is a decimal or thousands separator and stays
+_PAD = "[.,;:!?()\"'](?:(?<![{0}][.,])|(?![{0}]))"
 
 
-def _pad_punctuation(text: str) -> str:
-    # '.' or ',' flanked by digits is a decimal/thousands separator and stays
-    out = []
-    for i, ch in enumerate(text):
-        if ch in _PUNCT:
-            prev_digit = i > 0 and text[i - 1].isdigit()
-            next_digit = i + 1 < len(text) and text[i + 1].isdigit()
-            if ch in ".," and prev_digit and next_digit:
-                out.append(ch)  # decimal / thousands separator
-            else:
-                out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return "".join(out)
+def preprocess_many(sentences: list[str]) -> list[list[str]]:
+    """Lowercase, fold accents, isolate punctuation, replace numbers; one
+    token list per sentence.
 
-
-_NUM_TOKEN = re.compile(r"\d+([.,]\d+)?")
-_DIGIT_LETTER = re.compile(r"(?<=\d)(?=[^\d\s.,])|(?<=[^\d\s.,])(?=\d)")
-
-
-def strip_accents(text: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    Any maximal digit run (optionally with one internal '.' or ',') becomes
+    the literal token "<num>". Stop-words are retained. Each step runs once
+    over the sentences joined by newlines (a newline inside a sentence
+    becomes a space); no step acts across a newline.
+    """
+    if not sentences:
+        return []
+    text = "\n".join(s.replace("\n", " ") for s in sentences)
+    digits = r"\d"
+    if not text.isascii():
+        text = unicodedata.normalize("NFKD", text)
+        chars = set(text)
+        marks = "".join(sorted(c for c in chars if unicodedata.combining(c)))
+        if marks:
+            text = re.sub(f"[{re.escape(marks)}]", "", text)
+        # the separator rule tests str.isdigit, which holds for more than \d
+        digits += re.escape("".join(sorted(
+            c for c in chars if c.isdigit() and not c.isdecimal())))
+    text = text.lower()
+    text = _DIGIT_THEN_LETTER.sub(r"\g<0> ", text)
+    text = _LETTER_THEN_DIGIT.sub(r" \g<0>", text)
+    text = re.sub(_PAD.format(digits), r" \g<0> ", text)
+    text = _NUM_TOKEN.sub("<num>", text)
+    return [line.split() for line in text.split("\n")]
 
 
 def preprocess(sentence: str) -> list[str]:
-    """Lowercase, fold accents, isolate punctuation, replace numbers.
-
-    Any maximal digit run (optionally with one internal '.' or ',') becomes
-    the literal token "<num>". Stop-words are retained.
-    """
-    text = strip_accents(sentence).lower()
-    text = _DIGIT_LETTER.sub(" ", text)  # "16th" -> "16 th"
-    text = _pad_punctuation(text)
-    tokens = []
-    for tok in text.split():
-        if _NUM_TOKEN.fullmatch(tok):
-            tokens.append("<num>")
-        else:
-            tokens.append(tok)
-    return tokens
+    """``preprocess_many`` for one sentence."""
+    return preprocess_many([sentence])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +353,18 @@ def build_dataset(sites: list[SiteRecord],
         raise ConfigurationError(
             "definitions must cover exactly criteria 1-10")
 
-    pool: list[Sample] = []
-    for site in sites:
-        gamma = site.parental_label()
-        for criterion, paragraph in sorted(site.justification.items()):
-            for sentence in split_sentences(paragraph):
-                tokens = preprocess(sentence)
-                if not MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN:
-                    continue
-                pool.append(Sample(tokens=tokens, sentence_label=criterion,
-                                   one_hot=make_one_hot(criterion),
-                                   parental=gamma.copy(),
-                                   site_id=site.site_id, split="train"))
+    found = [(site, criterion, sentence) for site in sites
+             for criterion, paragraph in sorted(site.justification.items())
+             for sentence in split_sentences(paragraph)]
+    defined = sorted(definitions)
+    token_lists = preprocess_many([sentence for *_, sentence in found]
+                                  + [definitions[c] for c in defined])
+    pool = [Sample(tokens=tokens, sentence_label=criterion,
+                   one_hot=make_one_hot(criterion),
+                   parental=site.parental_label(), site_id=site.site_id,
+                   split="train")
+            for (site, criterion, _), tokens in zip(found, token_lists)
+            if MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
@@ -384,8 +384,7 @@ def build_dataset(sites: list[SiteRecord],
             sample.split = "test"
             dataset.test.append(sample)
 
-    for criterion in sorted(definitions):
-        tokens = preprocess(definitions[criterion])
+    for criterion, tokens in zip(defined, token_lists[len(found):]):
         gamma = np.zeros(NUM_CLASSES)
         gamma[criterion - 1] = 1.0
         gamma[NUM_CLASSES - 1] = OTHERS_NOISE
@@ -406,19 +405,14 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
     SD samples carry only the parental label; no sentence-length filter
     is applied beyond dropping empty sentences.
     """
-    samples = []
-    for site in sites:
-        if not site.short_description or not site.criteria:
-            continue
-        gamma = site.parental_label()
-        for sentence in split_sentences(site.short_description):
-            tokens = preprocess(sentence)
-            if not tokens:
-                continue
-            samples.append(Sample(tokens=tokens, sentence_label=None,
-                                  one_hot=None, parental=gamma.copy(),
-                                  site_id=site.site_id, split="sd"))
-    return samples
+    found = [(site, sentence) for site in sites
+             if site.short_description and site.criteria
+             for sentence in split_sentences(site.short_description)]
+    token_lists = preprocess_many([sentence for _, sentence in found])
+    return [Sample(tokens=tokens, sentence_label=None, one_hot=None,
+                   parental=site.parental_label(), site_id=site.site_id,
+                   split="sd")
+            for (site, _), tokens in zip(found, token_lists) if tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import (NUM_CLASSES, NUM_CRITERIA, atomic_open, check_json_type,
                json_fields, read_json)
-from .corpus import Dataset, Sample, preprocess, read_sites
+from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
                        fit_tfidf, load_embeddings, tfidf_rows,
                        token_frequencies)
@@ -29,8 +29,8 @@ DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
 VARIANT_ORDER = ("vanilla", "uniform", "prior")
 SETTING_KEYS = ("hidden", "batch_size", "learning_rate", "l2", "dropout")
-# lines featurized and scored per model call in ``mine``; bounds the
-# feature matrix on large inputs
+# lines preprocessed, and lines featurized and scored per model call, in
+# ``mine``; bounds the joined text and the feature matrix on large inputs
 _MINE_BLOCK = 4096
 
 
@@ -493,12 +493,15 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 
     A sentence passes when each model's top-3 confidence sum exceeds the
     confidence threshold and the IoU of the two top-3 class sets exceeds
-    the IoU threshold (both strict). Lines are preprocessed once (lines
-    with no tokens are dropped), then featurized and scored in blocks of
+    the IoU threshold (both strict). Lines are preprocessed with one
+    ``preprocess_many`` call per ``_MINE_BLOCK`` lines (lines with no
+    tokens are dropped), then featurized and scored in blocks of
     ``_MINE_BLOCK`` with one ``topk`` call per model per block.
     """
     lines = [(text, tokens)
-             for text, tokens in zip(texts, map(preprocess, texts)) if tokens]
+             for block in (texts[i:i + _MINE_BLOCK]
+                           for i in range(0, len(texts), _MINE_BLOCK))
+             for text, tokens in zip(block, preprocess_many(block)) if tokens]
     path_a = getattr(predictor_a, "featurizer_path", None)
     shared = path_a is not None and path_a == getattr(
         predictor_b, "featurizer_path", None)
@@ -532,18 +535,27 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 # ---------------------------------------------------------------------------
 # Reporting
 
-_EXPECTED_ARTIFACTS = ("step1_grid/log.json", "step2_sweep/sweep.json",
-                       "step3_final/final.json")
+# each artifact ``report`` reads -> the keys it needs, as ``read_json`` defaults
+_EXPECTED_ARTIFACTS = {
+    "step1_grid/log.json": {"best": {}},
+    "step2_sweep/sweep.json": {"cells": [{}], "chosen_variant": "",
+                               "chosen_alpha": 0.0},
+    "step3_final/final.json": {"baseline": "", "setting": {}, "seed": 0,
+                               "rows": {}},
+}
 
 
 def report(artifacts_dir: str | Path) -> dict:
-    """Render a human-readable summary plus machine JSON and curve CSV."""
+    """Render a human-readable summary plus machine JSON and curve CSV.
+    A missing artifact is a ``ReportError``; one without a key it needs,
+    or with one of the wrong JSON type, is a ``ValueError`` naming it."""
     root = Path(artifacts_dir)
     missing = [rel for rel in _EXPECTED_ARTIFACTS
                if not (root / rel).exists()]
     if missing:
         raise ReportError(missing)
-    grid, sweep, final = (read_json(root / rel) for rel in _EXPECTED_ARTIFACTS)
+    grid, sweep, final = (read_json(root / rel, **keys)
+                          for rel, keys in _EXPECTED_ARTIFACTS.items())
 
     lines = [f"baseline: {final['baseline']}",
              f"grid best setting: {final['setting']} (seed {final['seed']})",

@@ -355,11 +355,16 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a file written by ``save_checkpoint``. A file without one of
     its keys or with one of the wrong JSON type, with a ``config`` that
-    ``json_fields`` rejects, or with params other than ``W1``, ``b1``,
-    ``W2`` and ``b2`` of agreeing shapes is a ``ValueError`` naming it."""
+    ``json_fields`` or ``TrainConfig`` rejects, or with params other than
+    ``W1``, ``b1``, ``W2`` and ``b2`` of agreeing shapes is a ``ValueError``
+    naming it."""
     payload = read_json(path, best_epoch=0, config={}, featurizer_ref="",
                         history=[{}], params={})
     cfg = json_fields(path, "config", payload["config"], TrainConfig)
+    try:
+        config = TrainConfig(**cfg)
+    except ValueError as exc:  # a value ``__post_init__`` rejects
+        raise ValueError(f"{path}: 'config': {exc}") from exc
     specs = json_fields(path, "params", payload["params"], MlpParams)
     if len(specs) != len(MlpParams.__dataclass_fields__):
         raise ValueError(f"{path}: params hold {sorted(specs)}, expected "
@@ -379,7 +384,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     return TrainedModel(
         params=MlpParams(**arrays),
         featurizer_ref=payload["featurizer_ref"],
-        config=TrainConfig(**cfg),
+        config=config,
         best_epoch=payload["best_epoch"],
         history=payload["history"],
     )

@@ -462,3 +462,42 @@ def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
     assert err.startswith(f"error: {runs / artifact}: ")
     assert repr(key) in err
     assert not (runs / "step3_final").exists()
+
+
+def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
+                                                               tmp_path,
+                                                               capsys):
+    payload = json.loads((workspace["root"] / "single/model.json").read_text())
+    payload["config"]["patience"] = 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(path), "--split", "valid",
+                 "--dataset", str(workspace["data"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'config': patience")
+
+
+@pytest.mark.parametrize("artifact,key", [
+    ("step1_grid/log.json", "best"),
+    ("step2_sweep/sweep.json", "cells"),
+    ("step2_sweep/sweep.json", "chosen_alpha"),
+    ("step3_final/final.json", "baseline"),
+    ("step3_final/final.json", "rows"),
+])
+def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
+                                           artifact, key):
+    runs = tmp_path / "runs"
+    for rel in ("step1_grid/log.json", "step2_sweep/sweep.json",
+                "step3_final/final.json"):
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(workspace["runs"] / rel, runs / rel)
+    payload = json.loads((runs / artifact).read_text())
+    del payload[key]
+    (runs / artifact).write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(runs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {runs / artifact}: ")
+    assert repr(key) in err
+    assert not (runs / "summary.json").exists()

@@ -1,10 +1,15 @@
+import re
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
                                    SiteRecord, build_dataset, build_sd_set,
                                    parse_syndication, preprocess,
+                                   preprocess_many,
                                    read_samples, sample_from_json,
                                    sample_to_json, split_sentences,
                                    write_dataset, write_samples, write_sites)
@@ -56,6 +61,76 @@ class TestSplitSentences:
         text = "First part. Second part! Third?"
         joined = "".join(split_sentences(text)).replace(" ", "")
         assert joined == text.replace(" ", "")
+
+
+# The per-sentence rule that ``preprocess_many`` replaced, kept as the
+# reference it must equal.
+_PUNCT = ".,;:!?()\"'"
+_NUM_TOKEN = re.compile(r"\d+([.,]\d+)?")
+_DIGIT_LETTER = re.compile(r"(?<=\d)(?=[^\d\s.,])|(?<=[^\d\s.,])(?=\d)")
+
+
+def _pad_punctuation(text):
+    # '.' or ',' flanked by digits is a decimal/thousands separator and stays
+    out = []
+    for i, ch in enumerate(text):
+        if ch in _PUNCT:
+            prev_digit = i > 0 and text[i - 1].isdigit()
+            next_digit = i + 1 < len(text) and text[i + 1].isdigit()
+            if ch in ".," and prev_digit and next_digit:
+                out.append(ch)  # decimal / thousands separator
+            else:
+                out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def strip_accents(text):
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def per_line_preprocess(sentence):
+    text = strip_accents(sentence).lower()
+    text = _DIGIT_LETTER.sub(" ", text)  # "16th" -> "16 th"
+    text = _pad_punctuation(text)
+    tokens = []
+    for tok in text.split():
+        if _NUM_TOKEN.fullmatch(tok):
+            tokens.append("<num>")
+        else:
+            tokens.append(tok)
+    return tokens
+
+
+# line breaks, spaces, marks, case and digit forms that each step treats
+# apart: NBSP, a combining acute, final sigma, a ligature, a superscript,
+# circled and dingbat digits (str.isdigit, not \d), Kharoshthi and
+# Arabic-Indic digits
+TRICKY = st.text(alphabet="\n\r\x85 \xa0\u0301Σσﬁ²①❶𐩀٣aZé9.,;(')x")
+
+
+class TestPreprocessMany:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.text()))
+    def test_equals_per_line_rule_on_any_text(self, lines):
+        assert preprocess_many(lines) == [per_line_preprocess(s)
+                                          for s in lines]
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(TRICKY))
+    def test_equals_per_line_rule_on_tricky_characters(self, lines):
+        assert preprocess_many(lines) == [per_line_preprocess(s)
+                                          for s in lines]
+
+    def test_empty_inputs(self):
+        assert preprocess_many([]) == []
+        assert preprocess_many([""]) == [[]]
+
+    def test_preprocess_is_one_line(self):
+        lines = ["Ärea 3.5 km²\nof 1,200 ha.", "ΟΔΟΣ ❶.5", "x9y 16th"]
+        assert preprocess_many(lines) == [preprocess(s) for s in lines]
 
 
 class TestPreprocess:

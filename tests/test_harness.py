@@ -743,6 +743,15 @@ class TestBatchedMine:
         assert calls == {"predict_proba": 6,
                          "featurize": 3 if shared else 6}
 
+    def test_block_size_does_not_change_the_kept_list(self, mine_dataset,
+                                                      predictors,
+                                                      monkeypatch):
+        a, b = predictors["ngram"]
+        lines = _mine_lines(mine_dataset) + ["Ünseen 1,850 c0w1.", "\n"]
+        expected = mine(lines, a, b, 0.0, 0.0)
+        monkeypatch.setattr(harness, "_MINE_BLOCK", 3)
+        assert mine(lines, a, b, 0.0, 0.0) == expected
+
     def test_empty_input_runs_no_model(self, predictors, monkeypatch):
         monkeypatch.setattr(harness, "predict_proba", None)
         a, b = predictors["ngram"]

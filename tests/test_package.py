@@ -15,6 +15,7 @@ import ouv_classifier.cli
 from ouv_classifier import json_fields
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import MlpParams, TrainConfig
+from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -107,6 +108,35 @@ def test_cli_module_runs_help():
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: ouvclf")
+
+
+def test_ingest_output_does_not_depend_on_string_hashing(tmp_path):
+    """``preprocess_many`` builds regex classes from sets of characters,
+    whose order follows the process's string-hash seed; the files
+    ``ouvclf ingest`` writes must not."""
+    csv_path = tmp_path / "syndication.csv"
+    write_corpus_csv(csv_path)
+    just = " ".join(f"Criterion ({n}): Ürümqi’s façade ❶.5 and ①,2 of the "
+                    f"ΟΔΟΣ Château, built {n}1,850 in the 16th century by "
+                    "naïve craftsmen." for n in ("i", "iv"))
+    with open(csv_path, "a", encoding="utf-8") as fh:
+        fh.write(f'13,"Site 13","(i)(iv)","{just}","Déjà vu ❶.❷ site."\n')
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"data{seed}"
+        result = subprocess.run(
+            [sys.executable, "-m", "ouv_classifier.cli", "ingest",
+             str(csv_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert result.returncode == 0, result.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["sd.jsonl", "sites.json", "test.jsonl",
+                                  "train.jsonl", "valid.jsonl"]
+    assert outputs[0] == outputs[1]
+    assert "❶.5".encode() in b"".join(outputs[0].values())
 
 
 def test_json_fields_checks_types_and_builds_nested_dataclasses():
