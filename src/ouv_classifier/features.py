@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,10 @@ class TfidfVocabulary:
         return len(self.gram_to_index)
 
 
-def _grams(tokens: list[str]) -> list[str]:
-    unigrams = list(tokens)
-    bigrams = [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
-    return unigrams + bigrams
+def _ngrams(tokens: list[str]) -> Iterator[str]:
+    """The 1-2 grams of a token list: its unigrams, then its bigrams
+    ``"a b"``, each in token order."""
+    return chain(tokens, map(" ".join, zip(tokens, tokens[1:])))
 
 
 def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
@@ -43,7 +45,7 @@ def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
         raise ValueError("min_df must be >= 1")
     df: Counter[str] = Counter()
     for sample in train_samples:
-        df.update(set(_grams(sample.tokens)))
+        df.update(set(_ngrams(sample.tokens)))
     kept = sorted(g for g, count in df.items() if count >= min_df)
     if not kept:
         raise ValueError("vocabulary is empty after min_df filtering")
@@ -57,26 +59,33 @@ def tfidf_rows(vocab: TfidfVocabulary,
                token_lists: list[list[str]]) -> sparse.csr_matrix:
     """TF-IDF rows (len x V sparse), each L2-normalized unless all-zero.
 
-    One pass fills ``indptr``/``indices``/``data`` and builds the CSR once.
+    The grams' column ids (``V`` for a miss) go into one flat buffer; one
+    ``np.unique`` over ``row * V + column`` then gives every row's sorted
+    columns and counts, and the CSR is built once.
     """
-    lookup, missing = vocab.gram_to_index.get, vocab.size
-    indptr = [0]
-    indices: list[int] = []
-    counts: list[int] = []
+    lookup, n_vocab = vocab.gram_to_index.get, vocab.size
+    n_rows = len(token_lists)
+    cols, ends = array("q"), array("q")
     for tokens in token_lists:
-        row = Counter(map(lookup, _grams(tokens), repeat(missing)))
-        row.pop(missing, None)
-        cols = sorted(row)
-        indices.extend(cols)
-        counts.extend(map(row.__getitem__, cols))
-        indptr.append(len(indices))
-    data = np.array(counts, dtype=float) * vocab.idf.take(indices)
-    for start, end in zip(indptr, indptr[1:]):
+        cols.extend(map(lookup, _ngrams(tokens), repeat(n_vocab)))
+        ends.append(len(cols))
+    cols = np.frombuffer(cols, dtype=np.int64)
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64),
+                     np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
+    hit = cols != n_vocab
+    keys, counts = np.unique(rows[hit] * n_vocab + cols[hit],
+                             return_counts=True)
+    rows, indices = np.divmod(keys, n_vocab)
+    data = counts * vocab.idf.take(indices)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    # per row, the BLAS dot and correctly rounded sqrt of np.linalg.norm
+    for start, end in zip(indptr.tolist(), indptr[1:].tolist()):
         if end > start:
             values = data[start:end]
-            values /= np.linalg.norm(values)
+            values /= math.sqrt(values.dot(values))
     return sparse.csr_matrix((data, indices, indptr),
-                             shape=(len(token_lists), vocab.size))
+                             shape=(n_rows, n_vocab))
 
 
 @dataclass

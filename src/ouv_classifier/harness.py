@@ -475,15 +475,14 @@ class Predictor:
                    featurizer_path=path)
 
     def topk(self, token_lists: list[list[str]], k: int = 3,
-             features=None) -> list[list[tuple[int, float]]]:
-        """Per token list, the ``k`` best (criterion id, confidence) pairs,
-        best first, from one batched forward. ``features`` may carry the
-        rows this predictor's featurizer gives for ``token_lists``."""
+             features=None) -> tuple[np.ndarray, np.ndarray]:
+        """``top_classes`` of one batched forward: the ``k`` best criterion
+        ids and their confidences per token list, best first, both
+        ``len(token_lists) x k``. ``features`` may carry the rows this
+        predictor's featurizer gives for ``token_lists``."""
         if features is None:
             features = self.featurizer.transform_token_lists(token_lists)
-        ids, confs = top_classes(predict_proba(self.model, features), k)
-        return [list(zip(row_ids, row_confs))
-                for row_ids, row_confs in zip(ids.tolist(), confs.tolist())]
+        return top_classes(predict_proba(self.model, features), k)
 
 
 def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
@@ -496,7 +495,10 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
     the IoU threshold (both strict). Lines are preprocessed with one
     ``preprocess_many`` call per ``_MINE_BLOCK`` lines (lines with no
     tokens are dropped), then featurized and scored in blocks of
-    ``_MINE_BLOCK`` with one ``topk`` call per model per block.
+    ``_MINE_BLOCK`` with one ``topk`` call per model per block. The rule
+    runs on the block's arrays: the sum adds the three confidences left to
+    right, and, as each row's three ids are distinct, the union of two
+    top-3 sets has ``6 - intersection`` ids.
     """
     lines = [(text, tokens)
              for block in (texts[i:i + _MINE_BLOCK]
@@ -511,24 +513,26 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
         token_lists = [tokens for _, tokens in block]
         if shared:
             x = predictor_a.featurizer.transform_token_lists(token_lists)
-            tops_a = predictor_a.topk(token_lists, k=3, features=x)
-            tops_b = predictor_b.topk(token_lists, k=3, features=x)
+            ids_a, confs_a = predictor_a.topk(token_lists, k=3, features=x)
+            ids_b, confs_b = predictor_b.topk(token_lists, k=3, features=x)
         else:
-            tops_a = predictor_a.topk(token_lists, k=3)
-            tops_b = predictor_b.topk(token_lists, k=3)
-        for (text, _), top_a, top_b in zip(block, tops_a, tops_b):
-            conf_a = sum(c for _, c in top_a)
-            conf_b = sum(c for _, c in top_b)
-            set_a = {cls for cls, _ in top_a}
-            set_b = {cls for cls, _ in top_b}
-            iou = len(set_a & set_b) / len(set_a | set_b)
-            if (conf_a > confidence_threshold
-                    and conf_b > confidence_threshold
-                    and iou > iou_threshold):
-                kept.append({"sentence": text,
-                             "predictions_a": top_a, "predictions_b": top_b,
-                             "confidence_a": conf_a, "confidence_b": conf_b,
-                             "iou": iou})
+            ids_a, confs_a = predictor_a.topk(token_lists, k=3)
+            ids_b, confs_b = predictor_b.topk(token_lists, k=3)
+        conf_a = confs_a[:, 0] + confs_a[:, 1] + confs_a[:, 2]
+        conf_b = confs_b[:, 0] + confs_b[:, 1] + confs_b[:, 2]
+        inter = (ids_a[:, :, None] == ids_b[:, None, :]).sum(axis=(1, 2))
+        iou = inter / (6 - inter)
+        passed = ((conf_a > confidence_threshold)
+                  & (conf_b > confidence_threshold) & (iou > iou_threshold))
+        for i in np.flatnonzero(passed).tolist():
+            kept.append({"sentence": block[i][0],
+                         "predictions_a": list(zip(ids_a[i].tolist(),
+                                                   confs_a[i].tolist())),
+                         "predictions_b": list(zip(ids_b[i].tolist(),
+                                                   confs_b[i].tolist())),
+                         "confidence_a": float(conf_a[i]),
+                         "confidence_b": float(conf_b[i]),
+                         "iou": float(iou[i])})
     return kept
 
 

@@ -254,7 +254,9 @@ class _Canned:
         self.outputs = outputs
 
     def topk(self, token_lists, k=3):
-        return [self.outputs[tokens[0]] for tokens in token_lists]
+        tops = [self.outputs[tokens[0]] for tokens in token_lists]
+        return (np.array([[c for c, _ in top] for top in tops]),
+                np.array([[v for _, v in top] for top in tops]))
 
 
 def test_acceptance_09_mining_filter():

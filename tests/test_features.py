@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import sparse
 
 from ouv_classifier.features import (EmbeddingTable, boe_embed, fit_tfidf,
@@ -152,6 +152,49 @@ class TestTfidfMatrixExact:
         assert sparse.issparse(matrix)
         assert matrix.shape == (0, vocab.size)
         assert matrix.nnz == 0
+
+
+# 26 words, every unigram and every bigram but "wa wa" in the vocabulary,
+# so rows of up to 60 tokens reach 50+ distinct columns: long enough that
+# a summation order other than the BLAS dot changes some norms' last bits
+WORDS = [f"w{chr(97 + i)}" for i in range(26)]
+WIDE_VOCAB = fit_tfidf(docs_to_samples(
+    [f"{a} {b}" for a in WORDS for b in WORDS if a != b or a != "wa"]
+    + WORDS[:13]), min_df=1)
+token_list = st.lists(st.sampled_from(WORDS + ["oov", "zz"]), max_size=60)
+
+
+def reference_matrix(vocab, token_lists):
+    if not token_lists:
+        return sparse.csr_matrix((0, vocab.size))
+    return sparse.vstack([reference_row(vocab, tokens)
+                          for tokens in token_lists], format="csr")
+
+
+class TestTfidfRowsProperty:
+    @given(st.lists(token_list, max_size=8))
+    @example([])
+    @example([[]])
+    @example([[], []])
+    @example([["oov", "zz"]])
+    @example([["wa"]])
+    @example([["wa", "wa", "wa"], ["oov"]])
+    @example([["wb", "wc"] * 30, [], ["wz"]])
+    def test_bit_identical_to_per_row_reference(self, token_lists):
+        got = tfidf_rows(WIDE_VOCAB, token_lists)
+        want = reference_matrix(WIDE_VOCAB, token_lists)
+        assert got.shape == want.shape == (len(token_lists), WIDE_VOCAB.size)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data.view(np.uint64),
+                                      want.data.view(np.uint64))
+        assert got.has_sorted_indices
+
+    def test_vocabulary_reaches_long_rows(self):
+        row = tfidf_rows(WIDE_VOCAB, [WORDS[:20] + WORDS[::-1][:20]])
+        assert row.nnz >= 40
 
 
 def write_embeddings(tmp_path, entries):

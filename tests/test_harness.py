@@ -6,14 +6,15 @@ import shutil
 import numpy as np
 import pytest
 
-from ouv_classifier import harness
+from ouv_classifier import NUM_CLASSES, harness
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     ReportError, build_featurizer,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
-from ouv_classifier.model import predict_proba, save_checkpoint
+from ouv_classifier.model import (predict_proba, save_checkpoint,
+                                  top_classes)
 from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
 from ouv_classifier.features import EmbeddingTable, fit_tfidf
 from conftest import make_sample, make_separable_dataset
@@ -164,7 +165,8 @@ class TestRunFinal:
         for path in (moved / "model_ls.json", "final/model_no_ls.json"):
             predictor = Predictor.load(path)
             assert predictor.featurizer.kind == "ngram"
-            assert len(predictor.topk([dataset.valid[0].tokens], k=3)[0]) == 3
+            ids, confs = predictor.topk([dataset.valid[0].tokens], k=3)
+            assert ids.shape == confs.shape == (1, 3)
 
     def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
                                                  monkeypatch):
@@ -253,13 +255,16 @@ class TestExperimentConfig:
 
 
 class StubPredictor:
-    """Predictor double returning canned top-3 lists keyed by first token."""
+    """Predictor double returning canned top-3 ``(ids, confs)`` arrays, each
+    row given as ``(id, confidence)`` pairs keyed by first token."""
 
     def __init__(self, outputs):
         self.outputs = outputs
 
     def topk(self, token_lists, k=3):
-        return [self.outputs[tokens[0]] for tokens in token_lists]
+        tops = [self.outputs[tokens[0]] for tokens in token_lists]
+        return (np.array([[c for c, _ in top] for top in tops]),
+                np.array([[v for _, v in top] for top in tops]))
 
 
 class TestMine:
@@ -294,6 +299,49 @@ class TestMine:
     def test_empty_input(self):
         assert mine([], StubPredictor({}), StubPredictor({})) == []
 
+    def test_confidence_sum_at_threshold_rejected(self):
+        # 0.5 + 0.25 + 0.125 is exactly 0.875: strictly-greater fails
+        a = {"sa": [(1, 0.5), (2, 0.25), (3, 0.125)]}
+        assert mine(["sa text"], StubPredictor(a), StubPredictor(a),
+                    confidence_threshold=0.875) == []
+        kept = mine(["sa text"], StubPredictor(a), StubPredictor(a),
+                    confidence_threshold=math.nextafter(0.875, 0))
+        assert [k["confidence_a"] for k in kept] == [0.875]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_row_rule_on_top_classes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        keys = ["".join(chr(97 + int(d)) for d in f"{i:04d}")
+                for i in range(n)]
+        texts = [f"{key} text" for key in keys]
+        # peaked and flat rows, some with tied probabilities; model b is
+        # model a plus noise, so both agreement and disagreement occur
+        base = rng.normal(size=(n, NUM_CLASSES)) * rng.uniform(
+            0.1, 4.0, size=(n, 1))
+        tops = []
+        for noise in (0.0, 0.5):
+            logits = base + noise * rng.normal(size=base.shape)
+            logits[::7, 4:8] = logits[::7, [4]]
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            ids, confs = top_classes(probs, 3)
+            tops.append({key: list(zip(row_ids, row_confs))
+                         for key, row_ids, row_confs
+                         in zip(keys, ids.tolist(), confs.tolist())})
+        a, b = tops
+        # thresholds equal to some rows' sums put rows exactly on the bound
+        sums = sorted(map(left_to_right_sum, [*a.values(), *b.values()]))
+        sizes = []
+        for confidence in (0.0, sums[n // 2], sums[n], 0.6):
+            for iou in (0.0, 0.2, 0.5):
+                kept = mine(texts, StubPredictor(a), StubPredictor(b),
+                            confidence_threshold=confidence,
+                            iou_threshold=iou)
+                assert kept == per_row_rule(texts, a, b, confidence, iou)
+                sizes.append(len(kept))
+        assert 0 < min(sizes) and max(sizes) < n
+
     def test_fixture_against_brute_force(self):
         rng = np.random.default_rng(9)
         sentences = [f"s{chr(97 + i)} filler words" for i in range(10)]
@@ -327,6 +375,33 @@ class TestMine:
             if ca > 0.8 and cb > 0.8 and iou > 0.5:
                 expected.append(s)
         assert [k["sentence"] for k in kept] == expected
+
+
+def left_to_right_sum(top):
+    """``sum(c for _, c in top)`` as Python 3.11 and earlier add it (3.12's
+    ``sum`` compensates the rounding of float terms)."""
+    total = 0
+    for _, c in top:
+        total += c
+    return total
+
+
+def per_row_rule(texts, tops_a, tops_b, confidence, iou_threshold):
+    """Reference: the agreement rule on per-row ``(id, confidence)`` lists,
+    keyed by each line's first token."""
+    kept = []
+    for text in texts:
+        top_a, top_b = tops_a[text.split()[0]], tops_b[text.split()[0]]
+        conf_a, conf_b = left_to_right_sum(top_a), left_to_right_sum(top_b)
+        set_a = {cls for cls, _ in top_a}
+        set_b = {cls for cls, _ in top_b}
+        iou = len(set_a & set_b) / len(set_a | set_b)
+        if conf_a > confidence and conf_b > confidence and iou > iou_threshold:
+            kept.append({"sentence": text,
+                         "predictions_a": top_a, "predictions_b": top_b,
+                         "confidence_a": conf_a, "confidence_b": conf_b,
+                         "iou": iou})
+    return kept
 
 
 def featurizer_of(kind: str) -> Featurizer:
@@ -767,9 +842,10 @@ class TestBatchedMine:
     def test_topk_rows(self, mine_dataset, predictors):
         a, _ = predictors["boe"]
         token_lists = [s.tokens for s in mine_dataset.valid[:4]]
-        tops = a.topk(token_lists, k=5)
-        assert [len(top) for top in tops] == [5] * 4
-        for top in tops:
-            confs = [c for _, c in top]
-            assert confs == sorted(confs, reverse=True)
-            assert all(isinstance(c, int) for c, _ in top)
+        ids, confs = a.topk(token_lists, k=5)
+        assert ids.shape == confs.shape == (4, 5)
+        for row_ids, row_confs in zip(ids.tolist(), confs.tolist()):
+            assert row_confs == sorted(row_confs, reverse=True)
+            assert len(set(row_ids)) == 5
+            assert all(1 <= c <= NUM_CLASSES for c in row_ids)
+        assert ids.dtype.kind == "i"
