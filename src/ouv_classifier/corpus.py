@@ -12,6 +12,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -310,9 +311,10 @@ def preprocess_many(sentences: list[str]) -> list[list[str]]:
         digits += re.escape("".join(sorted(
             c for c in chars if c.isdigit() and not c.isdecimal())))
     text = text.lower()
-    text = _DIGIT_THEN_LETTER.sub(r"\g<0> ", text)
-    text = _LETTER_THEN_DIGIT.sub(r" \g<0>", text)
-    text = re.sub(_PAD.format(digits), r" \g<0> ", text)
+    # functions, not ``\g<0>`` templates, which ``re`` expands per match
+    text = _DIGIT_THEN_LETTER.sub(lambda m: m[0] + " ", text)
+    text = _LETTER_THEN_DIGIT.sub(lambda m: " " + m[0], text)
+    text = re.sub(_PAD.format(digits), lambda m: f" {m[0]} ", text)
     text = _NUM_TOKEN.sub("<num>", text)
     return [line.split() for line in text.split("\n")]
 
@@ -451,8 +453,17 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
+    """Read a file written by ``write_samples``. A token that holds
+    whitespace is a ``ValueError`` naming the file and the token: tokens
+    are as ``str.split`` gives them, and the n-gram features count on it."""
     with open(path, encoding="utf-8") as fh:
-        return [sample_from_json(line) for line in fh if line.strip()]
+        samples = [sample_from_json(line) for line in fh if line.strip()]
+    text = "".join(chain.from_iterable(sample.tokens for sample in samples))
+    if text and text.split() != [text]:
+        spaced = next(token for sample in samples for token in sample.tokens
+                      if token and token.split() != [token])
+        raise ValueError(f"{path}: token {spaced!r} holds whitespace")
+    return samples
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:

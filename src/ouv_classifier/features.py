@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -25,6 +25,56 @@ class TfidfVocabulary:
     @property
     def size(self) -> int:
         return len(self.gram_to_index)
+
+    @cached_property
+    def id_tables(self) -> GramIdTables:
+        """``tfidf_rows``' lookup tables, built on first use so that loading
+        a featurizer stays as cheap as reading its grams."""
+        return GramIdTables.build(self.gram_to_index)
+
+
+@dataclass
+class GramIdTables:
+    """A vocabulary by integer token ids. ``token_id`` numbers every word of
+    any gram, ``0 .. T - 1``; the id ``T`` stands for any other token.
+    Indexed by id (``T + 1`` entries): ``unigram_col`` gives the word's
+    column, or -1 where the word is not a unigram of the vocabulary;
+    ``opens_bigram`` and ``closes_bigram`` tell whether the word is the
+    first or the second word of some bigram. ``bigram_keys`` holds
+    ``id_a * (T + 1) + id_b`` for each bigram ``"a b"``, sorted, then a
+    sentinel above every key; ``bigram_cols`` holds their columns."""
+    token_id: dict[str, int]
+    unigram_col: np.ndarray
+    opens_bigram: np.ndarray
+    closes_bigram: np.ndarray
+    bigram_keys: np.ndarray
+    bigram_cols: np.ndarray
+
+    @classmethod
+    def build(cls, gram_to_index: dict[str, int]) -> "GramIdTables":
+        """Split each gram at its first space (``harness.Featurizer.load``
+        rejects a gram of more than one)."""
+        token_id: dict[str, int] = {}
+        unigrams, bigrams = [], []
+        for gram, col in gram_to_index.items():
+            first, space, second = gram.partition(" ")
+            first = token_id.setdefault(first, len(token_id))
+            if space:
+                second = token_id.setdefault(second, len(token_id))
+                bigrams += first, second, col
+            else:
+                unigrams += first, col
+        n_ids = len(token_id) + 1
+        unigrams = np.array(unigrams, np.int64).reshape(-1, 2)
+        bigrams = np.array(bigrams, np.int64).reshape(-1, 3)
+        unigram_col = np.full(n_ids, -1, dtype=np.int64)
+        unigram_col[unigrams[:, 0]] = unigrams[:, 1]
+        opens, closes = np.zeros(n_ids, bool), np.zeros(n_ids, bool)
+        opens[bigrams[:, 0]] = closes[bigrams[:, 1]] = True
+        keys = bigrams[:, 0] * n_ids + bigrams[:, 1]
+        order = np.argsort(keys)
+        return cls(token_id, unigram_col, opens, closes,
+                   np.append(keys[order], n_ids ** 2), bigrams[order, 2])
 
 
 def _ngrams(tokens: list[str]) -> Iterator[str]:
@@ -59,22 +109,39 @@ def tfidf_rows(vocab: TfidfVocabulary,
                token_lists: list[list[str]]) -> sparse.csr_matrix:
     """TF-IDF rows (len x V sparse), each L2-normalized unless all-zero.
 
-    The grams' column ids (``V`` for a miss) go into one flat buffer; one
+    Tokens hold no whitespace, as ``str.split`` gives them. Each token
+    becomes an id through one dict lookup (see ``GramIdTables``); unigram
+    columns come by ``take``, and each pair of adjacent ids in a row whose
+    words open and close some bigram is matched against the bigram keys by
+    one ``np.searchsorted``. One
     ``np.unique`` over ``row * V + column`` then gives every row's sorted
     columns and counts, and the CSR is built once.
     """
-    lookup, n_vocab = vocab.gram_to_index.get, vocab.size
+    tables, n_vocab = vocab.id_tables, vocab.size
     n_rows = len(token_lists)
-    cols, ends = array("q"), array("q")
-    for tokens in token_lists:
-        cols.extend(map(lookup, _ngrams(tokens), repeat(n_vocab)))
-        ends.append(len(cols))
-    cols = np.frombuffer(cols, dtype=np.int64)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64),
-                     np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
-    hit = cols != n_vocab
-    keys, counts = np.unique(rows[hit] * n_vocab + cols[hit],
-                             return_counts=True)
+    miss = len(tables.token_id)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64,
+                          count=n_rows)
+    ids = np.fromiter(map(tables.token_id.get,
+                          chain.from_iterable(token_lists), repeat(miss)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+    # pairs that could be a bigram: adjacent in one row, and first and
+    # second words of some bigram; a third of all pairs at scale 0.3, so
+    # searchsorted does a third of the work
+    first, second = ids[:-1], ids[1:]
+    pairs = np.flatnonzero(tables.opens_bigram.take(first)
+                           & tables.closes_bigram.take(second)
+                           & (rows[:-1] == rows[1:]))
+    pair_keys = first.take(pairs) * (miss + 1) + second.take(pairs)
+    at = np.searchsorted(tables.bigram_keys, pair_keys)
+    bigram = tables.bigram_keys.take(at) == pair_keys
+    unigram_cols = tables.unigram_col.take(ids)
+    unigram = unigram_cols >= 0
+    rows = np.concatenate((rows[unigram], rows.take(pairs[bigram])))
+    cols = np.concatenate((unigram_cols[unigram],
+                           tables.bigram_cols.take(at[bigram])))
+    keys, counts = np.unique(rows * n_vocab + cols, return_counts=True)
     rows, indices = np.divmod(keys, n_vocab)
     data = counts * vocab.idf.take(indices)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)

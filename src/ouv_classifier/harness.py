@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,6 +104,9 @@ def load_prior(config: ExperimentConfig) -> PriorWeights:
 # ---------------------------------------------------------------------------
 # Featurizers
 
+_TWO_SPACES = re.compile(" [^ ]* ")
+
+
 @dataclass
 class Featurizer:
     """Uniform front for the n-gram and bag-of-embeddings featurizers."""
@@ -142,8 +146,9 @@ class Featurizer:
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
         """Read a file written by ``save``. Any other file, including one
-        written with JSON float lists before arrays used ``encode_array``,
-        is a ``ValueError`` naming it."""
+        written with JSON float lists before arrays used ``encode_array``
+        or one with a gram of more than one space, is a ``ValueError``
+        naming it."""
         payload = read_json(path)
         try:
             kind = payload["type"]
@@ -156,6 +161,11 @@ class Featurizer:
                 raise ValueError(f"{len(payload[names])} {names} but "
                                  f"{key!r} has shape {list(array.shape)}")
             if kind == "ngram":
+                spaced = next(filter(_TWO_SPACES.search, payload["grams"]),
+                              None)
+                if spaced is not None:
+                    raise ValueError(f"gram {spaced!r} holds more than one "
+                                     "space")
                 return cls(kind, vocab=TfidfVocabulary(
                     {g: i for i, g in enumerate(payload["grams"])}, array,
                     int(payload["min_df"])))

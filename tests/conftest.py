@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
 from ouv_classifier.corpus import Dataset, Sample, SiteRecord, make_one_hot
+
+# selected with --hypothesis-profile=ci: a failure prints the blob that
+# reproduces it, and tests with no @settings of their own run 200 examples
+settings.register_profile("ci", print_blob=True, max_examples=200)
 
 
 def make_sample(tokens, criterion, parental_criteria=None, split="train",

@@ -9,7 +9,7 @@ from ouv_classifier import NUM_CLASSES
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
                                    SiteRecord, build_dataset, build_sd_set,
                                    parse_syndication, preprocess,
-                                   preprocess_many,
+                                   preprocess_many, read_dataset,
                                    read_samples, sample_from_json,
                                    sample_to_json, split_sentences,
                                    write_dataset, write_samples, write_sites)
@@ -363,6 +363,28 @@ class TestJsonl:
         assert sample_to_json(sample) == sample_to_json(sample)
         rebuilt = sample_from_json(sample_to_json(sample))
         assert sample_to_json(rebuilt) == sample_to_json(sample)
+
+    def test_file_without_tokens_reads(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        write_samples([], path)
+        assert read_samples(path) == []
+        sample = build_dataset(make_justified_sites(3, 5), seed=0).train[0]
+        sample.tokens = []
+        write_samples([sample], path)
+        assert read_samples(path)[0].tokens == []
+
+    @pytest.mark.parametrize("token", ["new york", "a\tb", "\u00a0x", " "])
+    def test_token_with_whitespace_is_rejected(self, tmp_path, token):
+        """A unigram "new york" would read as the bigram (new, york) in the
+        n-gram features, so a dataset file may not hold it. The token is
+        the file's first, so the check also sees whitespace at the edge."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        dataset.train[0].tokens[0] = token
+        write_dataset(dataset, tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            read_dataset(tmp_path)
+        assert str(tmp_path / "train.jsonl") in str(excinfo.value)
+        assert f"token {token!r} holds whitespace" in str(excinfo.value)
 
 
 class TestAtomicWrites:

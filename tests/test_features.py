@@ -3,12 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from ouv_classifier.features import (EmbeddingTable, boe_embed, fit_tfidf,
-                                     load_embeddings, tfidf_rows,
-                                     token_frequencies)
+from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
+                                     boe_embed, fit_tfidf, load_embeddings,
+                                     tfidf_rows, token_frequencies)
+from ouv_classifier.harness import Featurizer
 from conftest import make_sample
 
 
@@ -164,6 +165,34 @@ WIDE_VOCAB = fit_tfidf(docs_to_samples(
 token_list = st.lists(st.sampled_from(WORDS + ["oov", "zz"]), max_size=60)
 
 
+# Vocabularies fit_tfidf never builds but a featurizer file may hold, with
+# columns out of lexicographic order: a bigram with a word that is not a
+# unigram ("wa wc"), bigrams whose words are in no other gram ("wd we",
+# "oov zz", "zz zz") next to one whose words are unigrams ("wb wa");
+# unigrams only; bigrams only.
+def vocabulary(grams):
+    return TfidfVocabulary({g: i for i, g in enumerate(grams)},
+                           1 + np.arange(len(grams)) / 7, 1)
+
+
+VOCABS = {
+    "wide": WIDE_VOCAB,
+    "odd": vocabulary(["wb wa", "wa", "wd we", "oov zz", "wb", "wa wc",
+                       "zz zz", "wf"]),
+    "unigrams": vocabulary(["zz", "wa", "wb"]),
+    "bigrams": vocabulary(["wb wa", "wa wb", "zz oov", "wa wa"]),
+}
+
+
+@pytest.fixture(scope="module")
+def vocab_files(tmp_path_factory):
+    """Each of VOCABS written by ``Featurizer.save``."""
+    root = tmp_path_factory.mktemp("vocabs")
+    for name, vocab in VOCABS.items():
+        Featurizer(kind="ngram", vocab=vocab).save(root / f"{name}.json")
+    return {name: root / f"{name}.json" for name in VOCABS}
+
+
 def reference_matrix(vocab, token_lists):
     if not token_lists:
         return sparse.csr_matrix((0, vocab.size))
@@ -171,7 +200,26 @@ def reference_matrix(vocab, token_lists):
                           for tokens in token_lists], format="csr")
 
 
+def assert_bits_of_reference(vocab, path, token_lists):
+    """A first and a second call on one vocabulary, and a call on a copy
+    just loaded from its featurizer file, all give the reference's bits."""
+    want = reference_matrix(vocab, token_lists)
+    fresh = Featurizer.load(path).vocab
+    for got in (tfidf_rows(vocab, token_lists),
+                tfidf_rows(vocab, token_lists),
+                tfidf_rows(fresh, token_lists)):
+        assert got.shape == want.shape == (len(token_lists), vocab.size)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data.view(np.uint64),
+                                      want.data.view(np.uint64))
+        assert got.has_sorted_indices
+
+
 class TestTfidfRowsProperty:
+    @settings(max_examples=300)
     @given(st.lists(token_list, max_size=8))
     @example([])
     @example([[]])
@@ -180,17 +228,24 @@ class TestTfidfRowsProperty:
     @example([["wa"]])
     @example([["wa", "wa", "wa"], ["oov"]])
     @example([["wb", "wc"] * 30, [], ["wz"]])
-    def test_bit_identical_to_per_row_reference(self, token_lists):
-        got = tfidf_rows(WIDE_VOCAB, token_lists)
-        want = reference_matrix(WIDE_VOCAB, token_lists)
-        assert got.shape == want.shape == (len(token_lists), WIDE_VOCAB.size)
-        for name in ("indptr", "indices", "data"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.data.view(np.uint64),
-                                      want.data.view(np.uint64))
-        assert got.has_sorted_indices
+    def test_bit_identical_to_per_row_reference(self, vocab_files,
+                                                token_lists):
+        """The wide vocabulary: rows long enough that a different norm
+        summation order shows in the bits."""
+        assert_bits_of_reference(WIDE_VOCAB, vocab_files["wide"],
+                                 token_lists)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["odd", "unigrams", "bigrams"]),
+           st.lists(token_list, max_size=8))
+    @example("odd", [["wa", "wc", "wd", "we", "oov", "zz", "zz", "zz"]])
+    @example("odd", [["wb"], ["wa"], ["wd"], ["we", "wd"], ["zz"]])
+    @example("unigrams", [["zz", "wa", "wb", "wa"]])
+    @example("bigrams", [["wa", "wa", "wb", "wa"], ["zz", "oov"]])
+    def test_odd_vocabularies_bit_identical(self, vocab_files, name,
+                                            token_lists):
+        assert_bits_of_reference(VOCABS[name], vocab_files[name],
+                                 token_lists)
 
     def test_vocabulary_reaches_long_rows(self):
         row = tfidf_rows(WIDE_VOCAB, [WORDS[:20] + WORDS[::-1][:20]])

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import shutil
@@ -521,8 +522,14 @@ class TestFeaturizer:
         ("boe", lambda p: p["vectors"].update(shape=[6]), "'vectors'"),
         ("ngram", lambda p: p.update(type="bpe"), "'bpe'"),
         ("ngram", lambda p: p.update(idf=p["idf"]["data"]), "'idf'"),
+        ("ngram", lambda p: p["grams"].__setitem__(1, "a b c"),
+         "'a b c' holds more than one space"),
+        ("ngram", lambda p: p["grams"].__setitem__(4, "c \0d e"),
+         r"'c \\x00d e' holds more than one space"),
+        ("ngram", lambda p: p["grams"].__setitem__(0, 7), "expected str"),
     ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
-            "not-a-matrix", "unknown-type", "spec-not-an-object"])
+            "not-a-matrix", "unknown-type", "spec-not-an-object",
+            "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str"])
     def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
                                                match):
         path = tmp_path / "feat.json"
@@ -533,6 +540,19 @@ class TestFeaturizer:
         with pytest.raises(ValueError, match=match) as excinfo:
             Featurizer.load(path)
         assert str(path) in str(excinfo.value)
+
+    def test_load_builds_no_id_tables(self, tmp_path):
+        """The n-gram lookup tables are built by the first transform, not
+        by ``load``, which the set-up of every mining run pays."""
+        path = tmp_path / "feat.json"
+        featurizer_of("ngram").save(path)
+        loaded = Featurizer.load(path)
+        assert "id_tables" not in loaded.vocab.__dict__
+        loaded.transform_token_lists([["a", "b"]])
+        assert "id_tables" in loaded.vocab.__dict__
+        assert [f.name for f in dataclasses.fields(loaded.vocab)] == [
+            "gram_to_index", "idf", "min_df"]
+        assert "id_tables" not in repr(loaded.vocab)
 
     @pytest.mark.parametrize("kind", ["ngram", "boe"])
     def test_old_float_list_file_is_rejected(self, tmp_path, kind):
@@ -832,6 +852,11 @@ class TestBatchedMine:
         a, b = predictors["ngram"]
         assert mine([], a, b) == []
         assert mine(["", "  "], a, b) == []
+
+    def test_predictor_load_builds_no_id_tables(self, predictors):
+        final = predictors["ngram"][0].featurizer_path.parent
+        loaded = Predictor.load(final / "model_ls.json")
+        assert "id_tables" not in loaded.featurizer.vocab.__dict__
 
     def test_loaded_pair_shares_featurizer_path(self, predictors):
         a, b = predictors["ngram"]
