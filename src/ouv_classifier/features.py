@@ -16,7 +16,7 @@ from scipy import sparse
 from .corpus import Sample
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: a generated == would raise on idf
 class TfidfVocabulary:
     gram_to_index: dict[str, int]
     idf: np.ndarray
@@ -155,7 +155,7 @@ def tfidf_rows(vocab: TfidfVocabulary,
                              shape=(n_rows, n_vocab))
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, like ``TfidfVocabulary``
 class EmbeddingTable:
     word_to_vector: dict[str, np.ndarray]
     dimension: int

@@ -21,7 +21,8 @@ from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
                        token_frequencies)
 from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
                      prior_weights)
-from .metrics import EvalReport, MatchReport, evaluate_matches, evaluate_split
+from .metrics import (EvalReport, MatchReport, check_k, evaluate_matches,
+                      evaluate_split)
 from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
                     encode_array, load_checkpoint, predict_proba,
                     rank_classes, save_checkpoint, top_classes, train)
@@ -68,6 +69,9 @@ class ExperimentConfig:
     setting: dict = field(default_factory=dict)
     smoothing: dict = field(
         default_factory=lambda: {"variant": "none", "alpha": 0})
+
+    def __post_init__(self):
+        check_k(self.k)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -391,7 +395,7 @@ def evaluate_features(model: TrainedModel, x, samples: list[Sample],
                       k: int = 3,
                       multilabel: bool = False) -> EvalReport | MatchReport:
     """``evaluate_model`` on ``x``, the feature rows of ``samples``."""
-    rankings = rank_classes(predict_proba(model, x)).tolist()
+    rankings = rank_classes(predict_proba(model, x))
     if multilabel:
         return evaluate_matches(rankings, [s.parental for s in samples], k=k)
     return evaluate_split(rankings, [s.sentence_label for s in samples], k=k)

@@ -1,9 +1,10 @@
-"""Evaluation metrics: top-1/top-k accuracy, macro F1, per-class scores,
-confusion matrices, and the multi-label match rates for the SD set."""
+"""Evaluation metrics over rankings, ``rank_classes``' ``rows x m`` arrays of
+1-based class ids (lists are accepted): top-1/top-k accuracy, macro F1,
+per-class scores, confusion matrices and the SD set's match rates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,14 +21,8 @@ class EvalReport:
     k: int
 
     def to_dict(self) -> dict:
-        return {
-            "top1_accuracy": self.top1_accuracy,
-            "topk_accuracy": self.topk_accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": {str(c): v for c, v in self.per_class.items()},
-            "confusion": self.confusion.tolist(),
-            "k": self.k,
-        }
+        return dict(asdict(self), confusion=self.confusion.tolist(),
+                    per_class={str(c): v for c, v in self.per_class.items()})
 
 
 @dataclass
@@ -37,36 +32,43 @@ class MatchReport:
     k: int
 
     def to_dict(self) -> dict:
-        return {"top1_match": self.top1_match,
-                "topk_match": self.topk_match, "k": self.k}
+        return asdict(self)
 
 
-def _check_lengths(predictions, truths) -> None:
+def _check_rows(predictions, truths) -> None:
     if len(predictions) != len(truths):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(truths)} truths")
-
-
-def topk_accuracy(rankings: list[list[int]], truths: list[int],
-                  k: int) -> float:
-    """Share of samples whose truth is among the first ``k`` entries of its
-    ranking."""
-    _check_lengths(rankings, truths)
     if len(truths) == 0:
-        raise ValueError("cannot evaluate an empty split")
-    return sum(t in r[:k] for r, t in zip(rankings, truths)) / len(truths)
+        raise ValueError("cannot score an empty split (no predictions)")
 
 
-def confusion_matrix(predictions: list[list[int]],
-                     truths: list[int]) -> np.ndarray:
+def check_k(k: int) -> None:
+    if not 1 <= k <= NUM_CLASSES:
+        raise ValueError(f"k must be in 1..{NUM_CLASSES}, got {k}")
+
+
+def topk_accuracy(rankings, truths, k: int) -> float:
+    """Share of samples whose truth is among the first ``k`` entries of its
+    ranking: a Python ``int`` count over n, as every rate here is."""
+    check_k(k)
+    _check_rows(rankings, truths)
+    hits = np.asarray(rankings)[:, :k] == np.asarray(truths)[:, None]
+    return int(np.count_nonzero(hits.any(axis=1))) / len(truths)
+
+
+def confusion_matrix(predictions, truths) -> np.ndarray:
     """11x11 counts from rank-1 predictions; [t-1][p-1] is truth t -> pred p."""
-    _check_lengths(predictions, truths)
-    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for ranking, truth in zip(predictions, truths):
-        if not 1 <= truth <= NUM_CRITERIA:
-            raise ValueError(f"truth label out of range: {truth}")
-        counts[truth - 1, ranking[0] - 1] += 1
-    return counts
+    _check_rows(predictions, truths)
+    truths = np.asarray(truths, dtype=np.int64)
+    bad = np.flatnonzero((truths < 1) | (truths > NUM_CRITERIA))
+    if bad.size:
+        raise ValueError(f"truth label out of range: {truths[bad[0]]}")
+    # (t-1)*11 + (p-1); a rank-1 id outside 1..11 raises ValueError
+    cells = np.ravel_multi_index(
+        (truths - 1, np.asarray(predictions)[:, 0] - 1), (NUM_CLASSES,) * 2)
+    return np.bincount(cells, minlength=NUM_CLASSES ** 2).reshape(
+        NUM_CLASSES, NUM_CLASSES)
 
 
 def _precision_recall_f1(confusion: np.ndarray,
@@ -84,40 +86,32 @@ def _precision_recall_f1(confusion: np.ndarray,
             "f1": float(f1)}
 
 
-def evaluate_split(predictions: list[list[int]], truths: list[int],
-                   k: int = 3) -> EvalReport:
+def evaluate_split(predictions, truths, k: int = 3) -> EvalReport:
     """Multi-class evaluation of ranked predictions against sentence labels.
 
     Macro F1 averages over the ten criterion classes only; "Others" keeps
     its confusion column but never appears as a truth.
     """
-    top1 = topk_accuracy(predictions, truths, 1)
-    topk = topk_accuracy(predictions, truths, k)
     confusion = confusion_matrix(predictions, truths)
     per_class = {cls: _precision_recall_f1(confusion, cls)
                  for cls in range(1, NUM_CRITERIA + 1)}
     macro_f1 = sum(v["f1"] for v in per_class.values()) / NUM_CRITERIA
-    return EvalReport(top1_accuracy=top1, topk_accuracy=topk,
+    return EvalReport(top1_accuracy=topk_accuracy(predictions, truths, 1),
+                      topk_accuracy=topk_accuracy(predictions, truths, k),
                       macro_f1=float(macro_f1), per_class=per_class,
                       confusion=confusion, k=k)
 
 
-def evaluate_matches(predictions: list[list[int]],
-                     parentals: list[np.ndarray], k: int = 3) -> MatchReport:
+def evaluate_matches(predictions, parentals, k: int = 3) -> MatchReport:
     """Multi-label match rates: a sample scores when any parental criterion
     (entries 1-10 equal to 1; Others never counts) is in the top ranks."""
-    _check_lengths(predictions, parentals)
+    check_k(k)
+    _check_rows(predictions, parentals)
     n = len(predictions)
-    if n == 0:
-        raise ValueError("cannot compute match rates over no predictions")
-    top1_hits = 0
-    topk_hits = 0
-    for ranking, parental in zip(predictions, parentals):
-        parent_set = {i + 1 for i in range(NUM_CRITERIA)
-                      if parental[i] == 1.0}
-        if ranking[0] in parent_set:
-            top1_hits += 1
-        if parent_set & set(ranking[:k]):
-            topk_hits += 1
-    return MatchReport(top1_match=top1_hits / n, topk_match=topk_hits / n,
+    parent = np.asarray(parentals) == 1.0
+    parent[:, NUM_CRITERIA:] = False
+    hits = np.take_along_axis(parent, np.asarray(predictions)[:, :k] - 1,
+                              axis=1)
+    return MatchReport(top1_match=int(np.count_nonzero(hits[:, 0])) / n,
+                       topk_match=int(np.count_nonzero(hits.any(axis=1))) / n,
                        k=k)

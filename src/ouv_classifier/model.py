@@ -19,7 +19,7 @@ import numpy as np
 
 from . import NUM_CLASSES, atomic_open, json_fields, read_json
 from .labels import SmoothingConfig, PriorWeights, soft_targets
-from .metrics import topk_accuracy
+from .metrics import check_k, topk_accuracy
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -67,6 +67,7 @@ class TrainConfig:
             raise ValueError("patience and batch_size must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
+        check_k(self.k)
 
 
 @dataclass
@@ -226,7 +227,7 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
         raise ValueError("train and valid splits must be non-empty")
     targets = soft_targets(train_one_hots, train_parentals, mu,
                            config.smoothing)
-    valid_truths = (np.asarray(valid_labels) + 1).tolist()
+    valid_truths = np.asarray(valid_labels) + 1
     rng = np.random.default_rng(config.seed)
     params = init_params(train_x.shape[1], config.hidden, config.seed)
     state = AdamState.for_params(params)
@@ -259,7 +260,7 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
         epoch_loss /= n
 
         _, val_probs, _ = forward(params, valid_x)
-        rankings = rank_classes(val_probs).tolist()
+        rankings = rank_classes(val_probs)
         val_top1 = topk_accuracy(rankings, valid_truths, 1)
         val_topk = topk_accuracy(rankings, valid_truths, config.k)
         history.append({"epoch": epoch, "train_loss": epoch_loss,

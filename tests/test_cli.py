@@ -501,3 +501,39 @@ def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
     assert err.startswith(f"error: {runs / artifact}: ")
     assert repr(key) in err
     assert not (runs / "summary.json").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "12"])
+@pytest.mark.parametrize("split", ["valid", "sd"])
+def test_evaluate_rejects_k_outside_one_to_eleven(workspace, capsys, k,
+                                                  split):
+    model_path = workspace["root"] / "single/model.json"
+    if not model_path.exists():
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model_path), "--split", split,
+                 "--dataset", str(workspace["data"]), "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: k must be in 1..11, got {k}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       command):
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config = json.loads(workspace["config"].read_text())
+    config.update(k=0, output_dir=str(tmp_path / "runs"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: k must be in 1..11, got 0\n"
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+    with pytest.raises(ValueError, match="k must be in 1..11, got 0"):
+        ExperimentConfig(k=0)

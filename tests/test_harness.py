@@ -555,6 +555,19 @@ class TestFeaturizer:
         assert "id_tables" not in repr(loaded.vocab)
 
     @pytest.mark.parametrize("kind", ["ngram", "boe"])
+    def test_two_loads_compare_without_raising(self, tmp_path, kind):
+        """Vocabularies and embedding tables hold arrays, so they compare
+        by identity: ``==`` gives a bool instead of numpy's ambiguous
+        truth value."""
+        path = tmp_path / "feat.json"
+        featurizer_of(kind).save(path)
+        a, b = Featurizer.load(path), Featurizer.load(path)
+        part = "vocab" if kind == "ngram" else "table"
+        assert (getattr(a, part) == getattr(b, part)) is False
+        assert (getattr(a, part) == getattr(a, part)) is True
+        assert (a == b) is False
+
+    @pytest.mark.parametrize("kind", ["ngram", "boe"])
     def test_old_float_list_file_is_rejected(self, tmp_path, kind):
         path = tmp_path / "feat.json"
         write_float_list_featurizer(featurizer_of(kind), path)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
+from ouv_classifier import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE
 from ouv_classifier.metrics import (confusion_matrix, evaluate_matches,
-                                    evaluate_split)
+                                    evaluate_split, topk_accuracy)
+from ouv_classifier.model import rank_classes
 
 
 def full_ranking(first):
@@ -18,6 +19,22 @@ def parental(*criteria):
         vec[k - 1] = 1.0
     vec[NUM_CLASSES - 1] = 0.2
     return vec
+
+
+def parent_set(vec):
+    """The criteria 1-10 a parental vector marks with 1; Others never."""
+    return {i + 1 for i in range(NUM_CRITERIA) if vec[i] == 1}
+
+
+def hits(rankings, targets, k):
+    """Set oracle, one row at a time: the share of rows whose first ``k``
+    ids meet the row's target set (``{truth}`` for top-k accuracy, the
+    parental criteria for match rates)."""
+    total = 0
+    for ranking, target in zip(rankings, targets):
+        if target & set(ranking[:k]):
+            total += 1
+    return total / len(rankings)
 
 
 class TestEvaluateSplit:
@@ -168,15 +185,11 @@ class TestEvaluateMatches:
                      parental(10), parental(6), parental(7, 8)]
         report = evaluate_matches(rankings, parentals, k=3)
         # independent set-intersection computation
-        def hits(k):
-            total = 0
-            for ranking, vec in zip(rankings, parentals):
-                pset = {i + 1 for i in range(NUM_CRITERIA) if vec[i] == 1}
-                if pset & set(ranking[:k]):
-                    total += 1
-            return total / len(rankings)
-        assert report.top1_match == pytest.approx(hits(1))
-        assert report.topk_match == pytest.approx(hits(3))
+        parent_sets = [parent_set(vec) for vec in parentals]
+        assert report.top1_match == pytest.approx(
+            hits(rankings, parent_sets, 1))
+        assert report.topk_match == pytest.approx(
+            hits(rankings, parent_sets, 3))
         assert report.top1_match <= report.topk_match
 
     def test_order_invariance_of_parental_set(self):
@@ -191,3 +204,77 @@ class TestEvaluateMatches:
     def test_empty_input_is_a_value_error(self):
         with pytest.raises(ValueError, match="no predictions"):
             evaluate_matches([], [], k=3)
+
+
+@st.composite
+def ranked_split(draw):
+    """Rankings of one width (a prefix of a permutation of the 11 ids),
+    truths 1-10, parentals whose Others entry is the 0.2 noise or a 1 that
+    must not count, and ``k``."""
+    n = draw(st.integers(1, 20))
+    width = draw(st.integers(1, NUM_CLASSES))
+    rankings = [draw(st.permutations(range(1, NUM_CLASSES + 1)))[:width]
+                for _ in range(n)]
+    truths = draw(st.lists(st.integers(1, NUM_CRITERIA), min_size=n,
+                           max_size=n))
+    parentals = [np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=NUM_CRITERIA,
+                                        max_size=NUM_CRITERIA))
+                          + [draw(st.sampled_from([OTHERS_NOISE, 1.0]))])
+                 for _ in range(n)]
+    return rankings, truths, parentals, draw(st.integers(1, NUM_CLASSES))
+
+
+@given(ranked_split())
+def test_metrics_equal_the_set_oracle_for_lists_and_arrays(split):
+    rankings, truths, parentals, k = split
+    truth_sets = [{t} for t in truths]
+    parent_sets = [parent_set(vec) for vec in parentals]
+    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    for ranking, truth in zip(rankings, truths):
+        counts[truth - 1, ranking[0] - 1] += 1
+    for ids, ts, ps in ((rankings, truths, parentals),
+                        (np.array(rankings), np.array(truths),
+                         np.stack(parentals))):
+        assert topk_accuracy(ids, ts, k) == hits(rankings, truth_sets, k)
+        confusion = confusion_matrix(ids, ts)
+        assert confusion.dtype == np.int64
+        np.testing.assert_array_equal(confusion, counts)
+        report = evaluate_matches(ids, ps, k=k)
+        assert report.top1_match == hits(rankings, parent_sets, 1)
+        assert report.topk_match == hits(rankings, parent_sets, k)
+
+
+class TestArrayInputs:
+    def test_rates_are_python_floats(self):
+        rng = np.random.default_rng(3)
+        ids = rank_classes(rng.random((40, NUM_CLASSES)))
+        truths = rng.integers(1, NUM_CRITERIA + 1, size=40)
+        report = evaluate_split(ids, truths, k=3)
+        rates = [report.top1_accuracy, report.topk_accuracy, report.macro_f1]
+        rates += [v for scores in report.per_class.values()
+                  for v in scores.values()]
+        parentals = np.stack([parental(int(t), 1 + int(t) % NUM_CRITERIA)
+                              for t in truths])
+        matches = evaluate_matches(ids, parentals, k=3)
+        rates += [matches.top1_match, matches.topk_match]
+        assert all(type(rate) is float for rate in rates)
+
+    @pytest.mark.parametrize("k", [0, -1, NUM_CLASSES + 1])
+    def test_k_outside_one_to_eleven_is_a_value_error(self, k):
+        ids, truths = [full_ranking(1)], [1]
+        for call in (lambda: topk_accuracy(ids, truths, k),
+                     lambda: evaluate_split(ids, truths, k=k),
+                     lambda: evaluate_matches(ids, [parental(1)], k=k)):
+            with pytest.raises(ValueError, match=f"k must be in 1..11, "
+                                                 f"got {k}"):
+                call()
+
+    @pytest.mark.parametrize("rank1", [0, NUM_CLASSES + 1])
+    def test_rank1_id_out_of_range_is_a_value_error(self, rank1):
+        with pytest.raises(ValueError):
+            confusion_matrix([[rank1, 1]], [3])
+
+    def test_first_bad_truth_is_named(self):
+        with pytest.raises(ValueError, match="out of range: 0$"):
+            confusion_matrix(np.array([full_ranking(1)] * 3), [2, 0, 11])

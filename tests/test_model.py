@@ -442,9 +442,23 @@ class TestTrain:
         assert len(rankings) == len(model.history) == 4
         truths = (vl + 1).tolist()
         for entry, ranks in zip(model.history, rankings):
-            report = evaluate_split(ranks.tolist(), truths, k=2)
-            assert entry["val_top1"] == report.top1_accuracy
-            assert entry["val_topk"] == report.topk_accuracy
+            for ids, ts in ((ranks.tolist(), truths), (ranks, vl + 1)):
+                report = evaluate_split(ids, ts, k=2)
+                assert entry["val_top1"] == report.top1_accuracy
+                assert entry["val_topk"] == report.topk_accuracy
+
+    def test_history_rates_are_python_floats(self, toy_dataset):
+        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, oh, par, vx, vl,
+                      quick_config(max_epochs=3, patience=3))
+        assert len(model.history) == 3
+        assert all(type(entry[key]) is float for entry in model.history
+                   for key in ("val_top1", "val_topk"))
+
+    @pytest.mark.parametrize("k", [0, -1, NUM_CLASSES + 1])
+    def test_k_outside_one_to_eleven_is_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..11, got {k}"):
+            quick_config(k=k)
 
     def test_loss_non_increasing_small_lr(self, toy_dataset):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
