@@ -21,6 +21,7 @@ from .harness import (ExperimentConfig, Predictor, build_featurizer,
                       load_prior, mine, report, run_final, run_grid_search,
                       run_ls_sweep, setting_of, train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
+from .metrics import check_k
 from .model import save_checkpoint
 
 
@@ -123,6 +124,7 @@ def cmd_final(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    check_k(args.k)
     predictor = Predictor.load(args.model)
     dataset = read_dataset(args.dataset)
     samples = dataset.split(args.split)

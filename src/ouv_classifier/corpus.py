@@ -286,6 +286,8 @@ _NUM_TOKEN = re.compile(r"\d(?<!\S\d)\d*(?:[.,]\d+)?(?!\S)")
 # punctuation to pad with spaces, but a '.' or ',' between two characters of
 # the class {0} is a decimal or thousands separator and stays
 _PAD = "[.,;:!?()\"'](?:(?<![{0}][.,])|(?![{0}]))"
+# combining marks and non-decimal digits are all outside ASCII
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 def preprocess_many(sentences: list[str]) -> list[list[str]]:
@@ -303,7 +305,7 @@ def preprocess_many(sentences: list[str]) -> list[list[str]]:
     digits = r"\d"
     if not text.isascii():
         text = unicodedata.normalize("NFKD", text)
-        chars = set(text)
+        chars = set(_NON_ASCII.findall(text))
         marks = "".join(sorted(c for c in chars if unicodedata.combining(c)))
         if marks:
             text = re.sub(f"[{re.escape(marks)}]", "", text)

@@ -33,7 +33,7 @@ class TfidfVocabulary:
         return GramIdTables.build(self.gram_to_index)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, like ``TfidfVocabulary``
 class GramIdTables:
     """A vocabulary by integer token ids. ``token_id`` numbers every word of
     any gram, ``0 .. T - 1``; the id ``T`` stands for any other token.
@@ -144,13 +144,20 @@ def tfidf_rows(vocab: TfidfVocabulary,
     keys, counts = np.unique(rows * n_vocab + cols, return_counts=True)
     rows, indices = np.divmod(keys, n_vocab)
     data = counts * vocab.idf.take(indices)
+    nnz = np.bincount(rows, minlength=n_rows)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    # per row, the BLAS dot and correctly rounded sqrt of np.linalg.norm
-    for start, end in zip(indptr.tolist(), indptr[1:].tolist()):
-        if end > start:
-            values = data[start:end]
-            values /= math.sqrt(values.dot(values))
+    np.cumsum(nnz, out=indptr[1:])
+    # per row, the BLAS dot and correctly rounded sqrt of np.linalg.norm:
+    # matmul of each 1 x L row by itself as L x 1 calls the same ddot as
+    # ndarray.dot, so one matmul per distinct row length gives the bits
+    order = np.argsort(nnz, kind="stable")
+    widths, starts = np.unique(nnz.take(order), return_index=True)
+    squares = np.zeros(n_rows)
+    for width, group in zip(widths.tolist(), np.split(order, starts[1:])):
+        block = data[indptr.take(group)[:, None] + np.arange(width)]
+        squares[group] = np.matmul(block[:, None, :],
+                                   block[:, :, None]).ravel()
+    data /= np.repeat(np.sqrt(squares), nnz)
     return sparse.csr_matrix((data, indices, indptr),
                              shape=(n_rows, n_vocab))
 

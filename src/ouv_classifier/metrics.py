@@ -11,7 +11,7 @@ import numpy as np
 from . import NUM_CLASSES, NUM_CRITERIA
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: == would raise on confusion
 class EvalReport:
     top1_accuracy: float
     topk_accuracy: float

@@ -519,6 +519,17 @@ def test_evaluate_rejects_k_outside_one_to_eleven(workspace, capsys, k,
     assert captured.out == ""
 
 
+def test_evaluate_rejects_k_before_loading_the_model(workspace, tmp_path,
+                                                     capsys):
+    missing = tmp_path / "no-such-model.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(missing), "--split", "valid",
+                 "--dataset", str(workspace["data"]), "--k", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: k must be in 1..11, got 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
                                                        capsys, monkeypatch,

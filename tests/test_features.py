@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
-                                     boe_embed, fit_tfidf, load_embeddings,
-                                     tfidf_rows, token_frequencies)
+from ouv_classifier.features import (EmbeddingTable, GramIdTables,
+                                     TfidfVocabulary, boe_embed, fit_tfidf,
+                                     load_embeddings, tfidf_rows,
+                                     token_frequencies)
 from ouv_classifier.harness import Featurizer
 from conftest import make_sample
 
@@ -250,6 +251,52 @@ class TestTfidfRowsProperty:
     def test_vocabulary_reaches_long_rows(self):
         row = tfidf_rows(WIDE_VOCAB, [WORDS[:20] + WORDS[::-1][:20]])
         assert row.nnz >= 40
+
+
+class TestTfidfRowsBatchedNorm:
+    """The norms are summed once per distinct row length, over a block of
+    that length's rows; these shapes reach what the cases above do not."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, len(WORDS)),
+           st.lists(st.permutations(WORDS), min_size=40, max_size=60),
+           st.lists(st.tuples(st.integers(0, 60),
+                              st.sampled_from([[], ["oov"], ["zz", "oov"]])),
+                    max_size=8))
+    def test_many_rows_of_one_length_between_empty_rows(
+            self, vocab_files, width, orders, empties):
+        """Distinct words give ``width`` unigrams and ``width - 1`` bigrams,
+        so every non-empty row has the same number of columns."""
+        token_lists = [order[:width] for order in orders]
+        for at, empty in empties:
+            token_lists.insert(at, empty)
+        nnz = np.diff(tfidf_rows(WIDE_VOCAB, token_lists).indptr)
+        assert set(nnz.tolist()) - {0} == {2 * width - 1}
+        assert_bits_of_reference(WIDE_VOCAB, vocab_files["wide"],
+                                 token_lists)
+
+    def test_rows_of_130_to_300_columns(self, vocab_files):
+        """SD sentences have no length cap, and the BLAS dot may take
+        another code path for longer vectors; short rows between the long
+        ones shift where each long row starts in ``data``."""
+        rng = np.random.default_rng(13)
+        token_lists = []
+        for size in range(113, 340, 3):
+            token_lists.append(rng.choice(WORDS, size=size).tolist())
+            token_lists.append(rng.choice(WORDS, size=size % 7).tolist())
+        nnz = np.diff(tfidf_rows(WIDE_VOCAB, token_lists).indptr)[::2]
+        assert 130 <= nnz.min() <= 140 and 290 <= nnz.max() <= 300
+        assert_bits_of_reference(WIDE_VOCAB, vocab_files["wide"],
+                                 token_lists)
+
+
+def test_two_id_tables_of_one_vocabulary_compare_without_raising():
+    """The tables hold arrays, so they compare by identity: ``==`` gives a
+    bool instead of numpy's ambiguous truth value."""
+    a = GramIdTables.build(WIDE_VOCAB.gram_to_index)
+    b = GramIdTables.build(WIDE_VOCAB.gram_to_index)
+    assert (a == b) is False
+    assert (a == a) is True
 
 
 def write_embeddings(tmp_path, entries):

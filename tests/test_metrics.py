@@ -270,6 +270,15 @@ class TestArrayInputs:
                                                  f"got {k}"):
                 call()
 
+    def test_two_reports_of_one_input_compare_without_raising(self):
+        """``confusion`` is an array, so reports compare by identity: ``==``
+        gives a bool instead of numpy's ambiguous truth value."""
+        ids, truths = np.array([full_ranking(2), full_ranking(1)]), [2, 3]
+        a, b = evaluate_split(ids, truths), evaluate_split(ids, truths)
+        assert (a == b) is False
+        assert (a == a) is True
+        assert a.to_dict() == b.to_dict()
+
     @pytest.mark.parametrize("rank1", [0, NUM_CLASSES + 1])
     def test_rank1_id_out_of_range_is_a_value_error(self, rank1):
         with pytest.raises(ValueError):
