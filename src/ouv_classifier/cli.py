@@ -12,14 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from . import NUM_CRITERIA, atomic_open, read_json
+from . import NUM_CRITERIA, atomic_open
 from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
                       check_setting_keys, evaluate_model, featurize,
-                      load_prior, mine, report, run_final, run_grid_search,
-                      run_ls_sweep, setting_of, train_setting)
+                      load_prior, mine, read_artifact, report, run_final,
+                      run_grid_search, run_ls_sweep, setting_of,
+                      train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
 from .model import save_checkpoint
@@ -103,10 +104,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_final(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    out = Path(config.output_dir)
-    best = setting_of(read_json(out / "step1_grid/log.json", best={})["best"])
-    sweep = read_json(out / "step2_sweep/sweep.json", chosen_variant="",
-                      chosen_alpha=0.0)
+    best = setting_of(read_artifact(config.output_dir, "grid")["best"])
+    sweep = read_artifact(config.output_dir, "sweep")
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
     mu = load_prior(config)

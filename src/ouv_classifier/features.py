@@ -172,8 +172,10 @@ def load_embeddings(file_path: str | Path, frequency_threshold: int,
                     train_vocab: dict[str, int]) -> tuple[EmbeddingTable, list[str]]:
     """Load a text-format embedding file, keeping frequent corpus tokens.
 
-    Tokens whose corpus frequency is below the threshold fall back to
-    "<unk>", whose vector is the mean of all kept vectors. Returns the
+    A first line of two integer fields is the word2vec/fastText
+    ``count dim`` header: it is skipped, and every vector must have ``dim``
+    values. Tokens whose corpus frequency is below the threshold fall back
+    to "<unk>", whose vector is the mean of all kept vectors. Returns the
     table plus a report of unreadable lines.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -182,6 +184,10 @@ def load_embeddings(file_path: str | Path, frequency_threshold: int,
     with open(file_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
+            if line_no == 1 and len(parts) == 2 and all(
+                    part.isdecimal() for part in parts):
+                dimension = int(parts[1])
+                continue
             if len(parts) < 2:
                 errors.append(f"line {line_no}: too few fields")
                 continue

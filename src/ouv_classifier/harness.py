@@ -31,6 +31,15 @@ DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
 VARIANT_ORDER = ("vanilla", "uniform", "prior")
 SETTING_KEYS = ("hidden", "batch_size", "learning_rate", "l2", "dropout")
+# each step's artifact -> its path under ``output_dir`` and the keys its
+# readers need, as ``read_json`` defaults
+STEP_ARTIFACTS = {
+    "grid": ("step1_grid/log.json", {"best": {}}),
+    "sweep": ("step2_sweep/sweep.json", {"cells": [{}], "chosen_variant": "",
+                                         "chosen_alpha": 0.0}),
+    "final": ("step3_final/final.json", {"baseline": "", "setting": {},
+                                         "seed": 0, "rows": {}}),
+}
 # lines preprocessed, and lines featurized and scored per model call, in
 # ``mine``; bounds the joined text and the feature matrix on large inputs
 _MINE_BLOCK = 4096
@@ -103,6 +112,18 @@ def load_prior(config: ExperimentConfig) -> PriorWeights:
         return PriorWeights(mu=np.asarray(mu, dtype=float))
     sites = read_sites(Path(config.dataset_dir) / "sites.json")
     return prior_weights(cooccurrence(sites))
+
+
+def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
+    path = Path(output_dir, STEP_ARTIFACTS[step][0])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=1)
+
+
+def read_artifact(output_dir: str | Path, step: str) -> dict:
+    rel, keys = STEP_ARTIFACTS[step]
+    return read_json(Path(output_dir, rel), **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +260,38 @@ def train_setting(data: FeaturizedData, setting: dict,
     """Train one model on ``data`` with a setting's hyper-parameters; the
     run fields come from ``config`` and the rest are ``TrainConfig``'s
     defaults. Each setting value is coerced to its field's type, so an
-    integer ``l2`` is stored as a float."""
+    integer ``l2`` is stored as a float; an integer field given a value
+    that is not a whole number (16.5, inf, nan) is a ``ValueError`` naming
+    it."""
     base = TrainConfig(learning_rate=float(config.learning_rate),
                        max_epochs=config.max_epochs, patience=config.patience,
                        seed=seed, k=config.k, smoothing=smoothing)
-    train_config = dataclasses.replace(
-        base, **{key: type(getattr(base, key))(value)
-                 for key, value in setting.items()})
+    values = {}
+    for key, value in setting.items():
+        kind = type(getattr(base, key))
+        if kind is int and not float(value).is_integer():
+            raise ValueError(f"setting {key!r} must be an integer, "
+                             f"got {value!r}")
+        values[key] = kind(value)
+    train_config = dataclasses.replace(base, **values)
     return train(data.train_x, data.train_one_hots, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu,
                  featurizer_ref=featurizer_ref)
 
 
-def _best_epoch_scores(model: TrainedModel) -> tuple[float, float]:
+def training_record(data: FeaturizedData, setting: dict,
+                    config: ExperimentConfig, smoothing: SmoothingConfig,
+                    seed: int, mu: PriorWeights | None) -> dict:
+    """Train one ``(setting, smoothing, seed)`` with ``train_setting`` and
+    return its best epoch's ``val_top1``, ``val_topk`` and ``best_epoch``,
+    or ``{"error": ...}`` if it diverged or was given a bad value."""
+    try:
+        model = train_setting(data, setting, config, smoothing, seed, mu)
+    except (TrainingDiverged, ValueError) as exc:  # the step continues
+        return {"error": str(exc)}
     entry = model.history[model.best_epoch - 1]
-    return entry["val_top1"], entry["val_topk"]
+    return {"val_top1": entry["val_top1"], "val_topk": entry["val_topk"],
+            "best_epoch": model.best_epoch}
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +308,16 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
     data = featurize(featurizer, dataset)
     keys = sorted(config.grid)
     log = []
-    best = None
-    for values in itertools.product(*(config.grid[k] for k in keys)):
+    for values in itertools.product(*map(config.grid.get, keys)):
         setting = dict(zip(keys, values))
-        entry = dict(setting)
-        try:
-            model = train_setting(data, setting, config, SmoothingConfig(),
-                                  config.grid_seed, mu=None)
-        except (TrainingDiverged, ValueError) as exc:  # the grid continues
-            entry["error"] = str(exc)
-            log.append(entry)
-            continue
-        top1, topk = _best_epoch_scores(model)
-        entry.update(val_top1=top1, val_topk=topk,
-                     best_epoch=model.best_epoch)
-        log.append(entry)
-        if best is None or topk > best["val_topk"]:
-            best = entry
-    if best is None:
+        log.append(dict(setting, **training_record(
+            data, setting, config, SmoothingConfig(), config.grid_seed, None)))
+    scored = [entry for entry in log if "error" not in entry]
+    if not scored:
         raise RuntimeError("every grid setting failed to train")
-    out = Path(config.output_dir) / "step1_grid"
-    out.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out / "log.json") as fh:
-        json.dump({"log": log, "best": best, "seed": config.grid_seed},
-                  fh, indent=1)
+    best = max(scored, key=lambda entry: entry["val_topk"])  # first wins
+    write_artifact(config.output_dir, "grid",
+                   {"log": log, "best": best, "seed": config.grid_seed})
     return setting_of(best)
 
 
@@ -324,6 +348,9 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     maximizing the summed 95%-CI lower bounds of val top-1 and top-k."""
     if len(config.seeds) < 2:
         raise ValueError("the sweep requires at least two seeds")
+    for i, seed in enumerate(config.seeds):
+        if seed in config.seeds[:i]:
+            raise ValueError(f"sweep seed {seed!r} is repeated")
     check_setting_keys(best_setting)
     for variant in config.variants:
         if variant not in VARIANT_ORDER:
@@ -336,18 +363,11 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     data = featurize(featurizer, dataset)
     cells = []
     for smoothing in smoothings:
-        runs = []
-        failures = []
-        for seed in config.seeds:
-            try:
-                model = train_setting(data, best_setting, config, smoothing,
-                                      seed, mu)
-            except (TrainingDiverged, ValueError) as exc:
-                failures.append({"seed": seed, "error": str(exc)})
-                continue
-            top1, topk = _best_epoch_scores(model)
-            runs.append({"seed": seed, "val_top1": top1, "val_topk": topk,
-                         "best_epoch": model.best_epoch})
+        records = [dict(seed=seed, **training_record(
+            data, best_setting, config, smoothing, seed, mu))
+            for seed in config.seeds]
+        runs = [r for r in records if "error" not in r]
+        failures = [r for r in records if "error" in r]
         cell = {"variant": smoothing.variant, "alpha": smoothing.alpha,
                 "runs": runs, "failures": failures}
         if len(runs) >= 2:
@@ -373,11 +393,8 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
     winner = min(scored, key=sort_key)
     result = SweepResult(cells=cells, chosen_variant=winner["variant"],
                          chosen_alpha=winner["alpha"])
-    out = Path(config.output_dir) / "step2_sweep"
-    out.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out / "sweep.json") as fh:
-        json.dump({"setting": best_setting, **dataclasses.asdict(result)},
-                  fh, indent=1)
+    write_artifact(config.output_dir, "sweep",
+                   {"setting": best_setting, **dataclasses.asdict(result)})
     return result
 
 
@@ -432,7 +449,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     check_setting_keys(best_setting)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
-    out = Path(config.output_dir) / "step3_final"
+    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
     out.mkdir(parents=True, exist_ok=True)
     featurizer_path = out / "featurizer.json"
     featurizer.save(featurizer_path)
@@ -460,8 +477,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     payload = {"baseline": config.baseline, "setting": best_setting,
                "seed": config.grid_seed, "rows": rows,
                "sd_evaluated": sd_x is not None}
-    with atomic_open(out / "final.json") as fh:
-        json.dump(payload, fh, indent=1)
+    write_artifact(config.output_dir, "final", payload)
     payload["models"] = models
     return payload
 
@@ -553,27 +569,16 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 # ---------------------------------------------------------------------------
 # Reporting
 
-# each artifact ``report`` reads -> the keys it needs, as ``read_json`` defaults
-_EXPECTED_ARTIFACTS = {
-    "step1_grid/log.json": {"best": {}},
-    "step2_sweep/sweep.json": {"cells": [{}], "chosen_variant": "",
-                               "chosen_alpha": 0.0},
-    "step3_final/final.json": {"baseline": "", "setting": {}, "seed": 0,
-                               "rows": {}},
-}
-
-
 def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV.
     A missing artifact is a ``ReportError``; one without a key it needs,
     or with one of the wrong JSON type, is a ``ValueError`` naming it."""
     root = Path(artifacts_dir)
-    missing = [rel for rel in _EXPECTED_ARTIFACTS
+    missing = [rel for rel, _ in STEP_ARTIFACTS.values()
                if not (root / rel).exists()]
     if missing:
         raise ReportError(missing)
-    grid, sweep, final = (read_json(root / rel, **keys)
-                          for rel, keys in _EXPECTED_ARTIFACTS.items())
+    grid, sweep, final = (read_artifact(root, step) for step in STEP_ARTIFACTS)
 
     lines = [f"baseline: {final['baseline']}",
              f"grid best setting: {final['setting']} (seed {final['seed']})",

@@ -230,6 +230,27 @@ def test_train_coerces_setting_types(workspace, tmp_path):
     assert '"learning_rate":1.0,' in text
 
 
+@pytest.mark.parametrize("setting, key, value", [
+    ({"hidden": 16.5}, "hidden", "16.5"),
+    ({"hidden": 16, "batch_size": 64.9}, "batch_size", "64.9"),
+    ({"hidden": math.inf}, "hidden", "inf"),
+    ({"batch_size": math.nan}, "batch_size", "nan"),
+])
+def test_train_rejects_a_non_integer_int_setting(workspace, tmp_path, capsys,
+                                                 setting, key, value):
+    config = json.loads(workspace["config"].read_text())
+    config.update(setting=setting)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path),
+                 "--out", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: setting {key!r} must be an integer, got {value}\n"
+    assert not model_path.exists()
+
+
 def test_smoothing_key_typo_is_fatal(workspace, tmp_path, capsys):
     config = json.loads(workspace["config"].read_text())
     config.update(smoothing={"varient": "prior", "alpha": 0.1},

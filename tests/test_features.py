@@ -361,6 +361,48 @@ class TestLoadEmbeddings:
         assert errors == ["line 2: non-numeric value",
                           "line 3: non-numeric value"]
 
+    def test_count_dim_header_is_skipped(self, tmp_path):
+        body = "a 1 0 2\nb 0 1 0.5\n2 7 7 7\nc x y z\n"
+        plain = tmp_path / "plain.txt"
+        plain.write_text(body, encoding="utf-8")
+        headed = tmp_path / "headed.vec"
+        headed.write_text("4 3\n" + body, encoding="utf-8")
+        freq = {"a": 1, "b": 1, "2": 1, "c": 1}
+        table, errors = load_embeddings(plain, 1, freq)
+        headed_table, headed_errors = load_embeddings(headed, 1, freq)
+        assert headed_table.dimension == table.dimension == 3
+        assert list(headed_table.word_to_vector) == list(table.word_to_vector)
+        for token, vec in table.word_to_vector.items():
+            np.testing.assert_array_equal(headed_table.word_to_vector[token],
+                                          vec)
+        assert errors == ["line 4: non-numeric value"]
+        assert headed_errors == ["line 5: non-numeric value"]
+
+    def test_two_line_vec_file_loads(self, tmp_path):
+        path = tmp_path / "vectors.vec"
+        path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1})
+        assert errors == [] and table.dimension == 3
+        assert set(table.word_to_vector) == {"a", "b", "<unk>"}
+
+    @pytest.mark.parametrize("body, line", [
+        ("a 1 0\nb 0 1\n", 2),  # every vector short of the header's dim
+        ("a 1 0 0\nb 0 1\n", 3),
+    ])
+    def test_vector_off_the_header_dim_names_its_line(self, tmp_path, body,
+                                                      line):
+        path = tmp_path / "vectors.vec"
+        path.write_text("2 3\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {line}: dimension 2 != 3"):
+            load_embeddings(path, 1, {"a": 1, "b": 1})
+
+    def test_header_only_on_the_first_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1\n2 3\n", encoding="utf-8")
+        table, _ = load_embeddings(path, 1, {"a": 1, "2": 1})
+        assert table.dimension == 1
+        np.testing.assert_array_equal(table.word_to_vector["2"], [3.0])
+
 
 class TestBoeEmbed:
     def table(self):

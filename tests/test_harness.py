@@ -14,8 +14,8 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
-from ouv_classifier.model import (predict_proba, save_checkpoint,
-                                  top_classes)
+from ouv_classifier.model import (TrainingDiverged, predict_proba,
+                                  save_checkpoint, top_classes)
 from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
 from ouv_classifier.features import EmbeddingTable, fit_tfidf
 from conftest import make_sample, make_separable_dataset
@@ -79,6 +79,49 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             run_grid_search(toy_config(tmp_path, grid={}), dataset)
 
+    def test_tie_goes_to_the_first_setting(self, dataset, tmp_path):
+        # at learning rate 0 no weight moves, so both settings score alike
+        config = toy_config(tmp_path, grid={
+            "hidden": [16], "learning_rate": [0.0], "l2": [0.0, 1e-12]})
+        best = run_grid_search(config, dataset)
+        saved = json.loads(
+            (tmp_path / "runs/step1_grid/log.json").read_text())
+        first, second = saved["log"]
+        assert first["val_topk"] == second["val_topk"]
+        assert first["l2"] == 0.0 and second["l2"] == 1e-12
+        assert saved["best"] == first
+        assert best == {"hidden": 16, "l2": 0.0, "learning_rate": 0.0}
+
+    def test_log_entry_key_order(self, dataset, tmp_path):
+        config = toy_config(tmp_path, grid={
+            "hidden": [16], "dropout": [0.2, 1.5], "batch_size": [64]})
+        run_grid_search(config, dataset)
+        saved = json.loads(
+            (tmp_path / "runs/step1_grid/log.json").read_text())
+        assert list(saved) == ["log", "best", "seed"]
+        scored, failed = saved["log"]
+        setting_keys = ["batch_size", "dropout", "hidden"]
+        assert list(scored) == setting_keys + ["val_top1", "val_topk",
+                                               "best_epoch"]
+        assert list(failed) == setting_keys + ["error"]
+        assert saved["best"] == scored
+
+    def test_non_integer_int_setting_is_logged_as_error(self, dataset,
+                                                        tmp_path):
+        config = toy_config(tmp_path, grid={"batch_size": [64, 64.9],
+                                            "hidden": [16.0, 16.5, math.inf]})
+        assert run_grid_search(config, dataset) == {"batch_size": 64,
+                                                    "hidden": 16.0}
+        log = json.loads(
+            (tmp_path / "runs/step1_grid/log.json").read_text())["log"]
+        assert "error" not in log[0]
+        assert [entry.get("error") for entry in log[1:]] == [
+            "setting 'hidden' must be an integer, got 16.5",
+            "setting 'hidden' must be an integer, got inf",
+            "setting 'batch_size' must be an integer, got 64.9",
+            "setting 'batch_size' must be an integer, got 64.9",
+            "setting 'batch_size' must be an integer, got 64.9"]
+
 
 class TestConfidenceLowerBound:
     def test_formula(self):
@@ -124,6 +167,66 @@ class TestLsSweep:
         config = toy_config(tmp_path, seeds=[0])
         with pytest.raises(ValueError):
             run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
+
+    @staticmethod
+    def diverge_when(monkeypatch, fails):
+        """Make ``harness.train`` raise ``TrainingDiverged`` for each
+        training whose ``TrainConfig`` satisfies ``fails``."""
+        real_train = harness.train
+
+        def train(*args, **kwargs):
+            if fails(args[5]):
+                raise TrainingDiverged(f"diverged at seed {args[5].seed}")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train)
+
+    def test_failed_seed_is_recorded_and_left_out(self, dataset, tmp_path,
+                                                  monkeypatch):
+        self.diverge_when(monkeypatch, lambda c: c.seed == 1)
+        config = toy_config(tmp_path, seeds=[0, 1, 2])
+        result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
+                              dataset, toy_mu())
+        for cell in result.cells:
+            assert cell["failures"] == [{"seed": 1,
+                                         "error": "diverged at seed 1"}]
+            assert [run["seed"] for run in cell["runs"]] == [0, 2]
+            assert list(cell) == ["variant", "alpha", "runs", "failures",
+                                  "mean_top1", "sd_top1", "mean_topk",
+                                  "sd_topk", "score"]
+            for run in cell["runs"]:
+                assert list(run) == ["seed", "val_top1", "val_topk",
+                                     "best_epoch"]
+        saved = json.loads(
+            (tmp_path / "runs/step2_sweep/sweep.json").read_text())
+        assert saved["cells"] == result.cells
+
+    def test_cell_of_one_run_is_never_chosen(self, dataset, tmp_path,
+                                             monkeypatch):
+        # every cell but (uniform, 0.1) keeps only its seed-0 run
+        self.diverge_when(monkeypatch, lambda c: c.seed != 0 and (
+            c.smoothing.variant, c.smoothing.alpha) != ("uniform", 0.1))
+        config = toy_config(tmp_path, seeds=[0, 1, 2])
+        result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
+                              dataset, toy_mu())
+        scored = [(c["variant"], c["alpha"]) for c in result.cells
+                  if "score" in c]
+        assert scored == [("uniform", 0.1)]
+        assert (result.chosen_variant, result.chosen_alpha) == ("uniform",
+                                                                0.1)
+        for cell in result.cells:
+            if "score" not in cell:
+                assert list(cell) == ["variant", "alpha", "runs", "failures"]
+                assert [run["seed"] for run in cell["runs"]] == [0]
+
+    def test_no_scored_cell_raises_and_writes_nothing(self, dataset,
+                                                      tmp_path, monkeypatch):
+        self.diverge_when(monkeypatch, lambda c: c.seed == 1)
+        config = toy_config(tmp_path, seeds=[0, 1])
+        with pytest.raises(RuntimeError, match="at least two seeds"):
+            run_ls_sweep({"hidden": 16, "batch_size": 64}, config, dataset,
+                         toy_mu())
+        assert not (tmp_path / "runs/step2_sweep/sweep.json").exists()
 
 
 class TestRunFinal:
@@ -651,6 +754,7 @@ class TestSettingKeys:
     @pytest.mark.parametrize("overrides, match", [
         ({"variants": ["vanilla", "unifrom"]}, "'unifrom'"),
         ({"alpha_grid": [0.0, -0.1]}, "alpha must be non-negative"),
+        ({"seeds": [0, 1, 0]}, "sweep seed 0 is repeated"),
     ])
     def test_sweep_checks_every_cell_before_training(self, dataset, tmp_path,
                                                      monkeypatch, overrides,
