@@ -17,13 +17,11 @@ from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
-                      check_setting_keys, evaluate_model, featurize,
-                      load_prior, mine, read_artifact, report, run_final,
-                      run_grid_search, run_ls_sweep, setting_of,
-                      train_setting)
+                      evaluate_model, featurize, load_prior, mine,
+                      read_artifact, report, run_final, run_grid_search,
+                      run_ls_sweep, save_models, setting_of, train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
-from .model import save_checkpoint
 
 
 def cmd_ingest(args) -> int:
@@ -70,20 +68,15 @@ def cmd_prior(args) -> int:
 def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     config.baseline = args.baseline or config.baseline
-    check_setting_keys(config.setting)
     smoothing = SmoothingConfig(**config.smoothing)
     mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
-    data = featurize(featurizer, dataset)
+    model = train_setting(featurize(featurizer, dataset), config.setting,
+                          config, smoothing, config.grid_seed, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    featurizer_path = out.with_name(out.stem + "_featurizer.json")
-    featurizer.save(featurizer_path)
-    model = train_setting(data, config.setting, config, smoothing,
-                          config.grid_seed, mu,
-                          featurizer_ref=featurizer_path.name)
-    save_checkpoint(model, out)
+    save_models(featurizer, out.with_name(out.stem + "_featurizer.json"),
+                {out.name: model})
     last = model.history[model.best_epoch - 1]
     print(f"best_epoch={model.best_epoch} val_top1={last['val_top1']:.4f} "
           f"val_topk={last['val_topk']:.4f} checkpoint={out}")
@@ -218,8 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError, ValueError,
-            RuntimeError) as exc:
+    except (ConfigurationError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -476,7 +476,12 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def read_dataset(in_dir: str | Path) -> Dataset:
+    """The splits written by ``write_dataset`` (a missing split file is an
+    empty split); a directory that does not exist is a
+    ``FileNotFoundError`` naming it."""
     src = Path(in_dir)
+    if not src.is_dir():
+        raise FileNotFoundError(f"{src}: no such dataset directory")
     dataset = Dataset()
     for name in ("train", "valid", "test", "sd"):
         path = src / f"{name}.jsonl"

@@ -80,7 +80,21 @@ class ExperimentConfig:
         default_factory=lambda: {"variant": "none", "alpha": 0})
 
     def __post_init__(self):
+        """Reject, before any step runs, a value some step would reject."""
         check_k(self.k)
+        if not self.grid or not all(self.grid.values()):
+            raise ValueError("grid must be non-empty")
+        check_setting_keys([*self.grid, *self.setting])
+        if len(self.seeds) < 2:
+            raise ValueError("the sweep requires at least two seeds")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"sweep seed {seed!r} is repeated")
+        for variant in self.variants:
+            if variant not in VARIANT_ORDER:
+                raise ValueError(f"unknown variant {variant!r}")
+        for alpha in self.alpha_grid:
+            SmoothingConfig(alpha=alpha)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -255,8 +269,7 @@ def setting_of(entry: dict) -> dict:
 
 def train_setting(data: FeaturizedData, setting: dict,
                   config: ExperimentConfig, smoothing: SmoothingConfig,
-                  seed: int, mu: PriorWeights | None,
-                  featurizer_ref: str = "") -> TrainedModel:
+                  seed: int, mu: PriorWeights | None) -> TrainedModel:
     """Train one model on ``data`` with a setting's hyper-parameters; the
     run fields come from ``config`` and the rest are ``TrainConfig``'s
     defaults. Each setting value is coerced to its field's type, so an
@@ -275,8 +288,18 @@ def train_setting(data: FeaturizedData, setting: dict,
         values[key] = kind(value)
     train_config = dataclasses.replace(base, **values)
     return train(data.train_x, data.train_one_hots, data.train_parentals,
-                 data.valid_x, data.valid_labels, train_config, mu=mu,
-                 featurizer_ref=featurizer_ref)
+                 data.valid_x, data.valid_labels, train_config, mu=mu)
+
+
+def save_models(featurizer: Featurizer, featurizer_path: Path,
+                models: dict[str, TrainedModel]) -> None:
+    """Write ``featurizer`` to ``featurizer_path`` and each named model beside
+    it, its ``featurizer_ref`` naming that file; call after all trainings."""
+    featurizer_path.parent.mkdir(parents=True, exist_ok=True)
+    featurizer.save(featurizer_path)
+    for name, model in models.items():
+        model.featurizer_ref = featurizer_path.name
+        save_checkpoint(model, featurizer_path.with_name(name))
 
 
 def training_record(data: FeaturizedData, setting: dict,
@@ -300,9 +323,6 @@ def training_record(data: FeaturizedData, setting: dict,
 def run_grid_search(config: ExperimentConfig, dataset: Dataset,
                     featurizer: Featurizer | None = None) -> dict:
     """Single-seed grid search; best setting by validation top-k."""
-    if not config.grid or not all(config.grid.values()):
-        raise ValueError("grid must be non-empty")
-    check_setting_keys(config.grid)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
@@ -346,15 +366,7 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                  featurizer: Featurizer | None = None) -> SweepResult:
     """Train every (variant, alpha, seed) cell and pick the configuration
     maximizing the summed 95%-CI lower bounds of val top-1 and top-k."""
-    if len(config.seeds) < 2:
-        raise ValueError("the sweep requires at least two seeds")
-    for i, seed in enumerate(config.seeds):
-        if seed in config.seeds[:i]:
-            raise ValueError(f"sweep seed {seed!r} is repeated")
     check_setting_keys(best_setting)
-    for variant in config.variants:
-        if variant not in VARIANT_ORDER:
-            raise ValueError(f"unknown variant {variant!r}")
     smoothings = [SmoothingConfig(variant=variant, alpha=alpha)
                   for variant in config.variants
                   for alpha in config.alpha_grid]
@@ -443,25 +455,21 @@ def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
               config: ExperimentConfig, dataset: Dataset, mu: PriorWeights,
               featurizer: Featurizer | None = None) -> dict:
-    """Train the chosen-LS and no-LS models on the grid seed and evaluate
-    on valid/test plus the SD set when present. Each split is featurized
-    once; test and SD only after both models are trained."""
+    """Train the chosen-LS and no-LS models on the grid seed, then save
+    them and evaluate on valid/test plus the SD set when present. Each
+    split is featurized once; test and SD only after both models train."""
     check_setting_keys(best_setting)
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
-    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
-    out.mkdir(parents=True, exist_ok=True)
-    featurizer_path = out / "featurizer.json"
-    featurizer.save(featurizer_path)
     data = featurize(featurizer, dataset)
-
-    models = {}
-    for label, smoothing in (("no_ls", SmoothingConfig()),
-                             ("ls", chosen_ls)):
-        models[label] = train_setting(data, best_setting, config, smoothing,
-                                      config.grid_seed, mu,
-                                      featurizer_ref=featurizer_path.name)
-        save_checkpoint(models[label], out / f"model_{label}.json")
+    models = {label: train_setting(data, best_setting, config, smoothing,
+                                   config.grid_seed, mu)
+              for label, smoothing in (("no_ls", SmoothingConfig()),
+                                       ("ls", chosen_ls))}
+    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
+    save_models(featurizer, out / "featurizer.json",
+                {f"model_{label}.json": model
+                 for label, model in models.items()})
 
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None

@@ -215,8 +215,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
 def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
           valid_x, valid_labels: np.ndarray, config: TrainConfig,
-          mu: PriorWeights | None = None,
-          featurizer_ref: str = "") -> TrainedModel:
+          mu: PriorWeights | None = None) -> TrainedModel:
     """Minibatch training with early stopping on validation top-k.
 
     ``train_x``/``valid_x`` are feature matrices (dense or CSR);
@@ -276,7 +275,7 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
             if epochs_since_improvement >= config.patience:
                 break
 
-    return TrainedModel(params=best_params, featurizer_ref=featurizer_ref,
+    return TrainedModel(params=best_params, featurizer_ref="",
                         config=config, best_epoch=best_epoch, history=history)
 
 

@@ -12,7 +12,7 @@ from ouv_classifier import NUM_CLASSES, cli, harness
 from ouv_classifier.cli import main
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
-                                  save_checkpoint)
+                                  TrainingDiverged, save_checkpoint)
 
 HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 ROMANS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -275,7 +275,7 @@ def test_non_object_config_is_fatal(tmp_path, capsys):
 
 @pytest.mark.parametrize("failing", ["json", "csv"])
 def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
-                                            failing):
+                                            capsys, failing):
     out = tmp_path / "prior.json"
     assert main(["prior", str(workspace["data"]), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -295,8 +295,9 @@ def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
                 raise OSError("disk full")
 
         monkeypatch.setattr(csv, "writer", FailingWriter)
-    with pytest.raises(OSError, match="disk full"):
-        main(["prior", str(workspace["data"]), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["prior", str(workspace["data"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -569,3 +570,156 @@ def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
     assert not (tmp_path / "runs").exists()
     with pytest.raises(ValueError, match="k must be in 1..11, got 0"):
         ExperimentConfig(k=0)
+
+
+def single_model(workspace):
+    """The ``ouvclf train`` checkpoint of the workspace config."""
+    model_path = workspace["root"] / "single/model.json"
+    if not model_path.exists():
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--out", str(model_path)]) == 0
+    return model_path
+
+
+def write_config(workspace, path, **changes):
+    """The workspace config with ``changes``, written to ``path``."""
+    config = json.loads(workspace["config"].read_text())
+    config.update(changes)
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def copy_steps_1_and_2(workspace, runs):
+    """Copy the workspace sweep's step 1 and 2 artifacts into ``runs``,
+    running the sweep first if no earlier test has."""
+    if not (workspace["runs"] / "step2_sweep/sweep.json").exists():
+        assert main(["sweep", "--config", str(workspace["config"])]) == 0
+    for rel in ("step1_grid/log.json", "step2_sweep/sweep.json"):
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(workspace["runs"] / rel, runs / rel)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "final", "evaluate"])
+def test_missing_dataset_dir_is_named(workspace, tmp_path, capsys, command):
+    missing = tmp_path / "dataa"
+    runs = tmp_path / "runs"
+    if command == "evaluate":
+        args = ["--model", str(single_model(workspace)), "--split", "valid",
+                "--dataset", str(missing)]
+    else:
+        if command == "final":
+            copy_steps_1_and_2(workspace, runs)
+        args = ["--config", str(write_config(
+            workspace, tmp_path / "config.json", dataset_dir=str(missing),
+            output_dir=str(runs)))]
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {missing}: no such dataset directory\n")
+    assert not (runs / "step3_final").exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "prior", "evaluate"])
+def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
+                                                          capsys, command):
+    model = str(single_model(workspace))
+    args = {"mine": ["mine", "--models", model, model,
+                     "--input", str(tmp_path)],
+            "prior": ["prior", str(workspace["data"]),
+                      "--out", str(tmp_path)],
+            "evaluate": ["evaluate", "--model", str(tmp_path), "--split",
+                         "valid", "--dataset", str(workspace["data"])]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("variants", ["vanila"], "unknown variant 'vanila'"),
+    ("seeds", [0], "the sweep requires at least two seeds"),
+    ("seeds", [0, 1, 0], "sweep seed 0 is repeated"),
+    ("alpha_grid", [-0.1], "alpha must be non-negative"),
+    ("grid", {}, "grid must be non-empty"),
+    ("grid", {"hidden": [16], "batch_size": []}, "grid must be non-empty"),
+    ("grid", {"hiden": [16]}, "unknown setting key 'hiden'"),
+    ("setting", {"batchsize": 64}, "unknown setting key 'batchsize'"),
+], ids=["variant", "one-seed", "repeated-seed", "negative-alpha",
+        "empty-grid", "empty-grid-list", "grid-key", "setting-key"])
+@pytest.mark.parametrize("command", ["sweep", "train", "final"])
+def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
+                                                monkeypatch, command, key,
+                                                value, message):
+    runs = tmp_path / "runs"
+    if command == "final":
+        copy_steps_1_and_2(workspace, runs)
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    before = sorted(runs.rglob("*"))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs), **{key: value})
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert calls == []
+    assert sorted(runs.rglob("*")) == before
+
+
+def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
+        workspace, tmp_path, capsys, monkeypatch):
+    def final(runs, **changes):
+        config_path = write_config(workspace, tmp_path / f"{runs.name}.json",
+                                   output_dir=str(runs), **changes)
+        return main(["final", "--config", str(config_path)])
+
+    def step3(runs):
+        return {p.name: p.read_bytes()
+                for p in sorted((runs / "step3_final").iterdir())}
+
+    runs, fresh = tmp_path / "runs", tmp_path / "fresh"
+    copy_steps_1_and_2(workspace, runs)
+    copy_steps_1_and_2(workspace, fresh)
+    assert final(runs) == 0
+    before = step3(runs)
+    # another featurizer and other models, so a stray write would show
+    changes = {"min_df": 2, "max_epochs": 3}
+    real_train = harness.train
+    calls = []
+
+    def diverge_on_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TrainingDiverged("diverged in the second training")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", diverge_on_second)
+    capsys.readouterr()
+    assert final(runs, **changes) == 1
+    assert capsys.readouterr().err == (
+        "error: diverged in the second training\n")
+    assert len(calls) == 2
+    assert step3(runs) == before
+    monkeypatch.setattr(harness, "train", real_train)
+    assert final(runs, **changes) == 0
+    assert final(fresh, **changes) == 0
+    assert step3(runs) == step3(fresh)
+    assert step3(runs).keys() == before.keys()
+    assert all(step3(runs)[name] != before[name] for name in before)
+
+
+def test_failed_train_creates_no_file_or_directory(workspace, tmp_path,
+                                                   capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise TrainingDiverged("diverged")
+
+    monkeypatch.setattr(harness, "train", diverge)
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(tmp_path / "runs"))
+    for extra in ([], ["--out", str(tmp_path / "models/model.json")]):
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), *extra]) == 1
+        assert capsys.readouterr().err == "error: diverged\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -164,8 +164,8 @@ class TestLsSweep:
         assert result.chosen_alpha == 0.0
 
     def test_single_seed_rejected(self, dataset, tmp_path):
-        config = toy_config(tmp_path, seeds=[0])
         with pytest.raises(ValueError):
+            config = toy_config(tmp_path, seeds=[0])
             run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
 
     @staticmethod
@@ -271,6 +271,24 @@ class TestRunFinal:
             assert predictor.featurizer.kind == "ngram"
             ids, confs = predictor.topk([dataset.valid[0].tokens], k=3)
             assert ids.shape == confs.shape == (1, 3)
+
+    def test_save_models_writes_the_featurizer_beside_each_model(
+            self, dataset, tmp_path):
+        config = toy_config(tmp_path)
+        featurizer = build_featurizer(config, dataset)
+        model = harness.train_setting(featurize(featurizer, dataset),
+                                      {"hidden": 8}, config,
+                                      SmoothingConfig(), 0, None)
+        assert model.featurizer_ref == ""
+        out = tmp_path / "new/dir"
+        harness.save_models(featurizer, out / "f.json",
+                            {"a.json": model, "b.json": model})
+        assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.json",
+                                                         "f.json"]
+        for name in ("a.json", "b.json"):
+            predictor = Predictor.load(out / name)
+            assert predictor.model.featurizer_ref == "f.json"
+            assert predictor.featurizer_path == (out / "f.json").resolve()
 
     def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
                                                  monkeypatch):
@@ -735,8 +753,8 @@ class TestSettingKeys:
             raise AssertionError("trained despite a bad grid key")
 
         monkeypatch.setattr(harness, "train", no_training)
-        config = toy_config(tmp_path, grid={"hiden": [8, 64]})
         with pytest.raises(ValueError, match="'hiden'"):
+            config = toy_config(tmp_path, grid={"hiden": [8, 64]})
             run_grid_search(config, dataset)
         assert not (tmp_path / "runs").exists()
 
@@ -764,8 +782,8 @@ class TestSettingKeys:
 
         monkeypatch.setattr(harness, "featurize", never)
         monkeypatch.setattr(harness, "train", never)
-        config = toy_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=match):
+            config = toy_config(tmp_path, **overrides)
             run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
         assert not (tmp_path / "runs").exists()
 

@@ -524,10 +524,10 @@ class TestCheckpoint:
     def test_round_trip_and_byte_identity(self, toy_dataset, tmp_path):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
         config = quick_config(max_epochs=3)
-        model = train(tx, oh, par, vx, vl, config, featurizer_ref="vocab")
+        model = train(tx, oh, par, vx, vl, config)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(model, p1)
-        model2 = train(tx, oh, par, vx, vl, config, featurizer_ref="vocab")
+        model2 = train(tx, oh, par, vx, vl, config)
         save_checkpoint(model2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_checkpoint(p1)

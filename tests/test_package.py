@@ -47,6 +47,38 @@ def test_no_private_imports_across_modules():
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names a module's imports bind but its code never reads, in import
+    order (a ``__future__`` import binds no name)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_detector_sees_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, json\n"
+              "import numpy as np\n"
+              "from .model import train, save_checkpoint as save\n"
+              "from . import atomic_open\n"
+              "def f(x: np.ndarray) -> None:\n"
+              "    os.path.join(train(x))\n")
+    assert unused_imports(source) == ["json", "save", "atomic_open"]
+
+
+def test_no_unused_imports():
+    offenders = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
 def third_party_imports(source: str) -> set[str]:
     """Top-level names of the absolute imports that are neither the
     standard library nor this package."""
