@@ -18,7 +18,7 @@ from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
                       evaluate_model, featurize, load_prior, mine,
-                      read_artifact, report, run_final, run_grid_search,
+                      read_grid_and_sweep, report, run_final, run_grid_search,
                       run_ls_sweep, save_models, setting_of, train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
@@ -69,8 +69,8 @@ def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     config.baseline = args.baseline or config.baseline
     smoothing = SmoothingConfig(**config.smoothing)
-    mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
+    mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
     model = train_setting(featurize(featurizer, dataset), config.setting,
                           config, smoothing, config.grid_seed, mu)
@@ -85,8 +85,8 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
+    mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
     best = run_grid_search(config, dataset, featurizer=featurizer)
     result = run_ls_sweep(best, config, dataset, mu, featurizer=featurizer)
@@ -97,12 +97,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_final(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    best = setting_of(read_artifact(config.output_dir, "grid")["best"])
-    sweep = read_artifact(config.output_dir, "sweep")
+    grid, sweep = read_grid_and_sweep(config.output_dir)
+    best = setting_of(grid["best"])
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
-    mu = load_prior(config)
     dataset = read_dataset(config.dataset_dir)
+    mu = load_prior(config)
     payload = run_final(best, chosen, config, dataset, mu)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "

@@ -279,15 +279,32 @@ def split_sentences(paragraph: str) -> list[str]:
 
 # Each pattern begins with the character it consumes (any lookbehind comes
 # after it), so ``re`` skips to candidates instead of trying every position.
-_DIGIT_THEN_LETTER = re.compile(r"\d(?=[^\d\s.,])")  # "16th" -> "16 th"
-_LETTER_THEN_DIGIT = re.compile(r"\d(?<=[^\d\s.,]\d)")  # "x9" -> "x 9"
+# A digit with a letter-like neighbour: group 1 holds the one before it,
+# group 2 the one after it when group 1 is set ("x9y" -> "x 9 y", "16th" ->
+# "16 th")
+_DIGIT_BY_LETTER = re.compile(
+    r"\d(?:(?<=([^\d\s.,])\d)(?=([^\d\s.,]))?|(?=[^\d\s.,]))")
 # a whole token of digits, with at most one inner '.' or ','
 _NUM_TOKEN = re.compile(r"\d(?<!\S\d)\d*(?:[.,]\d+)?(?!\S)")
 # punctuation to pad with spaces, but a '.' or ',' between two characters of
 # the class {0} is a decimal or thousands separator and stays
 _PAD = "[.,;:!?()\"'](?:(?<![{0}][.,])|(?![{0}]))"
-# combining marks and non-decimal digits are all outside ASCII
-_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+# combining marks and non-decimal digits are all outside ASCII; the group
+# keeps each such character as an item of ``split``'s result
+_NON_ASCII = re.compile(r"([^\x00-\x7f])")
+
+
+def _pad_digit(m: re.Match) -> str:
+    """A ``_DIGIT_BY_LETTER`` match with a space on each letter-like side."""
+    if m[1] is None:
+        return m[0] + " "
+    return f" {m[0]} " if m[2] else " " + m[0]
+
+
+def _fold_accents(char: str) -> str:
+    """``char`` in NFKD form without its combining characters."""
+    return "".join(c for c in unicodedata.normalize("NFKD", char)
+                   if not unicodedata.combining(c))
 
 
 def preprocess_many(sentences: list[str]) -> list[list[str]]:
@@ -298,24 +315,34 @@ def preprocess_many(sentences: list[str]) -> list[list[str]]:
     the literal token "<num>". Stop-words are retained. Each step runs once
     over the sentences joined by newlines (a newline inside a sentence
     becomes a space); no step acts across a newline.
+
+    Accents are folded in one pass that splits the text at its non-ASCII
+    characters and puts each one's fold, computed once per distinct
+    character, in its place; the text is scanned once, however many
+    distinct characters it holds. That equals NFKD over the whole text, then
+    dropping every combining character: NFKD decomposes each code point on
+    its own, and its canonical reordering (UAX #15) moves only combining
+    characters, which are all dropped. One pass then pads each digit on
+    the side of a letter-like neighbour: the character before a digit is
+    never a space this pass inserts.
     """
     if not sentences:
         return []
     text = "\n".join(s.replace("\n", " ") for s in sentences)
     digits = r"\d"
     if not text.isascii():
-        text = unicodedata.normalize("NFKD", text)
-        chars = set(_NON_ASCII.findall(text))
-        marks = "".join(sorted(c for c in chars if unicodedata.combining(c)))
-        if marks:
-            text = re.sub(f"[{re.escape(marks)}]", "", text)
+        parts = _NON_ASCII.split(text)
+        chars = parts[1::2]
+        folds = {c: _fold_accents(c) for c in set(chars)}
+        parts[1::2] = map(folds.__getitem__, chars)
+        text = "".join(parts)
         # the separator rule tests str.isdigit, which holds for more than \d
         digits += re.escape("".join(sorted(
-            c for c in chars if c.isdigit() and not c.isdecimal())))
+            {c for fold in folds.values() for c in fold
+             if c.isdigit() and not c.isdecimal()})))
     text = text.lower()
     # functions, not ``\g<0>`` templates, which ``re`` expands per match
-    text = _DIGIT_THEN_LETTER.sub(lambda m: m[0] + " ", text)
-    text = _LETTER_THEN_DIGIT.sub(lambda m: " " + m[0], text)
+    text = _DIGIT_BY_LETTER.sub(_pad_digit, text)
     text = re.sub(_PAD.format(digits), lambda m: f" {m[0]} ", text)
     text = _NUM_TOKEN.sub("<num>", text)
     return [line.split() for line in text.split("\n")]
@@ -422,17 +449,21 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
 # ---------------------------------------------------------------------------
 # JSON-lines persistence
 
+# one encoder for every line: ``json.dumps`` with an option builds one per call
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def sample_to_json(sample: Sample) -> str:
     record = {
         "tokens": sample.tokens,
         "sentence_label": sample.sentence_label,
         "one_hot": None if sample.one_hot is None
-        else [int(v) for v in sample.one_hot],
-        "parental": [float(v) for v in sample.parental],
+        else [int(v) for v in sample.one_hot.tolist()],
+        "parental": sample.parental.tolist(),
         "site_id": sample.site_id,
         "split": sample.split,
     }
-    return json.dumps(record, ensure_ascii=False)
+    return _ENCODE(record)
 
 
 def sample_from_json(line: str) -> Sample:
@@ -478,7 +509,12 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 def read_dataset(in_dir: str | Path) -> Dataset:
     """The splits written by ``write_dataset`` (a missing split file is an
     empty split); a directory that does not exist is a
-    ``FileNotFoundError`` naming it."""
+    ``FileNotFoundError`` naming it. An empty string, as a config without
+    ``dataset_dir`` or ``--dataset ""`` gives, is a ``ValueError``, not the
+    current directory."""
+    if in_dir == "":
+        raise ValueError(
+            "no dataset directory given (empty 'dataset_dir' or --dataset)")
     src = Path(in_dir)
     if not src.is_dir():
         raise FileNotFoundError(f"{src}: no such dataset directory")

@@ -35,7 +35,8 @@ SETTING_KEYS = ("hidden", "batch_size", "learning_rate", "l2", "dropout")
 # readers need, as ``read_json`` defaults
 STEP_ARTIFACTS = {
     "grid": ("step1_grid/log.json", {"best": {}}),
-    "sweep": ("step2_sweep/sweep.json", {"cells": [{}], "chosen_variant": "",
+    "sweep": ("step2_sweep/sweep.json", {"setting": {}, "cells": [{}],
+                                         "chosen_variant": "",
                                          "chosen_alpha": 0.0}),
     "final": ("step3_final/final.json", {"baseline": "", "setting": {},
                                          "seed": 0, "rows": {}}),
@@ -138,6 +139,22 @@ def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
 def read_artifact(output_dir: str | Path, step: str) -> dict:
     rel, keys = STEP_ARTIFACTS[step]
     return read_json(Path(output_dir, rel), **keys)
+
+
+def read_grid_and_sweep(output_dir: str | Path) -> tuple[dict, dict]:
+    """The grid and sweep artifacts of one run: a ``sweep.json`` whose
+    ``setting`` is not ``log.json``'s best is a ``ValueError`` naming both
+    files, as a failed rerun of the sweep leaves them."""
+    grid, sweep = (read_artifact(output_dir, step)
+                   for step in ("grid", "sweep"))
+    best = setting_of(grid["best"])
+    if sweep["setting"] != best:
+        grid_path, sweep_path = (Path(output_dir, STEP_ARTIFACTS[step][0])
+                                 for step in ("grid", "sweep"))
+        raise ValueError(f"{sweep_path} holds setting {sweep['setting']} "
+                         f"but {grid_path} holds best setting {best}: they "
+                         "come from different runs; rerun `ouvclf sweep`")
+    return grid, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +579,16 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
         iou = inter / (6 - inter)
         passed = ((conf_a > confidence_threshold)
                   & (conf_b > confidence_threshold) & (iou > iou_threshold))
-        for i in np.flatnonzero(passed).tolist():
+        rows = np.flatnonzero(passed)
+        columns = (rows, ids_a[rows], confs_a[rows], ids_b[rows],
+                   confs_b[rows], conf_a[rows], conf_b[rows], iou[rows])
+        for i, id_a, cf_a, id_b, cf_b, sum_a, sum_b, overlap in zip(
+                *(column.tolist() for column in columns)):
             kept.append({"sentence": block[i][0],
-                         "predictions_a": list(zip(ids_a[i].tolist(),
-                                                   confs_a[i].tolist())),
-                         "predictions_b": list(zip(ids_b[i].tolist(),
-                                                   confs_b[i].tolist())),
-                         "confidence_a": float(conf_a[i]),
-                         "confidence_b": float(conf_b[i]),
-                         "iou": float(iou[i])})
+                         "predictions_a": list(zip(id_a, cf_a)),
+                         "predictions_b": list(zip(id_b, cf_b)),
+                         "confidence_a": sum_a, "confidence_b": sum_b,
+                         "iou": overlap})
     return kept
 
 
@@ -580,13 +598,15 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV.
     A missing artifact is a ``ReportError``; one without a key it needs,
-    or with one of the wrong JSON type, is a ``ValueError`` naming it."""
+    or with one of the wrong JSON type, is a ``ValueError`` naming it, as
+    are grid and sweep artifacts of two runs (``read_grid_and_sweep``)."""
     root = Path(artifacts_dir)
     missing = [rel for rel, _ in STEP_ARTIFACTS.values()
                if not (root / rel).exists()]
     if missing:
         raise ReportError(missing)
-    grid, sweep, final = (read_artifact(root, step) for step in STEP_ARTIFACTS)
+    grid, sweep = read_grid_and_sweep(root)
+    final = read_artifact(root, "final")
 
     lines = [f"baseline: {final['baseline']}",
              f"grid best setting: {final['setting']} (seed {final['seed']})",

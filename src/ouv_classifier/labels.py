@@ -6,7 +6,6 @@ Criteria are indexed 1-10 externally; vectors are length 11 with the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,26 +123,3 @@ def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
         combined = one_hots + alpha * (weights * parentals)
     return soft_softmax(combined)
 
-
-def epsilon_for_alpha(alpha: float, num_classes: int) -> float:
-    """Smoothing strength of original label smoothing equivalent to the
-    vanilla variant at a given alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    k = num_classes
-    num = math.expm1(alpha) * k
-    denom = math.exp(1 + alpha) + (k - 1) * math.exp(alpha) - k
-    return num / denom
-
-
-def original_ls(one_hot: np.ndarray, epsilon: float,
-                num_classes: int) -> np.ndarray:
-    """Original label smoothing: (1 - eps) * y + (eps / K) * 1."""
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must be in [0, 1)")
-    one_hot = np.asarray(one_hot, dtype=float)
-    if one_hot.shape != (num_classes,):
-        raise ValueError("one_hot length does not match num_classes")
-    return (1 - epsilon) * one_hot + epsilon / num_classes

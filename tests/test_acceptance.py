@@ -23,14 +23,14 @@ from ouv_classifier.features import boe_embed, fit_tfidf, load_embeddings, \
     tfidf_rows, token_frequencies
 from ouv_classifier.harness import mine
 from ouv_classifier.labels import (ALPHA_GRID, PriorWeights, SmoothingConfig,
-                                   cooccurrence, epsilon_for_alpha,
-                                   original_ls, prior_weights, soft_softmax,
+                                   cooccurrence, prior_weights, soft_softmax,
                                    soft_targets)
 from ouv_classifier.metrics import evaluate_matches, evaluate_split
 from ouv_classifier.model import (TrainConfig, backward, cross_entropy_soft,
                                   forward, init_params, save_checkpoint,
                                   train)
 from conftest import make_separable_dataset
+from test_labels import epsilon_for_alpha, original_ls
 
 SYNDICATION_CSV = os.environ.get("OUV_SYNDICATION_CSV", "")
 EMBEDDINGS_PATH = os.environ.get("OUV_EMBEDDINGS", "")

@@ -723,3 +723,78 @@ def test_failed_train_creates_no_file_or_directory(workspace, tmp_path,
         assert main(["train", "--config", str(config_path), *extra]) == 1
         assert capsys.readouterr().err == "error: diverged\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_final_and_report_refuse_a_grid_and_sweep_of_two_runs(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A sweep rerun with another grid whose every smoothed training
+    diverges writes a new ``log.json`` beside the old ``sweep.json``;
+    ``final`` and ``report`` then name both files and write nothing."""
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs))
+    assert main(["final", "--config", str(config_path)]) == 0
+    assert main(["report", str(runs)]) == 0
+    real_train = harness.train
+    calls = []
+
+    def diverge_when_smoothed(*args, **kwargs):
+        calls.append(args)
+        if args[5].smoothing.variant != "none":
+            raise TrainingDiverged("diverged")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", diverge_when_smoothed)
+    sweep_bytes = (runs / "step2_sweep/sweep.json").read_bytes()
+    other = write_config(workspace, tmp_path / "other.json",
+                         output_dir=str(runs),
+                         grid={"hidden": [8], "batch_size": [64]})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(other)]) == 1
+    assert "no sweep cell completed" in capsys.readouterr().err
+    assert (runs / "step2_sweep/sweep.json").read_bytes() == sweep_bytes
+    before = {p: p.read_bytes() for p in sorted(runs.rglob("*"))
+              if p.is_file()}
+    calls.clear()
+    grid_path, sweep_path = (runs / "step1_grid/log.json",
+                             runs / "step2_sweep/sweep.json")
+    for argv in (["final", "--config", str(config_path)],
+                 ["report", str(runs)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep_path} holds setting ")
+        assert f"but {grid_path} holds best setting " in err
+    assert calls == []
+    assert {p: p.read_bytes() for p in sorted(runs.rglob("*"))
+            if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command, missing", [
+    *[(command, missing) for command in ("train", "sweep", "final")
+      for missing in (["dataset_dir"], ["dataset_dir", "prior_path"])],
+    ("evaluate", None)])
+def test_config_without_dataset_dir_names_the_field(workspace, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command, missing):
+    runs = tmp_path / "runs"
+    if command == "evaluate":
+        args = ["--model", str(single_model(workspace)), "--split", "valid",
+                "--dataset", ""]
+    else:
+        if command == "final":
+            copy_steps_1_and_2(workspace, runs)
+        config = json.loads(workspace["config"].read_text())
+        for key in missing:  # without a prior file, the prior needs the data
+            del config[key]
+        config["output_dir"] = str(runs)
+        (tmp_path / "config.json").write_text(json.dumps(config),
+                                              encoding="utf-8")
+        args = ["--config", "config.json"]
+    monkeypatch.chdir(tmp_path)  # not read as the current directory
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: no dataset directory given (empty 'dataset_dir' or "
+        "--dataset)\n")
+    assert not (runs / "step3_final").exists()

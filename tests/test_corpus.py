@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
-                                   SiteRecord, build_dataset, build_sd_set,
+                                   Sample, SiteRecord, build_dataset,
+                                   build_sd_set, make_one_hot,
                                    parse_syndication, preprocess,
                                    preprocess_many, read_dataset,
                                    read_samples, sample_from_json,
@@ -109,6 +110,17 @@ def per_line_preprocess(sentence):
 # circled and dingbat digits (str.isdigit, not \d), Kharoshthi and
 # Arabic-Indic digits
 TRICKY = st.text(alphabet="\n\r\x85 \xa0\u0301Σσﬁ²①❶𐩀٣aZé9.,;(')x")
+# a second alphabet: spacing marks whose fold is a space (a diaeresis, an
+# acute), the combining ypogegrammeni, a capital whose lowercase takes a
+# combining dot (İ), a titlecase digraph, a parenthesized digit, an ASCII
+# separator that str.split treats as whitespace, the ideographic space, a
+# letter whose fold is not ASCII (ά); some lines open with a lone combining
+# mark, and some hold Σ before punctuation
+TRICKY_2 = st.text(alphabet="¨´\u0345İǅ⑴\x1c\u3000\u0301Σσά.,;'a1 \n")
+TRICKY_2_LINES = st.one_of(
+    TRICKY_2, TRICKY_2.map(lambda s: "\u0301" + s),
+    st.tuples(TRICKY_2, st.sampled_from(".,;'()"), TRICKY_2).map(
+        lambda t: f"{t[0]}Σ{t[1]}{t[2]}"))
 
 
 class TestPreprocessMany:
@@ -121,6 +133,12 @@ class TestPreprocessMany:
     @settings(deadline=None, max_examples=500)
     @given(st.lists(TRICKY))
     def test_equals_per_line_rule_on_tricky_characters(self, lines):
+        assert preprocess_many(lines) == [per_line_preprocess(s)
+                                          for s in lines]
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(TRICKY_2_LINES))
+    def test_equals_per_line_rule_on_a_second_alphabet(self, lines):
         assert preprocess_many(lines) == [per_line_preprocess(s)
                                           for s in lines]
 
@@ -153,6 +171,12 @@ class TestPreprocess:
          ["a", "unesco", "site", "(", "inscribed", "<num>", ")", "."]),
         ("covers 1,200 hectares", ["covers", "<num>", "hectares"]),
         ("façade; naïve décor", ["facade", ";", "naive", "decor"]),
+        ("a1b2c", ["a", "<num>", "b", "<num>", "c"]),
+        ("(1980)", ["(", "<num>", ")"]),
+        ("x9y", ["x", "<num>", "y"]),
+        ("3.5km", ["<num>", "km"]),
+        # ① folds to 1, so the ',' is a separator between two digits
+        ("①,2", ["<num>"]),
     ]
 
     @pytest.mark.parametrize("text,expected", GOLDEN)
@@ -363,6 +387,26 @@ class TestJsonl:
         assert sample_to_json(sample) == sample_to_json(sample)
         rebuilt = sample_from_json(sample_to_json(sample))
         assert sample_to_json(rebuilt) == sample_to_json(sample)
+
+    def test_line_bytes(self):
+        """Key order, separators, integer one-hot items, float parental
+        items and non-ASCII tokens as they are."""
+        site = SiteRecord(site_id=7, name="", justification={},
+                          short_description="", criteria=frozenset({2, 5}))
+        parental = ('"parental": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, '
+                    '0.0, 0.0, 0.2], "site_id": 7')
+        train = Sample(tokens=["château", "<num>"], sentence_label=2,
+                       one_hot=make_one_hot(2), parental=site.parental_label(),
+                       site_id=7, split="train")
+        assert sample_to_json(train) == (
+            '{"tokens": ["château", "<num>"], "sentence_label": 2, '
+            '"one_hot": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+            + parental + ', "split": "train"}')
+        sd = Sample(tokens=["sd"], sentence_label=None, one_hot=None,
+                    parental=site.parental_label(), site_id=7, split="sd")
+        assert sample_to_json(sd) == (
+            '{"tokens": ["sd"], "sentence_label": null, "one_hot": null, '
+            + parental + ', "split": "sd"}')
 
     def test_file_without_tokens_reads(self, tmp_path):
         path = tmp_path / "samples.jsonl"

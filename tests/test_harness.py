@@ -16,7 +16,8 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
 from ouv_classifier.labels import PriorWeights, SmoothingConfig
 from ouv_classifier.model import (TrainingDiverged, predict_proba,
                                   save_checkpoint, top_classes)
-from ouv_classifier.corpus import SiteRecord, build_sd_set, preprocess
+from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
+                                   preprocess_many)
 from ouv_classifier.features import EmbeddingTable, fit_tfidf
 from conftest import make_sample, make_separable_dataset
 
@@ -981,6 +982,41 @@ class TestBatchedMine:
         expected = mine(lines, a, b, 0.0, 0.0)
         monkeypatch.setattr(harness, "_MINE_BLOCK", 3)
         assert mine(lines, a, b, 0.0, 0.0) == expected
+
+    def test_kept_entries_equal_a_per_row_float_reference(self, mine_dataset,
+                                                          predictors):
+        """Entries built from the passed rows' arrays equal, types included,
+        entries built row by row with ``int()`` and ``float()``."""
+        a, b = predictors["ngram"]
+        lines = [line for line in _mine_lines(mine_dataset)
+                 if preprocess(line)]
+        token_lists = preprocess_many(lines)
+        (ids_a, confs_a), (ids_b, confs_b) = (p.topk(token_lists, k=3)
+                                              for p in (a, b))
+        conf_a = confs_a[:, 0] + confs_a[:, 1] + confs_a[:, 2]
+        conf_b = confs_b[:, 0] + confs_b[:, 1] + confs_b[:, 2]
+        threshold = float(np.median(np.minimum(conf_a, conf_b)))
+        expected = []
+        for i, line in enumerate(lines):
+            inter = len(set(ids_a[i].tolist()) & set(ids_b[i].tolist()))
+            iou = inter / (6 - inter)
+            if min(conf_a[i], conf_b[i]) > threshold and iou > 0.0:
+                expected.append({
+                    "sentence": line,
+                    "predictions_a": [(int(c), float(v))
+                                      for c, v in zip(ids_a[i], confs_a[i])],
+                    "predictions_b": [(int(c), float(v))
+                                      for c, v in zip(ids_b[i], confs_b[i])],
+                    "confidence_a": float(conf_a[i]),
+                    "confidence_b": float(conf_b[i]), "iou": float(iou)})
+        kept = mine(lines, a, b, threshold, 0.0)
+        assert 0 < len(kept) < len(lines)
+        assert kept == expected
+        assert {type(v) for entry in kept for key in ("predictions_a",
+                                                      "predictions_b")
+                for pair in entry[key] for v in pair} == {int, float}
+        assert {type(entry[key]) for entry in kept for key in (
+            "confidence_a", "confidence_b", "iou")} == {float}
 
     def test_empty_input_runs_no_model(self, predictors, monkeypatch):
         monkeypatch.setattr(harness, "predict_proba", None)

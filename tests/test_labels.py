@@ -8,10 +8,35 @@ from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.corpus import make_one_hot
 from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, CooccurrenceMatrix,
                                    PriorWeights, SmoothingConfig,
-                                   cooccurrence, epsilon_for_alpha,
-                                   original_ls, prior_weights, soft_softmax,
-                                   soft_targets)
+                                   cooccurrence, prior_weights,
+                                   soft_softmax, soft_targets)
 from conftest import make_sites
+
+
+# Original label smoothing, and the epsilon at which it equals the vanilla
+# variant at a given alpha: oracles for the vanilla variant.
+def epsilon_for_alpha(alpha: float, num_classes: int) -> float:
+    """Smoothing strength of original label smoothing equivalent to the
+    vanilla variant at a given alpha."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
+    k = num_classes
+    num = math.expm1(alpha) * k
+    denom = math.exp(1 + alpha) + (k - 1) * math.exp(alpha) - k
+    return num / denom
+
+
+def original_ls(one_hot: np.ndarray, epsilon: float,
+                num_classes: int) -> np.ndarray:
+    """Original label smoothing: (1 - eps) * y + (eps / K) * 1."""
+    if not 0 <= epsilon < 1:
+        raise ValueError("epsilon must be in [0, 1)")
+    one_hot = np.asarray(one_hot, dtype=float)
+    if one_hot.shape != (num_classes,):
+        raise ValueError("one_hot length does not match num_classes")
+    return (1 - epsilon) * one_hot + epsilon / num_classes
 
 
 def identity_mu():

@@ -19,6 +19,7 @@ from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+BENCH_DIR = PYPROJECT.parent / "bench"
 
 
 def private_imports(source: str) -> list[str]:
@@ -77,6 +78,60 @@ def test_no_unused_imports():
     offenders = {path.name: unused_imports(path.read_text(encoding="utf-8"))
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module's code reads: bare names, attribute names and the
+    names it imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def unreferenced_public_names(sources: dict[str, str],
+                              users: list[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class in
+    ``sources`` (module name -> source) that no code in ``sources`` or in
+    ``users`` reads; its own definition does not count."""
+    read = set().union(*map(names_read, [*sources.values(), *users]))
+    return [f"{module}.{node.name}"
+            for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_detector_sees_unreferenced_public_names():
+    sources = {"labels": ("def used():\n    return 1\n"
+                          "def unused():\n    return used()\n"
+                          "class Spare:\n    pass\n"
+                          "def _private():\n    pass\n"
+                          "def for_bench():\n    pass\n"),
+               "cli": ("from .labels import used\n"
+                       "def main():\n    return used\n")}
+    bench = ["from ouv_classifier import labels, cli\n"
+             "labels.for_bench()\ncli.main()\n"]
+    assert unreferenced_public_names(sources, bench) == ["labels.unused",
+                                                         "labels.Spare"]
+    assert unreferenced_public_names(sources, []) == [
+        "labels.unused", "labels.Spare", "labels.for_bench", "cli.main"]
+
+
+def test_no_unreferenced_public_names():
+    """Every public function and class in the package is used by the
+    package or the benchmark (``bench/``), not only by tests."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    bench = [path.read_text(encoding="utf-8")
+             for path in sorted(BENCH_DIR.glob("*.py"))]
+    assert bench
+    assert unreferenced_public_names(sources, bench) == []
 
 
 def third_party_imports(source: str) -> set[str]:
