@@ -18,7 +18,7 @@ from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
                       evaluate_model, featurize, load_prior, mine,
-                      read_grid_and_sweep, report, run_final, run_grid_search,
+                      read_run, report, run_final, run_grid_search,
                       run_ls_sweep, save_models, setting_of, train_setting)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
@@ -97,7 +97,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_final(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    grid, sweep = read_grid_and_sweep(config.output_dir)
+    grid, sweep = read_run(config.output_dir)
     best = setting_of(grid["best"])
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])

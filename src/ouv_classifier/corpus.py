@@ -222,8 +222,6 @@ def _parse_row(row: dict[str, str], cols: dict[str, str]) -> SiteRecord | None:
         criteria = frozenset(justification)
     # only keep paragraphs for criteria the site is justified under
     justification = {k: v for k, v in justification.items() if k in criteria}
-    if justification and not criteria:
-        raise ValueError("justification present but no criteria identified")
     if not justification and not short_desc:
         return None
     return SiteRecord(site_id=site_id, name=name, justification=justification,
@@ -486,11 +484,16 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    """Read a file written by ``write_samples``. A token that holds
+    """Read a file written by ``write_samples``. A line without a sample
+    key is a ``ValueError`` naming the file and the key. A token that holds
     whitespace is a ``ValueError`` naming the file and the token: tokens
     are as ``str.split`` gives them, and the n-gram features count on it."""
     with open(path, encoding="utf-8") as fh:
-        samples = [sample_from_json(line) for line in fh if line.strip()]
+        try:
+            samples = [sample_from_json(line) for line in fh if line.strip()]
+        except (KeyError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: not a dataset file ({detail})") from exc
     text = "".join(chain.from_iterable(sample.tokens for sample in samples))
     if text and text.split() != [text]:
         spaced = next(token for sample in samples for token in sample.tokens
@@ -535,7 +538,15 @@ def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
 
 
 def read_sites(path: str | Path) -> list[SiteRecord]:
-    return [SiteRecord(site_id=p["site_id"], name=p.get("name", ""),
-                       justification={}, short_description="",
-                       criteria=frozenset(p["criteria"]))
-            for p in read_json(path)]
+    """Read a file written by ``write_sites``; an entry without
+    ``site_id`` or ``criteria`` is a ``ValueError`` naming the file and
+    the key, and one that is not an object a ``ValueError`` naming the
+    file."""
+    try:
+        return [SiteRecord(site_id=p["site_id"], name=p.get("name", ""),
+                           justification={}, short_description="",
+                           criteria=frozenset(p["criteria"]))
+                for p in read_json(path)]
+    except (KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: not a sites file ({detail})") from exc

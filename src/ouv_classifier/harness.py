@@ -21,7 +21,7 @@ from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
                        token_frequencies)
 from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
                      prior_weights)
-from .metrics import (EvalReport, MatchReport, check_k, evaluate_matches,
+from .metrics import (EvalReport, MatchReport, evaluate_matches,
                       evaluate_split)
 from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
                     encode_array, load_checkpoint, predict_proba,
@@ -41,8 +41,8 @@ STEP_ARTIFACTS = {
     "final": ("step3_final/final.json", {"baseline": "", "setting": {},
                                          "seed": 0, "rows": {}}),
 }
-# lines preprocessed, and lines featurized and scored per model call, in
-# ``mine``; bounds the joined text and the feature matrix on large inputs
+# input lines read, preprocessed, featurized and scored per step of
+# ``mine``'s one loop; bounds its text, tokens and features on large inputs
 _MINE_BLOCK = 4096
 
 
@@ -82,7 +82,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject, before any step runs, a value some step would reject."""
-        check_k(self.k)
+        self.train_config()
         if not self.grid or not all(self.grid.values()):
             raise ValueError("grid must be non-empty")
         check_setting_keys([*self.grid, *self.setting])
@@ -96,6 +96,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {variant!r}")
         for alpha in self.alpha_grid:
             SmoothingConfig(alpha=alpha)
+
+    def train_config(self, **values) -> TrainConfig:
+        """The ``TrainConfig`` of this run's ``learning_rate``,
+        ``max_epochs``, ``patience`` and ``k``, with ``values`` set."""
+        return TrainConfig(learning_rate=float(self.learning_rate),
+                           max_epochs=self.max_epochs, patience=self.patience,
+                           k=self.k, **values)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -141,20 +148,23 @@ def read_artifact(output_dir: str | Path, step: str) -> dict:
     return read_json(Path(output_dir, rel), **keys)
 
 
-def read_grid_and_sweep(output_dir: str | Path) -> tuple[dict, dict]:
-    """The grid and sweep artifacts of one run: a ``sweep.json`` whose
-    ``setting`` is not ``log.json``'s best is a ``ValueError`` naming both
-    files, as a failed rerun of the sweep leaves them."""
-    grid, sweep = (read_artifact(output_dir, step)
-                   for step in ("grid", "sweep"))
+def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
+    """The grid and sweep artifacts of one run, and with ``final`` its final
+    artifact: a ``sweep.json`` or ``final.json`` whose ``setting`` is not
+    ``log.json``'s best is a ``ValueError`` naming both files, as a rerun of
+    ``ouvclf sweep`` leaves them."""
+    steps = ("grid", "sweep", "final") if final else ("grid", "sweep")
+    grid, *rest = (read_artifact(output_dir, step) for step in steps)
     best = setting_of(grid["best"])
-    if sweep["setting"] != best:
-        grid_path, sweep_path = (Path(output_dir, STEP_ARTIFACTS[step][0])
-                                 for step in ("grid", "sweep"))
-        raise ValueError(f"{sweep_path} holds setting {sweep['setting']} "
-                         f"but {grid_path} holds best setting {best}: they "
-                         "come from different runs; rerun `ouvclf sweep`")
-    return grid, sweep
+    for step, artifact in zip(steps[1:], rest):
+        if artifact["setting"] != best:
+            grid_path, path = (Path(output_dir, STEP_ARTIFACTS[name][0])
+                               for name in ("grid", step))
+            raise ValueError(f"{path} holds setting {artifact['setting']} "
+                             f"but {grid_path} holds best setting {best}: "
+                             f"they come from different runs; rerun "
+                             f"`ouvclf {step}`")
+    return [grid, *rest]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +270,12 @@ class FeaturizedData:
 
 
 def featurize(featurizer: Featurizer, dataset: Dataset) -> FeaturizedData:
+    """The training inputs of ``dataset``; an empty train or valid split is
+    a ``ValueError`` naming it, raised before any training."""
+    for name in ("train", "valid"):
+        if not dataset.split(name):
+            raise ValueError(f"the {name!r} split is empty; training needs "
+                             "train and valid samples")
     return FeaturizedData(
         train_x=featurizer.transform(dataset.train),
         train_one_hots=np.stack([s.one_hot for s in dataset.train]),
@@ -293,9 +309,7 @@ def train_setting(data: FeaturizedData, setting: dict,
     integer ``l2`` is stored as a float; an integer field given a value
     that is not a whole number (16.5, inf, nan) is a ``ValueError`` naming
     it."""
-    base = TrainConfig(learning_rate=float(config.learning_rate),
-                       max_epochs=config.max_epochs, patience=config.patience,
-                       seed=seed, k=config.k, smoothing=smoothing)
+    base = config.train_config(seed=seed, smoothing=smoothing)
     values = {}
     for key, value in setting.items():
         kind = type(getattr(base, key))
@@ -547,32 +561,28 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
 
     A sentence passes when each model's top-3 confidence sum exceeds the
     confidence threshold and the IoU of the two top-3 class sets exceeds
-    the IoU threshold (both strict). Lines are preprocessed with one
-    ``preprocess_many`` call per ``_MINE_BLOCK`` lines (lines with no
-    tokens are dropped), then featurized and scored in blocks of
-    ``_MINE_BLOCK`` with one ``topk`` call per model per block. The rule
-    runs on the block's arrays: the sum adds the three confidences left to
+    the IoU threshold (both strict). One loop takes ``_MINE_BLOCK`` input
+    lines at a time: one ``preprocess_many`` call, lines with no tokens
+    dropped, then one ``topk`` call per model, both given the block's
+    features when the predictors share a featurizer file. The rule runs
+    on the block's arrays: the sum adds the three confidences left to
     right, and, as each row's three ids are distinct, the union of two
     top-3 sets has ``6 - intersection`` ids.
     """
-    lines = [(text, tokens)
-             for block in (texts[i:i + _MINE_BLOCK]
-                           for i in range(0, len(texts), _MINE_BLOCK))
-             for text, tokens in zip(block, preprocess_many(block)) if tokens]
-    path_a = getattr(predictor_a, "featurizer_path", None)
-    shared = path_a is not None and path_a == getattr(
-        predictor_b, "featurizer_path", None)
+    shared = (predictor_a.featurizer_path is not None
+              and predictor_a.featurizer_path == predictor_b.featurizer_path)
     kept = []
-    for start in range(0, len(lines), _MINE_BLOCK):
-        block = lines[start:start + _MINE_BLOCK]
-        token_lists = [tokens for _, tokens in block]
-        if shared:
-            x = predictor_a.featurizer.transform_token_lists(token_lists)
-            ids_a, confs_a = predictor_a.topk(token_lists, k=3, features=x)
-            ids_b, confs_b = predictor_b.topk(token_lists, k=3, features=x)
-        else:
-            ids_a, confs_a = predictor_a.topk(token_lists, k=3)
-            ids_b, confs_b = predictor_b.topk(token_lists, k=3)
+    for start in range(0, len(texts), _MINE_BLOCK):
+        block = texts[start:start + _MINE_BLOCK]
+        lines = [(text, tokens) for text, tokens
+                 in zip(block, preprocess_many(block)) if tokens]
+        if not lines:
+            continue
+        token_lists = [tokens for _, tokens in lines]
+        x = (predictor_a.featurizer.transform_token_lists(token_lists)
+             if shared else None)
+        ids_a, confs_a = predictor_a.topk(token_lists, k=3, features=x)
+        ids_b, confs_b = predictor_b.topk(token_lists, k=3, features=x)
         conf_a = confs_a[:, 0] + confs_a[:, 1] + confs_a[:, 2]
         conf_b = confs_b[:, 0] + confs_b[:, 1] + confs_b[:, 2]
         inter = (ids_a[:, :, None] == ids_b[:, None, :]).sum(axis=(1, 2))
@@ -584,7 +594,7 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
                    confs_b[rows], conf_a[rows], conf_b[rows], iou[rows])
         for i, id_a, cf_a, id_b, cf_b, sum_a, sum_b, overlap in zip(
                 *(column.tolist() for column in columns)):
-            kept.append({"sentence": block[i][0],
+            kept.append({"sentence": lines[i][0],
                          "predictions_a": list(zip(id_a, cf_a)),
                          "predictions_b": list(zip(id_b, cf_b)),
                          "confidence_a": sum_a, "confidence_b": sum_b,
@@ -599,14 +609,13 @@ def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV.
     A missing artifact is a ``ReportError``; one without a key it needs,
     or with one of the wrong JSON type, is a ``ValueError`` naming it, as
-    are grid and sweep artifacts of two runs (``read_grid_and_sweep``)."""
+    are artifacts of two runs (``read_run``)."""
     root = Path(artifacts_dir)
     missing = [rel for rel, _ in STEP_ARTIFACTS.values()
                if not (root / rel).exists()]
     if missing:
         raise ReportError(missing)
-    grid, sweep = read_grid_and_sweep(root)
-    final = read_artifact(root, "final")
+    grid, sweep, final = read_run(root, final=True)
 
     lines = [f"baseline: {final['baseline']}",
              f"grid best setting: {final['setting']} (seed {final['seed']})",

@@ -65,6 +65,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.patience < 1 or self.batch_size < 1:
             raise ValueError("patience and batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
         check_k(self.k)

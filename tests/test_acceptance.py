@@ -250,10 +250,12 @@ def test_acceptance_08_deterministic_training(tmp_path):
 
 
 class _Canned:
+    featurizer_path = None
+
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def topk(self, token_lists, k=3):
+    def topk(self, token_lists, k=3, features=None):
         tops = [self.outputs[tokens[0]] for tokens in token_lists]
         return (np.array([[c for c, _ in top] for top in tops]),
                 np.array([[v for _, v in top] for top in tops]))

@@ -645,8 +645,11 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
     ("grid", {"hidden": [16], "batch_size": []}, "grid must be non-empty"),
     ("grid", {"hiden": [16]}, "unknown setting key 'hiden'"),
     ("setting", {"batchsize": 64}, "unknown setting key 'batchsize'"),
+    ("max_epochs", 0, "max_epochs must be >= 1"),
+    ("patience", 0, "patience and batch_size must be >= 1"),
 ], ids=["variant", "one-seed", "repeated-seed", "negative-alpha",
-        "empty-grid", "empty-grid-list", "grid-key", "setting-key"])
+        "empty-grid", "empty-grid-list", "grid-key", "setting-key",
+        "zero-epochs", "zero-patience"])
 @pytest.mark.parametrize("command", ["sweep", "train", "final"])
 def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
                                                 monkeypatch, command, key,
@@ -798,3 +801,90 @@ def test_config_without_dataset_dir_names_the_field(workspace, tmp_path,
         "error: no dataset directory given (empty 'dataset_dir' or "
         "--dataset)\n")
     assert not (runs / "step3_final").exists()
+
+
+def test_report_refuses_a_final_of_an_earlier_grid(workspace, tmp_path,
+                                                    capsys):
+    """A successful sweep rerun with another grid leaves the old
+    ``final.json`` beside the new ``log.json``; ``report`` names both."""
+    runs = tmp_path / "runs"
+    first, second = (write_config(workspace, tmp_path / f"{name}.json",
+                                  output_dir=str(runs),
+                                  grid={"hidden": [hidden],
+                                        "batch_size": [batch]})
+                     for name, hidden, batch in (("first", 8, 32),
+                                                 ("second", 6, 16)))
+    assert main(["sweep", "--config", str(first)]) == 0
+    assert main(["final", "--config", str(first)]) == 0
+    assert main(["sweep", "--config", str(second)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(runs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {runs / 'step3_final/final.json'} holds "
+                          "setting {'batch_size': 32, 'hidden': 8} but "
+                          f"{runs / 'step1_grid/log.json'} holds best "
+                          "setting {'batch_size': 16, 'hidden': 6}")
+    assert "rerun `ouvclf final`" in err
+    assert not (runs / "summary.json").exists()
+    assert main(["final", "--config", str(second)]) == 0
+    assert main(["report", str(runs)]) == 0
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_missing_training_split_is_named_before_training(
+        workspace, tmp_path, capsys, monkeypatch, command, split):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    (data / f"{split}.jsonl").unlink()
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err  # the n-gram fit names an empty train
+    assert err.startswith("error:") and split in err and "empty" in err
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["prior", "train"])
+def test_a_sites_entry_without_criteria_is_named(workspace, tmp_path, capsys,
+                                                 command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sites = json.loads((data / "sites.json").read_text(encoding="utf-8"))
+    del sites[1]["criteria"]
+    (data / "sites.json").write_text(json.dumps(sites), encoding="utf-8")
+    args = {"prior": ["prior", str(data), "--out",
+                      str(tmp_path / "prior.json")],
+            "train": ["train", "--config", str(write_config(
+                workspace, tmp_path / "config.json", dataset_dir=str(data),
+                prior_path="", output_dir=str(tmp_path / "runs")))]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'sites.json'}: not a sites file "
+        "(missing key 'criteria')\n")
+
+
+def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,
+                                                  capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    del record["parental"]
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a dataset file (missing key 'parental')\n")

@@ -1,3 +1,4 @@
+import json
 import re
 import unicodedata
 
@@ -11,7 +12,8 @@ from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
                                    build_sd_set, make_one_hot,
                                    parse_syndication, preprocess,
                                    preprocess_many, read_dataset,
-                                   read_samples, sample_from_json,
+                                   read_samples, read_sites,
+                                   sample_from_json,
                                    sample_to_json, split_sentences,
                                    write_dataset, write_samples, write_sites)
 
@@ -251,6 +253,65 @@ class TestParseSyndication:
         with pytest.raises(ConfigurationError):
             parse_syndication(path)
 
+    def test_file_without_header_is_fatal(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="has no header row"):
+            parse_syndication(path)
+
+    def test_flag_columns_override_criteria_text(self, tmp_path):
+        flags = [f"C{k}" for k in range(1, 7)] + [f"N{k}" for k in
+                                                  range(7, 11)]
+        path = tmp_path / "flags.csv"
+        path.write_text(
+            SYNDICATION_HEADER.rstrip("\n") + "," + ",".join(flags) + "\n"
+            + '5,"Flagged","(i)","Criterion (i): Art. Criterion (ii): '
+            'Values. Criterion (vii): Beauty.","desc",0,1,,,,,X,,,\n',
+            encoding="utf-8")
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert sites[0].criteria == frozenset({2, 7})
+        assert sites[0].justification == {2: "Values.", 7: "Beauty."}
+
+    def test_incomplete_flag_columns_are_ignored(self, tmp_path):
+        path = tmp_path / "flags.csv"
+        path.write_text(
+            SYNDICATION_HEADER.rstrip("\n") + ",C1,C2\n"
+            + '5,"Part","(iv)","Criterion (iv): Type.","desc",1,1\n',
+            encoding="utf-8")
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert sites[0].criteria == frozenset({4})
+
+    def test_unknown_numeral_is_skipped(self, tmp_path):
+        path = write_csv(tmp_path, [
+            '7,"Eleven","(i)","Criterion (i): Art here. Criterion (xi): '
+            'No such criterion.","desc"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert sites[0].justification == {1: "Art here."}
+
+    def test_criteria_taken_from_justification(self, tmp_path):
+        path = write_csv(tmp_path, [
+            '8,"Untagged","","Criterion (iii): Testimony. Criterion (v): '
+            'Settlement.",""\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert sites[0].criteria == frozenset({3, 5})
+        assert set(sites[0].justification) == {3, 5}
+
+    def test_row_without_justification_or_description_is_dropped(
+            self, tmp_path):
+        path = write_csv(tmp_path, [
+            '9,"Bare","(ii)","",""\n',
+            '10,"Kept","(ii)","","A description."\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert [s.site_id for s in sites] == [10]
+
 
 def long_paragraph(n_sentences, word="alpha"):
     sentence = " ".join([word] * 12).capitalize() + "."
@@ -416,6 +477,33 @@ class TestJsonl:
         sample.tokens = []
         write_samples([sample], path)
         assert read_samples(path)[0].tokens == []
+
+    @pytest.mark.parametrize("line, detail", [
+        ('{"tokens": ["a"]}', "missing key 'one_hot'"),
+        ("[1, 2]", "list indices must be integers"),
+    ])
+    def test_line_that_is_no_sample_is_named(self, tmp_path, line, detail):
+        path = tmp_path / "train.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_samples(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: not a dataset file ({detail}")
+
+    @pytest.mark.parametrize("payload, detail", [
+        ([{"site_id": 1}], "missing key 'criteria'"),
+        ([{"criteria": [1]}], "missing key 'site_id'"),
+        ([3], "'int' object is not subscriptable"),
+        ({"site_id": 1}, "string indices must be integers"),
+    ])
+    def test_sites_entry_that_is_no_site_is_named(self, tmp_path, payload,
+                                                  detail):
+        path = tmp_path / "sites.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_sites(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: not a sites file ({detail}")
 
     @pytest.mark.parametrize("token", ["new york", "a\tb", "\u00a0x", " "])
     def test_token_with_whitespace_is_rejected(self, tmp_path, token):

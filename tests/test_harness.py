@@ -291,6 +291,16 @@ class TestRunFinal:
             assert predictor.model.featurizer_ref == "f.json"
             assert predictor.featurizer_path == (out / "f.json").resolve()
 
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_featurize_names_an_empty_training_split(self, dataset, tmp_path,
+                                                     split):
+        featurizer = build_featurizer(toy_config(tmp_path), dataset)
+        empty = dataclasses.replace(dataset, **{split: []})
+        with pytest.raises(ValueError, match=(
+                f"^the '{split}' split is empty; training needs train and "
+                "valid samples$")):
+            featurize(featurizer, empty)
+
     def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
                                                  monkeypatch):
         config = toy_config(tmp_path)
@@ -381,10 +391,12 @@ class StubPredictor:
     """Predictor double returning canned top-3 ``(ids, confs)`` arrays, each
     row given as ``(id, confidence)`` pairs keyed by first token."""
 
+    featurizer_path = None
+
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def topk(self, token_lists, k=3):
+    def topk(self, token_lists, k=3, features=None):
         tops = [self.outputs[tokens[0]] for tokens in token_lists]
         return (np.array([[c for c, _ in top] for top in tops]),
                 np.array([[v for _, v in top] for top in tops]))
@@ -969,10 +981,36 @@ class TestBatchedMine:
         a, b = predictors["ngram"]
         if not shared:  # same featurizer, but not known to be shared
             b = Predictor(model=b.model, featurizer=b.featurizer)
-        lines = _mine_lines(mine_dataset, count=26)  # 24 non-blank: 3 blocks
+        lines = _mine_lines(mine_dataset, count=26)  # 26 lines: 4 blocks
         mine(lines, a, b, 0.0, 0.0)
-        assert calls == {"predict_proba": 6,
-                         "featurize": 3 if shared else 6}
+        assert calls == {"predict_proba": 8,
+                         "featurize": 4 if shared else 8}
+
+    def test_each_block_is_scored_before_the_next_is_read(
+            self, mine_dataset, predictors, monkeypatch):
+        events = []
+        real_preprocess = harness.preprocess_many
+        real_predict = harness.predict_proba
+
+        def recording_preprocess(lines):
+            events.append(("preprocess", len(lines)))
+            return real_preprocess(lines)
+
+        def recording_predict(model, x):
+            events.append(("predict", x.shape[0]))
+            return real_predict(model, x)
+
+        monkeypatch.setattr(harness, "preprocess_many", recording_preprocess)
+        monkeypatch.setattr(harness, "predict_proba", recording_predict)
+        monkeypatch.setattr(harness, "_MINE_BLOCK", 8)
+        a, b = predictors["ngram"]
+        lines = _mine_lines(mine_dataset, count=26)  # lines 3 and 11 blank
+        mine(lines, a, b, 0.0, 0.0)
+        assert events == [
+            ("preprocess", 8), ("predict", 7), ("predict", 7),
+            ("preprocess", 8), ("predict", 7), ("predict", 7),
+            ("preprocess", 8), ("predict", 8), ("predict", 8),
+            ("preprocess", 2), ("predict", 2), ("predict", 2)]
 
     def test_block_size_does_not_change_the_kept_list(self, mine_dataset,
                                                       predictors,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.corpus import make_one_hot
@@ -82,14 +82,14 @@ class TestSoftSoftmax:
         assert np.all(out >= 0)
 
     @given(st.lists(st.floats(0.01, 5), min_size=2, max_size=12))
+    @example([1.0, 3.625, 0.010000000000000002, 0.01])
     def test_order_preserving(self, values):
+        """A non-decreasing map, not a strictly increasing one: inputs one
+        ulp apart, as in the example, may round to equal outputs."""
         z = np.array(values)
         out = soft_softmax(z[None])[0]
-        assert int(np.argmax(out)) == int(np.argmax(z))
-        # strictly increasing map on positive entries
-        order_in = np.argsort(z, kind="stable")
-        order_out = np.argsort(out, kind="stable")
-        np.testing.assert_array_equal(order_in, order_out)
+        assert np.all(np.diff(out[np.argsort(z, kind="stable")]) >= 0)
+        assert out[np.argmax(z)] == out.max()
 
 
 class TestEpsilonForAlpha:
