@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -132,18 +133,22 @@ def cmd_evaluate(args) -> int:
 def cmd_mine(args) -> int:
     predictor_a = Predictor.load(args.models[0])
     predictor_b = Predictor.load(args.models[1])
+    total = itertools.count()
     with open(args.input, encoding="utf-8") as fh:
-        texts = [line.strip() for line in fh if line.strip()]
-    kept = mine(texts, predictor_a, predictor_b,
-                confidence_threshold=args.confidence,
-                iou_threshold=args.iou)
+        # the stripped non-blank lines, read as ``mine`` asks for them;
+        # ``zip`` draws from ``total`` once per line it yields
+        texts = (text for text, _ in zip(filter(None, map(str.strip, fh)),
+                                         total))
+        kept = mine(texts, predictor_a, predictor_b,
+                    confidence_threshold=args.confidence,
+                    iou_threshold=args.iou)
     if args.out:
         with atomic_open(args.out) as fh:
             json.dump(kept, fh, indent=1)
             fh.write("\n")
     else:
         print(json.dumps(kept, indent=1))
-    print(f"kept {len(kept)} of {len(texts)} sentences", file=sys.stderr)
+    print(f"kept {len(kept)} of {next(total)} sentences", file=sys.stderr)
     return 0
 
 

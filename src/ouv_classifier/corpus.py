@@ -367,27 +367,19 @@ class Dataset:
         return getattr(self, name)
 
 
-def build_dataset(sites: list[SiteRecord],
-                  definitions: dict[int, str] | None = None,
-                  seed: int = 1337) -> Dataset:
+def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
     """Build train/valid/test splits from the justification paragraphs.
 
     Sentences of length 8-64 tokens are kept and partitioned 8:1:1 by a
     seeded shuffle; the ten criterion definition sentences are then
     appended to the train split.
     """
-    if definitions is None:
-        definitions = CRITERION_DEFINITIONS
-    if set(definitions) != set(range(1, NUM_CRITERIA + 1)):
-        raise ConfigurationError(
-            "definitions must cover exactly criteria 1-10")
-
     found = [(site, criterion, sentence) for site in sites
              for criterion, paragraph in sorted(site.justification.items())
              for sentence in split_sentences(paragraph)]
-    defined = sorted(definitions)
+    defined = sorted(CRITERION_DEFINITIONS)
     token_lists = preprocess_many([sentence for *_, sentence in found]
-                                  + [definitions[c] for c in defined])
+                                  + [CRITERION_DEFINITIONS[c] for c in defined])
     pool = [Sample(tokens=tokens, sentence_label=criterion,
                    one_hot=make_one_hot(criterion),
                    parental=site.parental_label(), site_id=site.site_id,
@@ -414,13 +406,13 @@ def build_dataset(sites: list[SiteRecord],
             dataset.test.append(sample)
 
     for criterion, tokens in zip(defined, token_lists[len(found):]):
-        gamma = np.zeros(NUM_CLASSES)
-        gamma[criterion - 1] = 1.0
-        gamma[NUM_CLASSES - 1] = OTHERS_NOISE
+        definition = SiteRecord(site_id=0, name="", justification={},
+                                short_description="",
+                                criteria=frozenset({criterion}))
         dataset.train.append(Sample(
             tokens=tokens, sentence_label=criterion,
-            one_hot=make_one_hot(criterion), parental=gamma,
-            site_id=0, split="train"))
+            one_hot=make_one_hot(criterion),
+            parental=definition.parental_label(), site_id=0, split="train"))
 
     for name in ("train", "valid", "test"):
         if not dataset.split(name):
@@ -540,13 +532,21 @@ def write_sites(sites: list[SiteRecord], path: str | Path) -> None:
 def read_sites(path: str | Path) -> list[SiteRecord]:
     """Read a file written by ``write_sites``; an entry without
     ``site_id`` or ``criteria`` is a ``ValueError`` naming the file and
-    the key, and one that is not an object a ``ValueError`` naming the
-    file."""
+    the key, one that is not an object a ``ValueError`` naming the file,
+    and one whose ``criteria`` is not a list of integers 1-10 a
+    ``ValueError`` naming the file and the ``site_id``."""
     try:
-        return [SiteRecord(site_id=p["site_id"], name=p.get("name", ""),
-                           justification={}, short_description="",
-                           criteria=frozenset(p["criteria"]))
-                for p in read_json(path)]
+        entries = [(p["site_id"], p.get("name", ""), p["criteria"])
+                   for p in read_json(path)]
     except (KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: not a sites file ({detail})") from exc
+    for site_id, _, criteria in entries:
+        if not (isinstance(criteria, list) and all(
+                type(k) is int and 1 <= k <= NUM_CRITERIA for k in criteria)):
+            raise ValueError(f"{path}: not a sites file (site {site_id!r}: "
+                             f"criteria {criteria!r} is not a list of "
+                             f"integers 1-{NUM_CRITERIA})")
+    return [SiteRecord(site_id=site_id, name=name, justification={},
+                       short_description="", criteria=frozenset(criteria))
+            for site_id, name, criteria in entries]

@@ -105,12 +105,25 @@ def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
                            idf=idf, min_df=min_df)
 
 
+def token_ids(token_id: dict[str, int], token_lists: list[list[str]],
+              miss: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each token list's length, and the ids of all its tokens in token
+    order: ``token_id[t]``, or ``miss`` for a token it does not hold. One
+    dict lookup per token; both featurizers map tokens to ids through it."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64,
+                          count=len(token_lists))
+    ids = np.fromiter(map(token_id.get, chain.from_iterable(token_lists),
+                          repeat(miss)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    return lengths, ids
+
+
 def tfidf_rows(vocab: TfidfVocabulary,
                token_lists: list[list[str]]) -> sparse.csr_matrix:
     """TF-IDF rows (len x V sparse), each L2-normalized unless all-zero.
 
     Tokens hold no whitespace, as ``str.split`` gives them. Each token
-    becomes an id through one dict lookup (see ``GramIdTables``); unigram
+    becomes an id through ``token_ids`` (see ``GramIdTables``); unigram
     columns come by ``take``, and each pair of adjacent ids in a row whose
     words open and close some bigram is matched against the bigram keys by
     one ``np.searchsorted``. One
@@ -120,11 +133,7 @@ def tfidf_rows(vocab: TfidfVocabulary,
     tables, n_vocab = vocab.id_tables, vocab.size
     n_rows = len(token_lists)
     miss = len(tables.token_id)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64,
-                          count=n_rows)
-    ids = np.fromiter(map(tables.token_id.get,
-                          chain.from_iterable(token_lists), repeat(miss)),
-                      dtype=np.int64, count=int(lengths.sum()))
+    lengths, ids = token_ids(tables.token_id, token_lists, miss)
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
     # pairs that could be a bigram: adjacent in one row, and first and
     # second words of some bigram; a third of all pairs at scale 0.3, so
@@ -164,8 +173,24 @@ def tfidf_rows(vocab: TfidfVocabulary,
 
 @dataclass(eq=False)  # compared by identity, like ``TfidfVocabulary``
 class EmbeddingTable:
-    word_to_vector: dict[str, np.ndarray]
-    dimension: int
+    """Word vectors as one matrix, the layout the featurizer file stores
+    and ``boe_rows`` reads: row ``token_to_row[t]`` of the C-contiguous
+    ``vectors`` is token ``t``'s vector. ``token_to_row`` lists the rows in
+    order, ``"<unk>"`` among them; its row stands for any other token."""
+    token_to_row: dict[str, int]
+    vectors: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def word_to_vector(self) -> dict[str, np.ndarray]:
+        """``{token: its row}`` in row order, as read-only views of
+        ``vectors``."""
+        rows = self.vectors.view()
+        rows.flags.writeable = False
+        return {token: rows[row] for token, row in self.token_to_row.items()}
 
 
 def load_embeddings(file_path: str | Path, frequency_threshold: int,
@@ -175,10 +200,12 @@ def load_embeddings(file_path: str | Path, frequency_threshold: int,
     A first line of two integer fields is the word2vec/fastText
     ``count dim`` header: it is skipped, and every vector must have ``dim``
     values. Tokens whose corpus frequency is below the threshold fall back
-    to "<unk>", whose vector is the mean of all kept vectors. Returns the
-    table plus a report of unreadable lines.
+    to "<unk>", whose vector is the mean of all kept vectors. A repeated
+    token keeps its first row and takes its last vector; a kept "<unk>"
+    line keeps its row and takes the mean. Returns the table plus a report
+    of unreadable lines.
     """
-    vectors: dict[str, np.ndarray] = {}
+    kept: dict[str, np.ndarray] = {}
     errors: list[str] = []
     dimension = None
     with open(file_path, encoding="utf-8") as fh:
@@ -203,20 +230,36 @@ def load_embeddings(file_path: str | Path, frequency_threshold: int,
                 raise ValueError(
                     f"line {line_no}: dimension {len(vec)} != {dimension}")
             if train_vocab.get(token, 0) >= frequency_threshold:
-                vectors[token] = vec
-    if not vectors:
+                kept[token] = vec
+    if not kept:
         raise ValueError("no embeddings survived the frequency filter")
-    mean_vec = np.mean(list(vectors.values()), axis=0)
-    vectors["<unk>"] = mean_vec
-    return EmbeddingTable(word_to_vector=vectors, dimension=dimension), errors
+    token_to_row = {token: row for row, token in enumerate(kept)}
+    unk = token_to_row.setdefault("<unk>", len(kept))
+    vectors = np.empty((len(token_to_row), dimension))
+    np.stack(list(kept.values()), out=vectors[:len(kept)])
+    vectors[unk] = np.mean(vectors[:len(kept)], axis=0)
+    return EmbeddingTable(token_to_row, vectors), errors
 
 
-def boe_embed(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
-    """Mean of the token vectors; unknown tokens map to <unk>."""
-    if not tokens:
+def boe_rows(table: EmbeddingTable,
+             token_lists: list[list[str]]) -> np.ndarray:
+    """The mean of each token list's vectors (len x d), unknown tokens
+    mapped to "<unk>"; an empty token list is a ``ValueError``.
+
+    One CSR holds a 1.0 per token, in token order, in its row's column of
+    ``table.vectors``. Its product with ``vectors`` adds each row's vectors
+    to +0.0 in token order, and each row is then divided by its length:
+    the bits of ``np.mean`` over the row's vectors, which adds them the
+    same way when ``vectors`` has more than one column.
+    """
+    lengths, ids = token_ids(table.token_to_row, token_lists,
+                             table.token_to_row["<unk>"])
+    if not lengths.all():
         raise ValueError("cannot embed an empty token sequence")
-    unk = table.word_to_vector["<unk>"]
-    return np.mean([table.word_to_vector.get(t, unk) for t in tokens], axis=0)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    ones = sparse.csr_matrix((np.ones(len(ids)), ids, indptr),
+                             shape=(len(lengths), len(table.token_to_row)))
+    return (ones @ table.vectors) / lengths[:, None]
 
 
 def token_frequencies(samples: list[Sample]) -> dict[str, int]:

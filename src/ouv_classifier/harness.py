@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,9 +17,8 @@ import numpy as np
 from . import (NUM_CLASSES, NUM_CRITERIA, atomic_open, check_json_type,
                json_fields, read_json)
 from .corpus import Dataset, Sample, preprocess_many, read_sites
-from .features import (EmbeddingTable, TfidfVocabulary, boe_embed,
-                       fit_tfidf, load_embeddings, tfidf_rows,
-                       token_frequencies)
+from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
+                       load_embeddings, tfidf_rows, token_frequencies)
 from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
@@ -188,8 +188,7 @@ class Featurizer:
         """One feature row per token list: CSR for n-gram, dense for BoE."""
         if self.kind == "ngram":
             return tfidf_rows(self.vocab, token_lists)
-        return np.stack([boe_embed(tokens, self.table)
-                         for tokens in token_lists])
+        return boe_rows(self.table, token_lists)
 
     def transform(self, samples: list[Sample]):
         return self.transform_token_lists([s.tokens for s in samples])
@@ -203,18 +202,18 @@ class Featurizer:
                        "idf": encode_array(self.vocab.idf),
                        "min_df": self.vocab.min_df}
         else:
-            vectors = self.table.word_to_vector
-            payload = {"type": "boe", "tokens": list(vectors), "vectors":
-                       encode_array(np.stack(list(vectors.values())))}
+            payload = {"type": "boe", "tokens": list(self.table.token_to_row),
+                       "vectors": encode_array(self.table.vectors)}
         with atomic_open(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
         """Read a file written by ``save``. Any other file, including one
-        written with JSON float lists before arrays used ``encode_array``
-        or one with a gram of more than one space, is a ``ValueError``
-        naming it."""
+        written with JSON float lists before arrays used ``encode_array``,
+        one with a gram of more than one space, or a BoE file with a
+        repeated token or no ``"<unk>"`` token, is a ``ValueError`` naming
+        it."""
         payload = read_json(path)
         try:
             kind = payload["type"]
@@ -235,8 +234,15 @@ class Featurizer:
                 return cls(kind, vocab=TfidfVocabulary(
                     {g: i for i, g in enumerate(payload["grams"])}, array,
                     int(payload["min_df"])))
-            return cls(kind, table=EmbeddingTable(
-                dict(zip(payload["tokens"], array)), array.shape[1]))
+            tokens = payload["tokens"]
+            token_to_row = {token: row for row, token in enumerate(tokens)}
+            repeated = [token for row, token in enumerate(tokens)
+                        if token_to_row[token] != row]
+            if repeated:
+                raise ValueError(f"token {repeated[0]!r} is repeated")
+            if "<unk>" not in token_to_row:
+                raise ValueError("no '<unk>' token")
+            return cls(kind, table=EmbeddingTable(token_to_row, array))
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: not a featurizer file of this version "
@@ -554,7 +560,7 @@ class Predictor:
         return top_classes(predict_proba(self.model, features), k)
 
 
-def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
+def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
          confidence_threshold: float = 0.8,
          iou_threshold: float = 0.5) -> list[dict]:
     """Keep sentences where both models are confident and agree.
@@ -562,7 +568,8 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
     A sentence passes when each model's top-3 confidence sum exceeds the
     confidence threshold and the IoU of the two top-3 class sets exceeds
     the IoU threshold (both strict). One loop takes ``_MINE_BLOCK`` input
-    lines at a time: one ``preprocess_many`` call, lines with no tokens
+    lines at a time from ``texts``, any iterable, read no further ahead
+    than that block: one ``preprocess_many`` call, lines with no tokens
     dropped, then one ``topk`` call per model, both given the block's
     features when the predictors share a featurizer file. The rule runs
     on the block's arrays: the sum adds the three confidences left to
@@ -572,8 +579,8 @@ def mine(texts: list[str], predictor_a: Predictor, predictor_b: Predictor,
     shared = (predictor_a.featurizer_path is not None
               and predictor_a.featurizer_path == predictor_b.featurizer_path)
     kept = []
-    for start in range(0, len(texts), _MINE_BLOCK):
-        block = texts[start:start + _MINE_BLOCK]
+    texts = iter(texts)
+    while block := list(itertools.islice(texts, _MINE_BLOCK)):
         lines = [(text, tokens) for text, tokens
                  in zip(block, preprocess_many(block)) if tokens]
         if not lines:

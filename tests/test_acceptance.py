@@ -19,9 +19,9 @@ import pytest
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
 from ouv_classifier.corpus import (build_dataset, build_sd_set, make_one_hot,
                                    parse_syndication)
-from ouv_classifier.features import boe_embed, fit_tfidf, load_embeddings, \
-    tfidf_rows, token_frequencies
-from ouv_classifier.harness import mine
+from ouv_classifier.features import fit_tfidf, load_embeddings, tfidf_rows, \
+    token_frequencies
+from ouv_classifier.harness import Featurizer, mine
 from ouv_classifier.labels import (ALPHA_GRID, PriorWeights, SmoothingConfig,
                                    cooccurrence, prior_weights, soft_softmax,
                                    soft_targets)
@@ -393,10 +393,9 @@ def test_acceptance_13_boe_baseline_accuracy(real_dataset):
             freq = token_frequencies(dataset.train + dataset.valid
                                      + dataset.test + dataset.sd)
             table, _ = load_embeddings(EMBEDDINGS_PATH, 1, freq)
-            return (np.stack([boe_embed(s.tokens, table)
-                              for s in dataset.train]),
-                    np.stack([boe_embed(s.tokens, table)
-                              for s in dataset.valid]))
+            featurizer = Featurizer(kind="boe", table=table)
+            return (featurizer.transform(dataset.train),
+                    featurizer.transform(dataset.valid))
 
         best = _real_run(real_dataset, features)
         assert best["val_topk"] >= 0.87

@@ -133,6 +133,7 @@ def test_mine_cli(workspace, capsys):
     input_path = workspace["root"] / "mine_input.txt"
     input_path.write_text(
         "The ancient walls ensemble shows enduring testimony here.\n"
+        "\n \t\n"
         "A renowned temple site of great value.\n", encoding="utf-8")
     out_path = workspace["root"] / "mined.json"
     assert main(["mine", "--models", str(model_a), str(model_b),
@@ -144,6 +145,7 @@ def test_mine_cli(workspace, capsys):
     for entry in kept:
         assert entry["iou"] > 0.0
         assert len(entry["predictions_a"]) == 3
+    assert capsys.readouterr().err == f"kept {len(kept)} of 2 sentences\n"
 
 
 def test_final_without_sd_returns_2(workspace, tmp_path, capsys):
@@ -385,6 +387,39 @@ def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
                  "--input", str(input_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'config'" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "mine"])
+def test_a_boe_featurizer_without_unk_is_named(workspace, tmp_path, capsys,
+                                               command):
+    """The file is refused when it is loaded, not at the first transform,
+    whose ``"<unk>"`` lookup would raise a ``KeyError`` traceback."""
+    train = workspace["data"] / "train.jsonl"
+    tokens = sorted({token for line in train.read_text(
+        encoding="utf-8").splitlines() for token in json.loads(line)["tokens"]})
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("".join(f"{token} {i % 3} 1 {i % 5}\n"
+                           for i, token in enumerate(tokens)), encoding="utf-8")
+    model = tmp_path / "model.json"
+    config = write_config(workspace, tmp_path / "config.json", baseline="boe",
+                          embeddings_path=str(emb),
+                          output_dir=str(tmp_path / "runs"))
+    assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+    featurizer_path = tmp_path / "model_featurizer.json"
+    payload = json.loads(featurizer_path.read_text(encoding="utf-8"))
+    payload["tokens"][payload["tokens"].index("<unk>")] = "unk"
+    featurizer_path.write_text(json.dumps(payload), encoding="utf-8")
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("The ancient walls ensemble.\n", encoding="utf-8")
+    args = {"evaluate": ["evaluate", "--model", str(model), "--split",
+                         "valid", "--dataset", str(workspace["data"])],
+            "mine": ["mine", "--models", str(model), str(model),
+                     "--input", str(input_path)]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {featurizer_path}: not a featurizer file of this version "
+        "(no '<unk>' token)")
 
 
 def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
@@ -869,6 +904,32 @@ def test_a_sites_entry_without_criteria_is_named(workspace, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {data / 'sites.json'}: not a sites file "
         "(missing key 'criteria')\n")
+
+
+@pytest.mark.parametrize("criteria", [[0, 3], [11], "ab", [True]])
+@pytest.mark.parametrize("command", ["prior", "sweep"])
+def test_a_sites_entry_with_bad_criteria_is_named(workspace, tmp_path, capsys,
+                                                  command, criteria):
+    """Criterion 0 would count as criterion 10 and 11 would be an
+    ``IndexError``: only integers 1-10 are read."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sites = json.loads((data / "sites.json").read_text(encoding="utf-8"))
+    sites[1]["criteria"] = criteria
+    (data / "sites.json").write_text(json.dumps(sites), encoding="utf-8")
+    args = {"prior": ["prior", str(data), "--out",
+                      str(tmp_path / "prior.json")],
+            "sweep": ["sweep", "--config", str(write_config(
+                workspace, tmp_path / "config.json", dataset_dir=str(data),
+                prior_path="", output_dir=str(tmp_path / "runs")))]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'sites.json'}: not a sites file (site "
+        f"{sites[1]['site_id']!r}: criteria {criteria!r} is not a list of "
+        "integers 1-10)\n")
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "prior.json").exists()
 
 
 def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,

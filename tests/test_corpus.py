@@ -379,6 +379,10 @@ class TestBuildDataset:
         assert len(definition_samples) == 10
         assert sorted(s.sentence_label for s in definition_samples) == \
             list(range(1, 11))
+        for sample in definition_samples:
+            want = np.zeros(11)
+            want[sample.sentence_label - 1], want[10] = 1.0, 0.2
+            np.testing.assert_array_equal(sample.parental, want)
 
     def test_length_filter(self):
         site = SiteRecord(site_id=99, name="x",
@@ -388,11 +392,6 @@ class TestBuildDataset:
         non_def = [s for s in dataset.train + dataset.valid + dataset.test
                    if s.site_id == 99]
         assert len(non_def) == 3  # "Too short." dropped
-
-    def test_bad_definitions_rejected(self):
-        sites = make_justified_sites(10, 5)
-        with pytest.raises(ConfigurationError):
-            build_dataset(sites, definitions={1: "only one"}, seed=0)
 
 
 class TestBuildSdSet:
@@ -495,6 +494,16 @@ class TestJsonl:
         ([{"criteria": [1]}], "missing key 'site_id'"),
         ([3], "'int' object is not subscriptable"),
         ({"site_id": 1}, "string indices must be integers"),
+        ([{"site_id": 4, "criteria": [0, 3]}],
+         "site 4: criteria [0, 3] is not a list of integers 1-10"),
+        ([{"site_id": 1, "criteria": [1]}, {"site_id": "x", "criteria": [11]}],
+         "site 'x': criteria [11] is not a list of integers 1-10"),
+        ([{"site_id": 4, "criteria": "ab"}],
+         "site 4: criteria 'ab' is not a list of integers 1-10"),
+        ([{"site_id": 4, "criteria": [True]}],
+         "site 4: criteria [True] is not a list of integers 1-10"),
+        ([{"site_id": 4, "criteria": [2.0]}],
+         "site 4: criteria [2.0] is not a list of integers 1-10"),
     ])
     def test_sites_entry_that_is_no_site_is_named(self, tmp_path, payload,
                                                   detail):

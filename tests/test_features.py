@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from ouv_classifier.features import (EmbeddingTable, GramIdTables,
-                                     TfidfVocabulary, boe_embed, fit_tfidf,
+                                     TfidfVocabulary, boe_rows, fit_tfidf,
                                      load_embeddings, tfidf_rows,
                                      token_frequencies)
 from ouv_classifier.harness import Featurizer
@@ -396,6 +398,37 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match=f"^line {line}: dimension 2 != 3"):
             load_embeddings(path, 1, {"a": 1, "b": 1})
 
+    def test_repeated_token_keeps_first_row_and_last_vector(self, tmp_path):
+        path = write_embeddings(tmp_path, [
+            ("a", [1, 0]), ("b", [0, 1]), ("a", [3, 3]), ("c", [5, 5])])
+        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1, "c": 1})
+        assert errors == []
+        assert table.token_to_row == {"a": 0, "b": 1, "c": 2, "<unk>": 3}
+        np.testing.assert_array_equal(
+            table.vectors, [[3, 3], [0, 1], [5, 5], [8 / 3, 3]])
+
+    def test_literal_unk_line_keeps_its_row_and_takes_the_mean(self,
+                                                               tmp_path):
+        path = write_embeddings(tmp_path, [
+            ("a", [1, 0]), ("<unk>", [9, 9]), ("b", [0, 1])])
+        table, _ = load_embeddings(path, 1, {"a": 1, "<unk>": 1, "b": 1})
+        assert table.token_to_row == {"a": 0, "<unk>": 1, "b": 2}
+        # the mean is taken over the kept lines, the "<unk>" line's included
+        np.testing.assert_array_equal(table.vectors,
+                                      [[1, 0], [10 / 3, 10 / 3], [0, 1]])
+
+    def test_vectors_are_one_c_contiguous_matrix(self, tmp_path):
+        path = write_embeddings(tmp_path, [("a", [1, 0, 2]), ("b", [0, 1, 4])])
+        table, _ = load_embeddings(path, 1, {"a": 1, "b": 1})
+        assert table.vectors.shape == (3, 3)
+        assert table.vectors.dtype == np.float64
+        assert table.vectors.flags.c_contiguous
+        assert table.dimension == 3
+        rows = table.word_to_vector
+        assert list(rows) == ["a", "b", "<unk>"]
+        assert not rows["a"].flags.writeable
+        np.testing.assert_array_equal(rows["<unk>"], [0.5, 0.5, 3])
+
     def test_header_only_on_the_first_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1\n2 3\n", encoding="utf-8")
@@ -404,32 +437,140 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(table.word_to_vector["2"], [3.0])
 
 
+def boe_embed(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
+    """Mean of the token vectors; unknown tokens map to <unk>."""
+    if not tokens:
+        raise ValueError("cannot embed an empty token sequence")
+    unk = table.word_to_vector["<unk>"]
+    return np.mean([table.word_to_vector.get(t, unk) for t in tokens], axis=0)
+
+
+def embedding_table(word_to_vector: dict) -> EmbeddingTable:
+    return EmbeddingTable({t: i for i, t in enumerate(word_to_vector)},
+                          np.array(list(word_to_vector.values()), float))
+
+
+def assert_bits_of_oracle(table, token_lists):
+    """``boe_rows`` gives ``boe_embed``'s bits, row by row, and NaN where
+    it gives NaN: which of two NaN operands a sum returns depends on the
+    operand order the compiled loop uses, which IEEE 754 leaves open."""
+    got = boe_rows(table, token_lists)
+    assert got.shape == (len(token_lists), table.dimension)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    for row, tokens in zip(got, token_lists):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = boe_embed(tokens, table)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(row), nan)
+        np.testing.assert_array_equal(row[~nan].view(np.uint64),
+                                      want[~nan].view(np.uint64))
+
+
 class TestBoeEmbed:
+    """``boe_rows`` against worked values and against the per-row
+    ``boe_embed`` oracle."""
+
     def table(self):
-        return EmbeddingTable(word_to_vector={
-            "a": np.array([2.0, 0.0]), "b": np.array([0.0, 4.0]),
-            "<unk>": np.array([1.0, 1.0])}, dimension=2)
+        return embedding_table({"a": [2.0, 0.0], "b": [0.0, 4.0],
+                                "<unk>": [1.0, 1.0]})
 
     def test_single_known_token(self):
-        np.testing.assert_allclose(boe_embed(["a"], self.table()), [2, 0])
+        np.testing.assert_array_equal(boe_rows(self.table(), [["a"]]),
+                                      [[2, 0]])
 
     def test_two_token_mean(self):
-        np.testing.assert_allclose(boe_embed(["a", "b"], self.table()),
-                                   [1, 2])
+        np.testing.assert_array_equal(
+            boe_rows(self.table(), [["a", "b"], ["b", "b", "a", "a"]]),
+            [[1, 2], [1, 2]])
 
     def test_all_unknown(self):
-        np.testing.assert_allclose(boe_embed(["x", "y"], self.table()),
-                                   [1, 1])
+        np.testing.assert_array_equal(
+            boe_rows(self.table(), [["x", "y"], ["<unk>"]]), [[1, 1]] * 2)
 
     def test_empty_rejected(self):
+        for token_lists in ([[]], [["a"], []]):
+            with pytest.raises(ValueError,
+                               match="^cannot embed an empty token sequence$"):
+                boe_rows(self.table(), token_lists)
         with pytest.raises(ValueError):
             boe_embed([], self.table())
 
+    def test_no_rows_give_a_zero_by_d_array(self):
+        rows = boe_rows(self.table(), [])
+        assert rows.shape == (0, 2) and rows.dtype == np.float64
+
     @given(st.permutations(["a", "b", "a", "x"]))
     def test_permutation_invariant(self, tokens):
-        base = boe_embed(["a", "b", "a", "x"], self.table())
-        np.testing.assert_allclose(boe_embed(list(tokens), self.table()),
+        base = boe_rows(self.table(), [["a", "b", "a", "x"]])
+        np.testing.assert_allclose(boe_rows(self.table(), [list(tokens)]),
                                    base)
+
+    def test_signed_zeros(self):
+        """``np.mean`` adds a row's vectors to +0.0, so a one-token row of
+        -0.0 gives +0.0, and so does ``boe_rows``."""
+        table = embedding_table({"n": [-0.0, 1.0], "p": [0.0, -0.0],
+                                 "<unk>": [-0.0, -0.0]})
+        token_lists = [["n"], ["n", "n", "x"], ["n", "p"], ["p", "x"]]
+        assert not np.signbit(boe_rows(table, token_lists)).any()
+        assert_bits_of_oracle(table, token_lists)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 5).flatmap(lambda d: st.lists(
+               st.lists(st.floats(width=64), min_size=d, max_size=d),
+               min_size=1, max_size=6)),
+           st.booleans(),
+           st.lists(st.lists(st.sampled_from(["t0", "t1", "t2", "t3",
+                                              "<unk>", "oov", "zz"]),
+                             min_size=1, max_size=12), max_size=8))
+    @example([[-0.0, 1.0], [0.0, -0.0]], False, [["t0"], ["t0", "t0"]])
+    @example([[5e-324, -1e308], [1e308, 1.0]], True,
+             [["t1", "<unk>"], ["oov"], ["t0", "t1", "t0"]])
+    def test_bit_identical_to_per_row_oracle(self, vectors, unk_first,
+                                             token_lists):
+        """Tables of up to five rows of 2-5 columns, ``"<unk>"`` first or
+        last, holding any float64, on rows with repeated, unknown and
+        ``"<unk>"`` tokens and one-token rows. One column is the case
+        below."""
+        tokens = [f"t{i}" for i in range(len(vectors) - 1)]
+        tokens.insert(0 if unk_first else len(tokens), "<unk>")
+        assert_bits_of_oracle(embedding_table(dict(zip(tokens, vectors))),
+                              token_lists)
+
+    def test_one_column_table_sums_in_token_order(self):
+        """``np.mean`` of an ``L x 1`` matrix sums its column pairwise
+        (numpy's contiguous-axis sum), so the oracle's bits can differ in
+        the last place; ``boe_rows`` adds to +0.0 in token order as for any
+        other width."""
+        rng = np.random.default_rng(11)
+        table = embedding_table({"a": [0.1], "b": [1e-9], "c": [-3.7],
+                                 "<unk>": [7e5]})
+        token_lists = [rng.choice(["a", "b", "c", "x"], size=n).tolist()
+                       for n in range(1, 60)]
+        got = boe_rows(table, token_lists)
+        for row, tokens in zip(got, token_lists):
+            vectors = [table.word_to_vector.get(t, table.vectors[3])
+                       for t in tokens]
+            total = functools.reduce(operator.add, vectors, np.zeros(1))
+            assert row.view(np.uint64) == (total / len(tokens)).view(
+                np.uint64)
+            np.testing.assert_allclose(row, boe_embed(tokens, table),
+                                       rtol=1e-12)
+
+    def test_loaded_table_equals_oracle(self, tmp_path):
+        """Rows of a table read by ``load_embeddings``, before and after a
+        trip through the featurizer file."""
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(40)]
+        path = write_embeddings(tmp_path, [
+            (w, np.round(rng.normal(0, 1e-5, size=6), 5)) for w in words])
+        table, _ = load_embeddings(path, 2, dict(zip(words, range(40))))
+        Featurizer(kind="boe", table=table).save(tmp_path / "feat.json")
+        loaded = Featurizer.load(tmp_path / "feat.json").table
+        token_lists = [rng.choice(words + ["oov"], size=n).tolist()
+                       for n in rng.integers(1, 9, size=200)]
+        assert np.signbit(table.vectors[table.vectors == 0]).any()  # -0.0
+        assert_bits_of_oracle(table, token_lists)
+        assert_bits_of_oracle(loaded, token_lists)
 
 
 def test_token_frequencies():

@@ -18,7 +18,7 @@ from ouv_classifier.model import (TrainingDiverged, predict_proba,
                                   save_checkpoint, top_classes)
 from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
-from ouv_classifier.features import EmbeddingTable, fit_tfidf
+from ouv_classifier.features import EmbeddingTable, fit_tfidf, load_embeddings
 from conftest import make_sample, make_separable_dataset
 
 
@@ -546,8 +546,8 @@ def featurizer_of(kind: str) -> Featurizer:
             [make_sample(doc.split(), 1) for doc in ("a b", "a c")],
             min_df=1))
     return Featurizer(kind="boe", table=EmbeddingTable(
-        {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0]),
-         "<unk>": np.array([2.0, 3.0])}, dimension=2))
+        {"a": 0, "b": 1, "<unk>": 2},
+        np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]])))
 
 
 def write_float_list_featurizer(featurizer: Featurizer, path) -> None:
@@ -613,10 +613,9 @@ class TestFeaturizer:
 
     def test_round_trips_are_bit_exact(self, tmp_path):
         tiny = np.finfo(float).tiny
-        table = EmbeddingTable(word_to_vector={
-            "b": np.array([-0.0, 5e-324, np.inf]),
-            "a": np.array([-tiny / 3, 0.1, -np.inf]),
-            "<unk>": np.array([np.nan, 1.0, -0.0])}, dimension=3)
+        table = EmbeddingTable({"b": 0, "a": 1, "<unk>": 2}, np.array([
+            [-0.0, 5e-324, np.inf], [-tiny / 3, 0.1, -np.inf],
+            [np.nan, 1.0, -0.0]]))
         vocab = fit_tfidf([make_sample(doc.split(), 1)
                            for doc in ("a b c", "a d", "b e f")], min_df=1)
         vocab.idf[:3] = [-0.0, 5e-324, np.inf]
@@ -624,29 +623,50 @@ class TestFeaturizer:
         Featurizer(kind="boe", table=table).save(boe)
         Featurizer(kind="ngram", vocab=vocab).save(ngram)
         loaded = Featurizer.load(boe).table
-        assert list(loaded.word_to_vector) == ["b", "a", "<unk>"]
-        assert loaded.dimension == 3
-        for token, vec in table.word_to_vector.items():
-            np.testing.assert_array_equal(
-                loaded.word_to_vector[token].view(np.uint64),
-                vec.view(np.uint64))
+        assert list(loaded.token_to_row.items()) == [("b", 0), ("a", 1),
+                                                     ("<unk>", 2)]
+        assert loaded.dimension == 3 and loaded.vectors.flags.c_contiguous
+        np.testing.assert_array_equal(loaded.vectors.view(np.uint64),
+                                      table.vectors.view(np.uint64))
         loaded_vocab = Featurizer.load(ngram).vocab
         assert loaded_vocab.gram_to_index == vocab.gram_to_index
         np.testing.assert_array_equal(loaded_vocab.idf.view(np.uint64),
                                       vocab.idf.view(np.uint64))
 
     def test_boe_file_is_tokens_plus_one_matrix(self, tmp_path):
-        vectors = {"zeta": np.array([1.0, 2.0]), "alpha": np.array([3.0, 4.0]),
-                   "<unk>": np.array([2.0, 3.0])}
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]])
         path = tmp_path / "feat.json"
-        Featurizer(kind="boe", table=EmbeddingTable(vectors, 2)).save(path)
+        Featurizer(kind="boe", table=EmbeddingTable(
+            {"zeta": 0, "alpha": 1, "<unk>": 2}, vectors)).save(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert list(payload) == ["type", "tokens", "vectors"]
         assert payload["type"] == "boe"
         assert payload["tokens"] == ["zeta", "alpha", "<unk>"]
         assert payload["vectors"]["shape"] == [3, 2]
-        assert base64.b64decode(payload["vectors"]["data"]) == np.stack(
-            list(vectors.values())).astype("<f8").tobytes()
+        assert base64.b64decode(payload["vectors"]["data"]) == (
+            vectors.astype("<f8").tobytes())
+
+    def test_boe_file_bytes_are_pinned(self, tmp_path):
+        """``load_embeddings`` then ``save`` writes these bytes: a repeated
+        token keeps its first row and takes its last vector, a kept
+        ``"<unk>"`` line keeps its row and takes the mean, and a token
+        under the frequency threshold and an unreadable line are
+        dropped."""
+        emb = tmp_path / "vectors.txt"
+        emb.write_text("héritage 0.5 -0.25 1e-3\n<unk> 9 9 9\nrare 7 7 7\n"
+                       "wall -0.0 0.1 3\nhéritage 2 4 8\nbroken\n"
+                       "town 1e300 -1.5 0.30000000000000004\n",
+                       encoding="utf-8")
+        table, errors = load_embeddings(emb, 2, {
+            "héritage": 2, "<unk>": 3, "rare": 1, "wall": 5, "town": 2})
+        assert errors == ["line 6: too few fields"]
+        path = tmp_path / "feat.json"
+        Featurizer(kind="boe", table=table).save(path)
+        assert path.read_bytes() == (
+            '{"type": "boe", "tokens": ["héritage", "<unk>", "wall", "town"], '
+            '"vectors": {"data": "AAAAAAAAAEAAAAAAAAAQQAAAAAAAACBAnHUAiDzkF34z'
+            'MzMzMzMHQM3MzMzMTBRAAAAAAAAAAICamZmZmZm5PwAAAAAAAAhAnHUAiDzkN34AAA'
+            'AAAAD4vzQzMzMzM9M/", "shape": [4, 3]}}').encode("utf-8")
 
     @pytest.mark.parametrize("kind,edit,match", [
         ("ngram", lambda p: p["idf"].update(data="not base64!"), "'idf'"),
@@ -661,9 +681,14 @@ class TestFeaturizer:
         ("ngram", lambda p: p["grams"].__setitem__(4, "c \0d e"),
          r"'c \\x00d e' holds more than one space"),
         ("ngram", lambda p: p["grams"].__setitem__(0, 7), "expected str"),
+        ("boe", lambda p: p["tokens"].__setitem__(1, "a"),
+         "token 'a' is repeated"),
+        ("boe", lambda p: p["tokens"].__setitem__(2, "c"),
+         "no '<unk>' token"),
     ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
             "not-a-matrix", "unknown-type", "spec-not-an-object",
-            "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str"])
+            "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str",
+            "repeated-token", "no-unk-token"])
     def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
                                                match):
         path = tmp_path / "feat.json"
@@ -1011,6 +1036,35 @@ class TestBatchedMine:
             ("preprocess", 8), ("predict", 7), ("predict", 7),
             ("preprocess", 8), ("predict", 8), ("predict", 8),
             ("preprocess", 2), ("predict", 2), ("predict", 2)]
+
+    def test_a_generator_is_read_one_block_at_a_time(
+            self, mine_dataset, predictors, monkeypatch):
+        """``mine`` takes any iterable and reads no line of the next block
+        before the current one is scored; it never asks for a length."""
+        events = []
+        real_predict = harness.predict_proba
+
+        def recording_predict(model, x):
+            events.append(("predict", x.shape[0]))
+            return real_predict(model, x)
+
+        def lines():
+            for i, line in enumerate(_mine_lines(mine_dataset, count=26)):
+                events.append(("read", i))
+                yield line
+
+        monkeypatch.setattr(harness, "predict_proba", recording_predict)
+        monkeypatch.setattr(harness, "_MINE_BLOCK", 8)
+        a, b = predictors["ngram"]
+        kept = mine(lines(), a, b, 0.0, 0.0)
+        reads = [[("read", i) for i in range(start, min(start + 8, 26))]
+                 for start in range(0, 26, 8)]
+        assert events == (reads[0] + [("predict", 7)] * 2
+                          + reads[1] + [("predict", 7)] * 2
+                          + reads[2] + [("predict", 8)] * 2
+                          + reads[3] + [("predict", 2)] * 2)
+        assert kept == mine(_mine_lines(mine_dataset, count=26), a, b,
+                            0.0, 0.0)
 
     def test_block_size_does_not_change_the_kept_list(self, mine_dataset,
                                                       predictors,
