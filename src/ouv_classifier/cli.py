@@ -11,6 +11,7 @@ import csv
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import NUM_CRITERIA, atomic_open
@@ -18,9 +19,9 @@ from .corpus import (ConfigurationError, build_dataset, build_sd_set,
                      parse_syndication, read_dataset, read_sites,
                      write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
-                      evaluate_model, featurize, load_prior, mine,
+                      evaluate_model, featurize, fit, load_prior, mine,
                       read_run, report, run_final, run_grid_search,
-                      run_ls_sweep, save_models, setting_of, train_setting)
+                      run_ls_sweep, save_models, setting_of)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
 
@@ -69,12 +70,12 @@ def cmd_prior(args) -> int:
 def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     config.baseline = args.baseline or config.baseline
-    smoothing = SmoothingConfig(**config.smoothing)
+    train_config = config.train_config(
+        config.setting, SmoothingConfig(**config.smoothing), config.grid_seed)
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
-    model = train_setting(featurize(featurizer, dataset), config.setting,
-                          config, smoothing, config.grid_seed, mu)
+    model = fit(featurize(featurizer, dataset), train_config, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
     save_models(featurizer, out.with_name(out.stem + "_featurizer.json"),
                 {out.name: model})
@@ -142,12 +143,9 @@ def cmd_mine(args) -> int:
         kept = mine(texts, predictor_a, predictor_b,
                     confidence_threshold=args.confidence,
                     iou_threshold=args.iou)
-    if args.out:
-        with atomic_open(args.out) as fh:
-            json.dump(kept, fh, indent=1)
-            fh.write("\n")
-    else:
-        print(json.dumps(kept, indent=1))
+    with atomic_open(args.out) if args.out else nullcontext(sys.stdout) as fh:
+        json.dump(kept, fh, indent=1)
+        fh.write("\n")
     print(f"kept {len(kept)} of {next(total)} sentences", file=sys.stderr)
     return 0
 

@@ -81,11 +81,19 @@ class ExperimentConfig:
         default_factory=lambda: {"variant": "none", "alpha": 0})
 
     def __post_init__(self):
-        """Reject, before any step runs, a value some step would reject."""
-        self.train_config()
+        """Reject, before any step runs, a value some step would reject:
+        ``train_config`` builds each grid value, ``setting`` and seed."""
         if not self.grid or not all(self.grid.values()):
             raise ValueError("grid must be non-empty")
-        check_setting_keys([*self.grid, *self.setting])
+        for setting in [self.setting, *({key: value} for key in self.grid
+                                        for value in self.grid[key])]:
+            self.train_config(setting, SmoothingConfig(), 0)
+        for key, seed in [("grid_seed", self.grid_seed),
+                          *(("seeds", seed) for seed in self.seeds)]:
+            try:
+                self.train_config({}, SmoothingConfig(), seed)
+            except ValueError as exc:  # name the seed's field
+                raise ValueError(f"{key}: {exc}") from exc
         if len(self.seeds) < 2:
             raise ValueError("the sweep requires at least two seeds")
         for i, seed in enumerate(self.seeds):
@@ -97,12 +105,26 @@ class ExperimentConfig:
         for alpha in self.alpha_grid:
             SmoothingConfig(alpha=alpha)
 
-    def train_config(self, **values) -> TrainConfig:
-        """The ``TrainConfig`` of this run's ``learning_rate``,
-        ``max_epochs``, ``patience`` and ``k``, with ``values`` set."""
-        return TrainConfig(learning_rate=float(self.learning_rate),
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           k=self.k, **values)
+    def train_config(self, setting: dict, smoothing: SmoothingConfig,
+                     seed: int) -> TrainConfig:
+        """The ``TrainConfig`` of one training: this run's ``learning_rate``,
+        ``max_epochs``, ``patience`` and ``k``, then ``setting`` and ``seed``,
+        each coerced to its field's type. A key not in ``SETTING_KEYS`` or an
+        integer field's value that is not whole (16.5, inf, nan) is a
+        ``ValueError`` naming it; ``TrainConfig`` checks the rest."""
+        values = {"learning_rate": float(self.learning_rate), "k": self.k,
+                  "max_epochs": self.max_epochs, "patience": self.patience}
+        for key in setting:
+            if key not in SETTING_KEYS:
+                raise ValueError(f"unknown setting key {key!r}; expected "
+                                 "one of " + ", ".join(SETTING_KEYS))
+        for key, value in [*setting.items(), ("seed", seed)]:
+            kind = type(getattr(TrainConfig, key))
+            if kind is int and not float(value).is_integer():
+                raise ValueError(f"setting {key!r} must be an integer, "
+                                 f"got {value!r}")
+            values[key] = kind(value)
+        return TrainConfig(smoothing=smoothing, **values)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -291,39 +313,15 @@ def featurize(featurizer: Featurizer, dataset: Dataset) -> FeaturizedData:
     )
 
 
-def check_setting_keys(keys) -> None:
-    """Raise ``ValueError`` naming the first key that is not a training
-    setting (``SETTING_KEYS``), so a typo cannot fall back to a default."""
-    for key in keys:
-        if key not in SETTING_KEYS:
-            raise ValueError(f"unknown setting key {key!r}; expected one of "
-                             + ", ".join(SETTING_KEYS))
-
-
 def setting_of(entry: dict) -> dict:
     """The training setting of a grid log entry: its ``SETTING_KEYS``, in
     entry order."""
     return {k: v for k, v in entry.items() if k in SETTING_KEYS}
 
 
-def train_setting(data: FeaturizedData, setting: dict,
-                  config: ExperimentConfig, smoothing: SmoothingConfig,
-                  seed: int, mu: PriorWeights | None) -> TrainedModel:
-    """Train one model on ``data`` with a setting's hyper-parameters; the
-    run fields come from ``config`` and the rest are ``TrainConfig``'s
-    defaults. Each setting value is coerced to its field's type, so an
-    integer ``l2`` is stored as a float; an integer field given a value
-    that is not a whole number (16.5, inf, nan) is a ``ValueError`` naming
-    it."""
-    base = config.train_config(seed=seed, smoothing=smoothing)
-    values = {}
-    for key, value in setting.items():
-        kind = type(getattr(base, key))
-        if kind is int and not float(value).is_integer():
-            raise ValueError(f"setting {key!r} must be an integer, "
-                             f"got {value!r}")
-        values[key] = kind(value)
-    train_config = dataclasses.replace(base, **values)
+def fit(data: FeaturizedData, train_config: TrainConfig,
+        mu: PriorWeights | None) -> TrainedModel:
+    """The one call that trains: ``train_config`` on ``data``."""
     return train(data.train_x, data.train_one_hots, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu)
 
@@ -339,15 +337,14 @@ def save_models(featurizer: Featurizer, featurizer_path: Path,
         save_checkpoint(model, featurizer_path.with_name(name))
 
 
-def training_record(data: FeaturizedData, setting: dict,
-                    config: ExperimentConfig, smoothing: SmoothingConfig,
-                    seed: int, mu: PriorWeights | None) -> dict:
-    """Train one ``(setting, smoothing, seed)`` with ``train_setting`` and
-    return its best epoch's ``val_top1``, ``val_topk`` and ``best_epoch``,
-    or ``{"error": ...}`` if it diverged or was given a bad value."""
+def training_record(data: FeaturizedData, train_config: TrainConfig,
+                    mu: PriorWeights | None) -> dict:
+    """``fit`` ``train_config`` and return its best epoch's ``val_top1``,
+    ``val_topk`` and ``best_epoch``, or ``{"error": ...}`` if it diverged;
+    any other error is not a failed training and propagates."""
     try:
-        model = train_setting(data, setting, config, smoothing, seed, mu)
-    except (TrainingDiverged, ValueError) as exc:  # the step continues
+        model = fit(data, train_config, mu)
+    except TrainingDiverged as exc:  # the step continues
         return {"error": str(exc)}
     entry = model.history[model.best_epoch - 1]
     return {"val_top1": entry["val_top1"], "val_topk": entry["val_topk"],
@@ -359,16 +356,18 @@ def training_record(data: FeaturizedData, setting: dict,
 
 def run_grid_search(config: ExperimentConfig, dataset: Dataset,
                     featurizer: Featurizer | None = None) -> dict:
-    """Single-seed grid search; best setting by validation top-k."""
+    """Single-seed grid search; best setting by validation top-k. Every
+    ``TrainConfig`` is built before the first training."""
+    keys = sorted(config.grid)
+    settings = [dict(zip(keys, values))
+                for values in itertools.product(*map(config.grid.get, keys))]
+    train_configs = [config.train_config(s, SmoothingConfig(),
+                                         config.grid_seed) for s in settings]
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
-    keys = sorted(config.grid)
-    log = []
-    for values in itertools.product(*map(config.grid.get, keys)):
-        setting = dict(zip(keys, values))
-        log.append(dict(setting, **training_record(
-            data, setting, config, SmoothingConfig(), config.grid_seed, None)))
+    log = [dict(setting, **training_record(data, train_config, None))
+           for setting, train_config in zip(settings, train_configs)]
     scored = [entry for entry in log if "error" not in entry]
     if not scored:
         raise RuntimeError("every grid setting failed to train")
@@ -402,22 +401,23 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                  dataset: Dataset, mu: PriorWeights,
                  featurizer: Featurizer | None = None) -> SweepResult:
     """Train every (variant, alpha, seed) cell and pick the configuration
-    maximizing the summed 95%-CI lower bounds of val top-1 and top-k."""
-    check_setting_keys(best_setting)
-    smoothings = [SmoothingConfig(variant=variant, alpha=alpha)
-                  for variant in config.variants
-                  for alpha in config.alpha_grid]
+    maximizing the summed 95%-CI lower bounds of val top-1 and top-k.
+    Every cell's ``TrainConfig``s are built before the first is trained."""
+    plan = [[config.train_config(best_setting,
+                                 SmoothingConfig(variant=variant, alpha=alpha),
+                                 seed) for seed in config.seeds]
+            for variant in config.variants for alpha in config.alpha_grid]
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     cells = []
-    for smoothing in smoothings:
-        records = [dict(seed=seed, **training_record(
-            data, best_setting, config, smoothing, seed, mu))
-            for seed in config.seeds]
+    for train_configs in plan:
+        records = [dict(seed=train_config.seed,
+                        **training_record(data, train_config, mu))
+                   for train_config in train_configs]
         runs = [r for r in records if "error" not in r]
         failures = [r for r in records if "error" in r]
-        cell = {"variant": smoothing.variant, "alpha": smoothing.alpha,
+        cell = {**dataclasses.asdict(train_configs[0].smoothing),
                 "runs": runs, "failures": failures}
         if len(runs) >= 2:
             top1s = [r["val_top1"] for r in runs]
@@ -495,14 +495,15 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     """Train the chosen-LS and no-LS models on the grid seed, then save
     them and evaluate on valid/test plus the SD set when present. Each
     split is featurized once; test and SD only after both models train."""
-    check_setting_keys(best_setting)
+    train_configs = {label: config.train_config(best_setting, smoothing,
+                                                config.grid_seed)
+                     for label, smoothing in (("no_ls", SmoothingConfig()),
+                                              ("ls", chosen_ls))}
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
-    models = {label: train_setting(data, best_setting, config, smoothing,
-                                   config.grid_seed, mu)
-              for label, smoothing in (("no_ls", SmoothingConfig()),
-                                       ("ls", chosen_ls))}
+    models = {label: fit(data, train_config, mu)
+              for label, train_config in train_configs.items()}
     out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
     save_models(featurizer, out / "featurizer.json",
                 {f"model_{label}.json": model

@@ -63,12 +63,13 @@ class TrainConfig:
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self):
-        if self.patience < 1 or self.batch_size < 1:
-            raise ValueError("patience and batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for key, low in (("patience", 1), ("batch_size", 1),
+                         ("max_epochs", 1), ("hidden", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, "
+                                 f"got {getattr(self, key)!r}")
         if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         check_k(self.k)
 
 

@@ -148,6 +148,26 @@ def test_mine_cli(workspace, capsys):
     assert capsys.readouterr().err == f"kept {len(kept)} of 2 sentences\n"
 
 
+def test_mine_writes_the_same_bytes_to_stdout_and_out(workspace, tmp_path,
+                                                     capsys):
+    models = [str(workspace["runs"] / f"step3_final/model_{label}.json")
+              for label in ("no_ls", "ls")]
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("The ancient walls ensemble shows testimony.\n"
+                          "A renowned temple site of great value.\n",
+                          encoding="utf-8")
+    args = ["mine", "--models", *models, "--input", str(input_path),
+            "--confidence", "0", "--iou", "0"]
+    out_path = tmp_path / "mined.json"
+    capsys.readouterr()
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert main(args + ["--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert len(json.loads(stdout)) == 2
+    assert stdout.encode("utf-8") == out_path.read_bytes()
+
+
 def test_final_without_sd_returns_2(workspace, tmp_path, capsys):
     csv_path = tmp_path / "no_sd.csv"
     write_corpus_csv(csv_path, with_sd=False)
@@ -681,10 +701,15 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
     ("grid", {"hiden": [16]}, "unknown setting key 'hiden'"),
     ("setting", {"batchsize": 64}, "unknown setting key 'batchsize'"),
     ("max_epochs", 0, "max_epochs must be >= 1"),
-    ("patience", 0, "patience and batch_size must be >= 1"),
+    ("patience", 0, "patience must be >= 1, got 0"),
+    ("grid", {"hidden": [16], "dropout": [0.2, 1.5]},
+     "dropout must be in [0, 1), got 1.5"),
+    ("grid", {"hidden": [0]}, "hidden must be >= 1, got 0"),
+    ("seeds", [-1, 0], "seeds: seed must be >= 0, got -1"),
 ], ids=["variant", "one-seed", "repeated-seed", "negative-alpha",
         "empty-grid", "empty-grid-list", "grid-key", "setting-key",
-        "zero-epochs", "zero-patience"])
+        "zero-epochs", "zero-patience", "grid-dropout", "grid-zero-hidden",
+        "negative-seed"])
 @pytest.mark.parametrize("command", ["sweep", "train", "final"])
 def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
                                                 monkeypatch, command, key,

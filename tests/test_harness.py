@@ -1,15 +1,19 @@
 import base64
 import dataclasses
+import itertools
 import json
 import math
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, harness
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
-                                    ReportError, build_featurizer,
+                                    SETTING_KEYS, ReportError,
+                                    build_featurizer,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
@@ -39,6 +43,28 @@ def toy_config(tmp_path, **overrides):
     return ExperimentConfig(**defaults)
 
 
+# any number: ints, floats, zero, negative, infinite and NaN
+NUMBERS = st.one_of(st.integers(-3, 40), st.floats(-3, 40),
+                    st.sampled_from([0, -1, 0.0, -0.0, -1.0, math.inf,
+                                     -math.inf, math.nan]))
+
+
+def values_of(key):
+    """A value ``key`` accepts, twice as likely as any number."""
+    valid = {"hidden": st.integers(1, 40), "batch_size": st.integers(1, 40),
+             "dropout": st.floats(0, 0.9), "seed": st.integers(0, 40),
+             }.get(key, st.floats(-1, 1))
+    return st.one_of(valid, valid, NUMBERS)
+
+
+def settings_of(values, max_size):
+    """Dicts of up to ``max_size`` setting keys, each to a ``values`` of its
+    key's values."""
+    return st.lists(st.sampled_from(SETTING_KEYS), max_size=max_size,
+                    unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                        {key: values(values_of(key)) for key in keys}))
+
+
 def toy_mu():
     rng = np.random.default_rng(3)
     return PriorWeights(mu=np.hstack([
@@ -48,6 +74,13 @@ def toy_mu():
 @pytest.fixture(scope="module")
 def dataset():
     return make_separable_dataset(n_train=90, n_valid=30, n_test=30)
+
+
+@pytest.fixture(scope="module")
+def tiny_data():
+    tiny = make_separable_dataset(n_train=12, n_valid=6)
+    return featurize(Featurizer("ngram", vocab=fit_tfidf(tiny.train, 1)),
+                     tiny)
 
 
 class TestGridSearch:
@@ -93,9 +126,17 @@ class TestGridSearch:
         assert saved["best"] == first
         assert best == {"hidden": 16, "l2": 0.0, "learning_rate": 0.0}
 
-    def test_log_entry_key_order(self, dataset, tmp_path):
+    def test_log_entry_key_order(self, dataset, tmp_path, monkeypatch):
+        real_train = harness.train
+
+        def diverge_at_high_dropout(*args, **kwargs):
+            if args[5].dropout == 0.4:
+                raise TrainingDiverged("non-finite loss at epoch 1, batch 0")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", diverge_at_high_dropout)
         config = toy_config(tmp_path, grid={
-            "hidden": [16], "dropout": [0.2, 1.5], "batch_size": [64]})
+            "hidden": [16], "dropout": [0.2, 0.4], "batch_size": [64]})
         run_grid_search(config, dataset)
         saved = json.loads(
             (tmp_path / "runs/step1_grid/log.json").read_text())
@@ -105,23 +146,29 @@ class TestGridSearch:
         assert list(scored) == setting_keys + ["val_top1", "val_topk",
                                                "best_epoch"]
         assert list(failed) == setting_keys + ["error"]
+        assert failed["error"] == "non-finite loss at epoch 1, batch 0"
         assert saved["best"] == scored
 
     def test_non_integer_int_setting_is_logged_as_error(self, dataset,
-                                                        tmp_path):
-        config = toy_config(tmp_path, grid={"batch_size": [64, 64.9],
-                                            "hidden": [16.0, 16.5, math.inf]})
+                                                        tmp_path,
+                                                        monkeypatch):
+        # a whole float trains as its int and is logged as given
+        config = toy_config(tmp_path, grid={"batch_size": [64],
+                                            "hidden": [16.0]})
         assert run_grid_search(config, dataset) == {"batch_size": 64,
                                                     "hidden": 16.0}
-        log = json.loads(
-            (tmp_path / "runs/step1_grid/log.json").read_text())["log"]
-        assert "error" not in log[0]
-        assert [entry.get("error") for entry in log[1:]] == [
-            "setting 'hidden' must be an integer, got 16.5",
-            "setting 'hidden' must be an integer, got inf",
-            "setting 'batch_size' must be an integer, got 64.9",
-            "setting 'batch_size' must be an integer, got 64.9",
-            "setting 'batch_size' must be an integer, got 64.9"]
+        shutil.rmtree(tmp_path / "runs")
+        # any other is rejected when the config is built, before training
+        monkeypatch.setattr(harness, "train", None)
+        for grid, key, value in [
+                ({"batch_size": [64], "hidden": [16.0, 16.5]}, "hidden", 16.5),
+                ({"batch_size": [64], "hidden": [math.inf]}, "hidden", "inf"),
+                ({"batch_size": [64, 64.9], "hidden": [16.0]}, "batch_size",
+                 64.9)]:
+            with pytest.raises(ValueError, match=(
+                    f"^setting '{key}' must be an integer, got {value}$")):
+                toy_config(tmp_path, grid=grid)
+        assert not (tmp_path / "runs").exists()
 
 
 class TestConfidenceLowerBound:
@@ -277,9 +324,9 @@ class TestRunFinal:
             self, dataset, tmp_path):
         config = toy_config(tmp_path)
         featurizer = build_featurizer(config, dataset)
-        model = harness.train_setting(featurize(featurizer, dataset),
-                                      {"hidden": 8}, config,
-                                      SmoothingConfig(), 0, None)
+        model = harness.fit(featurize(featurizer, dataset),
+                            config.train_config({"hidden": 8},
+                                                SmoothingConfig(), 0), None)
         assert model.featurizer_ref == ""
         out = tmp_path / "new/dir"
         harness.save_models(featurizer, out / "f.json",
@@ -379,6 +426,49 @@ class TestExperimentConfig:
                                     "learning_rte": 0.1}))
         with pytest.raises(ValueError, match="'learning_rte'"):
             ExperimentConfig.from_json(path)
+
+    @settings(deadline=None)
+    @given(grid=settings_of(lambda v: st.lists(v, min_size=1, max_size=2),
+                            2).filter(bool),
+           setting=settings_of(lambda v: v, 2),
+           seeds=st.lists(values_of("seed"), min_size=2, max_size=3,
+                          unique_by=float),
+           grid_seed=values_of("seed"))
+    @example(grid={"hidden": [8]}, setting={}, seeds=[-1, 0], grid_seed=0)
+    def test_an_accepted_config_trains_and_a_rejected_one_names_its_key(
+            self, tiny_data, grid, setting, seeds, grid_seed):
+        def bad(key, value):
+            if key == "dropout":
+                return not 0 <= value < 1
+            low = 0 if key == "seed" else 1
+            return key in ("hidden", "batch_size", "seed") and not (
+                float(value).is_integer() and value >= low)
+
+        named = {key for key, values in grid.items()
+                 for value in values if bad(key, value)}
+        named |= {key for key, value in setting.items() if bad(key, value)}
+        named |= {"seeds"} if any(bad("seed", s) for s in seeds) else set()
+        named |= {"grid_seed"} if bad("seed", grid_seed) else set()
+        if named:
+            with pytest.raises(ValueError) as excinfo:
+                ExperimentConfig(grid=grid, setting=setting, seeds=seeds,
+                                 grid_seed=grid_seed, max_epochs=1)
+            assert any(key in str(excinfo.value) for key in named)
+            return
+        config = ExperimentConfig(grid=grid, setting=setting, seeds=seeds,
+                                  grid_seed=grid_seed, max_epochs=1)
+        keys = sorted(grid)
+        trainings = [(dict(zip(keys, values)), config.grid_seed)
+                     for values in itertools.product(*map(grid.get, keys))]
+        trainings += [(setting, seed) for seed in [grid_seed, *seeds]]
+        for values, seed in trainings:
+            train_config = config.train_config(values, SmoothingConfig(),
+                                               seed)
+            try:
+                with np.errstate(all="ignore"):
+                    harness.fit(tiny_data, train_config, None)
+            except TrainingDiverged:
+                pass
 
     def test_setting_of_keeps_setting_keys_in_order(self):
         entry = {"l2": 0.0, "batch_size": 64, "hidden": 16,
@@ -811,7 +901,31 @@ class TestSettingKeys:
         ({"variants": ["vanilla", "unifrom"]}, "'unifrom'"),
         ({"alpha_grid": [0.0, -0.1]}, "alpha must be non-negative"),
         ({"seeds": [0, 1, 0]}, "sweep seed 0 is repeated"),
-    ])
+    ] + [pytest.param(overrides, f"^{re.escape(message)}$", id=name)
+         for name, overrides, message in [
+        ("grid-dropout", {"grid": {"dropout": [0.2, 1.5]}},
+         "dropout must be in [0, 1), got 1.5"),
+        ("grid-zero-hidden", {"grid": {"hidden": [16, 0]}},
+         "hidden must be >= 1, got 0"),
+        ("grid-hidden-16.5", {"grid": {"hidden": [16.5]}},
+         "setting 'hidden' must be an integer, got 16.5"),
+        ("grid-hidden-inf", {"grid": {"hidden": [math.inf]}},
+         "setting 'hidden' must be an integer, got inf"),
+        ("grid-hidden-nan", {"grid": {"hidden": [math.nan]}},
+         "setting 'hidden' must be an integer, got nan"),
+        ("grid-zero-batch", {"grid": {"batch_size": [0]}},
+         "batch_size must be >= 1, got 0"),
+        ("grid-batch-64.9", {"grid": {"batch_size": [64.9]}},
+         "setting 'batch_size' must be an integer, got 64.9"),
+        ("setting-zero-hidden", {"setting": {"hidden": 0}},
+         "hidden must be >= 1, got 0"),
+        ("negative-seed", {"seeds": [0, -1]},
+         "seeds: seed must be >= 0, got -1"),
+        ("fractional-seed", {"seeds": [0, 1.5]},
+         "seeds: setting 'seed' must be an integer, got 1.5"),
+        ("negative-grid-seed", {"grid_seed": -3},
+         "grid_seed: seed must be >= 0, got -3"),
+    ]])
     def test_sweep_checks_every_cell_before_training(self, dataset, tmp_path,
                                                      monkeypatch, overrides,
                                                      match):
@@ -825,20 +939,29 @@ class TestSettingKeys:
             run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
         assert not (tmp_path / "runs").exists()
 
-    def test_value_error_in_training_is_logged(self, dataset, tmp_path):
-        config = toy_config(tmp_path, grid={"hidden": [16],
-                                            "dropout": [0.2, 1.5]})
-        assert run_grid_search(config, dataset)["dropout"] == 0.2
-        log = json.loads(
-            (tmp_path / "runs/step1_grid/log.json").read_text())
-        assert ["error" in entry for entry in log["log"]] == [False, True]
+    def test_value_error_in_training_is_logged(self, dataset, tmp_path,
+                                               monkeypatch):
+        # only ``TrainingDiverged`` is a failed training; any other error
+        # in ``train`` is a fault and stops the step before it writes
+        def fault(*args, **kwargs):
+            raise ValueError("a fault in train")
 
-    def test_type_error_propagates(self, dataset, tmp_path):
-        config = toy_config(tmp_path, grid={"hidden": [None]})
-        with pytest.raises(TypeError):
+        monkeypatch.setattr(harness, "train", fault)
+        config = toy_config(tmp_path, grid={"hidden": [16],
+                                            "dropout": [0.2, 0.4]})
+        with pytest.raises(ValueError, match="^a fault in train$"):
             run_grid_search(config, dataset)
+        assert not (tmp_path / "runs").exists()
+
+    def test_type_error_propagates(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "train", None)  # never reached
         with pytest.raises(TypeError):
-            run_ls_sweep({"hidden": None}, config, dataset, toy_mu())
+            toy_config(tmp_path, grid={"hidden": [None]})
+        with pytest.raises(TypeError):
+            toy_config(tmp_path, setting={"hidden": None})
+        with pytest.raises(TypeError):
+            run_ls_sweep({"hidden": None}, toy_config(tmp_path), dataset,
+                         toy_mu())
 
 
 class TestAtomicArtifacts:
