@@ -47,10 +47,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_prior(args) -> int:
     sites = read_sites(Path(args.dataset) / "sites.json")
-    matrix = cooccurrence(sites)
-    mu = prior_weights(matrix)
+    counts = cooccurrence(sites)
+    mu = prior_weights(counts)
     out = Path(args.out)
-    payload = {"counts": matrix.counts.tolist(), "mu": mu.mu.tolist()}
+    payload = {"counts": counts.tolist(), "mu": mu.tolist()}
     with atomic_open(out) as fh:
         json.dump(payload, fh, indent=1)
     csv_path = out.with_suffix(".csv")
@@ -58,10 +58,10 @@ def cmd_prior(args) -> int:
         writer = csv.writer(fh)
         header = [""] + [str(k) for k in range(1, NUM_CRITERIA + 1)]
         writer.writerow(["counts"] + header[1:])
-        for k, row in enumerate(matrix.counts.tolist(), start=1):
+        for k, row in enumerate(counts.tolist(), start=1):
             writer.writerow([k] + row)
         writer.writerow(["mu"] + header[1:] + ["others"])
-        for k, row in enumerate(mu.mu.tolist(), start=1):
+        for k, row in enumerate(mu.tolist(), start=1):
             writer.writerow([k] + row)
     print(f"wrote {out} and {csv_path}")
     return 0
@@ -70,8 +70,8 @@ def cmd_prior(args) -> int:
 def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     config.baseline = args.baseline or config.baseline
-    train_config = config.train_config(
-        config.setting, SmoothingConfig(**config.smoothing), config.grid_seed)
+    train_config = config.train_config(config.setting, config.smoothing,
+                                       config.grid_seed)
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)

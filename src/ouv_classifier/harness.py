@@ -19,7 +19,7 @@ from . import (NUM_CLASSES, NUM_CRITERIA, atomic_open, check_json_type,
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows, token_frequencies)
-from .labels import (ALPHA_GRID, PriorWeights, SmoothingConfig, cooccurrence,
+from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
                       evaluate_split)
@@ -29,7 +29,8 @@ from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
 
 DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
-VARIANT_ORDER = ("vanilla", "uniform", "prior")
+# the sweep's variants, in its tie-break order
+VARIANT_ORDER = tuple(v for v in VARIANTS if v != "none")
 SETTING_KEYS = ("hidden", "batch_size", "learning_rate", "l2", "dropout")
 # each step's artifact -> its path under ``output_dir`` and the keys its
 # readers need, as ``read_json`` defaults
@@ -77,17 +78,18 @@ class ExperimentConfig:
     output_dir: str = "runs"
     # the one model ``ouvclf train`` fits
     setting: dict = field(default_factory=dict)
-    smoothing: dict = field(
-        default_factory=lambda: {"variant": "none", "alpha": 0})
+    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self):
         """Reject, before any step runs, a value some step would reject:
-        ``train_config`` builds each grid value, ``setting`` and seed."""
+        ``train_config`` builds each grid value, ``setting`` with
+        ``smoothing``, and each seed; a sweep list that is empty or repeats
+        a value names its field."""
         if not self.grid or not all(self.grid.values()):
             raise ValueError("grid must be non-empty")
         for setting in [self.setting, *({key: value} for key in self.grid
                                         for value in self.grid[key])]:
-            self.train_config(setting, SmoothingConfig(), 0)
+            self.train_config(setting, self.smoothing, 0)
         for key, seed in [("grid_seed", self.grid_seed),
                           *(("seeds", seed) for seed in self.seeds)]:
             try:
@@ -103,7 +105,17 @@ class ExperimentConfig:
             if variant not in VARIANT_ORDER:
                 raise ValueError(f"unknown variant {variant!r}")
         for alpha in self.alpha_grid:
-            SmoothingConfig(alpha=alpha)
+            try:
+                SmoothingConfig(alpha=alpha)
+            except ValueError as exc:  # name the alpha's field
+                raise ValueError(f"alpha_grid: {exc}") from exc
+        for key in ("variants", "alpha_grid"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must be non-empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key}: {value!r} is repeated")
 
     def train_config(self, setting: dict, smoothing: SmoothingConfig,
                      seed: int) -> TrainConfig:
@@ -129,11 +141,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         """Load a config file through ``json_fields`` (``smoothing`` is
-        checked against ``SmoothingConfig``; setting and grid values are
+        built as a ``SmoothingConfig``; setting and grid values are
         numbers), so a typo is a ``ValueError`` naming it, not a default."""
         payload = json_fields(path, "", read_json(path), cls)
-        json_fields(path, "smoothing", payload.get("smoothing", {}),
-                    SmoothingConfig)
         for key, value in payload.get("setting", {}).items():
             check_json_type(path, f"setting.{key}", value, 0.0)
         for key, values in payload.get("grid", {}).items():
@@ -141,9 +151,9 @@ class ExperimentConfig:
         return cls(**payload)
 
 
-def load_prior(config: ExperimentConfig) -> PriorWeights:
-    """The prior written by ``ouvclf prior`` at ``config.prior_path``, or
-    else the one derived from ``dataset_dir/sites.json``. A prior file
+def load_prior(config: ExperimentConfig) -> np.ndarray:
+    """The 10 x 11 prior weights ``ouvclf prior`` wrote to ``prior_path``,
+    or else those derived from ``dataset_dir/sites.json``. A prior file
     whose ``mu`` is missing or is not 10 rows of 11 finite, non-negative
     numbers is a ``ValueError`` naming the file."""
     if config.prior_path:
@@ -153,7 +163,7 @@ def load_prior(config: ExperimentConfig) -> PriorWeights:
                 or not all(0 <= v < math.inf for row in mu for v in row)):
             raise ValueError(f"{path}: 'mu' must be {NUM_CRITERIA} rows of "
                              f"{NUM_CLASSES} finite, non-negative numbers")
-        return PriorWeights(mu=np.asarray(mu, dtype=float))
+        return np.asarray(mu, dtype=float)
     sites = read_sites(Path(config.dataset_dir) / "sites.json")
     return prior_weights(cooccurrence(sites))
 
@@ -320,7 +330,7 @@ def setting_of(entry: dict) -> dict:
 
 
 def fit(data: FeaturizedData, train_config: TrainConfig,
-        mu: PriorWeights | None) -> TrainedModel:
+        mu: np.ndarray | None) -> TrainedModel:
     """The one call that trains: ``train_config`` on ``data``."""
     return train(data.train_x, data.train_one_hots, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu)
@@ -338,7 +348,7 @@ def save_models(featurizer: Featurizer, featurizer_path: Path,
 
 
 def training_record(data: FeaturizedData, train_config: TrainConfig,
-                    mu: PriorWeights | None) -> dict:
+                    mu: np.ndarray | None) -> dict:
     """``fit`` ``train_config`` and return its best epoch's ``val_top1``,
     ``val_topk`` and ``best_epoch``, or ``{"error": ...}`` if it diverged;
     any other error is not a failed training and propagates."""
@@ -398,7 +408,7 @@ class SweepResult:
 
 
 def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
-                 dataset: Dataset, mu: PriorWeights,
+                 dataset: Dataset, mu: np.ndarray,
                  featurizer: Featurizer | None = None) -> SweepResult:
     """Train every (variant, alpha, seed) cell and pick the configuration
     maximizing the summed 95%-CI lower bounds of val top-1 and top-k.
@@ -490,7 +500,7 @@ def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
 
 
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
-              config: ExperimentConfig, dataset: Dataset, mu: PriorWeights,
+              config: ExperimentConfig, dataset: Dataset, mu: np.ndarray,
               featurizer: Featurizer | None = None) -> dict:
     """Train the chosen-LS and no-LS models on the grid seed, then save
     them and evaluate on valid/test plus the SD set when present. Each
@@ -542,13 +552,20 @@ class Predictor:
     @classmethod
     def load(cls, checkpoint_path: str | Path) -> "Predictor":
         """Load a checkpoint and its featurizer; a relative
-        ``featurizer_ref`` is resolved against the checkpoint's directory."""
+        ``featurizer_ref`` is resolved against the checkpoint's directory.
+        A featurizer whose dimension is not the checkpoint's input size is a
+        ``ValueError`` naming both files."""
         model = load_checkpoint(checkpoint_path)
         if not model.featurizer_ref:
             raise ValueError(f"{checkpoint_path} has no featurizer reference")
         path = (Path(checkpoint_path).parent / model.featurizer_ref).resolve()
-        return cls(model=model, featurizer=Featurizer.load(path),
-                   featurizer_path=path)
+        featurizer = Featurizer.load(path)
+        if featurizer.dimension != len(model.params.W1):
+            raise ValueError(f"{checkpoint_path} takes {len(model.params.W1)} "
+                             f"input features but its featurizer {path} "
+                             f"gives {featurizer.dimension}; they come from "
+                             "different runs")
+        return cls(model=model, featurizer=featurizer, featurizer_path=path)
 
     def topk(self, token_lists: list[list[str]], k: int = 3,
              features=None) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ Criteria are indexed 1-10 externally; vectors are length 11 with the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,22 +26,14 @@ class SmoothingConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown smoothing variant {self.variant!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
 
 
-@dataclass
-class CooccurrenceMatrix:
-    counts: np.ndarray  # 10x10 integer counts
-
-
-@dataclass
-class PriorWeights:
-    mu: np.ndarray  # 10x11; row k-1 holds the weight vector for criterion k
-
-
-def cooccurrence(sites: list[SiteRecord]) -> CooccurrenceMatrix:
-    """Count criterion co-justification over sites.
+def cooccurrence(sites: list[SiteRecord]) -> np.ndarray:
+    """The 10 x 10 int64 counts of criterion co-justification over sites.
 
     Off-diagonal [k,l] counts sites justified under both k and l; the
     diagonal counts sites justified under that criterion alone.
@@ -58,25 +51,26 @@ def cooccurrence(sites: list[SiteRecord]) -> CooccurrenceMatrix:
                 for b in crits:
                     if a != b:
                         counts[a - 1, b - 1] += 1
-    return CooccurrenceMatrix(counts=counts)
+    return counts
 
 
-def prior_weights(matrix: CooccurrenceMatrix) -> PriorWeights:
-    """Column-normalize the co-occurrence matrix into per-criterion weights.
+def prior_weights(counts: np.ndarray) -> np.ndarray:
+    """Column-normalize the co-occurrence counts into the 10 x 11 float64
+    weights mu; row k-1 holds the weight vector of criterion k.
 
     mu[k][l] = counts[l, k] / sum_i counts[i, k] for the ten criteria;
     the Others entry is fixed to 1 so the Others noise passes through
     the prior variant unchanged.
     """
-    counts = matrix.counts.astype(float)
+    counts = counts.astype(float)
     col_sums = counts.sum(axis=0)
+    never = np.flatnonzero(col_sums <= 0)
+    if never.size:
+        raise ValueError(
+            f"criterion {never[0] + 1} never occurs; cannot normalize prior")
     mu = np.ones((NUM_CRITERIA, NUM_CLASSES))
-    for k in range(NUM_CRITERIA):
-        if col_sums[k] <= 0:
-            raise ValueError(
-                f"criterion {k + 1} never occurs; cannot normalize prior")
-        mu[k, :NUM_CRITERIA] = counts[:, k] / col_sums[k]
-    return PriorWeights(mu=mu)
+    mu[:, :NUM_CRITERIA] = (counts / col_sums).T
+    return mu
 
 
 def soft_softmax(z: np.ndarray) -> np.ndarray:
@@ -100,12 +94,12 @@ def soft_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
-                 mu: PriorWeights | None,
+                 mu: np.ndarray | None,
                  config: SmoothingConfig) -> np.ndarray:
     """Combine each row's sentence and parental labels into a soft label.
 
     The prior variant weighs each row's parental labels by the prior of its
-    sentence criterion, ``mu.mu[argmax(one_hot)]``.
+    sentence criterion, ``mu[argmax(one_hot)]``.
     """
     one_hots = np.array(one_hots, dtype=float)
     if config.variant == "none" or config.alpha == 0:
@@ -119,7 +113,7 @@ def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
     else:  # prior
         if mu is None:
             raise ValueError("prior smoothing requires prior weights")
-        weights = mu.mu[one_hots.argmax(axis=1)]
+        weights = mu[one_hots.argmax(axis=1)]
         combined = one_hots + alpha * (weights * parentals)
     return soft_softmax(combined)
 

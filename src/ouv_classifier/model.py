@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import NUM_CLASSES, atomic_open, json_fields, read_json
-from .labels import SmoothingConfig, PriorWeights, soft_targets
+from .labels import SmoothingConfig, soft_targets
 from .metrics import check_k, topk_accuracy
 
 ADAM_BETA1 = 0.9
@@ -67,6 +67,10 @@ class TrainConfig:
                          ("max_epochs", 1), ("hidden", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, "
+                                 f"got {getattr(self, key)!r}")
+        for key in ("learning_rate", "l2"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, "
                                  f"got {getattr(self, key)!r}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -218,7 +222,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
 
 def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
           valid_x, valid_labels: np.ndarray, config: TrainConfig,
-          mu: PriorWeights | None = None) -> TrainedModel:
+          mu: np.ndarray | None = None) -> TrainedModel:
     """Minibatch training with early stopping on validation top-k.
 
     ``train_x``/``valid_x`` are feature matrices (dense or CSR);

@@ -22,9 +22,8 @@ from ouv_classifier.corpus import (build_dataset, build_sd_set, make_one_hot,
 from ouv_classifier.features import fit_tfidf, load_embeddings, tfidf_rows, \
     token_frequencies
 from ouv_classifier.harness import Featurizer, mine
-from ouv_classifier.labels import (ALPHA_GRID, PriorWeights, SmoothingConfig,
-                                   cooccurrence, prior_weights, soft_softmax,
-                                   soft_targets)
+from ouv_classifier.labels import (ALPHA_GRID, SmoothingConfig, cooccurrence,
+                                   prior_weights, soft_softmax, soft_targets)
 from ouv_classifier.metrics import evaluate_matches, evaluate_split
 from ouv_classifier.model import (TrainConfig, backward, cross_entropy_soft,
                                   forward, init_params, save_checkpoint,
@@ -112,8 +111,8 @@ def _numeric_grads(params, x, targets, l2, step=1e-5):
 def test_acceptance_04_gradient_check():
     with criterion(4, "analytic gradients match finite differences"):
         rng = np.random.default_rng(12)
-        mu = PriorWeights(mu=np.hstack([
-            rng.uniform(0.1, 1.0, size=(10, 10)), np.ones((10, 1))]))
+        mu = np.hstack([rng.uniform(0.1, 1.0, size=(10, 10)),
+                        np.ones((10, 1))])
         settings = [SmoothingConfig(),
                     SmoothingConfig("vanilla", 0.1),
                     SmoothingConfig("uniform", 0.2),
@@ -143,8 +142,8 @@ def test_acceptance_05_zero_preservation():
     with criterion(5, "uniform/prior smoothing keeps non-support classes "
                       "at exactly zero; soft labels sum to one"):
         rng = np.random.default_rng(77)
-        mu = PriorWeights(mu=np.hstack([
-            rng.uniform(0.1, 1.0, size=(10, 10)), np.ones((10, 1))]))
+        mu = np.hstack([rng.uniform(0.1, 1.0, size=(10, 10)),
+                        np.ones((10, 1))])
         for _ in range(1000):
             label = int(rng.integers(1, 11))
             one_hot = make_one_hot(label)
@@ -344,8 +343,8 @@ def test_acceptance_11_cooccurrence_distribution(real_sites):
     with criterion(11, "co-occurrence diagonal and criteria-count "
                        "distribution are exact"):
         justified = [s for s in real_sites if s.criteria]
-        matrix = cooccurrence(justified)
-        assert int(np.trace(matrix.counts)) == 188
+        counts = cooccurrence(justified)
+        assert int(np.trace(counts)) == 188
         distribution = {}
         for site in justified:
             distribution[len(site.criteria)] = (

@@ -10,6 +10,7 @@ import pytest
 
 from ouv_classifier import NUM_CLASSES, cli, harness
 from ouv_classifier.cli import main
+from ouv_classifier.features import TfidfVocabulary
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
                                   TrainingDiverged, save_checkpoint)
@@ -205,9 +206,9 @@ def test_train_missing_config(tmp_path):
 def test_load_prior_fallback_equals_prior_command(workspace):
     written = json.loads(workspace["prior"].read_text())["mu"]
     derived = load_prior(ExperimentConfig(dataset_dir=str(workspace["data"])))
-    np.testing.assert_array_equal(derived.mu, np.asarray(written))
+    np.testing.assert_array_equal(derived, np.asarray(written))
     read = load_prior(ExperimentConfig(prior_path=str(workspace["prior"])))
-    np.testing.assert_array_equal(read.mu, derived.mu)
+    np.testing.assert_array_equal(read, derived)
 
 
 def test_train_honours_setting_and_smoothing(workspace, tmp_path):
@@ -344,7 +345,7 @@ def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key,value,name", [
-    ("smoothing", 5, "'smoothing'"),
+    ("smoothing", 5, "smoothing is int, not a JSON object"),
     ("setting", 5, "'setting'"),
     ("grid", 5, "'grid'"),
     ("grid", {"hidden": 16}, "'grid.hidden'"),
@@ -706,21 +707,40 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
      "dropout must be in [0, 1), got 1.5"),
     ("grid", {"hidden": [0]}, "hidden must be >= 1, got 0"),
     ("seeds", [-1, 0], "seeds: seed must be >= 0, got -1"),
+    ("learning_rate", math.nan, "learning_rate must be finite and >= 0, "
+     "got nan"),
+    ("setting", {"learning_rate": math.inf},
+     "learning_rate must be finite and >= 0, got inf"),
+    ("grid", {"hidden": [16], "l2": [0.0, -1]},
+     "l2 must be finite and >= 0, got -1.0"),
+    ("smoothing", {"variant": "prior", "alpha": math.inf},
+     "smoothing: alpha must be finite, got inf"),
+    ("alpha_grid", [math.inf], "alpha_grid: alpha must be finite, got inf"),
+    ("alpha_grid", [math.nan], "alpha_grid: alpha must be finite, got nan"),
+    ("variants", [], "variants must be non-empty"),
+    ("alpha_grid", [], "alpha_grid must be non-empty"),
+    ("variants", ["prior", "uniform", "prior"],
+     "variants: 'prior' is repeated"),
+    ("alpha_grid", [0.1, 0.0, 0.1], "alpha_grid: 0.1 is repeated"),
 ], ids=["variant", "one-seed", "repeated-seed", "negative-alpha",
         "empty-grid", "empty-grid-list", "grid-key", "setting-key",
         "zero-epochs", "zero-patience", "grid-dropout", "grid-zero-hidden",
-        "negative-seed"])
+        "negative-seed", "nan-learning-rate", "setting-infinite-learning-rate",
+        "grid-negative-l2", "infinite-smoothing-alpha", "infinite-alpha",
+        "nan-alpha", "no-variants", "no-alphas", "repeated-variant",
+        "repeated-alpha"])
 @pytest.mark.parametrize("command", ["sweep", "train", "final"])
 def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
                                                 monkeypatch, command, key,
                                                 value, message):
     runs = tmp_path / "runs"
-    if command == "final":
+    if command != "train":  # a rerun must leave steps 1 and 2 as they are
         copy_steps_1_and_2(workspace, runs)
     calls = []
     monkeypatch.setattr(harness, "train",
                         lambda *args, **kwargs: calls.append(args))
-    before = sorted(runs.rglob("*"))
+    before = {path: path.is_file() and path.read_bytes()
+              for path in runs.rglob("*")}
     config_path = write_config(workspace, tmp_path / "config.json",
                                output_dir=str(runs), **{key: value})
     capsys.readouterr()
@@ -728,7 +748,36 @@ def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert calls == []
-    assert sorted(runs.rglob("*")) == before
+    assert {path: path.is_file() and path.read_bytes()
+            for path in runs.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command", ["evaluate", "mine"])
+def test_a_checkpoint_beside_another_runs_featurizer_is_named(
+        workspace, tmp_path, capsys, command):
+    """The checkpoint's input size and its featurizer's dimension are
+    compared when it loads, before the dataset or the input is read."""
+    source = single_model(workspace)
+    model = tmp_path / "model.json"
+    shutil.copy(source, model)
+    featurizer = harness.Featurizer.load(
+        source.with_name("model_featurizer.json"))
+    index = featurizer.vocab.gram_to_index
+    grams = sorted(index, key=index.get)[:5]
+    other = tmp_path / "model_featurizer.json"
+    harness.Featurizer("ngram", vocab=TfidfVocabulary(
+        dict(zip(grams, range(5))), featurizer.vocab.idf[:5], 1)).save(other)
+    missing = tmp_path / "missing"
+    args = {"evaluate": ["evaluate", "--model", str(model), "--split",
+                         "valid", "--dataset", str(missing)],
+            "mine": ["mine", "--models", str(model), str(model),
+                     "--input", str(missing)]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model} takes {featurizer.dimension} input features but "
+        f"its featurizer {other.resolve()} gives 5; they come from "
+        "different runs\n")
 
 
 def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(

@@ -17,7 +17,7 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
-from ouv_classifier.labels import PriorWeights, SmoothingConfig
+from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import (TrainingDiverged, predict_proba,
                                   save_checkpoint, top_classes)
 from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
@@ -53,7 +53,7 @@ def values_of(key):
     """A value ``key`` accepts, twice as likely as any number."""
     valid = {"hidden": st.integers(1, 40), "batch_size": st.integers(1, 40),
              "dropout": st.floats(0, 0.9), "seed": st.integers(0, 40),
-             }.get(key, st.floats(-1, 1))
+             }.get(key, st.floats(0, 1))
     return st.one_of(valid, valid, NUMBERS)
 
 
@@ -67,8 +67,7 @@ def settings_of(values, max_size):
 
 def toy_mu():
     rng = np.random.default_rng(3)
-    return PriorWeights(mu=np.hstack([
-        rng.uniform(0.1, 1.0, size=(10, 10)), np.ones((10, 1))]))
+    return np.hstack([rng.uniform(0.1, 1.0, size=(10, 10)), np.ones((10, 1))])
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +417,7 @@ class TestExperimentConfig:
         config = ExperimentConfig.from_json(path)
         assert (config.baseline, config.grid_seed) == ("boe", 7)
         assert config.setting == {"hidden": 8}
-        assert config.smoothing == {"variant": "none", "alpha": 0}
+        assert config.smoothing == SmoothingConfig()
 
     def test_from_json_names_an_unknown_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -433,13 +432,27 @@ class TestExperimentConfig:
            setting=settings_of(lambda v: v, 2),
            seeds=st.lists(values_of("seed"), min_size=2, max_size=3,
                           unique_by=float),
-           grid_seed=values_of("seed"))
-    @example(grid={"hidden": [8]}, setting={}, seeds=[-1, 0], grid_seed=0)
+           grid_seed=values_of("seed"),
+           learning_rate=values_of("learning_rate"),
+           alpha=values_of("alpha"))
+    @example(grid={"hidden": [8]}, setting={}, seeds=[-1, 0], grid_seed=0,
+             learning_rate=0.01, alpha=0.1)
+    @example(grid={"l2": [-1.0]}, setting={}, seeds=[0, 1], grid_seed=0,
+             learning_rate=0.01, alpha=0.1)
+    @example(grid={"hidden": [8]}, setting={}, seeds=[0, 1], grid_seed=0,
+             learning_rate=math.nan, alpha=0.1)
+    @example(grid={"hidden": [8]}, setting={}, seeds=[0, 1], grid_seed=0,
+             learning_rate=0.01, alpha=math.inf)
     def test_an_accepted_config_trains_and_a_rejected_one_names_its_key(
-            self, tiny_data, grid, setting, seeds, grid_seed):
+            self, tiny_data, grid, setting, seeds, grid_seed, learning_rate,
+            alpha):
+        """``alpha`` is both the ``smoothing`` alpha and the one
+        ``alpha_grid`` value; ``learning_rate`` is the run field."""
         def bad(key, value):
             if key == "dropout":
                 return not 0 <= value < 1
+            if key in ("learning_rate", "l2", "alpha"):
+                return not 0 <= value < math.inf
             low = 0 if key == "seed" else 1
             return key in ("hidden", "batch_size", "seed") and not (
                 float(value).is_integer() and value >= low)
@@ -449,21 +462,29 @@ class TestExperimentConfig:
         named |= {key for key, value in setting.items() if bad(key, value)}
         named |= {"seeds"} if any(bad("seed", s) for s in seeds) else set()
         named |= {"grid_seed"} if bad("seed", grid_seed) else set()
+        named |= {key for key, value in [("learning_rate", learning_rate),
+                                         ("alpha", alpha)] if bad(key, value)}
+
+        def build():
+            return ExperimentConfig(
+                grid=grid, setting=setting, seeds=seeds, grid_seed=grid_seed,
+                learning_rate=learning_rate, alpha_grid=[alpha],
+                smoothing=SmoothingConfig("vanilla", alpha), max_epochs=1)
+
         if named:
             with pytest.raises(ValueError) as excinfo:
-                ExperimentConfig(grid=grid, setting=setting, seeds=seeds,
-                                 grid_seed=grid_seed, max_epochs=1)
+                build()
             assert any(key in str(excinfo.value) for key in named)
             return
-        config = ExperimentConfig(grid=grid, setting=setting, seeds=seeds,
-                                  grid_seed=grid_seed, max_epochs=1)
+        config = build()
         keys = sorted(grid)
-        trainings = [(dict(zip(keys, values)), config.grid_seed)
+        trainings = [(dict(zip(keys, values)), SmoothingConfig(),
+                      config.grid_seed)
                      for values in itertools.product(*map(grid.get, keys))]
-        trainings += [(setting, seed) for seed in [grid_seed, *seeds]]
-        for values, seed in trainings:
-            train_config = config.train_config(values, SmoothingConfig(),
-                                               seed)
+        trainings += [(setting, config.smoothing, seed)
+                      for seed in [grid_seed, *seeds]]
+        for values, smoothing, seed in trainings:
+            train_config = config.train_config(values, smoothing, seed)
             try:
                 with np.errstate(all="ignore"):
                     harness.fit(tiny_data, train_config, None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.corpus import make_one_hot
-from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, CooccurrenceMatrix,
-                                   PriorWeights, SmoothingConfig,
+from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, SmoothingConfig,
                                    cooccurrence, prior_weights,
                                    soft_softmax, soft_targets)
 from conftest import make_sites
@@ -40,8 +40,21 @@ def original_ls(one_hot: np.ndarray, epsilon: float,
 
 
 def identity_mu():
-    return PriorWeights(mu=np.hstack([np.eye(NUM_CRITERIA),
-                                      np.ones((NUM_CRITERIA, 1))]))
+    return np.hstack([np.eye(NUM_CRITERIA), np.ones((NUM_CRITERIA, 1))])
+
+
+def per_column_prior_weights(counts: np.ndarray) -> np.ndarray:
+    """One column at a time: the reference that ``prior_weights`` must
+    equal bit for bit, raising for the lowest criterion that never occurs."""
+    counts = counts.astype(float)
+    col_sums = counts.sum(axis=0)
+    mu = np.ones((NUM_CRITERIA, NUM_CLASSES))
+    for k in range(NUM_CRITERIA):
+        if col_sums[k] <= 0:
+            raise ValueError(
+                f"criterion {k + 1} never occurs; cannot normalize prior")
+        mu[k, :NUM_CRITERIA] = counts[:, k] / col_sums[k]
+    return mu
 
 
 class TestSoftSoftmax:
@@ -180,7 +193,7 @@ class TestSmooth:
         parental[1] = parental[3] = 1.0
         parental[10] = 0.2
         mu = identity_mu()
-        mu.mu[1, 3] = 0.5  # criterion 2 associates with 4
+        mu[1, 3] = 0.5  # criterion 2 associates with 4
         got = soft_targets(y[None], parental[None], mu,
                            SmoothingConfig("prior", 0.5))[0]
         assert abs(got.sum() - 1) < 1e-9
@@ -195,6 +208,12 @@ class TestSmooth:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             SmoothingConfig("vanilla", -0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError,
+                           match=f"^alpha must be finite, got {alpha!r}$"):
+            SmoothingConfig("vanilla", alpha)
 
     def test_others_contribution_identical_across_variants(self):
         # mu[k][others] = 1 makes the Others mass alpha * 0.2 in both variants
@@ -219,7 +238,7 @@ def per_row_soft_target(one_hot, parental, mu, config):
         combined = one_hot + config.alpha * parental
     else:
         criterion = int(np.argmax(one_hot)) + 1
-        combined = one_hot + config.alpha * (mu.mu[criterion - 1] * parental)
+        combined = one_hot + config.alpha * (mu[criterion - 1] * parental)
     numerators = np.expm1(combined)
     return numerators / numerators.sum()
 
@@ -233,9 +252,8 @@ class TestSoftTargetsBatch:
         parentals = np.where(rng.random((n, NUM_CLASSES)) < 0.3, 1.0,
                              one_hots)
         parentals[:, NUM_CLASSES - 1] = 0.2
-        mu = PriorWeights(mu=np.hstack([
-            rng.uniform(0, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
-            np.ones((NUM_CRITERIA, 1))]))
+        mu = np.hstack([rng.uniform(0, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
+                        np.ones((NUM_CRITERIA, 1))])
         for variant in VARIANTS:
             for alpha in ALPHA_GRID:
                 config = SmoothingConfig(variant, alpha)
@@ -264,9 +282,9 @@ class TestSoftLabelProperties:
     def test_zero_preservation_and_sum(self, pair, variant, alpha):
         one_hot, parental = pair
         rng = np.random.default_rng(0)
-        mu = PriorWeights(mu=np.hstack([
+        mu = np.hstack([
             rng.uniform(0.01, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
-            np.ones((NUM_CRITERIA, 1))]))
+            np.ones((NUM_CRITERIA, 1))])
         got = soft_targets(one_hot[None], parental[None], mu,
                            SmoothingConfig(variant, alpha))[0]
         assert abs(got.sum() - 1) < 1e-9
@@ -282,7 +300,7 @@ class TestSoftLabelProperties:
     def test_sentence_label_stays_strict_max(self, pair, variant, alpha):
         one_hot, parental = pair
         mu = identity_mu()
-        mu.mu[:, :NUM_CRITERIA] = 0.5
+        mu[:, :NUM_CRITERIA] = 0.5
         got = soft_targets(one_hot[None], parental[None], mu,
                            SmoothingConfig(variant, alpha))[0]
         label = int(np.argmax(one_hot))
@@ -292,24 +310,26 @@ class TestSoftLabelProperties:
 
 class TestCooccurrence:
     def test_pair_counts(self):
-        matrix = cooccurrence(make_sites([{2, 4}]))
-        assert matrix.counts[1, 3] == 1
-        assert matrix.counts[3, 1] == 1
-        assert np.trace(matrix.counts) == 0
+        counts = cooccurrence(make_sites([{2, 4}]))
+        assert counts.shape == (NUM_CRITERIA, NUM_CRITERIA)
+        assert counts.dtype == np.int64
+        assert counts[1, 3] == 1
+        assert counts[3, 1] == 1
+        assert np.trace(counts) == 0
 
     def test_sole_criterion(self):
-        matrix = cooccurrence(make_sites([{7}]))
-        assert matrix.counts[6, 6] == 1
-        assert matrix.counts.sum() == 1
+        counts = cooccurrence(make_sites([{7}]))
+        assert counts[6, 6] == 1
+        assert counts.sum() == 1
 
     def test_symmetric(self):
         sites = make_sites([{1, 2, 3}, {2, 4}, {2}, {9, 10}, {4}])
-        counts = cooccurrence(sites).counts
+        counts = cooccurrence(sites)
         np.testing.assert_array_equal(counts, counts.T)
 
     def test_diagonal_counts_singletons(self):
         sites = make_sites([{1}, {1}, {1, 2}, {3}])
-        counts = cooccurrence(sites).counts
+        counts = cooccurrence(sites)
         assert counts[0, 0] == 2
         assert counts[2, 2] == 1
         assert counts[0, 1] == 1
@@ -330,12 +350,14 @@ class TestPriorWeights:
         for k in range(3, 10):
             if k != 5:
                 counts[k, k] = 1
-        mu = prior_weights(CooccurrenceMatrix(counts=counts))
+        mu = prior_weights(counts)
+        assert mu.shape == (NUM_CRITERIA, NUM_CLASSES)
+        assert mu.dtype == np.float64
         expected_col1 = np.zeros(11)
         expected_col1[1] = 0.75
         expected_col1[2] = 0.25
         expected_col1[10] = 1.0
-        np.testing.assert_allclose(mu.mu[0], expected_col1)
+        np.testing.assert_allclose(mu[0], expected_col1)
 
     def test_rows_sum_to_one(self):
         sites = make_sites([{1, 2}, {2, 3}, {3}, {1, 4}, {5}, {6}, {7},
@@ -343,33 +365,57 @@ class TestPriorWeights:
         mu = prior_weights(cooccurrence(make_sites(
             [{1, 2}, {2, 3}, {3}, {1, 4}, {5}, {6}, {7}, {8}, {9}, {10},
              {2, 4, 6}])))
-        sums = mu.mu[:, :10].sum(axis=1)
+        sums = mu[:, :10].sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-        np.testing.assert_allclose(mu.mu[:, 10], 1.0)
+        np.testing.assert_allclose(mu[:, 10], 1.0)
 
     def test_reconstruct_counts(self):
         sites = make_sites([{1, 2}, {2, 3}, {3}, {1, 4}, {5}, {6}, {7},
                             {8}, {9}, {10}, {2, 4, 6}])
-        matrix = cooccurrence(sites)
-        mu = prior_weights(matrix)
-        col_sums = matrix.counts.sum(axis=0).astype(float)
-        rebuilt = (mu.mu[:, :10].T * col_sums).round().astype(np.int64)
-        np.testing.assert_array_equal(rebuilt, matrix.counts)
+        counts = cooccurrence(sites)
+        mu = prior_weights(counts)
+        col_sums = counts.sum(axis=0).astype(float)
+        rebuilt = (mu[:, :10].T * col_sums).round().astype(np.int64)
+        np.testing.assert_array_equal(rebuilt, counts)
 
     def test_symmetry_transport(self):
         sites = make_sites([{1, 2}, {2, 3}, {3}, {1, 4}, {5}, {6}, {7},
                             {8}, {9}, {10}])
-        matrix = cooccurrence(sites)
-        mu = prior_weights(matrix)
-        col = matrix.counts.sum(axis=0).astype(float)
+        counts = cooccurrence(sites)
+        mu = prior_weights(counts)
+        col = counts.sum(axis=0).astype(float)
         for k in range(1, 11):
             for l in range(1, 11):
-                lhs = mu.mu[k - 1][l - 1] * col[k - 1]
-                rhs = mu.mu[l - 1][k - 1] * col[l - 1]
+                lhs = mu[k - 1][l - 1] * col[k - 1]
+                rhs = mu[l - 1][k - 1] * col[l - 1]
                 assert abs(lhs - rhs) < 1e-9
 
     def test_zero_column_rejected(self):
         counts = np.zeros((10, 10), dtype=np.int64)
         counts[0, 0] = 1
         with pytest.raises(ValueError, match="criterion 2"):
-            prior_weights(CooccurrenceMatrix(counts=counts))
+            prior_weights(counts)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 50) | st.integers(0, 2 ** 40),
+                    min_size=NUM_CRITERIA ** 2, max_size=NUM_CRITERIA ** 2),
+           st.sets(st.integers(0, NUM_CRITERIA - 1), max_size=3))
+    @example(values=[1] * NUM_CRITERIA ** 2, never=set())
+    @example(values=[1] * NUM_CRITERIA ** 2, never={0, 9})
+    def test_equals_per_column_reference(self, values, never):
+        """Bit for bit the per-column reference; counts whose ``never``
+        columns are zeroed raise its error, naming the lowest of them."""
+        counts = np.array(values, dtype=np.int64).reshape(NUM_CRITERIA,
+                                                          NUM_CRITERIA)
+        counts[:, sorted(never)] = 0
+        try:
+            want = per_column_prior_weights(counts)
+        except ValueError as exc:
+            lowest = min(np.flatnonzero(counts.sum(axis=0) == 0)) + 1
+            assert f"criterion {lowest} " in str(exc)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                prior_weights(counts)
+            return
+        got = prior_weights(counts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ from scipy import sparse
 from ouv_classifier import NUM_CLASSES, model as model_module
 from ouv_classifier.corpus import make_one_hot
 from ouv_classifier.features import fit_tfidf, tfidf_rows
-from ouv_classifier.labels import PriorWeights, SmoothingConfig
+from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
@@ -470,8 +470,8 @@ class TestTrain:
 
     def test_gradient_check_with_all_smoothing_variants(self):
         rng = np.random.default_rng(21)
-        mu = PriorWeights(mu=np.hstack([
-            rng.uniform(0.05, 1, size=(10, 10)), np.ones((10, 1))]))
+        mu = np.hstack([rng.uniform(0.05, 1, size=(10, 10)),
+                        np.ones((10, 1))])
         configs = [SmoothingConfig(), SmoothingConfig("vanilla", 0.1),
                    SmoothingConfig("uniform", 0.2),
                    SmoothingConfig("prior", 0.5)]
@@ -628,10 +628,17 @@ class TestCheckpoint:
         (lambda p: p.update(history=[5]), r"key 'history\[0\]' is int"),
         (lambda p: p.update(featurizer_ref=5),
          "key 'featurizer_ref' is int, expected str"),
+        (lambda p: p["config"].update(learning_rate=math.nan),
+         "'config': learning_rate must be finite and >= 0, got nan"),
+        (lambda p: p["config"].update(l2=-1e-5),
+         "'config': l2 must be finite and >= 0, got -1e-05"),
+        (lambda p: p["config"]["smoothing"].update(alpha=math.inf),
+         "config.smoothing: alpha must be finite, got inf"),
     ], ids=["missing-b2", "extra-param", "smoothing-not-object",
             "unknown-config-key", "W2-hidden-mismatch", "hidden-str",
             "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
-            "history-int", "history-item-int", "featurizer-ref-int"])
+            "history-int", "history-item-int", "featurizer-ref-int",
+            "nan-learning-rate", "negative-l2", "infinite-alpha"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
                                                        match):
         model = TrainedModel(params=random_params(4, 3, seed=34),
