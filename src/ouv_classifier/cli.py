@@ -69,7 +69,6 @@ def cmd_prior(args) -> int:
 
 def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    config.baseline = args.baseline or config.baseline
     train_config = config.train_config(config.setting, config.smoothing,
                                        config.grid_seed)
     dataset = read_dataset(config.dataset_dir)
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prior)
 
     p = sub.add_parser("train", help="train a single model")
-    p.add_argument("--baseline", choices=["ngram", "boe"])
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (NUM_CLASSES, NUM_CRITERIA, atomic_open, check_json_type,
-               json_fields, read_json)
+from . import atomic_open, check_json_type, json_fields, read_json
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows, token_frequencies)
@@ -74,7 +73,6 @@ class ExperimentConfig:
     frequency_threshold: int = 1
     dataset_dir: str = ""
     embeddings_path: str = ""
-    prior_path: str = ""
     output_dir: str = "runs"
     # the one model ``ouvclf train`` fits
     setting: dict = field(default_factory=dict)
@@ -82,9 +80,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject, before any step runs, a value some step would reject:
+        the featurizer's ``baseline``, ``embeddings_path`` and ``min_df``;
         ``train_config`` builds each grid value, ``setting`` with
         ``smoothing``, and each seed; a sweep list that is empty or repeats
         a value names its field."""
+        if self.baseline not in ("ngram", "boe"):
+            raise ValueError(f"unknown baseline {self.baseline!r}")
+        if self.baseline == "boe" and not self.embeddings_path:
+            raise ValueError("BoE baseline requires embeddings_path")
+        if self.min_df < 1:
+            raise ValueError(f"min_df must be >= 1, got {self.min_df!r}")
         if not self.grid or not all(self.grid.values()):
             raise ValueError("grid must be non-empty")
         for setting in [self.setting, *({key: value} for key in self.grid
@@ -98,9 +103,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: {exc}") from exc
         if len(self.seeds) < 2:
             raise ValueError("the sweep requires at least two seeds")
-        for i, seed in enumerate(self.seeds):
-            if seed in self.seeds[:i]:
-                raise ValueError(f"sweep seed {seed!r} is repeated")
         for variant in self.variants:
             if variant not in VARIANT_ORDER:
                 raise ValueError(f"unknown variant {variant!r}")
@@ -109,7 +111,7 @@ class ExperimentConfig:
                 SmoothingConfig(alpha=alpha)
             except ValueError as exc:  # name the alpha's field
                 raise ValueError(f"alpha_grid: {exc}") from exc
-        for key in ("variants", "alpha_grid"):
+        for key in ("seeds", "variants", "alpha_grid"):
             values = getattr(self, key)
             if not values:
                 raise ValueError(f"{key} must be non-empty")
@@ -152,18 +154,8 @@ class ExperimentConfig:
 
 
 def load_prior(config: ExperimentConfig) -> np.ndarray:
-    """The 10 x 11 prior weights ``ouvclf prior`` wrote to ``prior_path``,
-    or else those derived from ``dataset_dir/sites.json``. A prior file
-    whose ``mu`` is missing or is not 10 rows of 11 finite, non-negative
-    numbers is a ``ValueError`` naming the file."""
-    if config.prior_path:
-        path = config.prior_path
-        mu = read_json(path, mu=[[0.0]])["mu"]
-        if ([len(row) for row in mu] != [NUM_CLASSES] * NUM_CRITERIA
-                or not all(0 <= v < math.inf for row in mu for v in row)):
-            raise ValueError(f"{path}: 'mu' must be {NUM_CRITERIA} rows of "
-                             f"{NUM_CLASSES} finite, non-negative numbers")
-        return np.asarray(mu, dtype=float)
+    """The 10 x 11 prior weights of ``dataset_dir/sites.json``: the ``mu``
+    that ``ouvclf prior`` writes for the same dataset."""
     sites = read_sites(Path(config.dataset_dir) / "sites.json")
     return prior_weights(cooccurrence(sites))
 
@@ -286,16 +278,12 @@ def build_featurizer(config: ExperimentConfig, dataset: Dataset) -> Featurizer:
     if config.baseline == "ngram":
         return Featurizer(kind="ngram",
                           vocab=fit_tfidf(dataset.train, config.min_df))
-    if config.baseline == "boe":
-        if not config.embeddings_path:
-            raise ValueError("BoE baseline requires embeddings_path")
-        # cut-off frequency is counted over the full dataset, SD included
-        freq = token_frequencies(dataset.train + dataset.valid
-                                 + dataset.test + dataset.sd)
-        table, _ = load_embeddings(config.embeddings_path,
-                                   config.frequency_threshold, freq)
-        return Featurizer(kind="boe", table=table)
-    raise ValueError(f"unknown baseline {config.baseline!r}")
+    # cut-off frequency is counted over the full dataset, SD included
+    freq = token_frequencies(dataset.train + dataset.valid
+                             + dataset.test + dataset.sd)
+    table, _ = load_embeddings(config.embeddings_path,
+                               config.frequency_threshold, freq)
+    return Featurizer(kind="boe", table=table)
 
 
 @dataclass

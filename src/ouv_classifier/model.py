@@ -63,6 +63,9 @@ class TrainConfig:
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self):
+        if not isinstance(self.smoothing, SmoothingConfig):
+            raise ValueError("smoothing must be a SmoothingConfig, got "
+                             f"{type(self.smoothing).__name__}")
         for key, low in (("patience", 1), ("batch_size", 1),
                          ("max_epochs", 1), ("hidden", 1), ("seed", 0)):
             if getattr(self, key) < low:

@@ -64,7 +64,6 @@ def workspace(tmp_path_factory):
         "patience": 2,
         "min_df": 1,
         "dataset_dir": str(data_dir),
-        "prior_path": str(prior_path),
         "output_dir": str(root / "runs"),
     }), encoding="utf-8")
     return {"root": root, "csv": csv_path, "data": data_dir,
@@ -91,8 +90,7 @@ def test_prior_outputs(workspace):
 
 def test_train_and_evaluate(workspace, capsys):
     model_path = workspace["root"] / "single/model.json"
-    assert main(["train", "--baseline", "ngram",
-                 "--config", str(workspace["config"]),
+    assert main(["train", "--config", str(workspace["config"]),
                  "--out", str(model_path)]) == 0
     assert model_path.exists()
     assert model_path.with_name("model_featurizer.json").exists()
@@ -129,8 +127,8 @@ def test_sweep_then_final_then_report(workspace, capsys):
 
 
 def test_mine_cli(workspace, capsys):
-    model_a = workspace["runs"] / "step3_final/model_no_ls.json"
-    model_b = workspace["runs"] / "step3_final/model_ls.json"
+    final = workspace_runs(workspace, "sweep", "final") / "step3_final"
+    model_a, model_b = final / "model_no_ls.json", final / "model_ls.json"
     input_path = workspace["root"] / "mine_input.txt"
     input_path.write_text(
         "The ancient walls ensemble shows enduring testimony here.\n"
@@ -151,8 +149,8 @@ def test_mine_cli(workspace, capsys):
 
 def test_mine_writes_the_same_bytes_to_stdout_and_out(workspace, tmp_path,
                                                      capsys):
-    models = [str(workspace["runs"] / f"step3_final/model_{label}.json")
-              for label in ("no_ls", "ls")]
+    final = workspace_runs(workspace, "sweep", "final") / "step3_final"
+    models = [str(final / f"model_{label}.json") for label in ("no_ls", "ls")]
     input_path = tmp_path / "input.txt"
     input_path.write_text("The ancient walls ensemble shows testimony.\n"
                           "A renowned temple site of great value.\n",
@@ -174,17 +172,16 @@ def test_final_without_sd_returns_2(workspace, tmp_path, capsys):
     write_corpus_csv(csv_path, with_sd=False)
     data_dir = tmp_path / "data"
     assert main(["ingest", str(csv_path), "--out", str(data_dir)]) == 0
-    config_path = tmp_path / "config.json"
-    base = json.loads(workspace["config"].read_text())
-    base["dataset_dir"] = str(data_dir)
-    base["output_dir"] = str(workspace["runs"])  # reuse step1/step2 artifacts
-    config_path.write_text(json.dumps(base), encoding="utf-8")
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data_dir), output_dir=str(runs))
     capsys.readouterr()
     assert main(["final", "--config", str(config_path)]) == 2
     assert "SD" in capsys.readouterr().err
 
     # an empty split is a fatal error for evaluate
-    model_path = workspace["runs"] / "step3_final/model_no_ls.json"
+    model_path = runs / "step3_final/model_no_ls.json"
     assert main(["evaluate", "--model", str(model_path),
                  "--split", "sd", "--dataset", str(data_dir)]) == 1
 
@@ -207,8 +204,6 @@ def test_load_prior_fallback_equals_prior_command(workspace):
     written = json.loads(workspace["prior"].read_text())["mu"]
     derived = load_prior(ExperimentConfig(dataset_dir=str(workspace["data"])))
     np.testing.assert_array_equal(derived, np.asarray(written))
-    read = load_prior(ExperimentConfig(prior_path=str(workspace["prior"])))
-    np.testing.assert_array_equal(read, derived)
 
 
 def test_train_honours_setting_and_smoothing(workspace, tmp_path):
@@ -237,6 +232,25 @@ def test_unknown_config_key_is_fatal(workspace, tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, "--config", str(config_path)]) == 1
     assert "'learning_rte'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "final"])
+def test_a_config_with_a_prior_file_is_refused(workspace, tmp_path, capsys,
+                                               monkeypatch, command):
+    """μ comes only from ``dataset_dir/sites.json``: a ``prior_path`` key
+    is an unknown key, refused before the dataset is read."""
+    calls = []
+    monkeypatch.setattr(cli, "read_dataset",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               prior_path=str(workspace["prior"]),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: unknown key(s) 'prior_path'\n")
+    assert calls == []
     assert not (tmp_path / "runs").exists()
 
 
@@ -384,7 +398,7 @@ def test_integers_load_where_floats_are_expected(workspace, tmp_path):
 
 
 def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
-    final = workspace["runs"] / "step3_final"
+    final = workspace_runs(workspace, "sweep", "final") / "step3_final"
     for name in ("model_no_ls.json", "model_ls.json"):
         shutil.copy(final / name, tmp_path / name)
     featurizer = json.loads((final / "featurizer.json").read_text(
@@ -465,8 +479,7 @@ def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
 def test_evaluate_rejects_a_checkpoint_value_of_wrong_type(workspace, tmp_path,
                                                            capsys, key,
                                                            value):
-    model_path = workspace["root"] / "single/model.json"
-    payload = json.loads(model_path.read_text())
+    payload = json.loads(single_model(workspace).read_text())
     (payload if key == "best_epoch" else payload["config"])[key] = value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
@@ -477,45 +490,6 @@ def test_evaluate_rejects_a_checkpoint_value_of_wrong_type(workspace, tmp_path,
     assert err.startswith(f"error: {path}: ") and key in err
 
 
-@pytest.mark.parametrize("payload,match", [
-    ({"counts": []}, "missing key\\(s\\) 'mu'"),
-    ([[0.5] * 11] * 10, "missing key\\(s\\) 'mu'"),
-    ({"mu": [[0.5] * 10] * 10}, "'mu' must be 10 rows of 11"),
-    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + [-1]]}, "non-negative"),
-    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + [math.nan]]}, "finite"),
-    ({"mu": [[0.5] * 11] * 9 + [[0.5] * 10 + ["1"]]},
-     r"'mu\[9\]\[10\]' is str"),
-    ({"mu": 5}, "'mu' is int, expected list"),
-], ids=["no-mu", "not-an-object", "10x10", "negative", "nan", "str-entry",
-        "not-a-list"])
-def test_load_prior_rejects_a_malformed_prior_file(tmp_path, payload, match):
-    path = tmp_path / "prior.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=match) as excinfo:
-        load_prior(ExperimentConfig(prior_path=str(path)))
-    assert str(excinfo.value).startswith(f"{path}: ")
-
-
-def test_sweep_with_a_malformed_prior_trains_nothing(workspace, tmp_path,
-                                                     capsys, monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained despite a malformed prior")
-
-    monkeypatch.setattr(harness, "train", no_training)
-    prior_path = tmp_path / "prior.json"
-    prior_path.write_text(json.dumps({"mu": [[0.5] * 10] * 10}),
-                          encoding="utf-8")
-    config = json.loads(workspace["config"].read_text())
-    config.update(prior_path=str(prior_path),
-                  output_dir=str(tmp_path / "runs"))
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {prior_path}: ")
-    assert not (tmp_path / "runs").exists()
-
-
 @pytest.mark.parametrize("artifact,key", [
     ("step1_grid/log.json", "best"),
     ("step2_sweep/sweep.json", "chosen_variant"),
@@ -524,16 +498,12 @@ def test_sweep_with_a_malformed_prior_trains_nothing(workspace, tmp_path,
 def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
                                           artifact, key):
     runs = tmp_path / "runs"
-    for rel in ("step1_grid/log.json", "step2_sweep/sweep.json"):
-        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(workspace["runs"] / rel, runs / rel)
+    copy_steps_1_and_2(workspace, runs)
     payload = json.loads((runs / artifact).read_text())
     del payload[key]
     (runs / artifact).write_text(json.dumps(payload))
-    config = json.loads(workspace["config"].read_text())
-    config["output_dir"] = str(runs)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs))
     capsys.readouterr()
     assert main(["final", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
@@ -545,7 +515,7 @@ def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
 def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
                                                                tmp_path,
                                                                capsys):
-    payload = json.loads((workspace["root"] / "single/model.json").read_text())
+    payload = json.loads(single_model(workspace).read_text())
     payload["config"]["patience"] = 0
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
@@ -566,6 +536,7 @@ def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
 def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
                                            artifact, key):
     runs = tmp_path / "runs"
+    workspace_runs(workspace, "sweep", "final")
     for rel in ("step1_grid/log.json", "step2_sweep/sweep.json",
                 "step3_final/final.json"):
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -585,10 +556,7 @@ def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
 @pytest.mark.parametrize("split", ["valid", "sd"])
 def test_evaluate_rejects_k_outside_one_to_eleven(workspace, capsys, k,
                                                   split):
-    model_path = workspace["root"] / "single/model.json"
-    if not model_path.exists():
-        assert main(["train", "--config", str(workspace["config"]),
-                     "--out", str(model_path)]) == 0
+    model_path = single_model(workspace)
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model_path), "--split", split,
                  "--dataset", str(workspace["data"]), "--k", k]) == 1
@@ -645,11 +613,21 @@ def write_config(workspace, path, **changes):
     return path
 
 
+def workspace_runs(workspace, *commands):
+    """The workspace config's output directory after each of ``commands``
+    (``"sweep"``, ``"final"``), which runs only if no earlier test has
+    written its artifact."""
+    for command in commands:
+        artifact = harness.STEP_ARTIFACTS[command][0]
+        if not (workspace["runs"] / artifact).exists():
+            assert main([command, "--config", str(workspace["config"])]) == 0
+    return workspace["runs"]
+
+
 def copy_steps_1_and_2(workspace, runs):
     """Copy the workspace sweep's step 1 and 2 artifacts into ``runs``,
     running the sweep first if no earlier test has."""
-    if not (workspace["runs"] / "step2_sweep/sweep.json").exists():
-        assert main(["sweep", "--config", str(workspace["config"])]) == 0
+    workspace_runs(workspace, "sweep")
     for rel in ("step1_grid/log.json", "step2_sweep/sweep.json"):
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(workspace["runs"] / rel, runs / rel)
@@ -695,7 +673,7 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
 @pytest.mark.parametrize("key, value, message", [
     ("variants", ["vanila"], "unknown variant 'vanila'"),
     ("seeds", [0], "the sweep requires at least two seeds"),
-    ("seeds", [0, 1, 0], "sweep seed 0 is repeated"),
+    ("seeds", [0, 1, 0], "seeds: 0 is repeated"),
     ("alpha_grid", [-0.1], "alpha must be non-negative"),
     ("grid", {}, "grid must be non-empty"),
     ("grid", {"hidden": [16], "batch_size": []}, "grid must be non-empty"),
@@ -722,13 +700,17 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
     ("variants", ["prior", "uniform", "prior"],
      "variants: 'prior' is repeated"),
     ("alpha_grid", [0.1, 0.0, 0.1], "alpha_grid: 0.1 is repeated"),
+    ("baseline", "bert", "unknown baseline 'bert'"),
+    ("baseline", "boe", "BoE baseline requires embeddings_path"),
+    ("min_df", 0, "min_df must be >= 1, got 0"),
 ], ids=["variant", "one-seed", "repeated-seed", "negative-alpha",
         "empty-grid", "empty-grid-list", "grid-key", "setting-key",
         "zero-epochs", "zero-patience", "grid-dropout", "grid-zero-hidden",
         "negative-seed", "nan-learning-rate", "setting-infinite-learning-rate",
         "grid-negative-l2", "infinite-smoothing-alpha", "infinite-alpha",
         "nan-alpha", "no-variants", "no-alphas", "repeated-variant",
-        "repeated-alpha"])
+        "repeated-alpha", "unknown-baseline", "boe-without-embeddings",
+        "zero-min-df"])
 @pytest.mark.parametrize("command", ["sweep", "train", "final"])
 def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
                                                 monkeypatch, command, key,
@@ -737,8 +719,9 @@ def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
     if command != "train":  # a rerun must leave steps 1 and 2 as they are
         copy_steps_1_and_2(workspace, runs)
     calls = []
-    monkeypatch.setattr(harness, "train",
-                        lambda *args, **kwargs: calls.append(args))
+    for module, name in ((harness, "train"), (cli, "read_dataset")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: calls.append(args))
     before = {path: path.is_file() and path.read_bytes()
               for path in runs.rglob("*")}
     config_path = write_config(workspace, tmp_path / "config.json",
@@ -882,13 +865,14 @@ def test_final_and_report_refuse_a_grid_and_sweep_of_two_runs(
             if p.is_file()} == before
 
 
-@pytest.mark.parametrize("command, missing", [
-    *[(command, missing) for command in ("train", "sweep", "final")
-      for missing in (["dataset_dir"], ["dataset_dir", "prior_path"])],
-    ("evaluate", None)])
+# ids kept from when each command also ran without ``prior_path``, so
+# results compare across versions of the suite
+@pytest.mark.parametrize("command", ["train", "sweep", "final", "evaluate"],
+                         ids=["train-missing0", "sweep-missing2",
+                              "final-missing4", "evaluate-None"])
 def test_config_without_dataset_dir_names_the_field(workspace, tmp_path,
                                                     capsys, monkeypatch,
-                                                    command, missing):
+                                                    command):
     runs = tmp_path / "runs"
     if command == "evaluate":
         args = ["--model", str(single_model(workspace)), "--split", "valid",
@@ -897,8 +881,7 @@ def test_config_without_dataset_dir_names_the_field(workspace, tmp_path,
         if command == "final":
             copy_steps_1_and_2(workspace, runs)
         config = json.loads(workspace["config"].read_text())
-        for key in missing:  # without a prior file, the prior needs the data
-            del config[key]
+        del config["dataset_dir"]
         config["output_dir"] = str(runs)
         (tmp_path / "config.json").write_text(json.dumps(config),
                                               encoding="utf-8")
@@ -972,7 +955,7 @@ def test_a_sites_entry_without_criteria_is_named(workspace, tmp_path, capsys,
                       str(tmp_path / "prior.json")],
             "train": ["train", "--config", str(write_config(
                 workspace, tmp_path / "config.json", dataset_dir=str(data),
-                prior_path="", output_dir=str(tmp_path / "runs")))]}
+                output_dir=str(tmp_path / "runs")))]}
     capsys.readouterr()
     assert main(args[command]) == 1
     assert capsys.readouterr().err == (
@@ -995,7 +978,7 @@ def test_a_sites_entry_with_bad_criteria_is_named(workspace, tmp_path, capsys,
                       str(tmp_path / "prior.json")],
             "sweep": ["sweep", "--config", str(write_config(
                 workspace, tmp_path / "config.json", dataset_dir=str(data),
-                prior_path="", output_dir=str(tmp_path / "runs")))]}
+                output_dir=str(tmp_path / "runs")))]}
     capsys.readouterr()
     assert main(args[command]) == 1
     assert capsys.readouterr().err == (

@@ -413,9 +413,11 @@ class TestExperimentConfig:
     def test_from_json_reads_every_field(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"baseline": "boe", "grid_seed": 7,
+                                    "embeddings_path": "vectors.txt",
                                     "setting": {"hidden": 8}}))
         config = ExperimentConfig.from_json(path)
         assert (config.baseline, config.grid_seed) == ("boe", 7)
+        assert config.embeddings_path == "vectors.txt"
         assert config.setting == {"hidden": 8}
         assert config.smoothing == SmoothingConfig()
 
@@ -425,6 +427,11 @@ class TestExperimentConfig:
                                     "learning_rte": 0.1}))
         with pytest.raises(ValueError, match="'learning_rte'"):
             ExperimentConfig.from_json(path)
+
+    def test_a_smoothing_dict_is_rejected(self):
+        with pytest.raises(ValueError, match="^smoothing must be a "
+                           "SmoothingConfig, got dict$"):
+            ExperimentConfig(smoothing={"variant": "bogus"})
 
     @settings(deadline=None)
     @given(grid=settings_of(lambda v: st.lists(v, min_size=1, max_size=2),
@@ -921,7 +928,7 @@ class TestSettingKeys:
     @pytest.mark.parametrize("overrides, match", [
         ({"variants": ["vanilla", "unifrom"]}, "'unifrom'"),
         ({"alpha_grid": [0.0, -0.1]}, "alpha must be non-negative"),
-        ({"seeds": [0, 1, 0]}, "sweep seed 0 is repeated"),
+        ({"seeds": [0, 1, 0]}, "seeds: 0 is repeated"),
     ] + [pytest.param(overrides, f"^{re.escape(message)}$", id=name)
          for name, overrides, message in [
         ("grid-dropout", {"grid": {"dropout": [0.2, 1.5]}},

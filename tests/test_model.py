@@ -460,6 +460,17 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"k must be in 1..11, got {k}"):
             quick_config(k=k)
 
+    @pytest.mark.parametrize("smoothing, kind", [
+        ({"variant": "prior", "alpha": 0.1}, "dict"), (None, "NoneType"),
+        (("vanilla", 0.1), "tuple")])
+    def test_smoothing_that_is_not_a_smoothing_config_is_rejected(
+            self, smoothing, kind):
+        """A dict, the form a config file holds, would reach
+        ``soft_targets`` and fail there, after featurizing."""
+        message = f"smoothing must be a SmoothingConfig, got {kind}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quick_config(smoothing=smoothing)
+
     def test_loss_non_increasing_small_lr(self, toy_dataset):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
         config = quick_config(learning_rate=1e-3, dropout=0.0,
