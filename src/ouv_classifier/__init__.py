@@ -39,9 +39,12 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
 def read_json(path, **defaults):
     """The JSON value in the file at ``path``: an object holding each key of
     ``defaults`` with a value of its default's JSON type, if any are given.
-    Anything else is a ``ValueError`` naming the file and the key."""
+    Anything else is a ``ValueError`` naming the file (and the key)."""
     with open(path, encoding="utf-8") as fh:
-        value = json.load(fh)
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     missing = [key for key in defaults
                if not isinstance(value, dict) or key not in value]
     if missing:

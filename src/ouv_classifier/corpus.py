@@ -476,13 +476,18 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    """Read a file written by ``write_samples``. A line without a sample
-    key is a ``ValueError`` naming the file and the key. A token that holds
-    whitespace is a ``ValueError`` naming the file and the token: tokens
-    are as ``str.split`` gives them, and the n-gram features count on it."""
+    """Read a file written by ``write_samples``. A line that is not JSON or
+    lacks a sample key, or a token that holds whitespace, is a ``ValueError``
+    naming the file and the line, key or token: tokens are as ``str.split``
+    gives them, and the n-gram features count on it."""
+    samples = []
     with open(path, encoding="utf-8") as fh:
         try:
-            samples = [sample_from_json(line) for line in fh if line.strip()]
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    samples.append(sample_from_json(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
         except (KeyError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: not a dataset file ({detail})") from exc

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -193,52 +193,49 @@ class EmbeddingTable:
         return {token: rows[row] for token, row in self.token_to_row.items()}
 
 
-def load_embeddings(file_path: str | Path, frequency_threshold: int,
-                    train_vocab: dict[str, int]) -> tuple[EmbeddingTable, list[str]]:
-    """Load a text-format embedding file, keeping frequent corpus tokens.
+def load_embeddings(file_path: str | Path,
+                    corpus_tokens: AbstractSet[str]) -> EmbeddingTable:
+    """Load a text-format embedding file, keeping the corpus's tokens.
 
-    A first line of two integer fields is the word2vec/fastText
-    ``count dim`` header: it is skipped, and every vector must have ``dim``
-    values. Tokens whose corpus frequency is below the threshold fall back
-    to "<unk>", whose vector is the mean of all kept vectors. A repeated
-    token keeps its first row and takes its last vector; a kept "<unk>"
-    line keeps its row and takes the mean. Returns the table plus a report
-    of unreadable lines.
+    Each line, right-stripped (fastText's ``.vec`` lines end in a space), is
+    a token and its values, split at single spaces. A first line of two
+    integer fields is the word2vec/fastText ``count dim`` header: it is
+    skipped, and every line must have ``dim`` values (else as many as the
+    first line). Only a line whose token is in ``corpus_tokens`` is parsed.
+    A line with no values or another count, or a kept line with a
+    non-numeric value, is a ``ValueError`` naming the file and the line.
+    Other tokens fall back to "<unk>", whose vector is the mean of all kept
+    vectors. A repeated token keeps its first row and takes its last vector;
+    a kept "<unk>" line keeps its row and takes the mean.
     """
     kept: dict[str, np.ndarray] = {}
-    errors: list[str] = []
     dimension = None
     with open(file_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if line_no == 1 and len(parts) == 2 and all(
-                    part.isdecimal() for part in parts):
-                dimension = int(parts[1])
+            token, _, values = line.rstrip().partition(" ")
+            if line_no == 1 and token.isdecimal() and values.isdecimal():
+                dimension = int(values)
                 continue
-            if len(parts) < 2:
-                errors.append(f"line {line_no}: too few fields")
-                continue
-            token = parts[0]
-            try:
-                vec = np.array(parts[1:], dtype=float)
-            except ValueError:
-                errors.append(f"line {line_no}: non-numeric value")
-                continue
+            size = values.count(" ") + 1 if values else 0
             if dimension is None:
-                dimension = len(vec)
-            elif len(vec) != dimension:
-                raise ValueError(
-                    f"line {line_no}: dimension {len(vec)} != {dimension}")
-            if train_vocab.get(token, 0) >= frequency_threshold:
-                kept[token] = vec
+                dimension = size
+            if not size or size != dimension:
+                raise ValueError(f"{file_path}: line {line_no}: "
+                                 f"{size} values, expected {dimension}")
+            if token in corpus_tokens:
+                try:
+                    kept[token] = np.array(values.split(" "), dtype=float)
+                except ValueError as exc:
+                    raise ValueError(f"{file_path}: line {line_no}: "
+                                     f"non-numeric value ({exc})") from exc
     if not kept:
-        raise ValueError("no embeddings survived the frequency filter")
+        raise ValueError(f"{file_path}: no line's token is in the corpus")
     token_to_row = {token: row for row, token in enumerate(kept)}
     unk = token_to_row.setdefault("<unk>", len(kept))
     vectors = np.empty((len(token_to_row), dimension))
     np.stack(list(kept.values()), out=vectors[:len(kept)])
     vectors[unk] = np.mean(vectors[:len(kept)], axis=0)
-    return EmbeddingTable(token_to_row, vectors), errors
+    return EmbeddingTable(token_to_row, vectors)
 
 
 def boe_rows(table: EmbeddingTable,
@@ -261,10 +258,3 @@ def boe_rows(table: EmbeddingTable,
                              shape=(len(lengths), len(table.token_to_row)))
     return (ones @ table.vectors) / lengths[:, None]
 
-
-def token_frequencies(samples: list[Sample]) -> dict[str, int]:
-    """Token frequency over the given samples (the full dataset for BoE)."""
-    freq: Counter[str] = Counter()
-    for sample in samples:
-        freq.update(sample.tokens)
-    return dict(freq)

@@ -17,7 +17,7 @@ import numpy as np
 from . import atomic_open, check_json_type, json_fields, read_json
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
-                       load_embeddings, tfidf_rows, token_frequencies)
+                       load_embeddings, tfidf_rows)
 from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
@@ -70,7 +70,6 @@ class ExperimentConfig:
     patience: int = TrainConfig.patience
     k: int = TrainConfig.k
     min_df: int = 2
-    frequency_threshold: int = 1
     dataset_dir: str = ""
     embeddings_path: str = ""
     output_dir: str = "runs"
@@ -278,12 +277,11 @@ def build_featurizer(config: ExperimentConfig, dataset: Dataset) -> Featurizer:
     if config.baseline == "ngram":
         return Featurizer(kind="ngram",
                           vocab=fit_tfidf(dataset.train, config.min_df))
-    # cut-off frequency is counted over the full dataset, SD included
-    freq = token_frequencies(dataset.train + dataset.valid
-                             + dataset.test + dataset.sd)
-    table, _ = load_embeddings(config.embeddings_path,
-                               config.frequency_threshold, freq)
-    return Featurizer(kind="boe", table=table)
+    # a token of any split, SD included, keeps its vector
+    tokens = {token for name in ("train", "valid", "test", "sd")
+              for sample in dataset.split(name) for token in sample.tokens}
+    return Featurizer(kind="boe",
+                      table=load_embeddings(config.embeddings_path, tokens))
 
 
 @dataclass
@@ -630,38 +628,41 @@ def report(artifacts_dir: str | Path) -> dict:
         raise ReportError(missing)
     grid, sweep, final = read_run(root, final=True)
 
-    lines = [f"baseline: {final['baseline']}",
-             f"grid best setting: {final['setting']} (seed {final['seed']})",
-             f"chosen LS: {sweep['chosen_variant']} "
-             f"alpha={sweep['chosen_alpha']}",
-             "",
-             f"{'row':>6} {'val1':>7} {'valk':>7} {'valF1':>7} "
-             f"{'test1':>7} {'testk':>7} {'testF1':>7} "
-             f"{'SD1':>7} {'SDk':>7}"]
-    for label, row in final["rows"].items():
-        lines.append(
+    step = "final"  # the artifact the rendering reads, for a missing key
+    try:
+        row_lines = [
             f"{label:>6} {row['val_top1']:7.4f} {row['val_topk']:7.4f} "
             f"{row['val_macro_f1']:7.4f} {row['test_top1']:7.4f} "
             f"{row['test_topk']:7.4f} {row['test_macro_f1']:7.4f} "
             f"{row.get('sd_top1_match', float('nan')):7.4f} "
-            f"{row.get('sd_topk_match', float('nan')):7.4f}")
-    lines.append("")
-    lines.append("sweep cells (mean ± 1.96·sd/√n lower bounds):")
-    for cell in sweep["cells"]:
-        if "score" in cell:
-            lines.append(
-                f"  {cell['variant']:>8} alpha={cell['alpha']:<5} "
-                f"top1={cell['mean_top1']:.4f}±{cell['sd_top1']:.4f} "
-                f"topk={cell['mean_topk']:.4f}±{cell['sd_topk']:.4f} "
-                f"score={cell['score']:.4f}")
-    summary_text = "\n".join(lines)
-
-    curve_rows = ["row,epoch,train_loss,val_top1,val_topk"]
-    for label, row in final["rows"].items():
-        for entry in row["history"]:
-            curve_rows.append(
-                f"{label},{entry['epoch']},{entry['train_loss']},"
-                f"{entry['val_top1']},{entry['val_topk']}")
+            f"{row.get('sd_topk_match', float('nan')):7.4f}"
+            for label, row in final["rows"].items()]
+        curve_rows = ["row,epoch,train_loss,val_top1,val_topk"] + [
+            f"{label},{entry['epoch']},{entry['train_loss']},"
+            f"{entry['val_top1']},{entry['val_topk']}"
+            for label, row in final["rows"].items()
+            for entry in row["history"]]
+        step = "sweep"
+        cell_lines = [
+            f"  {cell['variant']:>8} alpha={cell['alpha']:<5} "
+            f"top1={cell['mean_top1']:.4f}±{cell['sd_top1']:.4f} "
+            f"topk={cell['mean_topk']:.4f}±{cell['sd_topk']:.4f} "
+            f"score={cell['score']:.4f}"
+            for cell in sweep["cells"] if "score" in cell]
+    except KeyError as exc:
+        raise ValueError(f"{root / STEP_ARTIFACTS[step][0]}: "
+                         f"missing key {exc}") from exc
+    summary_text = "\n".join([
+        f"baseline: {final['baseline']}",
+        f"grid best setting: {final['setting']} (seed {final['seed']})",
+        f"chosen LS: {sweep['chosen_variant']} alpha={sweep['chosen_alpha']}",
+        "",
+        f"{'row':>6} {'val1':>7} {'valk':>7} {'valF1':>7} "
+        f"{'test1':>7} {'testk':>7} {'testF1':>7} {'SD1':>7} {'SDk':>7}",
+        *row_lines,
+        "",
+        "sweep cells (mean ± 1.96·sd/√n lower bounds):",
+        *cell_lines])
 
     summary = {"grid": grid["best"], "sweep": {
         "chosen_variant": sweep["chosen_variant"],

@@ -19,9 +19,8 @@ import pytest
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
 from ouv_classifier.corpus import (build_dataset, build_sd_set, make_one_hot,
                                    parse_syndication)
-from ouv_classifier.features import fit_tfidf, load_embeddings, tfidf_rows, \
-    token_frequencies
-from ouv_classifier.harness import Featurizer, mine
+from ouv_classifier.features import fit_tfidf, tfidf_rows
+from ouv_classifier.harness import ExperimentConfig, build_featurizer, mine
 from ouv_classifier.labels import (ALPHA_GRID, SmoothingConfig, cooccurrence,
                                    prior_weights, soft_softmax, soft_targets)
 from ouv_classifier.metrics import evaluate_matches, evaluate_split
@@ -389,10 +388,8 @@ def test_acceptance_13_boe_baseline_accuracy(real_dataset):
     with criterion(13, "bag-of-embeddings baseline (frozen vectors) reaches "
                        "the top-3 bound"):
         def features(dataset):
-            freq = token_frequencies(dataset.train + dataset.valid
-                                     + dataset.test + dataset.sd)
-            table, _ = load_embeddings(EMBEDDINGS_PATH, 1, freq)
-            featurizer = Featurizer(kind="boe", table=table)
+            featurizer = build_featurizer(ExperimentConfig(
+                baseline="boe", embeddings_path=EMBEDDINGS_PATH), dataset)
             return (featurizer.transform(dataset.train),
                     featurizer.transform(dataset.valid))
 

@@ -235,6 +235,16 @@ def test_unknown_config_key_is_fatal(workspace, tmp_path, capsys, command):
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_config_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"baseline": "ngram",}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: Expecting property name enclosed in double quotes: "
+        "line 1 column 22 (char 21)\n")
+
+
 @pytest.mark.parametrize("command", ["train", "sweep", "final"])
 def test_a_config_with_a_prior_file_is_refused(workspace, tmp_path, capsys,
                                                monkeypatch, command):
@@ -532,9 +542,13 @@ def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
     ("step2_sweep/sweep.json", "chosen_alpha"),
     ("step3_final/final.json", "baseline"),
     ("step3_final/final.json", "rows"),
+    ("step3_final/final.json", "rows.ls.val_topk"),
+    ("step2_sweep/sweep.json", "cells.0.mean_top1"),
 ])
 def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
                                            artifact, key):
+    """``key`` is a dotted path into the artifact; its last part is
+    deleted, and the error names the file and that key."""
     runs = tmp_path / "runs"
     workspace_runs(workspace, "sweep", "final")
     for rel in ("step1_grid/log.json", "step2_sweep/sweep.json",
@@ -542,7 +556,11 @@ def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(workspace["runs"] / rel, runs / rel)
     payload = json.loads((runs / artifact).read_text())
-    del payload[key]
+    *parents, key = key.split(".")
+    inner = payload
+    for part in parents:
+        inner = inner[int(part) if isinstance(inner, list) else part]
+    del inner[key]
     (runs / artifact).write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["report", str(runs)]) == 1
@@ -987,6 +1005,22 @@ def test_a_sites_entry_with_bad_criteria_is_named(workspace, tmp_path, capsys,
         "integers 1-10)\n")
     assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "prior.json").exists()
+
+
+def test_a_truncated_dataset_line_is_named(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1][:lines[1].index("]") + 1] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: Expecting ',' delimiter\n")
 
 
 def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,

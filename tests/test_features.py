@@ -1,17 +1,17 @@
 import functools
 import math
 import operator
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
 from ouv_classifier.features import (EmbeddingTable, GramIdTables,
                                      TfidfVocabulary, boe_rows, fit_tfidf,
-                                     load_embeddings, tfidf_rows,
-                                     token_frequencies)
+                                     load_embeddings, tfidf_rows)
 from ouv_classifier.harness import Featurizer
 from conftest import make_sample
 
@@ -309,59 +309,154 @@ def write_embeddings(tmp_path, entries):
     return path
 
 
+def parse_every_line(file_path, corpus_tokens) -> EmbeddingTable:
+    """``load_embeddings``' oracle: each line split at every space and
+    parsed, then kept if its token is in ``corpus_tokens``."""
+    kept = {}
+    dimension = None
+    with open(file_path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.rstrip().split(" ")
+            if line_no == 1 and len(parts) == 2 and all(
+                    part.isdecimal() for part in parts):
+                dimension = int(parts[1])
+                continue
+            vec = np.array(parts[1:], dtype=float)
+            if dimension is None:
+                dimension = len(vec)
+            assert len(vec) == dimension > 0
+            if parts[0] in corpus_tokens:
+                kept[parts[0]] = vec
+    token_to_row = {token: row for row, token in enumerate(kept)}
+    unk = token_to_row.setdefault("<unk>", len(kept))
+    vectors = np.empty((len(token_to_row), dimension))
+    np.stack(list(kept.values()), out=vectors[:len(kept)])
+    vectors[unk] = np.mean(vectors[:len(kept)], axis=0)
+    return EmbeddingTable(token_to_row, vectors)
+
+
+EMBEDDING_TOKENS = ["a", "b", "héritage", "<unk>", "2", "wall"]
+
+
+@st.composite
+def embedding_files(draw):
+    """The text of a well-formed embedding file, and corpus tokens of which
+    at least one has a line: with or without a ``count dim`` header, lines
+    that end in a space or not, repeated tokens, ``<unk>`` lines and
+    tokens outside the corpus."""
+    dimension = draw(st.integers(1, 4))
+    value = st.floats(width=64).map(repr) | st.integers(-9, 9).map(str)
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(EMBEDDING_TOKENS),
+        st.lists(value, min_size=dimension, max_size=dimension),
+        st.sampled_from(["", " "])), min_size=1, max_size=12))
+    # a first line of two integers is a header; keep it a vector line
+    assume(not (len(lines[0][1]) == 1 and lines[0][0].isdecimal()
+                and lines[0][1][0].isdecimal()))
+    corpus = draw(st.sets(st.sampled_from(EMBEDDING_TOKENS + ["oov"])))
+    assume(corpus & {token for token, *_ in lines})
+    text = "".join(f"{token} {' '.join(values)}{end}\n"
+                   for token, values, end in lines)
+    if draw(st.booleans()):
+        end = draw(st.sampled_from(["", " "]))
+        text = f"{len(lines)} {dimension}{end}\n" + text
+    return text, corpus
+
+
+@pytest.fixture(scope="module")
+def embedding_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("embeddings")
+
+
 class TestLoadEmbeddings:
+    @settings(max_examples=200)
+    @given(embedding_files())
+    @example(("2 3 \na 1.5 -0.0 1e-3 \n<unk> 9 9 9 \n", {"a", "<unk>"}))
+    @example(("a 1\nb 2\na 3\n", {"a", "oov"}))
+    def test_equals_the_per_line_oracle(self, embedding_dir, file):
+        text, corpus = file
+        path = embedding_dir / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        got = load_embeddings(path, corpus)
+        want = parse_every_line(path, corpus)
+        assert got.token_to_row == want.token_to_row
+        assert got.vectors.flags.c_contiguous
+        np.testing.assert_array_equal(got.vectors.view(np.uint64),
+                                      want.vectors.view(np.uint64))
+
     def test_basic_table(self, tmp_path):
         path = write_embeddings(tmp_path, [
             ("old", [1, 0, 0, 0]), ("town", [0, 1, 0, 0]),
             ("wall", [0, 0, 1, 0])])
-        table, errors = load_embeddings(path, 1,
-                                        {"old": 3, "town": 2, "wall": 1})
-        assert errors == []
+        table = load_embeddings(path, {"old", "town", "wall"})
         assert table.dimension == 4
         assert set(table.word_to_vector) == {"old", "town", "wall", "<unk>"}
 
-    def test_threshold_one_keeps_all_corpus_tokens(self, tmp_path):
-        path = write_embeddings(tmp_path, [
-            ("a", [1, 0]), ("b", [0, 1]), ("c", [1, 1])])
-        table, _ = load_embeddings(path, 1, {"a": 1, "b": 5, "c": 1})
-        assert {"a", "b", "c"} <= set(table.word_to_vector)
-
-    def test_low_frequency_excluded(self, tmp_path):
+    def test_token_outside_the_corpus_is_dropped(self, tmp_path):
         path = write_embeddings(tmp_path, [("a", [1, 0]), ("b", [0, 1])])
-        table, _ = load_embeddings(path, 3, {"a": 5, "b": 2})
-        assert "b" not in table.word_to_vector
+        table = load_embeddings(path, {"a", "c"})
+        assert table.token_to_row == {"a": 0, "<unk>": 1}
 
     def test_unk_is_mean_of_kept(self, tmp_path):
         path = write_embeddings(tmp_path, [
             ("a", [1, 0]), ("b", [0, 1]), ("skip", [9, 9])])
-        table, _ = load_embeddings(path, 1, {"a": 1, "b": 1})
+        table = load_embeddings(path, {"a", "b"})
         np.testing.assert_allclose(table.word_to_vector["<unk>"], [0.5, 0.5])
 
     def test_inconsistent_dimension_fatal(self, tmp_path):
         path = write_embeddings(tmp_path, [("a", [1, 0]), ("b", [1, 0, 0])])
-        with pytest.raises(ValueError, match="dimension"):
-            load_embeddings(path, 1, {"a": 1, "b": 1})
+        with pytest.raises(ValueError, match="line 2: 3 values, expected 2"):
+            load_embeddings(path, {"a", "b"})
 
-    def test_unreadable_line_skipped(self, tmp_path):
+    @pytest.mark.parametrize("body, line, match", [
+        ("a 1 0\nbroken\nc 0 1\n", 2, "0 values, expected 2"),
+        ("a 1 0\nb \nc 0 1\n", 2, "0 values, expected 2"),
+        ("a 1 0\n\nc 0 1\n", 2, "0 values, expected 2"),
+        ("b\na 1 0\n", 1, "0 values, expected 0"),
+        ("a 1 0\nrare 1 0 0\nc 0 1\n", 2, "3 values, expected 2"),
+        ("a 1 0\nb  1\nc 0 1\n", 2, "non-numeric value"),
+        ("a 1 0\nc 0 1\nb x y\n", 3, "non-numeric value"),
+    ])
+    def test_a_malformed_line_names_the_file_and_the_line(
+            self, tmp_path, body, line, match):
+        """A line with no values or another count fails whether or not
+        its token is kept; a non-numeric value fails on a kept line."""
         path = tmp_path / "vectors.txt"
-        path.write_text("a 1 0\nbroken\nb x y\nc 0 1\n", encoding="utf-8")
-        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1, "c": 1})
-        assert len(errors) == 2
-        assert set(table.word_to_vector) == {"a", "c", "<unk>"}
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: line {line}: "
+                                 + match):
+            load_embeddings(path, {"a", "b", "c"})
+
+    def test_no_kept_line_names_the_file(self, tmp_path):
+        path = write_embeddings(tmp_path, [("a", [1, 0])])
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: no line's token"):
+            load_embeddings(path, {"b"})
+
+    def test_fasttext_lines_that_end_in_a_space_load(self, tmp_path):
+        path = tmp_path / "vectors.vec"
+        path.write_text("3 2 \nold 0.5 -1 \ntown 2 0.25 \nwall 1 1 \n",
+                        encoding="utf-8")
+        table = load_embeddings(path, {"old", "wall"})
+        assert table.token_to_row == {"old": 0, "wall": 1, "<unk>": 2}
+        np.testing.assert_array_equal(table.vectors,
+                                      [[0.5, -1], [1, 1], [0.75, 0]])
 
     def test_parsed_values_are_bit_equal_to_float(self, tmp_path):
+        """Only kept lines are parsed: ``b`` and ``c`` hold values numpy
+        cannot read, and their tokens are not in the corpus."""
         values = ["1e-320", "-0.0", "5e-324", "0.30000000000000004", "nan",
                   "inf", "-inf", "１"]
         path = tmp_path / "vectors.txt"
         path.write_text("a " + " ".join(values) + "\nb 0x10 0 0 0 0 0 0 0\n"
                         "c 1,5 0 0 0 0 0 0 0\n", encoding="utf-8")
-        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1, "c": 1})
+        table = load_embeddings(path, {"a"})
         expected = np.array([float(v) for v in values])
         np.testing.assert_array_equal(
             table.word_to_vector["a"].view(np.uint64),
             expected.view(np.uint64))
-        assert errors == ["line 2: non-numeric value",
-                          "line 3: non-numeric value"]
+        assert list(table.token_to_row) == ["a", "<unk>"]
 
     def test_count_dim_header_is_skipped(self, tmp_path):
         body = "a 1 0 2\nb 0 1 0.5\n2 7 7 7\nc x y z\n"
@@ -369,22 +464,20 @@ class TestLoadEmbeddings:
         plain.write_text(body, encoding="utf-8")
         headed = tmp_path / "headed.vec"
         headed.write_text("4 3\n" + body, encoding="utf-8")
-        freq = {"a": 1, "b": 1, "2": 1, "c": 1}
-        table, errors = load_embeddings(plain, 1, freq)
-        headed_table, headed_errors = load_embeddings(headed, 1, freq)
+        corpus = {"a", "b", "2"}
+        table = load_embeddings(plain, corpus)
+        headed_table = load_embeddings(headed, corpus)
         assert headed_table.dimension == table.dimension == 3
         assert list(headed_table.word_to_vector) == list(table.word_to_vector)
         for token, vec in table.word_to_vector.items():
             np.testing.assert_array_equal(headed_table.word_to_vector[token],
                                           vec)
-        assert errors == ["line 4: non-numeric value"]
-        assert headed_errors == ["line 5: non-numeric value"]
 
     def test_two_line_vec_file_loads(self, tmp_path):
         path = tmp_path / "vectors.vec"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
-        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1})
-        assert errors == [] and table.dimension == 3
+        table = load_embeddings(path, {"a", "b"})
+        assert table.dimension == 3
         assert set(table.word_to_vector) == {"a", "b", "<unk>"}
 
     @pytest.mark.parametrize("body, line", [
@@ -395,14 +488,15 @@ class TestLoadEmbeddings:
                                                       line):
         path = tmp_path / "vectors.vec"
         path.write_text("2 3\n" + body, encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^line {line}: dimension 2 != 3"):
-            load_embeddings(path, 1, {"a": 1, "b": 1})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f"line {line}: 2 values, "
+                                             "expected 3"):
+            load_embeddings(path, {"a", "b"})
 
     def test_repeated_token_keeps_first_row_and_last_vector(self, tmp_path):
         path = write_embeddings(tmp_path, [
             ("a", [1, 0]), ("b", [0, 1]), ("a", [3, 3]), ("c", [5, 5])])
-        table, errors = load_embeddings(path, 1, {"a": 1, "b": 1, "c": 1})
-        assert errors == []
+        table = load_embeddings(path, {"a", "b", "c"})
         assert table.token_to_row == {"a": 0, "b": 1, "c": 2, "<unk>": 3}
         np.testing.assert_array_equal(
             table.vectors, [[3, 3], [0, 1], [5, 5], [8 / 3, 3]])
@@ -411,7 +505,7 @@ class TestLoadEmbeddings:
                                                                tmp_path):
         path = write_embeddings(tmp_path, [
             ("a", [1, 0]), ("<unk>", [9, 9]), ("b", [0, 1])])
-        table, _ = load_embeddings(path, 1, {"a": 1, "<unk>": 1, "b": 1})
+        table = load_embeddings(path, {"a", "<unk>", "b"})
         assert table.token_to_row == {"a": 0, "<unk>": 1, "b": 2}
         # the mean is taken over the kept lines, the "<unk>" line's included
         np.testing.assert_array_equal(table.vectors,
@@ -419,7 +513,7 @@ class TestLoadEmbeddings:
 
     def test_vectors_are_one_c_contiguous_matrix(self, tmp_path):
         path = write_embeddings(tmp_path, [("a", [1, 0, 2]), ("b", [0, 1, 4])])
-        table, _ = load_embeddings(path, 1, {"a": 1, "b": 1})
+        table = load_embeddings(path, {"a", "b"})
         assert table.vectors.shape == (3, 3)
         assert table.vectors.dtype == np.float64
         assert table.vectors.flags.c_contiguous
@@ -432,7 +526,7 @@ class TestLoadEmbeddings:
     def test_header_only_on_the_first_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("a 1\n2 3\n", encoding="utf-8")
-        table, _ = load_embeddings(path, 1, {"a": 1, "2": 1})
+        table = load_embeddings(path, {"a", "2"})
         assert table.dimension == 1
         np.testing.assert_array_equal(table.word_to_vector["2"], [3.0])
 
@@ -563,7 +657,7 @@ class TestBoeEmbed:
         words = [f"w{i}" for i in range(40)]
         path = write_embeddings(tmp_path, [
             (w, np.round(rng.normal(0, 1e-5, size=6), 5)) for w in words])
-        table, _ = load_embeddings(path, 2, dict(zip(words, range(40))))
+        table = load_embeddings(path, set(words[2:]))
         Featurizer(kind="boe", table=table).save(tmp_path / "feat.json")
         loaded = Featurizer.load(tmp_path / "feat.json").table
         token_lists = [rng.choice(words + ["oov"], size=n).tolist()
@@ -572,7 +666,3 @@ class TestBoeEmbed:
         assert_bits_of_oracle(table, token_lists)
         assert_bits_of_oracle(loaded, token_lists)
 
-
-def test_token_frequencies():
-    samples = docs_to_samples(["a b a", "b c"])
-    assert token_frequencies(samples) == {"a": 2, "b": 2, "c": 1}

@@ -768,16 +768,13 @@ class TestFeaturizer:
         """``load_embeddings`` then ``save`` writes these bytes: a repeated
         token keeps its first row and takes its last vector, a kept
         ``"<unk>"`` line keeps its row and takes the mean, and a token
-        under the frequency threshold and an unreadable line are
-        dropped."""
+        outside the corpus is dropped."""
         emb = tmp_path / "vectors.txt"
         emb.write_text("héritage 0.5 -0.25 1e-3\n<unk> 9 9 9\nrare 7 7 7\n"
-                       "wall -0.0 0.1 3\nhéritage 2 4 8\nbroken\n"
+                       "wall -0.0 0.1 3\nhéritage 2 4 8\n"
                        "town 1e300 -1.5 0.30000000000000004\n",
                        encoding="utf-8")
-        table, errors = load_embeddings(emb, 2, {
-            "héritage": 2, "<unk>": 3, "rare": 1, "wall": 5, "town": 2})
-        assert errors == ["line 6: too few fields"]
+        table = load_embeddings(emb, {"héritage", "<unk>", "wall", "town"})
         path = tmp_path / "feat.json"
         Featurizer(kind="boe", table=table).save(path)
         assert path.read_bytes() == (

@@ -1,6 +1,10 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,26 @@ def quick_config(**overrides):
     return TrainConfig(**defaults)
 
 
+# trains one dense TrainConfig (300-d input, hidden 200, 3 epochs) and
+# prints the SHA-256 of its parameter bytes
+DENSE_TRAINING = """
+import hashlib
+import numpy as np
+from ouv_classifier import NUM_CLASSES
+from ouv_classifier.model import TrainConfig, train
+rng = np.random.default_rng(5)
+labels = rng.integers(0, NUM_CLASSES, size=600)
+x = rng.normal(size=(600, 300)) + np.eye(NUM_CLASSES, 300)[labels]
+one_hots = np.eye(NUM_CLASSES)[labels]
+model = train(x[:500], one_hots[:500], one_hots[:500], x[500:], labels[500:],
+              TrainConfig(hidden=200, max_epochs=3, seed=3))
+digest = hashlib.sha256()
+for array in model.params.arrays().values():
+    digest.update(np.ascontiguousarray(array).tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestTrain:
     def test_separable_corpus_reaches_full_accuracy(self, toy_dataset):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)
@@ -403,6 +427,25 @@ class TestTrain:
         for key in a.params.arrays():
             np.testing.assert_array_equal(a.params.arrays()[key],
                                           b.params.arrays()[key])
+
+    def test_blas_thread_count_does_not_change_the_bits(self):
+        """One dense training, in a process whose BLAS runs 1 thread and
+        in one whose BLAS runs 2, gives the same parameter bits. OpenBLAS
+        reads ``OPENBLAS_NUM_THREADS`` once, when numpy loads it."""
+        path = os.pathsep.join(filter(None, [
+            str(Path(model_module.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", DENSE_TRAINING], capture_output=True,
+                text=True, timeout=120, env={
+                    **os.environ, "PYTHONPATH": path,
+                    "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout)
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
 
     def test_zero_learning_rate_stops_after_patience(self, toy_dataset):
         _, tx, oh, par, vx, vl = featurized(toy_dataset)

@@ -1,6 +1,7 @@
 """Package-wide structure checks."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -13,12 +14,14 @@ import pytest
 import ouv_classifier
 import ouv_classifier.cli
 from ouv_classifier import json_fields
+from ouv_classifier.harness import ExperimentConfig
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import MlpParams, TrainConfig
 from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 BENCH_DIR = PYPROJECT.parent / "bench"
 
 
@@ -247,3 +250,10 @@ def test_json_fields_checks_types_and_builds_nested_dataclasses():
 def test_json_fields_names_the_file_and_key(value, match):
     with pytest.raises(ValueError, match=match):
         json_fields("f.json", "config", value, TrainConfig)
+
+
+def test_every_config_field_is_named_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    undocumented = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f"`{f.name}`" not in text]
+    assert undocumented == []
