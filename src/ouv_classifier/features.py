@@ -193,6 +193,13 @@ class EmbeddingTable:
         return {token: rows[row] for token, row in self.token_to_row.items()}
 
 
+# kept lines per ``np.loadtxt`` call of ``load_embeddings``
+_PARSE_BLOCK = 1024
+# characters that ``np.loadtxt`` reads as white space around a value but
+# ``float`` does not: a block holding one is parsed line by line
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_embeddings(file_path: str | Path,
                     corpus_tokens: AbstractSet[str]) -> EmbeddingTable:
     """Load a text-format embedding file, keeping the corpus's tokens.
@@ -201,14 +208,18 @@ def load_embeddings(file_path: str | Path,
     a token and its values, split at single spaces. A first line of two
     integer fields is the word2vec/fastText ``count dim`` header: it is
     skipped, and every line must have ``dim`` values (else as many as the
-    first line). Only a line whose token is in ``corpus_tokens`` is parsed.
+    first line). Only a line whose token is in ``corpus_tokens`` is parsed,
+    by ``_parse_block``, in blocks of up to ``_PARSE_BLOCK`` kept lines; a
+    block also ends before a repeated token, so its rows are distinct.
     A line with no values or another count, or a kept line with a
-    non-numeric value, is a ``ValueError`` naming the file and the line.
-    Other tokens fall back to "<unk>", whose vector is the mean of all kept
-    vectors. A repeated token keeps its first row and takes its last vector;
-    a kept "<unk>" line keeps its row and takes the mean.
+    non-numeric value, is a ``ValueError`` naming the file and the first
+    such line. Other tokens fall back to "<unk>", whose vector is the mean
+    of all kept vectors. A repeated token keeps its first row and takes its
+    last vector; a kept "<unk>" line keeps its row and takes the mean.
     """
-    kept: dict[str, np.ndarray] = {}
+    token_to_row: dict[str, int] = {}
+    block: dict[int, tuple[int, str]] = {}  # row: (line number, values)
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
     dimension = None
     with open(file_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -220,22 +231,61 @@ def load_embeddings(file_path: str | Path,
             if dimension is None:
                 dimension = size
             if not size or size != dimension:
+                if block:  # a bad value on an earlier kept line comes first
+                    _parse_block(file_path, block, dimension)
                 raise ValueError(f"{file_path}: line {line_no}: "
                                  f"{size} values, expected {dimension}")
             if token in corpus_tokens:
-                try:
-                    kept[token] = np.array(values.split(" "), dtype=float)
-                except ValueError as exc:
-                    raise ValueError(f"{file_path}: line {line_no}: "
-                                     f"non-numeric value ({exc})") from exc
-    if not kept:
+                row = token_to_row.setdefault(token, len(token_to_row))
+                if row in block or len(block) == _PARSE_BLOCK:
+                    blocks.append(_parse_block(file_path, block, dimension))
+                    block = {}
+                block[row] = line_no, values
+    if block:
+        blocks.append(_parse_block(file_path, block, dimension))
+    if not token_to_row:
         raise ValueError(f"{file_path}: no line's token is in the corpus")
-    token_to_row = {token: row for row, token in enumerate(kept)}
-    unk = token_to_row.setdefault("<unk>", len(kept))
+    n_kept = len(token_to_row)
+    unk = token_to_row.setdefault("<unk>", n_kept)
     vectors = np.empty((len(token_to_row), dimension))
-    np.stack(list(kept.values()), out=vectors[:len(kept)])
-    vectors[unk] = np.mean(vectors[:len(kept)], axis=0)
+    # in file order, so that a repeated token takes its last line; each
+    # block is dropped once copied
+    while blocks:
+        rows, parsed = blocks.pop(0)
+        vectors[rows] = parsed
+    vectors[unk] = np.mean(vectors[:n_kept], axis=0)
     return EmbeddingTable(token_to_row, vectors)
+
+
+def _parse_block(file_path: str | Path, block: dict[int, tuple[int, str]],
+                 dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``block``, ``{row: (line number, values)}``, and their
+    vectors: one ``np.loadtxt`` call, or, where it raises or gives another
+    shape, or the block holds a character of ``_LOADTXT_ONLY_SPACE``, one
+    ``np.array(values.split(" "), dtype=float)`` per line, which names the
+    file and the line of a non-numeric value. Where both accept a value,
+    both parse it with CPython's ``PyOS_string_to_double``, to the same
+    bits; ``loadtxt`` refuses some that ``float`` reads, such as ``"１"``."""
+    rows = np.fromiter(block, dtype=np.int64, count=len(block))
+    lines = [values for _, values in block.values()]
+    text = "\n".join(lines)
+    if not any(char in text for char in _LOADTXT_ONLY_SPACE):
+        try:
+            parsed = np.loadtxt(lines, dtype=float, delimiter=" ",
+                                comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if parsed.shape == (len(lines), dimension):
+                return rows, parsed
+    parsed = np.empty((len(lines), dimension))
+    for out, (line_no, values) in zip(parsed, block.values()):
+        try:
+            out[:] = np.array(values.split(" "), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{file_path}: line {line_no}: "
+                             f"non-numeric value ({exc})") from exc
+    return rows, parsed
 
 
 def boe_rows(table: EmbeddingTable,

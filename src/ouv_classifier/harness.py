@@ -23,8 +23,8 @@ from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
                       evaluate_split)
 from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
-                    encode_array, load_checkpoint, predict_proba,
-                    rank_classes, save_checkpoint, top_classes, train)
+                    load_checkpoint, predict_proba, rank_classes,
+                    save_checkpoint, top_classes, train, write_array)
 
 DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
@@ -218,23 +218,28 @@ class Featurizer:
 
     def save(self, path: str | Path) -> None:
         """Write the one featurizer file: for n-gram, the grams in index
-        order, their ``idf`` and ``min_df``; for BoE, tokens and vectors."""
+        order, their ``idf`` and ``min_df``; for BoE, tokens and vectors.
+        The bytes are those of ``json.dump(payload, fh, ensure_ascii=False)``
+        with the array in the stored form that ``write_array`` writes."""
         if self.kind == "ngram":
             index = self.vocab.gram_to_index
-            payload = {"type": "ngram", "grams": sorted(index, key=index.get),
-                       "idf": encode_array(self.vocab.idf),
-                       "min_df": self.vocab.min_df}
+            head = {"type": "ngram", "grams": sorted(index, key=index.get)}
+            key, array = "idf", self.vocab.idf
+            tail = f', "min_df": {json.dumps(self.vocab.min_df)}}}'
         else:
-            payload = {"type": "boe", "tokens": list(self.table.token_to_row),
-                       "vectors": encode_array(self.table.vectors)}
-        with atomic_open(path) as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+            head = {"type": "boe", "tokens": list(self.table.token_to_row)}
+            key, array, tail = "vectors", self.table.vectors, "}"
+        with atomic_open(path, "wb") as fh:
+            fh.write(f'{json.dumps(head, ensure_ascii=False)[:-1]}, '
+                     f'"{key}": '.encode())
+            write_array(fh, array, (", ", ": "))
+            fh.write(tail.encode())
 
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
         """Read a file written by ``save``. Any other file, including one
-        written with JSON float lists before arrays used ``encode_array``,
-        one with a gram of more than one space, or a BoE file with a
+        that holds JSON float lists in place of ``write_array``'s form, one
+        with a gram of more than one space, or a BoE file with a
         repeated token or no ``"<unk>"`` token, is a ``ValueError`` naming
         it."""
         payload = read_json(path)
@@ -619,8 +624,8 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
 def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV.
     A missing artifact is a ``ReportError``; one without a key it needs,
-    or with one of the wrong JSON type, is a ``ValueError`` naming it, as
-    are artifacts of two runs (``read_run``)."""
+    or with a key, row or score of the wrong JSON type, is a ``ValueError``
+    naming it, as are artifacts of two runs (``read_run``)."""
     root = Path(artifacts_dir)
     missing = [rel for rel, _ in STEP_ARTIFACTS.values()
                if not (root / rel).exists()]
@@ -628,7 +633,7 @@ def report(artifacts_dir: str | Path) -> dict:
         raise ReportError(missing)
     grid, sweep, final = read_run(root, final=True)
 
-    step = "final"  # the artifact the rendering reads, for a missing key
+    step = "final"  # the artifact the rendering reads, for an error
     try:
         row_lines = [
             f"{label:>6} {row['val_top1']:7.4f} {row['val_topk']:7.4f} "
@@ -649,9 +654,11 @@ def report(artifacts_dir: str | Path) -> dict:
             f"topk={cell['mean_topk']:.4f}±{cell['sd_topk']:.4f} "
             f"score={cell['score']:.4f}"
             for cell in sweep["cells"] if "score" in cell]
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = (f"missing key {exc}" if isinstance(exc, KeyError)
+                  else f"a value of the wrong type ({exc})")
         raise ValueError(f"{root / STEP_ARTIFACTS[step][0]}: "
-                         f"missing key {exc}") from exc
+                         f"{detail}") from exc
     summary_text = "\n".join([
         f"baseline: {final['baseline']}",
         f"grid best setting: {final['setting']} (seed {final['seed']})",

@@ -28,6 +28,8 @@ LOG_EPS = 1e-12
 # float64 values per slice of a blocked pass: Adam's six slices (param,
 # gradient, m, v and two work buffers) stay in a core's L2 cache
 _BLOCK = 1 << 15
+# float64 values (256 KiB) per piece that ``write_array`` encodes
+_WRITE_VALUES = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -264,8 +266,10 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             epoch_loss += loss * len(idx)
-            grads = backward(cache, probs, yb, params, config.l2)
-            adam_step(params, grads, state, config.learning_rate)
+            # no name holds the gradients, so one step's are freed before
+            # the next step's are built
+            adam_step(params, backward(cache, probs, yb, params, config.l2),
+                      state, config.learning_rate)
         epoch_loss /= n
 
         _, val_probs, _ = forward(params, valid_x)
@@ -278,7 +282,9 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
         if val_topk > best_topk:
             best_topk = val_topk
             best_epoch = epoch
-            best_params = params.copy()
+            for best, now in zip(best_params.arrays().values(),
+                                 params.arrays().values()):
+                np.copyto(best, now)
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
@@ -311,16 +317,29 @@ def top_classes(probs: np.ndarray,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def encode_array(arr: np.ndarray) -> dict:
-    """``{"data", "shape"}``, ``data`` the base64 of ``arr``'s little-endian
-    float64 bytes in C order: the one stored form of a float array."""
-    data = binascii.b2a_base64(np.ascontiguousarray(arr, dtype="<f8"),
-                               newline=False)
-    return {"data": data.decode("ascii"), "shape": list(arr.shape)}
+def write_array(fh, arr: np.ndarray, separators=(",", ":")) -> None:
+    """Write ``arr``'s stored form to the binary file ``fh``, as
+    ``json.dumps`` with ``separators`` gives it: ``{"data", "shape"}``,
+    ``data`` the base64 of ``arr``'s little-endian float64 bytes in C order.
+    This is the one stored form of a float array. The base64 is written in
+    pieces of about ``_WRITE_VALUES`` values, a multiple of 3 rows of
+    ``arr`` each, so each piece but the last encodes a multiple of 3 bytes
+    and the pieces join into the base64 of the whole; neither a C-ordered
+    copy of ``arr`` nor its whole base64 is ever built."""
+    item, colon = separators
+    fh.write(f'{{"data"{colon}"'.encode())
+    rows = arr.reshape(len(arr), math.prod(arr.shape[1:]))
+    step = 3 * max(1, _WRITE_VALUES // (3 * rows.shape[1]))
+    for start in range(0, len(rows), step):
+        piece = np.ascontiguousarray(rows[start:start + step], dtype="<f8")
+        fh.write(binascii.b2a_base64(piece, newline=False))
+    shape = json.dumps(list(arr.shape), separators=separators)
+    fh.write(f'"{item}"shape"{colon}{shape}}}'.encode())
 
 
 def decode_array(name: str, spec) -> np.ndarray:
-    """Inverse of ``encode_array``; a bad ``spec`` raises ``ValueError``."""
+    """Inverse of ``write_array``: the array of the JSON value ``spec``; a
+    bad ``spec`` raises ``ValueError``."""
     if not (isinstance(spec, dict) and isinstance(spec.get("data"), str)
             and isinstance(spec.get("shape"), list)):
         raise ValueError(f'{name}: not {{"data": <base64 str>, '
@@ -340,11 +359,11 @@ def decode_array(name: str, spec) -> np.ndarray:
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     """Write the model as JSON with sorted keys and no spaces, atomically.
 
-    Each param is ``encode_array``'s ``{"data", "shape"}``. Base64 needs no
-    JSON escaping, so the params ("params" sorts last) are written as raw
-    bytes rather than through the encoder; the file is byte-for-byte what
-    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` gives.
-    ``W1`` is stored hidden x input, the transpose of its in-memory layout.
+    Each param is written by ``write_array`` ("params" sorts last), so the
+    file is byte-for-byte what ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` gives with each param in its
+    ``{"data", "shape"}`` form. ``W1`` is stored hidden x input, the
+    transpose of its in-memory layout.
     """
     head = json.dumps({"best_epoch": model.best_epoch,
                        "config": asdict(model.config),
@@ -355,10 +374,8 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
         fh.write(head[:-1].encode() + b',"params":{')
         arrays = dict(model.params.arrays(), W1=model.params.W1.T)
         for i, (key, arr) in enumerate(sorted(arrays.items())):
-            spec = encode_array(arr)
-            shape = ",".join(map(str, spec["shape"]))
-            fh.write(f'{"," if i else ""}"{key}":{{"data":"{spec["data"]}",'
-                     f'"shape":[{shape}]}}'.encode())
+            fh.write(f'{"," if i else ""}"{key}":'.encode())
+            write_array(fh, arr)
         fh.write(b"}}")
 
 

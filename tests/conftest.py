@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,14 @@ from ouv_classifier.corpus import Dataset, Sample, SiteRecord, make_one_hot
 # selected with --hypothesis-profile=ci: a failure prints the blob that
 # reproduces it, and tests with no @settings of their own run 200 examples
 settings.register_profile("ci", print_blob=True, max_examples=200)
+
+
+def stored_form(arr) -> dict:
+    """The ``{"data", "shape"}`` JSON form in which ``model.write_array``
+    writes ``arr``: ``data`` the base64 of its little-endian float64 bytes
+    in C order."""
+    data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8"))
+    return {"data": data.decode("ascii"), "shape": list(arr.shape)}
 
 
 def make_sample(tokens, criterion, parental_criteria=None, split="train",

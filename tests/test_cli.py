@@ -544,11 +544,15 @@ def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
     ("step3_final/final.json", "rows"),
     ("step3_final/final.json", "rows.ls.val_topk"),
     ("step2_sweep/sweep.json", "cells.0.mean_top1"),
+    ("step3_final/final.json", "rows.ls=[1]"),
+    ("step3_final/final.json", 'rows.ls.val_top1="x"'),
 ])
 def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
                                            artifact, key):
-    """``key`` is a dotted path into the artifact; its last part is
-    deleted, and the error names the file and that key."""
+    """``key`` is a dotted path into the artifact. Its last part is
+    deleted, and the error names the file and that key; or, with
+    ``=<JSON>``, it is set to that value of the wrong type, and the error
+    names the file and says so."""
     runs = tmp_path / "runs"
     workspace_runs(workspace, "sweep", "final")
     for rel in ("step1_grid/log.json", "step2_sweep/sweep.json",
@@ -556,17 +560,21 @@ def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(workspace["runs"] / rel, runs / rel)
     payload = json.loads((runs / artifact).read_text())
+    key, _, value = key.partition("=")
     *parents, key = key.split(".")
     inner = payload
     for part in parents:
         inner = inner[int(part) if isinstance(inner, list) else part]
-    del inner[key]
+    if value:
+        inner[key] = json.loads(value)
+    else:
+        del inner[key]
     (runs / artifact).write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["report", str(runs)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {runs / artifact}: ")
-    assert repr(key) in err
+    assert ("wrong type" if value else repr(key)) in err
     assert not (runs / "summary.json").exists()
 
 

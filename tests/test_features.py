@@ -3,12 +3,14 @@ import math
 import operator
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
+from ouv_classifier import features
 from ouv_classifier.features import (EmbeddingTable, GramIdTables,
                                      TfidfVocabulary, boe_rows, fit_tfidf,
                                      load_embeddings, tfidf_rows)
@@ -342,10 +344,12 @@ EMBEDDING_TOKENS = ["a", "b", "héritage", "<unk>", "2", "wall"]
 def embedding_files(draw):
     """The text of a well-formed embedding file, and corpus tokens of which
     at least one has a line: with or without a ``count dim`` header, lines
-    that end in a space or not, repeated tokens, ``<unk>`` lines and
-    tokens outside the corpus."""
+    that end in a space or not, repeated tokens, ``<unk>`` lines, tokens
+    outside the corpus, and values that ``float`` reads but ``np.loadtxt``
+    refuses."""
     dimension = draw(st.integers(1, 4))
-    value = st.floats(width=64).map(repr) | st.integers(-9, 9).map(str)
+    value = (st.floats(width=64).map(repr) | st.integers(-9, 9).map(str)
+             | st.sampled_from(["１", "1_0"]))
     lines = draw(st.lists(st.tuples(
         st.sampled_from(EMBEDDING_TOKENS),
         st.lists(value, min_size=dimension, max_size=dimension),
@@ -373,12 +377,19 @@ class TestLoadEmbeddings:
     @given(embedding_files())
     @example(("2 3 \na 1.5 -0.0 1e-3 \n<unk> 9 9 9 \n", {"a", "<unk>"}))
     @example(("a 1\nb 2\na 3\n", {"a", "oov"}))
+    @example(("a 1\nb １\nc 2\na 1_0\nb 3\nb 4\n", {"a", "b", "c"}))
     def test_equals_the_per_line_oracle(self, embedding_dir, file):
+        """Blocks of two kept lines, so that files cross block ends, and
+        repeated tokens and ``np.loadtxt``'s refusals fall in one block or
+        across two. Values near the float64 limits can make the ``"<unk>"``
+        mean overflow, to inf or NaN in both, and numpy warns in both."""
         text, corpus = file
         path = embedding_dir / "vectors.txt"
         path.write_text(text, encoding="utf-8")
-        got = load_embeddings(path, corpus)
-        want = parse_every_line(path, corpus)
+        with mock.patch.object(features, "_PARSE_BLOCK", 2), \
+                np.errstate(over="ignore", invalid="ignore"):
+            got = load_embeddings(path, corpus)
+            want = parse_every_line(path, corpus)
         assert got.token_to_row == want.token_to_row
         assert got.vectors.flags.c_contiguous
         np.testing.assert_array_equal(got.vectors.view(np.uint64),
@@ -416,11 +427,17 @@ class TestLoadEmbeddings:
         ("a 1 0\nrare 1 0 0\nc 0 1\n", 2, "3 values, expected 2"),
         ("a 1 0\nb  1\nc 0 1\n", 2, "non-numeric value"),
         ("a 1 0\nc 0 1\nb x y\n", 3, "non-numeric value"),
+        ("a 1 0\nb x 0\nc 0\n", 2, "non-numeric value"),
+        ("b x 0\nb 1 0\n", 1, "non-numeric value"),
+        ("a 1 0\nb 1\x1c 0\n", 2, "non-numeric value"),
     ])
     def test_a_malformed_line_names_the_file_and_the_line(
             self, tmp_path, body, line, match):
         """A line with no values or another count fails whether or not
-        its token is kept; a non-numeric value fails on a kept line."""
+        its token is kept; a non-numeric value fails on a kept line, even
+        if a later line repeats its token, and before a later line's count
+        does. ``float`` refuses ``"1\\x1c"``, which ``np.loadtxt`` reads as
+        1."""
         path = tmp_path / "vectors.txt"
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ValueError,

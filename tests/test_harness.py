@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ouv_classifier import NUM_CLASSES, harness
+from ouv_classifier import NUM_CLASSES, harness, model as model_module
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     SETTING_KEYS, ReportError,
                                     build_featurizer,
@@ -22,8 +22,9 @@ from ouv_classifier.model import (TrainingDiverged, predict_proba,
                                   save_checkpoint, top_classes)
 from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
-from ouv_classifier.features import EmbeddingTable, fit_tfidf, load_embeddings
-from conftest import make_sample, make_separable_dataset
+from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
+                                     fit_tfidf, load_embeddings)
+from conftest import make_sample, make_separable_dataset, stored_form
 
 
 def toy_config(tmp_path, **overrides):
@@ -763,6 +764,30 @@ class TestFeaturizer:
         assert payload["vectors"]["shape"] == [3, 2]
         assert base64.b64decode(payload["vectors"]["data"]) == (
             vectors.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("write_values", [1, 4, 1 << 15])
+    def test_file_is_json_dump_of_the_stored_form(self, tmp_path,
+                                                  monkeypatch, write_values):
+        """With pieces of a few values, each array spans several; a BoE row
+        holds 7 values, not a multiple of 3."""
+        monkeypatch.setattr(model_module, "_WRITE_VALUES", write_values)
+        rng = np.random.default_rng(5)
+        vectors, idf = rng.normal(size=(8, 7)), rng.normal(size=10)
+        tokens = ["héritage", *(f"t{i}" for i in range(6)), "<unk>"]
+        grams = [f"g{i}" if i % 3 else f"g{i} é" for i in range(10)]
+        path = tmp_path / "feat.json"
+        for featurizer, payload in (
+                (Featurizer("boe", table=EmbeddingTable(
+                    {t: i for i, t in enumerate(tokens)}, vectors)),
+                 {"type": "boe", "tokens": tokens,
+                  "vectors": stored_form(vectors)}),
+                (Featurizer("ngram", vocab=TfidfVocabulary(
+                    {g: i for i, g in enumerate(grams)}, idf, 3)),
+                 {"type": "ngram", "grams": grams, "idf": stored_form(idf),
+                  "min_df": 3})):
+            featurizer.save(path)
+            assert path.read_bytes() == json.dumps(
+                payload, ensure_ascii=False).encode("utf-8")
 
     def test_boe_file_bytes_are_pinned(self, tmp_path):
         """``load_embeddings`` then ``save`` writes these bytes: a repeated

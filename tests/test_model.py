@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -18,14 +19,13 @@ from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
                                   cross_entropy_soft, decode_array,
-                                  encode_array,
                                   forward,
                                   init_params, load_checkpoint,
                                   predict_proba, rank_classes,
                                   save_checkpoint, soft_targets,
                                   top_classes, train,
                                   TrainedModel)
-from conftest import make_separable_dataset
+from conftest import make_separable_dataset, stored_form
 
 
 def random_params(input_dim, hidden, seed=0):
@@ -624,6 +624,25 @@ class TestCheckpoint:
         assert base64.b64decode(spec["data"]) == \
             params.W1.T.astype("<f8").tobytes(order="C")
 
+    @pytest.mark.parametrize("write_values", [1, 45, 1 << 15])
+    def test_file_is_json_dumps_of_the_stored_form(self, tmp_path,
+                                                   monkeypatch, write_values):
+        """With pieces of a few values, each param spans several; ``W1``'s
+        rows on disk hold 7 values, not a multiple of 3."""
+        monkeypatch.setattr(model_module, "_WRITE_VALUES", write_values)
+        params = random_params(7, 20, seed=33)
+        model = TrainedModel(params=params, featurizer_ref="f.json",
+                             config=quick_config(), best_epoch=2,
+                             history=[{"epoch": 1, "val_top1": 0.5}])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        arrays = dict(params.arrays(), W1=params.W1.T)
+        payload = {"best_epoch": 2, "config": dataclasses.asdict(model.config),
+                   "featurizer_ref": "f.json", "history": model.history,
+                   "params": {k: stored_form(a) for k, a in arrays.items()}}
+        assert path.read_bytes() == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode()
+
     @pytest.mark.parametrize("data", ["AAAA", "not base64!", "AAAAé",
                                       [0.0] * 12])
     def test_bad_param_data_raises_value_error(self, tmp_path, data):
@@ -666,7 +685,7 @@ class TestCheckpoint:
         (lambda p: p["config"].update(hiden=3),
          "unknown key\\(s\\) 'config.hiden'"),
         (lambda p: p["params"].update(
-            W2=encode_array(np.zeros((NUM_CLASSES, 4)))),
+            W2=stored_form(np.zeros((NUM_CLASSES, 4)))),
          r"W2 \[11, 4\].* do not agree"),
         (lambda p: p["config"].update(hidden="x"),
          "key 'config.hidden' is str, expected int"),
