@@ -20,7 +20,6 @@ from .corpus import Sample
 class TfidfVocabulary:
     gram_to_index: dict[str, int]
     idf: np.ndarray
-    min_df: int
 
     @property
     def size(self) -> int:
@@ -102,7 +101,7 @@ def fit_tfidf(train_samples: list[Sample], min_df: int = 2) -> TfidfVocabulary:
     n_docs = len(train_samples)
     idf = np.array([math.log((1 + n_docs) / (1 + df[g])) + 1 for g in kept])
     return TfidfVocabulary(gram_to_index={g: i for i, g in enumerate(kept)},
-                           idf=idf, min_df=min_df)
+                           idf=idf)
 
 
 def token_ids(token_id: dict[str, int], token_lists: list[list[str]],
@@ -216,6 +215,8 @@ def load_embeddings(file_path: str | Path,
     such line. Other tokens fall back to "<unk>", whose vector is the mean
     of all kept vectors. A repeated token keeps its first row and takes its
     last vector; a kept "<unk>" line keeps its row and takes the mean.
+    A kept vector with an inf or NaN, or a mean that is not finite, is a
+    ``ValueError`` naming the file and the token or the mean.
     """
     token_to_row: dict[str, int] = {}
     block: dict[int, tuple[int, str]] = {}  # row: (line number, values)
@@ -253,7 +254,17 @@ def load_embeddings(file_path: str | Path,
     while blocks:
         rows, parsed = blocks.pop(0)
         vectors[rows] = parsed
-    vectors[unk] = np.mean(vectors[:n_kept], axis=0)
+    finite = np.isfinite(vectors[:n_kept]).all(axis=1)
+    if not finite.all():
+        bad = next(token for token, row in token_to_row.items()
+                   if not finite[row])
+        raise ValueError(f"{file_path}: token {bad!r} has a non-finite "
+                         "value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors[unk] = np.mean(vectors[:n_kept], axis=0)
+    if not np.isfinite(vectors[unk]).all():
+        raise ValueError(f"{file_path}: the '<unk>' mean of the kept vectors "
+                         "is not finite")
     return EmbeddingTable(token_to_row, vectors)
 
 

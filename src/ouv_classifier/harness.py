@@ -175,10 +175,20 @@ def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
     """The grid and sweep artifacts of one run, and with ``final`` its final
     artifact: a ``sweep.json`` or ``final.json`` whose ``setting`` is not
     ``log.json``'s best is a ``ValueError`` naming both files, as a rerun of
-    ``ouvclf sweep`` leaves them."""
+    ``ouvclf sweep`` leaves them; so is a ``sweep.json`` whose chosen
+    variant is not one the sweep tries, or whose chosen alpha
+    ``SmoothingConfig`` refuses."""
     steps = ("grid", "sweep", "final") if final else ("grid", "sweep")
     grid, *rest = (read_artifact(output_dir, step) for step in steps)
     best = setting_of(grid["best"])
+    variant, alpha = rest[0]["chosen_variant"], rest[0]["chosen_alpha"]
+    try:
+        if variant not in VARIANT_ORDER:
+            raise ValueError(f"unknown chosen_variant {variant!r}")
+        SmoothingConfig(variant, alpha)
+    except ValueError as exc:
+        sweep_path = Path(output_dir, STEP_ARTIFACTS["sweep"][0])
+        raise ValueError(f"{sweep_path}: {exc}") from exc
     for step, artifact in zip(steps[1:], rest):
         if artifact["setting"] != best:
             grid_path, path = (Path(output_dir, STEP_ARTIFACTS[name][0])
@@ -193,6 +203,9 @@ def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Featurizers
 
+# the featurizer file of each kind: its names key, listing the rows in
+# order, its array key and the array's rank
+_FILE_FORM = {"ngram": ("grams", "idf", 1), "boe": ("tokens", "vectors", 2)}
 _TWO_SPACES = re.compile(" [^ ]* ")
 
 
@@ -217,60 +230,53 @@ class Featurizer:
         return self.transform_token_lists([s.tokens for s in samples])
 
     def save(self, path: str | Path) -> None:
-        """Write the one featurizer file: for n-gram, the grams in index
-        order, their ``idf`` and ``min_df``; for BoE, tokens and vectors.
-        The bytes are those of ``json.dump(payload, fh, ensure_ascii=False)``
-        with the array in the stored form that ``write_array`` writes."""
-        if self.kind == "ngram":
-            index = self.vocab.gram_to_index
-            head = {"type": "ngram", "grams": sorted(index, key=index.get)}
-            key, array = "idf", self.vocab.idf
-            tail = f', "min_df": {json.dumps(self.vocab.min_df)}}}'
-        else:
-            head = {"type": "boe", "tokens": list(self.table.token_to_row)}
-            key, array, tail = "vectors", self.table.vectors, "}"
+        """Write the one featurizer file, in ``_FILE_FORM``'s keys: the type,
+        the names in row order (the grams in index order, or the tokens) and
+        the array (``idf``, or ``vectors``). The bytes are those of
+        ``json.dump(payload, fh, ensure_ascii=False)`` with the array in the
+        stored form that ``write_array`` writes."""
+        names_key, key, _ = _FILE_FORM[self.kind]
+        index, array = ((self.vocab.gram_to_index, self.vocab.idf)
+                        if self.kind == "ngram"
+                        else (self.table.token_to_row, self.table.vectors))
         with atomic_open(path, "wb") as fh:
+            head = {"type": self.kind, names_key: sorted(index, key=index.get)}
             fh.write(f'{json.dumps(head, ensure_ascii=False)[:-1]}, '
                      f'"{key}": '.encode())
             write_array(fh, array, (", ", ": "))
-            fh.write(tail.encode())
+            fh.write(b"}")
 
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
-        """Read a file written by ``save``. Any other file, including one
-        that holds JSON float lists in place of ``write_array``'s form, one
-        with a gram of more than one space, or a BoE file with a
-        repeated token or no ``"<unk>"`` token, is a ``ValueError`` naming
-        it."""
+        """Read a file written by ``save``; other keys are ignored. Any
+        other file is a ``ValueError`` naming it: one that holds JSON float
+        lists in place of ``write_array``'s form, a repeated name, a gram of
+        more than one space, or a BoE file with no ``"<unk>"`` token."""
         payload = read_json(path)
         try:
             kind = payload["type"]
-            if kind not in ("ngram", "boe"):
+            if kind not in _FILE_FORM:
                 raise ValueError(f"unknown type {kind!r}")
-            names, key, ndim = (("grams", "idf", 1) if kind == "ngram"
-                                else ("tokens", "vectors", 2))
+            names_key, key, ndim = _FILE_FORM[kind]
+            names = payload[names_key]
             array = decode_array(repr(key), payload[key])
-            if array.ndim != ndim or len(array) != len(payload[names]):
-                raise ValueError(f"{len(payload[names])} {names} but "
-                                 f"{key!r} has shape {list(array.shape)}")
+            if array.ndim != ndim or len(array) != len(names):
+                raise ValueError(f"{len(names)} {names_key} but {key!r} has "
+                                 f"shape {list(array.shape)}")
+            index = {name: row for row, name in enumerate(names)}
+            if len(index) != len(names):
+                repeated = next(name for row, name in enumerate(names)
+                                if index[name] != row)
+                raise ValueError(f"{names_key[:-1]} {repeated!r} is repeated")
             if kind == "ngram":
-                spaced = next(filter(_TWO_SPACES.search, payload["grams"]),
-                              None)
+                spaced = next(filter(_TWO_SPACES.search, names), None)
                 if spaced is not None:
                     raise ValueError(f"gram {spaced!r} holds more than one "
                                      "space")
-                return cls(kind, vocab=TfidfVocabulary(
-                    {g: i for i, g in enumerate(payload["grams"])}, array,
-                    int(payload["min_df"])))
-            tokens = payload["tokens"]
-            token_to_row = {token: row for row, token in enumerate(tokens)}
-            repeated = [token for row, token in enumerate(tokens)
-                        if token_to_row[token] != row]
-            if repeated:
-                raise ValueError(f"token {repeated[0]!r} is repeated")
-            if "<unk>" not in token_to_row:
+                return cls(kind, vocab=TfidfVocabulary(index, array))
+            if "<unk>" not in index:
                 raise ValueError("no '<unk>' token")
-            return cls(kind, table=EmbeddingTable(token_to_row, array))
+            return cls(kind, table=EmbeddingTable(index, array))
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: not a featurizer file of this version "
@@ -583,8 +589,13 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
     features when the predictors share a featurizer file. The rule runs
     on the block's arrays: the sum adds the three confidences left to
     right, and, as each row's three ids are distinct, the union of two
-    top-3 sets has ``6 - intersection`` ids.
+    top-3 sets has ``6 - intersection`` ids. A threshold that is NaN or
+    outside [0, 1] is a ``ValueError``, raised before any line is read.
     """
+    for name, value in (("confidence_threshold", confidence_threshold),
+                        ("iou_threshold", iou_threshold)):
+        if not 0 <= value <= 1:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     shared = (predictor_a.featurizer_path is not None
               and predictor_a.featurizer_path == predictor_b.featurizer_path)
     kept = []

@@ -344,7 +344,10 @@ def decode_array(name: str, spec) -> np.ndarray:
             and isinstance(spec.get("shape"), list)):
         raise ValueError(f'{name}: not {{"data": <base64 str>, '
                          '"shape": [...]}')
-    shape = [int(n) for n in spec["shape"]]
+    shape = spec["shape"]
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{name}: shape {shape} is not a list of integers "
+                         ">= 0")
     try:
         raw = base64.b64decode(spec["data"], validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text

@@ -147,6 +147,23 @@ def test_mine_cli(workspace, capsys):
     assert capsys.readouterr().err == f"kept {len(kept)} of 2 sentences\n"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--confidence", "nan", "confidence_threshold must be in [0, 1], got nan"),
+    ("--iou", "1.5", "iou_threshold must be in [0, 1], got 1.5"),
+])
+def test_mine_refuses_a_threshold_outside_0_1(workspace, tmp_path, capsys,
+                                              flag, value, message):
+    model = str(single_model(workspace))
+    input_path = tmp_path / "mine_input.txt"
+    input_path.write_text("A renowned temple site.\n", encoding="utf-8")
+    out_path = tmp_path / "mined.json"
+    capsys.readouterr()
+    assert main(["mine", "--models", model, model, "--input",
+                 str(input_path), flag, value, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_mine_writes_the_same_bytes_to_stdout_and_out(workspace, tmp_path,
                                                      capsys):
     final = workspace_runs(workspace, "sweep", "final") / "step3_final"
@@ -522,6 +539,27 @@ def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
     assert not (runs / "step3_final").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("chosen_variant", "bogus", "unknown chosen_variant 'bogus'"),
+    ("chosen_variant", "none", "unknown chosen_variant 'none'"),
+    ("chosen_alpha", -0.5, "alpha must be non-negative"),
+])
+def test_final_names_a_bad_chosen_smoothing(workspace, tmp_path, capsys, key,
+                                            value, message):
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    sweep = runs / "step2_sweep/sweep.json"
+    payload = json.loads(sweep.read_text())
+    payload[key] = value
+    sweep.write_text(json.dumps(payload))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs))
+    capsys.readouterr()
+    assert main(["final", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {sweep}: {message}\n"
+    assert not (runs / "step3_final").exists()
+
+
 def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
                                                                tmp_path,
                                                                capsys):
@@ -775,7 +813,7 @@ def test_a_checkpoint_beside_another_runs_featurizer_is_named(
     grams = sorted(index, key=index.get)[:5]
     other = tmp_path / "model_featurizer.json"
     harness.Featurizer("ngram", vocab=TfidfVocabulary(
-        dict(zip(grams, range(5))), featurizer.vocab.idf[:5], 1)).save(other)
+        dict(zip(grams, range(5))), featurizer.vocab.idf[:5])).save(other)
     missing = tmp_path / "missing"
     args = {"evaluate": ["evaluate", "--model", str(model), "--split",
                          "valid", "--dataset", str(missing)],

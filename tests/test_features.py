@@ -177,7 +177,7 @@ token_list = st.lists(st.sampled_from(WORDS + ["oov", "zz"]), max_size=60)
 # unigrams only; bigrams only.
 def vocabulary(grams):
     return TfidfVocabulary({g: i for i, g in enumerate(grams)},
-                           1 + np.arange(len(grams)) / 7, 1)
+                           1 + np.arange(len(grams)) / 7)
 
 
 VOCABS = {
@@ -378,18 +378,27 @@ class TestLoadEmbeddings:
     @example(("2 3 \na 1.5 -0.0 1e-3 \n<unk> 9 9 9 \n", {"a", "<unk>"}))
     @example(("a 1\nb 2\na 3\n", {"a", "oov"}))
     @example(("a 1\nb １\nc 2\na 1_0\nb 3\nb 4\n", {"a", "b", "c"}))
+    @example(("a 1.7976931348623157e308\nb 1e300\n", {"a", "b"}))
+    @example(("a inf\nb nan\na 1\n", {"a", "b"}))
+    @example(("a inf\nb 1\nc nan\na 2\n", {"a", "b"}))
     def test_equals_the_per_line_oracle(self, embedding_dir, file):
         """Blocks of two kept lines, so that files cross block ends, and
         repeated tokens and ``np.loadtxt``'s refusals fall in one block or
-        across two. Values near the float64 limits can make the ``"<unk>"``
-        mean overflow, to inf or NaN in both, and numpy warns in both."""
+        across two. Where the oracle's table holds an inf or NaN, from a
+        kept value or from a ``"<unk>"`` mean that overflows (numpy warns
+        in the oracle), the loader raises a ``ValueError`` instead, with
+        no warning."""
         text, corpus = file
         path = embedding_dir / "vectors.txt"
         path.write_text(text, encoding="utf-8")
-        with mock.patch.object(features, "_PARSE_BLOCK", 2), \
-                np.errstate(over="ignore", invalid="ignore"):
-            got = load_embeddings(path, corpus)
+        with np.errstate(over="ignore", invalid="ignore"):
             want = parse_every_line(path, corpus)
+        with mock.patch.object(features, "_PARSE_BLOCK", 2):
+            if not np.isfinite(want.vectors).all():
+                with pytest.raises(ValueError, match="non-finite|not finite"):
+                    load_embeddings(path, corpus)
+                return
+            got = load_embeddings(path, corpus)
         assert got.token_to_row == want.token_to_row
         assert got.vectors.flags.c_contiguous
         np.testing.assert_array_equal(got.vectors.view(np.uint64),
@@ -445,6 +454,25 @@ class TestLoadEmbeddings:
                                  + match):
             load_embeddings(path, {"a", "b", "c"})
 
+    @pytest.mark.parametrize("body,message", [
+        ("a 1 0\nb 2 inf\nc 3 1\n", "token 'b' has a non-finite value"),
+        ("a 1 0\nb nan 2\n", "token 'b' has a non-finite value"),
+        ("<unk> -inf 0\na 1 0\n", "token '<unk>' has a non-finite value"),
+        ("a 1.7976931348623157e308 0\nb 1e300 0\n",
+         "the '<unk>' mean of the kept vectors is not finite"),
+    ])
+    def test_a_non_finite_table_names_the_file(self, tmp_path, body,
+                                               message):
+        """A kept vector with an inf or NaN names its token; a mean that
+        overflows names the mean, with no numpy warning. (A value that a
+        later line replaces, or on a dropped line, loads: see the oracle
+        property's examples.)"""
+        path = tmp_path / "vectors.txt"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_embeddings(path, {"a", "b", "<unk>"})
+
     def test_no_kept_line_names_the_file(self, tmp_path):
         path = write_embeddings(tmp_path, [("a", [1, 0])])
         with pytest.raises(ValueError,
@@ -462,9 +490,10 @@ class TestLoadEmbeddings:
 
     def test_parsed_values_are_bit_equal_to_float(self, tmp_path):
         """Only kept lines are parsed: ``b`` and ``c`` hold values numpy
-        cannot read, and their tokens are not in the corpus."""
-        values = ["1e-320", "-0.0", "5e-324", "0.30000000000000004", "nan",
-                  "inf", "-inf", "１"]
+        cannot read, and their tokens are not in the corpus. (A kept inf
+        or NaN is refused: ``test_a_non_finite_table_names_the_file``.)"""
+        values = ["1e-320", "-0.0", "5e-324", "0.30000000000000004",
+                  "1.7976931348623157e308", "-1e308", "-5e-324", "１"]
         path = tmp_path / "vectors.txt"
         path.write_text("a " + " ".join(values) + "\nb 0x10 0 0 0 0 0 0 0\n"
                         "c 1,5 0 0 0 0 0 0 0\n", encoding="utf-8")

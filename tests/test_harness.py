@@ -553,6 +553,25 @@ class TestMine:
     def test_empty_input(self):
         assert mine([], StubPredictor({}), StubPredictor({})) == []
 
+    @pytest.mark.parametrize("confidence,iou,name", [
+        (math.nan, 0.5, "confidence_threshold"),
+        (-0.1, 0.5, "confidence_threshold"),
+        (0.8, 1.5, "iou_threshold"),
+        (0.8, math.nan, "iou_threshold"),
+    ])
+    def test_threshold_outside_0_1_is_refused(self, confidence, iou, name):
+        """Before any line is read, and on empty input too: such a
+        threshold keeps everything or nothing."""
+        def unread():
+            raise AssertionError("read a line despite a bad threshold")
+            yield
+
+        a = {"sa": [(1, 0.5), (2, 0.3), (3, 0.1)]}
+        for lines in ([], ["sa text"], unread()):
+            with pytest.raises(ValueError, match=f"^{name} must be in "):
+                mine(lines, StubPredictor(a), StubPredictor(a),
+                     confidence_threshold=confidence, iou_threshold=iou)
+
     def test_confidence_sum_at_threshold_rejected(self):
         # 0.5 + 0.25 + 0.125 is exactly 0.875: strictly-greater fails
         a = {"sa": [(1, 0.5), (2, 0.25), (3, 0.125)]}
@@ -675,8 +694,7 @@ def write_float_list_featurizer(featurizer: Featurizer, path) -> None:
     if featurizer.kind == "ngram":
         index = featurizer.vocab.gram_to_index
         payload = {"type": "ngram", "grams": sorted(index, key=index.get),
-                   "idf": featurizer.vocab.idf.tolist(),
-                   "min_df": featurizer.vocab.min_df}
+                   "idf": featurizer.vocab.idf.tolist(), "min_df": 1}
     else:
         payload = {"type": "boe", "dimension": featurizer.table.dimension,
                    "vectors": {tok: vec.tolist() for tok, vec in
@@ -705,12 +723,11 @@ class TestFeaturizer:
         idf = {"data": base64.b64encode(vocab.idf.astype("<f8").tobytes())
                .decode(), "shape": [len(grams)]}
         assert path.read_text(encoding="utf-8") == json.dumps(
-            {"type": "ngram", "grams": grams, "idf": idf, "min_df": 1},
+            {"type": "ngram", "grams": grams, "idf": idf},
             ensure_ascii=False)
         loaded = Featurizer.load(path).vocab
         assert loaded.gram_to_index == vocab.gram_to_index
         np.testing.assert_array_equal(loaded.idf, vocab.idf)
-        assert loaded.min_df == 1
 
     def test_boe_round_trip(self, dataset, tmp_path):
         emb = tmp_path / "emb.txt"
@@ -782,9 +799,9 @@ class TestFeaturizer:
                  {"type": "boe", "tokens": tokens,
                   "vectors": stored_form(vectors)}),
                 (Featurizer("ngram", vocab=TfidfVocabulary(
-                    {g: i for i, g in enumerate(grams)}, idf, 3)),
-                 {"type": "ngram", "grams": grams, "idf": stored_form(idf),
-                  "min_df": 3})):
+                    {g: i for i, g in enumerate(grams)}, idf)),
+                 {"type": "ngram", "grams": grams,
+                  "idf": stored_form(idf)})):
             featurizer.save(path)
             assert path.read_bytes() == json.dumps(
                 payload, ensure_ascii=False).encode("utf-8")
@@ -808,6 +825,32 @@ class TestFeaturizer:
             'MzMzMzMHQM3MzMzMTBRAAAAAAAAAAICamZmZmZm5PwAAAAAAAAhAnHUAiDzkN34AAA'
             'AAAAD4vzQzMzMzM9M/", "shape": [4, 3]}}').encode("utf-8")
 
+    def test_files_of_the_earlier_form_load_to_equal_tables(self, tmp_path):
+        """Files as written before the n-gram file lost its unread
+        ``"min_df"``: both load, and saving them again drops only that
+        key."""
+        ngram = ('{"type": "ngram", "grams": ["héritage", "a b", "b"], '
+                 '"idf": {"data": "AAAAAAAA+D8AAAAAAAAAQAAAAAAAAPQ/", '
+                 '"shape": [3]}, "min_df": 2}')
+        boe = ('{"type": "boe", "tokens": ["wall", "<unk>"], "vectors": '
+               '{"data": "AAAAAAAA4D8AAAAAAADwvwAAAAAAANA/mpmZmZmZuT8=", '
+               '"shape": [2, 2]}}')
+        path = tmp_path / "feat.json"
+        path.write_bytes(ngram.encode("utf-8"))
+        vocab = Featurizer.load(path).vocab
+        assert vocab.gram_to_index == {"héritage": 0, "a b": 1, "b": 2}
+        np.testing.assert_array_equal(vocab.idf, [1.5, 2.0, 1.25])
+        Featurizer("ngram", vocab=vocab).save(path)
+        assert path.read_bytes() == ngram.replace(', "min_df": 2', "").encode(
+            "utf-8")
+        path.write_bytes(boe.encode("utf-8"))
+        table = Featurizer.load(path).table
+        assert list(table.token_to_row.items()) == [("wall", 0), ("<unk>", 1)]
+        np.testing.assert_array_equal(table.vectors,
+                                      [[0.5, -1.0], [0.25, 0.1]])
+        Featurizer("boe", table=table).save(path)
+        assert path.read_bytes() == boe.encode("utf-8")
+
     @pytest.mark.parametrize("kind,edit,match", [
         ("ngram", lambda p: p["idf"].update(data="not base64!"), "'idf'"),
         ("ngram", lambda p: p["idf"].update(data="AAAAAAAAAAA="), "'idf'"),
@@ -825,10 +868,19 @@ class TestFeaturizer:
          "token 'a' is repeated"),
         ("boe", lambda p: p["tokens"].__setitem__(2, "c"),
          "no '<unk>' token"),
+        ("ngram", lambda p: p["grams"].__setitem__(3, "a"),
+         "gram 'a' is repeated"),
+        ("ngram", lambda p: p["idf"].update(shape=[5.0]),
+         r"'idf': shape \[5.0\] is not a list of integers >= 0"),
+        ("ngram", lambda p: p["idf"].update(shape=[True, 5]),
+         r"'idf': shape \[True, 5\] is not a list of integers >= 0"),
+        ("boe", lambda p: p["vectors"].update(shape=[-3, -2]),
+         r"'vectors': shape \[-3, -2\] is not a list of integers >= 0"),
     ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
             "not-a-matrix", "unknown-type", "spec-not-an-object",
             "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str",
-            "repeated-token", "no-unk-token"])
+            "repeated-token", "no-unk-token", "repeated-gram",
+            "float-shape", "bool-shape", "negative-shape"])
     def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
                                                match):
         path = tmp_path / "feat.json"
@@ -850,7 +902,7 @@ class TestFeaturizer:
         loaded.transform_token_lists([["a", "b"]])
         assert "id_tables" in loaded.vocab.__dict__
         assert [f.name for f in dataclasses.fields(loaded.vocab)] == [
-            "gram_to_index", "idf", "min_df"]
+            "gram_to_index", "idf"]
         assert "id_tables" not in repr(loaded.vocab)
 
     @pytest.mark.parametrize("kind", ["ngram", "boe"])
@@ -879,7 +931,8 @@ class TestFeaturizer:
         path = tmp_path / "feat.json"
         featurizer.save(path)
         before = path.read_bytes()
-        featurizer.vocab.min_df = object()  # not JSON-serializable
+        # not JSON-serializable: fails once the temp file is open
+        featurizer.vocab.gram_to_index[object()] = featurizer.dimension
         with pytest.raises(TypeError):
             featurizer.save(path)
         assert path.read_bytes() == before

@@ -707,11 +707,18 @@ class TestCheckpoint:
          "'config': l2 must be finite and >= 0, got -1e-05"),
         (lambda p: p["config"]["smoothing"].update(alpha=math.inf),
          "config.smoothing: alpha must be finite, got inf"),
+        (lambda p: p["params"]["b2"].update(shape=[11.0]),
+         r"param 'b2': shape \[11.0\] is not a list of integers >= 0"),
+        (lambda p: p["params"]["b2"].update(shape=[True, 11]),
+         r"param 'b2': shape \[True, 11\] is not a list of integers >= 0"),
+        (lambda p: p["params"]["W2"].update(shape=[-11, -4]),
+         r"param 'W2': shape \[-11, -4\] is not a list of integers >= 0"),
     ], ids=["missing-b2", "extra-param", "smoothing-not-object",
             "unknown-config-key", "W2-hidden-mismatch", "hidden-str",
             "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
             "history-int", "history-item-int", "featurizer-ref-int",
-            "nan-learning-rate", "negative-l2", "infinite-alpha"])
+            "nan-learning-rate", "negative-l2", "infinite-alpha",
+            "float-shape", "bool-shape", "negative-shape"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
                                                        match):
         model = TrainedModel(params=random_params(4, 3, seed=34),
