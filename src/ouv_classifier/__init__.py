@@ -36,15 +36,38 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
         raise
 
 
+@contextmanager
+def input_error(path, message: str = "{}"):
+    """Re-raise a ``KeyError``, ``TypeError`` or ``ValueError`` from the
+    block, which reads the values of the file at ``path``, as the one kind
+    of bad-input error: a ``ValueError`` reading ``"<path>: "`` and
+    ``message`` with its ``{}`` filled by the error's text, which for a
+    ``KeyError`` is ``missing key 'k'``. So is an ``OverflowError``, which
+    a JSON integer too large for a float gives."""
+    try:
+        yield
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: " + message.format(detail)) from exc
+
+
+def read_lines(path, newline: str | None = None):
+    """The lines of the UTF-8 text file at ``path`` (``newline`` as for
+    ``open``; ``csv`` needs ``""``); bytes that are not UTF-8 are a
+    ``ValueError`` naming the file. Errors raised by the caller between
+    lines pass through as they are."""
+    with open(path, encoding="utf-8", newline=newline) as fh, \
+            input_error(path):
+        yield from fh
+
+
 def read_json(path, **defaults):
     """The JSON value in the file at ``path``: an object holding each key of
     ``defaults`` with a value of its default's JSON type, if any are given.
-    Anything else is a ``ValueError`` naming the file (and the key)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            value = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    Anything else, or bytes that are not UTF-8, is a ``ValueError`` naming
+    the file (and the key)."""
+    with open(path, encoding="utf-8") as fh, input_error(path):
+        value = json.load(fh)
     missing = [key for key in defaults
                if not isinstance(value, dict) or key not in value]
     if missing:

@@ -14,10 +14,9 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from . import NUM_CRITERIA, atomic_open
-from .corpus import (ConfigurationError, build_dataset, build_sd_set,
-                     parse_syndication, read_dataset, read_sites,
-                     write_dataset, write_sites)
+from . import NUM_CRITERIA, atomic_open, read_lines
+from .corpus import (build_dataset, build_sd_set, parse_syndication,
+                     read_dataset, read_sites, write_dataset, write_sites)
 from .harness import (ExperimentConfig, Predictor, build_featurizer,
                       evaluate_model, featurize, fit, load_prior, mine,
                       read_run, report, run_final, run_grid_search,
@@ -134,14 +133,12 @@ def cmd_mine(args) -> int:
     predictor_a = Predictor.load(args.models[0])
     predictor_b = Predictor.load(args.models[1])
     total = itertools.count()
-    with open(args.input, encoding="utf-8") as fh:
-        # the stripped non-blank lines, read as ``mine`` asks for them;
-        # ``zip`` draws from ``total`` once per line it yields
-        texts = (text for text, _ in zip(filter(None, map(str.strip, fh)),
-                                         total))
-        kept = mine(texts, predictor_a, predictor_b,
-                    confidence_threshold=args.confidence,
-                    iou_threshold=args.iou)
+    # the stripped non-blank lines, read as ``mine`` asks for them; ``zip``
+    # draws from ``total`` once per line it yields
+    lines = filter(None, map(str.strip, read_lines(args.input)))
+    texts = (text for text, _ in zip(lines, total))
+    kept = mine(texts, predictor_a, predictor_b,
+                confidence_threshold=args.confidence, iou_threshold=args.iou)
     with atomic_open(args.out) if args.out else nullcontext(sys.stdout) as fh:
         json.dump(kept, fh, indent=1)
         fh.write("\n")
@@ -212,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,14 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, is_, itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from . import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open, read_json
+from . import (NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open,
+               input_error, read_json, read_lines)
 
 ROMAN = {
     "i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
@@ -63,10 +65,6 @@ CRITERION_DEFINITIONS = {
 
 MIN_SENT_LEN = 8
 MAX_SENT_LEN = 64
-
-
-class ConfigurationError(Exception):
-    """A required input column or split is missing."""
 
 
 @dataclass
@@ -129,7 +127,7 @@ def _resolve_columns(header: list[str]) -> dict[str, str]:
                 break
     for required in ("site_id", "name", "justification", "short_description"):
         if required not in resolved:
-            raise ConfigurationError(
+            raise ValueError(
                 f"syndication file is missing a column for {required!r}; "
                 f"header was {header}")
     return resolved
@@ -180,24 +178,25 @@ def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str
 
     Returns the records plus a report of row-level errors. Rows without
     justification text are kept (with an empty justification map) so the
-    SD set can still use their short descriptions.
+    SD set can still use their short descriptions. A file with no header
+    row or without a required column is a ``ValueError`` naming it.
     """
     path = Path(file_path)
     records: list[SiteRecord] = []
     errors: list[str] = []
-    with open(path, newline="", encoding="utf-8", errors="strict") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigurationError(f"{path} has no header row")
+    reader = csv.DictReader(read_lines(path, newline=""))
+    if reader.fieldnames is None:
+        raise ValueError(f"{path} has no header row")
+    with input_error(path):
         cols = _resolve_columns(list(reader.fieldnames))
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                record = _parse_row(row, cols)
-            except (ValueError, KeyError) as exc:
-                errors.append(f"line {line_no}: {exc}")
-                continue
-            if record is not None:
-                records.append(record)
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            record = _parse_row(row, cols)
+        except (ValueError, KeyError) as exc:
+            errors.append(f"line {line_no}: {exc}")
+            continue
+        if record is not None:
+            records.append(record)
     return records, errors
 
 
@@ -416,7 +415,7 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
 
     for name in ("train", "valid", "test"):
         if not dataset.split(name):
-            raise ConfigurationError(f"split {name!r} is empty")
+            raise ValueError(f"split {name!r} is empty")
     return dataset
 
 
@@ -456,19 +455,6 @@ def sample_to_json(sample: Sample) -> str:
     return _ENCODE(record)
 
 
-def sample_from_json(line: str) -> Sample:
-    record = json.loads(line)
-    one_hot = record["one_hot"]
-    return Sample(
-        tokens=list(record["tokens"]),
-        sentence_label=record["sentence_label"],
-        one_hot=None if one_hot is None else np.asarray(one_hot, dtype=float),
-        parental=np.asarray(record["parental"], dtype=float),
-        site_id=record["site_id"],
-        split=record["split"],
-    )
-
-
 def write_samples(samples: list[Sample], path: str | Path) -> None:
     with atomic_open(path) as fh:
         for sample in samples:
@@ -476,27 +462,91 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    """Read a file written by ``write_samples``. A line that is not JSON or
-    lacks a sample key, or a token that holds whitespace, is a ``ValueError``
-    naming the file and the line, key or token: tokens are as ``str.split``
-    gives them, and the n-gram features count on it."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
+    """Read a file written by ``write_samples``. Any other file is a
+    ``ValueError`` naming it: a line that is not JSON or lacks a sample key;
+    tokens that are not a list of strings, or a token that holds whitespace
+    (tokens are as ``str.split`` gives them, and the n-gram features count
+    on it); a ``sentence_label`` that is neither an integer 1-10 nor null; a
+    ``one_hot`` that is not its label's one-hot (null for a null label); or
+    a ``parental`` that is not 11 finite numbers. Each value check runs once
+    over the file's column of that key and names the first bad line."""
+    records, line_nos = [], []
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
+            line_nos.append(line_no)
+    n = len(records)
+    with input_error(path, "not a dataset file ({})"):
+        one_hots, parentals, labels, site_ids, splits, tokens = (
+            list(map(itemgetter(key), records)) for key in _SAMPLE_KEYS)
+        del records  # the line dicts: their values are in the columns
+        rule = "a list of strings"
+        _refuse(line_nos, "tokens", tokens, _typed(tokens, list), rule)
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    samples.append(sample_from_json(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
-        except (KeyError, TypeError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path}: not a dataset file ({detail})") from exc
-    text = "".join(chain.from_iterable(sample.tokens for sample in samples))
-    if text and text.split() != [text]:
-        spaced = next(token for sample in samples for token in sample.tokens
-                      if token and token.split() != [token])
-        raise ValueError(f"{path}: token {spaced!r} holds whitespace")
-    return samples
+            text = "".join(chain.from_iterable(tokens))
+        except TypeError:
+            _refuse(line_nos, "tokens", tokens,
+                    [set(map(type, t)) <= {str} for t in tokens], rule)
+        if text and text.split() != [text]:
+            i, spaced = next((i, token) for i, t in enumerate(tokens)
+                             for token in t
+                             if token and token.split() != [token])
+            raise ValueError(f"line {line_nos[i]}: token {spaced!r} holds "
+                             "whitespace")
+        ok, is_int = _typed(labels, type(None)), _typed(labels, int)
+        ok[is_int] = np.fromiter(map(range(1, NUM_CRITERIA + 1).__contains__,
+                                     compress(labels, is_int)), bool)
+        _refuse(line_nos, "sentence_label", labels, ok,
+                f"an integer 1-{NUM_CRITERIA} or null")
+        _refuse(line_nos, "one_hot", one_hots,
+                np.fromiter(map(eq, one_hots,
+                                map(_ONE_HOTS.get, labels)), bool, n),
+                "the one-hot of its sentence_label")
+        rule = f"a list of {NUM_CLASSES} finite numbers"
+        _refuse(line_nos, "parental", parentals, _typed(parentals, list), rule)
+        _refuse(line_nos, "parental", parentals,
+                np.fromiter(map(len, parentals), np.int64, n) == NUM_CLASSES,
+                rule)
+        if not set(map(type, chain.from_iterable(parentals))) <= {int, float}:
+            _refuse(line_nos, "parental", parentals,
+                    [set(map(type, p)) <= {int, float} for p in parentals],
+                    rule)
+        rows = np.array(parentals, dtype=float).reshape(n, NUM_CLASSES)
+        _refuse(line_nos, "parental", parentals,
+                np.isfinite(rows).all(axis=1), rule)
+    one_hots = [None if h is None else np.asarray(h, dtype=float)
+                for h in one_hots]
+    return list(map(Sample, tokens, labels, one_hots, rows, site_ids, splits))
+
+
+# the keys of a dataset line, in the order ``read_samples`` reads them
+_SAMPLE_KEYS = ("one_hot", "parental", "sentence_label", "site_id", "split",
+                "tokens")
+# the one-hot a dataset line holds for each ``sentence_label``
+_ONE_HOTS = {None: None, **{k: make_one_hot(k).astype(int).tolist()
+                            for k in range(1, NUM_CRITERIA + 1)}}
+
+
+def _typed(values: list, kind: type) -> np.ndarray:
+    """Whether each of ``values`` is of type ``kind`` exactly (a bool is no
+    int), as one bool array."""
+    return np.fromiter(map(is_, map(type, values), repeat(kind)),
+                       bool, len(values))
+
+
+def _refuse(line_nos: list[int], key: str, values: list, ok,
+            rule: str) -> None:
+    """Raise a ``ValueError`` naming the first line whose entry of ``ok``,
+    one bool per line, is false, and its ``key`` value, which is not
+    ``rule``."""
+    ok = np.asarray(ok, dtype=bool)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise ValueError(f"line {line_nos[i]}: {key} {values[i]!r} is not "
+                         f"{rule}")
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
@@ -508,10 +558,11 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 def read_dataset(in_dir: str | Path) -> Dataset:
     """The splits written by ``write_dataset`` (a missing split file is an
-    empty split); a directory that does not exist is a
-    ``FileNotFoundError`` naming it. An empty string, as a config without
-    ``dataset_dir`` or ``--dataset ""`` gives, is a ``ValueError``, not the
-    current directory."""
+    empty split), each read by ``read_samples``; a null ``sentence_label``
+    outside ``sd.jsonl`` is a ``ValueError`` naming the file. A directory
+    that does not exist is a ``FileNotFoundError`` naming it. An empty
+    string, as a config without ``dataset_dir`` or ``--dataset ""`` gives,
+    is a ``ValueError``, not the current directory."""
     if in_dir == "":
         raise ValueError(
             "no dataset directory given (empty 'dataset_dir' or --dataset)")
@@ -522,7 +573,12 @@ def read_dataset(in_dir: str | Path) -> Dataset:
     for name in ("train", "valid", "test", "sd"):
         path = src / f"{name}.jsonl"
         if path.exists():
-            getattr(dataset, name).extend(read_samples(path))
+            samples = read_samples(path)
+            if name != "sd" and None in map(attrgetter("sentence_label"),
+                                            samples):
+                raise ValueError(f"{path}: not a dataset file (a {name} "
+                                 "sample has a null sentence_label)")
+            getattr(dataset, name).extend(samples)
     return dataset
 
 
@@ -540,18 +596,17 @@ def read_sites(path: str | Path) -> list[SiteRecord]:
     the key, one that is not an object a ``ValueError`` naming the file,
     and one whose ``criteria`` is not a list of integers 1-10 a
     ``ValueError`` naming the file and the ``site_id``."""
-    try:
+    payload = read_json(path)
+    with input_error(path, "not a sites file ({})"):
         entries = [(p["site_id"], p.get("name", ""), p["criteria"])
-                   for p in read_json(path)]
-    except (KeyError, TypeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path}: not a sites file ({detail})") from exc
-    for site_id, _, criteria in entries:
-        if not (isinstance(criteria, list) and all(
-                type(k) is int and 1 <= k <= NUM_CRITERIA for k in criteria)):
-            raise ValueError(f"{path}: not a sites file (site {site_id!r}: "
-                             f"criteria {criteria!r} is not a list of "
-                             f"integers 1-{NUM_CRITERIA})")
+                   for p in payload]
+        for site_id, _, criteria in entries:
+            if not (isinstance(criteria, list) and all(
+                    type(k) is int and 1 <= k <= NUM_CRITERIA
+                    for k in criteria)):
+                raise ValueError(f"site {site_id!r}: criteria {criteria!r} "
+                                 "is not a list of integers "
+                                 f"1-{NUM_CRITERIA}")
     return [SiteRecord(site_id=site_id, name=name, justification={},
                        short_description="", criteria=frozenset(criteria))
             for site_id, name, criteria in entries]

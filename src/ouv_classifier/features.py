@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import read_lines
 from .corpus import Sample
 
 
@@ -216,32 +217,32 @@ def load_embeddings(file_path: str | Path,
     of all kept vectors. A repeated token keeps its first row and takes its
     last vector; a kept "<unk>" line keeps its row and takes the mean.
     A kept vector with an inf or NaN, or a mean that is not finite, is a
-    ``ValueError`` naming the file and the token or the mean.
+    ``ValueError`` naming the file and the token or the mean; so are bytes
+    that are not UTF-8 (``read_lines``).
     """
     token_to_row: dict[str, int] = {}
     block: dict[int, tuple[int, str]] = {}  # row: (line number, values)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     dimension = None
-    with open(file_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            token, _, values = line.rstrip().partition(" ")
-            if line_no == 1 and token.isdecimal() and values.isdecimal():
-                dimension = int(values)
-                continue
-            size = values.count(" ") + 1 if values else 0
-            if dimension is None:
-                dimension = size
-            if not size or size != dimension:
-                if block:  # a bad value on an earlier kept line comes first
-                    _parse_block(file_path, block, dimension)
-                raise ValueError(f"{file_path}: line {line_no}: "
-                                 f"{size} values, expected {dimension}")
-            if token in corpus_tokens:
-                row = token_to_row.setdefault(token, len(token_to_row))
-                if row in block or len(block) == _PARSE_BLOCK:
-                    blocks.append(_parse_block(file_path, block, dimension))
-                    block = {}
-                block[row] = line_no, values
+    for line_no, line in enumerate(read_lines(file_path), start=1):
+        token, _, values = line.rstrip().partition(" ")
+        if line_no == 1 and token.isdecimal() and values.isdecimal():
+            dimension = int(values)
+            continue
+        size = values.count(" ") + 1 if values else 0
+        if dimension is None:
+            dimension = size
+        if not size or size != dimension:
+            if block:  # a bad value on an earlier kept line comes first
+                _parse_block(file_path, block, dimension)
+            raise ValueError(f"{file_path}: line {line_no}: "
+                             f"{size} values, expected {dimension}")
+        if token in corpus_tokens:
+            row = token_to_row.setdefault(token, len(token_to_row))
+            if row in block or len(block) == _PARSE_BLOCK:
+                blocks.append(_parse_block(file_path, block, dimension))
+                block = {}
+            block[row] = line_no, values
     if block:
         blocks.append(_parse_block(file_path, block, dimension))
     if not token_to_row:

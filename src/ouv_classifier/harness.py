@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic_open, check_json_type, json_fields, read_json
+from . import (atomic_open, check_json_type, input_error, json_fields,
+               read_json)
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows)
@@ -44,12 +45,6 @@ STEP_ARTIFACTS = {
 # input lines read, preprocessed, featurized and scored per step of
 # ``mine``'s one loop; bounds its text, tokens and features on large inputs
 _MINE_BLOCK = 4096
-
-
-class ReportError(RuntimeError):
-    def __init__(self, missing: list[str]):
-        super().__init__("missing artifacts: " + ", ".join(missing))
-        self.missing = missing
 
 
 @dataclass
@@ -250,15 +245,20 @@ class Featurizer:
     def load(cls, path: str | Path) -> "Featurizer":
         """Read a file written by ``save``; other keys are ignored. Any
         other file is a ``ValueError`` naming it: one that holds JSON float
-        lists in place of ``write_array``'s form, a repeated name, a gram of
-        more than one space, or a BoE file with no ``"<unk>"`` token."""
+        lists in place of ``write_array``'s form, names that are not a list
+        of strings, a repeated name, a gram of more than one space, or a BoE
+        file with no ``"<unk>"`` token."""
         payload = read_json(path)
-        try:
+        with input_error(path, "not a featurizer file of this version ({}); "
+                         "rebuild it with `ouvclf final` or `ouvclf train`"):
             kind = payload["type"]
             if kind not in _FILE_FORM:
                 raise ValueError(f"unknown type {kind!r}")
             names_key, key, ndim = _FILE_FORM[kind]
             names = payload[names_key]
+            if not isinstance(names, list):
+                raise ValueError(f"{names_key!r} is not a list")
+            "".join(names)  # a TypeError unless each name is a str
             array = decode_array(repr(key), payload[key])
             if array.ndim != ndim or len(array) != len(names):
                 raise ValueError(f"{len(names)} {names_key} but {key!r} has "
@@ -277,11 +277,6 @@ class Featurizer:
             if "<unk>" not in index:
                 raise ValueError("no '<unk>' token")
             return cls(kind, table=EmbeddingTable(index, array))
-        except (KeyError, TypeError, ValueError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path}: not a featurizer file of this version "
-                             f"({detail}); rebuild it with `ouvclf final` "
-                             "or `ouvclf train`") from exc
 
 
 def build_featurizer(config: ExperimentConfig, dataset: Dataset) -> Featurizer:
@@ -499,22 +494,23 @@ def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
               config: ExperimentConfig, dataset: Dataset, mu: np.ndarray,
               featurizer: Featurizer | None = None) -> dict:
-    """Train the chosen-LS and no-LS models on the grid seed, then save
-    them and evaluate on valid/test plus the SD set when present. Each
+    """Train the chosen-LS and no-LS models on the grid seed, evaluate them
+    on valid/test plus the SD set when present, then save them and write
+    ``final.json``. An empty test split is a ``ValueError``, raised before
+    any training; nothing is written unless every evaluation returns. Each
     split is featurized once; test and SD only after both models train."""
     train_configs = {label: config.train_config(best_setting, smoothing,
                                                 config.grid_seed)
                      for label, smoothing in (("no_ls", SmoothingConfig()),
                                               ("ls", chosen_ls))}
+    if not dataset.test:
+        raise ValueError("the 'test' split is empty; the final step scores "
+                         "the test split")
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     models = {label: fit(data, train_config, mu)
               for label, train_config in train_configs.items()}
-    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
-    save_models(featurizer, out / "featurizer.json",
-                {f"model_{label}.json": model
-                 for label, model in models.items()})
 
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
@@ -527,6 +523,10 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
         row["best_epoch"] = model.best_epoch
         rows[label] = row
 
+    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
+    save_models(featurizer, out / "featurizer.json",
+                {f"model_{label}.json": model
+                 for label, model in models.items()})
     payload = {"baseline": config.baseline, "setting": best_setting,
                "seed": config.grid_seed, "rows": rows,
                "sd_evaluated": sd_x is not None}
@@ -634,18 +634,21 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
 
 def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV.
-    A missing artifact is a ``ReportError``; one without a key it needs,
-    or with a key, row or score of the wrong JSON type, is a ``ValueError``
-    naming it, as are artifacts of two runs (``read_run``)."""
+    Missing artifacts are one ``FileNotFoundError`` listing them all; an
+    artifact without a key it needs, or with a key, row or score of the
+    wrong JSON type, is a ``ValueError`` naming it, as are artifacts of two
+    runs (``read_run``)."""
     root = Path(artifacts_dir)
     missing = [rel for rel, _ in STEP_ARTIFACTS.values()
                if not (root / rel).exists()]
     if missing:
-        raise ReportError(missing)
+        raise FileNotFoundError("missing artifacts: " + ", ".join(missing))
     grid, sweep, final = read_run(root, final=True)
 
-    step = "final"  # the artifact the rendering reads, for an error
-    try:
+    final_path, sweep_path = (root / STEP_ARTIFACTS[step][0]
+                              for step in ("final", "sweep"))
+    wrong = "a missing key or a value of the wrong type ({})"
+    with input_error(final_path, wrong):
         row_lines = [
             f"{label:>6} {row['val_top1']:7.4f} {row['val_topk']:7.4f} "
             f"{row['val_macro_f1']:7.4f} {row['test_top1']:7.4f} "
@@ -658,18 +661,13 @@ def report(artifacts_dir: str | Path) -> dict:
             f"{entry['val_top1']},{entry['val_topk']}"
             for label, row in final["rows"].items()
             for entry in row["history"]]
-        step = "sweep"
+    with input_error(sweep_path, wrong):
         cell_lines = [
             f"  {cell['variant']:>8} alpha={cell['alpha']:<5} "
             f"top1={cell['mean_top1']:.4f}±{cell['sd_top1']:.4f} "
             f"topk={cell['mean_topk']:.4f}±{cell['sd_topk']:.4f} "
             f"score={cell['score']:.4f}"
             for cell in sweep["cells"] if "score" in cell]
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = (f"missing key {exc}" if isinstance(exc, KeyError)
-                  else f"a value of the wrong type ({exc})")
-        raise ValueError(f"{root / STEP_ARTIFACTS[step][0]}: "
-                         f"{detail}") from exc
     summary_text = "\n".join([
         f"baseline: {final['baseline']}",
         f"grid best setting: {final['setting']} (seed {final['seed']})",

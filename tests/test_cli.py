@@ -208,6 +208,33 @@ def test_report_missing_artifacts(tmp_path, capsys):
     assert "missing artifacts" in capsys.readouterr().err
 
 
+def test_ingest_reports_row_level_errors(tmp_path, capsys):
+    csv_path = tmp_path / "syndication.csv"
+    write_corpus_csv(csv_path)
+    with open(csv_path, "a", encoding="utf-8") as fh:
+        fh.write(',"No id","(i)","Criterion (i): text.","desc"\n')
+    capsys.readouterr()
+    assert main(["ingest", str(csv_path), "--out",
+                 str(tmp_path / "data")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "1 row-level errors:\n  line 14: empty site id\n"
+    assert out.startswith("train=") and out.endswith(" sites=12\n")
+
+
+def test_ingest_names_a_csv_that_is_not_utf8(tmp_path, capsys):
+    csv_path = tmp_path / "syndication.csv"
+    write_corpus_csv(csv_path)
+    text = csv_path.read_text(encoding="utf-8").replace("Site 3", "Site é")
+    csv_path.write_bytes(text.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["ingest", str(csv_path), "--out",
+                 str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {csv_path}: 'utf-8' codec can't decode byte 0xe9 in "
+        "position ")
+    assert not (tmp_path / "data").exists()
+
+
 def test_ingest_missing_file(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 1
@@ -869,6 +896,30 @@ def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
     assert all(step3(runs)[name] != before[name] for name in before)
 
 
+def test_final_with_an_empty_test_split_leaves_step3_as_it_was(
+        workspace, tmp_path, capsys, monkeypatch):
+    runs, data = tmp_path / "runs", tmp_path / "data"
+    copy_steps_1_and_2(workspace, runs)
+    assert main(["final", "--config", str(write_config(
+        workspace, tmp_path / "config.json", output_dir=str(runs)))]) == 0
+    before = {p.name: p.read_bytes() for p in (runs / "step3_final").iterdir()}
+    shutil.copytree(workspace["data"], data)
+    (data / "test.jsonl").unlink()
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    capsys.readouterr()
+    assert main(["final", "--config", str(write_config(
+        workspace, tmp_path / "config.json", output_dir=str(runs),
+        dataset_dir=str(data)))]) == 1
+    assert capsys.readouterr().err == (
+        "error: the 'test' split is empty; the final step scores the test "
+        "split\n")
+    assert calls == []
+    assert {p.name: p.read_bytes()
+            for p in (runs / "step3_final").iterdir()} == before
+
+
 def test_failed_train_creates_no_file_or_directory(workspace, tmp_path,
                                                    capsys, monkeypatch):
     def diverge(*args, **kwargs):
@@ -1086,3 +1137,36 @@ def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,
     assert main(["train", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: not a dataset file (missing key 'parental')\n")
+
+
+@pytest.mark.parametrize("split, key, value, detail", [
+    ("train", "tokens", [1, 2], "tokens [1, 2] is not a list of strings"),
+    ("train", "parental", [0.0] * 10 + [math.nan],
+     "is not a list of 11 finite numbers"),
+    ("valid", "sentence_label", "x",
+     "sentence_label 'x' is not an integer 1-10 or null"),
+], ids=["int-tokens", "nan-parental", "str-label"])
+def test_a_bad_dataset_value_is_named_before_training(
+        workspace, tmp_path, capsys, monkeypatch, split, key, value, detail):
+    """Each of these used to end ``ouvclf sweep`` otherwise: a
+    ``TypeError`` traceback, or every uniform and prior training diverging
+    on the NaN so that the sweep picked vanilla."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / f"{split}.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), key: value}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a dataset file (line 2: ")
+    assert detail in err
+    assert calls == []
+    assert not (tmp_path / "runs").exists()

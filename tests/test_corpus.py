@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import unicodedata
 
@@ -7,15 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES
-from ouv_classifier.corpus import (CRITERION_DEFINITIONS, ConfigurationError,
-                                   Sample, SiteRecord, build_dataset,
-                                   build_sd_set, make_one_hot,
-                                   parse_syndication, preprocess,
-                                   preprocess_many, read_dataset,
-                                   read_samples, read_sites,
-                                   sample_from_json,
-                                   sample_to_json, split_sentences,
-                                   write_dataset, write_samples, write_sites)
+from ouv_classifier.corpus import (CRITERION_DEFINITIONS, Sample,
+                                   SiteRecord, build_dataset, build_sd_set,
+                                   make_one_hot, parse_syndication,
+                                   preprocess, preprocess_many, read_dataset,
+                                   read_samples, read_sites, sample_to_json,
+                                   split_sentences, write_dataset,
+                                   write_samples, write_sites)
 
 SYNDICATION_HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 
@@ -250,13 +249,16 @@ class TestParseSyndication:
     def test_missing_column_is_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id_no,name_en\n1,x\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError) as excinfo:
             parse_syndication(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: syndication file is missing a column for "
+            "'justification'")
 
     def test_file_without_header_is_fatal(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="has no header row"):
+        with pytest.raises(ValueError, match="has no header row"):
             parse_syndication(path)
 
     def test_flag_columns_override_criteria_text(self, tmp_path):
@@ -441,11 +443,12 @@ class TestJsonl:
             else:
                 np.testing.assert_array_equal(a.one_hot, b.one_hot)
 
-    def test_deterministic_serialization(self):
+    def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
         sample = build_dataset(sites, seed=0).train[0]
         assert sample_to_json(sample) == sample_to_json(sample)
-        rebuilt = sample_from_json(sample_to_json(sample))
+        write_samples([sample], tmp_path / "train.jsonl")
+        rebuilt, = read_samples(tmp_path / "train.jsonl")
         assert sample_to_json(rebuilt) == sample_to_json(sample)
 
     def test_line_bytes(self):
@@ -526,6 +529,96 @@ class TestJsonl:
             read_dataset(tmp_path)
         assert str(tmp_path / "train.jsonl") in str(excinfo.value)
         assert f"token {token!r} holds whitespace" in str(excinfo.value)
+
+
+    @pytest.mark.parametrize("split, edit, detail", [
+        ("train", {"tokens": "abc"}, "tokens 'abc' is not a list of strings"),
+        ("train", {"tokens": [1, 2]},
+         "tokens [1, 2] is not a list of strings"),
+        ("train", {"sentence_label": 0},
+         "sentence_label 0 is not an integer 1-10 or null"),
+        ("valid", {"sentence_label": "x"},
+         "sentence_label 'x' is not an integer 1-10 or null"),
+        ("test", {"sentence_label": True},
+         "sentence_label True is not an integer 1-10 or null"),
+        ("train", {"one_hot": [1, 0]},
+         "one_hot [1, 0] is not the one-hot of its sentence_label"),
+        ("valid", {"one_hot": [0] * 10 + [1]},
+         "one_hot [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] is not the one-hot of "
+         "its sentence_label"),
+        ("sd", {"sentence_label": 3},
+         "one_hot None is not the one-hot of its sentence_label"),
+        ("train", {"parental": [0.0] * 10 + [math.nan]},
+         "parental [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, nan] "
+         "is not a list of 11 finite numbers"),
+        ("train", {"parental": [1.0] * 10},
+         "is not a list of 11 finite numbers"),
+        ("sd", {"parental": [1] * 10 + ["0.2"]},
+         "is not a list of 11 finite numbers"),
+        ("train", {"parental": [1] * 10 + [True]},
+         "is not a list of 11 finite numbers"),
+        ("test", {"parental": {"a": 1}},
+         "parental {'a': 1} is not a list of 11 finite numbers"),
+    ])
+    def test_a_bad_value_names_the_file_and_line(self, tmp_path, split, edit,
+                                                 detail):
+        """Each value check names the first line that fails it; here the
+        second line of the split's file, edited."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        dataset.sd.extend(build_sd_set([SiteRecord(
+            site_id=1, name="", justification={},
+            short_description="One sentence. And another one.",
+            criteria=frozenset({3}))]))
+        write_dataset(dataset, tmp_path)
+        path = tmp_path / f"{split}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), **edit}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_dataset(tmp_path)
+        assert str(excinfo.value).startswith(
+            f"{path}: not a dataset file (line 2: ")
+        assert detail in str(excinfo.value)
+
+    def test_a_number_too_large_for_a_float_is_named(self, tmp_path):
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        write_dataset(dataset, tmp_path)
+        path = tmp_path / "train.jsonl"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"parental": [0.0', '"parental": [1'
+                                     + "0" * 400, 1), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_dataset(tmp_path)
+        assert str(excinfo.value) == (
+            f"{path}: not a dataset file (int too large to convert to "
+            "float)")
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_an_unlabelled_line_outside_sd_is_refused(self, tmp_path, split):
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        sample = dataset.split(split)[0]
+        sample.sentence_label = sample.one_hot = None
+        write_dataset(dataset, tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            read_dataset(tmp_path)
+        assert str(excinfo.value) == (
+            f"{tmp_path / f'{split}.jsonl'}: not a dataset file (a {split} "
+            "sample has a null sentence_label)")
+
+    def test_checked_values_load_as_written(self, tmp_path):
+        """A float one-hot and integer parental values are numbers like any
+        other; an SD file's labels are null."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        write_dataset(dataset, tmp_path)
+        path = tmp_path / "train.jsonl"
+        record = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        record["one_hot"] = [float(v) for v in record["one_hot"]]
+        record["parental"] = [int(v) for v in record["parental"]]
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        sample, = read_dataset(tmp_path).train
+        np.testing.assert_array_equal(sample.one_hot, record["one_hot"])
+        np.testing.assert_array_equal(sample.parental, record["parental"])
+        assert sample.parental.dtype == float
 
 
 class TestAtomicWrites:

@@ -12,8 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, harness, model as model_module
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
-                                    SETTING_KEYS, ReportError,
-                                    build_featurizer,
+                                    SETTING_KEYS, build_featurizer,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
                                     run_grid_search, run_ls_sweep)
@@ -304,6 +303,36 @@ class TestRunFinal:
         assert (out / "model_no_ls.json").exists()
         assert (out / "featurizer.json").exists()
         dataset.sd.clear()
+
+    def test_an_empty_test_split_is_refused_before_training(
+            self, dataset, tmp_path, monkeypatch):
+        """A failed ``final`` leaves ``step3_final/`` as an earlier run
+        left it."""
+        config = toy_config(tmp_path)
+        setting = {"hidden": 16, "batch_size": 64}
+        run_final(setting, SmoothingConfig(), config, dataset, toy_mu())
+        out = tmp_path / "runs/step3_final"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+        monkeypatch.setattr(harness, "train",
+                            lambda *args, **kwargs: calls.append(args))
+        empty = dataclasses.replace(dataset, test=[])
+        with pytest.raises(ValueError, match="^the 'test' split is empty"):
+            run_final(setting, SmoothingConfig(), config, empty, toy_mu())
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_nothing_is_written_before_the_last_evaluation(
+            self, dataset, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("evaluation failed")
+
+        config = toy_config(tmp_path)
+        monkeypatch.setattr(harness, "evaluate_features", fail)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run_final({"hidden": 16, "batch_size": 64}, SmoothingConfig(),
+                      config, dataset, toy_mu())
+        assert not (tmp_path / "runs").exists()
 
     def test_final_artifacts_are_relocatable(self, dataset, tmp_path,
                                              monkeypatch):
@@ -864,6 +893,9 @@ class TestFeaturizer:
         ("ngram", lambda p: p["grams"].__setitem__(4, "c \0d e"),
          r"'c \\x00d e' holds more than one space"),
         ("ngram", lambda p: p["grams"].__setitem__(0, 7), "expected str"),
+        ("boe", lambda p: p["tokens"].__setitem__(0, 7), "expected str"),
+        ("ngram", lambda p: p.update(grams="ab", idf=stored_form(np.ones(2))),
+         "'grams' is not a list"),
         ("boe", lambda p: p["tokens"].__setitem__(1, "a"),
          "token 'a' is repeated"),
         ("boe", lambda p: p["tokens"].__setitem__(2, "c"),
@@ -879,6 +911,7 @@ class TestFeaturizer:
     ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
             "not-a-matrix", "unknown-type", "spec-not-an-object",
             "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str",
+            "token-not-a-str", "grams-a-str",
             "repeated-token", "no-unk-token", "repeated-gram",
             "float-shape", "bool-shape", "negative-shape"])
     def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
@@ -941,9 +974,11 @@ class TestFeaturizer:
 
 class TestReport:
     def test_missing_artifacts(self, tmp_path):
-        with pytest.raises(ReportError) as excinfo:
+        with pytest.raises(FileNotFoundError) as excinfo:
             report(tmp_path)
-        assert len(excinfo.value.missing) == 3
+        assert str(excinfo.value) == (
+            "missing artifacts: step1_grid/log.json, step2_sweep/sweep.json, "
+            "step3_final/final.json")
 
     def test_full_pipeline_report(self, dataset, tmp_path):
         config = toy_config(tmp_path)

@@ -1,22 +1,29 @@
 """Package-wide structure checks."""
 
 import ast
+import builtins
 import dataclasses
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ouv_classifier
 import ouv_classifier.cli
 from ouv_classifier import json_fields
-from ouv_classifier.harness import ExperimentConfig
+from ouv_classifier.cli import main
+from ouv_classifier.corpus import parse_syndication, read_dataset, read_sites
+from ouv_classifier.features import EmbeddingTable, load_embeddings
+from ouv_classifier.harness import ExperimentConfig, Featurizer, report
 from ouv_classifier.labels import SmoothingConfig
-from ouv_classifier.model import MlpParams, TrainConfig
+from ouv_classifier.model import MlpParams, TrainConfig, load_checkpoint
 from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
@@ -81,6 +88,49 @@ def test_no_unused_imports():
     offenders = {path.name: unused_imports(path.read_text(encoding="utf-8"))
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def exception_classes(source: str) -> list[str]:
+    """Classes a module defines that derive from an exception: a built-in
+    one, any base named ``...Error`` or ``...Exception``, or an exception
+    class the module defines."""
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    classes = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    found = []
+    while True:
+        new = [node.name for node in classes if node.name not in found
+               and any(base in known or base.endswith(("Error", "Exception"))
+                       for base in (ast.unparse(b).rsplit(".", 1)[-1]
+                                    for b in node.bases))]
+        if not new:
+            return found
+        found += new
+        known |= set(new)
+
+
+def test_detector_sees_exception_classes():
+    source = ("import json\n"
+              "class Plain:\n    pass\n"
+              "class Child(Parent):\n    pass\n"
+              "class Parent(KeyboardInterrupt):\n    pass\n"
+              "class Bad(json.JSONDecodeError):\n    pass\n"
+              "class Mixed(Plain, ValueError):\n    pass\n"
+              "def f():\n    class Inner(Exception):\n        pass\n")
+    assert sorted(exception_classes(source)) == ["Bad", "Child", "Inner",
+                                                 "Mixed", "Parent"]
+
+
+def test_no_exception_class_but_training_diverged():
+    """Bad input is a ``ValueError`` naming the file, an unreadable file an
+    ``OSError``, and a step with no usable training a ``RuntimeError``, of
+    which ``TrainingDiverged`` is the one subclass; ``ouvclf`` catches
+    exactly these three."""
+    found = {path.name: exception_classes(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {
+        "model.py": ["TrainingDiverged"]}
 
 
 def names_read(source: str) -> set[str]:
@@ -257,3 +307,138 @@ def test_every_config_field_is_named_in_the_readme():
     undocumented = [f.name for f in dataclasses.fields(ExperimentConfig)
                     if f"`{f.name}`" not in text]
     assert undocumented == []
+
+
+# a JSON value of each type, as ``json`` reads it (NaN and the infinities
+# included, as ``json.dump`` writes them)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=4))
+JSON_OF_TYPE = {
+    "null": st.none(), "bool": st.booleans(),
+    "number": st.integers() | st.floats(), "string": st.text(max_size=4),
+    "array": st.lists(SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), SCALARS, max_size=2)}
+# the JSON type of each Python type ``json`` reads
+JSON_TYPE = {type(None): "null", bool: "bool", int: "number", float: "number",
+             str: "string", list: "array", dict: "object"}
+
+
+def json_paths(value, path=()):
+    """The key path of ``value`` and of every value inside it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_paths(item, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """A tiny run's files, each reader's input: a dataset, its config, a
+    run directory after ``ouvclf final`` and a BoE featurizer file."""
+    root = tmp_path_factory.mktemp("readers")
+    write_corpus_csv(root / "syndication.csv")
+    assert main(["ingest", str(root / "syndication.csv"),
+                 "--out", str(root / "data")]) == 0
+    (root / "config.json").write_text(json.dumps({
+        "grid": {"hidden": [4], "batch_size": [64]}, "seeds": [0, 1],
+        "alpha_grid": [0.0], "variants": ["vanilla"], "max_epochs": 1,
+        "min_df": 1, "dataset_dir": str(root / "data"),
+        "output_dir": str(root / "runs"),
+        "smoothing": {"variant": "uniform", "alpha": 0.1}}), encoding="utf-8")
+    for step in ("sweep", "final"):
+        assert main([step, "--config", str(root / "config.json")]) == 0
+    Featurizer("boe", table=EmbeddingTable(
+        {"wall": 0, "<unk>": 1}, np.array([[0.5, -1.0], [0.25, 0.1]]))).save(
+            root / "boe.json")
+    return root
+
+
+def read_dataset_dir(path):
+    return read_dataset(path.parent)
+
+
+def report_run(path):
+    return report(path.parents[1])
+
+
+# each reader: the file it reads, relative to ``run_files``, and the call
+# that reads it; the dataset's readers mutate the file's first line
+READERS = {
+    "config": ("config.json", ExperimentConfig.from_json),
+    "train-line": ("data/train.jsonl", read_dataset_dir),
+    "sd-line": ("data/sd.jsonl", read_dataset_dir),
+    "sites": ("data/sites.json", read_sites),
+    "ngram-featurizer": ("runs/step3_final/featurizer.json", Featurizer.load),
+    "boe-featurizer": ("boe.json", Featurizer.load),
+    "checkpoint": ("runs/step3_final/model_ls.json", load_checkpoint),
+    "grid-artifact": ("runs/step1_grid/log.json", report_run),
+    "sweep-artifact": ("runs/step2_sweep/sweep.json", report_run),
+    "final-artifact": ("runs/step3_final/final.json", report_run),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_reader_returns_or_names_the_mutated_file(run_files, reader, data):
+    """One JSON value of a file, at any key path, takes a value of another
+    JSON type, or one key is deleted: the file's reader returns, or raises
+    a ``ValueError`` naming the file, never another error. The budget:
+    10 readers x 50 examples, about 4 s under ``-X dev`` with the fixture's
+    tiny run."""
+    rel, read = READERS[reader]
+    path = run_files / rel
+    original = path.read_bytes()
+    first, *rest = original.decode("utf-8").splitlines(keepends=True)
+    lines = rel.endswith(".jsonl")
+    # the file's value under a wrapper, so that the root has a parent too
+    doc = {"file": json.loads(first if lines else original)}
+    *parents, key = ("file", *data.draw(st.sampled_from(list(json_paths(
+        doc["file"])))))
+    inner = doc
+    for part in parents:
+        inner = inner[part]
+    if parents and isinstance(key, str) and data.draw(st.booleans()):
+        del inner[key]
+    else:
+        kinds = sorted(set(JSON_OF_TYPE) - {JSON_TYPE[type(inner[key])]})
+        inner[key] = data.draw(st.sampled_from(kinds).flatmap(
+            JSON_OF_TYPE.get))
+    text = json.dumps(doc["file"])
+    path.write_text(text + "\n" + "".join(rest) if lines else text,
+                    encoding="utf-8")
+    try:
+        read(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    finally:
+        path.write_bytes(original)
+
+
+def read_wall_vector(path):
+    return load_embeddings(path, {"wall"})
+
+
+@pytest.mark.parametrize("reader", [*READERS, "csv", "embeddings"])
+def test_a_file_that_is_not_utf8_is_named_once(run_files, tmp_path, reader):
+    """A Latin-1 byte in any input file, JSON, JSON lines, CSV or embedding
+    text, is a ``ValueError`` that names the file once."""
+    if reader == "csv":
+        path, read = tmp_path / "syndication.csv", parse_syndication
+        write_corpus_csv(path)
+    elif reader == "embeddings":
+        path, read = tmp_path / "vectors.txt", read_wall_vector
+        path.write_text("wall 0.5 -1.0\n", encoding="utf-8")
+    else:
+        path, read = run_files / READERS[reader][0], READERS[reader][1]
+    original = path.read_bytes()
+    path.write_bytes(original[:10] + "é".encode("latin-1") + original[10:])
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+    finally:
+        path.write_bytes(original)
+    assert str(excinfo.value).startswith(
+        f"{path}: 'utf-8' codec can't decode byte 0xe9 in position ")
+    assert str(excinfo.value).count(str(path)) == 1
