@@ -62,12 +62,19 @@ def read_lines(path, newline: str | None = None):
 
 
 def read_json(path, **defaults):
-    """The JSON value in the file at ``path``: an object holding each key of
-    ``defaults`` with a value of its default's JSON type, if any are given.
-    Anything else, or bytes that are not UTF-8, is a ``ValueError`` naming
-    the file (and the key)."""
+    """The JSON value in the file at ``path``, checked by ``json_keys``
+    against ``defaults``; bytes that are not UTF-8 or text that is not JSON
+    are a ``ValueError`` naming the file."""
     with open(path, encoding="utf-8") as fh, input_error(path):
         value = json.load(fh)
+    return json_keys(path, value, **defaults)
+
+
+def json_keys(path, value, **defaults):
+    """``value``, a JSON value read from the file at ``path``: an object
+    holding each key of ``defaults`` with a value of its default's JSON
+    type, if any are given. Anything else is a ``ValueError`` naming the
+    file and the key."""
     missing = [key for key in defaults
                if not isinstance(value, dict) or key not in value]
     if missing:
@@ -80,13 +87,20 @@ def read_json(path, **defaults):
 
 def check_json_type(path, name: str, value, default) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` has the JSON
-    type of ``default`` (an integer passes for a float, a bool never for a
-    number); list items are checked against the default's first item."""
+    type of ``default`` (an integer that ``float`` can hold passes for a
+    float, a bool never for a number); list items are checked against the
+    default's first item."""
     want = (float, int) if type(default) is float else (type(default),)
     if (not isinstance(value, want)
             or isinstance(value, bool) != isinstance(default, bool)):
         raise ValueError(f"{path}: key {name!r} is {type(value).__name__}, "
                          "expected " + " or ".join(t.__name__ for t in want))
+    if want[0] is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{path}: key {name!r} is an integer too large "
+                             "for a float") from None
     for i, item in enumerate(value if isinstance(default, list) else ()):
         check_json_type(path, f"{name}[{i}]", item, default[0])
 

@@ -130,8 +130,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    predictor_a = Predictor.load(args.models[0])
-    predictor_b = Predictor.load(args.models[1])
+    # the pair loads a featurizer file they share once
+    featurizers = {}
+    predictor_a, predictor_b = (Predictor.load(path, featurizers)
+                                for path in args.models)
     total = itertools.count()
     # the stripped non-blank lines, read as ``mine`` asks for them; ``zip``
     # draws from ``total`` once per line it yields

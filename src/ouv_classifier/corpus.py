@@ -179,24 +179,30 @@ def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str
     Returns the records plus a report of row-level errors. Rows without
     justification text are kept (with an empty justification map) so the
     SD set can still use their short descriptions. A file with no header
-    row or without a required column is a ``ValueError`` naming it.
+    row or without a required column is a ``ValueError`` naming it, as is
+    text ``csv`` cannot read, such as a field over ``csv``'s default limit
+    of 131,072 characters, which names the line too.
     """
     path = Path(file_path)
     records: list[SiteRecord] = []
     errors: list[str] = []
     reader = csv.DictReader(read_lines(path, newline=""))
-    if reader.fieldnames is None:
-        raise ValueError(f"{path} has no header row")
-    with input_error(path):
-        cols = _resolve_columns(list(reader.fieldnames))
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            record = _parse_row(row, cols)
-        except (ValueError, KeyError) as exc:
-            errors.append(f"line {line_no}: {exc}")
-            continue
-        if record is not None:
-            records.append(record)
+    try:
+        if reader.fieldnames is None:
+            raise ValueError(f"{path} has no header row")
+        with input_error(path):
+            cols = _resolve_columns(list(reader.fieldnames))
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                record = _parse_row(row, cols)
+            except (ValueError, KeyError) as exc:
+                errors.append(f"line {line_no}: {exc}")
+                continue
+            if record is not None:
+                records.append(record)
+    except csv.Error as exc:
+        line = reader.reader.line_num  # ``reader.line_num`` lags a line
+        raise ValueError(f"{path}: line {line}: {exc}") from exc
     return records, errors
 
 

@@ -23,9 +23,9 @@ from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
                       evaluate_split)
-from .model import (TrainConfig, TrainedModel, TrainingDiverged, decode_array,
-                    load_checkpoint, predict_proba, rank_classes,
-                    save_checkpoint, top_classes, train, write_array)
+from .model import (TrainConfig, TrainedModel, TrainingDiverged,
+                    load_checkpoint, predict_proba, rank_classes, read_arrays,
+                    save_checkpoint, top_classes, train, write_arrays)
 
 DEFAULT_SEEDS = (0, 1, 2, 42, 100, 233, 1024, 1337, 2333, 4399)
 GRID_SEED = 1337
@@ -128,7 +128,8 @@ class ExperimentConfig:
                                  "one of " + ", ".join(SETTING_KEYS))
         for key, value in [*setting.items(), ("seed", seed)]:
             kind = type(getattr(TrainConfig, key))
-            if kind is int and not float(value).is_integer():
+            if (kind is int and type(value) is not int
+                    and not float(value).is_integer()):
                 raise ValueError(f"setting {key!r} must be an integer, "
                                  f"got {value!r}")
             values[key] = kind(value)
@@ -202,6 +203,8 @@ def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
 # order, its array key and the array's rank
 _FILE_FORM = {"ngram": ("grams", "idf", 1), "boe": ("tokens", "vectors", 2)}
 _TWO_SPACES = re.compile(" [^ ]* ")
+_OTHER_VERSION = ("not a featurizer file of this version ({}); rebuild it "
+                  "with `ouvclf final` or `ouvclf train`")
 
 
 @dataclass
@@ -225,41 +228,43 @@ class Featurizer:
         return self.transform_token_lists([s.tokens for s in samples])
 
     def save(self, path: str | Path) -> None:
-        """Write the one featurizer file, in ``_FILE_FORM``'s keys: the type,
-        the names in row order (the grams in index order, or the tokens) and
-        the array (``idf``, or ``vectors``). The bytes are those of
-        ``json.dump(payload, fh, ensure_ascii=False)`` with the array in the
-        stored form that ``write_array`` writes."""
+        """Write the one featurizer file through ``write_arrays``: a head of
+        ``_FILE_FORM``'s keys, as ``json.dumps(head, ensure_ascii=False)``
+        gives it, with the type, the names in row order (the grams in index
+        order, or the tokens) and the array's shape, then the array
+        (``idf``, or ``vectors``)."""
         names_key, key, _ = _FILE_FORM[self.kind]
         index, array = ((self.vocab.gram_to_index, self.vocab.idf)
                         if self.kind == "ngram"
                         else (self.table.token_to_row, self.table.vectors))
-        with atomic_open(path, "wb") as fh:
-            head = {"type": self.kind, names_key: sorted(index, key=index.get)}
-            fh.write(f'{json.dumps(head, ensure_ascii=False)[:-1]}, '
-                     f'"{key}": '.encode())
-            write_array(fh, array, (", ", ": "))
-            fh.write(b"}")
+        head = {"type": self.kind, names_key: sorted(index, key=index.get),
+                key: list(array.shape)}
+        write_arrays(path, json.dumps(head, ensure_ascii=False), [array])
 
     @classmethod
     def load(cls, path: str | Path) -> "Featurizer":
         """Read a file written by ``save``; other keys are ignored. Any
-        other file is a ``ValueError`` naming it: one that holds JSON float
-        lists in place of ``write_array``'s form, names that are not a list
-        of strings, a repeated name, a gram of more than one space, or a BoE
-        file with no ``"<unk>"`` token."""
-        payload = read_json(path)
-        with input_error(path, "not a featurizer file of this version ({}); "
-                         "rebuild it with `ouvclf final` or `ouvclf train`"):
-            kind = payload["type"]
-            if kind not in _FILE_FORM:
-                raise ValueError(f"unknown type {kind!r}")
+        other file is a ``ValueError`` naming it: one that ``read_arrays``
+        refuses, names that are not a list of strings, a repeated name, a
+        gram of more than one space, or a BoE file with no ``"<unk>"``
+        token."""
+        def array_shape(head):
+            with input_error(path, _OTHER_VERSION):
+                kind = head["type"]
+                if kind not in _FILE_FORM:
+                    raise ValueError(f"unknown type {kind!r}")
+                key = _FILE_FORM[kind][1]
+                return {key: head[key]}
+
+        head, arrays = read_arrays(path, array_shape)
+        with input_error(path, _OTHER_VERSION):
+            kind = head["type"]
             names_key, key, ndim = _FILE_FORM[kind]
-            names = payload[names_key]
+            names = head[names_key]
             if not isinstance(names, list):
                 raise ValueError(f"{names_key!r} is not a list")
             "".join(names)  # a TypeError unless each name is a str
-            array = decode_array(repr(key), payload[key])
+            array = arrays[key]
             if array.ndim != ndim or len(array) != len(names):
                 raise ValueError(f"{len(names)} {names_key} but {key!r} has "
                                  f"shape {list(array.shape)}")
@@ -547,16 +552,22 @@ class Predictor:
     featurizer_path: Path | None = None
 
     @classmethod
-    def load(cls, checkpoint_path: str | Path) -> "Predictor":
+    def load(cls, checkpoint_path: str | Path,
+             featurizers: dict[Path, Featurizer] | None = None) -> "Predictor":
         """Load a checkpoint and its featurizer; a relative
         ``featurizer_ref`` is resolved against the checkpoint's directory.
-        A featurizer whose dimension is not the checkpoint's input size is a
-        ``ValueError`` naming both files."""
+        ``featurizers``, if given, maps resolved featurizer files to those
+        already loaded, so predictors that share one load it once; a file
+        not in it is loaded and added. A featurizer whose dimension is not
+        the checkpoint's input size is a ``ValueError`` naming both files."""
         model = load_checkpoint(checkpoint_path)
         if not model.featurizer_ref:
             raise ValueError(f"{checkpoint_path} has no featurizer reference")
         path = (Path(checkpoint_path).parent / model.featurizer_ref).resolve()
-        featurizer = Featurizer.load(path)
+        featurizers = {} if featurizers is None else featurizers
+        if path not in featurizers:
+            featurizers[path] = Featurizer.load(path)
+        featurizer = featurizers[path]
         if featurizer.dimension != len(model.params.W1):
             raise ValueError(f"{checkpoint_path} takes {len(model.params.W1)} "
                              f"input features but its featurizer {path} "

@@ -8,16 +8,15 @@ deterministic.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import NUM_CLASSES, atomic_open, json_fields, read_json
+from . import NUM_CLASSES, atomic_open, input_error, json_fields, json_keys
 from .labels import SmoothingConfig, soft_targets
 from .metrics import check_k, topk_accuracy
 
@@ -28,8 +27,6 @@ LOG_EPS = 1e-12
 # float64 values per slice of a blocked pass: Adam's six slices (param,
 # gradient, m, v and two work buffers) stay in a core's L2 cache
 _BLOCK = 1 << 15
-# float64 values (256 KiB) per piece that ``write_array`` encodes
-_WRITE_VALUES = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -38,7 +35,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class MlpParams:
-    W1: np.ndarray  # input x hidden, C-contiguous (hidden x input on disk)
+    W1: np.ndarray  # input x hidden, C-contiguous, in memory and on disk
     b1: np.ndarray  # hidden
     W2: np.ndarray  # 11 x hidden
     b2: np.ndarray  # 11
@@ -317,104 +314,102 @@ def top_classes(probs: np.ndarray,
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-def write_array(fh, arr: np.ndarray, separators=(",", ":")) -> None:
-    """Write ``arr``'s stored form to the binary file ``fh``, as
-    ``json.dumps`` with ``separators`` gives it: ``{"data", "shape"}``,
-    ``data`` the base64 of ``arr``'s little-endian float64 bytes in C order.
-    This is the one stored form of a float array. The base64 is written in
-    pieces of about ``_WRITE_VALUES`` values, a multiple of 3 rows of
-    ``arr`` each, so each piece but the last encodes a multiple of 3 bytes
-    and the pieces join into the base64 of the whole; neither a C-ordered
-    copy of ``arr`` nor its whole base64 is ever built."""
-    item, colon = separators
-    fh.write(f'{{"data"{colon}"'.encode())
-    rows = arr.reshape(len(arr), math.prod(arr.shape[1:]))
-    step = 3 * max(1, _WRITE_VALUES // (3 * rows.shape[1]))
-    for start in range(0, len(rows), step):
-        piece = np.ascontiguousarray(rows[start:start + step], dtype="<f8")
-        fh.write(binascii.b2a_base64(piece, newline=False))
-    shape = json.dumps(list(arr.shape), separators=separators)
-    fh.write(f'"{item}"shape"{colon}{shape}}}'.encode())
+def write_arrays(path, head: str, arrays: list[np.ndarray]) -> None:
+    """Write the one stored form of a file of float arrays, atomically:
+    the JSON text ``head``, which holds each array's shape in its place,
+    then a line break (``json.dumps`` writes none), then the little-endian
+    float64 bytes of each of ``arrays`` in C order, in the order of their
+    shapes in ``head``."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(head.encode() + b"\n")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
-def decode_array(name: str, spec) -> np.ndarray:
-    """Inverse of ``write_array``: the array of the JSON value ``spec``; a
-    bad ``spec`` raises ``ValueError``."""
-    if not (isinstance(spec, dict) and isinstance(spec.get("data"), str)
-            and isinstance(spec.get("shape"), list)):
-        raise ValueError(f'{name}: not {{"data": <base64 str>, '
-                         '"shape": [...]}')
-    shape = spec["shape"]
-    if not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"{name}: shape {shape} is not a list of integers "
-                         ">= 0")
-    try:
-        raw = base64.b64decode(spec["data"], validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise ValueError(f"{name}: invalid base64 data") from exc
-    expected = math.prod(shape)
-    if len(raw) != 8 * expected:
-        raise ValueError(f"{name}: {len(raw)} bytes do not hold "
-                         f"{expected} float64 values of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+def read_arrays(path, shapes_of) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of ``write_arrays``: the head of the file at ``path`` and
+    its arrays, named and shaped by ``shapes_of(head)``, a dict in body
+    order whose errors name the file themselves. Each array is read with
+    one ``np.fromfile``, so it is writable and C-contiguous. A head that
+    is not a line of UTF-8 JSON (a file of the earlier one-object form
+    says to rebuild it), a shape that is not a list of integers >= 0, or a
+    body of another size than the shapes give is a ``ValueError`` naming
+    the file."""
+    with open(path, "rb") as fh:
+        with input_error(path):
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise ValueError("no line break ends the head, as in a file "
+                                 "of an earlier version; rebuild it with "
+                                 "`ouvclf final` or `ouvclf train`")
+            head = json.loads(line.decode("utf-8"))
+        shapes = shapes_of(head)
+        with input_error(path):
+            for name, shape in shapes.items():
+                if not (isinstance(shape, list)
+                        and all(type(n) is int and n >= 0 for n in shape)):
+                    raise ValueError(f"{name!r} has shape {shape!r}, not a "
+                                     "list of integers >= 0")
+            size = os.fstat(fh.fileno()).st_size - len(line)
+            counts = [math.prod(shape) for shape in shapes.values()]
+            if size != 8 * sum(counts):
+                raise ValueError(f"the body holds {size} bytes, but the "
+                                 f"shapes {list(shapes.values())} need "
+                                 f"{8 * sum(counts)}")
+            arrays = {name: np.fromfile(fh, "<f8", count).reshape(shape)
+                      for (name, shape), count in zip(shapes.items(),
+                                                       counts)}
+    return head, arrays
 
 
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
-    """Write the model as JSON with sorted keys and no spaces, atomically.
-
-    Each param is written by ``write_array`` ("params" sorts last), so the
-    file is byte-for-byte what ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` gives with each param in its
-    ``{"data", "shape"}`` form. ``W1`` is stored hidden x input, the
-    transpose of its in-memory layout.
-    """
-    head = json.dumps({"best_epoch": model.best_epoch,
-                       "config": asdict(model.config),
-                       "featurizer_ref": model.featurizer_ref,
-                       "history": model.history},
-                      sort_keys=True, separators=(",", ":"))
-    with atomic_open(path, "wb") as fh:
-        fh.write(head[:-1].encode() + b',"params":{')
-        arrays = dict(model.params.arrays(), W1=model.params.W1.T)
-        for i, (key, arr) in enumerate(sorted(arrays.items())):
-            fh.write(f'{"," if i else ""}"{key}":'.encode())
-            write_array(fh, arr)
-        fh.write(b"}}")
+    """Write the model through ``write_arrays``: a head of its best epoch,
+    config, featurizer reference, history and param shapes, with sorted
+    keys and no spaces, then the params in key order (``W1``, ``W2``,
+    ``b1``, ``b2``). ``W1`` is stored input x hidden, its in-memory
+    layout."""
+    params = dict(sorted(model.params.arrays().items()))
+    head = {"best_epoch": model.best_epoch, "config": asdict(model.config),
+            "featurizer_ref": model.featurizer_ref, "history": model.history,
+            "params": {key: list(a.shape) for key, a in params.items()}}
+    write_arrays(path, json.dumps(head, sort_keys=True, separators=(",", ":")),
+                 list(params.values()))
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a file written by ``save_checkpoint``. A file without one of
-    its keys or with one of the wrong JSON type, with a ``config`` that
-    ``json_fields`` or ``TrainConfig`` rejects, or with params other than
-    ``W1``, ``b1``, ``W2`` and ``b2`` of agreeing shapes is a ``ValueError``
-    naming it."""
-    payload = read_json(path, best_epoch=0, config={}, featurizer_ref="",
-                        history=[{}], params={})
-    cfg = json_fields(path, "config", payload["config"], TrainConfig)
+    """Read a file written by ``save_checkpoint``. A file that
+    ``read_arrays`` refuses, without one of the head's keys or with one of
+    the wrong JSON type, with a ``config`` that ``json_fields`` or
+    ``TrainConfig`` rejects, or with params other than ``W1``, ``b1``,
+    ``W2`` and ``b2`` of agreeing shapes is a ``ValueError`` naming it."""
+    def param_shapes(head):
+        json_keys(path, head, best_epoch=0, config={}, featurizer_ref="",
+                  history=[{}], params={})
+        shapes = json_fields(path, "params", head["params"], MlpParams)
+        if len(shapes) != len(MlpParams.__dataclass_fields__):
+            raise ValueError(f"{path}: params hold {sorted(shapes)}, "
+                             "expected 'W1', 'W2', 'b1' and 'b2'")
+        return shapes
+
+    head, arrays = read_arrays(path, param_shapes)
+    cfg = json_fields(path, "config", head["config"], TrainConfig)
     try:
         config = TrainConfig(**cfg)
     except ValueError as exc:  # a value ``__post_init__`` rejects
         raise ValueError(f"{path}: 'config': {exc}") from exc
-    specs = json_fields(path, "params", payload["params"], MlpParams)
-    if len(specs) != len(MlpParams.__dataclass_fields__):
-        raise ValueError(f"{path}: params hold {sorted(specs)}, expected "
-                         "'W1', 'W2', 'b1' and 'b2'")
-    arrays = {key: decode_array(f"{path}: param {key!r}", spec)
-              for key, spec in specs.items()}
     w1 = arrays["W1"]
     if w1.ndim != 2 or [arrays[k].shape for k in ("b1", "W2", "b2")] != [
-            (len(w1),), (NUM_CLASSES, len(w1)), (NUM_CLASSES,)]:
+            (w1.shape[1],), (NUM_CLASSES, w1.shape[1]), (NUM_CLASSES,)]:
         shapes = ", ".join(f"{k} {list(a.shape)}"
                            for k, a in sorted(arrays.items()))
         raise ValueError(f"{path}: param shapes {shapes} do not agree; "
-                         "expected W1 [hidden, input], W2 "
+                         "expected W1 [input, hidden], W2 "
                          f"[{NUM_CLASSES}, hidden], b1 [hidden], "
                          f"b2 [{NUM_CLASSES}]")
-    arrays["W1"] = np.ascontiguousarray(w1.T)
     return TrainedModel(
         params=MlpParams(**arrays),
-        featurizer_ref=payload["featurizer_ref"],
+        featurizer_ref=head["featurizer_ref"],
         config=config,
-        best_epoch=payload["best_epoch"],
-        history=payload["history"],
+        best_epoch=head["best_epoch"],
+        history=head["history"],
     )

@@ -1,4 +1,4 @@
-import base64
+import json
 
 import numpy as np
 import pytest
@@ -12,12 +12,13 @@ from ouv_classifier.corpus import Dataset, Sample, SiteRecord, make_one_hot
 settings.register_profile("ci", print_blob=True, max_examples=200)
 
 
-def stored_form(arr) -> dict:
-    """The ``{"data", "shape"}`` JSON form in which ``model.write_array``
-    writes ``arr``: ``data`` the base64 of its little-endian float64 bytes
-    in C order."""
-    data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8"))
-    return {"data": data.decode("ascii"), "shape": list(arr.shape)}
+def edit_head(path, edit) -> None:
+    """Apply ``edit`` to the JSON head line of the checkpoint or featurizer
+    file at ``path``, in place, keeping its body of array bytes."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    value = json.loads(head)
+    edit(value)
+    path.write_bytes(json.dumps(value).encode() + b"\n" + body)
 
 
 def make_sample(tokens, criterion, parental_criteria=None, split="train",

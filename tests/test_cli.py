@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import math
@@ -14,6 +13,7 @@ from ouv_classifier.features import TfidfVocabulary
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
                                   TrainingDiverged, save_checkpoint)
+from conftest import edit_head
 
 HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 ROMANS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -184,6 +184,42 @@ def test_mine_writes_the_same_bytes_to_stdout_and_out(workspace, tmp_path,
     assert stdout.encode("utf-8") == out_path.read_bytes()
 
 
+def test_mine_loads_a_shared_featurizer_file_once(workspace, tmp_path,
+                                                  capsys, monkeypatch):
+    """The two models of a run share ``featurizer.json``: ``ouvclf mine``
+    reads it once, and writes the stdout, ``--out`` bytes and stderr of
+    two separate loads."""
+    final = workspace_runs(workspace, "sweep", "final") / "step3_final"
+    models = [str(final / f"model_{label}.json") for label in ("no_ls", "ls")]
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("The ancient walls ensemble shows testimony.\n"
+                          "A renowned temple site of great value.\n",
+                          encoding="utf-8")
+    out_path = tmp_path / "mined.json"
+    outputs = []
+    for shared in (False, True):
+        with monkeypatch.context() as patch:
+            loads = []
+            load_featurizer, load_predictor = (harness.Featurizer.load,
+                                               harness.Predictor.load)
+            patch.setattr(harness.Featurizer, "load", staticmethod(
+                lambda path: loads.append(path) or load_featurizer(path)))
+            if not shared:  # each predictor loads its own featurizer
+                patch.setattr(cli.Predictor, "load", staticmethod(
+                    lambda path, featurizers=None: load_predictor(path)))
+            capsys.readouterr()
+            for extra in ([], ["--out", str(out_path)]):
+                assert main(["mine", "--models", *models, "--input",
+                             str(input_path), "--confidence", "0",
+                             "--iou", "0", *extra]) == 0
+                outputs.append((*capsys.readouterr(), extra
+                                and out_path.read_bytes()))
+            assert loads == [(final / "featurizer.json").resolve()] * (
+                2 if shared else 4)
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0][1] == "kept 2 of 2 sentences\n"
+
+
 def test_final_without_sd_returns_2(workspace, tmp_path, capsys):
     csv_path = tmp_path / "no_sd.csv"
     write_corpus_csv(csv_path, with_sd=False)
@@ -235,6 +271,41 @@ def test_ingest_names_a_csv_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_ingest_names_a_field_over_the_csv_limit(tmp_path, capsys):
+    """A 200,000-character justification is over ``csv``'s field limit,
+    which stays at its default: the file and the line are named."""
+    csv_path = tmp_path / "syndication.csv"
+    write_corpus_csv(csv_path)
+    with open(csv_path, "a", encoding="utf-8") as fh:
+        fh.write('13,"Site 13","(i)","' + "x" * 200_000 + '","desc"\n')
+    capsys.readouterr()
+    assert main(["ingest", str(csv_path), "--out",
+                 str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}: line 14: field larger than field limit "
+        "(131072)\n")
+    assert not (tmp_path / "data").exists()
+
+
+def test_a_config_integer_too_large_for_a_float_is_named(workspace, tmp_path,
+                                                        capsys):
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               learning_rate=10 ** 400,
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: key 'learning_rate' is an integer too large "
+        "for a float\n")
+    assert not (tmp_path / "runs").exists()
+    # an integer field takes any integer, with no float conversion
+    write_config(workspace, config_path, seeds=[0, 10 ** 400],
+                 grid_seed=10 ** 400)
+    config = ExperimentConfig.from_json(config_path)
+    assert config.train_config({}, config.smoothing, 10 ** 400).seed == (
+        10 ** 400)
+
+
 def test_ingest_missing_file(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 1
@@ -259,7 +330,7 @@ def test_train_honours_setting_and_smoothing(workspace, tmp_path):
     model_path = tmp_path / "model.json"
     assert main(["train", "--config", str(config_path),
                  "--out", str(model_path)]) == 0
-    saved = json.loads(model_path.read_text())["config"]
+    saved = json.loads(model_path.read_bytes().split(b"\n", 1)[0])["config"]
     assert saved["hidden"] == 8 and saved["dropout"] == 0.2
     assert saved["smoothing"] == {"variant": "prior", "alpha": 0.1}
     assert saved["learning_rate"] == 0.01
@@ -316,7 +387,7 @@ def test_train_coerces_setting_types(workspace, tmp_path):
     model_path = tmp_path / "model.json"
     assert main(["train", "--config", str(config_path),
                  "--out", str(model_path)]) == 0
-    text = model_path.read_text()
+    text = model_path.read_bytes().split(b"\n", 1)[0].decode()
     assert '"hidden":8,' in text and '"l2":0.0,' in text
     assert '"learning_rate":1.0,' in text
 
@@ -393,7 +464,8 @@ def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
 
 
 def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.Predictor, "load", staticmethod(lambda path: None))
+    monkeypatch.setattr(cli.Predictor, "load",
+                        staticmethod(lambda path, featurizers=None: None))
     input_path = tmp_path / "input.txt"
     input_path.write_text("one line\n", encoding="utf-8")
     out = tmp_path / "mined.json"
@@ -455,10 +527,9 @@ def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
     final = workspace_runs(workspace, "sweep", "final") / "step3_final"
     for name in ("model_no_ls.json", "model_ls.json"):
         shutil.copy(final / name, tmp_path / name)
-    featurizer = json.loads((final / "featurizer.json").read_text(
-        encoding="utf-8"))
-    idf = np.frombuffer(base64.b64decode(featurizer["idf"]["data"]), "<f8")
-    featurizer["idf"] = idf.tolist()  # the float-list form
+    head, body = (final / "featurizer.json").read_bytes().split(b"\n", 1)
+    featurizer = json.loads(head)
+    featurizer["idf"] = np.frombuffer(body, "<f8").tolist()  # float lists
     (tmp_path / "featurizer.json").write_text(json.dumps(featurizer),
                                               encoding="utf-8")
     input_path = tmp_path / "input.txt"
@@ -469,10 +540,10 @@ def test_mine_rejects_an_old_featurizer_file(workspace, tmp_path, capsys):
                  "--input", str(input_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert str(tmp_path / "featurizer.json") in err and "'idf'" in err
+    assert str(tmp_path / "featurizer.json") in err and "rebuild it" in err
     # a featurizer file given as a checkpoint names the missing key
-    assert main(["mine", "--models", str(tmp_path / "featurizer.json"),
-                 str(tmp_path / "featurizer.json"),
+    assert main(["mine", "--models", str(final / "featurizer.json"),
+                 str(final / "featurizer.json"),
                  "--input", str(input_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'config'" in err
@@ -495,9 +566,8 @@ def test_a_boe_featurizer_without_unk_is_named(workspace, tmp_path, capsys,
                           output_dir=str(tmp_path / "runs"))
     assert main(["train", "--config", str(config), "--out", str(model)]) == 0
     featurizer_path = tmp_path / "model_featurizer.json"
-    payload = json.loads(featurizer_path.read_text(encoding="utf-8"))
-    payload["tokens"][payload["tokens"].index("<unk>")] = "unk"
-    featurizer_path.write_text(json.dumps(payload), encoding="utf-8")
+    edit_head(featurizer_path, lambda payload: payload["tokens"].__setitem__(
+        payload["tokens"].index("<unk>"), "unk"))
     input_path = tmp_path / "input.txt"
     input_path.write_text("The ancient walls ensemble.\n", encoding="utf-8")
     args = {"evaluate": ["evaluate", "--model", str(model), "--split",
@@ -518,9 +588,7 @@ def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
     save_checkpoint(TrainedModel(params=params, featurizer_ref="f.json",
                                  config=TrainConfig(), best_epoch=1,
                                  history=[]), path)
-    payload = json.loads(path.read_text())
-    del payload["params"]["b2"]
-    path.write_text(json.dumps(payload))
+    edit_head(path, lambda payload: payload["params"].pop("b2"))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(path), "--split", "valid",
                  "--dataset", str(workspace["data"])]) == 1
@@ -533,10 +601,11 @@ def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
 def test_evaluate_rejects_a_checkpoint_value_of_wrong_type(workspace, tmp_path,
                                                            capsys, key,
                                                            value):
-    payload = json.loads(single_model(workspace).read_text())
-    (payload if key == "best_epoch" else payload["config"])[key] = value
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
+    shutil.copy(single_model(workspace), path)
+    edit_head(path, lambda payload: (
+        payload if key == "best_epoch" else payload["config"]).update(
+            {key: value}))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(path), "--split", "valid",
                  "--dataset", str(workspace["data"])]) == 1
@@ -590,10 +659,9 @@ def test_final_names_a_bad_chosen_smoothing(workspace, tmp_path, capsys, key,
 def test_evaluate_names_a_checkpoint_config_value_out_of_range(workspace,
                                                                tmp_path,
                                                                capsys):
-    payload = json.loads(single_model(workspace).read_text())
-    payload["config"]["patience"] = 0
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
+    shutil.copy(single_model(workspace), path)
+    edit_head(path, lambda payload: payload["config"].update(patience=0))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(path), "--split", "valid",
                  "--dataset", str(workspace["data"])]) == 1

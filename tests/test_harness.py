@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import itertools
 import json
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ouv_classifier import NUM_CLASSES, harness, model as model_module
+from ouv_classifier import NUM_CLASSES, harness
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     SETTING_KEYS, build_featurizer,
                                     confidence_lower_bound,
@@ -23,7 +22,7 @@ from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      fit_tfidf, load_embeddings)
-from conftest import make_sample, make_separable_dataset, stored_form
+from conftest import edit_head, make_sample, make_separable_dataset
 
 
 def toy_config(tmp_path, **overrides):
@@ -749,11 +748,10 @@ class TestFeaturizer:
         Featurizer(kind="ngram", vocab=vocab).save(path)
         grams = sorted(vocab.gram_to_index, key=vocab.gram_to_index.get)
         assert "héritage" in grams
-        idf = {"data": base64.b64encode(vocab.idf.astype("<f8").tobytes())
-               .decode(), "shape": [len(grams)]}
-        assert path.read_text(encoding="utf-8") == json.dumps(
-            {"type": "ngram", "grams": grams, "idf": idf},
-            ensure_ascii=False)
+        assert path.read_bytes() == json.dumps(
+            {"type": "ngram", "grams": grams, "idf": [len(grams)]},
+            ensure_ascii=False).encode("utf-8") + b"\n" + (
+                vocab.idf.astype("<f8").tobytes())
         loaded = Featurizer.load(path).vocab
         assert loaded.gram_to_index == vocab.gram_to_index
         np.testing.assert_array_equal(loaded.idf, vocab.idf)
@@ -777,13 +775,13 @@ class TestFeaturizer:
             loaded.transform_token_lists([dataset.valid[0].tokens]))
 
     def test_round_trips_are_bit_exact(self, tmp_path):
-        tiny = np.finfo(float).tiny
+        tiny, huge = np.finfo(float).tiny, 1.7976931348623157e308
         table = EmbeddingTable({"b": 0, "a": 1, "<unk>": 2}, np.array([
             [-0.0, 5e-324, np.inf], [-tiny / 3, 0.1, -np.inf],
-            [np.nan, 1.0, -0.0]]))
+            [np.nan, huge, -huge]]))
         vocab = fit_tfidf([make_sample(doc.split(), 1)
                            for doc in ("a b c", "a d", "b e f")], min_df=1)
-        vocab.idf[:3] = [-0.0, 5e-324, np.inf]
+        vocab.idf[:5] = [-0.0, 5e-324, np.inf, huge, -huge]
         boe, ngram = tmp_path / "boe.json", tmp_path / "ngram.json"
         Featurizer(kind="boe", table=table).save(boe)
         Featurizer(kind="ngram", vocab=vocab).save(ngram)
@@ -795,6 +793,8 @@ class TestFeaturizer:
                                       table.vectors.view(np.uint64))
         loaded_vocab = Featurizer.load(ngram).vocab
         assert loaded_vocab.gram_to_index == vocab.gram_to_index
+        for array in (loaded.vectors, loaded_vocab.idf):
+            assert array.flags.writeable and array.flags.c_contiguous
         np.testing.assert_array_equal(loaded_vocab.idf.view(np.uint64),
                                       vocab.idf.view(np.uint64))
 
@@ -803,37 +803,35 @@ class TestFeaturizer:
         path = tmp_path / "feat.json"
         Featurizer(kind="boe", table=EmbeddingTable(
             {"zeta": 0, "alpha": 1, "<unk>": 2}, vectors)).save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        head, body = path.read_bytes().split(b"\n", 1)
+        payload = json.loads(head)
         assert list(payload) == ["type", "tokens", "vectors"]
         assert payload["type"] == "boe"
         assert payload["tokens"] == ["zeta", "alpha", "<unk>"]
-        assert payload["vectors"]["shape"] == [3, 2]
-        assert base64.b64decode(payload["vectors"]["data"]) == (
-            vectors.astype("<f8").tobytes())
+        assert payload["vectors"] == [3, 2]
+        assert body == vectors.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("write_values", [1, 4, 1 << 15])
-    def test_file_is_json_dump_of_the_stored_form(self, tmp_path,
-                                                  monkeypatch, write_values):
-        """With pieces of a few values, each array spans several; a BoE row
-        holds 7 values, not a multiple of 3."""
-        monkeypatch.setattr(model_module, "_WRITE_VALUES", write_values)
+    def test_file_is_the_head_line_then_the_array(self, tmp_path):
+        """``json.dumps(head, ensure_ascii=False)`` with the array's shape,
+        a line break, then the array's little-endian float64 bytes in C
+        order; a BoE row holds 7 values."""
         rng = np.random.default_rng(5)
         vectors, idf = rng.normal(size=(8, 7)), rng.normal(size=10)
         tokens = ["héritage", *(f"t{i}" for i in range(6)), "<unk>"]
         grams = [f"g{i}" if i % 3 else f"g{i} é" for i in range(10)]
         path = tmp_path / "feat.json"
-        for featurizer, payload in (
+        for featurizer, head, array in (
                 (Featurizer("boe", table=EmbeddingTable(
                     {t: i for i, t in enumerate(tokens)}, vectors)),
-                 {"type": "boe", "tokens": tokens,
-                  "vectors": stored_form(vectors)}),
+                 {"type": "boe", "tokens": tokens, "vectors": [8, 7]},
+                 vectors),
                 (Featurizer("ngram", vocab=TfidfVocabulary(
                     {g: i for i, g in enumerate(grams)}, idf)),
-                 {"type": "ngram", "grams": grams,
-                  "idf": stored_form(idf)})):
+                 {"type": "ngram", "grams": grams, "idf": [10]}, idf)):
             featurizer.save(path)
             assert path.read_bytes() == json.dumps(
-                payload, ensure_ascii=False).encode("utf-8")
+                head, ensure_ascii=False).encode("utf-8") + b"\n" + b"".join(
+                    row.astype("<f8").tobytes() for row in array)
 
     def test_boe_file_bytes_are_pinned(self, tmp_path):
         """``load_embeddings`` then ``save`` writes these bytes: a repeated
@@ -850,51 +848,47 @@ class TestFeaturizer:
         Featurizer(kind="boe", table=table).save(path)
         assert path.read_bytes() == (
             '{"type": "boe", "tokens": ["héritage", "<unk>", "wall", "town"], '
-            '"vectors": {"data": "AAAAAAAAAEAAAAAAAAAQQAAAAAAAACBAnHUAiDzkF34z'
-            'MzMzMzMHQM3MzMzMTBRAAAAAAAAAAICamZmZmZm5PwAAAAAAAAhAnHUAiDzkN34AAA'
-            'AAAAD4vzQzMzMzM9M/", "shape": [4, 3]}}').encode("utf-8")
+            '"vectors": [4, 3]}\n').encode("utf-8") + bytes.fromhex(
+                "000000000000004000000000000010400000000000002040"
+                "9c7500883ce4177e3333333333330740cdcccccccc4c1440"
+                "00000000000000809a9999999999b93f0000000000000840"
+                "9c7500883ce4377e000000000000f8bf343333333333d33f")
 
-    def test_files_of_the_earlier_form_load_to_equal_tables(self, tmp_path):
-        """Files as written before the n-gram file lost its unread
-        ``"min_df"``: both load, and saving them again drops only that
-        key."""
+    def test_a_file_of_the_earlier_form_says_to_rebuild_it(self, tmp_path):
+        """Files as written before raw bodies, one JSON object each with its
+        array base64 in ``{"data", "shape"}``: each is a ``ValueError``
+        naming it and saying to rebuild it."""
         ngram = ('{"type": "ngram", "grams": ["héritage", "a b", "b"], '
                  '"idf": {"data": "AAAAAAAA+D8AAAAAAAAAQAAAAAAAAPQ/", '
-                 '"shape": [3]}, "min_df": 2}')
+                 '"shape": [3]}}')
         boe = ('{"type": "boe", "tokens": ["wall", "<unk>"], "vectors": '
                '{"data": "AAAAAAAA4D8AAAAAAADwvwAAAAAAANA/mpmZmZmZuT8=", '
                '"shape": [2, 2]}}')
         path = tmp_path / "feat.json"
-        path.write_bytes(ngram.encode("utf-8"))
-        vocab = Featurizer.load(path).vocab
-        assert vocab.gram_to_index == {"héritage": 0, "a b": 1, "b": 2}
-        np.testing.assert_array_equal(vocab.idf, [1.5, 2.0, 1.25])
-        Featurizer("ngram", vocab=vocab).save(path)
-        assert path.read_bytes() == ngram.replace(', "min_df": 2', "").encode(
-            "utf-8")
-        path.write_bytes(boe.encode("utf-8"))
-        table = Featurizer.load(path).table
-        assert list(table.token_to_row.items()) == [("wall", 0), ("<unk>", 1)]
-        np.testing.assert_array_equal(table.vectors,
-                                      [[0.5, -1.0], [0.25, 0.1]])
-        Featurizer("boe", table=table).save(path)
-        assert path.read_bytes() == boe.encode("utf-8")
+        for text in (ngram, boe):
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.raises(ValueError, match=(
+                    f"^{re.escape(str(path))}: no line break ends the head, "
+                    "as in a file of an earlier version; rebuild it with "
+                    "`ouvclf final` or `ouvclf train`$")):
+                Featurizer.load(path)
 
     @pytest.mark.parametrize("kind,edit,match", [
-        ("ngram", lambda p: p["idf"].update(data="not base64!"), "'idf'"),
-        ("ngram", lambda p: p["idf"].update(data="AAAAAAAAAAA="), "'idf'"),
+        ("ngram", lambda p: p.update(idf=[4]),
+         r"the body holds 40 bytes, but the shapes \[\[4\]\] need 32"),
         ("ngram", lambda p: p["grams"].pop(), "grams"),
         ("boe", lambda p: p["tokens"].append("extra"), "tokens"),
-        ("boe", lambda p: p["vectors"].update(shape=[6]), "'vectors'"),
+        ("boe", lambda p: p.update(vectors=[6]), "'vectors' has shape \\[6\\]"),
         ("ngram", lambda p: p.update(type="bpe"), "'bpe'"),
-        ("ngram", lambda p: p.update(idf=p["idf"]["data"]), "'idf'"),
+        ("ngram", lambda p: p.update(idf={"data": "AAAA", "shape": [5]}),
+         "'idf' has shape {.*}, not a list"),
         ("ngram", lambda p: p["grams"].__setitem__(1, "a b c"),
          "'a b c' holds more than one space"),
         ("ngram", lambda p: p["grams"].__setitem__(4, "c \0d e"),
          r"'c \\x00d e' holds more than one space"),
         ("ngram", lambda p: p["grams"].__setitem__(0, 7), "expected str"),
         ("boe", lambda p: p["tokens"].__setitem__(0, 7), "expected str"),
-        ("ngram", lambda p: p.update(grams="ab", idf=stored_form(np.ones(2))),
+        ("ngram", lambda p: p.update(grams="ab"),
          "'grams' is not a list"),
         ("boe", lambda p: p["tokens"].__setitem__(1, "a"),
          "token 'a' is repeated"),
@@ -902,25 +896,24 @@ class TestFeaturizer:
          "no '<unk>' token"),
         ("ngram", lambda p: p["grams"].__setitem__(3, "a"),
          "gram 'a' is repeated"),
-        ("ngram", lambda p: p["idf"].update(shape=[5.0]),
-         r"'idf': shape \[5.0\] is not a list of integers >= 0"),
-        ("ngram", lambda p: p["idf"].update(shape=[True, 5]),
-         r"'idf': shape \[True, 5\] is not a list of integers >= 0"),
-        ("boe", lambda p: p["vectors"].update(shape=[-3, -2]),
-         r"'vectors': shape \[-3, -2\] is not a list of integers >= 0"),
-    ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
-            "not-a-matrix", "unknown-type", "spec-not-an-object",
+        ("ngram", lambda p: p.update(idf=[5.0]),
+         r"'idf' has shape \[5.0\], not a list of integers >= 0"),
+        ("ngram", lambda p: p.update(idf=[True, 5]),
+         r"'idf' has shape \[True, 5\], not a list of integers >= 0"),
+        ("boe", lambda p: p.update(vectors=[-3, -2]),
+         r"'vectors' has shape \[-3, -2\], not a list of integers >= 0"),
+        ("boe", lambda p: p.pop("vectors"), "missing key 'vectors'"),
+    ], ids=["byte-count", "gram-count", "token-count",
+            "not-a-matrix", "unknown-type", "shape-an-object",
             "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str",
             "token-not-a-str", "grams-a-str",
             "repeated-token", "no-unk-token", "repeated-gram",
-            "float-shape", "bool-shape", "negative-shape"])
+            "float-shape", "bool-shape", "negative-shape", "no-array"])
     def test_malformed_file_raises_value_error(self, tmp_path, kind, edit,
                                                match):
         path = tmp_path / "feat.json"
         featurizer_of(kind).save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        edit(payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        edit_head(path, edit)
         with pytest.raises(ValueError, match=match) as excinfo:
             Featurizer.load(path)
         assert str(path) in str(excinfo.value)
@@ -964,7 +957,7 @@ class TestFeaturizer:
         path = tmp_path / "feat.json"
         featurizer.save(path)
         before = path.read_bytes()
-        # not JSON-serializable: fails once the temp file is open
+        # not JSON-serializable: fails before the temp file is written
         featurizer.vocab.gram_to_index[object()] = featurizer.dimension
         with pytest.raises(TypeError):
             featurizer.save(path)

@@ -1,10 +1,11 @@
-import base64
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,13 @@ from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.metrics import evaluate_split
 from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   TrainingDiverged, adam_step, backward,
-                                  cross_entropy_soft, decode_array,
-                                  forward,
+                                  cross_entropy_soft, forward,
                                   init_params, load_checkpoint,
-                                  predict_proba, rank_classes,
+                                  predict_proba, rank_classes, read_arrays,
                                   save_checkpoint, soft_targets,
                                   top_classes, train,
-                                  TrainedModel)
-from conftest import make_separable_dataset, stored_form
+                                  TrainedModel, write_arrays)
+from conftest import edit_head, make_separable_dataset
 
 
 def random_params(input_dim, hidden, seed=0):
@@ -592,9 +592,10 @@ class TestCheckpoint:
                                           model.params.arrays()[key])
 
     def test_round_trip_keeps_negative_zero_and_subnormals(self, tmp_path):
-        tiny = np.finfo(float).tiny
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
         params = random_params(5, 3, seed=30)
         params.W1[:, 0] = [-0.0, 0.0, 5e-324, -tiny / 3, np.inf]
+        params.W1[:2, 1] = [huge, -huge]
         params.b2[:3] = [np.nan, -np.inf, -5e-324]
         model = TrainedModel(params=params, featurizer_ref="f.json",
                              config=quick_config(), best_epoch=1,
@@ -605,73 +606,151 @@ class TestCheckpoint:
         for key, arr in params.arrays().items():
             got = loaded.params.arrays()[key]
             assert got.shape == arr.shape and got.dtype == np.float64
+            assert got.flags.c_contiguous and got.flags.writeable
             np.testing.assert_array_equal(got.view(np.uint64),
                                           arr.view(np.uint64))
         assert np.signbit(loaded.params.W1[0, 0])
+        assert loaded.params.W1[0, 1] == 1.7976931348623157e308
         loaded.params.W1 += 1.0  # loaded arrays are writeable
 
-    def test_params_are_base64_float64_le(self, tmp_path):
-        params = random_params(4, 3, seed=31)
-        model = TrainedModel(params=params, featurizer_ref="",
-                             config=quick_config(), best_epoch=1, history=[])
-        path = tmp_path / "m.json"
-        save_checkpoint(model, path)
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text), sort_keys=True,
-                                  separators=(",", ":"))
-        spec = json.loads(text)["params"]["W1"]
-        assert spec["shape"] == [3, 4]  # hidden x input on disk
-        assert base64.b64decode(spec["data"]) == \
-            params.W1.T.astype("<f8").tobytes(order="C")
-
-    @pytest.mark.parametrize("write_values", [1, 45, 1 << 15])
-    def test_file_is_json_dumps_of_the_stored_form(self, tmp_path,
-                                                   monkeypatch, write_values):
-        """With pieces of a few values, each param spans several; ``W1``'s
-        rows on disk hold 7 values, not a multiple of 3."""
-        monkeypatch.setattr(model_module, "_WRITE_VALUES", write_values)
+    def test_file_is_the_head_line_then_the_params_in_key_order(self,
+                                                                  tmp_path):
+        """One JSON head line with each param's shape, ``W1`` input x
+        hidden, then each param's little-endian float64 bytes in C order:
+        ``W1``, ``W2``, ``b1``, ``b2``."""
         params = random_params(7, 20, seed=33)
         model = TrainedModel(params=params, featurizer_ref="f.json",
                              config=quick_config(), best_epoch=2,
                              history=[{"epoch": 1, "val_top1": 0.5}])
         path = tmp_path / "m.json"
         save_checkpoint(model, path)
-        arrays = dict(params.arrays(), W1=params.W1.T)
-        payload = {"best_epoch": 2, "config": dataclasses.asdict(model.config),
-                   "featurizer_ref": "f.json", "history": model.history,
-                   "params": {k: stored_form(a) for k, a in arrays.items()}}
-        assert path.read_bytes() == json.dumps(
-            payload, sort_keys=True, separators=(",", ":")).encode()
+        head = {"best_epoch": 2, "config": dataclasses.asdict(model.config),
+                "featurizer_ref": "f.json", "history": model.history,
+                "params": {"W1": [7, 20], "W2": [11, 20], "b1": [20],
+                           "b2": [11]}}
+        data = path.read_bytes()
+        assert data == b"".join([
+            json.dumps(head, sort_keys=True, separators=(",", ":")).encode(),
+            b"\n", *(a.astype("<f8").tobytes(order="C") for a in (
+                params.W1, params.W2, params.b1, params.b2))])
+        assert data.startswith(b'{"best_epoch":2,"config":{"batch_size":')
+        body = data.index(b"\n") + 1
+        assert data[data.index(b'"params"'):body] == (
+            b'"params":{"W1":[7,20],"W2":[11,20],"b1":[20],"b2":[11]}}\n')
+        # the value at W1[1, 0] follows a whole row of 20 hidden values
+        assert np.frombuffer(data, "<f8", 1, body + 8 * 20)[0] == \
+            params.W1[1, 0]
 
     @pytest.mark.parametrize("data", ["AAAA", "not base64!", "AAAAé",
                                       [0.0] * 12])
     def test_bad_param_data_raises_value_error(self, tmp_path, data):
+        """A body replaced by bytes too few for the params: text, or
+        ``W1``'s 12 values alone."""
         model = TrainedModel(params=random_params(4, 3, seed=32),
                              featurizer_ref="", config=quick_config(),
                              best_epoch=1, history=[])
         path = tmp_path / "m.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        payload["params"]["W1"]["data"] = data
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="W1"):
+        head = path.read_bytes().split(b"\n", 1)[0]
+        body = (data.encode() if isinstance(data, str)
+                else np.array(data).astype("<f8").tobytes())
+        path.write_bytes(head + b"\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           "the body holds .* bytes, but the shapes"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["byte-short",
+                                                  "byte-over"])
+    def test_a_body_a_byte_short_or_over_is_named(self, tmp_path, cut):
+        model = TrainedModel(params=random_params(4, 3, seed=32),
+                             featurizer_ref="", config=quick_config(),
+                             best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        size = 8 * (12 + 3 + 33 + 11) + cut
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: the body holds {size} bytes, but "
+                r"the shapes \[\[4, 3\], \[11, 3\], \[3\], \[11\]\] "
+                "need 472$")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("head", [b"{not json", b'{"best_epoch":\xff}',
+                                      b""], ids=["not-json", "not-utf8",
+                                                 "empty"])
+    def test_a_head_that_is_not_json_is_named(self, tmp_path, head):
+        model = TrainedModel(params=random_params(4, 3, seed=32),
+                             featurizer_ref="", config=quick_config(),
+                             best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(head + b"\n" + body)
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_a_file_of_the_earlier_form_says_to_rebuild_it(self, tmp_path):
+        """A checkpoint as written before raw bodies: one JSON object, each
+        param base64 in ``{"data", "shape"}``, ``W1`` hidden x input."""
+        path = tmp_path / "model_ls.json"
+        path.write_text(
+            '{"best_epoch":1,"config":{"batch_size":128,"dropout":0.5,'
+            '"hidden":1,"k":3,"l2":1e-05,"learning_rate":0.0002,'
+            '"max_epochs":100,"patience":5,"seed":1337,"smoothing":'
+            '{"alpha":0.0,"variant":"none"}},"featurizer_ref":'
+            '"featurizer.json","history":[],"params":{"W1":{"data":'
+            '"AAAAAAAA4D8=","shape":[1,1]},"W2":{"data":"' + "A" * 118
+            + '==","shape":[11,1]},"b1":{"data":"AAAAAAAAAAA=","shape":[1]},'
+            '"b2":{"data":"' + "A" * 118 + '==","shape":[11]}}}')
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: no line break ends the head, as "
+                "in a file of an earlier version; rebuild it with "
+                "`ouvclf final` or `ouvclf train`$")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [
         [1.0, 2.0], {"data": "AAAAAAAAAAA="}, {"shape": [1]},
-        {"data": "AAAAAAAAAAA=", "shape": 1}, None])
-    def test_decode_array_rejects_a_malformed_spec(self, spec):
-        with pytest.raises(ValueError, match="^'idf': not"):
-            decode_array("'idf'", spec)
+        {"data": "AAAAAAAAAAA=", "shape": 1}, None, "1", [True], [-1],
+        [1, None]])
+    def test_read_arrays_rejects_a_malformed_shape(self, tmp_path, shape):
+        """The earlier stored form's ``{"data", "shape"}`` included."""
+        path = tmp_path / "f.json"
+        write_arrays(path, json.dumps({"idf": shape}), [])
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: 'idf' has shape .*, not a list "
+                "of integers >= 0$")):
+            read_arrays(path, lambda head: {"idf": head["idf"]})
+
+    def test_a_load_allocates_the_params_about_once(self, tmp_path):
+        """About 1 MB of params: a load's traced peak stays below 1.25x
+        their bytes, so no text, decoded copy or transpose of them is
+        held beside them."""
+        params = random_params(2500, 50, seed=35)
+        model = TrainedModel(params=params, featurizer_ref="f.json",
+                             config=quick_config(), best_epoch=1,
+                             history=[{"epoch": 1, "val_top1": 0.5}])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        size = sum(a.nbytes for a in params.arrays().values())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.params.W1.shape == (2500, 50)
+        assert peak < 1.25 * size, f"peak {peak / size:.2f}x the params"
 
     def test_non_checkpoint_file_names_file_and_key(self, tmp_path):
         path = tmp_path / "featurizer.json"
         path.write_text(json.dumps({"type": "ngram", "grams": [],
-                                    "idf": [], "min_df": 1}))
+                                    "idf": [0]}) + "\n")
         with pytest.raises(ValueError, match="'config'") as excinfo:
             load_checkpoint(path)
         assert str(path) in str(excinfo.value)
-        path.write_text("[]")
+        path.write_text("[]\n")
         with pytest.raises(ValueError, match="'params'"):
             load_checkpoint(path)
 
@@ -684,9 +763,10 @@ class TestCheckpoint:
          "config.smoothing is int, not a JSON object"),
         (lambda p: p["config"].update(hiden=3),
          "unknown key\\(s\\) 'config.hiden'"),
-        (lambda p: p["params"].update(
-            W2=stored_form(np.zeros((NUM_CLASSES, 4)))),
-         r"W2 \[11, 4\].* do not agree"),
+        (lambda p: p["params"].update(W2=[3, NUM_CLASSES]),
+         r"W2 \[3, 11\].* do not agree"),
+        (lambda p: p["params"].update(W1=[3, 4]),
+         r"W1 \[3, 4\].* do not agree; expected W1 \[input, hidden\]"),
         (lambda p: p["config"].update(hidden="x"),
          "key 'config.hidden' is str, expected int"),
         (lambda p: p["config"].update(k=[3]),
@@ -707,18 +787,21 @@ class TestCheckpoint:
          "'config': l2 must be finite and >= 0, got -1e-05"),
         (lambda p: p["config"]["smoothing"].update(alpha=math.inf),
          "config.smoothing: alpha must be finite, got inf"),
-        (lambda p: p["params"]["b2"].update(shape=[11.0]),
-         r"param 'b2': shape \[11.0\] is not a list of integers >= 0"),
-        (lambda p: p["params"]["b2"].update(shape=[True, 11]),
-         r"param 'b2': shape \[True, 11\] is not a list of integers >= 0"),
-        (lambda p: p["params"]["W2"].update(shape=[-11, -4]),
-         r"param 'W2': shape \[-11, -4\] is not a list of integers >= 0"),
+        (lambda p: p["params"].update(b2=[11.0]),
+         r"'b2' has shape \[11.0\], not a list of integers >= 0"),
+        (lambda p: p["params"].update(b2=[True, 11]),
+         r"'b2' has shape \[True, 11\], not a list of integers >= 0"),
+        (lambda p: p["params"].update(W2=[-11, -4]),
+         r"'W2' has shape \[-11, -4\], not a list of integers >= 0"),
+        (lambda p: p["config"].update(learning_rate=10 ** 400),
+         "key 'config.learning_rate' is an integer too large for a float"),
     ], ids=["missing-b2", "extra-param", "smoothing-not-object",
-            "unknown-config-key", "W2-hidden-mismatch", "hidden-str",
+            "unknown-config-key", "W2-hidden-mismatch", "W1-transposed",
+            "hidden-str",
             "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
             "history-int", "history-item-int", "featurizer-ref-int",
             "nan-learning-rate", "negative-l2", "infinite-alpha",
-            "float-shape", "bool-shape", "negative-shape"])
+            "float-shape", "bool-shape", "negative-shape", "huge-learning-rate"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
                                                        match):
         model = TrainedModel(params=random_params(4, 3, seed=34),
@@ -726,9 +809,7 @@ class TestCheckpoint:
                              best_epoch=1, history=[])
         path = tmp_path / "m.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
+        edit_head(path, edit)
         with pytest.raises(ValueError, match=match) as excinfo:
             load_checkpoint(path)
         assert str(excinfo.value).startswith(f"{path}: ")
@@ -752,7 +833,8 @@ class TestCheckpoint:
         model = train(tx, oh, par, vx, vl, quick_config(max_epochs=2))
         path = tmp_path / "m.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
+        # the head line is JSON: the model's keys, with the param shapes
+        payload = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert set(payload) == {"config", "featurizer_ref", "best_epoch",
                                 "history", "params"}
 

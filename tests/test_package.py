@@ -376,6 +376,9 @@ READERS = {
     "sweep-artifact": ("runs/step2_sweep/sweep.json", report_run),
     "final-artifact": ("runs/step3_final/final.json", report_run),
 }
+# the readers of a JSON head line then a body of array bytes, as
+# ``write_arrays`` writes them
+ARRAY_FILES = {"ngram-featurizer", "boe-featurizer", "checkpoint"}
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -383,31 +386,39 @@ READERS = {
 @given(data=st.data())
 def test_a_reader_returns_or_names_the_mutated_file(run_files, reader, data):
     """One JSON value of a file, at any key path, takes a value of another
-    JSON type, or one key is deleted: the file's reader returns, or raises
+    JSON type, or one key is deleted; or the body of an array file loses
+    bytes at its end or gains some. The file's reader returns, or raises
     a ``ValueError`` naming the file, never another error. The budget:
     10 readers x 50 examples, about 4 s under ``-X dev`` with the fixture's
     tiny run."""
     rel, read = READERS[reader]
     path = run_files / rel
     original = path.read_bytes()
-    first, *rest = original.decode("utf-8").splitlines(keepends=True)
-    lines = rel.endswith(".jsonl")
-    # the file's value under a wrapper, so that the root has a parent too
-    doc = {"file": json.loads(first if lines else original)}
-    *parents, key = ("file", *data.draw(st.sampled_from(list(json_paths(
-        doc["file"])))))
-    inner = doc
-    for part in parents:
-        inner = inner[part]
-    if parents and isinstance(key, str) and data.draw(st.booleans()):
-        del inner[key]
+    # the JSON mutated (a JSON lines file's first line, an array file's
+    # head line, or the whole file) and the bytes after it
+    if rel.endswith(".jsonl") or reader in ARRAY_FILES:
+        first, body = original.split(b"\n", 1)
+        after = b"\n" + body
     else:
-        kinds = sorted(set(JSON_OF_TYPE) - {JSON_TYPE[type(inner[key])]})
-        inner[key] = data.draw(st.sampled_from(kinds).flatmap(
-            JSON_OF_TYPE.get))
-    text = json.dumps(doc["file"])
-    path.write_text(text + "\n" + "".join(rest) if lines else text,
-                    encoding="utf-8")
+        first, after = original, b""
+    doc = {"file": json.loads(first)}
+    if reader in ARRAY_FILES and data.draw(st.booleans()):
+        cut = data.draw(st.integers(-len(after), 16).filter(bool))
+        after = after[:cut] if cut < 0 else after + bytes(range(cut))
+    else:
+        # the file's value under a wrapper, so that the root has a parent
+        *parents, key = ("file", *data.draw(st.sampled_from(list(
+            json_paths(doc["file"])))))
+        inner = doc
+        for part in parents:
+            inner = inner[part]
+        if parents and isinstance(key, str) and data.draw(st.booleans()):
+            del inner[key]
+        else:
+            kinds = sorted(set(JSON_OF_TYPE) - {JSON_TYPE[type(inner[key])]})
+            inner[key] = data.draw(st.sampled_from(kinds).flatmap(
+                JSON_OF_TYPE.get))
+    path.write_bytes(json.dumps(doc["file"]).encode() + after)
     try:
         read(path)
     except ValueError as exc:
