@@ -811,23 +811,26 @@ class TestFeaturizer:
         assert payload["vectors"] == [3, 2]
         assert body == vectors.astype("<f8").tobytes()
 
-    def test_file_is_the_head_line_then_the_array(self, tmp_path):
-        """``json.dumps(head, ensure_ascii=False)`` with the array's shape,
-        a line break, then the array's little-endian float64 bytes in C
-        order; a BoE row holds 7 values."""
+    @pytest.mark.parametrize("rows", [1, 4, 1 << 15])
+    def test_file_is_json_dump_of_the_stored_form(self, tmp_path, rows):
+        """The stored form: ``json.dumps(head, ensure_ascii=False)`` with
+        the array's shape, a line break, then the array's little-endian
+        float64 bytes in C order; a BoE row holds 7 values, and the table
+        and vocabulary hold 1, 4 or 32768 rows."""
         rng = np.random.default_rng(5)
-        vectors, idf = rng.normal(size=(8, 7)), rng.normal(size=10)
-        tokens = ["héritage", *(f"t{i}" for i in range(6)), "<unk>"]
-        grams = [f"g{i}" if i % 3 else f"g{i} é" for i in range(10)]
+        vectors, idf = rng.normal(size=(rows, 7)), rng.normal(size=rows)
+        tokens = [*("héritage" if i == 0 else f"t{i}"
+                    for i in range(rows - 1)), "<unk>"]
+        grams = [f"g{i}" if i % 3 else f"g{i} é" for i in range(rows)]
         path = tmp_path / "feat.json"
         for featurizer, head, array in (
                 (Featurizer("boe", table=EmbeddingTable(
                     {t: i for i, t in enumerate(tokens)}, vectors)),
-                 {"type": "boe", "tokens": tokens, "vectors": [8, 7]},
+                 {"type": "boe", "tokens": tokens, "vectors": [rows, 7]},
                  vectors),
                 (Featurizer("ngram", vocab=TfidfVocabulary(
                     {g: i for i, g in enumerate(grams)}, idf)),
-                 {"type": "ngram", "grams": grams, "idf": [10]}, idf)):
+                 {"type": "ngram", "grams": grams, "idf": [rows]}, idf)):
             featurizer.save(path)
             assert path.read_bytes() == json.dumps(
                 head, ensure_ascii=False).encode("utf-8") + b"\n" + b"".join(
@@ -874,6 +877,8 @@ class TestFeaturizer:
                 Featurizer.load(path)
 
     @pytest.mark.parametrize("kind,edit,match", [
+        ("ngram", lambda p: p.update(idf="AAAAAAAA8D8="),
+         "'idf' has shape 'AAAAAAAA8D8=', not a list of integers >= 0"),
         ("ngram", lambda p: p.update(idf=[4]),
          r"the body holds 40 bytes, but the shapes \[\[4\]\] need 32"),
         ("ngram", lambda p: p["grams"].pop(), "grams"),
@@ -903,7 +908,7 @@ class TestFeaturizer:
         ("boe", lambda p: p.update(vectors=[-3, -2]),
          r"'vectors' has shape \[-3, -2\], not a list of integers >= 0"),
         ("boe", lambda p: p.pop("vectors"), "missing key 'vectors'"),
-    ], ids=["byte-count", "gram-count", "token-count",
+    ], ids=["bad-base64", "byte-count", "gram-count", "token-count",
             "not-a-matrix", "unknown-type", "shape-an-object",
             "gram-of-two-spaces", "spaced-gram-with-nul", "gram-not-a-str",
             "token-not-a-str", "grams-a-str",

@@ -613,12 +613,28 @@ class TestCheckpoint:
         assert loaded.params.W1[0, 1] == 1.7976931348623157e308
         loaded.params.W1 += 1.0  # loaded arrays are writeable
 
-    def test_file_is_the_head_line_then_the_params_in_key_order(self,
-                                                                  tmp_path):
-        """One JSON head line with each param's shape, ``W1`` input x
-        hidden, then each param's little-endian float64 bytes in C order:
-        ``W1``, ``W2``, ``b1``, ``b2``."""
-        params = random_params(7, 20, seed=33)
+    def test_params_are_raw_float64_le(self, tmp_path):
+        """``W1`` is stored input x hidden, its in-memory layout: its
+        little-endian float64 bytes in C order open the body, and the value
+        at ``W1[1, 0]`` follows a whole row of 3 hidden values."""
+        params = random_params(4, 3, seed=31)
+        model = TrainedModel(params=params, featurizer_ref="",
+                             config=quick_config(), best_epoch=1, history=[])
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head)["params"]["W1"] == [4, 3]
+        assert body.startswith(params.W1.astype("<f8").tobytes(order="C"))
+        assert np.frombuffer(body, "<f8", 1, 8 * 3)[0] == params.W1[1, 0]
+
+    @pytest.mark.parametrize("hidden", [1, 45, 1 << 15])
+    def test_file_is_json_dumps_of_the_stored_form(self, tmp_path, hidden):
+        """The stored form: one JSON head line with each param's shape,
+        ``W1`` input x hidden, then each param's little-endian float64
+        bytes in C order: ``W1``, ``W2``, ``b1``, ``b2``. ``W1``'s rows
+        hold 1, 45 or 32768 values, so its body is a few bytes or several
+        MB."""
+        params = random_params(7, hidden, seed=33)
         model = TrainedModel(params=params, featurizer_ref="f.json",
                              config=quick_config(), best_epoch=2,
                              history=[{"epoch": 1, "val_top1": 0.5}])
@@ -626,20 +642,17 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         head = {"best_epoch": 2, "config": dataclasses.asdict(model.config),
                 "featurizer_ref": "f.json", "history": model.history,
-                "params": {"W1": [7, 20], "W2": [11, 20], "b1": [20],
-                           "b2": [11]}}
+                "params": {"W1": [7, hidden], "W2": [11, hidden],
+                           "b1": [hidden], "b2": [11]}}
         data = path.read_bytes()
         assert data == b"".join([
             json.dumps(head, sort_keys=True, separators=(",", ":")).encode(),
             b"\n", *(a.astype("<f8").tobytes(order="C") for a in (
                 params.W1, params.W2, params.b1, params.b2))])
         assert data.startswith(b'{"best_epoch":2,"config":{"batch_size":')
-        body = data.index(b"\n") + 1
-        assert data[data.index(b'"params"'):body] == (
-            b'"params":{"W1":[7,20],"W2":[11,20],"b1":[20],"b2":[11]}}\n')
-        # the value at W1[1, 0] follows a whole row of 20 hidden values
-        assert np.frombuffer(data, "<f8", 1, body + 8 * 20)[0] == \
-            params.W1[1, 0]
+        assert data[data.index(b'"params"'):data.index(b"\n") + 1] == (
+            f'"params":{{"W1":[7,{hidden}],"W2":[11,{hidden}],'
+            f'"b1":[{hidden}],"b2":[11]}}}}\n').encode()
 
     @pytest.mark.parametrize("data", ["AAAA", "not base64!", "AAAAé",
                                       [0.0] * 12])
