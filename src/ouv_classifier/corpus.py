@@ -2,7 +2,9 @@
 
 Turns the per-site justification paragraphs into sentence-level samples
 with one-hot sentence labels and site-level parental labels, and builds
-the independent short-description (SD) test set.
+the independent short-description (SD) test set. Both labels are functions
+of a sample's sentence label and its site's criteria, built by one rule
+(``make_samples``), so a dataset line stores those and not the label rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -75,16 +77,12 @@ class SiteRecord:
     short_description: str
     criteria: frozenset[int]
 
-    def parental_label(self) -> np.ndarray:
-        gamma = np.zeros(NUM_CLASSES)
-        for k in self.criteria:
-            gamma[k - 1] = 1.0
-        gamma[NUM_CLASSES - 1] = OTHERS_NOISE
-        return gamma
-
 
 @dataclass
 class Sample:
+    """One sentence. ``make_samples`` builds ``one_hot`` from
+    ``sentence_label`` and ``parental`` from the site's criteria; a dataset
+    line stores those criteria in place of both rows."""
     tokens: list[str]
     sentence_label: int | None  # criterion 1-10; None for SD samples
     one_hot: np.ndarray | None  # length 11; None for SD samples
@@ -93,12 +91,26 @@ class Sample:
     split: str
 
 
-def make_one_hot(criterion: int) -> np.ndarray:
-    if not 1 <= criterion <= NUM_CRITERIA:
-        raise ValueError(f"criterion out of range: {criterion}")
-    y = np.zeros(NUM_CLASSES)
-    y[criterion - 1] = 1.0
-    return y
+def label_rows(criteria: list[list[int]], others: float) -> np.ndarray:
+    """One float64 row of ``NUM_CLASSES`` per list of ``criteria``: 1 in
+    column k - 1 for each criterion k, ``others`` in the last ("Others")
+    column and 0 elsewhere."""
+    rows = np.zeros((len(criteria), NUM_CLASSES))
+    rows[:, -1] = others
+    rows[np.arange(len(criteria)).repeat(list(map(len, criteria))),
+         np.fromiter(chain.from_iterable(criteria), np.intp) - 1] = 1.0
+    return rows
+
+
+def make_samples(tokens, labels, criteria, site_ids, splits) -> list[Sample]:
+    """Samples from a column of each field but the label rows, which
+    ``label_rows`` builds: ``one_hot`` is the row of ``[label]`` with 0 for
+    Others (None for a None label), ``parental`` the row of the site's
+    ``criteria`` with ``OTHERS_NOISE``."""
+    one_hots = iter(label_rows([[k] for k in labels if k is not None], 0.0))
+    return list(map(Sample, tokens, labels,
+                    [None if k is None else next(one_hots) for k in labels],
+                    label_rows(criteria, OTHERS_NOISE), site_ids, splits))
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +397,18 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
     defined = sorted(CRITERION_DEFINITIONS)
     token_lists = preprocess_many([sentence for *_, sentence in found]
                                   + [CRITERION_DEFINITIONS[c] for c in defined])
-    pool = [Sample(tokens=tokens, sentence_label=criterion,
-                   one_hot=make_one_hot(criterion),
-                   parental=site.parental_label(), site_id=site.site_id,
-                   split="train")
+    kept = [(tokens, criterion, sorted(site.criteria), site.site_id)
             for (site, criterion, _), tokens in zip(found, token_lists)
             if MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN]
+    n = len(kept)
+    # a definition sentence is labelled as the one-criterion site 0
+    kept += [(tokens, criterion, [criterion], 0)
+             for criterion, tokens in zip(defined, token_lists[len(found):])]
+    samples = make_samples(*zip(*kept), repeat("train"))
+    pool, definitions = samples[:n], samples[n:]
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-    n = len(pool)
+    order = rng.permutation(n)
     n_valid = n // 10
     n_test = n // 10
     dataset = Dataset()
@@ -410,14 +424,7 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
             sample.split = "test"
             dataset.test.append(sample)
 
-    for criterion, tokens in zip(defined, token_lists[len(found):]):
-        definition = SiteRecord(site_id=0, name="", justification={},
-                                short_description="",
-                                criteria=frozenset({criterion}))
-        dataset.train.append(Sample(
-            tokens=tokens, sentence_label=criterion,
-            one_hot=make_one_hot(criterion),
-            parental=definition.parental_label(), site_id=0, split="train"))
+    dataset.train.extend(definitions)
 
     for name in ("train", "valid", "test"):
         if not dataset.split(name):
@@ -435,10 +442,9 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
              if site.short_description and site.criteria
              for sentence in split_sentences(site.short_description)]
     token_lists = preprocess_many([sentence for _, sentence in found])
-    return [Sample(tokens=tokens, sentence_label=None, one_hot=None,
-                   parental=site.parental_label(), site_id=site.site_id,
-                   split="sd")
+    kept = [(tokens, None, sorted(site.criteria), site.site_id)
             for (site, _), tokens in zip(found, token_lists) if tokens]
+    return make_samples(*zip(*kept), repeat("sd")) if kept else []
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +455,13 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def sample_to_json(sample: Sample) -> str:
-    record = {
-        "tokens": sample.tokens,
-        "sentence_label": sample.sentence_label,
-        "one_hot": None if sample.one_hot is None
-        else [int(v) for v in sample.one_hot.tolist()],
-        "parental": sample.parental.tolist(),
-        "site_id": sample.site_id,
-        "split": sample.split,
-    }
-    return _ENCODE(record)
+    """The dataset line of ``sample``; its ``criteria`` are the criteria
+    whose ``parental`` entries are positive, in order."""
+    return _ENCODE({
+        "tokens": sample.tokens, "sentence_label": sample.sentence_label,
+        "criteria": [k for k, v in enumerate(
+            sample.parental[:NUM_CRITERIA].tolist(), start=1) if v > 0],
+        "site_id": sample.site_id, "split": sample.split})
 
 
 def write_samples(samples: list[Sample], path: str | Path) -> None:
@@ -468,14 +471,16 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path) -> list[Sample]:
-    """Read a file written by ``write_samples``. Any other file is a
+    """Read a file written by ``write_samples``, building each sample's
+    ``one_hot`` and ``parental`` by ``make_samples``. Any other file is a
     ``ValueError`` naming it: a line that is not JSON or lacks a sample key;
     tokens that are not a list of strings, or a token that holds whitespace
     (tokens are as ``str.split`` gives them, and the n-gram features count
-    on it); a ``sentence_label`` that is neither an integer 1-10 nor null; a
-    ``one_hot`` that is not its label's one-hot (null for a null label); or
-    a ``parental`` that is not 11 finite numbers. Each value check runs once
-    over the file's column of that key and names the first bad line."""
+    on it); a ``sentence_label`` that is neither an integer 1-10 nor null;
+    or ``criteria`` that are not a list of integers 1-10. Each value check
+    runs once over the file's column of that key and names the first bad
+    line. A file whose first line holds ``parental``, as a line of the
+    earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""
     records, line_nos = [], []
     for line_no, line in enumerate(read_lines(path), start=1):
         if line.strip():
@@ -484,9 +489,12 @@ def read_samples(path: str | Path) -> list[Sample]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
             line_nos.append(line_no)
-    n = len(records)
+    if records and isinstance(records[0], dict) and "parental" in records[0]:
+        raise ValueError(f"{path}: not a dataset file of this version (line "
+                         f"{line_nos[0]} holds 'parental'); rebuild it with "
+                         "`ouvclf ingest`")
     with input_error(path, "not a dataset file ({})"):
-        one_hots, parentals, labels, site_ids, splits, tokens = (
+        criteria, labels, site_ids, splits, tokens = (
             list(map(itemgetter(key), records)) for key in _SAMPLE_KEYS)
         del records  # the line dicts: their values are in the columns
         rule = "a list of strings"
@@ -503,37 +511,27 @@ def read_samples(path: str | Path) -> list[Sample]:
             raise ValueError(f"line {line_nos[i]}: token {spaced!r} holds "
                              "whitespace")
         ok, is_int = _typed(labels, type(None)), _typed(labels, int)
-        ok[is_int] = np.fromiter(map(range(1, NUM_CRITERIA + 1).__contains__,
+        ok[is_int] = np.fromiter(map(_CRITERIA.__contains__,
                                      compress(labels, is_int)), bool)
         _refuse(line_nos, "sentence_label", labels, ok,
                 f"an integer 1-{NUM_CRITERIA} or null")
-        _refuse(line_nos, "one_hot", one_hots,
-                np.fromiter(map(eq, one_hots,
-                                map(_ONE_HOTS.get, labels)), bool, n),
-                "the one-hot of its sentence_label")
-        rule = f"a list of {NUM_CLASSES} finite numbers"
-        _refuse(line_nos, "parental", parentals, _typed(parentals, list), rule)
-        _refuse(line_nos, "parental", parentals,
-                np.fromiter(map(len, parentals), np.int64, n) == NUM_CLASSES,
-                rule)
-        if not set(map(type, chain.from_iterable(parentals))) <= {int, float}:
-            _refuse(line_nos, "parental", parentals,
-                    [set(map(type, p)) <= {int, float} for p in parentals],
-                    rule)
-        rows = np.array(parentals, dtype=float).reshape(n, NUM_CLASSES)
-        _refuse(line_nos, "parental", parentals,
-                np.isfinite(rows).all(axis=1), rule)
-    one_hots = [None if h is None else np.asarray(h, dtype=float)
-                for h in one_hots]
-    return list(map(Sample, tokens, labels, one_hots, rows, site_ids, splits))
+        if not (set(map(type, criteria)) <= {list}
+                and _criteria_ok(list(chain.from_iterable(criteria)))):
+            _refuse(line_nos, "criteria", criteria,
+                    list(map(_criteria_ok, criteria)),
+                    f"a list of integers 1-{NUM_CRITERIA}")
+    return make_samples(tokens, labels, criteria, site_ids, splits)
 
 
 # the keys of a dataset line, in the order ``read_samples`` reads them
-_SAMPLE_KEYS = ("one_hot", "parental", "sentence_label", "site_id", "split",
-                "tokens")
-# the one-hot a dataset line holds for each ``sentence_label``
-_ONE_HOTS = {None: None, **{k: make_one_hot(k).astype(int).tolist()
-                            for k in range(1, NUM_CRITERIA + 1)}}
+_SAMPLE_KEYS = ("criteria", "sentence_label", "site_id", "split", "tokens")
+_CRITERIA = frozenset(range(1, NUM_CRITERIA + 1))
+
+
+def _criteria_ok(criteria) -> bool:
+    """Whether the JSON value ``criteria`` is a list of integers 1-10."""
+    return (type(criteria) is list and set(map(type, criteria)) <= {int}
+            and set(criteria) <= _CRITERIA)
 
 
 def _typed(values: list, kind: type) -> np.ndarray:
@@ -607,12 +605,9 @@ def read_sites(path: str | Path) -> list[SiteRecord]:
         entries = [(p["site_id"], p.get("name", ""), p["criteria"])
                    for p in payload]
         for site_id, _, criteria in entries:
-            if not (isinstance(criteria, list) and all(
-                    type(k) is int and 1 <= k <= NUM_CRITERIA
-                    for k in criteria)):
+            if not _criteria_ok(criteria):
                 raise ValueError(f"site {site_id!r}: criteria {criteria!r} "
-                                 "is not a list of integers "
-                                 f"1-{NUM_CRITERIA}")
+                                 f"is not a list of integers 1-{NUM_CRITERIA}")
     return [SiteRecord(site_id=site_id, name=name, justification={},
                        short_description="", criteria=frozenset(criteria))
             for site_id, name, criteria in entries]

@@ -378,13 +378,15 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a file written by ``save_checkpoint``. A file that
-    ``read_arrays`` refuses, without one of the head's keys or with one of
-    the wrong JSON type, with a ``config`` that ``json_fields`` or
-    ``TrainConfig`` rejects, or with params other than ``W1``, ``b1``,
-    ``W2`` and ``b2`` of agreeing shapes is a ``ValueError`` naming it."""
+    ``read_arrays`` refuses, without one of the head's keys, with one of
+    the wrong JSON type or one ``TrainedModel`` has no field for, with a
+    ``config`` that ``json_fields`` or ``TrainConfig`` rejects, or with
+    params other than ``W1``, ``b1``, ``W2`` and ``b2`` of agreeing shapes
+    is a ``ValueError`` naming it."""
     def param_shapes(head):
         json_keys(path, head, best_epoch=0, config={}, featurizer_ref="",
                   history=[{}], params={})
+        json_fields(path, "", head, TrainedModel)
         shapes = json_fields(path, "params", head["params"], MlpParams)
         if len(shapes) != len(MlpParams.__dataclass_fields__):
             raise ValueError(f"{path}: params hold {sorted(shapes)}, "

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
-from ouv_classifier.corpus import Dataset, Sample, SiteRecord, make_one_hot
+from ouv_classifier.corpus import Dataset, Sample, SiteRecord, label_rows
 
 # selected with --hypothesis-profile=ci: a failure prints the blob that
 # reproduces it, and tests with no @settings of their own run 200 examples
@@ -19,6 +19,11 @@ def edit_head(path, edit) -> None:
     value = json.loads(head)
     edit(value)
     path.write_bytes(json.dumps(value).encode() + b"\n" + body)
+
+
+def make_one_hot(criterion):
+    """The one-hot row of ``criterion``, as a sample built from it holds."""
+    return label_rows([[criterion]], 0.0)[0]
 
 
 def make_sample(tokens, criterion, parental_criteria=None, split="train",

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
-from ouv_classifier.corpus import (build_dataset, build_sd_set, make_one_hot,
-                                   parse_syndication)
+from ouv_classifier.corpus import build_dataset, build_sd_set, parse_syndication
 from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.harness import ExperimentConfig, build_featurizer, mine
 from ouv_classifier.labels import (ALPHA_GRID, SmoothingConfig, cooccurrence,
@@ -27,7 +26,7 @@ from ouv_classifier.metrics import evaluate_matches, evaluate_split
 from ouv_classifier.model import (TrainConfig, backward, cross_entropy_soft,
                                   forward, init_params, save_checkpoint,
                                   train)
-from conftest import make_separable_dataset
+from conftest import make_one_hot, make_separable_dataset
 from test_labels import epsilon_for_alpha, original_ls
 
 SYNDICATION_CSV = os.environ.get("OUV_SYNDICATION_CSV", "")

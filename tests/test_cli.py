@@ -9,6 +9,7 @@ import pytest
 
 from ouv_classifier import NUM_CLASSES, cli, harness
 from ouv_classifier.cli import main
+from ouv_classifier.corpus import read_dataset
 from ouv_classifier.features import TfidfVocabulary
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
@@ -1188,14 +1189,14 @@ def test_a_truncated_dataset_line_is_named(workspace, tmp_path, capsys):
         f"error: {path}: line 2: Expecting ',' delimiter\n")
 
 
-def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,
+def test_a_dataset_line_without_criteria_is_named(workspace, tmp_path,
                                                   capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     path = data / "train.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     record = json.loads(lines[2])
-    del record["parental"]
+    del record["criteria"]
     lines[2] = json.dumps(record) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     config_path = write_config(workspace, tmp_path / "config.json",
@@ -1204,21 +1205,47 @@ def test_a_dataset_line_without_parental_is_named(workspace, tmp_path,
     capsys.readouterr()
     assert main(["train", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: not a dataset file (missing key 'parental')\n")
+        f"error: {path}: not a dataset file (missing key 'criteria')\n")
+
+
+def test_a_dataset_of_the_earlier_form_says_to_rebuild_it(workspace, tmp_path,
+                                                          capsys):
+    """A line that holds the label rows, as dataset lines did before they
+    held the site's criteria, names the file and the command that rebuilds
+    it, both from ``read_dataset`` and from ``ouvclf sweep``."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "train.jsonl"
+    path.write_text(
+        '{"tokens": ["a", "b"], "sentence_label": 2, '
+        '"one_hot": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+        '"parental": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2], '
+        '"site_id": 7, "split": "train"}\n', encoding="utf-8")
+    message = (f"{path}: not a dataset file of this version (line 1 holds "
+               "'parental'); rebuild it with `ouvclf ingest`")
+    with pytest.raises(ValueError) as excinfo:
+        read_dataset(data)
+    assert str(excinfo.value) == message
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               dataset_dir=str(data),
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("split, key, value, detail", [
     ("train", "tokens", [1, 2], "tokens [1, 2] is not a list of strings"),
-    ("train", "parental", [0.0] * 10 + [math.nan],
-     "is not a list of 11 finite numbers"),
+    ("train", "criteria", [0], "criteria [0] is not a list of integers 1-10"),
     ("valid", "sentence_label", "x",
      "sentence_label 'x' is not an integer 1-10 or null"),
-], ids=["int-tokens", "nan-parental", "str-label"])
+], ids=["int-tokens", "zero-criteria", "str-label"])
 def test_a_bad_dataset_value_is_named_before_training(
         workspace, tmp_path, capsys, monkeypatch, split, key, value, detail):
-    """Each of these used to end ``ouvclf sweep`` otherwise: a
-    ``TypeError`` traceback, or every uniform and prior training diverging
-    on the NaN so that the sweep picked vanilla."""
+    """Each of these would end ``ouvclf sweep`` otherwise: a ``TypeError``
+    traceback, or criterion 0 read as the Others column of the parental
+    label."""
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     path = data / f"{split}.jsonl"

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import unicodedata
 
@@ -7,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ouv_classifier import NUM_CLASSES
+from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, Sample,
                                    SiteRecord, build_dataset, build_sd_set,
-                                   make_one_hot, parse_syndication,
+                                   label_rows, parse_syndication,
                                    preprocess, preprocess_many, read_dataset,
                                    read_samples, read_sites, sample_to_json,
                                    split_sentences, write_dataset,
                                    write_samples, write_sites)
+from conftest import make_one_hot
 
 SYNDICATION_HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 
@@ -424,11 +424,14 @@ class TestBuildSdSet:
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
+        """Each read sample's label rows have the float64 bytes of the
+        built sample's, though the file holds only its criteria."""
         sites = make_justified_sites(5, 5)
         dataset = build_dataset(sites, seed=0)
-        samples = dataset.train + build_sd_set([SiteRecord(
+        samples = dataset.train + dataset.valid + build_sd_set([SiteRecord(
             site_id=1, name="", justification={},
-            short_description="One sentence here.", criteria=frozenset({3}))])
+            short_description="One sentence here. And one more.",
+            criteria=frozenset({3, 7}))])
         path = tmp_path / "samples.jsonl"
         write_samples(samples, path)
         loaded = read_samples(path)
@@ -436,12 +439,14 @@ class TestJsonl:
         for a, b in zip(samples, loaded):
             assert a.tokens == b.tokens
             assert a.sentence_label == b.sentence_label
-            assert a.split == b.split
-            np.testing.assert_array_equal(a.parental, b.parental)
+            assert (a.site_id, a.split) == (b.site_id, b.split)
+            assert b.parental.dtype == np.float64
+            assert b.parental.tobytes() == a.parental.tobytes()
             if a.one_hot is None:
                 assert b.one_hot is None
             else:
-                np.testing.assert_array_equal(a.one_hot, b.one_hot)
+                assert b.one_hot.dtype == np.float64
+                assert b.one_hot.tobytes() == a.one_hot.tobytes()
 
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
@@ -452,24 +457,20 @@ class TestJsonl:
         assert sample_to_json(rebuilt) == sample_to_json(sample)
 
     def test_line_bytes(self):
-        """Key order, separators, integer one-hot items, float parental
-        items and non-ASCII tokens as they are."""
-        site = SiteRecord(site_id=7, name="", justification={},
-                          short_description="", criteria=frozenset({2, 5}))
-        parental = ('"parental": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, '
-                    '0.0, 0.0, 0.2], "site_id": 7')
+        """Key order, separators, the site's sorted criteria in place of the
+        label rows, and non-ASCII tokens as they are."""
+        parental = label_rows([[5, 2]], OTHERS_NOISE)[0]
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
-                       one_hot=make_one_hot(2), parental=site.parental_label(),
+                       one_hot=make_one_hot(2), parental=parental,
                        site_id=7, split="train")
         assert sample_to_json(train) == (
             '{"tokens": ["château", "<num>"], "sentence_label": 2, '
-            '"one_hot": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
-            + parental + ', "split": "train"}')
+            '"criteria": [2, 5], "site_id": 7, "split": "train"}')
         sd = Sample(tokens=["sd"], sentence_label=None, one_hot=None,
-                    parental=site.parental_label(), site_id=7, split="sd")
+                    parental=parental, site_id=7, split="sd")
         assert sample_to_json(sd) == (
-            '{"tokens": ["sd"], "sentence_label": null, "one_hot": null, '
-            + parental + ', "split": "sd"}')
+            '{"tokens": ["sd"], "sentence_label": null, "criteria": [2, 5], '
+            '"site_id": 7, "split": "sd"}')
 
     def test_file_without_tokens_reads(self, tmp_path):
         path = tmp_path / "samples.jsonl"
@@ -481,7 +482,7 @@ class TestJsonl:
         assert read_samples(path)[0].tokens == []
 
     @pytest.mark.parametrize("line, detail", [
-        ('{"tokens": ["a"]}', "missing key 'one_hot'"),
+        ('{"tokens": ["a"]}', "missing key 'criteria'"),
         ("[1, 2]", "list indices must be integers"),
     ])
     def test_line_that_is_no_sample_is_named(self, tmp_path, line, detail):
@@ -541,24 +542,20 @@ class TestJsonl:
          "sentence_label 'x' is not an integer 1-10 or null"),
         ("test", {"sentence_label": True},
          "sentence_label True is not an integer 1-10 or null"),
-        ("train", {"one_hot": [1, 0]},
-         "one_hot [1, 0] is not the one-hot of its sentence_label"),
-        ("valid", {"one_hot": [0] * 10 + [1]},
-         "one_hot [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] is not the one-hot of "
-         "its sentence_label"),
-        ("sd", {"sentence_label": 3},
-         "one_hot None is not the one-hot of its sentence_label"),
-        ("train", {"parental": [0.0] * 10 + [math.nan]},
-         "parental [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, nan] "
-         "is not a list of 11 finite numbers"),
-        ("train", {"parental": [1.0] * 10},
-         "is not a list of 11 finite numbers"),
-        ("sd", {"parental": [1] * 10 + ["0.2"]},
-         "is not a list of 11 finite numbers"),
-        ("train", {"parental": [1] * 10 + [True]},
-         "is not a list of 11 finite numbers"),
-        ("test", {"parental": {"a": 1}},
-         "parental {'a': 1} is not a list of 11 finite numbers"),
+        ("train", {"criteria": "x"},
+         "criteria 'x' is not a list of integers 1-10"),
+        ("valid", {"criteria": [0]},
+         "criteria [0] is not a list of integers 1-10"),
+        ("sd", {"criteria": [11]},
+         "criteria [11] is not a list of integers 1-10"),
+        ("train", {"criteria": [True]},
+         "criteria [True] is not a list of integers 1-10"),
+        ("sd", {"criteria": [2.0]},
+         "criteria [2.0] is not a list of integers 1-10"),
+        ("test", {"criteria": None},
+         "criteria None is not a list of integers 1-10"),
+        ("train", {"criteria": {"a": 1}},
+         "criteria {'a': 1} is not a list of integers 1-10"),
     ])
     def test_a_bad_value_names_the_file_and_line(self, tmp_path, split, edit,
                                                  detail):
@@ -585,13 +582,14 @@ class TestJsonl:
         write_dataset(dataset, tmp_path)
         path = tmp_path / "train.jsonl"
         text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace('"parental": [0.0', '"parental": [1'
-                                     + "0" * 400, 1), encoding="utf-8")
+        path.write_text(text.replace('"criteria": [', '"criteria": [1'
+                                     + "0" * 400 + ", ", 1), encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
             read_dataset(tmp_path)
-        assert str(excinfo.value) == (
-            f"{path}: not a dataset file (int too large to convert to "
-            "float)")
+        assert str(excinfo.value).startswith(
+            f"{path}: not a dataset file (line 1: criteria [1{'0' * 400}, ")
+        assert str(excinfo.value).endswith(
+            "] is not a list of integers 1-10)")
 
     @pytest.mark.parametrize("split", ["train", "valid", "test"])
     def test_an_unlabelled_line_outside_sd_is_refused(self, tmp_path, split):
@@ -606,19 +604,24 @@ class TestJsonl:
             "sample has a null sentence_label)")
 
     def test_checked_values_load_as_written(self, tmp_path):
-        """A float one-hot and integer parental values are numbers like any
-        other; an SD file's labels are null."""
+        """Criteria in any order, repeated, without the sentence's label
+        or none at all are criteria like any others."""
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         write_dataset(dataset, tmp_path)
         path = tmp_path / "train.jsonl"
         record = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        record["one_hot"] = [float(v) for v in record["one_hot"]]
-        record["parental"] = [int(v) for v in record["parental"]]
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        sample, = read_dataset(tmp_path).train
-        np.testing.assert_array_equal(sample.one_hot, record["one_hot"])
-        np.testing.assert_array_equal(sample.parental, record["parental"])
-        assert sample.parental.dtype == float
+        records = [{**record, "sentence_label": 4, "criteria": criteria}
+                   for criteria in ([9, 2, 9], [])]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                        encoding="utf-8")
+        samples = read_dataset(tmp_path).train
+        for sample, criteria in zip(samples, ([2, 9], [])):
+            want = np.zeros(NUM_CLASSES)
+            want[-1] = OTHERS_NOISE
+            for k in criteria:
+                want[k - 1] = 1.0
+            assert sample.parental.tobytes() == want.tobytes()
+            assert sample.one_hot.tobytes() == make_one_hot(4).tobytes()
 
 
 class TestAtomicWrites:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
-from ouv_classifier.corpus import make_one_hot
 from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, SmoothingConfig,
                                    cooccurrence, prior_weights,
                                    soft_softmax, soft_targets)
-from conftest import make_sites
+from conftest import make_one_hot, make_sites
 
 
 # Original label smoothing, and the epsilon at which it equals the vanilla

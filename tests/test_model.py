@@ -13,7 +13,6 @@ import pytest
 from scipy import sparse
 
 from ouv_classifier import NUM_CLASSES, model as model_module
-from ouv_classifier.corpus import make_one_hot
 from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.metrics import evaluate_split
@@ -25,7 +24,7 @@ from ouv_classifier.model import (AdamState, MlpParams, TrainConfig,
                                   save_checkpoint, soft_targets,
                                   top_classes, train,
                                   TrainedModel, write_arrays)
-from conftest import edit_head, make_separable_dataset
+from conftest import edit_head, make_one_hot, make_separable_dataset
 
 
 def random_params(input_dim, hidden, seed=0):
@@ -808,13 +807,16 @@ class TestCheckpoint:
          r"'W2' has shape \[-11, -4\], not a list of integers >= 0"),
         (lambda p: p["config"].update(learning_rate=10 ** 400),
          "key 'config.learning_rate' is an integer too large for a float"),
+        (lambda p: p.update(learning_rate=1),
+         "unknown key\\(s\\) 'learning_rate'$"),
     ], ids=["missing-b2", "extra-param", "smoothing-not-object",
             "unknown-config-key", "W2-hidden-mismatch", "W1-transposed",
             "hidden-str",
             "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
             "history-int", "history-item-int", "featurizer-ref-int",
             "nan-learning-rate", "negative-l2", "infinite-alpha",
-            "float-shape", "bool-shape", "negative-shape", "huge-learning-rate"])
+            "float-shape", "bool-shape", "negative-shape", "huge-learning-rate",
+            "unknown-head-key"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,
                                                        match):
         model = TrainedModel(params=random_params(4, 3, seed=34),

@@ -19,11 +19,13 @@ import ouv_classifier
 import ouv_classifier.cli
 from ouv_classifier import json_fields
 from ouv_classifier.cli import main
-from ouv_classifier.corpus import parse_syndication, read_dataset, read_sites
+from ouv_classifier.corpus import (parse_syndication, read_dataset,
+                                   read_sites, write_samples)
 from ouv_classifier.features import EmbeddingTable, load_embeddings
 from ouv_classifier.harness import ExperimentConfig, Featurizer, report
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import MlpParams, TrainConfig, load_checkpoint
+from conftest import make_sample
 from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
@@ -306,6 +308,15 @@ def test_every_config_field_is_named_in_the_readme():
     text = README.read_text(encoding="utf-8")
     undocumented = [f.name for f in dataclasses.fields(ExperimentConfig)
                     if f"`{f.name}`" not in text]
+    assert undocumented == []
+
+
+def test_every_dataset_line_key_is_named_in_the_readme(tmp_path):
+    path = tmp_path / "train.jsonl"
+    write_samples([make_sample(["wall"], 3)], path)
+    text = README.read_text(encoding="utf-8")
+    undocumented = [key for key in json.loads(path.read_text("utf-8"))
+                    if f"`{key}`" not in text]
     assert undocumented == []
 
 
