@@ -13,6 +13,7 @@ import csv
 import json
 import re
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_, itemgetter
@@ -454,20 +455,41 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def sample_to_json(sample: Sample) -> str:
-    """The dataset line of ``sample``; its ``criteria`` are the criteria
-    whose ``parental`` entries are positive, in order."""
-    return _ENCODE({
-        "tokens": sample.tokens, "sentence_label": sample.sentence_label,
-        "criteria": [k for k, v in enumerate(
-            sample.parental[:NUM_CRITERIA].tolist(), start=1) if v > 0],
-        "site_id": sample.site_id, "split": sample.split})
+def sample_lines(samples: list[Sample]) -> Iterator[str]:
+    """The dataset line of each of ``samples``, encoded as it is drawn. Its
+    ``criteria`` are the criteria whose ``parental`` entries are positive,
+    in order. A ``parental`` that is not the row ``label_rows`` builds from
+    them with ``OTHERS_NOISE`` would read back as that row, so it is a
+    ``ValueError`` naming the sample's index, raised by the call, from one
+    comparison over all rows."""
+    parentals = np.array([s.parental for s in samples]).reshape(-1,
+                                                                 NUM_CLASSES)
+    criteria = [[k for k, positive in enumerate(row, start=1) if positive]
+                for row in (parentals[:, :NUM_CRITERIA] > 0).tolist()]
+    rows = label_rows(criteria, OTHERS_NOISE)
+    wrong = np.flatnonzero((parentals != rows).any(axis=1))
+    if wrong.size:
+        i = int(wrong[0])
+        raise ValueError(f"sample {i}: parental {parentals[i].tolist()} is "
+                         "not the label row of any criteria set; it would "
+                         f"read back as {rows[i].tolist()}")
+    return (_ENCODE({"tokens": sample.tokens,
+                     "sentence_label": sample.sentence_label,
+                     "criteria": sample_criteria, "site_id": sample.site_id,
+                     "split": sample.split})
+            for sample, sample_criteria in zip(samples, criteria))
 
 
 def write_samples(samples: list[Sample], path: str | Path) -> None:
+    """Write ``sample_lines(samples)`` to ``path``; a sample it refuses is a
+    ``ValueError`` naming ``path`` too, and the file is not written."""
+    try:
+        lines = sample_lines(samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with atomic_open(path) as fh:
-        for sample in samples:
-            fh.write(sample_to_json(sample) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def read_samples(path: str | Path) -> list[Sample]:

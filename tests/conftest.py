@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -68,3 +69,15 @@ def make_sites(criteria_sets, descriptions=None):
 @pytest.fixture(scope="session")
 def toy_dataset():
     return make_separable_dataset()
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a child process of this one still runs, as
+    a training worker that outlived its step would; the child is ended."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(10)
+    assert left == [], f"processes left running: {left}"

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
 
@@ -940,7 +941,7 @@ def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
     assert final(runs) == 0
     before = step3(runs)
     # another featurizer and other models, so a stray write would show
-    changes = {"min_df": 2, "max_epochs": 3}
+    changes = {"min_df": 2, "max_epochs": 3, "jobs": 1}
     real_train = harness.train
     calls = []
 
@@ -1002,6 +1003,25 @@ def test_failed_train_creates_no_file_or_directory(workspace, tmp_path,
         assert main(["train", "--config", str(config_path), *extra]) == 1
         assert capsys.readouterr().err == "error: diverged\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_a_worker_that_dies_is_an_error_and_writes_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("trained in the test process")
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "train", die)
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(tmp_path / "runs"), jobs=2,
+                               grid={"hidden": [8, 16], "batch_size": [32]})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_final_and_report_refuse_a_grid_and_sweep_of_two_runs(

@@ -11,7 +11,7 @@ from ouv_classifier.corpus import (CRITERION_DEFINITIONS, Sample,
                                    SiteRecord, build_dataset, build_sd_set,
                                    label_rows, parse_syndication,
                                    preprocess, preprocess_many, read_dataset,
-                                   read_samples, read_sites, sample_to_json,
+                                   read_samples, read_sites, sample_lines,
                                    split_sentences, write_dataset,
                                    write_samples, write_sites)
 from conftest import make_one_hot
@@ -451,10 +451,10 @@ class TestJsonl:
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
         sample = build_dataset(sites, seed=0).train[0]
-        assert sample_to_json(sample) == sample_to_json(sample)
+        assert next(sample_lines([sample])) == next(sample_lines([sample]))
         write_samples([sample], tmp_path / "train.jsonl")
         rebuilt, = read_samples(tmp_path / "train.jsonl")
-        assert sample_to_json(rebuilt) == sample_to_json(sample)
+        assert next(sample_lines([rebuilt])) == next(sample_lines([sample]))
 
     def test_line_bytes(self):
         """Key order, separators, the site's sorted criteria in place of the
@@ -463,12 +463,12 @@ class TestJsonl:
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
                        one_hot=make_one_hot(2), parental=parental,
                        site_id=7, split="train")
-        assert sample_to_json(train) == (
+        assert next(sample_lines([train])) == (
             '{"tokens": ["château", "<num>"], "sentence_label": 2, '
             '"criteria": [2, 5], "site_id": 7, "split": "train"}')
         sd = Sample(tokens=["sd"], sentence_label=None, one_hot=None,
                     parental=parental, site_id=7, split="sd")
-        assert sample_to_json(sd) == (
+        assert next(sample_lines([sd])) == (
             '{"tokens": ["sd"], "sentence_label": null, "criteria": [2, 5], '
             '"site_id": 7, "split": "sd"}')
 
@@ -480,6 +480,30 @@ class TestJsonl:
         sample.tokens = []
         write_samples([sample], path)
         assert read_samples(path)[0].tokens == []
+
+    @pytest.mark.parametrize("row, read_back", [
+        ([0.0] * NUM_CLASSES, [0.0] * 10 + [OTHERS_NOISE]),
+        ([0.5] * 10 + [OTHERS_NOISE], [1.0] * 10 + [OTHERS_NOISE]),
+    ])
+    def test_a_parental_of_no_criteria_set_is_refused(self, tmp_path, row,
+                                                      read_back):
+        """A row that would read back as another (all zeros, as a mined
+        sentence has, reads back with 0.2 in Others; 0.5 as 1.0) names the
+        file and the sample's index, and the file is left as it was."""
+        good = label_rows([[3]], OTHERS_NOISE)[0]
+        samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
+                          parental=parental, site_id=1, split="sd")
+                   for parental in (good, good, np.array(row))]
+        path = tmp_path / "sd.jsonl"
+        write_samples(samples[:2], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as info:
+            write_samples(samples, path)
+        assert str(info.value) == (
+            f"{path}: sample 2: parental {row} is not the label row of any "
+            f"criteria set; it would read back as {read_back}")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sd.jsonl"]
 
     @pytest.mark.parametrize("line, detail", [
         ('{"tokens": ["a"]}', "missing key 'criteria'"),
@@ -630,7 +654,7 @@ class TestAtomicWrites:
         write_dataset(dataset, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # fails after the first train sample is in the temp file
-        dataset.train[1].parental = np.array([object()])
+        dataset.train[1].tokens = [object()]
         with pytest.raises(TypeError):
             write_dataset(dataset, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

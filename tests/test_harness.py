@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import shutil
 
@@ -14,7 +15,8 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     SETTING_KEYS, build_featurizer,
                                     confidence_lower_bound,
                                     featurize, mine, report, run_final,
-                                    run_grid_search, run_ls_sweep)
+                                    run_grid_search, run_ls_sweep,
+                                    worker_count)
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import (TrainingDiverged, predict_proba,
                                   save_checkpoint, top_classes)
@@ -392,7 +394,7 @@ class TestRunFinal:
     def test_each_split_featurized_once(self, dataset, tmp_path,
                                         monkeypatch):
         self.add_sd(dataset)
-        config = toy_config(tmp_path)
+        config = toy_config(tmp_path, jobs=1)
         featurizer = build_featurizer(config, dataset)
         events = []
         real_transform, real_train = Featurizer.transform, harness.train
@@ -1396,3 +1398,118 @@ class TestBatchedMine:
             assert len(set(row_ids)) == 5
             assert all(1 <= c <= NUM_CLASSES for c in row_ids)
         assert ids.dtype.kind == "i"
+
+
+# the files the grid, the sweep and the final step write
+STEP_FILES = ["step1_grid/log.json", "step2_sweep/sweep.json",
+              "step3_final/featurizer.json", "step3_final/final.json",
+              "step3_final/model_ls.json", "step3_final/model_no_ls.json"]
+
+
+class TestJobs:
+    """Each step's trainings run in ``jobs`` processes, with the same bytes
+    for any count; every ``jobs`` here is at most 3."""
+
+    def protocol_files(self, dataset, root, jobs) -> dict:
+        config = toy_config(root, jobs=jobs, seeds=[0, 1, 2],
+                            grid={"hidden": [8, 16], "batch_size": [32, 64]})
+        best = run_grid_search(config, dataset)
+        sweep = run_ls_sweep(best, config, dataset, toy_mu())
+        run_final(best, SmoothingConfig(sweep.chosen_variant,
+                                        sweep.chosen_alpha),
+                  config, dataset, toy_mu())
+        runs = root / "runs"
+        return {str(p.relative_to(runs)): p.read_bytes()
+                for p in sorted(runs.rglob("*")) if p.is_file()}
+
+    def test_every_step_writes_the_same_bytes_for_any_jobs(self, dataset,
+                                                            tmp_path):
+        files = [self.protocol_files(dataset, tmp_path / str(jobs), jobs)
+                 for jobs in (1, 2, 3)]
+        assert list(files[0]) == STEP_FILES
+        assert files[1] == files[0] and files[2] == files[0]
+
+    def test_a_diverged_training_is_recorded_alike_for_any_jobs(
+            self, dataset, tmp_path, monkeypatch):
+        """The patched ``train`` is set before the pool forks, so the
+        workers run it: one grid setting and one sweep seed diverge."""
+        real_train = harness.train
+
+        def train(*args, **kwargs):
+            config = args[5]
+            if ((config.hidden, config.batch_size) == (8, 32)
+                    or config.seed == 2):
+                raise TrainingDiverged(f"diverged: hidden {config.hidden}, "
+                                       f"seed {config.seed}")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train)
+        files = [self.protocol_files(dataset, tmp_path / str(jobs), jobs)
+                 for jobs in (1, 2, 3)]
+        assert files[1] == files[0] and files[2] == files[0]
+        log = json.loads(files[0]["step1_grid/log.json"])["log"]
+        assert [entry.get("error") for entry in log] == [
+            "diverged: hidden 8, seed 1337", None, None, None]
+        cells = json.loads(files[0]["step2_sweep/sweep.json"])["cells"]
+        assert all(cell["failures"][0]["seed"] == 2 for cell in cells)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_another_error_in_a_worker_propagates_and_writes_nothing(
+            self, dataset, tmp_path, monkeypatch, jobs):
+        parent = os.getpid()
+
+        def fault(*args, **kwargs):
+            raise ValueError(f"a fault in the test process: "
+                             f"{os.getpid() == parent}")
+
+        monkeypatch.setattr(harness, "train", fault)
+        config = toy_config(tmp_path, jobs=jobs,
+                            grid={"hidden": [8, 16], "batch_size": [32, 64]})
+        with pytest.raises(ValueError,
+                           match="^a fault in the test process: False$"):
+            run_grid_search(config, dataset)
+        assert not (tmp_path / "runs").exists()
+
+    def test_the_step_data_reaches_the_workers_unpickled(
+            self, dataset, tmp_path, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("the featurized data was pickled")
+
+        monkeypatch.setattr(harness.FeaturizedData, "__reduce_ex__", refuse)
+        config = toy_config(tmp_path, jobs=2, alpha_grid=[0.1],
+                            variants=["vanilla"])
+        result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
+                              dataset, toy_mu())
+        assert [run["seed"] for run in result.cells[0]["runs"]] == [0, 1]
+
+    def test_worker_count_is_jobs_or_the_cpus_capped_at_the_trainings(
+            self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        assert worker_count(0, 108) == 64
+        assert worker_count(0, 2) == 2
+        assert worker_count(1, 108) == 1
+        assert worker_count(3, 108) == 3
+        assert worker_count(3, 2) == 2
+        assert worker_count(2, 1) == 1
+        assert worker_count(0, 0) == 0
+
+    @pytest.mark.parametrize("jobs", [-1, True, False, 1.0, 2.5, "2", None])
+    def test_jobs_is_an_integer_of_zero_or_more(self, jobs):
+        detail = f"jobs must be an integer >= 0, got {jobs!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            ExperimentConfig(jobs=jobs)
+
+    @pytest.mark.parametrize("value, detail", [
+        (-1, "jobs must be an integer >= 0, got -1"),
+        (1.5, "key 'jobs' is float, expected int"),
+        (2.0, "key 'jobs' is float, expected int"),
+        (True, "key 'jobs' is bool, expected int"),
+    ])
+    def test_from_json_checks_jobs(self, tmp_path, value, detail):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"jobs": value}))
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            ExperimentConfig.from_json(path)
+        path.write_text(json.dumps({"jobs": 3}))
+        assert ExperimentConfig.from_json(path).jobs == 3
