@@ -462,8 +462,8 @@ def sample_lines(samples: list[Sample]) -> Iterator[str]:
     them with ``OTHERS_NOISE`` would read back as that row, so it is a
     ``ValueError`` naming the sample's index, raised by the call, from one
     comparison over all rows."""
-    parentals = np.array([s.parental for s in samples]).reshape(-1,
-                                                                 NUM_CLASSES)
+    parentals = np.array([s.parental for s in samples]).reshape(
+        len(samples), NUM_CLASSES)
     criteria = [[k for k, positive in enumerate(row, start=1) if positive]
                 for row in (parentals[:, :NUM_CRITERIA] > 0).tolist()]
     rows = label_rows(criteria, OTHERS_NOISE)

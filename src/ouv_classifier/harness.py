@@ -11,7 +11,7 @@ import multiprocessing
 import os
 import re
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,8 +71,6 @@ class ExperimentConfig:
     dataset_dir: str = ""
     embeddings_path: str = ""
     output_dir: str = "runs"
-    # processes that train a step's runs side by side; 0 is one per CPU
-    jobs: int = 0
     # the one model ``ouvclf train`` fits
     setting: dict = field(default_factory=dict)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -82,16 +80,13 @@ class ExperimentConfig:
         the featurizer's ``baseline``, ``embeddings_path`` and ``min_df``;
         ``train_config`` builds each grid value, ``setting`` with
         ``smoothing``, and each seed; a sweep list that is empty or repeats
-        a value names its field; ``jobs`` is an integer >= 0."""
+        a value names its field."""
         if self.baseline not in ("ngram", "boe"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if self.baseline == "boe" and not self.embeddings_path:
             raise ValueError("BoE baseline requires embeddings_path")
         if self.min_df < 1:
             raise ValueError(f"min_df must be >= 1, got {self.min_df!r}")
-        if type(self.jobs) is not int or self.jobs < 0:
-            raise ValueError(f"jobs must be an integer >= 0, got "
-                             f"{self.jobs!r}")
         if not self.grid or not all(self.grid.values()):
             raise ValueError("grid must be non-empty")
         for setting in [self.setting, *({key: value} for key in self.grid
@@ -366,11 +361,11 @@ def training_record(data: FeaturizedData, train_config: TrainConfig,
             "best_epoch": model.best_epoch}
 
 
-def worker_count(jobs: int, trainings: int) -> int:
-    """The processes a step of ``trainings`` trainings runs on: ``jobs``, or
-    one per CPU this process may run on for 0, never more than
+def worker_count(trainings: int) -> int:
+    """The processes a step of ``trainings`` trainings runs on: one per CPU
+    this process may run on (``taskset`` limits them), never more than
     ``trainings``."""
-    return min(jobs or len(os.sched_getaffinity(0)), trainings)
+    return min(len(os.sched_getaffinity(0)), trainings)
 
 
 # a pool worker's task, data and mu, set by ``_serve`` in each worker only
@@ -388,33 +383,23 @@ def _run(train_config: TrainConfig):
 
 
 def run_trainings(task: Callable, data: FeaturizedData,
-                  train_configs: list[TrainConfig], mu: np.ndarray | None,
-                  jobs: int) -> list:
+                  train_configs: list[TrainConfig],
+                  mu: np.ndarray | None) -> list:
     """``task(data, train_config, mu)`` for each of ``train_configs``, in
-    list order, on ``worker_count(jobs, len(train_configs))`` processes.
-    One process runs them inline. More are forked for the step, so each
-    inherits ``data``, ``mu`` and ``task`` without pickling; they take the
-    trainings longest first, by an epoch's cost of hidden x rows / batch
-    (rows are the step's), and each result goes back to its list index, so
-    the order changes no output. A worker's exception propagates as
-    itself, and a worker that dies is a ``BrokenProcessPool`` (a
-    ``RuntimeError``); no worker outlives the call."""
-    workers = worker_count(jobs, len(train_configs))
+    list order, on ``worker_count(len(train_configs))`` processes. One
+    process runs them inline. More are forked for the step, so each
+    inherits ``data``, ``mu`` and ``task`` without pickling, and
+    ``Executor.map`` returns the results in list order, so the count
+    changes no output. A worker's exception propagates as itself, and a
+    worker that dies is a ``BrokenProcessPool`` (a ``RuntimeError``); the
+    trainings not yet started are cancelled, and no worker outlives the
+    call."""
+    workers = worker_count(len(train_configs))
     if workers <= 1:
         return [task(data, c, mu) for c in train_configs]
-    order = sorted(range(len(train_configs)), key=lambda i: -(
-        train_configs[i].hidden / train_configs[i].batch_size))
-    results = [None] * len(train_configs)
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              _serve, (task, data, mu)) as pool:
-        try:
-            futures = {pool.submit(_run, train_configs[i]): i for i in order}
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results
+        return list(pool.map(_run, train_configs))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +418,7 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     log = [dict(setting, **record) for setting, record in zip(
-        settings, run_trainings(training_record, data, train_configs, None,
-                                config.jobs))]
+        settings, run_trainings(training_record, data, train_configs, None))]
     scored = [entry for entry in log if "error" not in entry]
     if not scored:
         raise RuntimeError("every grid setting failed to train")
@@ -478,8 +462,7 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     trained = iter(run_trainings(training_record, data,
-                                 [c for cell in plan for c in cell], mu,
-                                 config.jobs))
+                                 [c for cell in plan for c in cell], mu))
     cells = []
     for train_configs in plan:
         records = [dict(seed=train_config.seed, **next(trained))
@@ -577,7 +560,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     models = dict(zip(train_configs, run_trainings(
-        fit, data, list(train_configs.values()), mu, config.jobs)))
+        fit, data, list(train_configs.values()), mu)))
 
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def make_sites(criteria_sets, descriptions=None):
                                 justification={}, short_description=desc,
                                 criteria=frozenset(crits)))
     return sites
+
+
+def use_cpus(monkeypatch, count):
+    """Let the harness see ``count`` usable CPUs, as ``taskset`` would, so a
+    step runs on at most ``count`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from ouv_classifier.features import TfidfVocabulary
 from ouv_classifier.harness import ExperimentConfig, load_prior
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
                                   TrainingDiverged, save_checkpoint)
-from conftest import edit_head
+from conftest import edit_head, use_cpus
 
 HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 ROMANS = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
@@ -941,7 +941,8 @@ def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
     assert final(runs) == 0
     before = step3(runs)
     # another featurizer and other models, so a stray write would show
-    changes = {"min_df": 2, "max_epochs": 3, "jobs": 1}
+    changes = {"min_df": 2, "max_epochs": 3}
+    use_cpus(monkeypatch, 1)
     real_train = harness.train
     calls = []
 
@@ -1015,8 +1016,9 @@ def test_a_worker_that_dies_is_an_error_and_writes_nothing(
         os._exit(1)
 
     monkeypatch.setattr(harness, "train", die)
+    use_cpus(monkeypatch, 2)
     config_path = write_config(workspace, tmp_path / "config.json",
-                               output_dir=str(tmp_path / "runs"), jobs=2,
+                               output_dir=str(tmp_path / "runs"),
                                grid={"hidden": [8, 16], "batch_size": [32]})
     capsys.readouterr()
     assert main(["sweep", "--config", str(config_path)]) == 1

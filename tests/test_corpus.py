@@ -505,6 +505,20 @@ class TestJsonl:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["sd.jsonl"]
 
+    def test_parentals_of_the_wrong_length_are_refused(self, tmp_path):
+        """Two rows of 22, each a valid row twice over, are not four
+        samples' rows: the file is not written."""
+        row = label_rows([[3]], OTHERS_NOISE)[0]
+        samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
+                          parental=np.concatenate([row, row]), site_id=1,
+                          split="sd") for _ in range(2)]
+        path = tmp_path / "sd.jsonl"
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: cannot reshape array of size 44 "
+                r"into shape \(2,\s?11\)$")):
+            write_samples(samples, path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("line, detail", [
         ('{"tokens": ["a"]}', "missing key 'criteria'"),
         ("[1, 2]", "list indices must be integers"),

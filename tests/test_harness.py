@@ -24,7 +24,8 @@ from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      fit_tfidf, load_embeddings)
-from conftest import edit_head, make_sample, make_separable_dataset
+from conftest import (edit_head, make_sample, make_separable_dataset,
+                      use_cpus)
 
 
 def toy_config(tmp_path, **overrides):
@@ -394,7 +395,8 @@ class TestRunFinal:
     def test_each_split_featurized_once(self, dataset, tmp_path,
                                         monkeypatch):
         self.add_sd(dataset)
-        config = toy_config(tmp_path, jobs=1)
+        use_cpus(monkeypatch, 1)
+        config = toy_config(tmp_path)
         featurizer = build_featurizer(config, dataset)
         events = []
         real_transform, real_train = Featurizer.transform, harness.train
@@ -1406,12 +1408,13 @@ STEP_FILES = ["step1_grid/log.json", "step2_sweep/sweep.json",
               "step3_final/model_ls.json", "step3_final/model_no_ls.json"]
 
 
-class TestJobs:
-    """Each step's trainings run in ``jobs`` processes, with the same bytes
-    for any count; every ``jobs`` here is at most 3."""
+class TestWorkers:
+    """Each step's trainings run on one process per usable CPU, with the
+    same bytes for any count; every count here is at most 3."""
 
-    def protocol_files(self, dataset, root, jobs) -> dict:
-        config = toy_config(root, jobs=jobs, seeds=[0, 1, 2],
+    def protocol_files(self, dataset, root, monkeypatch, cpus) -> dict:
+        use_cpus(monkeypatch, cpus)
+        config = toy_config(root, seeds=[0, 1, 2],
                             grid={"hidden": [8, 16], "batch_size": [32, 64]})
         best = run_grid_search(config, dataset)
         sweep = run_ls_sweep(best, config, dataset, toy_mu())
@@ -1422,14 +1425,15 @@ class TestJobs:
         return {str(p.relative_to(runs)): p.read_bytes()
                 for p in sorted(runs.rglob("*")) if p.is_file()}
 
-    def test_every_step_writes_the_same_bytes_for_any_jobs(self, dataset,
-                                                            tmp_path):
-        files = [self.protocol_files(dataset, tmp_path / str(jobs), jobs)
-                 for jobs in (1, 2, 3)]
+    def test_every_step_writes_the_same_bytes_for_any_worker_count(
+            self, dataset, tmp_path, monkeypatch):
+        files = [self.protocol_files(dataset, tmp_path / str(cpus),
+                                     monkeypatch, cpus)
+                 for cpus in (1, 2, 3)]
         assert list(files[0]) == STEP_FILES
         assert files[1] == files[0] and files[2] == files[0]
 
-    def test_a_diverged_training_is_recorded_alike_for_any_jobs(
+    def test_a_diverged_training_is_recorded_alike_for_any_worker_count(
             self, dataset, tmp_path, monkeypatch):
         """The patched ``train`` is set before the pool forks, so the
         workers run it: one grid setting and one sweep seed diverge."""
@@ -1444,8 +1448,9 @@ class TestJobs:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(harness, "train", train)
-        files = [self.protocol_files(dataset, tmp_path / str(jobs), jobs)
-                 for jobs in (1, 2, 3)]
+        files = [self.protocol_files(dataset, tmp_path / str(cpus),
+                                     monkeypatch, cpus)
+                 for cpus in (1, 2, 3)]
         assert files[1] == files[0] and files[2] == files[0]
         log = json.loads(files[0]["step1_grid/log.json"])["log"]
         assert [entry.get("error") for entry in log] == [
@@ -1453,9 +1458,9 @@ class TestJobs:
         cells = json.loads(files[0]["step2_sweep/sweep.json"])["cells"]
         assert all(cell["failures"][0]["seed"] == 2 for cell in cells)
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("cpus", [2, 3])
     def test_another_error_in_a_worker_propagates_and_writes_nothing(
-            self, dataset, tmp_path, monkeypatch, jobs):
+            self, dataset, tmp_path, monkeypatch, cpus):
         parent = os.getpid()
 
         def fault(*args, **kwargs):
@@ -1463,7 +1468,8 @@ class TestJobs:
                              f"{os.getpid() == parent}")
 
         monkeypatch.setattr(harness, "train", fault)
-        config = toy_config(tmp_path, jobs=jobs,
+        use_cpus(monkeypatch, cpus)
+        config = toy_config(tmp_path,
                             grid={"hidden": [8, 16], "batch_size": [32, 64]})
         with pytest.raises(ValueError,
                            match="^a fault in the test process: False$"):
@@ -1476,40 +1482,17 @@ class TestJobs:
             raise AssertionError("the featurized data was pickled")
 
         monkeypatch.setattr(harness.FeaturizedData, "__reduce_ex__", refuse)
-        config = toy_config(tmp_path, jobs=2, alpha_grid=[0.1],
-                            variants=["vanilla"])
+        use_cpus(monkeypatch, 2)
+        config = toy_config(tmp_path, alpha_grid=[0.1], variants=["vanilla"])
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
                               dataset, toy_mu())
         assert [run["seed"] for run in result.cells[0]["runs"]] == [0, 1]
 
-    def test_worker_count_is_jobs_or_the_cpus_capped_at_the_trainings(
+    def test_worker_count_is_the_cpus_capped_at_the_trainings(
             self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
-                            lambda pid: set(range(64)))
-        assert worker_count(0, 108) == 64
-        assert worker_count(0, 2) == 2
-        assert worker_count(1, 108) == 1
-        assert worker_count(3, 108) == 3
-        assert worker_count(3, 2) == 2
-        assert worker_count(2, 1) == 1
-        assert worker_count(0, 0) == 0
-
-    @pytest.mark.parametrize("jobs", [-1, True, False, 1.0, 2.5, "2", None])
-    def test_jobs_is_an_integer_of_zero_or_more(self, jobs):
-        detail = f"jobs must be an integer >= 0, got {jobs!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
-            ExperimentConfig(jobs=jobs)
-
-    @pytest.mark.parametrize("value, detail", [
-        (-1, "jobs must be an integer >= 0, got -1"),
-        (1.5, "key 'jobs' is float, expected int"),
-        (2.0, "key 'jobs' is float, expected int"),
-        (True, "key 'jobs' is bool, expected int"),
-    ])
-    def test_from_json_checks_jobs(self, tmp_path, value, detail):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"jobs": value}))
-        with pytest.raises(ValueError, match=re.escape(detail)):
-            ExperimentConfig.from_json(path)
-        path.write_text(json.dumps({"jobs": 3}))
-        assert ExperimentConfig.from_json(path).jobs == 3
+        use_cpus(monkeypatch, 64)
+        assert worker_count(108) == 64
+        assert worker_count(2) == 2
+        assert worker_count(0) == 0
+        use_cpus(monkeypatch, 1)
+        assert worker_count(108) == 1
