@@ -10,9 +10,16 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+
+# One BLAS thread per process, unless the user set a count: a step already
+# runs one training process per CPU. BLAS reads these when numpy loads, so
+# they are set before the imports below load it.
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(name, "1")
 
 from . import NUM_CRITERIA, atomic_open, read_lines
 from .corpus import (build_dataset, build_sd_set, parse_syndication,

@@ -318,5 +318,7 @@ def boe_rows(table: EmbeddingTable,
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     ones = sparse.csr_matrix((np.ones(len(ids)), ids, indptr),
                              shape=(len(lengths), len(table.token_to_row)))
-    return (ones @ table.vectors) / lengths[:, None]
+    rows = ones @ table.vectors
+    rows /= lengths[:, None]  # in place: one len x d array at a time
+    return rows
 

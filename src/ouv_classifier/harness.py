@@ -4,12 +4,15 @@ training/evaluation, corpus mining, and report rendering."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import multiprocessing
 import os
 import re
+import shutil
+import tempfile
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -538,7 +541,29 @@ def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
                                       multilabel=True)
         row["sd_top1_match"] = sd_report.top1_match
         row["sd_topk_match"] = sd_report.topk_match
+    row["smoothing"] = {"variant": model.config.smoothing.variant,
+                        "alpha": model.config.smoothing.alpha}
+    row["history"] = model.history
+    row["best_epoch"] = model.best_epoch
     return row
+
+
+def _stage_final(staging: Path, dataset: Dataset, test_x, sd_x, k: int,
+                 data: FeaturizedData, train_config: TrainConfig,
+                 mu: np.ndarray | None) -> tuple[dict, str]:
+    """``run_final``'s task: ``fit`` one final model, score it into its
+    ``final.json`` row and write its checkpoint, its ``featurizer_ref``
+    naming ``featurizer.json``, to a file of its own in ``staging``; return
+    the row and that file's name, so the model never leaves the process
+    that trained it."""
+    model = fit(data, train_config, mu)
+    row = _final_row(model, dataset, data.valid_x, test_x, sd_x, k)
+    # a name of its own: the two configs are equal when LS is "none"
+    handle, path = tempfile.mkstemp(".json", "model_", staging)
+    os.close(handle)
+    model.featurizer_ref = "featurizer.json"
+    save_checkpoint(model, path)
+    return row, Path(path).name
 
 
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
@@ -547,8 +572,15 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     """Train the chosen-LS and no-LS models on the grid seed, evaluate them
     on valid/test plus the SD set when present, then save them and write
     ``final.json``. An empty test split is a ``ValueError``, raised before
-    any training; nothing is written unless every evaluation returns. Each
-    split is featurized once; test and SD only after both models train."""
+    any training. Each split is featurized once, before the trainings
+    start, so forked workers inherit the rows. Each model is scored and
+    its checkpoint written by the process that trained it (``_stage_final``),
+    into a staging directory beside ``step3_final/`` (in its nearest
+    existing ancestor); only the rows come back. Once every training
+    returns, the featurizer is staged too, the three files are moved into
+    ``step3_final/`` and ``final.json`` is written. On any error the
+    staging directory is removed, so nothing under ``output_dir``
+    changes."""
     train_configs = {label: config.train_config(best_setting, smoothing,
                                                 config.grid_seed)
                      for label, smoothing in (("no_ls", SmoothingConfig()),
@@ -559,29 +591,31 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     if featurizer is None:
         featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
-    models = dict(zip(train_configs, run_trainings(
-        fit, data, list(train_configs.values()), mu)))
-
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
-    rows = {}
-    for label, model in models.items():
-        row = _final_row(model, dataset, data.valid_x, test_x, sd_x, config.k)
-        row["smoothing"] = {"variant": model.config.smoothing.variant,
-                            "alpha": model.config.smoothing.alpha}
-        row["history"] = model.history
-        row["best_epoch"] = model.best_epoch
-        rows[label] = row
 
     out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
-    save_models(featurizer, out / "featurizer.json",
-                {f"model_{label}.json": model
-                 for label, model in models.items()})
+    anchor = out.parent
+    while not anchor.exists():
+        anchor = anchor.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=anchor))
+    try:
+        task = functools.partial(_stage_final, staging, dataset, test_x,
+                                 sd_x, config.k)
+        staged = dict(zip(train_configs, run_trainings(
+            task, data, list(train_configs.values()), mu)))
+        featurizer.save(staging / "featurizer.json")
+        out.mkdir(parents=True, exist_ok=True)
+        os.replace(staging / "featurizer.json", out / "featurizer.json")
+        for label, (_, file) in staged.items():
+            os.replace(staging / file, out / f"model_{label}.json")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     payload = {"baseline": config.baseline, "setting": best_setting,
-               "seed": config.grid_seed, "rows": rows,
+               "seed": config.grid_seed,
+               "rows": {label: row for label, (row, _) in staged.items()},
                "sd_evaluated": sd_x is not None}
     write_artifact(config.output_dir, "final", payload)
-    payload["models"] = models
     return payload
 
 

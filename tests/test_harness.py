@@ -5,6 +5,9 @@ import math
 import os
 import re
 import shutil
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
                                     run_grid_search, run_ls_sweep,
                                     worker_count)
 from ouv_classifier.labels import SmoothingConfig
-from ouv_classifier.model import (TrainingDiverged, predict_proba,
+from ouv_classifier.model import (TrainedModel, TrainingDiverged,
+                                  load_checkpoint, predict_proba,
                                   save_checkpoint, top_classes)
 from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
@@ -385,7 +389,7 @@ class TestRunFinal:
         payload = run_final({"hidden": 16, "batch_size": 64},
                             SmoothingConfig(), config, dataset, toy_mu())
         final_dir = tmp_path / "runs/step3_final"
-        model = payload["models"]["ls"]
+        model = load_checkpoint(final_dir / "model_ls.json")
         model.featurizer_ref = str(final_dir / "featurizer.json")
         save_checkpoint(model, tmp_path / "abs.json")
         monkeypatch.chdir(final_dir)
@@ -418,10 +422,11 @@ class TestRunFinal:
                                 SmoothingConfig("uniform", 0.1), config,
                                 dataset, toy_mu(), featurizer=featurizer)
             monkeypatch.undo()
-            assert events == ["train", "valid", "fit", "fit", "test", "sd"]
+            assert events == ["train", "valid", "test", "sd", "fit", "fit"]
             # the shared matrices score as a per-model featurization does
-            for label, model in payload["models"].items():
-                row = payload["rows"][label]
+            for label, row in payload["rows"].items():
+                model = load_checkpoint(tmp_path / "runs/step3_final"
+                                        / f"model_{label}.json")
                 for split, key in (("valid", "valid_report"),
                                    ("test", "test_report")):
                     expected = harness.evaluate_model(
@@ -1408,6 +1413,13 @@ STEP_FILES = ["step1_grid/log.json", "step2_sweep/sweep.json",
               "step3_final/model_ls.json", "step3_final/model_no_ls.json"]
 
 
+def tree(root) -> dict:
+    """Every file and directory under ``root``: its path relative to
+    ``root``, and its bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
 class TestWorkers:
     """Each step's trainings run on one process per usable CPU, with the
     same bytes for any count; every count here is at most 3."""
@@ -1487,6 +1499,90 @@ class TestWorkers:
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
                               dataset, toy_mu())
         assert [run["seed"] for run in result.cells[0]["runs"]] == [0, 1]
+
+    def final_files(self, dataset, root, monkeypatch, cpus,
+                    smoothing=SmoothingConfig("uniform", 0.1),
+                    setting=None) -> dict:
+        use_cpus(monkeypatch, cpus)
+        run_final(setting or {"hidden": 16, "batch_size": 64}, smoothing,
+                  toy_config(root), dataset, toy_mu())
+        return tree(root)
+
+    def test_no_final_model_crosses_the_pipe(self, dataset, tmp_path,
+                                             monkeypatch):
+        """The patch is set before the pool forks, so a worker that sent
+        its model back to the parent would raise."""
+        expected = self.final_files(dataset, tmp_path / "1", monkeypatch, 1)
+
+        def refuse(self, protocol):
+            raise AssertionError("a final model was pickled")
+
+        monkeypatch.setattr(TrainedModel, "__reduce_ex__", refuse)
+        for cpus in (2, 3):
+            assert self.final_files(dataset, tmp_path / str(cpus),
+                                    monkeypatch, cpus) == expected
+
+    def test_a_failed_final_step_leaves_step3_and_no_staging(
+            self, dataset, tmp_path, monkeypatch):
+        """An earlier ``step3_final/`` keeps its bytes when the LS worker
+        raises, and when a worker dies after the other has staged its
+        checkpoint; no staging directory or temp file is left, and a
+        failed first run creates no ``runs/``."""
+        real_evaluate, real_save = (harness.evaluate_features,
+                                    harness.save_checkpoint)
+        parent = os.getpid()
+
+        def evaluate(model, *args, **kwargs):
+            if model.config.smoothing != SmoothingConfig():
+                raise ValueError("the LS model fails to score")
+            return real_evaluate(model, *args, **kwargs)
+
+        def save_after_the_other(model, path):
+            """The LS worker ends once the no-LS checkpoint is staged."""
+            if model.config.smoothing == SmoothingConfig():
+                return real_save(model, path)
+            if os.getpid() == parent:  # not in a worker: do not end pytest
+                raise AssertionError("a checkpoint was written by the parent")
+            others = lambda: [p for p in Path(path).parent.glob("model_*")
+                              if p.name != Path(path).name
+                              and p.stat().st_size]
+            deadline = time.monotonic() + 60
+            while not others() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(1)
+
+        monkeypatch.setattr(harness, "evaluate_features", evaluate)
+        with pytest.raises(ValueError, match="^the LS model fails to score$"):
+            self.final_files(dataset, tmp_path, monkeypatch, 2)
+        assert tree(tmp_path) == {}
+        monkeypatch.setattr(harness, "evaluate_features", real_evaluate)
+        before = self.final_files(dataset, tmp_path, monkeypatch, 2)
+        # a different setting, so every file this run stages differs
+        setting = {"hidden": 8, "batch_size": 32}
+        monkeypatch.setattr(harness, "evaluate_features", evaluate)
+        with pytest.raises(ValueError, match="^the LS model fails to score$"):
+            self.final_files(dataset, tmp_path, monkeypatch, 2,
+                             setting=setting)
+        assert tree(tmp_path) == before
+        monkeypatch.setattr(harness, "evaluate_features", real_evaluate)
+        monkeypatch.setattr(harness, "save_checkpoint", save_after_the_other)
+        with pytest.raises(BrokenProcessPool):
+            self.final_files(dataset, tmp_path, monkeypatch, 2,
+                             setting=setting)
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_ls_chosen_gives_two_checkpoints(self, dataset, tmp_path,
+                                                monkeypatch, cpus):
+        """With "none" chosen the two trainings have equal configs, and
+        each still stages a checkpoint of its own."""
+        files = self.final_files(dataset, tmp_path, monkeypatch, cpus,
+                                 smoothing=SmoothingConfig())
+        assert list(files) == ["runs", "runs/step3_final", *(
+            f"runs/{name}" for name in STEP_FILES
+            if name.startswith("step3_final/"))]
+        assert (files["runs/step3_final/model_ls.json"]
+                == files["runs/step3_final/model_no_ls.json"])
 
     def test_worker_count_is_the_cpus_capped_at_the_trainings(
             self, monkeypatch):

@@ -252,6 +252,28 @@ def test_cli_module_runs_help():
     assert result.stdout.startswith("usage: ouvclf")
 
 
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    """``import ouv_classifier`` loads no numpy, so ``cli`` can set the BLAS
+    thread variables before numpy loads; a value already set is kept."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import os, sys, ouv_classifier\n"
+            "print('numpy' in sys.modules)\n"
+            "import ouv_classifier.cli\n"
+            f"print(*map(os.environ.get, {names!r}))\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in names}
+    outputs = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "4"}):
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**env, **preset, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs == ["False\n1 1 1\n", "False\n4 1 1\n"]
+
+
 def test_ingest_output_does_not_depend_on_string_hashing(tmp_path):
     """``preprocess_many`` builds regex classes from sets of characters,
     whose order follows the process's string-hash seed; the files
