@@ -24,12 +24,13 @@ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import NUM_CRITERIA, atomic_open, read_lines
 from .corpus import (build_dataset, build_sd_set, parse_syndication,
                      read_dataset, read_sites, write_dataset, write_sites)
-from .harness import (ExperimentConfig, Predictor, build_featurizer,
-                      evaluate_model, featurize, fit, load_prior, mine,
-                      read_run, report, run_final, run_grid_search,
-                      run_ls_sweep, save_models, setting_of)
+from .harness import (GRID_FEATURIZER, ExperimentConfig, Featurizer,
+                      Predictor, build_featurizer, evaluate_model, featurize,
+                      fit, load_prior, mine, read_run, report, run_final,
+                      run_grid_search, run_ls_sweep, setting_of)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
+from .model import save_checkpoint
 
 
 def cmd_ingest(args) -> int:
@@ -82,8 +83,10 @@ def cmd_train(args) -> int:
     featurizer = build_featurizer(config, dataset)
     model = fit(featurize(featurizer, dataset), train_config, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
-    save_models(featurizer, out.with_name(out.stem + "_featurizer.json"),
-                {out.name: model})
+    model.featurizer_ref = out.stem + "_featurizer.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    featurizer.save(out.with_name(model.featurizer_ref))
+    save_checkpoint(model, out)
     last = model.history[model.best_epoch - 1]
     print(f"best_epoch={model.best_epoch} val_top1={last['val_top1']:.4f} "
           f"val_topk={last['val_topk']:.4f} checkpoint={out}")
@@ -96,6 +99,7 @@ def cmd_sweep(args) -> int:
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
     best = run_grid_search(config, dataset, featurizer=featurizer)
+    featurizer.save(Path(config.output_dir, GRID_FEATURIZER))
     result = run_ls_sweep(best, config, dataset, mu, featurizer=featurizer)
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
@@ -108,9 +112,16 @@ def cmd_final(args) -> int:
     best = setting_of(grid["best"])
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
+    path = Path(config.output_dir, GRID_FEATURIZER)
+    featurizer = Featurizer.load(path)
+    if featurizer.kind != config.baseline:
+        raise ValueError(f"{path} holds a {featurizer.kind!r} featurizer but "
+                         f"the config's baseline is {config.baseline!r}; "
+                         "rerun `ouvclf sweep`")
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
-    payload = run_final(best, chosen, config, dataset, mu)
+    payload = run_final(best, chosen, config, dataset, mu,
+                        featurizer=featurizer)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "
               f"val_topk={row['val_topk']:.4f} "

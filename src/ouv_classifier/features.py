@@ -209,8 +209,9 @@ def load_embeddings(file_path: str | Path,
     integer fields is the word2vec/fastText ``count dim`` header: it is
     skipped, and every line must have ``dim`` values (else as many as the
     first line). Only a line whose token is in ``corpus_tokens`` is parsed,
-    by ``_parse_block``, in blocks of up to ``_PARSE_BLOCK`` kept lines; a
-    block also ends before a repeated token, so its rows are distinct.
+    by ``_parse_block`` straight into the table, in blocks of up to
+    ``_PARSE_BLOCK`` kept lines; a block also ends before a repeated
+    token, so its rows are distinct.
     A line with no values or another count, or a kept line with a
     non-numeric value, is a ``ValueError`` naming the file and the first
     such line. Other tokens fall back to "<unk>", whose vector is the mean
@@ -222,7 +223,7 @@ def load_embeddings(file_path: str | Path,
     """
     token_to_row: dict[str, int] = {}
     block: dict[int, tuple[int, str]] = {}  # row: (line number, values)
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    vectors = None
     dimension = None
     for line_no, line in enumerate(read_lines(file_path), start=1):
         token, _, values = line.rstrip().partition(" ")
@@ -234,27 +235,25 @@ def load_embeddings(file_path: str | Path,
             dimension = size
         if not size or size != dimension:
             if block:  # a bad value on an earlier kept line comes first
-                _parse_block(file_path, block, dimension)
+                _parse_block(file_path, block, vectors)
             raise ValueError(f"{file_path}: line {line_no}: "
                              f"{size} values, expected {dimension}")
         if token in corpus_tokens:
+            if vectors is None:  # room for every corpus token and "<unk>"
+                vectors = np.empty((len(corpus_tokens) + 1, dimension))
             row = token_to_row.setdefault(token, len(token_to_row))
             if row in block or len(block) == _PARSE_BLOCK:
-                blocks.append(_parse_block(file_path, block, dimension))
+                _parse_block(file_path, block, vectors)
                 block = {}
             block[row] = line_no, values
     if block:
-        blocks.append(_parse_block(file_path, block, dimension))
+        _parse_block(file_path, block, vectors)
     if not token_to_row:
         raise ValueError(f"{file_path}: no line's token is in the corpus")
     n_kept = len(token_to_row)
     unk = token_to_row.setdefault("<unk>", n_kept)
-    vectors = np.empty((len(token_to_row), dimension))
-    # in file order, so that a repeated token takes its last line; each
-    # block is dropped once copied
-    while blocks:
-        rows, parsed = blocks.pop(0)
-        vectors[rows] = parsed
+    # no view of ``vectors`` exists yet, so it may shrink in place
+    vectors.resize((len(token_to_row), dimension), refcheck=False)
     finite = np.isfinite(vectors[:n_kept]).all(axis=1)
     if not finite.all():
         bad = next(token for token, row in token_to_row.items()
@@ -270,34 +269,32 @@ def load_embeddings(file_path: str | Path,
 
 
 def _parse_block(file_path: str | Path, block: dict[int, tuple[int, str]],
-                 dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``block``, ``{row: (line number, values)}``, and their
-    vectors: one ``np.loadtxt`` call, or, where it raises or gives another
-    shape, or the block holds a character of ``_LOADTXT_ONLY_SPACE``, one
-    ``np.array(values.split(" "), dtype=float)`` per line, which names the
-    file and the line of a non-numeric value. Where both accept a value,
-    both parse it with CPython's ``PyOS_string_to_double``, to the same
-    bits; ``loadtxt`` refuses some that ``float`` reads, such as ``"１"``."""
-    rows = np.fromiter(block, dtype=np.int64, count=len(block))
+                 vectors: np.ndarray) -> None:
+    """Write the vectors of ``block``, ``{row: (line number, values)}``, to
+    their rows of ``vectors``: one ``np.loadtxt`` call, or, where it raises
+    or gives another shape, or the block holds a ``_LOADTXT_ONLY_SPACE``,
+    one ``np.array(values.split(" "), dtype=float)`` per line, which names
+    the file and the line of a non-numeric value. Where both accept a
+    value, both parse it with CPython's ``PyOS_string_to_double``, to the
+    same bits; ``loadtxt`` refuses some that ``float`` reads, as ``"１"``."""
     lines = [values for _, values in block.values()]
-    text = "\n".join(lines)
-    if not any(char in text for char in _LOADTXT_ONLY_SPACE):
+    if not any(char in values for values in lines
+               for char in _LOADTXT_ONLY_SPACE):
         try:
             parsed = np.loadtxt(lines, dtype=float, delimiter=" ",
                                 comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            if parsed.shape == (len(lines), dimension):
-                return rows, parsed
-    parsed = np.empty((len(lines), dimension))
-    for out, (line_no, values) in zip(parsed, block.values()):
+            if parsed.shape == (len(lines), vectors.shape[1]):
+                vectors[list(block)] = parsed
+                return
+    for row, (line_no, values) in block.items():
         try:
-            out[:] = np.array(values.split(" "), dtype=float)
+            vectors[row] = np.array(values.split(" "), dtype=float)
         except ValueError as exc:
             raise ValueError(f"{file_path}: line {line_no}: "
                              f"non-numeric value ({exc})") from exc
-    return rows, parsed
 
 
 def boe_rows(table: EmbeddingTable,

@@ -48,6 +48,8 @@ STEP_ARTIFACTS = {
     "final": ("step3_final/final.json", {"baseline": "", "setting": {},
                                          "seed": 0, "rows": {}}),
 }
+# the featurizer ``ouvclf sweep`` builds and ``ouvclf final`` reuses
+GRID_FEATURIZER = "step1_grid/featurizer.json"
 # input lines read, preprocessed, featurized and scored per step of
 # ``mine``'s one loop; bounds its text, tokens and features on large inputs
 _MINE_BLOCK = 4096
@@ -337,17 +339,6 @@ def fit(data: FeaturizedData, train_config: TrainConfig,
     """The one call that trains: ``train_config`` on ``data``."""
     return train(data.train_x, data.train_one_hots, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu)
-
-
-def save_models(featurizer: Featurizer, featurizer_path: Path,
-                models: dict[str, TrainedModel]) -> None:
-    """Write ``featurizer`` to ``featurizer_path`` and each named model beside
-    it, its ``featurizer_ref`` naming that file; call after all trainings."""
-    featurizer_path.parent.mkdir(parents=True, exist_ok=True)
-    featurizer.save(featurizer_path)
-    for name, model in models.items():
-        model.featurizer_ref = featurizer_path.name
-        save_checkpoint(model, featurizer_path.with_name(name))
 
 
 def training_record(data: FeaturizedData, train_config: TrainConfig,

@@ -40,10 +40,6 @@ class MlpParams:
     W2: np.ndarray  # 11 x hidden
     b2: np.ndarray  # 11
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(),
-                         self.W2.copy(), self.b2.copy())
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
@@ -120,14 +116,14 @@ def forward(params: MlpParams, x, dropout_mask: np.ndarray | None = None):
     if x.shape[1] != params.W1.shape[0]:
         raise ValueError(
             f"input dim {x.shape[1]} != expected {params.W1.shape[0]}")
-    z1 = x @ params.W1 + params.b1
-    z1 = np.asarray(z1)
-    h = np.maximum(z1, 0.0)
+    h = np.asarray(x @ params.W1)
+    h += params.b1
+    np.maximum(h, 0.0, out=h)
     if dropout_mask is not None:
-        h = h * dropout_mask
+        h *= dropout_mask
     logits = h @ params.W2.T + params.b2
     probs = _softmax_rows(logits)
-    cache = {"x": x, "z1": z1, "h": h, "mask": dropout_mask}
+    cache = {"x": x, "h": h, "mask": dropout_mask}
     return logits, probs, cache
 
 
@@ -143,13 +139,15 @@ def backward(cache: dict, probs: np.ndarray, targets: np.ndarray,
     """Gradients of mean cross-entropy plus (l2/2)*||params||^2."""
     batch = probs.shape[0]
     dlogits = (probs - targets) / batch
-    h, z1, x, mask = cache["h"], cache["z1"], cache["x"], cache["mask"]
+    h, x, mask = cache["h"], cache["x"], cache["mask"]
     dW2 = dlogits.T @ h + l2 * params.W2
     db2 = dlogits.sum(axis=0) + l2 * params.b2
     dh = dlogits @ params.W2
     if mask is not None:
         dh = dh * mask
-    dz1 = dh * (z1 > 0)
+    # ``h > 0`` differs from ``z1 > 0`` only where the mask is 0; there
+    # ``dh`` is already +-0, and a factor of 0 or 1 keeps it, sign and all
+    dz1 = dh * (h > 0)
     dW1 = np.asarray(x.T @ dz1)
     decay = np.empty(min(_BLOCK, dW1.size))
     for d, w in _blocks(dW1, params.W1):
@@ -243,7 +241,8 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
 
     best_topk = -1.0
     best_epoch = 0
-    best_params = params.copy()
+    best_params = MlpParams(**{key: array.copy()
+                               for key, array in params.arrays().items()})
     history: list[dict] = []
     epochs_since_improvement = 0
 

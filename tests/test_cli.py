@@ -109,6 +109,17 @@ def test_train_and_evaluate(workspace, capsys):
     assert 0.0 <= report["topk_match"] <= 1.0
 
 
+def test_train_writes_the_featurizer_beside_the_model(workspace, tmp_path):
+    out = tmp_path / "new/dir"
+    assert main(["train", "--config", str(workspace["config"]),
+                 "--out", str(out / "m.json")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["m.json",
+                                                     "m_featurizer.json"]
+    predictor = harness.Predictor.load(out / "m.json")
+    assert predictor.model.featurizer_ref == "m_featurizer.json"
+    assert predictor.featurizer_path == (out / "m_featurizer.json").resolve()
+
+
 def test_sweep_then_final_then_report(workspace, capsys):
     assert main(["sweep", "--config", str(workspace["config"])]) == 0
     out = capsys.readouterr().out
@@ -120,6 +131,9 @@ def test_sweep_then_final_then_report(workspace, capsys):
     out = capsys.readouterr().out
     assert "no_ls:" in out and "ls:" in out
     assert (workspace["runs"] / "step3_final/final.json").exists()
+    # the final models were trained on the sweep's featurizer
+    assert (workspace["runs"] / "step3_final/featurizer.json").read_bytes() \
+        == (workspace["runs"] / "step1_grid/featurizer.json").read_bytes()
 
     assert main(["report", str(workspace["runs"])]) == 0
     out = capsys.readouterr().out
@@ -556,12 +570,7 @@ def test_a_boe_featurizer_without_unk_is_named(workspace, tmp_path, capsys,
                                                command):
     """The file is refused when it is loaded, not at the first transform,
     whose ``"<unk>"`` lookup would raise a ``KeyError`` traceback."""
-    train = workspace["data"] / "train.jsonl"
-    tokens = sorted({token for line in train.read_text(
-        encoding="utf-8").splitlines() for token in json.loads(line)["tokens"]})
-    emb = tmp_path / "vectors.txt"
-    emb.write_text("".join(f"{token} {i % 3} 1 {i % 5}\n"
-                           for i, token in enumerate(tokens)), encoding="utf-8")
+    emb = write_train_vectors(workspace, tmp_path / "vectors.txt")
     model = tmp_path / "model.json"
     config = write_config(workspace, tmp_path / "config.json", baseline="boe",
                           embeddings_path=str(emb),
@@ -581,6 +590,32 @@ def test_a_boe_featurizer_without_unk_is_named(workspace, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(
         f"error: {featurizer_path}: not a featurizer file of this version "
         "(no '<unk>' token)")
+
+
+def test_final_featurizes_with_the_sweeps_featurizer(workspace, tmp_path,
+                                                     capsys):
+    """``ouvclf final`` reads the featurizer ``ouvclf sweep`` wrote, so a
+    BoE run needs its embeddings file no longer, and a config of another
+    baseline is refused before any training."""
+    emb = write_train_vectors(workspace, tmp_path / "vectors.txt")
+    runs = tmp_path / "runs"
+    config = write_config(workspace, tmp_path / "config.json", baseline="boe",
+                          embeddings_path=str(emb), output_dir=str(runs))
+    assert main(["sweep", "--config", str(config)]) == 0
+    emb.unlink()
+    assert main(["final", "--config", str(config)]) == 0
+    grid_featurizer = runs / "step1_grid/featurizer.json"
+    step3 = {p.name: p.read_bytes() for p in (runs / "step3_final").iterdir()}
+    assert step3["featurizer.json"] == grid_featurizer.read_bytes()
+    ngram = write_config(workspace, tmp_path / "ngram.json",
+                         output_dir=str(runs))
+    capsys.readouterr()
+    assert main(["final", "--config", str(ngram)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {grid_featurizer} holds a 'boe' featurizer but the "
+        "config's baseline is 'ngram'; rerun `ouvclf sweep`\n")
+    assert {p.name: p.read_bytes()
+            for p in (runs / "step3_final").iterdir()} == step3
 
 
 def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
@@ -766,6 +801,17 @@ def single_model(workspace):
     return model_path
 
 
+def write_train_vectors(workspace, path):
+    """A 3-d embedding file at ``path`` with a line per train token."""
+    lines = (workspace["data"] / "train.jsonl").read_text(encoding="utf-8")
+    tokens = sorted({token for line in lines.splitlines()
+                     for token in json.loads(line)["tokens"]})
+    path.write_text("".join(f"{token} {i % 3} 1 {i % 5}\n"
+                            for i, token in enumerate(tokens)),
+                    encoding="utf-8")
+    return path
+
+
 def write_config(workspace, path, **changes):
     """The workspace config with ``changes``, written to ``path``."""
     config = json.loads(workspace["config"].read_text())
@@ -786,10 +832,11 @@ def workspace_runs(workspace, *commands):
 
 
 def copy_steps_1_and_2(workspace, runs):
-    """Copy the workspace sweep's step 1 and 2 artifacts into ``runs``,
-    running the sweep first if no earlier test has."""
+    """Copy the workspace sweep's step 1 and 2 artifacts and its featurizer
+    into ``runs``, running the sweep first if no earlier test has."""
     workspace_runs(workspace, "sweep")
-    for rel in ("step1_grid/log.json", "step2_sweep/sweep.json"):
+    for rel in ("step1_grid/log.json", "step1_grid/featurizer.json",
+                "step2_sweep/sweep.json"):
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(workspace["runs"] / rel, runs / rel)
 
@@ -940,7 +987,8 @@ def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
     copy_steps_1_and_2(workspace, fresh)
     assert final(runs) == 0
     before = step3(runs)
-    # another featurizer and other models, so a stray write would show
+    # other models, so a stray write would show; ``final`` featurizes with
+    # the sweep's featurizer, so ``min_df`` changes nothing
     changes = {"min_df": 2, "max_epochs": 3}
     use_cpus(monkeypatch, 1)
     real_train = harness.train
@@ -964,7 +1012,9 @@ def test_failed_final_keeps_step3_and_rerun_writes_its_bytes(
     assert final(fresh, **changes) == 0
     assert step3(runs) == step3(fresh)
     assert step3(runs).keys() == before.keys()
-    assert all(step3(runs)[name] != before[name] for name in before)
+    assert step3(runs)["featurizer.json"] == before["featurizer.json"]
+    assert all(step3(runs)[name] != before[name]
+               for name in ("model_ls.json", "model_no_ls.json"))
 
 
 def test_final_with_an_empty_test_split_leaves_step3_as_it_was(

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -540,12 +541,18 @@ class TestLoadEmbeddings:
             load_embeddings(path, {"a", "b"})
 
     def test_repeated_token_keeps_first_row_and_last_vector(self, tmp_path):
+        """The token's two lines fall in two blocks: the second block
+        starts at the repeat, or (blocks of two kept lines) at the line
+        before it."""
         path = write_embeddings(tmp_path, [
-            ("a", [1, 0]), ("b", [0, 1]), ("a", [3, 3]), ("c", [5, 5])])
-        table = load_embeddings(path, {"a", "b", "c"})
-        assert table.token_to_row == {"a": 0, "b": 1, "c": 2, "<unk>": 3}
-        np.testing.assert_array_equal(
-            table.vectors, [[3, 3], [0, 1], [5, 5], [8 / 3, 3]])
+            ("a", [1, 0]), ("b", [0, 1]), ("c", [5, 5]), ("a", [3, 3])])
+        for parse_block in (features._PARSE_BLOCK, 2):
+            with mock.patch.object(features, "_PARSE_BLOCK", parse_block):
+                table = load_embeddings(path, {"a", "b", "c"})
+            assert table.token_to_row == {"a": 0, "b": 1, "c": 2,
+                                          "<unk>": 3}
+            np.testing.assert_array_equal(
+                table.vectors, [[3, 3], [0, 1], [5, 5], [8 / 3, 3]])
 
     def test_literal_unk_line_keeps_its_row_and_takes_the_mean(self,
                                                                tmp_path):
@@ -568,6 +575,25 @@ class TestLoadEmbeddings:
         assert list(rows) == ["a", "b", "<unk>"]
         assert not rows["a"].flags.writeable
         np.testing.assert_array_equal(rows["<unk>"], [0.5, 0.5, 3])
+
+    def test_holds_the_table_once(self, tmp_path, monkeypatch):
+        """Blocks are parsed into the table's matrix, so the traced peak is
+        the table plus about one block, not two tables."""
+        monkeypatch.setattr(features, "_PARSE_BLOCK", 64)
+        rng = np.random.default_rng(44)
+        tokens = [f"w{i}" for i in range(24 * 64)]
+        path = write_embeddings(tmp_path, zip(
+            tokens, np.round(rng.normal(size=(len(tokens), 100)), 5)))
+        corpus = set(tokens)
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = table.vectors.nbytes
+        assert table.vectors.shape == (len(tokens) + 1, 100)
+        assert peak < 1.5 * size, f"peak {peak / size:.2f}x the table"
 
     def test_header_only_on_the_first_line(self, tmp_path):
         path = tmp_path / "vectors.txt"

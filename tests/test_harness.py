@@ -355,24 +355,6 @@ class TestRunFinal:
             ids, confs = predictor.topk([dataset.valid[0].tokens], k=3)
             assert ids.shape == confs.shape == (1, 3)
 
-    def test_save_models_writes_the_featurizer_beside_each_model(
-            self, dataset, tmp_path):
-        config = toy_config(tmp_path)
-        featurizer = build_featurizer(config, dataset)
-        model = harness.fit(featurize(featurizer, dataset),
-                            config.train_config({"hidden": 8},
-                                                SmoothingConfig(), 0), None)
-        assert model.featurizer_ref == ""
-        out = tmp_path / "new/dir"
-        harness.save_models(featurizer, out / "f.json",
-                            {"a.json": model, "b.json": model})
-        assert sorted(p.name for p in out.iterdir()) == ["a.json", "b.json",
-                                                         "f.json"]
-        for name in ("a.json", "b.json"):
-            predictor = Predictor.load(out / name)
-            assert predictor.model.featurizer_ref == "f.json"
-            assert predictor.featurizer_path == (out / "f.json").resolve()
-
     @pytest.mark.parametrize("split", ["train", "valid"])
     def test_featurize_names_an_empty_training_split(self, dataset, tmp_path,
                                                      split):

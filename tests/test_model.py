@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -263,12 +264,21 @@ def csr_batch(rows, input_dim, seed):
 
 
 def full_array_dW1(cache, probs, targets, params, l2):
-    """``backward``'s dW1 with the l2 term added over the whole array."""
+    """``backward``'s dW1 with the l2 term added over the whole array, and
+    the ReLU's gradient taken where the pre-activation ``z1`` is positive."""
+    z1 = np.asarray(cache["x"] @ params.W1 + params.b1)
     dh = ((probs - targets) / len(probs)) @ params.W2
     if cache["mask"] is not None:
         dh = dh * cache["mask"]
-    return np.asarray(cache["x"].T @ (dh * (cache["z1"] > 0))) \
-        + l2 * params.W1
+    return np.asarray(cache["x"].T @ (dh * (z1 > 0))) + l2 * params.W1
+
+
+def dropout_mask(dropout, shape, seed):
+    """An inverted-dropout mask as ``train`` draws it, or None."""
+    if not dropout:
+        return None
+    keep = 1.0 - dropout
+    return (np.random.default_rng(seed).random(shape) < keep) / keep
 
 
 class TestBlockedPasses:
@@ -299,14 +309,15 @@ class TestBlockedPasses:
         params = random_params(40, 9, seed=25)
         x = csr_batch(16, 40, seed=26)
         x = x.toarray() if dense else x
-        mask = (np.random.default_rng(27).random((16, 9)) < 0.5) / 0.5
         target = np.random.default_rng(28).dirichlet(np.ones(NUM_CLASSES),
                                                      size=16)
-        _, probs, cache = forward(params, x, dropout_mask=mask)
-        grads = backward(cache, probs, target, params, l2)
-        assert grads.W1.flags.c_contiguous
-        np.testing.assert_array_equal(
-            grads.W1, full_array_dW1(cache, probs, target, params, l2))
+        for dropout in (0.5, 0.0):
+            mask = dropout_mask(dropout, (16, 9), seed=27)
+            _, probs, cache = forward(params, x, dropout_mask=mask)
+            grads = backward(cache, probs, target, params, l2)
+            assert grads.W1.flags.c_contiguous
+            np.testing.assert_array_equal(
+                grads.W1, full_array_dW1(cache, probs, target, params, l2))
 
     def test_f_ordered_param_raises_and_is_not_updated(self):
         params = random_params(37, 9, seed=29)
@@ -325,28 +336,42 @@ class TestBlockedPasses:
 
 class TestLayoutParity:
     """``W1`` stored input x hidden gives the bits the hidden x input
-    layout gave, on a CSR batch."""
+    layout gave: in the forward pass on a CSR batch, and in ``backward``,
+    whose ReLU gradient is gated by ``h > 0`` where it was gated by the
+    pre-activation ``z1 > 0``, on CSR and dense batches, with and without
+    dropout."""
 
     def test_forward_z1(self):
         params = random_params(300, 50, seed=30)
         old_W1 = np.ascontiguousarray(params.W1.T)
         x = csr_batch(64, 300, seed=31)
-        _, _, cache = forward(params, x)
-        np.testing.assert_array_equal(
-            cache["z1"], np.asarray(x @ old_W1.T + params.b1))
+        z1 = np.asarray(x @ old_W1.T + params.b1)
+        for dropout in (0.0, 0.5):
+            mask = dropout_mask(dropout, (64, 50), seed=37)
+            _, _, cache = forward(params, x, dropout_mask=mask)
+            h = np.maximum(z1, 0.0)
+            if mask is not None:
+                h = h * mask
+            np.testing.assert_array_equal(cache["h"], h)
 
     @pytest.mark.parametrize("l2", [0.0, 1e-5])
     def test_backward_dW1(self, l2):
         params = random_params(300, 50, seed=32)
         old_W1 = np.ascontiguousarray(params.W1.T)
-        x = csr_batch(128, 300, seed=33)
         target = np.random.default_rng(34).dirichlet(np.ones(NUM_CLASSES),
                                                      size=128)
-        _, probs, cache = forward(params, x)
-        dz1 = (((probs - target) / 128) @ params.W2) * (cache["z1"] > 0)
-        old_dW1 = np.asarray((x.T @ dz1).T) + l2 * old_W1
-        grads = backward(cache, probs, target, params, l2)
-        np.testing.assert_array_equal(grads.W1.T, old_dW1)
+        for dense, dropout in itertools.product((False, True), (0.0, 0.5)):
+            x = csr_batch(128, 300, seed=33)
+            x = x.toarray() if dense else x
+            mask = dropout_mask(dropout, (128, 50), seed=38)
+            _, probs, cache = forward(params, x, dropout_mask=mask)
+            z1 = np.asarray(x @ params.W1 + params.b1)
+            dh = ((probs - target) / 128) @ params.W2
+            if mask is not None:
+                dh = dh * mask
+            old_dW1 = np.asarray((x.T @ (dh * (z1 > 0))).T) + l2 * old_W1
+            grads = backward(cache, probs, target, params, l2)
+            np.testing.assert_array_equal(grads.W1.T, old_dW1)
 
     def test_init_params_is_the_transposed_old_draw(self):
         params = init_params(300, 50, seed=35)
@@ -370,6 +395,44 @@ class TestLayoutParity:
         np.testing.assert_array_equal(loaded.params.W1, model.params.W1)
         save_checkpoint(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_forward_builds_one_hidden_array_in_place(dense, dropout):
+    """The hidden layer is ``x @ W1``, then ``+ b1``, ReLU and the mask in
+    place: the bits of the out-of-place expression, and the cache holds
+    only what ``backward`` reads."""
+    params = random_params(300, 50, seed=39)
+    x = csr_batch(64, 300, seed=40)
+    x = x.toarray() if dense else x
+    mask = dropout_mask(dropout, (64, 50), seed=41)
+    logits, _, cache = forward(params, x, dropout_mask=mask)
+    h = np.maximum(np.asarray(x @ params.W1 + params.b1), 0.0)
+    if mask is not None:
+        h = h * mask
+    assert cache.keys() == {"x", "h", "mask"}
+    np.testing.assert_array_equal(cache["h"], h)
+    np.testing.assert_array_equal(logits, h @ params.W2.T + params.b2)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_predict_proba_holds_one_hidden_array(dense):
+    """Inference on n rows peaks near one n x hidden array, not two."""
+    n, hidden = 2000, 200
+    model = TrainedModel(params=random_params(300, hidden, seed=42),
+                         featurizer_ref="", config=quick_config(),
+                         best_epoch=1, history=[])
+    x = csr_batch(n, 300, seed=43)
+    x = x.toarray() if dense else x
+    tracemalloc.start()
+    try:
+        predict_proba(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = n * hidden * 8
+    assert peak < 1.5 * size, f"peak {peak / size:.2f}x one hidden array"
 
 
 def featurized(dataset):
