@@ -98,9 +98,9 @@ def cmd_sweep(args) -> int:
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
-    best = run_grid_search(config, dataset, featurizer=featurizer)
+    best = run_grid_search(config, dataset, featurizer)
     featurizer.save(Path(config.output_dir, GRID_FEATURIZER))
-    result = run_ls_sweep(best, config, dataset, mu, featurizer=featurizer)
+    result = run_ls_sweep(best, config, dataset, mu, featurizer)
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
     return 0
@@ -113,15 +113,17 @@ def cmd_final(args) -> int:
     chosen = SmoothingConfig(variant=sweep["chosen_variant"],
                              alpha=sweep["chosen_alpha"])
     path = Path(config.output_dir, GRID_FEATURIZER)
-    featurizer = Featurizer.load(path)
+    try:
+        featurizer = Featurizer.load(path)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing; rerun `ouvclf sweep`") from None
     if featurizer.kind != config.baseline:
         raise ValueError(f"{path} holds a {featurizer.kind!r} featurizer but "
                          f"the config's baseline is {config.baseline!r}; "
                          "rerun `ouvclf sweep`")
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
-    payload = run_final(best, chosen, config, dataset, mu,
-                        featurizer=featurizer)
+    payload = run_final(best, chosen, config, dataset, mu, featurizer)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "
               f"val_topk={row['val_topk']:.4f} "

@@ -358,7 +358,10 @@ def training_record(data: FeaturizedData, train_config: TrainConfig,
 def worker_count(trainings: int) -> int:
     """The processes a step of ``trainings`` trainings runs on: one per CPU
     this process may run on (``taskset`` limits them), never more than
-    ``trainings``."""
+    ``trainings``. Without ``os.sched_getaffinity`` (macOS, Windows, where
+    ``fork`` is unsafe or missing) it is one, and the step runs inline."""
+    if not hasattr(os, "sched_getaffinity"):
+        return min(1, trainings)
     return min(len(os.sched_getaffinity(0)), trainings)
 
 
@@ -400,16 +403,14 @@ def run_trainings(task: Callable, data: FeaturizedData,
 # Step 1: grid search
 
 def run_grid_search(config: ExperimentConfig, dataset: Dataset,
-                    featurizer: Featurizer | None = None) -> dict:
-    """Single-seed grid search; best setting by validation top-k. Every
-    ``TrainConfig`` is built before the first training."""
+                    featurizer: Featurizer) -> dict:
+    """Single-seed grid search on the run's ``featurizer``; best setting by
+    val top-k. Every ``TrainConfig`` is built before the first training."""
     keys = sorted(config.grid)
     settings = [dict(zip(keys, values))
                 for values in itertools.product(*map(config.grid.get, keys))]
     train_configs = [config.train_config(s, SmoothingConfig(),
                                          config.grid_seed) for s in settings]
-    if featurizer is None:
-        featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     log = [dict(setting, **record) for setting, record in zip(
         settings, run_trainings(training_record, data, train_configs, None))]
@@ -444,16 +445,14 @@ class SweepResult:
 
 def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                  dataset: Dataset, mu: np.ndarray,
-                 featurizer: Featurizer | None = None) -> SweepResult:
-    """Train every (variant, alpha, seed) cell and pick the configuration
-    maximizing the summed 95%-CI lower bounds of val top-1 and top-k.
-    Every cell's ``TrainConfig``s are built before the first is trained."""
+                 featurizer: Featurizer) -> SweepResult:
+    """Train each (variant, alpha, seed) cell on the run's ``featurizer``;
+    pick the cell maximizing the summed 95%-CI lower bounds of val top-1
+    and top-k. Every ``TrainConfig`` is built before the first training."""
     plan = [[config.train_config(best_setting,
                                  SmoothingConfig(variant=variant, alpha=alpha),
                                  seed) for seed in config.seeds]
             for variant in config.variants for alpha in config.alpha_grid]
-    if featurizer is None:
-        featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     trained = iter(run_trainings(training_record, data,
                                  [c for cell in plan for c in cell], mu))
@@ -559,19 +558,19 @@ def _stage_final(staging: Path, dataset: Dataset, test_x, sd_x, k: int,
 
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
               config: ExperimentConfig, dataset: Dataset, mu: np.ndarray,
-              featurizer: Featurizer | None = None) -> dict:
-    """Train the chosen-LS and no-LS models on the grid seed, evaluate them
-    on valid/test plus the SD set when present, then save them and write
-    ``final.json``. An empty test split is a ``ValueError``, raised before
-    any training. Each split is featurized once, before the trainings
-    start, so forked workers inherit the rows. Each model is scored and
-    its checkpoint written by the process that trained it (``_stage_final``),
-    into a staging directory beside ``step3_final/`` (in its nearest
-    existing ancestor); only the rows come back. Once every training
-    returns, the featurizer is staged too, the three files are moved into
-    ``step3_final/`` and ``final.json`` is written. On any error the
-    staging directory is removed, so nothing under ``output_dir``
-    changes."""
+              featurizer: Featurizer) -> dict:
+    """Train the chosen-LS and no-LS models on the grid seed and the run's
+    ``featurizer``, evaluate them on valid/test plus the SD set when
+    present, then save them and write ``final.json``. An empty test split
+    is a ``ValueError``, raised before any training. Each split is
+    featurized once, before the trainings start, so forked workers inherit
+    the rows. Each model is scored and its checkpoint written by the
+    process that trained it (``_stage_final``), into a staging directory
+    beside ``step3_final/`` (in its nearest existing ancestor); only the
+    rows come back. Once every training returns, the featurizer is staged
+    too, the three files are moved into ``step3_final/`` and ``final.json``
+    is written. On any error the staging directory is removed, so nothing
+    under ``output_dir`` changes."""
     train_configs = {label: config.train_config(best_setting, smoothing,
                                                 config.grid_seed)
                      for label, smoothing in (("no_ls", SmoothingConfig()),
@@ -579,8 +578,6 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     if not dataset.test:
         raise ValueError("the 'test' split is empty; the final step scores "
                          "the test split")
-    if featurizer is None:
-        featurizer = build_featurizer(config, dataset)
     data = featurize(featurizer, dataset)
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None

@@ -792,6 +792,23 @@ def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
         ExperimentConfig(k=0)
 
 
+def test_final_without_the_sweeps_featurizer_says_to_rerun_sweep(
+        workspace, tmp_path, capsys):
+    """A run directory whose ``sweep`` saved no featurizer (one an earlier
+    version wrote) is refused before any training, naming the file."""
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    missing = runs / "step1_grid/featurizer.json"
+    missing.unlink()
+    config = write_config(workspace, tmp_path / "config.json",
+                          output_dir=str(runs))
+    capsys.readouterr()
+    assert main(["final", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {missing} is missing; rerun `ouvclf sweep`\n")
+    assert not (runs / "step3_final").exists()
+
+
 def single_model(workspace):
     """The ``ouvclf train`` checkpoint of the workspace config."""
     model_path = workspace["root"] / "single/model.json"

@@ -91,7 +91,8 @@ def tiny_data():
 class TestGridSearch:
     def test_single_setting_returned(self, dataset, tmp_path):
         config = toy_config(tmp_path)
-        best = run_grid_search(config, dataset)
+        best = run_grid_search(config, dataset,
+                               build_featurizer(config, dataset))
         assert best == {"hidden": 16, "batch_size": 64}
         log = json.loads(
             (tmp_path / "runs/step1_grid/log.json").read_text())
@@ -101,13 +102,15 @@ class TestGridSearch:
     def test_crippled_setting_loses(self, dataset, tmp_path):
         config = toy_config(
             tmp_path, grid={"hidden": [16], "learning_rate": [0.0, 0.01]})
-        best = run_grid_search(config, dataset)
+        best = run_grid_search(config, dataset,
+                               build_featurizer(config, dataset))
         assert best["learning_rate"] == 0.01
 
     def test_winner_matches_logged_topk(self, dataset, tmp_path):
         config = toy_config(tmp_path,
                             grid={"hidden": [8, 16], "batch_size": [32, 64]})
-        best = run_grid_search(config, dataset)
+        best = run_grid_search(config, dataset,
+                               build_featurizer(config, dataset))
         log = json.loads(
             (tmp_path / "runs/step1_grid/log.json").read_text())
         scored = [e for e in log["log"] if "val_topk" in e]
@@ -116,13 +119,15 @@ class TestGridSearch:
 
     def test_empty_grid_rejected(self, dataset, tmp_path):
         with pytest.raises(ValueError):
-            run_grid_search(toy_config(tmp_path, grid={}), dataset)
+            config = toy_config(tmp_path, grid={})
+            run_grid_search(config, dataset, build_featurizer(config, dataset))
 
     def test_tie_goes_to_the_first_setting(self, dataset, tmp_path):
         # at learning rate 0 no weight moves, so both settings score alike
         config = toy_config(tmp_path, grid={
             "hidden": [16], "learning_rate": [0.0], "l2": [0.0, 1e-12]})
-        best = run_grid_search(config, dataset)
+        best = run_grid_search(config, dataset,
+                               build_featurizer(config, dataset))
         saved = json.loads(
             (tmp_path / "runs/step1_grid/log.json").read_text())
         first, second = saved["log"]
@@ -142,7 +147,7 @@ class TestGridSearch:
         monkeypatch.setattr(harness, "train", diverge_at_high_dropout)
         config = toy_config(tmp_path, grid={
             "hidden": [16], "dropout": [0.2, 0.4], "batch_size": [64]})
-        run_grid_search(config, dataset)
+        run_grid_search(config, dataset, build_featurizer(config, dataset))
         saved = json.loads(
             (tmp_path / "runs/step1_grid/log.json").read_text())
         assert list(saved) == ["log", "best", "seed"]
@@ -160,8 +165,9 @@ class TestGridSearch:
         # a whole float trains as its int and is logged as given
         config = toy_config(tmp_path, grid={"batch_size": [64],
                                             "hidden": [16.0]})
-        assert run_grid_search(config, dataset) == {"batch_size": 64,
-                                                    "hidden": 16.0}
+        featurizer = build_featurizer(config, dataset)
+        assert run_grid_search(config, dataset, featurizer) == {
+            "batch_size": 64, "hidden": 16.0}
         shutil.rmtree(tmp_path / "runs")
         # any other is rejected when the config is built, before training
         monkeypatch.setattr(harness, "train", None)
@@ -196,7 +202,8 @@ class TestLsSweep:
     def test_sweep_runs_and_selects(self, dataset, tmp_path):
         config = toy_config(tmp_path)
         best = {"hidden": 16, "batch_size": 64}
-        result = run_ls_sweep(best, config, dataset, toy_mu())
+        result = run_ls_sweep(best, config, dataset, toy_mu(),
+                              build_featurizer(config, dataset))
         assert result.chosen_variant in ("vanilla", "uniform", "prior")
         assert result.chosen_alpha in config.alpha_grid
         cells = {(c["variant"], c["alpha"]): c for c in result.cells}
@@ -209,7 +216,8 @@ class TestLsSweep:
                                                         tmp_path):
         config = toy_config(tmp_path, alpha_grid=[0.0])
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
-                              dataset, toy_mu())
+                              dataset, toy_mu(),
+                              build_featurizer(config, dataset))
         runs = [c["runs"] for c in result.cells]
         assert runs[0] == runs[1] == runs[2]
         # degenerate tie resolves to the first variant in canonical order
@@ -219,7 +227,8 @@ class TestLsSweep:
     def test_single_seed_rejected(self, dataset, tmp_path):
         with pytest.raises(ValueError):
             config = toy_config(tmp_path, seeds=[0])
-            run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
+            run_ls_sweep({"hidden": 16}, config, dataset, toy_mu(),
+                         build_featurizer(config, dataset))
 
     @staticmethod
     def diverge_when(monkeypatch, fails):
@@ -239,7 +248,8 @@ class TestLsSweep:
         self.diverge_when(monkeypatch, lambda c: c.seed == 1)
         config = toy_config(tmp_path, seeds=[0, 1, 2])
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
-                              dataset, toy_mu())
+                              dataset, toy_mu(),
+                              build_featurizer(config, dataset))
         for cell in result.cells:
             assert cell["failures"] == [{"seed": 1,
                                          "error": "diverged at seed 1"}]
@@ -261,7 +271,8 @@ class TestLsSweep:
             c.smoothing.variant, c.smoothing.alpha) != ("uniform", 0.1))
         config = toy_config(tmp_path, seeds=[0, 1, 2])
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
-                              dataset, toy_mu())
+                              dataset, toy_mu(),
+                              build_featurizer(config, dataset))
         scored = [(c["variant"], c["alpha"]) for c in result.cells
                   if "score" in c]
         assert scored == [("uniform", 0.1)]
@@ -278,7 +289,7 @@ class TestLsSweep:
         config = toy_config(tmp_path, seeds=[0, 1])
         with pytest.raises(RuntimeError, match="at least two seeds"):
             run_ls_sweep({"hidden": 16, "batch_size": 64}, config, dataset,
-                         toy_mu())
+                         toy_mu(), build_featurizer(config, dataset))
         assert not (tmp_path / "runs/step2_sweep/sweep.json").exists()
 
 
@@ -295,7 +306,8 @@ class TestRunFinal:
         config = toy_config(tmp_path)
         payload = run_final({"hidden": 16, "batch_size": 64},
                             SmoothingConfig("uniform", 0.1), config,
-                            dataset, toy_mu())
+                            dataset, toy_mu(),
+                            build_featurizer(config, dataset))
         assert set(payload["rows"]) == {"no_ls", "ls"}
         for row in payload["rows"].values():
             for key in ("val_top1", "val_topk", "val_macro_f1",
@@ -316,7 +328,8 @@ class TestRunFinal:
         left it."""
         config = toy_config(tmp_path)
         setting = {"hidden": 16, "batch_size": 64}
-        run_final(setting, SmoothingConfig(), config, dataset, toy_mu())
+        run_final(setting, SmoothingConfig(), config, dataset, toy_mu(),
+                  build_featurizer(config, dataset))
         out = tmp_path / "runs/step3_final"
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         calls = []
@@ -324,7 +337,8 @@ class TestRunFinal:
                             lambda *args, **kwargs: calls.append(args))
         empty = dataclasses.replace(dataset, test=[])
         with pytest.raises(ValueError, match="^the 'test' split is empty"):
-            run_final(setting, SmoothingConfig(), config, empty, toy_mu())
+            run_final(setting, SmoothingConfig(), config, empty, toy_mu(),
+                      build_featurizer(config, empty))
         assert calls == []
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -337,14 +351,15 @@ class TestRunFinal:
         monkeypatch.setattr(harness, "evaluate_features", fail)
         with pytest.raises(RuntimeError, match="evaluation failed"):
             run_final({"hidden": 16, "batch_size": 64}, SmoothingConfig(),
-                      config, dataset, toy_mu())
+                      config, dataset, toy_mu(),
+                      build_featurizer(config, dataset))
         assert not (tmp_path / "runs").exists()
 
     def test_final_artifacts_are_relocatable(self, dataset, tmp_path,
                                              monkeypatch):
         config = toy_config(tmp_path)
         run_final({"hidden": 16, "batch_size": 64}, SmoothingConfig(),
-                  config, dataset, toy_mu())
+                  config, dataset, toy_mu(), build_featurizer(config, dataset))
         moved = tmp_path / "elsewhere/final"
         moved.parent.mkdir()
         shutil.move(str(tmp_path / "runs/step3_final"), str(moved))
@@ -369,7 +384,8 @@ class TestRunFinal:
                                                  monkeypatch):
         config = toy_config(tmp_path)
         payload = run_final({"hidden": 16, "batch_size": 64},
-                            SmoothingConfig(), config, dataset, toy_mu())
+                            SmoothingConfig(), config, dataset, toy_mu(),
+                            build_featurizer(config, dataset))
         final_dir = tmp_path / "runs/step3_final"
         model = load_checkpoint(final_dir / "model_ls.json")
         model.featurizer_ref = str(final_dir / "featurizer.json")
@@ -402,7 +418,7 @@ class TestRunFinal:
         try:
             payload = run_final({"hidden": 16, "batch_size": 64},
                                 SmoothingConfig("uniform", 0.1), config,
-                                dataset, toy_mu(), featurizer=featurizer)
+                                dataset, toy_mu(), featurizer)
             monkeypatch.undo()
             assert events == ["train", "valid", "test", "sd", "fit", "fit"]
             # the shared matrices score as a per-model featurization does
@@ -424,7 +440,8 @@ class TestRunFinal:
     def test_missing_sd_flagged(self, dataset, tmp_path):
         config = toy_config(tmp_path)
         payload = run_final({"hidden": 16, "batch_size": 64},
-                            SmoothingConfig(), config, dataset, toy_mu())
+                            SmoothingConfig(), config, dataset, toy_mu(),
+                            build_featurizer(config, dataset))
         assert not payload["sd_evaluated"]
         assert "sd_top1_match" not in payload["rows"]["no_ls"]
 
@@ -971,11 +988,12 @@ class TestReport:
 
     def test_full_pipeline_report(self, dataset, tmp_path):
         config = toy_config(tmp_path)
-        best = run_grid_search(config, dataset)
-        result = run_ls_sweep(best, config, dataset, toy_mu())
+        featurizer = build_featurizer(config, dataset)
+        best = run_grid_search(config, dataset, featurizer)
+        result = run_ls_sweep(best, config, dataset, toy_mu(), featurizer)
         run_final(best, SmoothingConfig(result.chosen_variant,
                                         result.chosen_alpha),
-                  config, dataset, toy_mu())
+                  config, dataset, toy_mu(), featurizer)
         out = report(config.output_dir)
         assert "chosen LS" in out["text"]
         assert (tmp_path / "runs/summary.json").exists()
@@ -993,12 +1011,43 @@ class TestReport:
 def test_pipeline_determinism(dataset, tmp_path):
     config_a = toy_config(tmp_path / "a")
     config_b = toy_config(tmp_path / "b")
-    best_a = run_grid_search(config_a, dataset)
-    best_b = run_grid_search(config_b, dataset)
+    best_a = run_grid_search(config_a, dataset,
+                             build_featurizer(config_a, dataset))
+    best_b = run_grid_search(config_b, dataset,
+                             build_featurizer(config_b, dataset))
     assert best_a == best_b
     log_a = (tmp_path / "a/runs/step1_grid/log.json").read_text()
     log_b = (tmp_path / "b/runs/step1_grid/log.json").read_text()
     assert log_a == log_b
+
+
+def test_every_step_trains_on_the_featurizer_it_is_given(dataset, tmp_path,
+                                                         monkeypatch):
+    """No step builds a featurizer of its own: with ``build_featurizer``
+    refusing, the three steps featurize with the one given (built at
+    another ``min_df`` than the config's), and ``final`` saves it."""
+    config = toy_config(tmp_path)
+    featurizer = build_featurizer(toy_config(tmp_path, min_df=2), dataset)
+    featurized, real_featurize = [], harness.featurize
+
+    def refuse(*args):
+        raise AssertionError("a step built its own featurizer")
+
+    def featurize(given, data):
+        featurized.append(given)
+        return real_featurize(given, data)
+
+    monkeypatch.setattr(harness, "build_featurizer", refuse)
+    monkeypatch.setattr(harness, "featurize", featurize)
+    best = run_grid_search(config, dataset, featurizer)
+    sweep = run_ls_sweep(best, config, dataset, toy_mu(), featurizer)
+    run_final(best, SmoothingConfig(sweep.chosen_variant, sweep.chosen_alpha),
+              config, dataset, toy_mu(), featurizer)
+    assert len(featurized) == 3
+    assert all(given is featurizer for given in featurized)
+    featurizer.save(tmp_path / "given.json")
+    assert ((tmp_path / "runs/step3_final/featurizer.json").read_bytes()
+            == (tmp_path / "given.json").read_bytes())
 
 
 class TestSettingKeys:
@@ -1010,7 +1059,7 @@ class TestSettingKeys:
         monkeypatch.setattr(harness, "train", no_training)
         with pytest.raises(ValueError, match="'hiden'"):
             config = toy_config(tmp_path, grid={"hiden": [8, 64]})
-            run_grid_search(config, dataset)
+            run_grid_search(config, dataset, build_featurizer(config, dataset))
         assert not (tmp_path / "runs").exists()
 
     def test_sweep_and_final_check_the_setting(self, dataset, tmp_path,
@@ -1019,10 +1068,10 @@ class TestSettingKeys:
         config = toy_config(tmp_path)
         with pytest.raises(ValueError, match="'batchsize'"):
             run_ls_sweep({"hidden": 16, "batchsize": 64}, config, dataset,
-                         toy_mu())
+                         toy_mu(), build_featurizer(config, dataset))
         with pytest.raises(ValueError, match="'l_2'"):
             run_final({"l_2": 0.0}, SmoothingConfig(), config, dataset,
-                      toy_mu())
+                      toy_mu(), build_featurizer(config, dataset))
 
     @pytest.mark.parametrize("overrides, match", [
         ({"variants": ["vanilla", "unifrom"]}, "'unifrom'"),
@@ -1063,7 +1112,8 @@ class TestSettingKeys:
         monkeypatch.setattr(harness, "train", never)
         with pytest.raises(ValueError, match=match):
             config = toy_config(tmp_path, **overrides)
-            run_ls_sweep({"hidden": 16}, config, dataset, toy_mu())
+            run_ls_sweep({"hidden": 16}, config, dataset, toy_mu(),
+                         build_featurizer(config, dataset))
         assert not (tmp_path / "runs").exists()
 
     def test_value_error_in_training_is_logged(self, dataset, tmp_path,
@@ -1077,7 +1127,7 @@ class TestSettingKeys:
         config = toy_config(tmp_path, grid={"hidden": [16],
                                             "dropout": [0.2, 0.4]})
         with pytest.raises(ValueError, match="^a fault in train$"):
-            run_grid_search(config, dataset)
+            run_grid_search(config, dataset, build_featurizer(config, dataset))
         assert not (tmp_path / "runs").exists()
 
     def test_type_error_propagates(self, dataset, tmp_path, monkeypatch):
@@ -1087,8 +1137,9 @@ class TestSettingKeys:
         with pytest.raises(TypeError):
             toy_config(tmp_path, setting={"hidden": None})
         with pytest.raises(TypeError):
-            run_ls_sweep({"hidden": None}, toy_config(tmp_path), dataset,
-                         toy_mu())
+            config = toy_config(tmp_path)
+            run_ls_sweep({"hidden": None}, config, dataset, toy_mu(),
+                         build_featurizer(config, dataset))
 
 
 class TestAtomicArtifacts:
@@ -1101,11 +1152,12 @@ class TestAtomicArtifacts:
         config = toy_config(tmp_path, alpha_grid=[0.0], variants=["vanilla"])
 
         def run_all():
-            best = run_grid_search(config, dataset)
-            result = run_ls_sweep(best, config, dataset, toy_mu())
+            featurizer = build_featurizer(config, dataset)
+            best = run_grid_search(config, dataset, featurizer)
+            result = run_ls_sweep(best, config, dataset, toy_mu(), featurizer)
             run_final(best, SmoothingConfig(result.chosen_variant,
                                             result.chosen_alpha),
-                      config, dataset, toy_mu())
+                      config, dataset, toy_mu(), featurizer)
             report(config.output_dir)
 
         run_all()
@@ -1157,7 +1209,7 @@ def predictors(mine_dataset, tmp_path_factory):
                                 mine_dataset, root / "emb.txt")))
         run_final({"hidden": 16, "batch_size": 32},
                   SmoothingConfig("uniform", 0.1), config, mine_dataset,
-                  toy_mu())
+                  toy_mu(), build_featurizer(config, mine_dataset))
         final = root / baseline / "runs/step3_final"
         pairs[baseline] = (Predictor.load(final / "model_no_ls.json"),
                            Predictor.load(final / "model_ls.json"))
@@ -1410,11 +1462,12 @@ class TestWorkers:
         use_cpus(monkeypatch, cpus)
         config = toy_config(root, seeds=[0, 1, 2],
                             grid={"hidden": [8, 16], "batch_size": [32, 64]})
-        best = run_grid_search(config, dataset)
-        sweep = run_ls_sweep(best, config, dataset, toy_mu())
+        featurizer = build_featurizer(config, dataset)
+        best = run_grid_search(config, dataset, featurizer)
+        sweep = run_ls_sweep(best, config, dataset, toy_mu(), featurizer)
         run_final(best, SmoothingConfig(sweep.chosen_variant,
                                         sweep.chosen_alpha),
-                  config, dataset, toy_mu())
+                  config, dataset, toy_mu(), featurizer)
         runs = root / "runs"
         return {str(p.relative_to(runs)): p.read_bytes()
                 for p in sorted(runs.rglob("*")) if p.is_file()}
@@ -1467,7 +1520,7 @@ class TestWorkers:
                             grid={"hidden": [8, 16], "batch_size": [32, 64]})
         with pytest.raises(ValueError,
                            match="^a fault in the test process: False$"):
-            run_grid_search(config, dataset)
+            run_grid_search(config, dataset, build_featurizer(config, dataset))
         assert not (tmp_path / "runs").exists()
 
     def test_the_step_data_reaches_the_workers_unpickled(
@@ -1479,15 +1532,17 @@ class TestWorkers:
         use_cpus(monkeypatch, 2)
         config = toy_config(tmp_path, alpha_grid=[0.1], variants=["vanilla"])
         result = run_ls_sweep({"hidden": 16, "batch_size": 64}, config,
-                              dataset, toy_mu())
+                              dataset, toy_mu(),
+                              build_featurizer(config, dataset))
         assert [run["seed"] for run in result.cells[0]["runs"]] == [0, 1]
 
     def final_files(self, dataset, root, monkeypatch, cpus,
                     smoothing=SmoothingConfig("uniform", 0.1),
                     setting=None) -> dict:
         use_cpus(monkeypatch, cpus)
+        config = toy_config(root)
         run_final(setting or {"hidden": 16, "batch_size": 64}, smoothing,
-                  toy_config(root), dataset, toy_mu())
+                  config, dataset, toy_mu(), build_featurizer(config, dataset))
         return tree(root)
 
     def test_no_final_model_crosses_the_pipe(self, dataset, tmp_path,
@@ -1574,3 +1629,19 @@ class TestWorkers:
         assert worker_count(0) == 0
         use_cpus(monkeypatch, 1)
         assert worker_count(108) == 1
+
+    def test_without_sched_getaffinity_a_step_runs_inline(
+            self, dataset, tmp_path, monkeypatch):
+        """macOS and Windows have no ``os.sched_getaffinity``: there a step
+        runs in the calling process and writes a one-CPU run's bytes."""
+        def grid_files(root):
+            config = toy_config(root, grid={"hidden": [8, 16]})
+            run_grid_search(config, dataset, build_featurizer(config, dataset))
+            return tree(root)
+
+        use_cpus(monkeypatch, 1)
+        expected = grid_files(tmp_path / "one")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count(108) == 1
+        assert worker_count(0) == 0
+        assert grid_files(tmp_path / "none") == expected
