@@ -114,7 +114,7 @@ def cmd_final(args) -> int:
                              alpha=sweep["chosen_alpha"])
     path = Path(config.output_dir, GRID_FEATURIZER)
     try:
-        featurizer = Featurizer.load(path)
+        featurizer = Featurizer.load(path, rebuild="`ouvclf sweep`")
     except FileNotFoundError:
         raise ValueError(f"{path} is missing; rerun `ouvclf sweep`") from None
     if featurizer.kind != config.baseline:

@@ -29,7 +29,7 @@ from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
                      prior_weights)
 from .metrics import (EvalReport, MatchReport, evaluate_matches,
                       evaluate_split)
-from .model import (TrainConfig, TrainedModel, TrainingDiverged,
+from .model import (WRITERS, TrainConfig, TrainedModel, TrainingDiverged,
                     load_checkpoint, predict_proba, rank_classes, read_arrays,
                     save_checkpoint, top_classes, train, write_arrays)
 
@@ -211,8 +211,7 @@ def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
 # order, its array key and the array's rank
 _FILE_FORM = {"ngram": ("grams", "idf", 1), "boe": ("tokens", "vectors", 2)}
 _TWO_SPACES = re.compile(" [^ ]* ")
-_OTHER_VERSION = ("not a featurizer file of this version ({}); rebuild it "
-                  "with `ouvclf final` or `ouvclf train`")
+_OTHER_VERSION = "not a featurizer file of this version ({}); rebuild it with "
 
 
 @dataclass
@@ -250,22 +249,24 @@ class Featurizer:
         write_arrays(path, json.dumps(head, ensure_ascii=False), [array])
 
     @classmethod
-    def load(cls, path: str | Path) -> "Featurizer":
+    def load(cls, path: str | Path,
+             rebuild: str = WRITERS) -> "Featurizer":
         """Read a file written by ``save``; other keys are ignored. Any
         other file is a ``ValueError`` naming it: one that ``read_arrays``
         refuses, names that are not a list of strings, a repeated name, a
         gram of more than one space, or a BoE file with no ``"<unk>"``
-        token."""
+        token; one of another version says to rebuild it with ``rebuild``.
+        """
         def array_shape(head):
-            with input_error(path, _OTHER_VERSION):
+            with input_error(path, _OTHER_VERSION + rebuild):
                 kind = head["type"]
                 if kind not in _FILE_FORM:
                     raise ValueError(f"unknown type {kind!r}")
                 key = _FILE_FORM[kind][1]
                 return {key: head[key]}
 
-        head, arrays = read_arrays(path, array_shape)
-        with input_error(path, _OTHER_VERSION):
+        head, arrays = read_arrays(path, array_shape, rebuild)
+        with input_error(path, _OTHER_VERSION + rebuild):
             kind = head["type"]
             names_key, key, ndim = _FILE_FORM[kind]
             names = head[names_key]
@@ -365,38 +366,34 @@ def worker_count(trainings: int) -> int:
     return min(len(os.sched_getaffinity(0)), trainings)
 
 
-# a pool worker's task, data and mu, set by ``_serve`` in each worker only
-_STEP = None
+# a pool worker's task, set by ``_serve`` in each worker only
+_TASK = None
 
 
-def _serve(task, data: FeaturizedData, mu: np.ndarray | None) -> None:
-    global _STEP
-    _STEP = (task, data, mu)
+def _serve(task: Callable) -> None:
+    global _TASK
+    _TASK = task
 
 
-def _run(train_config: TrainConfig):
-    task, data, mu = _STEP
-    return task(data, train_config, mu)
+def _run(job):
+    return _TASK(job)
 
 
-def run_trainings(task: Callable, data: FeaturizedData,
-                  train_configs: list[TrainConfig],
-                  mu: np.ndarray | None) -> list:
-    """``task(data, train_config, mu)`` for each of ``train_configs``, in
-    list order, on ``worker_count(len(train_configs))`` processes. One
-    process runs them inline. More are forked for the step, so each
-    inherits ``data``, ``mu`` and ``task`` without pickling, and
+def run_trainings(task: Callable, jobs: list) -> list:
+    """``task(job)`` for each of ``jobs``, in list order, on
+    ``worker_count(len(jobs))`` processes. One process runs them inline.
+    More are forked for the step, so each inherits ``task`` and what it
+    binds without pickling (only the jobs and results cross the pipe), and
     ``Executor.map`` returns the results in list order, so the count
     changes no output. A worker's exception propagates as itself, and a
     worker that dies is a ``BrokenProcessPool`` (a ``RuntimeError``); the
-    trainings not yet started are cancelled, and no worker outlives the
-    call."""
-    workers = worker_count(len(train_configs))
+    jobs not yet started are cancelled, and no worker outlives the call."""
+    workers = worker_count(len(jobs))
     if workers <= 1:
-        return [task(data, c, mu) for c in train_configs]
+        return list(map(task, jobs))
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             _serve, (task, data, mu)) as pool:
-        return list(pool.map(_run, train_configs))
+                             _serve, (task,)) as pool:
+        return list(pool.map(_run, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +409,9 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
     train_configs = [config.train_config(s, SmoothingConfig(),
                                          config.grid_seed) for s in settings]
     data = featurize(featurizer, dataset)
-    log = [dict(setting, **record) for setting, record in zip(
-        settings, run_trainings(training_record, data, train_configs, None))]
+    task = functools.partial(training_record, data, mu=None)
+    log = [dict(setting, **record) for setting, record
+           in zip(settings, run_trainings(task, train_configs))]
     scored = [entry for entry in log if "error" not in entry]
     if not scored:
         raise RuntimeError("every grid setting failed to train")
@@ -454,8 +452,8 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                                  seed) for seed in config.seeds]
             for variant in config.variants for alpha in config.alpha_grid]
     data = featurize(featurizer, dataset)
-    trained = iter(run_trainings(training_record, data,
-                                 [c for cell in plan for c in cell], mu))
+    task = functools.partial(training_record, data, mu=mu)
+    trained = iter(run_trainings(task, [c for cell in plan for c in cell]))
     cells = []
     for train_configs in plan:
         records = [dict(seed=train_config.seed, **next(trained))
@@ -512,9 +510,17 @@ def evaluate_features(model: TrainedModel, x, samples: list[Sample],
     return evaluate_split(rankings, [s.sentence_label for s in samples], k=k)
 
 
-def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
-               k: int) -> dict:
-    valid_report = evaluate_features(model, valid_x, dataset.valid, k=k)
+def _stage_final(staging: Path, dataset: Dataset, data: FeaturizedData,
+                 test_x, sd_x, mu: np.ndarray | None, k: int,
+                 job: tuple[str, TrainConfig]) -> dict:
+    """``run_final``'s task: ``fit`` the final model of ``job``, a label
+    and its ``TrainConfig``, write its checkpoint, its ``featurizer_ref``
+    naming ``featurizer.json``, to ``model_<label>.json`` in ``staging``,
+    and return its ``final.json`` row, so the model never leaves the
+    process that trained it."""
+    label, train_config = job
+    model = fit(data, train_config, mu)
+    valid_report = evaluate_features(model, data.valid_x, dataset.valid, k=k)
     test_report = evaluate_features(model, test_x, dataset.test, k=k)
     row = {
         "val_top1": valid_report.top1_accuracy,
@@ -535,25 +541,9 @@ def _final_row(model: TrainedModel, dataset: Dataset, valid_x, test_x, sd_x,
                         "alpha": model.config.smoothing.alpha}
     row["history"] = model.history
     row["best_epoch"] = model.best_epoch
-    return row
-
-
-def _stage_final(staging: Path, dataset: Dataset, test_x, sd_x, k: int,
-                 data: FeaturizedData, train_config: TrainConfig,
-                 mu: np.ndarray | None) -> tuple[dict, str]:
-    """``run_final``'s task: ``fit`` one final model, score it into its
-    ``final.json`` row and write its checkpoint, its ``featurizer_ref``
-    naming ``featurizer.json``, to a file of its own in ``staging``; return
-    the row and that file's name, so the model never leaves the process
-    that trained it."""
-    model = fit(data, train_config, mu)
-    row = _final_row(model, dataset, data.valid_x, test_x, sd_x, k)
-    # a name of its own: the two configs are equal when LS is "none"
-    handle, path = tempfile.mkstemp(".json", "model_", staging)
-    os.close(handle)
     model.featurizer_ref = "featurizer.json"
-    save_checkpoint(model, path)
-    return row, Path(path).name
+    save_checkpoint(model, staging / f"model_{label}.json")
+    return row
 
 
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
@@ -567,10 +557,11 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     the rows. Each model is scored and its checkpoint written by the
     process that trained it (``_stage_final``), into a staging directory
     beside ``step3_final/`` (in its nearest existing ancestor); only the
-    rows come back. Once every training returns, the featurizer is staged
-    too, the three files are moved into ``step3_final/`` and ``final.json``
-    is written. On any error the staging directory is removed, so nothing
-    under ``output_dir`` changes."""
+    rows come back. Once every training returns, the featurizer and
+    ``final.json`` are staged too, and one loop moves the four files into
+    ``step3_final/``, ``final.json`` last. On any error the staging
+    directory is removed, so nothing under ``output_dir`` changes unless a
+    move fails."""
     train_configs = {label: config.train_config(best_setting, smoothing,
                                                 config.grid_seed)
                      for label, smoothing in (("no_ls", SmoothingConfig()),
@@ -582,28 +573,29 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
 
-    out = Path(config.output_dir, STEP_ARTIFACTS["final"][0]).parent
+    final = Path(config.output_dir, STEP_ARTIFACTS["final"][0])
+    out = final.parent
     anchor = out.parent
     while not anchor.exists():
         anchor = anchor.parent
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=anchor))
     try:
-        task = functools.partial(_stage_final, staging, dataset, test_x,
-                                 sd_x, config.k)
-        staged = dict(zip(train_configs, run_trainings(
-            task, data, list(train_configs.values()), mu)))
+        task = functools.partial(_stage_final, staging, dataset, data, test_x,
+                                 sd_x, mu, config.k)
+        rows = dict(zip(train_configs, run_trainings(
+            task, list(train_configs.items()))))
         featurizer.save(staging / "featurizer.json")
+        payload = {"baseline": config.baseline, "setting": best_setting,
+                   "seed": config.grid_seed, "rows": rows,
+                   "sd_evaluated": sd_x is not None}
+        with open(staging / final.name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
         out.mkdir(parents=True, exist_ok=True)
-        os.replace(staging / "featurizer.json", out / "featurizer.json")
-        for label, (_, file) in staged.items():
-            os.replace(staging / file, out / f"model_{label}.json")
+        for name in ("featurizer.json", *(f"model_{label}.json"
+                                          for label in rows), final.name):
+            os.replace(staging / name, out / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    payload = {"baseline": config.baseline, "setting": best_setting,
-               "seed": config.grid_seed,
-               "rows": {label: row for label, (row, _) in staged.items()},
-               "sd_evaluated": sd_x is not None}
-    write_artifact(config.output_dir, "final", payload)
     return payload
 
 

@@ -27,6 +27,8 @@ LOG_EPS = 1e-12
 # float64 values per slice of a blocked pass: Adam's six slices (param,
 # gradient, m, v and two work buffers) stay in a core's L2 cache
 _BLOCK = 1 << 15
+# the commands that write checkpoints and their featurizers
+WRITERS = "`ouvclf final` or `ouvclf train`"
 
 
 class TrainingDiverged(RuntimeError):
@@ -325,22 +327,23 @@ def write_arrays(path, head: str, arrays: list[np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
-def read_arrays(path, shapes_of) -> tuple[dict, dict[str, np.ndarray]]:
+def read_arrays(path, shapes_of,
+                rebuild: str = WRITERS) -> tuple[dict, dict[str, np.ndarray]]:
     """Inverse of ``write_arrays``: the head of the file at ``path`` and
     its arrays, named and shaped by ``shapes_of(head)``, a dict in body
     order whose errors name the file themselves. Each array is read with
     one ``np.fromfile``, so it is writable and C-contiguous. A head that
     is not a line of UTF-8 JSON (a file of the earlier one-object form
-    says to rebuild it), a shape that is not a list of integers >= 0, or a
-    body of another size than the shapes give is a ``ValueError`` naming
-    the file."""
+    says to rebuild it with ``rebuild``, the commands that write it), a
+    shape that is not a list of integers >= 0, or a body of another size
+    than the shapes give is a ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         with input_error(path):
             line = fh.readline()
             if not line.endswith(b"\n"):
                 raise ValueError("no line break ends the head, as in a file "
                                  "of an earlier version; rebuild it with "
-                                 "`ouvclf final` or `ouvclf train`")
+                                 + rebuild)
             head = json.loads(line.decode("utf-8"))
         shapes = shapes_of(head)
         with input_error(path):

@@ -809,6 +809,35 @@ def test_final_without_the_sweeps_featurizer_says_to_rerun_sweep(
     assert not (runs / "step3_final").exists()
 
 
+@pytest.mark.parametrize("damage,detail", [
+    (lambda path: edit_head(path, lambda head: head.update(
+        kind=head.pop("type"))),
+     "not a featurizer file of this version (missing key 'type')"),
+    (lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0]),
+     "no line break ends the head, as in a file of an earlier version"),
+], ids=["no-type-key", "earlier-form"])
+def test_final_with_an_unreadable_sweep_featurizer_says_to_rerun_sweep(
+        workspace, tmp_path, capsys, monkeypatch, damage, detail):
+    """Only ``ouvclf sweep`` writes ``step1_grid/featurizer.json``, so a
+    file there that cannot be read says to rebuild it with that command,
+    not with ``ouvclf final``, which only reads it; nothing is trained."""
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    path = runs / "step1_grid/featurizer.json"
+    damage(path)
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config = write_config(workspace, tmp_path / "config.json",
+                          output_dir=str(runs))
+    capsys.readouterr()
+    assert main(["final", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: {detail}; rebuild it with `ouvclf sweep`\n")
+    assert calls == []
+    assert not (runs / "step3_final").exists()
+
+
 def single_model(workspace):
     """The ``ouvclf train`` checkpoint of the workspace config."""
     model_path = workspace["root"] / "single/model.json"

@@ -1149,9 +1149,12 @@ class TestAtomicArtifacts:
                                           "summary.json"])
     def test_failed_write_keeps_old_file(self, dataset, tmp_path,
                                          monkeypatch, artifact):
-        config = toy_config(tmp_path, alpha_grid=[0.0], variants=["vanilla"])
-
-        def run_all():
+        """The second run differs in every file it writes (another
+        ``min_df`` and grid seed), so a file that keeps its bytes was not
+        written: a failed write leaves its file and every file beside it.
+        ``final.json`` is written in ``final``'s staging directory, so its
+        failed write leaves the models and featurizer it describes too."""
+        def run_all(config):
             featurizer = build_featurizer(config, dataset)
             best = run_grid_search(config, dataset, featurizer)
             result = run_ls_sweep(best, config, dataset, toy_mu(), featurizer)
@@ -1160,21 +1163,29 @@ class TestAtomicArtifacts:
                       config, dataset, toy_mu(), featurizer)
             report(config.output_dir)
 
-        run_all()
+        config = toy_config(tmp_path, alpha_grid=[0.0], variants=["vanilla"])
+        run_all(config)
         path = tmp_path / "runs" / artifact
-        before = path.read_bytes()
+        beside = lambda: {p.name: p.read_bytes()
+                          for p in path.parent.iterdir() if p.is_file()}
+        before = beside()
+        assert path.name in before
         real_dump = json.dump
 
         def dump_then_fail(obj, fh, **kwargs):
             real_dump(obj, fh, **kwargs)
-            if fh.name.startswith(f"{path}."):
+            name = Path(fh.name)
+            # the artifact's temp file, or its copy in a staging directory
+            if (fh.name.startswith(f"{path}.") or name.name == path.name
+                    and name.parent.name.startswith(f".{path.parent.name}.")):
                 raise OSError("disk full")
 
         monkeypatch.setattr(json, "dump", dump_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            run_all()
-        assert path.read_bytes() == before
+            run_all(dataclasses.replace(config, min_df=2, grid_seed=7))
+        assert beside() == before
         assert not list((tmp_path / "runs").rglob("*.tmp"))
+        assert not list(tmp_path.rglob(".step3_final.*"))
 
 
 def _embeddings_file(dataset, path):
@@ -1612,14 +1623,18 @@ class TestWorkers:
     def test_no_ls_chosen_gives_two_checkpoints(self, dataset, tmp_path,
                                                 monkeypatch, cpus):
         """With "none" chosen the two trainings have equal configs, and
-        each still stages a checkpoint of its own."""
-        files = self.final_files(dataset, tmp_path, monkeypatch, cpus,
-                                 smoothing=SmoothingConfig())
-        assert list(files) == ["runs", "runs/step3_final", *(
-            f"runs/{name}" for name in STEP_FILES
-            if name.startswith("step3_final/"))]
-        assert (files["runs/step3_final/model_ls.json"]
-                == files["runs/step3_final/model_no_ls.json"])
+        each still stages a checkpoint of its own, named by its label: a
+        first run and a rerun over it leave the same four files and no
+        ``.step3_final.*`` staging directory."""
+        for _ in range(2):
+            files = self.final_files(dataset, tmp_path, monkeypatch, cpus,
+                                     smoothing=SmoothingConfig())
+            assert list(files) == ["runs", "runs/step3_final", *(
+                f"runs/{name}" for name in STEP_FILES
+                if name.startswith("step3_final/"))]
+            assert (files["runs/step3_final/model_ls.json"]
+                    == files["runs/step3_final/model_no_ls.json"])
+            assert not list(tmp_path.rglob(".step3_final.*"))
 
     def test_worker_count_is_the_cpus_capped_at_the_trainings(
             self, monkeypatch):
