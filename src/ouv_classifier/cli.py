@@ -99,8 +99,9 @@ def cmd_sweep(args) -> int:
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
     best = run_grid_search(config, dataset, featurizer)
-    featurizer.save(Path(config.output_dir, GRID_FEATURIZER))
     result = run_ls_sweep(best, config, dataset, mu, featurizer)
+    # after the sweep: a failed sweep leaves the old sweep.json's featurizer
+    featurizer.save(Path(config.output_dir, GRID_FEATURIZER))
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
     return 0
@@ -141,8 +142,9 @@ def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.dataset)
     samples = dataset.split(args.split)
     if not samples:
-        print(f"split {args.split!r} is empty", file=sys.stderr)
-        return 1
+        raise ValueError(f"split {args.split!r} is empty: "
+                         f"{Path(args.dataset, args.split + '.jsonl')} is "
+                         "missing or holds no samples")
     rep = evaluate_model(predictor.model, predictor.featurizer, samples,
                          k=args.k, multilabel=args.split == "sd")
     print(json.dumps(rep.to_dict(), indent=1))

@@ -172,8 +172,6 @@ def _split_justification(text: str) -> dict[int, str]:
     """Split a combined justification field on 'Criterion (x):' markers."""
     parts: dict[int, str] = {}
     matches = list(_CRITERION_HEADER.finditer(text))
-    if not matches:
-        return parts
     for i, m in enumerate(matches):
         numeral = m.group(1).lower()
         if numeral not in ROMAN:
@@ -274,11 +272,9 @@ def split_sentences(paragraph: str) -> list[str]:
     for m in _TERMINATOR.finditer(text):
         end = m.end()
         if end < len(text):
+            # ``text`` is stripped, so ``rest`` ends in a non-space
             rest = text[end:]
-            stripped = rest.lstrip()
-            if not stripped:
-                pass  # trailing whitespace; end-of-text split below
-            elif not (rest[0].isspace() and stripped[0].isupper()):
+            if not (rest[0].isspace() and rest.lstrip()[0].isupper()):
                 continue
         last_word = text[:end].rsplit(None, 1)[-1].lower()
         if last_word in ABBREVIATIONS:
@@ -402,35 +398,21 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
             for (site, criterion, _), tokens in zip(found, token_lists)
             if MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN]
     n = len(kept)
+    kept = [kept[i] for i in np.random.default_rng(seed).permutation(n)]
+    n_held = n // 10  # the size of valid and of test
+    if not n_held:  # train always holds the definitions
+        raise ValueError(f"split 'valid' is empty: {n} sentences were kept "
+                         "and valid and test each take a tenth")
+    n_train = n - 2 * n_held
     # a definition sentence is labelled as the one-criterion site 0
     kept += [(tokens, criterion, [criterion], 0)
              for criterion, tokens in zip(defined, token_lists[len(found):])]
-    samples = make_samples(*zip(*kept), repeat("train"))
-    pool, definitions = samples[:n], samples[n:]
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_valid = n // 10
-    n_test = n // 10
-    dataset = Dataset()
-    for rank, idx in enumerate(order):
-        sample = pool[idx]
-        if rank < n - n_valid - n_test:
-            sample.split = "train"
-            dataset.train.append(sample)
-        elif rank < n - n_test:
-            sample.split = "valid"
-            dataset.valid.append(sample)
-        else:
-            sample.split = "test"
-            dataset.test.append(sample)
-
-    dataset.train.extend(definitions)
-
-    for name in ("train", "valid", "test"):
-        if not dataset.split(name):
-            raise ValueError(f"split {name!r} is empty")
-    return dataset
+    samples = make_samples(*zip(*kept), ["train"] * n_train
+                           + ["valid"] * n_held + ["test"] * n_held
+                           + ["train"] * len(defined))
+    return Dataset(train=samples[:n_train] + samples[n:],
+                   valid=samples[n_train:n - n_held],
+                   test=samples[n - n_held:n])
 
 
 def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:

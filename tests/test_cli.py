@@ -31,9 +31,9 @@ def sentence(site, criterion):
             f"traditions across many generations of builders.")
 
 
-def write_corpus_csv(path, with_sd=True):
+def write_corpus_csv(path, with_sd=True, n_sites=12):
     rows = [HEADER]
-    for site in range(1, 13):
+    for site in range(1, n_sites + 1):
         crits = [(site % 10) + 1, ((site + 3) % 10) + 1]
         crit_txt = "".join(f"({ROMANS[c - 1]})" for c in crits)
         just = " ".join(
@@ -320,6 +320,17 @@ def test_a_config_integer_too_large_for_a_float_is_named(workspace, tmp_path,
     config = ExperimentConfig.from_json(config_path)
     assert config.train_config({}, config.smoothing, 10 ** 400).seed == (
         10 ** 400)
+
+
+def test_ingest_of_too_few_sentences_writes_nothing(tmp_path, capsys):
+    csv_path, out = tmp_path / "one_site.csv", tmp_path / "data"
+    write_corpus_csv(csv_path, n_sites=1)
+    capsys.readouterr()
+    assert main(["ingest", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: split 'valid' is empty: 2 sentences were kept and valid and "
+        "test each take a tenth\n")
+    assert not out.exists()
 
 
 def test_ingest_missing_file(tmp_path):
@@ -616,6 +627,45 @@ def test_final_featurizes_with_the_sweeps_featurizer(workspace, tmp_path,
         "config's baseline is 'ngram'; rerun `ouvclf sweep`\n")
     assert {p.name: p.read_bytes()
             for p in (runs / "step3_final").iterdir()} == step3
+
+
+@pytest.mark.parametrize("damage", ["empty", "missing"])
+def test_evaluate_names_an_empty_or_missing_split_file(workspace, tmp_path,
+                                                       capsys, damage):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "valid.jsonl"
+    if damage == "empty":
+        path.write_text("", encoding="utf-8")
+    else:
+        path.unlink()
+    model = str(single_model(workspace))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", model, "--split", "valid",
+                 "--dataset", str(data)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: split 'valid' is empty: {path} is missing or holds no "
+        "samples\n"))
+
+
+def test_evaluate_names_a_checkpoint_without_a_featurizer(workspace, tmp_path,
+                                                          capsys):
+    """A model as ``train`` returns it names no featurizer file."""
+    config = ExperimentConfig.from_json(workspace["config"])
+    dataset = read_dataset(workspace["data"])
+    featurizer = harness.build_featurizer(config, dataset)
+    model = harness.fit(harness.featurize(featurizer, dataset),
+                        config.train_config(config.setting, config.smoothing,
+                                            config.grid_seed),
+                        load_prior(config))
+    assert model.featurizer_ref == ""
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(path), "--split", "valid",
+                 "--dataset", str(workspace["data"])]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} has no featurizer reference\n")
 
 
 def test_evaluate_rejects_a_malformed_checkpoint(workspace, tmp_path, capsys):
@@ -1165,6 +1215,59 @@ def test_final_and_report_refuse_a_grid_and_sweep_of_two_runs(
     assert calls == []
     assert {p: p.read_bytes() for p in sorted(runs.rglob("*"))
             if p.is_file()} == before
+
+
+def test_a_failed_sweep_rerun_keeps_the_featurizer_of_its_sweep(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A sweep rerun at another ``min_df``, whose grid keeps its best
+    setting and whose every smoothed training diverges, leaves the
+    featurizer the kept ``sweep.json`` was swept on, and ``final`` trains
+    on that one."""
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    before = {rel: (runs / rel).read_bytes()
+              for rel in ("step1_grid/featurizer.json",
+                          "step2_sweep/sweep.json")}
+    real_train = harness.train
+
+    def diverge_when_smoothed(*args, **kwargs):
+        if args[5].smoothing.variant != "none":
+            raise TrainingDiverged("diverged")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", diverge_when_smoothed)
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs), min_df=2)
+    config = ExperimentConfig.from_json(config_path)
+    rebuilt = tmp_path / "min_df_2.json"
+    harness.build_featurizer(config, read_dataset(config.dataset_dir)).save(
+        rebuilt)
+    assert rebuilt.read_bytes() != before["step1_grid/featurizer.json"]
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no sweep cell completed at least two seeds\n")
+    assert {rel: (runs / rel).read_bytes() for rel in before} == before
+    monkeypatch.setattr(harness, "train", real_train)
+    assert main(["final", "--config", str(config_path)]) == 0
+    assert (runs / "step3_final/featurizer.json").read_bytes() == \
+        before["step1_grid/featurizer.json"]
+
+
+def test_a_sweep_whose_every_grid_training_diverges_writes_no_grid(
+        workspace, tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise TrainingDiverged("diverged")
+
+    monkeypatch.setattr(harness, "train", diverge)
+    runs = tmp_path / "runs"
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: every grid setting failed to train\n")
+    assert not (runs / "step1_grid").exists()
 
 
 # ids kept from when each command also ran without ``prior_path``, so

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
-from ouv_classifier.corpus import (CRITERION_DEFINITIONS, Sample,
+from ouv_classifier.corpus import (CRITERION_DEFINITIONS, MAX_SENT_LEN,
+                                   MIN_SENT_LEN, Dataset, Sample,
                                    SiteRecord, build_dataset, build_sd_set,
-                                   label_rows, parse_syndication,
+                                   label_rows, make_samples, parse_syndication,
                                    preprocess, preprocess_many, read_dataset,
                                    read_samples, read_sites, sample_lines,
                                    split_sentences, write_dataset,
@@ -394,6 +395,94 @@ class TestBuildDataset:
         non_def = [s for s in dataset.train + dataset.valid + dataset.test
                    if s.site_id == 99]
         assert len(non_def) == 3  # "Too short." dropped
+
+
+def build_dataset_by_rank(sites, seed):
+    """A reference ``build_dataset``: each kept sentence is built as a train
+    sample, then moved to the split its rank in the seeded permutation
+    gives."""
+    found = [(site, criterion, sentence) for site in sites
+             for criterion, paragraph in sorted(site.justification.items())
+             for sentence in split_sentences(paragraph)]
+    defined = sorted(CRITERION_DEFINITIONS)
+    token_lists = preprocess_many([sentence for *_, sentence in found]
+                                  + [CRITERION_DEFINITIONS[c] for c in defined])
+    kept = [(tokens, criterion, sorted(site.criteria), site.site_id)
+            for (site, criterion, _), tokens in zip(found, token_lists)
+            if MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN]
+    n = len(kept)
+    kept += [(tokens, criterion, [criterion], 0)
+             for criterion, tokens in zip(defined, token_lists[len(found):])]
+    samples = make_samples(*zip(*kept), ["train"] * len(kept))
+    pool, definitions = samples[:n], samples[n:]
+    order = np.random.default_rng(seed).permutation(n)
+    n_valid = n_test = n // 10
+    dataset = Dataset()
+    for rank, idx in enumerate(order):
+        sample = pool[idx]
+        if rank < n - n_valid - n_test:
+            dataset.train.append(sample)
+        elif rank < n - n_test:
+            sample.split = "valid"
+            dataset.valid.append(sample)
+        else:
+            sample.split = "test"
+            dataset.test.append(sample)
+    dataset.train.extend(definitions)
+    for name in ("train", "valid", "test"):
+        if not dataset.split(name):
+            raise ValueError(f"split {name!r} is empty")
+    return dataset
+
+
+def letters(m):
+    """``m`` written in the letters a-j, one per decimal digit."""
+    return "".join(chr(ord("a") + int(d)) for d in str(m))
+
+
+@st.composite
+def justified_sites(draw):
+    """Sites holding 0-40 sentences that ``build_dataset`` keeps, each of
+    its own words, and some too short to keep."""
+    n = draw(st.integers(0, 40))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    sites, first = [], 0
+    for site_id, last in enumerate([*cuts, n], start=1):
+        criteria = draw(st.sets(st.integers(1, 10), min_size=1, max_size=3))
+        sentences = [" ".join([f"w{letters(j)}"] * 9).capitalize() + "."
+                     for j in range(first, last)]
+        if draw(st.booleans()):
+            sentences.insert(draw(st.integers(0, len(sentences))), "Too short.")
+        first = last
+        sites.append(SiteRecord(
+            site_id=site_id, name="", short_description="",
+            justification={min(criteria): " ".join(sentences)},
+            criteria=frozenset(criteria)))
+    return sites
+
+
+@settings(deadline=None)
+@given(justified_sites(), st.integers(0, 2**32 - 1))
+def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
+    """Each split holds the samples the reference's rank loop puts there,
+    in its order, with equal tokens, labels, label-row bytes, site ids and
+    split names; where the reference refuses an empty split, so does
+    ``build_dataset``."""
+    try:
+        want = build_dataset_by_rank(sites, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}: "):
+            build_dataset(sites, seed)
+        return
+    got = build_dataset(sites, seed)
+    for name in ("train", "valid", "test"):
+        assert [(s.tokens, s.sentence_label, s.one_hot.tobytes(),
+                 s.parental.tobytes(), s.site_id, s.split)
+                for s in got.split(name)] == \
+            [(s.tokens, s.sentence_label, s.one_hot.tobytes(),
+              s.parental.tobytes(), s.site_id, s.split)
+             for s in want.split(name)]
+    assert got.sd == []
 
 
 class TestBuildSdSet:
