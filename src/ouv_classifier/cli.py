@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -24,10 +25,11 @@ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import NUM_CRITERIA, atomic_open, read_lines
 from .corpus import (build_dataset, build_sd_set, parse_syndication,
                      read_dataset, read_sites, write_dataset, write_sites)
-from .harness import (GRID_FEATURIZER, ExperimentConfig, Featurizer,
-                      Predictor, build_featurizer, evaluate_model, featurize,
-                      fit, load_prior, mine, read_run, report, run_final,
-                      run_grid_search, run_ls_sweep, setting_of)
+from .harness import (GRID_FEATURIZER, STEP_ARTIFACTS, ExperimentConfig,
+                      Featurizer, Predictor, build_featurizer, commit_files,
+                      evaluate_model, featurize, fit, load_prior, mine,
+                      read_run, report, run_final, run_grid_search,
+                      run_ls_sweep, setting_of)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
 from .model import save_checkpoint
@@ -42,10 +44,9 @@ def cmd_ingest(args) -> int:
     justified = [s for s in sites if s.justification]
     dataset = build_dataset(justified, seed=args.seed)
     dataset.sd.extend(build_sd_set(sites))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset(dataset, out)
-    write_sites(justified, out / "sites.json")
+    with commit_files(args.out, "sites.json") as staging:
+        write_dataset(dataset, staging)
+        write_sites(justified, staging / "sites.json")
     print(f"train={len(dataset.train)} valid={len(dataset.valid)} "
           f"test={len(dataset.test)} sd={len(dataset.sd)} "
           f"sites={len(justified)}")
@@ -84,9 +85,9 @@ def cmd_train(args) -> int:
     model = fit(featurize(featurizer, dataset), train_config, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
     model.featurizer_ref = out.stem + "_featurizer.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    featurizer.save(out.with_name(model.featurizer_ref))
-    save_checkpoint(model, out)
+    with commit_files(out.parent, out.name) as staging:
+        featurizer.save(staging / model.featurizer_ref)
+        save_checkpoint(model, staging / out.name)
     last = model.history[model.best_epoch - 1]
     print(f"best_epoch={model.best_epoch} val_top1={last['val_top1']:.4f} "
           f"val_topk={last['val_topk']:.4f} checkpoint={out}")
@@ -98,10 +99,13 @@ def cmd_sweep(args) -> int:
     dataset = read_dataset(config.dataset_dir)
     mu = load_prior(config)
     featurizer = build_featurizer(config, dataset)
-    best = run_grid_search(config, dataset, featurizer)
-    result = run_ls_sweep(best, config, dataset, mu, featurizer)
-    # after the sweep: a failed sweep leaves the old sweep.json's featurizer
-    featurizer.save(Path(config.output_dir, GRID_FEATURIZER))
+    # log.json, the featurizer and sweep.json move in once the sweep returns
+    sweep = STEP_ARTIFACTS["sweep"][0]
+    with commit_files(config.output_dir, sweep) as staging:
+        staged = dataclasses.replace(config, output_dir=str(staging))
+        best = run_grid_search(staged, dataset, featurizer)
+        result = run_ls_sweep(best, staged, dataset, mu, featurizer)
+        featurizer.save(staging / GRID_FEATURIZER)
     print(f"best setting: {best}")
     print(f"chosen LS: {result.chosen_variant} alpha={result.chosen_alpha}")
     return 0

@@ -1,10 +1,10 @@
 """Dataset construction from the UNESCO syndication export.
 
-Turns the per-site justification paragraphs into sentence-level samples
-with one-hot sentence labels and site-level parental labels, and builds
-the independent short-description (SD) test set. Both labels are functions
-of a sample's sentence label and its site's criteria, built by one rule
-(``make_samples``), so a dataset line stores those and not the label rows.
+Turns the per-site justification paragraphs into sentence-level samples,
+each with its sentence label (a criterion id) and its site-level parental
+label, and builds the independent short-description (SD) test set. The
+parental label is a function of the site's criteria, built by one rule
+(``make_samples``), so a dataset line stores those and not the label row.
 """
 
 from __future__ import annotations
@@ -81,37 +81,33 @@ class SiteRecord:
 
 @dataclass
 class Sample:
-    """One sentence. ``make_samples`` builds ``one_hot`` from
-    ``sentence_label`` and ``parental`` from the site's criteria; a dataset
-    line stores those criteria in place of both rows."""
+    """One sentence. ``make_samples`` builds ``parental`` from the site's
+    criteria; a dataset line stores those criteria in place of the row."""
     tokens: list[str]
     sentence_label: int | None  # criterion 1-10; None for SD samples
-    one_hot: np.ndarray | None  # length 11; None for SD samples
+    one_hot: None  # always None: ``soft_targets`` builds one-hot rows
     parental: np.ndarray  # length 11
     site_id: int
     split: str
 
 
-def label_rows(criteria: list[list[int]], others: float) -> np.ndarray:
+def label_rows(criteria: list[list[int]]) -> np.ndarray:
     """One float64 row of ``NUM_CLASSES`` per list of ``criteria``: 1 in
-    column k - 1 for each criterion k, ``others`` in the last ("Others")
-    column and 0 elsewhere."""
+    column k - 1 for each criterion k, ``OTHERS_NOISE`` in the last
+    ("Others") column and 0 elsewhere."""
     rows = np.zeros((len(criteria), NUM_CLASSES))
-    rows[:, -1] = others
+    rows[:, -1] = OTHERS_NOISE
     rows[np.arange(len(criteria)).repeat(list(map(len, criteria))),
          np.fromiter(chain.from_iterable(criteria), np.intp) - 1] = 1.0
     return rows
 
 
 def make_samples(tokens, labels, criteria, site_ids, splits) -> list[Sample]:
-    """Samples from a column of each field but the label rows, which
-    ``label_rows`` builds: ``one_hot`` is the row of ``[label]`` with 0 for
-    Others (None for a None label), ``parental`` the row of the site's
-    ``criteria`` with ``OTHERS_NOISE``."""
-    one_hots = iter(label_rows([[k] for k in labels if k is not None], 0.0))
-    return list(map(Sample, tokens, labels,
-                    [None if k is None else next(one_hots) for k in labels],
-                    label_rows(criteria, OTHERS_NOISE), site_ids, splits))
+    """Samples from a column of each field but ``parental``, the row that
+    ``label_rows`` builds from the site's ``criteria``; ``one_hot`` is
+    None."""
+    return list(map(Sample, tokens, labels, repeat(None),
+                    label_rows(criteria), site_ids, splits))
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +437,14 @@ def sample_lines(samples: list[Sample]) -> Iterator[str]:
     """The dataset line of each of ``samples``, encoded as it is drawn. Its
     ``criteria`` are the criteria whose ``parental`` entries are positive,
     in order. A ``parental`` that is not the row ``label_rows`` builds from
-    them with ``OTHERS_NOISE`` would read back as that row, so it is a
-    ``ValueError`` naming the sample's index, raised by the call, from one
-    comparison over all rows."""
+    them would read back as that row, so it is a ``ValueError`` naming the
+    sample's index, raised by the call, from one comparison over all
+    rows."""
     parentals = np.array([s.parental for s in samples]).reshape(
         len(samples), NUM_CLASSES)
     criteria = [[k for k, positive in enumerate(row, start=1) if positive]
                 for row in (parentals[:, :NUM_CRITERIA] > 0).tolist()]
-    rows = label_rows(criteria, OTHERS_NOISE)
+    rows = label_rows(criteria)
     wrong = np.flatnonzero((parentals != rows).any(axis=1))
     if wrong.size:
         i = int(wrong[0])
@@ -476,12 +472,12 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 def read_samples(path: str | Path) -> list[Sample]:
     """Read a file written by ``write_samples``, building each sample's
-    ``one_hot`` and ``parental`` by ``make_samples``. Any other file is a
-    ``ValueError`` naming it: a line that is not JSON or lacks a sample key;
-    tokens that are not a list of strings, or a token that holds whitespace
-    (tokens are as ``str.split`` gives them, and the n-gram features count
-    on it); a ``sentence_label`` that is neither an integer 1-10 nor null;
-    or ``criteria`` that are not a list of integers 1-10. Each value check
+    ``parental`` by ``make_samples``. Any other file is a ``ValueError``
+    naming it: a line that is not JSON or lacks a sample key; tokens that
+    are not a list of strings, or a token that holds whitespace (tokens are
+    as ``str.split`` gives them, and the n-gram features count on it); a
+    ``sentence_label`` that is neither an integer 1-10 nor null; or
+    ``criteria`` that are not a list of integers 1-10. Each value check
     runs once over the file's column of that key and names the first bad
     line. A file whose first line holds ``parental``, as a line of the
     earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""

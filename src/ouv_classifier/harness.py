@@ -15,6 +15,7 @@ import shutil
 import tempfile
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,6 +171,30 @@ def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
         json.dump(payload, fh, indent=1)
 
 
+@contextmanager
+def commit_files(target: str | Path, last: str):
+    """A staging directory, made in the nearest existing ancestor of the
+    directory ``target`` (``target`` included), whose files the block
+    writes at their paths relative to ``target``. When the block returns,
+    one ``os.replace`` loop moves each file to its path under ``target``,
+    ``last`` (such a relative path) after the others. The staging
+    directory is removed in any case, so a block that raises changes
+    nothing under ``target``; only a failed move is left as a window."""
+    anchor = target = Path(target)
+    while not anchor.exists():
+        anchor = anchor.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=anchor))
+    try:
+        yield staging
+        names = sorted(path.relative_to(staging)
+                       for path in staging.rglob("*") if path.is_file())
+        for name in sorted(names, key=lambda name: name == Path(last)):
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(staging / name, target / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def read_artifact(output_dir: str | Path, step: str) -> dict:
     rel, keys = STEP_ARTIFACTS[step]
     return read_json(Path(output_dir, rel), **keys)
@@ -307,7 +332,7 @@ def build_featurizer(config: ExperimentConfig, dataset: Dataset) -> Featurizer:
 @dataclass
 class FeaturizedData:
     train_x: object
-    train_one_hots: np.ndarray
+    train_labels: np.ndarray
     train_parentals: np.ndarray
     valid_x: object
     valid_labels: np.ndarray
@@ -322,10 +347,10 @@ def featurize(featurizer: Featurizer, dataset: Dataset) -> FeaturizedData:
                              "train and valid samples")
     return FeaturizedData(
         train_x=featurizer.transform(dataset.train),
-        train_one_hots=np.stack([s.one_hot for s in dataset.train]),
+        train_labels=np.array([s.sentence_label for s in dataset.train]),
         train_parentals=np.stack([s.parental for s in dataset.train]),
         valid_x=featurizer.transform(dataset.valid),
-        valid_labels=np.array([s.sentence_label - 1 for s in dataset.valid]),
+        valid_labels=np.array([s.sentence_label for s in dataset.valid]),
     )
 
 
@@ -338,7 +363,7 @@ def setting_of(entry: dict) -> dict:
 def fit(data: FeaturizedData, train_config: TrainConfig,
         mu: np.ndarray | None) -> TrainedModel:
     """The one call that trains: ``train_config`` on ``data``."""
-    return train(data.train_x, data.train_one_hots, data.train_parentals,
+    return train(data.train_x, data.train_labels, data.train_parentals,
                  data.valid_x, data.valid_labels, train_config, mu=mu)
 
 
@@ -555,13 +580,12 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     is a ``ValueError``, raised before any training. Each split is
     featurized once, before the trainings start, so forked workers inherit
     the rows. Each model is scored and its checkpoint written by the
-    process that trained it (``_stage_final``), into a staging directory
-    beside ``step3_final/`` (in its nearest existing ancestor); only the
-    rows come back. Once every training returns, the featurizer and
-    ``final.json`` are staged too, and one loop moves the four files into
-    ``step3_final/``, ``final.json`` last. On any error the staging
-    directory is removed, so nothing under ``output_dir`` changes unless a
-    move fails."""
+    process that trained it (``_stage_final``), into ``commit_files``'
+    staging directory for ``step3_final/``; only the rows come back. Once
+    every training returns, the featurizer and ``final.json`` are staged
+    too, and the four files move into ``step3_final/``, ``final.json``
+    last, so on any error before the moves nothing under ``output_dir``
+    changes."""
     train_configs = {label: config.train_config(best_setting, smoothing,
                                                 config.grid_seed)
                      for label, smoothing in (("no_ls", SmoothingConfig()),
@@ -574,12 +598,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
 
     final = Path(config.output_dir, STEP_ARTIFACTS["final"][0])
-    out = final.parent
-    anchor = out.parent
-    while not anchor.exists():
-        anchor = anchor.parent
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=anchor))
-    try:
+    with commit_files(final.parent, final.name) as staging:
         task = functools.partial(_stage_final, staging, dataset, data, test_x,
                                  sd_x, mu, config.k)
         rows = dict(zip(train_configs, run_trainings(
@@ -590,12 +609,6 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
                    "sd_evaluated": sd_x is not None}
         with open(staging / final.name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in ("featurizer.json", *(f"model_{label}.json"
-                                          for label in rows), final.name):
-            os.replace(staging / name, out / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
     return payload
 
 

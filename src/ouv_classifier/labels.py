@@ -93,15 +93,18 @@ def soft_softmax(z: np.ndarray) -> np.ndarray:
     return numerators / denoms
 
 
-def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
+def soft_targets(labels: np.ndarray, parentals: np.ndarray,
                  mu: np.ndarray | None,
                  config: SmoothingConfig) -> np.ndarray:
-    """Combine each row's sentence and parental labels into a soft label.
+    """Combine each row's sentence label, a criterion id 1-10, and its
+    parental labels into a soft label; the label's one-hot row (0 for
+    Others) is built here, in one indexing step.
 
     The prior variant weighs each row's parental labels by the prior of its
-    sentence criterion, ``mu[argmax(one_hot)]``.
+    sentence criterion, ``mu[label - 1]``.
     """
-    one_hots = np.array(one_hots, dtype=float)
+    rows = np.asarray(labels) - 1
+    one_hots = np.eye(NUM_CLASSES)[rows]
     if config.variant == "none" or config.alpha == 0:
         return one_hots
     alpha = config.alpha
@@ -113,7 +116,6 @@ def soft_targets(one_hots: np.ndarray, parentals: np.ndarray,
     else:  # prior
         if mu is None:
             raise ValueError("prior smoothing requires prior weights")
-        weights = mu[one_hots.argmax(axis=1)]
-        combined = one_hots + alpha * (weights * parentals)
+        combined = one_hots + alpha * (mu[rows] * parentals)
     return soft_softmax(combined)
 

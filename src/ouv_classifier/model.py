@@ -222,20 +222,20 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState,
             np.subtract(p, step, out=p)
 
 
-def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
+def train(train_x, train_labels: np.ndarray, train_parentals: np.ndarray,
           valid_x, valid_labels: np.ndarray, config: TrainConfig,
           mu: np.ndarray | None = None) -> TrainedModel:
     """Minibatch training with early stopping on validation top-k.
 
     ``train_x``/``valid_x`` are feature matrices (dense or CSR);
-    ``valid_labels`` are 0-based class indices of the validation split.
+    ``train_labels``/``valid_labels`` are the splits' sentence labels, as
+    criterion ids 1-10.
     """
     n = train_x.shape[0]
     if n == 0 or valid_x.shape[0] == 0:
         raise ValueError("train and valid splits must be non-empty")
-    targets = soft_targets(train_one_hots, train_parentals, mu,
+    targets = soft_targets(train_labels, train_parentals, mu,
                            config.smoothing)
-    valid_truths = np.asarray(valid_labels) + 1
     rng = np.random.default_rng(config.seed)
     params = init_params(train_x.shape[1], config.hidden, config.seed)
     state = AdamState.for_params(params)
@@ -272,8 +272,8 @@ def train(train_x, train_one_hots: np.ndarray, train_parentals: np.ndarray,
 
         _, val_probs, _ = forward(params, valid_x)
         rankings = rank_classes(val_probs)
-        val_top1 = topk_accuracy(rankings, valid_truths, 1)
-        val_topk = topk_accuracy(rankings, valid_truths, config.k)
+        val_top1 = topk_accuracy(rankings, valid_labels, 1)
+        val_topk = topk_accuracy(rankings, valid_labels, config.k)
         history.append({"epoch": epoch, "train_loss": epoch_loss,
                         "val_top1": val_top1, "val_topk": val_topk})
 

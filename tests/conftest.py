@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
-from ouv_classifier.corpus import Dataset, Sample, SiteRecord, label_rows
+from ouv_classifier.corpus import Dataset, Sample, SiteRecord
 
 # selected with --hypothesis-profile=ci: a failure prints the blob that
 # reproduces it, and tests with no @settings of their own run 200 examples
@@ -24,8 +24,8 @@ def edit_head(path, edit) -> None:
 
 
 def make_one_hot(criterion):
-    """The one-hot row of ``criterion``, as a sample built from it holds."""
-    return label_rows([[criterion]], 0.0)[0]
+    """The one-hot row of ``criterion``, as ``soft_targets`` builds it."""
+    return np.eye(NUM_CLASSES)[criterion - 1]
 
 
 def make_sample(tokens, criterion, parental_criteria=None, split="train",
@@ -35,7 +35,7 @@ def make_sample(tokens, criterion, parental_criteria=None, split="train",
         parental[k - 1] = 1.0
     parental[NUM_CLASSES - 1] = OTHERS_NOISE
     return Sample(tokens=list(tokens), sentence_label=criterion,
-                  one_hot=make_one_hot(criterion), parental=parental,
+                  one_hot=None, parental=parental,
                   site_id=site_id, split=split)
 
 

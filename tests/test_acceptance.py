@@ -120,11 +120,10 @@ def test_acceptance_04_gradient_check():
             params = init_params(6, 5, seed=int(rng.integers(1 << 30)))
             x = rng.normal(size=(3, 6))
             labels = rng.integers(1, 11, size=3)
-            one_hots = np.stack([make_one_hot(int(c)) for c in labels])
-            parentals = one_hots.copy()
+            parentals = np.stack([make_one_hot(int(c)) for c in labels])
             parentals[:, NUM_CLASSES - 1] = OTHERS_NOISE
             config = settings[trial % 4]
-            targets = soft_targets(one_hots, parentals, mu, config)
+            targets = soft_targets(labels, parentals, mu, config)
             l2 = 1e-3
             _, probs, cache = forward(params, x)
             analytic = backward(cache, probs, targets, params, l2)
@@ -144,7 +143,6 @@ def test_acceptance_05_zero_preservation():
                         np.ones((10, 1))])
         for _ in range(1000):
             label = int(rng.integers(1, 11))
-            one_hot = make_one_hot(label)
             extra = set(rng.choice(np.arange(1, 11),
                                    size=int(rng.integers(0, 4)),
                                    replace=False))
@@ -160,7 +158,7 @@ def test_acceptance_05_zero_preservation():
                            SmoothingConfig("vanilla", 0.0),
                            SmoothingConfig("uniform", 0.0),
                            SmoothingConfig("prior", 0.0)):
-                soft = soft_targets(one_hot[None], parental[None], mu,
+                soft = soft_targets(np.array([label]), parental[None], mu,
                                     config)[0]
                 assert abs(soft.sum() - 1.0) < 1e-9
                 for c in outside:
@@ -204,10 +202,10 @@ def _toy_features():
     dataset = make_separable_dataset(n_train=300, n_valid=60)
     vocab = fit_tfidf(dataset.train, min_df=1)
     return (tfidf_rows(vocab, [s.tokens for s in dataset.train]),
-            np.stack([s.one_hot for s in dataset.train]),
+            np.array([s.sentence_label for s in dataset.train]),
             np.stack([s.parental for s in dataset.train]),
             tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
-            np.array([s.sentence_label - 1 for s in dataset.valid]))
+            np.array([s.sentence_label for s in dataset.valid]))
 
 
 def _toy_config(smoothing):
@@ -219,12 +217,12 @@ def _toy_config(smoothing):
 def test_acceptance_07_toy_corpus_learning():
     with criterion(7, "separable toy corpus solved with and without LS"):
         start = time.monotonic()
-        train_x, one_hots, parentals, valid_x, valid_labels = _toy_features()
-        plain = train(train_x, one_hots, parentals, valid_x, valid_labels,
+        train_x, train_labels, parentals, valid_x, valid_labels = _toy_features()
+        plain = train(train_x, train_labels, parentals, valid_x, valid_labels,
                       _toy_config(SmoothingConfig()))
         best = plain.history[plain.best_epoch - 1]
         assert best["val_top1"] == 1.0
-        smoothed = train(train_x, one_hots, parentals, valid_x, valid_labels,
+        smoothed = train(train_x, train_labels, parentals, valid_x, valid_labels,
                          _toy_config(SmoothingConfig("uniform", 0.1)))
         best = smoothed.history[smoothed.best_epoch - 1]
         assert best["val_top1"] >= 0.98
@@ -233,11 +231,11 @@ def test_acceptance_07_toy_corpus_learning():
 
 def test_acceptance_08_deterministic_training(tmp_path):
     with criterion(8, "identical configs give byte-identical checkpoints"):
-        train_x, one_hots, parentals, valid_x, valid_labels = _toy_features()
+        train_x, train_labels, parentals, valid_x, valid_labels = _toy_features()
         config = _toy_config(SmoothingConfig("uniform", 0.1))
         models = []
         for name in ("a", "b"):
-            model = train(train_x, one_hots, parentals, valid_x,
+            model = train(train_x, train_labels, parentals, valid_x,
                           valid_labels, config)
             save_checkpoint(model, tmp_path / f"{name}.json")
             models.append(model)
@@ -357,10 +355,10 @@ def _real_run(dataset, features_fn, smoothing=SmoothingConfig()):
                          seed=1337, k=3, smoothing=smoothing)
     train_x, valid_x = features_fn(dataset)
     model = train(train_x,
-                  np.stack([s.one_hot for s in dataset.train]),
+                  np.array([s.sentence_label for s in dataset.train]),
                   np.stack([s.parental for s in dataset.train]),
                   valid_x,
-                  np.array([s.sentence_label - 1 for s in dataset.valid]),
+                  np.array([s.sentence_label for s in dataset.valid]),
                   config)
     return model.history[model.best_epoch - 1]
 

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ouv_classifier import NUM_CLASSES, cli, harness
+from ouv_classifier import NUM_CLASSES, cli, corpus, harness
 from ouv_classifier.cli import main
 from ouv_classifier.corpus import read_dataset
 from ouv_classifier.features import TfidfVocabulary
@@ -1174,38 +1174,31 @@ def test_a_worker_that_dies_is_an_error_and_writes_nothing(
 
 def test_final_and_report_refuse_a_grid_and_sweep_of_two_runs(
         workspace, tmp_path, capsys, monkeypatch):
-    """A sweep rerun with another grid whose every smoothed training
-    diverges writes a new ``log.json`` beside the old ``sweep.json``;
-    ``final`` and ``report`` then name both files and write nothing."""
+    """A grid search with another grid on the run directory writes a new
+    ``log.json`` beside the old ``sweep.json``; ``final`` and ``report``
+    then name both files and write nothing."""
     runs = tmp_path / "runs"
     copy_steps_1_and_2(workspace, runs)
     config_path = write_config(workspace, tmp_path / "config.json",
                                output_dir=str(runs))
     assert main(["final", "--config", str(config_path)]) == 0
     assert main(["report", str(runs)]) == 0
-    real_train = harness.train
-    calls = []
-
-    def diverge_when_smoothed(*args, **kwargs):
-        calls.append(args)
-        if args[5].smoothing.variant != "none":
-            raise TrainingDiverged("diverged")
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "train", diverge_when_smoothed)
     sweep_bytes = (runs / "step2_sweep/sweep.json").read_bytes()
-    other = write_config(workspace, tmp_path / "other.json",
-                         output_dir=str(runs),
-                         grid={"hidden": [8], "batch_size": [64]})
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(other)]) == 1
-    assert "no sweep cell completed" in capsys.readouterr().err
+    other = ExperimentConfig.from_json(write_config(
+        workspace, tmp_path / "other.json", output_dir=str(runs),
+        grid={"hidden": [8], "batch_size": [64]}))
+    dataset = read_dataset(other.dataset_dir)
+    harness.run_grid_search(other, dataset,
+                            harness.build_featurizer(other, dataset))
     assert (runs / "step2_sweep/sweep.json").read_bytes() == sweep_bytes
     before = {p: p.read_bytes() for p in sorted(runs.rglob("*"))
               if p.is_file()}
-    calls.clear()
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
     grid_path, sweep_path = (runs / "step1_grid/log.json",
                              runs / "step2_sweep/sweep.json")
+    capsys.readouterr()
     for argv in (["final", "--config", str(config_path)],
                  ["report", str(runs)]):
         assert main(argv) == 1
@@ -1252,6 +1245,117 @@ def test_a_failed_sweep_rerun_keeps_the_featurizer_of_its_sweep(
     assert main(["final", "--config", str(config_path)]) == 0
     assert (runs / "step3_final/featurizer.json").read_bytes() == \
         before["step1_grid/featurizer.json"]
+
+
+def file_bytes(root):
+    """Every file under ``root``: its path relative to ``root``, and its
+    bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def fail_when(name, real, recorded):
+    """``real``, recording the path, its second argument, of each call;
+    a call whose path is named ``name`` raises ``OSError`` instead."""
+    def write(obj, path):
+        recorded.append(path)
+        if path.name == name:
+            raise OSError("disk full")
+        return real(obj, path)
+    return write
+
+
+def test_a_sweep_rerun_whose_featurizer_save_fails_keeps_all_three_files(
+        workspace, tmp_path, capsys, monkeypatch):
+    """The sweep's log, featurizer and ``sweep.json`` are staged and move
+    together, so a rerun (another ``min_df``, grid seed and alpha grid,
+    which changes all three) whose featurizer save fails leaves the
+    earlier three byte for byte and no staging directory, and ``final``
+    runs on them."""
+    runs, fresh = tmp_path / "runs", tmp_path / "fresh"
+    copy_steps_1_and_2(workspace, runs)
+    before = file_bytes(runs)
+    assert list(before) == ["step1_grid/featurizer.json",
+                            "step1_grid/log.json", "step2_sweep/sweep.json"]
+    changes = {"min_df": 2, "grid_seed": 7, "alpha_grid": [0.0, 0.2]}
+    assert main(["sweep", "--config", str(write_config(
+        workspace, tmp_path / "fresh.json", output_dir=str(fresh),
+        **changes))]) == 0
+    assert all(file_bytes(fresh)[rel] != before[rel] for rel in before)
+    saved = []
+    monkeypatch.setattr(harness.Featurizer, "save", fail_when(
+        "featurizer.json", harness.Featurizer.save, saved))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               output_dir=str(runs), **changes)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert file_bytes(runs) == before
+    staging = saved[0].parents[1]
+    assert staging.name.startswith(".runs.") and not staging.exists()
+    assert not list(tmp_path.rglob(".runs.*"))
+    monkeypatch.undo()
+    assert main(["final", "--config", str(config_path)]) == 0
+
+
+def test_a_failed_ingest_rerun_keeps_every_dataset_file(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A rerun at another seed, which moves sentences between the splits,
+    whose ``valid.jsonl`` write fails leaves all five files byte for byte
+    (the new train split beside the old valid and test splits would leak
+    them into training) and no staging directory."""
+    data, fresh = tmp_path / "data", tmp_path / "fresh"
+    assert main(["ingest", str(workspace["csv"]), "--out", str(data)]) == 0
+    before = file_bytes(data)
+    assert list(before) == ["sd.jsonl", "sites.json", "test.jsonl",
+                            "train.jsonl", "valid.jsonl"]
+    assert main(["ingest", str(workspace["csv"]), "--out", str(fresh),
+                 "--seed", "7"]) == 0
+    assert all(file_bytes(fresh)[name] != before[name]
+               for name in ("train.jsonl", "valid.jsonl", "test.jsonl"))
+    written = []
+    monkeypatch.setattr(corpus, "write_samples", fail_when(
+        "valid.jsonl", corpus.write_samples, written))
+    capsys.readouterr()
+    assert main(["ingest", str(workspace["csv"]), "--out", str(data),
+                 "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert [path.name for path in written] == ["train.jsonl", "valid.jsonl"]
+    assert file_bytes(data) == before
+    staging = written[0].parent
+    assert staging.name.startswith(".data.") and not staging.exists()
+    assert not list(tmp_path.rglob(".data.*"))
+
+
+def test_a_failed_train_rerun_keeps_the_model_and_its_featurizer(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A rerun at another ``min_df`` whose checkpoint write fails leaves
+    the earlier checkpoint and featurizer byte for byte, not a new
+    featurizer beside the old checkpoint, and no staging directory."""
+    out = tmp_path / "models/model.json"
+
+    def train(**changes):
+        return main(["train", "--config", str(write_config(
+            workspace, tmp_path / "config.json", **changes)),
+            "--out", str(out)])
+
+    assert train() == 0
+    before = file_bytes(out.parent)
+    assert list(before) == ["model.json", "model_featurizer.json"]
+    saved = []
+    monkeypatch.setattr(cli, "save_checkpoint", fail_when(
+        "model.json", cli.save_checkpoint, saved))
+    capsys.readouterr()
+    assert train(min_df=2) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert file_bytes(out.parent) == before
+    staging = saved[0].parent
+    assert staging.name.startswith(".models.") and not staging.exists()
+    assert not list(tmp_path.rglob(".models.*"))
+    monkeypatch.undo()
+    assert train(min_df=2) == 0
+    assert all(file_bytes(out.parent)[name] != before[name]
+               for name in before)
 
 
 def test_a_sweep_whose_every_grid_training_diverges_writes_no_grid(

@@ -15,7 +15,6 @@ from ouv_classifier.corpus import (CRITERION_DEFINITIONS, MAX_SENT_LEN,
                                    read_samples, read_sites, sample_lines,
                                    split_sentences, write_dataset,
                                    write_samples, write_sites)
-from conftest import make_one_hot
 
 SYNDICATION_HEADER = "id_no,name_en,criteria_txt,justification_en,short_description_en\n"
 
@@ -368,9 +367,7 @@ class TestBuildDataset:
         for split in ("train", "valid", "test"):
             for s in dataset.split(split):
                 assert 8 <= len(s.tokens) <= 64
-                assert s.one_hot.sum() == 1
-                assert s.one_hot[s.sentence_label - 1] == 1
-                assert s.one_hot[NUM_CLASSES - 1] == 0
+                assert s.one_hot is None
                 assert s.parental[s.sentence_label - 1] == 1
                 assert s.parental[NUM_CLASSES - 1] == 0.2
                 assert not any(t != t.lower() for t in s.tokens)
@@ -465,8 +462,8 @@ def justified_sites(draw):
 @given(justified_sites(), st.integers(0, 2**32 - 1))
 def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
     """Each split holds the samples the reference's rank loop puts there,
-    in its order, with equal tokens, labels, label-row bytes, site ids and
-    split names; where the reference refuses an empty split, so does
+    in its order, with equal tokens, labels, parental bytes, site ids and
+    split names, and no one-hot row; where the reference refuses an empty split, so does
     ``build_dataset``."""
     try:
         want = build_dataset_by_rank(sites, seed)
@@ -476,10 +473,10 @@ def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
         return
     got = build_dataset(sites, seed)
     for name in ("train", "valid", "test"):
-        assert [(s.tokens, s.sentence_label, s.one_hot.tobytes(),
+        assert [(s.tokens, s.sentence_label, s.one_hot,
                  s.parental.tobytes(), s.site_id, s.split)
                 for s in got.split(name)] == \
-            [(s.tokens, s.sentence_label, s.one_hot.tobytes(),
+            [(s.tokens, s.sentence_label, None,
               s.parental.tobytes(), s.site_id, s.split)
              for s in want.split(name)]
     assert got.sd == []
@@ -513,8 +510,9 @@ class TestBuildSdSet:
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
-        """Each read sample's label rows have the float64 bytes of the
-        built sample's, though the file holds only its criteria."""
+        """Each read sample's parental row has the float64 bytes of the
+        built sample's, though the file holds only its criteria, and
+        neither carries a one-hot row."""
         sites = make_justified_sites(5, 5)
         dataset = build_dataset(sites, seed=0)
         samples = dataset.train + dataset.valid + build_sd_set([SiteRecord(
@@ -531,11 +529,7 @@ class TestJsonl:
             assert (a.site_id, a.split) == (b.site_id, b.split)
             assert b.parental.dtype == np.float64
             assert b.parental.tobytes() == a.parental.tobytes()
-            if a.one_hot is None:
-                assert b.one_hot is None
-            else:
-                assert b.one_hot.dtype == np.float64
-                assert b.one_hot.tobytes() == a.one_hot.tobytes()
+            assert a.one_hot is b.one_hot is None
 
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
@@ -548,9 +542,9 @@ class TestJsonl:
     def test_line_bytes(self):
         """Key order, separators, the site's sorted criteria in place of the
         label rows, and non-ASCII tokens as they are."""
-        parental = label_rows([[5, 2]], OTHERS_NOISE)[0]
+        parental = label_rows([[5, 2]])[0]
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
-                       one_hot=make_one_hot(2), parental=parental,
+                       one_hot=None, parental=parental,
                        site_id=7, split="train")
         assert next(sample_lines([train])) == (
             '{"tokens": ["château", "<num>"], "sentence_label": 2, '
@@ -579,7 +573,7 @@ class TestJsonl:
         """A row that would read back as another (all zeros, as a mined
         sentence has, reads back with 0.2 in Others; 0.5 as 1.0) names the
         file and the sample's index, and the file is left as it was."""
-        good = label_rows([[3]], OTHERS_NOISE)[0]
+        good = label_rows([[3]])[0]
         samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
                           parental=parental, site_id=1, split="sd")
                    for parental in (good, good, np.array(row))]
@@ -597,7 +591,7 @@ class TestJsonl:
     def test_parentals_of_the_wrong_length_are_refused(self, tmp_path):
         """Two rows of 22, each a valid row twice over, are not four
         samples' rows: the file is not written."""
-        row = label_rows([[3]], OTHERS_NOISE)[0]
+        row = label_rows([[3]])[0]
         samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
                           parental=np.concatenate([row, row]), site_id=1,
                           split="sd") for _ in range(2)]
@@ -722,7 +716,7 @@ class TestJsonl:
     def test_an_unlabelled_line_outside_sd_is_refused(self, tmp_path, split):
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         sample = dataset.split(split)[0]
-        sample.sentence_label = sample.one_hot = None
+        sample.sentence_label = None
         write_dataset(dataset, tmp_path)
         with pytest.raises(ValueError) as excinfo:
             read_dataset(tmp_path)
@@ -748,7 +742,7 @@ class TestJsonl:
             for k in criteria:
                 want[k - 1] = 1.0
             assert sample.parental.tobytes() == want.tobytes()
-            assert sample.one_hot.tobytes() == make_one_hot(4).tobytes()
+            assert (sample.sentence_label, sample.one_hot) == (4, None)
 
 
 class TestAtomicWrites:
@@ -780,3 +774,8 @@ def test_definitions_cover_all_criteria():
     assert set(CRITERION_DEFINITIONS) == set(range(1, 11))
     for text in CRITERION_DEFINITIONS.values():
         assert len(preprocess(text)) >= 8
+
+
+def test_an_unknown_split_is_refused():
+    with pytest.raises(ValueError, match="^unknown split 'bogus'$"):
+        Dataset().split("bogus")

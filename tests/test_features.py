@@ -60,6 +60,10 @@ class TestFitTfidf:
         with pytest.raises(ValueError):
             fit_tfidf(docs_to_samples(["a b", "c d"]), min_df=3)
 
+    def test_min_df_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^min_df must be >= 1$"):
+            fit_tfidf(docs_to_samples(["a b", "a c"]), min_df=0)
+
     def test_split_hygiene(self):
         train = docs_to_samples(["a b", "a c", "b c"])
         extra = docs_to_samples(["a a", "a a", "a a"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
+from ouv_classifier.corpus import label_rows
 from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, SmoothingConfig,
                                    cooccurrence, prior_weights,
                                    soft_softmax, soft_targets)
@@ -149,8 +150,12 @@ class TestVanillaEquivalence:
             y = np.zeros(num_classes)
             y[position] = 1.0
             for alpha in ALPHA_GRID:
-                vanilla = soft_targets(y[None], parental[None], None,
-                                       SmoothingConfig("vanilla", alpha))[0]
+                if num_classes == NUM_CLASSES and position < NUM_CRITERIA:
+                    vanilla = soft_targets(
+                        np.array([position + 1]), parental[None], None,
+                        SmoothingConfig("vanilla", alpha))[0]
+                else:  # the vanilla rule at a width soft_targets lacks
+                    vanilla = soft_softmax((y + alpha)[None])[0]
                 eps = epsilon_for_alpha(alpha, num_classes)
                 reference = original_ls(y, eps, num_classes)
                 assert np.max(np.abs(vanilla - reference)) < 1e-9
@@ -169,7 +174,7 @@ class TestSmooth:
         y = make_one_hot(4)
         parental = make_one_hot(4)
         for variant in ("none", "vanilla", "uniform", "prior"):
-            got = soft_targets(y[None], parental[None], identity_mu(),
+            got = soft_targets(np.array([4]), parental[None], identity_mu(),
                                SmoothingConfig(variant, 0.0))[0]
             np.testing.assert_array_equal(got, y)
 
@@ -178,7 +183,7 @@ class TestSmooth:
         parental = np.zeros(NUM_CLASSES)
         parental[1] = parental[3] = 1.0
         parental[10] = 0.2
-        got = soft_targets(y[None], parental[None], None,
+        got = soft_targets(np.array([2]), parental[None], None,
                            SmoothingConfig("uniform", 0.5))[0]
         expected = scalar_smooth_uniform(y, parental, 0.5)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -187,13 +192,12 @@ class TestSmooth:
         assert np.argmax(got) == 1
 
     def test_prior_weights_shape_output(self):
-        y = make_one_hot(2)
         parental = np.zeros(NUM_CLASSES)
         parental[1] = parental[3] = 1.0
         parental[10] = 0.2
         mu = identity_mu()
         mu[1, 3] = 0.5  # criterion 2 associates with 4
-        got = soft_targets(y[None], parental[None], mu,
+        got = soft_targets(np.array([2]), parental[None], mu,
                            SmoothingConfig("prior", 0.5))[0]
         assert abs(got.sum() - 1) < 1e-9
         support = {i for i, v in enumerate(got) if v > 0}
@@ -201,7 +205,7 @@ class TestSmooth:
 
     def test_prior_requires_mu(self):
         with pytest.raises(ValueError):
-            soft_targets(make_one_hot(1)[None], make_one_hot(1)[None], None,
+            soft_targets(np.array([1]), make_one_hot(1)[None], None,
                          SmoothingConfig("prior", 0.1))
 
     def test_negative_alpha_rejected(self):
@@ -216,12 +220,11 @@ class TestSmooth:
 
     def test_others_contribution_identical_across_variants(self):
         # mu[k][others] = 1 makes the Others mass alpha * 0.2 in both variants
-        y = make_one_hot(3)
-        parental = y.copy()
+        parental = make_one_hot(3)
         parental[10] = 0.2
-        uniform = soft_targets(y[None], parental[None], None,
+        uniform = soft_targets(np.array([3]), parental[None], None,
                                SmoothingConfig("uniform", 0.5))[0]
-        prior = soft_targets(y[None], parental[None], identity_mu(),
+        prior = soft_targets(np.array([3]), parental[None], identity_mu(),
                              SmoothingConfig("prior", 0.5))[0]
         np.testing.assert_allclose(uniform[10], prior[10], atol=1e-12)
 
@@ -246,8 +249,8 @@ class TestSoftTargetsBatch:
     def test_equals_per_row_reference(self):
         rng = np.random.default_rng(2021)
         n = 1200
-        one_hots = np.stack([make_one_hot(int(c))
-                             for c in rng.integers(1, NUM_CRITERIA + 1, n)])
+        labels = rng.integers(1, NUM_CRITERIA + 1, n)
+        one_hots = np.stack([make_one_hot(int(c)) for c in labels])
         parentals = np.where(rng.random((n, NUM_CLASSES)) < 0.3, 1.0,
                              one_hots)
         parentals[:, NUM_CLASSES - 1] = 0.2
@@ -258,8 +261,54 @@ class TestSoftTargetsBatch:
                 config = SmoothingConfig(variant, alpha)
                 want = np.stack([per_row_soft_target(y, g, mu, config)
                                  for y, g in zip(one_hots, parentals)])
-                got = soft_targets(one_hots, parentals, mu, config)
+                got = soft_targets(labels, parentals, mu, config)
                 np.testing.assert_array_equal(got, want)
+
+
+def one_hot_soft_targets(labels, parentals, mu, config):
+    """``soft_targets`` as it was when each sample carried a one-hot row:
+    the rows built as ``label_rows`` built them (with 0 for Others), and
+    the prior read at each row's ``argmax``. The reference that
+    ``soft_targets`` of the labels must equal byte for byte."""
+    one_hots = np.zeros((len(labels), NUM_CLASSES))
+    one_hots[np.arange(len(labels)), np.array(labels, dtype=np.intp) - 1] = 1.0
+    if config.variant == "none" or config.alpha == 0:
+        return one_hots
+    parentals = np.asarray(parentals, dtype=float)
+    if config.variant == "vanilla":
+        combined = one_hots + config.alpha
+    elif config.variant == "uniform":
+        combined = one_hots + config.alpha * parentals
+    else:
+        weights = mu[one_hots.argmax(axis=1)]
+        combined = one_hots + config.alpha * (weights * parentals)
+    return soft_softmax(combined)
+
+
+criteria_sets = st.lists(st.integers(1, NUM_CRITERIA), min_size=1,
+                         max_size=4, unique=True)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(1, NUM_CRITERIA), criteria_sets),
+                min_size=1, max_size=12),
+       st.lists(criteria_sets, max_size=8),
+       st.sampled_from(VARIANTS),
+       st.floats(0, 2))
+def test_soft_targets_of_labels_equal_the_one_hot_form(rows, sites, variant,
+                                                       alpha):
+    """Labels 1-10, parental rows from ``label_rows``, every variant, an
+    alpha in [0, 2] and ``mu`` from the prior of random sites (each
+    criterion also a site of its own, so that every one occurs)."""
+    labels = np.array([label for label, _ in rows])
+    parentals = label_rows([sorted({label, *site}) for label, site in rows])
+    mu = prior_weights(cooccurrence(make_sites(
+        sites + [[k] for k in range(1, NUM_CRITERIA + 1)])))
+    config = SmoothingConfig(variant, alpha)
+    got = soft_targets(labels, parentals, mu, config)
+    want = one_hot_soft_targets(labels.tolist(), parentals, mu, config)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -270,7 +319,7 @@ def label_pairs(draw):
     for k in extra | {sentence}:
         parental[k - 1] = 1.0
     parental[NUM_CLASSES - 1] = 0.2
-    return make_one_hot(sentence), parental
+    return sentence, parental
 
 
 class TestSoftLabelProperties:
@@ -279,15 +328,15 @@ class TestSoftLabelProperties:
            st.sampled_from(["uniform", "prior"]),
            st.sampled_from(ALPHA_GRID))
     def test_zero_preservation_and_sum(self, pair, variant, alpha):
-        one_hot, parental = pair
+        label, parental = pair
         rng = np.random.default_rng(0)
         mu = np.hstack([
             rng.uniform(0.01, 1, size=(NUM_CRITERIA, NUM_CRITERIA)),
             np.ones((NUM_CRITERIA, 1))])
-        got = soft_targets(one_hot[None], parental[None], mu,
+        got = soft_targets(np.array([label]), parental[None], mu,
                            SmoothingConfig(variant, alpha))[0]
         assert abs(got.sum() - 1) < 1e-9
-        allowed = set(np.nonzero(parental)[0]) | {int(np.argmax(one_hot))}
+        allowed = set(np.nonzero(parental)[0]) | {label - 1}
         for idx, value in enumerate(got):
             if idx not in allowed:
                 assert value == 0.0
@@ -297,14 +346,13 @@ class TestSoftLabelProperties:
            st.sampled_from(["vanilla", "uniform", "prior"]),
            st.sampled_from([a for a in ALPHA_GRID if a > 0]))
     def test_sentence_label_stays_strict_max(self, pair, variant, alpha):
-        one_hot, parental = pair
+        label, parental = pair
         mu = identity_mu()
         mu[:, :NUM_CRITERIA] = 0.5
-        got = soft_targets(one_hot[None], parental[None], mu,
+        got = soft_targets(np.array([label]), parental[None], mu,
                            SmoothingConfig(variant, alpha))[0]
-        label = int(np.argmax(one_hot))
-        others = np.delete(got, label)
-        assert got[label] > others.max()
+        others = np.delete(got, label - 1)
+        assert got[label - 1] > others.max()
 
 
 class TestCooccurrence:

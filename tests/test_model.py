@@ -439,10 +439,10 @@ def featurized(dataset):
     vocab = fit_tfidf(dataset.train, min_df=1)
     return (vocab,
             tfidf_rows(vocab, [s.tokens for s in dataset.train]),
-            np.stack([s.one_hot for s in dataset.train]),
+            np.array([s.sentence_label for s in dataset.train]),
             np.stack([s.parental for s in dataset.train]),
             tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
-            np.array([s.sentence_label - 1 for s in dataset.valid]))
+            np.array([s.sentence_label for s in dataset.valid]))
 
 
 def quick_config(**overrides):
@@ -464,7 +464,8 @@ rng = np.random.default_rng(5)
 labels = rng.integers(0, NUM_CLASSES, size=600)
 x = rng.normal(size=(600, 300)) + np.eye(NUM_CLASSES, 300)[labels]
 one_hots = np.eye(NUM_CLASSES)[labels]
-model = train(x[:500], one_hots[:500], one_hots[:500], x[500:], labels[500:],
+ids = labels + 1  # class ids 1-11, Others included
+model = train(x[:500], ids[:500], one_hots[:500], x[500:], ids[500:],
               TrainConfig(hidden=200, max_epochs=3, seed=3))
 digest = hashlib.sha256()
 for array in model.params.arrays().values():
@@ -475,16 +476,16 @@ print(digest.hexdigest())
 
 class TestTrain:
     def test_separable_corpus_reaches_full_accuracy(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
-        model = train(tx, oh, par, vx, vl, quick_config())
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, tl, par, vx, vl, quick_config())
         best = model.history[model.best_epoch - 1]
         assert best["val_top1"] == 1.0
 
     def test_determinism(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         config = quick_config(max_epochs=5)
-        a = train(tx, oh, par, vx, vl, config)
-        b = train(tx, oh, par, vx, vl, config)
+        a = train(tx, tl, par, vx, vl, config)
+        b = train(tx, tl, par, vx, vl, config)
         assert a.history == b.history
         for key in a.params.arrays():
             np.testing.assert_array_equal(a.params.arrays()[key],
@@ -510,29 +511,40 @@ class TestTrain:
         assert digests[0] == digests[1]
 
     def test_zero_learning_rate_stops_after_patience(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         config = quick_config(learning_rate=0.0, patience=1, max_epochs=50,
                               dropout=0.0)
-        model = train(tx, oh, par, vx, vl, config)
+        model = train(tx, tl, par, vx, vl, config)
         assert len(model.history) == 2  # epoch 1 sets the best, epoch 2 stops
 
+    @pytest.mark.parametrize("empty", ["train", "valid"])
+    def test_an_empty_split_is_refused(self, toy_dataset, empty):
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        if empty == "train":
+            tx, tl, par = tx[:0], tl[:0], par[:0]
+        else:
+            vx, vl = vx[:0], vl[:0]
+        with pytest.raises(ValueError, match=(
+                "^train and valid splits must be non-empty$")):
+            train(tx, tl, par, vx, vl, quick_config())
+
     def test_best_epoch_is_argmax_of_history(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
-        model = train(tx, oh, par, vx, vl, quick_config())
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, tl, par, vx, vl, quick_config())
         topks = [h["val_topk"] for h in model.history]
         assert model.history[model.best_epoch - 1]["val_topk"] == max(topks)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         bad = tx.toarray()
         bad[0, 0] = np.inf  # poisoned feature forces a non-finite loss
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train(bad, oh, par, vx, vl, quick_config(max_epochs=5))
+            train(bad, tl, par, vx, vl, quick_config(max_epochs=5))
 
     def test_history_scores_equal_evaluate_split(self, toy_dataset,
                                                  monkeypatch):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         rankings = []
 
         def recording_rank_classes(probs):
@@ -541,20 +553,20 @@ class TestTrain:
 
         monkeypatch.setattr(model_module, "rank_classes",
                             recording_rank_classes)
-        model = train(tx, oh, par, vx, vl,
+        model = train(tx, tl, par, vx, vl,
                       quick_config(learning_rate=1e-3, max_epochs=4,
                                    patience=4, k=2))
         assert len(rankings) == len(model.history) == 4
-        truths = (vl + 1).tolist()
+        truths = vl.tolist()
         for entry, ranks in zip(model.history, rankings):
-            for ids, ts in ((ranks.tolist(), truths), (ranks, vl + 1)):
+            for ids, ts in ((ranks.tolist(), truths), (ranks, vl)):
                 report = evaluate_split(ids, ts, k=2)
                 assert entry["val_top1"] == report.top1_accuracy
                 assert entry["val_topk"] == report.topk_accuracy
 
     def test_history_rates_are_python_floats(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
-        model = train(tx, oh, par, vx, vl,
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, tl, par, vx, vl,
                       quick_config(max_epochs=3, patience=3))
         assert len(model.history) == 3
         assert all(type(entry[key]) is float for entry in model.history
@@ -577,10 +589,10 @@ class TestTrain:
             quick_config(smoothing=smoothing)
 
     def test_loss_non_increasing_small_lr(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         config = quick_config(learning_rate=1e-3, dropout=0.0,
                               max_epochs=10, patience=10)
-        model = train(tx, oh, par, vx, vl, config)
+        model = train(tx, tl, par, vx, vl, config)
         losses = [h["train_loss"] for h in model.history]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -592,11 +604,11 @@ class TestTrain:
                    SmoothingConfig("uniform", 0.2),
                    SmoothingConfig("prior", 0.5)]
         for smoothing in configs:
-            one_hot = make_one_hot(int(rng.integers(1, 11)))
-            parental = one_hot.copy()
+            label = int(rng.integers(1, 11))
+            parental = make_one_hot(label)
             parental[int(rng.integers(0, 10))] = 1.0
             parental[10] = 0.2
-            target = soft_targets(one_hot[None], parental[None], mu,
+            target = soft_targets(np.array([label]), parental[None], mu,
                                   smoothing)[0]
             params = random_params(6, 5, seed=int(rng.integers(1e6)))
             x = rng.normal(size=6)
@@ -610,8 +622,8 @@ class TestTrain:
 
 class TestPredictTopk:
     def make_model(self, toy_dataset):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
-        return train(tx, oh, par, vx, vl, quick_config(max_epochs=3))
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        return train(tx, tl, par, vx, vl, quick_config(max_epochs=3))
 
     def test_tie_break_prefers_lower_class(self):
         params = MlpParams(W1=np.zeros((3, 2)), b1=np.zeros(2),
@@ -638,12 +650,12 @@ class TestPredictTopk:
 
 class TestCheckpoint:
     def test_round_trip_and_byte_identity(self, toy_dataset, tmp_path):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
         config = quick_config(max_epochs=3)
-        model = train(tx, oh, par, vx, vl, config)
+        model = train(tx, tl, par, vx, vl, config)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(model, p1)
-        model2 = train(tx, oh, par, vx, vl, config)
+        model2 = train(tx, tl, par, vx, vl, config)
         save_checkpoint(model2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_checkpoint(p1)
@@ -907,8 +919,8 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
     def test_checkpoint_is_json(self, toy_dataset, tmp_path):
-        _, tx, oh, par, vx, vl = featurized(toy_dataset)
-        model = train(tx, oh, par, vx, vl, quick_config(max_epochs=2))
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, tl, par, vx, vl, quick_config(max_epochs=2))
         path = tmp_path / "m.json"
         save_checkpoint(model, path)
         # the head line is JSON: the model's keys, with the param shapes
@@ -918,8 +930,8 @@ class TestCheckpoint:
 
 
 def test_evaluation_has_no_dropout(toy_dataset):
-    _, tx, oh, par, vx, vl = featurized(toy_dataset)
-    model = train(tx, oh, par, vx, vl, quick_config(max_epochs=2))
+    _, tx, tl, par, vx, vl = featurized(toy_dataset)
+    model = train(tx, tl, par, vx, vl, quick_config(max_epochs=2))
     _, p1, _ = forward(model.params, vx)
     _, p2, _ = forward(model.params, vx)
     np.testing.assert_array_equal(p1, p2)
