@@ -19,15 +19,14 @@ OTHERS_NOISE = 0.2
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", newline: str | None = None):
-    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb";
-    ``newline`` as for ``open``) through a temp file in the same directory,
-    moved over ``path`` with ``os.replace`` on success, so readers see the
-    old file or the whole new one, never a partial one."""
+def atomic_open(path, mode: str = "w"):
+    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb")
+    through a temp file in the same directory, moved over ``path`` with
+    ``os.replace`` on success, so readers see the old file or the whole new
+    one, never a partial one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
-                  newline=newline) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -127,10 +126,8 @@ def json_fields(path, name: str, value, cls) -> dict:
                    else f.default_factory())
         if dataclasses.is_dataclass(default):
             kwargs = json_fields(path, prefix + key, item, type(default))
-            try:
+            with input_error(path, f"{prefix}{key}: {{}}"):
                 out[key] = type(default)(**kwargs)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {prefix}{key}: {exc}") from exc
         elif default is not dataclasses.MISSING:
             check_json_type(path, prefix + key, item, default)
     return out

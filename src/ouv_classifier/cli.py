@@ -54,23 +54,25 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_prior(args) -> int:
-    sites = read_sites(Path(args.dataset) / "sites.json")
-    counts = cooccurrence(sites)
+    counts = cooccurrence(read_sites(Path(args.dataset) / "sites.json"))
     mu = prior_weights(counts)
     out = Path(args.out)
-    payload = {"counts": counts.tolist(), "mu": mu.tolist()}
-    with atomic_open(out) as fh:
-        json.dump(payload, fh, indent=1)
     csv_path = out.with_suffix(".csv")
-    with atomic_open(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        header = [""] + [str(k) for k in range(1, NUM_CRITERIA + 1)]
-        writer.writerow(["counts"] + header[1:])
-        for k, row in enumerate(counts.tolist(), start=1):
-            writer.writerow([k] + row)
-        writer.writerow(["mu"] + header[1:] + ["others"])
-        for k, row in enumerate(mu.tolist(), start=1):
-            writer.writerow([k] + row)
+    payload = {"counts": counts.tolist(), "mu": mu.tolist()}
+    # the CSV moves in last: an ``--out`` that is a directory moves nothing
+    with commit_files(out.parent, csv_path.name) as staging:
+        with open(staging / out.name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+        with open(staging / csv_path.name, "w", encoding="utf-8",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            header = [""] + [str(k) for k in range(1, NUM_CRITERIA + 1)]
+            writer.writerow(["counts"] + header[1:])
+            for k, row in enumerate(counts.tolist(), start=1):
+                writer.writerow([k] + row)
+            writer.writerow(["mu"] + header[1:] + ["others"])
+            for k, row in enumerate(mu.tolist(), start=1):
+                writer.writerow([k] + row)
     print(f"wrote {out} and {csv_path}")
     return 0
 

@@ -91,14 +91,24 @@ class Sample:
     split: str
 
 
+def criterion_columns(ids) -> np.ndarray:
+    """``ids - 1`` as int64, the label-row column of each criterion id; any
+    id but a whole number 1-10 is a ``ValueError`` naming the first one."""
+    ids = np.asarray(ids)
+    bad = np.flatnonzero((ids < 1) | (ids > NUM_CRITERIA) | (ids % 1 != 0))
+    if bad.size:
+        raise ValueError(f"criterion id out of range: {ids[bad[0]]}")
+    return ids.astype(np.int64) - 1
+
+
 def label_rows(criteria: list[list[int]]) -> np.ndarray:
     """One float64 row of ``NUM_CLASSES`` per list of ``criteria``: 1 in
-    column k - 1 for each criterion k, ``OTHERS_NOISE`` in the last
+    the ``criterion_columns`` of its criteria, ``OTHERS_NOISE`` in the last
     ("Others") column and 0 elsewhere."""
     rows = np.zeros((len(criteria), NUM_CLASSES))
     rows[:, -1] = OTHERS_NOISE
     rows[np.arange(len(criteria)).repeat(list(map(len, criteria))),
-         np.fromiter(chain.from_iterable(criteria), np.intp) - 1] = 1.0
+         criterion_columns(list(chain.from_iterable(criteria)))] = 1.0
     return rows
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from . import read_lines
+from . import input_error, read_lines
 from .corpus import Sample
 
 
@@ -290,11 +290,9 @@ def _parse_block(file_path: str | Path, block: dict[int, tuple[int, str]],
                 vectors[list(block)] = parsed
                 return
     for row, (line_no, values) in block.items():
-        try:
+        with input_error(file_path,
+                         f"line {line_no}: non-numeric value ({{}})"):
             vectors[row] = np.array(values.split(" "), dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{file_path}: line {line_no}: "
-                             f"non-numeric value ({exc})") from exc
 
 
 def boe_rows(table: EmbeddingTable,

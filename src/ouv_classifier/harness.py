@@ -148,13 +148,15 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         """Load a config file through ``json_fields`` (``smoothing`` is
         built as a ``SmoothingConfig``; setting and grid values are
-        numbers), so a typo is a ``ValueError`` naming it, not a default."""
+        numbers), so a typo is a ``ValueError`` naming it, not a default;
+        a value ``__post_init__`` rejects names the file too."""
         payload = json_fields(path, "", read_json(path), cls)
         for key, value in payload.get("setting", {}).items():
             check_json_type(path, f"setting.{key}", value, 0.0)
         for key, values in payload.get("grid", {}).items():
             check_json_type(path, f"grid.{key}", values, [0.0])
-        return cls(**payload)
+        with input_error(path):
+            return cls(**payload)
 
 
 def load_prior(config: ExperimentConfig) -> np.ndarray:
@@ -211,13 +213,10 @@ def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
     grid, *rest = (read_artifact(output_dir, step) for step in steps)
     best = setting_of(grid["best"])
     variant, alpha = rest[0]["chosen_variant"], rest[0]["chosen_alpha"]
-    try:
+    with input_error(Path(output_dir, STEP_ARTIFACTS["sweep"][0])):
         if variant not in VARIANT_ORDER:
             raise ValueError(f"unknown chosen_variant {variant!r}")
         SmoothingConfig(variant, alpha)
-    except ValueError as exc:
-        sweep_path = Path(output_dir, STEP_ARTIFACTS["sweep"][0])
-        raise ValueError(f"{sweep_path}: {exc}") from exc
     for step, artifact in zip(steps[1:], rest):
         if artifact["setting"] != best:
             grid_path, path = (Path(output_dir, STEP_ARTIFACTS[name][0])
@@ -716,7 +715,8 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
 # Reporting
 
 def report(artifacts_dir: str | Path) -> dict:
-    """Render a human-readable summary plus machine JSON and curve CSV.
+    """Render a human-readable summary plus machine JSON and curve CSV,
+    committed together by ``commit_files``.
     Missing artifacts are one ``FileNotFoundError`` listing them all; an
     artifact without a key it needs, or with a key, row or score of the
     wrong JSON type, is a ``ValueError`` naming it, as are artifacts of two
@@ -770,10 +770,11 @@ def report(artifacts_dir: str | Path) -> dict:
                           if k not in ("history", "valid_report",
                                        "test_report")}
                   for label, row in final["rows"].items()}}
-    with atomic_open(root / "summary.json") as fh:
-        json.dump(summary, fh, indent=1)
-    with atomic_open(root / "summary.txt") as fh:
-        fh.write(summary_text + "\n")
-    with atomic_open(root / "curves.csv") as fh:
-        fh.write("\n".join(curve_rows) + "\n")
+    with commit_files(root, "summary.json") as staging:
+        with open(staging / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=1)
+        with open(staging / "summary.txt", "w", encoding="utf-8") as fh:
+            fh.write(summary_text + "\n")
+        with open(staging / "curves.csv", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(curve_rows) + "\n")
     return {"text": summary_text, "summary": summary}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NUM_CLASSES, NUM_CRITERIA
-from .corpus import SiteRecord
+from .corpus import SiteRecord, criterion_columns, label_rows
 
 VARIANTS = ("none", "vanilla", "uniform", "prior")
 ALPHA_GRID = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -36,21 +36,17 @@ def cooccurrence(sites: list[SiteRecord]) -> np.ndarray:
     """The 10 x 10 int64 counts of criterion co-justification over sites.
 
     Off-diagonal [k,l] counts sites justified under both k and l; the
-    diagonal counts sites justified under that criterion alone.
+    diagonal counts sites justified under that criterion alone; both from
+    the criteria columns of the sites' ``label_rows``.
     """
-    counts = np.zeros((NUM_CRITERIA, NUM_CRITERIA), dtype=np.int64)
-    for site in sites:
-        if not site.criteria:
-            raise ValueError(f"site {site.site_id} has no criteria")
-        crits = sorted(site.criteria)
-        if len(crits) == 1:
-            k = crits[0]
-            counts[k - 1, k - 1] += 1
-        else:
-            for a in crits:
-                for b in crits:
-                    if a != b:
-                        counts[a - 1, b - 1] += 1
+    rows = label_rows([site.criteria for site in sites])[:, :NUM_CRITERIA]
+    sizes = rows.sum(axis=1)
+    if not sizes.all():  # ``argmin``: the first site with no criteria
+        raise ValueError(f"site {sites[sizes.argmin()].site_id} has no "
+                         "criteria")
+    multi = rows[sizes > 1].astype(np.int64)
+    counts = multi.T @ multi
+    np.fill_diagonal(counts, rows[sizes == 1].sum(axis=0))
     return counts
 
 
@@ -96,14 +92,14 @@ def soft_softmax(z: np.ndarray) -> np.ndarray:
 def soft_targets(labels: np.ndarray, parentals: np.ndarray,
                  mu: np.ndarray | None,
                  config: SmoothingConfig) -> np.ndarray:
-    """Combine each row's sentence label, a criterion id 1-10, and its
-    parental labels into a soft label; the label's one-hot row (0 for
-    Others) is built here, in one indexing step.
+    """Combine each row's sentence label, a criterion id 1-10 (any other is
+    a ``ValueError``), and its parental labels into a soft label; the
+    label's one-hot row (0 for Others) is built here, in one indexing step.
 
     The prior variant weighs each row's parental labels by the prior of its
     sentence criterion, ``mu[label - 1]``.
     """
-    rows = np.asarray(labels) - 1
+    rows = criterion_columns(labels)
     one_hots = np.eye(NUM_CLASSES)[rows]
     if config.variant == "none" or config.alpha == 0:
         return one_hots

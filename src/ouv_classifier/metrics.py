@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import NUM_CLASSES, NUM_CRITERIA
+from .corpus import criterion_columns
 
 
 @dataclass(eq=False)  # compared by identity: == would raise on confusion
@@ -60,13 +61,10 @@ def topk_accuracy(rankings, truths, k: int) -> float:
 def confusion_matrix(predictions, truths) -> np.ndarray:
     """11x11 counts from rank-1 predictions; [t-1][p-1] is truth t -> pred p."""
     _check_rows(predictions, truths)
-    truths = np.asarray(truths, dtype=np.int64)
-    bad = np.flatnonzero((truths < 1) | (truths > NUM_CRITERIA))
-    if bad.size:
-        raise ValueError(f"truth label out of range: {truths[bad[0]]}")
     # (t-1)*11 + (p-1); a rank-1 id outside 1..11 raises ValueError
     cells = np.ravel_multi_index(
-        (truths - 1, np.asarray(predictions)[:, 0] - 1), (NUM_CLASSES,) * 2)
+        (criterion_columns(truths), np.asarray(predictions)[:, 0] - 1),
+        (NUM_CLASSES,) * 2)
     return np.bincount(cells, minlength=NUM_CLASSES ** 2).reshape(
         NUM_CLASSES, NUM_CLASSES)
 

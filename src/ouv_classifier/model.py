@@ -397,10 +397,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
 
     head, arrays = read_arrays(path, param_shapes)
     cfg = json_fields(path, "config", head["config"], TrainConfig)
-    try:
+    with input_error(path, "'config': {}"):
         config = TrainConfig(**cfg)
-    except ValueError as exc:  # a value ``__post_init__`` rejects
-        raise ValueError(f"{path}: 'config': {exc}") from exc
     w1 = arrays["W1"]
     if w1.ndim != 2 or [arrays[k].shape for k in ("b1", "W2", "b2")] != [
             (w1.shape[1],), (NUM_CLASSES, w1.shape[1]), (NUM_CLASSES,)]:

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -89,3 +90,27 @@ def no_process_left_running():
         child.terminate()
         child.join(10)
     assert left == [], f"processes left running: {left}"
+
+
+# an ``atomic_open`` temp file, ``<name>.<pid>.tmp``, and a
+# ``commit_files`` staging directory, ``tempfile.mkdtemp``'s
+# ``.<target name>.<8 characters>``
+_TEMP_FILE = re.compile(r".\.\d+\.tmp$")
+_STAGING_DIR = re.compile(r"^\..*\.[a-z0-9_]{8}$")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that uses ``tmp_path`` after which a temp file or a
+    staging directory of an atomic write is left under it, as a failed
+    write that missed its cleanup would leave. ``tmp_path`` is requested
+    here, before the test runs, so it is still there when this checks."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    root = request.getfixturevalue("tmp_path")
+    yield
+    left = [str(path.relative_to(root)) for path in root.rglob("*")
+            if _TEMP_FILE.search(path.name) and path.is_file()
+            or _STAGING_DIR.match(path.name) and path.is_dir()]
+    assert left == [], f"temp files or staging directories left: {left}"

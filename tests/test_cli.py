@@ -436,7 +436,8 @@ def test_train_rejects_a_non_integer_int_setting(workspace, tmp_path, capsys,
     assert main(["train", "--config", str(config_path),
                  "--out", str(model_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: setting {key!r} must be an integer, got {value}\n"
+    assert err == (f"error: {config_path}: setting {key!r} must be an "
+                   f"integer, got {value}\n")
     assert not model_path.exists()
 
 
@@ -465,9 +466,22 @@ def test_non_object_config_is_fatal(tmp_path, capsys):
 @pytest.mark.parametrize("failing", ["json", "csv"])
 def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
                                             capsys, failing):
-    out = tmp_path / "prior.json"
+    """A rerun on a dataset of other sites, which changes both files, whose
+    JSON or CSV write fails leaves both byte for byte and no staging
+    directory."""
+    other = tmp_path / "other"
+    other.mkdir()
+    sites = json.loads((workspace["data"] / "sites.json").read_text())
+    sites.append({"site_id": 99, "name": "extra", "criteria": [1, 6, 10]})
+    (other / "sites.json").write_text(json.dumps(sites), encoding="utf-8")
+    out = tmp_path / "prior/prior.json"
+    out.parent.mkdir()
+    assert main(["prior", str(other), "--out", str(out)]) == 0
+    changed = {p.name: p.read_bytes() for p in out.parent.iterdir()}
     assert main(["prior", str(workspace["data"]), "--out", str(out)]) == 0
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    before = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    assert sorted(before) == ["prior.csv", "prior.json"]
+    assert all(changed[name] != before[name] for name in before)
     if failing == "json":
         def dump_partial(obj, fh, **kwargs):
             fh.write("{")
@@ -485,9 +499,9 @@ def test_prior_failed_write_keeps_old_files(workspace, tmp_path, monkeypatch,
 
         monkeypatch.setattr(csv, "writer", FailingWriter)
     capsys.readouterr()
-    assert main(["prior", str(workspace["data"]), "--out", str(out)]) == 1
+    assert main(["prior", str(other), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: disk full\n"
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == before
 
 
 def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
@@ -835,7 +849,8 @@ def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
     config_path.write_text(json.dumps(config), encoding="utf-8")
     capsys.readouterr()
     assert main([command, "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err == "error: k must be in 1..11, got 0\n"
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: k must be in 1..11, got 0\n")
     assert calls == []
     assert not (tmp_path / "runs").exists()
     with pytest.raises(ValueError, match="k must be in 1..11, got 0"):
@@ -1033,7 +1048,7 @@ def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
     capsys.readouterr()
     assert main([command, "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith(f"error: {config_path}: ") and message in err
     assert calls == []
     assert {path: path.is_file() and path.read_bytes()
             for path in runs.rglob("*")} == before
@@ -1402,6 +1417,58 @@ def test_config_without_dataset_dir_names_the_field(workspace, tmp_path,
         "error: no dataset directory given (empty 'dataset_dir' or "
         "--dataset)\n")
     assert not (runs / "step3_final").exists()
+
+
+def copy_run(source, runs):
+    """Copy the three step artifacts of the run at ``source`` into
+    ``runs``."""
+    for rel, _ in harness.STEP_ARTIFACTS.values():
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(source / rel, runs / rel)
+
+
+@pytest.mark.parametrize("failing", ["summary.json", "summary.txt",
+                                     "curves.csv"])
+def test_a_failed_report_rerun_keeps_all_three_files(
+        workspace, tmp_path, capsys, monkeypatch, failing):
+    """``report`` over another run (another grid and grid seed, which
+    changes all three files) whose write of ``failing`` fails leaves the
+    earlier summary, text and curves byte for byte and no staging
+    directory."""
+    other = workspace["root"] / "other_runs"
+    if not (other / harness.STEP_ARTIFACTS["final"][0]).exists():
+        config = write_config(workspace, workspace["root"] / "other.json",
+                              output_dir=str(other), grid_seed=7,
+                              grid={"hidden": [8], "batch_size": [16]})
+        for command in ("sweep", "final"):
+            assert main([command, "--config", str(config)]) == 0
+    runs = tmp_path / "runs"
+    copy_run(workspace_runs(workspace, "sweep", "final"), runs)
+    assert main(["report", str(runs)]) == 0
+    reported = {name: (runs / name).read_bytes()
+                for name in ("summary.json", "summary.txt", "curves.csv")}
+    copy_run(other, runs)
+    before = file_bytes(runs)
+    opened, real_open = [], open
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(file)
+            if os.path.basename(file).startswith(failing):
+                raise OSError("disk full")
+        return real_open(file, mode, *args, **kwargs)
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr("builtins.open", open_failing)
+        assert main(["report", str(runs)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert file_bytes(runs) == before
+    staging = opened[0].parent
+    assert staging.name.startswith(".runs.") and not staging.exists()
+    assert main(["report", str(runs)]) == 0
+    assert all((runs / name).read_bytes() != reported[name]
+               for name in reported)
 
 
 def test_report_refuses_a_final_of_an_earlier_grid(workspace, tmp_path,

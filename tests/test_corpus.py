@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
+from ouv_classifier import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, MAX_SENT_LEN,
                                    MIN_SENT_LEN, Dataset, Sample,
                                    SiteRecord, build_dataset, build_sd_set,
-                                   label_rows, make_samples, parse_syndication,
+                                   criterion_columns, label_rows,
+                                   make_samples, parse_syndication,
                                    preprocess, preprocess_many, read_dataset,
                                    read_samples, read_sites, sample_lines,
                                    split_sentences, write_dataset,
@@ -23,6 +24,32 @@ def write_csv(tmp_path, rows):
     path = tmp_path / "syndication.csv"
     path.write_text(SYNDICATION_HEADER + "".join(rows), encoding="utf-8")
     return path
+
+
+class TestCriterionColumns:
+    def test_criterion_k_is_column_k_minus_one(self):
+        ids = list(range(1, NUM_CRITERIA + 1))
+        got = criterion_columns(ids)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(range(NUM_CRITERIA))
+
+    @pytest.mark.parametrize("ids, bad", [([3, 11, 0], "11"),
+                                          ([3.0, 2.5, 0.0], "2.5"),
+                                          ([1.0, np.nan], "nan")])
+    def test_the_first_id_outside_one_to_ten_is_named(self, ids, bad):
+        """A float id that is not whole is not truncated to a criterion."""
+        with pytest.raises(ValueError, match=f"out of range: {bad}$"):
+            criterion_columns(np.array(ids))
+
+    @pytest.mark.parametrize("bad", [0, NUM_CLASSES])
+    def test_label_rows_refuses_a_criterion_outside_one_to_ten(self, bad):
+        """Criterion 0 is not the Others column (index -1), and 11 is no
+        criterion."""
+        with pytest.raises(ValueError, match=f"out of range: {bad}$"):
+            label_rows([[2], [bad, 3]])
+
+    def test_label_rows_of_no_sets(self):
+        assert label_rows([]).shape == (0, NUM_CLASSES)
 
 
 class TestSplitSentences:

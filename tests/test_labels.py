@@ -208,6 +208,16 @@ class TestSmooth:
             soft_targets(np.array([1]), make_one_hot(1)[None], None,
                          SmoothingConfig("prior", 0.1))
 
+    @pytest.mark.parametrize("config", [SmoothingConfig(),
+                                        SmoothingConfig("prior", 0.1)])
+    @pytest.mark.parametrize("label", [0, NUM_CLASSES])
+    def test_a_label_outside_one_to_ten_is_refused(self, label, config):
+        """Not the Others row, which ``np.eye(11)[label - 1]`` gave for
+        both."""
+        with pytest.raises(ValueError, match=f"out of range: {label}$"):
+            soft_targets(np.array([3, label]), label_rows([[3], [3]]),
+                         identity_mu(), config)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             SmoothingConfig("vanilla", -0.1)
@@ -384,6 +394,38 @@ class TestCooccurrence:
     def test_empty_criteria_rejected(self):
         with pytest.raises(ValueError):
             cooccurrence(make_sites([set()]))
+        with pytest.raises(ValueError, match="^site 2 has no criteria$"):
+            cooccurrence(make_sites([{1}, set(), {2, 3}, set()]))
+
+    @pytest.mark.parametrize("bad", [0, NUM_CLASSES])
+    def test_a_criterion_outside_one_to_ten_is_refused(self, bad):
+        """Criterion 0 is not counted as criterion 10 (index -1)."""
+        with pytest.raises(ValueError, match=f"out of range: {bad}$"):
+            cooccurrence(make_sites([{1, 2}, {bad, 3}]))
+
+
+def per_site_cooccurrence(sites):
+    """A loop over the sites: the reference ``cooccurrence`` must equal."""
+    counts = np.zeros((NUM_CRITERIA, NUM_CRITERIA), dtype=np.int64)
+    for site in sites:
+        crits = sorted(site.criteria)
+        if len(crits) == 1:
+            counts[crits[0] - 1, crits[0] - 1] += 1
+        else:
+            for a in crits:
+                for b in crits:
+                    if a != b:
+                        counts[a - 1, b - 1] += 1
+    return counts
+
+
+@given(st.lists(st.sets(st.integers(1, NUM_CRITERIA), min_size=1,
+                        max_size=5), max_size=30))
+def test_cooccurrence_equals_the_per_site_loop(criteria):
+    sites = make_sites(criteria)
+    got = cooccurrence(sites)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, per_site_cooccurrence(sites))
 
 
 class TestPriorWeights:

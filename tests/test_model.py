@@ -458,13 +458,13 @@ def quick_config(**overrides):
 DENSE_TRAINING = """
 import hashlib
 import numpy as np
-from ouv_classifier import NUM_CLASSES
+from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.model import TrainConfig, train
 rng = np.random.default_rng(5)
-labels = rng.integers(0, NUM_CLASSES, size=600)
+labels = rng.integers(0, NUM_CRITERIA, size=600)
 x = rng.normal(size=(600, 300)) + np.eye(NUM_CLASSES, 300)[labels]
 one_hots = np.eye(NUM_CLASSES)[labels]
-ids = labels + 1  # class ids 1-11, Others included
+ids = labels + 1  # criterion ids 1-10: Others is never a sentence label
 model = train(x[:500], ids[:500], one_hots[:500], x[500:], ids[500:],
               TrainConfig(hidden=200, max_epochs=3, seed=3))
 digest = hashlib.sha256()
@@ -526,6 +526,15 @@ class TestTrain:
             vx, vl = vx[:0], vl[:0]
         with pytest.raises(ValueError, match=(
                 "^train and valid splits must be non-empty$")):
+            train(tx, tl, par, vx, vl, quick_config())
+
+    @pytest.mark.parametrize("label", [0, NUM_CLASSES])
+    def test_a_label_outside_one_to_ten_is_refused(self, toy_dataset, label):
+        """A 0-based label or the Others id trains no class as another."""
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        tl = tl.copy()
+        tl[5] = label
+        with pytest.raises(ValueError, match=f"out of range: {label}$"):
             train(tx, tl, par, vx, vl, quick_config())
 
     def test_best_epoch_is_argmax_of_history(self, toy_dataset):
