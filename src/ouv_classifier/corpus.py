@@ -136,9 +136,11 @@ _CRITERION_HEADER = re.compile(
     r"criterion\s*\(?\s*([ivx]+)\s*\)?\s*[:.]?", re.IGNORECASE)
 
 
-def _resolve_columns(header: list[str]) -> dict[str, str]:
+def _resolve_columns(header: list[str]) -> dict[str | int, str]:
+    """The header name of each ``_COLUMN_ALIASES`` field, and of each
+    criterion's flag column (C1..C6, N7..N10) if exactly 1-10 are flagged."""
     lowered = {h.lower().strip(): h for h in header}
-    resolved = {}
+    resolved: dict[str | int, str] = {}
     for field_name, aliases in _COLUMN_ALIASES.items():
         for alias in aliases:
             if alias in lowered:
@@ -149,29 +151,16 @@ def _resolve_columns(header: list[str]) -> dict[str, str]:
             raise ValueError(
                 f"syndication file is missing a column for {required!r}; "
                 f"header was {header}")
+    flags = {int(m[1]): h for h in header  # a repeated flag: the later
+             if (m := re.fullmatch(r"[cn]\s*(\d{1,2})", h.lower().strip()))}
+    if set(flags) == set(range(1, NUM_CRITERIA + 1)):
+        resolved.update(flags)
     return resolved
 
 
-def _criteria_from_flags(row: dict[str, str]) -> frozenset[int] | None:
-    """Read per-criterion flag columns (C1..C6, N7..N10) if present."""
-    flags = {}
-    for key, value in row.items():
-        m = re.fullmatch(r"[cn]\s*(\d{1,2})", key.lower().strip())
-        if m:
-            flags[int(m.group(1))] = value
-    if not flags or set(flags) != set(range(1, NUM_CRITERIA + 1)):
-        return None
-    chosen = {k for k, v in flags.items()
-              if str(v).strip().lower() in ("1", "true", "yes", "x")}
-    return frozenset(chosen)
-
-
 def _criteria_from_text(text: str) -> frozenset[int]:
-    found = set()
-    for m in re.finditer(r"\(([ivx]+)\)", text.lower()):
-        if m.group(1) in ROMAN:
-            found.add(ROMAN[m.group(1)])
-    return frozenset(found)
+    numerals = re.findall(r"\(([ivx]+)\)", text.lower())
+    return frozenset(ROMAN[n] for n in numerals if n in ROMAN)
 
 
 def _split_justification(text: str) -> dict[int, str]:
@@ -193,50 +182,57 @@ def _split_justification(text: str) -> dict[int, str]:
 def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str]]:
     """Parse the syndication CSV into site records.
 
-    Returns the records plus a report of row-level errors. Rows without
-    justification text are kept (with an empty justification map) so the
-    SD set can still use their short descriptions. A file with no header
-    row or without a required column is a ``ValueError`` naming it, as is
-    text ``csv`` cannot read, such as a field over ``csv``'s default limit
-    of 131,072 characters, which names the line too.
+    Returns the records plus the row-level errors: a row with more fields
+    than the header, or a site id that is empty or not whole. Rows without
+    justification text are kept (with an empty justification map) for the
+    SD set's short descriptions. A file with no header row or without a
+    required column is a ``ValueError`` naming it, as is text ``csv``
+    cannot read, such as a field over its default limit of 131,072
+    characters, which names the line too.
     """
     path = Path(file_path)
-    records: list[SiteRecord] = []
+    records: list[SiteRecord | None] = []  # None: a row ``_parse_row`` drops
     errors: list[str] = []
-    reader = csv.DictReader(read_lines(path, newline=""))
+    # a short row's missing fields read as ""; a long row's extras, key None
+    reader = csv.DictReader(read_lines(path, newline=""), restval="")
     try:
         if reader.fieldnames is None:
             raise ValueError(f"{path} has no header row")
         with input_error(path):
             cols = _resolve_columns(list(reader.fieldnames))
+        width = len(reader.fieldnames)
         for line_no, row in enumerate(reader, start=2):
             try:
-                record = _parse_row(row, cols)
-            except (ValueError, KeyError) as exc:
+                if None in row:
+                    raise ValueError(f"{width + len(row[None])} fields, but "
+                                     f"the header has {width}")
+                records.append(_parse_row(row, cols))
+            except ValueError as exc:
                 errors.append(f"line {line_no}: {exc}")
-                continue
-            if record is not None:
-                records.append(record)
     except csv.Error as exc:
         line = reader.reader.line_num  # ``reader.line_num`` lags a line
         raise ValueError(f"{path}: line {line}: {exc}") from exc
-    return records, errors
+    return [record for record in records if record is not None], errors
 
 
-def _parse_row(row: dict[str, str], cols: dict[str, str]) -> SiteRecord | None:
-    raw_id = (row.get(cols["site_id"]) or "").strip()
+def _parse_row(row: dict, cols: dict) -> SiteRecord | None:
+    raw_id = row[cols["site_id"]].strip()
     if not raw_id:
         raise ValueError("empty site id")
-    site_id = int(float(raw_id))
-    name = (row.get(cols["name"]) or "").strip()
-    just_text = (row.get(cols["justification"]) or "").strip()
-    short_desc = (row.get(cols["short_description"]) or "").strip()
+    number = float(raw_id)
+    if not number.is_integer():  # nor are inf and nan
+        raise ValueError(f"site id {raw_id!r} is not a whole number")
+    site_id = int(number)
+    name = row[cols["name"]].strip()
+    just_text = row[cols["justification"]].strip()
+    short_desc = row[cols["short_description"]].strip()
 
-    criteria = _criteria_from_flags(row)
-    if criteria is None:
-        crit_col = cols.get("criteria")
-        crit_text = (row.get(crit_col) or "") if crit_col else ""
-        criteria = _criteria_from_text(crit_text)
+    if 1 in cols:  # the header flags every criterion
+        criteria = frozenset(k for k in _CRITERIA if row[cols[k]].strip()
+                             .lower() in ("1", "true", "yes", "x"))
+    else:
+        criteria = _criteria_from_text(row[cols["criteria"]]
+                                       if "criteria" in cols else "")
 
     justification = _split_justification(just_text) if just_text else {}
     if justification and not criteria:

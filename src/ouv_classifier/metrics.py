@@ -51,10 +51,12 @@ def check_k(k: int) -> None:
 
 def topk_accuracy(rankings, truths, k: int) -> float:
     """Share of samples whose truth is among the first ``k`` entries of its
-    ranking: a Python ``int`` count over n, as every rate here is."""
+    ranking: a Python ``int`` count over n, as every rate here is. A truth
+    outside 1-10 is ``criterion_columns``' ``ValueError``."""
     check_k(k)
     _check_rows(rankings, truths)
-    hits = np.asarray(rankings)[:, :k] == np.asarray(truths)[:, None]
+    columns = criterion_columns(truths)[:, None]
+    hits = np.asarray(rankings)[:, :k] - 1 == columns
     return int(np.count_nonzero(hits.any(axis=1))) / len(truths)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import NUM_CLASSES, atomic_open, input_error, json_fields, json_keys
+from .corpus import criterion_columns
 from .labels import SmoothingConfig, soft_targets
 from .metrics import check_k, topk_accuracy
 
@@ -234,6 +235,7 @@ def train(train_x, train_labels: np.ndarray, train_parentals: np.ndarray,
     n = train_x.shape[0]
     if n == 0 or valid_x.shape[0] == 0:
         raise ValueError("train and valid splits must be non-empty")
+    criterion_columns(valid_labels)  # a bad id fails before the first epoch
     targets = soft_targets(train_labels, train_parentals, mu,
                            config.smoothing)
     rng = np.random.default_rng(config.seed)

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, cli, corpus, harness
 from ouv_classifier.cli import main
@@ -301,6 +306,66 @@ def test_ingest_names_a_field_over_the_csv_limit(tmp_path, capsys):
         f"error: {csv_path}: line 14: field larger than field limit "
         "(131072)\n")
     assert not (tmp_path / "data").exists()
+
+
+# one mutation of a clean syndication CSV; those of WHOLE_FILE_MUTATIONS
+# make ``parse_syndication`` refuse the file
+INGEST_MUTATIONS = ["extra-field", "missing-field", "site-id", "long-field",
+                    "not-utf8", "nul", "unterminated-quote", "empty",
+                    "header-only"]
+WHOLE_FILE_MUTATIONS = {"long-field", "not-utf8", "empty"}
+SITE_IDS = [b"inf", b"-inf", b"nan", b"1e400", b"1.7", b"x", b""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=st.sampled_from(INGEST_MUTATIONS), data=st.data())
+def test_ingest_of_a_mutated_csv_exits_0_or_1_with_an_error_line(mutation,
+                                                                 data):
+    """``ouvclf ingest`` of ``write_corpus_csv``'s file after one mutation,
+    to one drawn data row or at one drawn byte, lets no exception escape:
+    it exits 0, or 1 with a last stderr line that starts with ``error: ``
+    and names the CSV where the whole file is refused. The budget: 200
+    examples, about 1.2 s under ``-X dev``."""
+    with tempfile.TemporaryDirectory() as root:
+        csv_path = Path(root) / "syndication.csv"
+        write_corpus_csv(csv_path)
+        header, *rows = csv_path.read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        # no field of ``write_corpus_csv`` holds a comma
+        fields = rows[i].rstrip(b"\n").split(b",")
+        if mutation == "extra-field":
+            fields.append(b"extra")
+        elif mutation == "missing-field":
+            fields.pop()
+        elif mutation == "site-id":
+            fields[0] = data.draw(st.sampled_from(SITE_IDS))
+        elif mutation == "long-field":
+            fields[data.draw(st.integers(0, len(fields) - 1))] = (
+                b'"' + b"x" * 200_000 + b'"')
+        elif mutation == "unterminated-quote":
+            fields[-1] = fields[-1][:-1]  # the rest of the file is quoted
+        rows[i] = b",".join(fields) + b"\n"
+        text = header + b"".join(rows)
+        if mutation in ("not-utf8", "nul"):
+            at = data.draw(st.integers(0, len(text)))
+            text = (text[:at] + (b"\xff" if mutation == "not-utf8"
+                                 else b"\x00") + text[at:])
+        elif mutation in ("empty", "header-only"):
+            text = header if mutation == "header-only" else b""
+        csv_path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest", str(csv_path), "--out",
+                         str(Path(root) / "data")])
+    assert code in (0, 1)
+    if mutation in WHOLE_FILE_MUTATIONS:
+        assert code == 1
+    if code == 1:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("error: ")
+        if mutation in WHOLE_FILE_MUTATIONS:
+            assert str(csv_path) in last
 
 
 def test_a_config_integer_too_large_for_a_float_is_named(workspace, tmp_path,

@@ -312,6 +312,55 @@ class TestParseSyndication:
         assert errors == []
         assert sites[0].criteria == frozenset({4})
 
+    def test_a_repeated_flag_number_reads_the_later_column(self, tmp_path):
+        flags = [f"C{k}" for k in range(1, 7)] + [f"N{k}" for k in
+                                                  range(7, 11)]
+        path = tmp_path / "flags.csv"
+        path.write_text(
+            SYNDICATION_HEADER.rstrip("\n") + "," + ",".join(flags) + ",c 2\n"
+            + '5,"Flagged","","Criterion (ii): Values. Criterion (iii): '
+            'Testimony.","desc",,1,,,,,,,,,\n'
+            + '6,"Other","","Criterion (ii): Values. Criterion (iii): '
+            'Testimony.","desc",,1,,,,,,,,,yes\n', encoding="utf-8")
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        # site 5 flags nothing in the later column, so its criteria come
+        # from its justification
+        assert [s.criteria for s in sites] == [frozenset({2, 3}),
+                                               frozenset({2})]
+
+    def test_a_row_with_extra_fields_is_a_row_error(self, tmp_path):
+        path = write_csv(tmp_path, [
+            '1,"One","(i)","Criterion (i): Art.","desc","extra",""\n',
+            '2,"Two","(ii)","Criterion (ii): Values.","desc"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == ["line 2: 7 fields, but the header has 5"]
+        assert [s.site_id for s in sites] == [2]
+
+    def test_a_short_row_reads_its_missing_fields_as_empty(self, tmp_path):
+        path = write_csv(tmp_path, [
+            '1,"Short","(iv)","Criterion (iv): Type."\n',
+            '2,"Id only"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert len(sites) == 1
+        assert sites[0].short_description == ""
+        assert sites[0].justification == {4: "Type."}
+
+    @pytest.mark.parametrize("raw_id", ["inf", "-inf", "1e400", "nan", "1.7"])
+    def test_a_site_id_that_is_not_whole_is_a_row_error(self, tmp_path,
+                                                        raw_id):
+        path = write_csv(tmp_path, [
+            f'{raw_id},"Bad","(i)","Criterion (i): Art.","desc"\n',
+            '12.0,"Twelve","(ii)","Criterion (ii): Values.","desc"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == [f"line 2: site id {raw_id!r} is not a whole number"]
+        assert [s.site_id for s in sites] == [12]
+        assert type(sites[0].site_id) is int
+
     def test_unknown_numeral_is_skipped(self, tmp_path):
         path = write_csv(tmp_path, [
             '7,"Eleven","(i)","Criterion (i): Art here. Criterion (xi): '

@@ -287,3 +287,10 @@ class TestArrayInputs:
     def test_first_bad_truth_is_named(self):
         with pytest.raises(ValueError, match="out of range: 0$"):
             confusion_matrix(np.array([full_ranking(1)] * 3), [2, 0, 11])
+
+    @pytest.mark.parametrize("truth", [0, NUM_CLASSES])
+    def test_topk_accuracy_refuses_a_truth_outside_one_to_ten(self, truth):
+        """Others (11) is never a truth: it would count every Others
+        prediction as a hit."""
+        with pytest.raises(ValueError, match=f"out of range: {truth}$"):
+            topk_accuracy([[1, 2, 3]], [truth], 3)

@@ -537,6 +537,20 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"out of range: {label}$"):
             train(tx, tl, par, vx, vl, quick_config())
 
+    @pytest.mark.parametrize("label", [0, NUM_CLASSES])
+    def test_a_valid_label_outside_one_to_ten_is_refused_before_training(
+            self, toy_dataset, monkeypatch, label):
+        """Validation labels select the best epoch, so a 0-based label or
+        the Others id, which would count every Others prediction as a hit,
+        is refused before the first Adam step."""
+        _, tx, tl, par, vx, _ = featurized(toy_dataset)
+        steps = []
+        monkeypatch.setattr(model_module, "adam_step",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=f"out of range: {label}$"):
+            train(tx, tl, par, vx[:20], np.full(20, label), quick_config())
+        assert steps == []
+
     def test_best_epoch_is_argmax_of_history(self, toy_dataset):
         _, tx, tl, par, vx, vl = featurized(toy_dataset)
         model = train(tx, tl, par, vx, vl, quick_config())

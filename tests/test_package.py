@@ -135,6 +135,64 @@ def test_no_exception_class_but_training_diverged():
         "model.py": ["TrainingDiverged"]}
 
 
+def caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The class names an ``except`` clause catches (none for a bare one)."""
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type] if handler.type else [])
+    return {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
+
+
+def blanket_handlers(source: str) -> list[str]:
+    """The ``except`` clauses of a module that would swallow a programmer
+    error, by line: a bare one, one that names ``Exception``, and one that
+    names ``BaseException`` whose body does not end in a bare ``raise``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            names = caught_names(node)
+            last = node.body[-1]
+            reraises = isinstance(last, ast.Raise) and last.exc is None
+            if (node.type is None or "Exception" in names
+                    or "BaseException" in names and not reraises):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_sees_blanket_handlers():
+    source = ("try:\n    pass\nexcept:\n    pass\n"
+              "try:\n    pass\nexcept (ValueError, builtins.Exception):\n"
+              "    pass\n"
+              "try:\n    pass\nexcept BaseException:\n    clean()\n"
+              "    raise\n"
+              "try:\n    pass\nexcept BaseException as exc:\n"
+              "    raise ValueError() from exc\n"
+              "try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n")
+    assert blanket_handlers(source) == ["line 3", "line 7", "line 16"]
+
+
+def test_no_blanket_exception_handler():
+    """A programmer error propagates as itself: no module catches every
+    error, and a ``BaseException`` handler, which cleans up after any
+    error, re-raises what it caught."""
+    found = {path.name: blanket_handlers(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_cli_main_catches_only_the_three_input_errors():
+    """``ouvclf`` turns bad input (``ValueError``), an unreadable file
+    (``OSError``) and a step with no usable training (``RuntimeError``)
+    into ``error: `` and exit 1, in one handler; the reader that owns an
+    input turns its other faults into one of these."""
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    main_def, = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    handlers = [node for node in ast.walk(main_def)
+                if isinstance(node, ast.ExceptHandler)]
+    assert [caught_names(h) for h in handlers] == [
+        {"OSError", "ValueError", "RuntimeError"}]
+
+
 def names_read(source: str) -> set[str]:
     """Names a module's code reads: bare names, attribute names and the
     names it imports."""
