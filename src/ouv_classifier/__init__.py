@@ -9,7 +9,10 @@ them with multi-class and multi-label metrics.
 import dataclasses
 import json
 import os
+import shutil
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 __version__ = "0.1.0"
 
@@ -19,20 +22,40 @@ OTHERS_NOISE = 0.2
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb")
-    through a temp file in the same directory, moved over ``path`` with
-    ``os.replace`` on success, so readers see the old file or the whole new
-    one, never a partial one."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+def commit_files(target: str | Path, last: str):
+    """A staging directory, made in the nearest existing ancestor of the
+    directory ``target`` (``target`` included), whose files the block
+    writes at their paths relative to ``target``. When the block returns,
+    one ``os.replace`` loop moves each file to its path under ``target``,
+    ``last`` (such a relative path) after the others. The staging
+    directory is removed in any case, so a block that raises changes
+    nothing under ``target``; only a failed move is left as a window."""
+    anchor = target = Path(target)
+    while not anchor.exists():
+        anchor = anchor.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=anchor))
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        yield staging
+        names = sorted(path.relative_to(staging)
+                       for path in staging.rglob("*") if path.is_file())
+        for name in sorted(names, key=lambda name: name == Path(last)):
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(staging / name, target / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``path`` for writing (``mode`` "w" for UTF-8 text or "wb"): the
+    one-file form of ``commit_files``, so readers see the old file or the
+    whole new one, never a partial one, and missing directories are
+    made."""
+    path = Path(path)
+    with commit_files(path.parent, path.name) as staging, \
+            open(staging / path.name, mode,
+                 encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
 
 
 @contextmanager

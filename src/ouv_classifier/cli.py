@@ -22,14 +22,13 @@ from pathlib import Path
 for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(name, "1")
 
-from . import NUM_CRITERIA, atomic_open, read_lines
+from . import NUM_CRITERIA, atomic_open, commit_files, read_lines
 from .corpus import (build_dataset, build_sd_set, parse_syndication,
                      read_dataset, read_sites, write_dataset, write_sites)
 from .harness import (GRID_FEATURIZER, STEP_ARTIFACTS, ExperimentConfig,
-                      Featurizer, Predictor, build_featurizer, commit_files,
-                      evaluate_model, featurize, fit, load_prior, mine,
-                      read_run, report, run_final, run_grid_search,
-                      run_ls_sweep, setting_of)
+                      Featurizer, Predictor, build_featurizer, evaluate_model,
+                      featurize, fit, load_prior, mine, read_run, report,
+                      run_final, run_grid_search, run_ls_sweep, setting_of)
 from .labels import SmoothingConfig, cooccurrence, prior_weights
 from .metrics import check_k
 from .model import save_checkpoint

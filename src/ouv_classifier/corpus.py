@@ -182,13 +182,14 @@ def _split_justification(text: str) -> dict[int, str]:
 def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str]]:
     """Parse the syndication CSV into site records.
 
-    Returns the records plus the row-level errors: a row with more fields
-    than the header, or a site id that is empty or not whole. Rows without
-    justification text are kept (with an empty justification map) for the
-    SD set's short descriptions. A file with no header row or without a
-    required column is a ``ValueError`` naming it, as is text ``csv``
-    cannot read, such as a field over its default limit of 131,072
-    characters, which names the line too.
+    Returns the records plus the row-level errors, each naming the line
+    its row ends on: a row with more fields than the header, or a site id
+    that is empty or not whole. Rows without justification text are kept
+    (with an empty justification map) for the SD set's short
+    descriptions. A file with no header row or without a required column
+    is a ``ValueError`` naming it, as is text ``csv`` cannot read, such as
+    a field over its default limit of 131,072 characters, which names the
+    line too.
     """
     path = Path(file_path)
     records: list[SiteRecord | None] = []  # None: a row ``_parse_row`` drops
@@ -201,14 +202,14 @@ def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str
         with input_error(path):
             cols = _resolve_columns(list(reader.fieldnames))
         width = len(reader.fieldnames)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 if None in row:
                     raise ValueError(f"{width + len(row[None])} fields, but "
                                      f"the header has {width}")
                 records.append(_parse_row(row, cols))
             except ValueError as exc:
-                errors.append(f"line {line_no}: {exc}")
+                errors.append(f"line {reader.reader.line_num}: {exc}")
     except csv.Error as exc:
         line = reader.reader.line_num  # ``reader.line_num`` lags a line
         raise ValueError(f"{path}: line {line}: {exc}") from exc
@@ -219,10 +220,13 @@ def _parse_row(row: dict, cols: dict) -> SiteRecord | None:
     raw_id = row[cols["site_id"]].strip()
     if not raw_id:
         raise ValueError("empty site id")
-    number = float(raw_id)
-    if not number.is_integer():  # nor are inf and nan
-        raise ValueError(f"site id {raw_id!r} is not a whole number")
-    site_id = int(number)
+    try:
+        site_id = int(raw_id)  # exact above 2**53 too
+    except ValueError:  # such as 12.0 or 1e3
+        number = float(raw_id)
+        if not number.is_integer():  # nor are inf and nan
+            raise ValueError(f"site id {raw_id!r} is not a whole number")
+        site_id = int(number)
     name = row[cols["name"]].strip()
     just_text = row[cols["justification"]].strip()
     short_desc = row[cols["short_description"]].strip()
@@ -560,10 +564,8 @@ def _refuse(line_nos: list[int], key: str, values: list, ok,
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "valid", "test", "sd"):
-        write_samples(dataset.split(name), out / f"{name}.jsonl")
+        write_samples(dataset.split(name), Path(out_dir, f"{name}.jsonl"))
 
 
 def read_dataset(in_dir: str | Path) -> Dataset:

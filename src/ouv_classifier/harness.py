@@ -11,18 +11,15 @@ import math
 import multiprocessing
 import os
 import re
-import shutil
-import tempfile
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import (atomic_open, check_json_type, input_error, json_fields,
-               read_json)
+from . import (atomic_open, check_json_type, commit_files, input_error,
+               json_fields, read_json)
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows)
@@ -167,34 +164,8 @@ def load_prior(config: ExperimentConfig) -> np.ndarray:
 
 
 def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
-    path = Path(output_dir, STEP_ARTIFACTS[step][0])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as fh:
+    with atomic_open(Path(output_dir, STEP_ARTIFACTS[step][0])) as fh:
         json.dump(payload, fh, indent=1)
-
-
-@contextmanager
-def commit_files(target: str | Path, last: str):
-    """A staging directory, made in the nearest existing ancestor of the
-    directory ``target`` (``target`` included), whose files the block
-    writes at their paths relative to ``target``. When the block returns,
-    one ``os.replace`` loop moves each file to its path under ``target``,
-    ``last`` (such a relative path) after the others. The staging
-    directory is removed in any case, so a block that raises changes
-    nothing under ``target``; only a failed move is left as a window."""
-    anchor = target = Path(target)
-    while not anchor.exists():
-        anchor = anchor.parent
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=anchor))
-    try:
-        yield staging
-        names = sorted(path.relative_to(staging)
-                       for path in staging.rglob("*") if path.is_file())
-        for name in sorted(names, key=lambda name: name == Path(last)):
-            (target / name).parent.mkdir(parents=True, exist_ok=True)
-            os.replace(staging / name, target / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def read_artifact(output_dir: str | Path, step: str) -> dict:
@@ -646,16 +617,6 @@ class Predictor:
                              "different runs")
         return cls(model=model, featurizer=featurizer, featurizer_path=path)
 
-    def topk(self, token_lists: list[list[str]], k: int = 3,
-             features=None) -> tuple[np.ndarray, np.ndarray]:
-        """``top_classes`` of one batched forward: the ``k`` best criterion
-        ids and their confidences per token list, best first, both
-        ``len(token_lists) x k``. ``features`` may carry the rows this
-        predictor's featurizer gives for ``token_lists``."""
-        if features is None:
-            features = self.featurizer.transform_token_lists(token_lists)
-        return top_classes(predict_proba(self.model, features), k)
-
 
 def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
          confidence_threshold: float = 0.8,
@@ -667,8 +628,8 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
     the IoU threshold (both strict). One loop takes ``_MINE_BLOCK`` input
     lines at a time from ``texts``, any iterable, read no further ahead
     than that block: one ``preprocess_many`` call, lines with no tokens
-    dropped, then one ``topk`` call per model, both given the block's
-    features when the predictors share a featurizer file. The rule runs
+    dropped, the block's rows once per distinct featurizer file, then one
+    batched ``predict_proba`` and ``top_classes`` per model. The rule runs
     on the block's arrays: the sum adds the three confidences left to
     right, and, as each row's three ids are distinct, the union of two
     top-3 sets has ``6 - intersection`` ids. A threshold that is NaN or
@@ -688,10 +649,12 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
         if not lines:
             continue
         token_lists = [tokens for _, tokens in lines]
-        x = (predictor_a.featurizer.transform_token_lists(token_lists)
-             if shared else None)
-        ids_a, confs_a = predictor_a.topk(token_lists, k=3, features=x)
-        ids_b, confs_b = predictor_b.topk(token_lists, k=3, features=x)
+        x = predictor_a.featurizer.transform_token_lists(token_lists)
+        ids_a, confs_a = top_classes(predict_proba(predictor_a.model, x), 3)
+        if not shared:
+            del x  # one block's feature matrix at a time
+            x = predictor_b.featurizer.transform_token_lists(token_lists)
+        ids_b, confs_b = top_classes(predict_proba(predictor_b.model, x), 3)
         conf_a = confs_a[:, 0] + confs_a[:, 1] + confs_a[:, 2]
         conf_b = confs_b[:, 0] + confs_b[:, 1] + confs_b[:, 2]
         inter = (ids_a[:, :, None] == ids_b[:, None, :]).sum(axis=(1, 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
+from ouv_classifier import NUM_CLASSES, OTHERS_NOISE, harness
 from ouv_classifier.corpus import Dataset, Sample, SiteRecord
 
 # selected with --hypothesis-profile=ci: a failure prints the blob that
@@ -68,6 +68,32 @@ def make_sites(criteria_sets, descriptions=None):
     return sites
 
 
+class StubPredictor:
+    """``mine``'s predictor double, for ``predict_proba`` patched to return
+    its input (the ``canned_proba`` fixture): its featurizer gives each
+    token list the probability row that holds the ``(id, confidence)``
+    pairs canned for its first token, and zeros elsewhere."""
+
+    featurizer_path = None
+    model = None
+
+    def __init__(self, outputs):
+        self.featurizer = self
+        self.outputs = outputs
+
+    def transform_token_lists(self, token_lists):
+        rows = np.zeros((len(token_lists), NUM_CLASSES))
+        for row, tokens in zip(rows, token_lists):
+            for c, v in self.outputs[tokens[0]]:
+                row[c - 1] = v
+        return rows
+
+
+@pytest.fixture
+def canned_proba(monkeypatch):
+    monkeypatch.setattr(harness, "predict_proba", lambda model, x: x)
+
+
 def use_cpus(monkeypatch, count):
     """Let the harness see ``count`` usable CPUs, as ``taskset`` would, so a
     step runs on at most ``count`` processes."""
@@ -92,25 +118,22 @@ def no_process_left_running():
     assert left == [], f"processes left running: {left}"
 
 
-# an ``atomic_open`` temp file, ``<name>.<pid>.tmp``, and a
-# ``commit_files`` staging directory, ``tempfile.mkdtemp``'s
+# a ``commit_files`` staging directory, ``tempfile.mkdtemp``'s
 # ``.<target name>.<8 characters>``
-_TEMP_FILE = re.compile(r".\.\d+\.tmp$")
 _STAGING_DIR = re.compile(r"^\..*\.[a-z0-9_]{8}$")
 
 
 @pytest.fixture(autouse=True)
 def no_temp_file_left(request):
-    """Fail a test that uses ``tmp_path`` after which a temp file or a
-    staging directory of an atomic write is left under it, as a failed
-    write that missed its cleanup would leave. ``tmp_path`` is requested
-    here, before the test runs, so it is still there when this checks."""
+    """Fail a test that uses ``tmp_path`` after which a staging directory
+    of an atomic write is left under it, as a failed write that missed
+    its cleanup would leave. ``tmp_path`` is requested here, before the
+    test runs, so it is still there when this checks."""
     if "tmp_path" not in request.fixturenames:
         yield
         return
     root = request.getfixturevalue("tmp_path")
     yield
     left = [str(path.relative_to(root)) for path in root.rglob("*")
-            if _TEMP_FILE.search(path.name) and path.is_file()
-            or _STAGING_DIR.match(path.name) and path.is_dir()]
-    assert left == [], f"temp files or staging directories left: {left}"
+            if _STAGING_DIR.match(path.name) and path.is_dir()]
+    assert left == [], f"staging directories left: {left}"

@@ -26,7 +26,7 @@ from ouv_classifier.metrics import evaluate_matches, evaluate_split
 from ouv_classifier.model import (TrainConfig, backward, cross_entropy_soft,
                                   forward, init_params, save_checkpoint,
                                   train)
-from conftest import make_one_hot, make_separable_dataset
+from conftest import StubPredictor, make_one_hot, make_separable_dataset
 from test_labels import epsilon_for_alpha, original_ls
 
 SYNDICATION_CSV = os.environ.get("OUV_SYNDICATION_CSV", "")
@@ -244,19 +244,7 @@ def test_acceptance_08_deterministic_training(tmp_path):
         assert models[0].history == models[1].history
 
 
-class _Canned:
-    featurizer_path = None
-
-    def __init__(self, outputs):
-        self.outputs = outputs
-
-    def topk(self, token_lists, k=3, features=None):
-        tops = [self.outputs[tokens[0]] for tokens in token_lists]
-        return (np.array([[c for c, _ in top] for top in tops]),
-                np.array([[v for _, v in top] for top in tops]))
-
-
-def test_acceptance_09_mining_filter():
+def test_acceptance_09_mining_filter(canned_proba):
     with criterion(9, "agreement mining matches brute-force rules, "
                       "rejecting the IoU = 0.5 boundary"):
         rng = np.random.default_rng(41)
@@ -278,7 +266,7 @@ def test_acceptance_09_mining_filter():
                 pool = [c for c in range(1, 12) if c not in classes]
                 other = list(rng.choice(pool, size=3, replace=False))
             b[key] = [(int(c), conf) for c in other]
-        kept = mine(sentences, _Canned(a), _Canned(b),
+        kept = mine(sentences, StubPredictor(a), StubPredictor(b),
                     confidence_threshold=0.8, iou_threshold=0.5)
         expected = []
         for key, text in zip(keys, sentences):

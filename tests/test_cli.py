@@ -590,6 +590,21 @@ def test_mine_failed_write_keeps_old_file(tmp_path, monkeypatch):
                                                           "mined.json"]
 
 
+@pytest.mark.parametrize("out", ["new_dir/kept.json", "kept.json"])
+def test_mine_out_makes_its_missing_directories(tmp_path, monkeypatch, out):
+    """As ``train --out`` and ``prior --out`` do; a relative ``--out`` is
+    written under the working directory."""
+    monkeypatch.setattr(cli.Predictor, "load",
+                        staticmethod(lambda path, featurizers=None: None))
+    monkeypatch.setattr(cli, "mine", lambda texts, a, b, **kw: [{"k": 1}])
+    monkeypatch.chdir(tmp_path)
+    Path("input.txt").write_text("one line\n", encoding="utf-8")
+    assert main(["mine", "--models", "a.json", "b.json", "--input",
+                 "input.txt", "--out", out]) == 0
+    assert json.loads((tmp_path / out).read_text(encoding="utf-8")) == [
+        {"k": 1}]
+
+
 @pytest.mark.parametrize("key,value,name", [
     ("smoothing", 5, "smoothing is int, not a JSON object"),
     ("setting", 5, "'setting'"),

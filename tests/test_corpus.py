@@ -361,6 +361,26 @@ class TestParseSyndication:
         assert [s.site_id for s in sites] == [12]
         assert type(sites[0].site_id) is int
 
+    def test_a_row_error_names_the_physical_line(self, tmp_path):
+        """A quoted field over two lines, and a blank line, which
+        ``DictReader`` skips, do not shift the line a later error names."""
+        path = write_csv(tmp_path, [
+            '1,"One","(i)","Criterion (i): Art.\nMore art.","desc"\n',
+            "\n",
+            ',"No id","(ii)","Criterion (ii): Values.","desc"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == ["line 5: empty site id"]
+        assert [s.site_id for s in sites] == [1]
+
+    def test_a_whole_site_id_above_2_53_stays_exact(self, tmp_path):
+        path = write_csv(tmp_path, [
+            '12345678901234567891,"Big","(i)","Criterion (i): Art.","d"\n',
+        ])
+        sites, errors = parse_syndication(path)
+        assert errors == []
+        assert [s.site_id for s in sites] == [12345678901234567891]
+
     def test_unknown_numeral_is_skipped(self, tmp_path):
         path = write_csv(tmp_path, [
             '7,"Eleven","(i)","Criterion (i): Art here. Criterion (xi): '

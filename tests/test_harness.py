@@ -28,8 +28,8 @@ from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      fit_tfidf, load_embeddings)
-from conftest import (edit_head, make_sample, make_separable_dataset,
-                      use_cpus)
+from conftest import (StubPredictor, edit_head, make_sample,
+                      make_separable_dataset, use_cpus)
 
 
 def toy_config(tmp_path, **overrides):
@@ -367,7 +367,9 @@ class TestRunFinal:
         for path in (moved / "model_ls.json", "final/model_no_ls.json"):
             predictor = Predictor.load(path)
             assert predictor.featurizer.kind == "ngram"
-            ids, confs = predictor.topk([dataset.valid[0].tokens], k=3)
+            x = predictor.featurizer.transform_token_lists(
+                [dataset.valid[0].tokens])
+            ids, confs = top_classes(predict_proba(predictor.model, x), 3)
             assert ids.shape == confs.shape == (1, 3)
 
     @pytest.mark.parametrize("split", ["train", "valid"])
@@ -542,21 +544,7 @@ class TestExperimentConfig:
             ("l2", 0.0), ("batch_size", 64), ("hidden", 16)]
 
 
-class StubPredictor:
-    """Predictor double returning canned top-3 ``(ids, confs)`` arrays, each
-    row given as ``(id, confidence)`` pairs keyed by first token."""
-
-    featurizer_path = None
-
-    def __init__(self, outputs):
-        self.outputs = outputs
-
-    def topk(self, token_lists, k=3, features=None):
-        tops = [self.outputs[tokens[0]] for tokens in token_lists]
-        return (np.array([[c for c, _ in top] for top in tops]),
-                np.array([[v for _, v in top] for top in tops]))
-
-
+@pytest.mark.usefixtures("canned_proba")
 class TestMine:
     def test_identical_top3_passes(self):
         outputs = {"sa": [(1, 0.5), (2, 0.3), (3, 0.1)]}
@@ -1396,8 +1384,9 @@ class TestBatchedMine:
         lines = [line for line in _mine_lines(mine_dataset)
                  if preprocess(line)]
         token_lists = preprocess_many(lines)
-        (ids_a, confs_a), (ids_b, confs_b) = (p.topk(token_lists, k=3)
-                                              for p in (a, b))
+        (ids_a, confs_a), (ids_b, confs_b) = (top_classes(predict_proba(
+            p.model, p.featurizer.transform_token_lists(token_lists)), 3)
+            for p in (a, b))
         conf_a = confs_a[:, 0] + confs_a[:, 1] + confs_a[:, 2]
         conf_b = confs_b[:, 0] + confs_b[:, 1] + confs_b[:, 2]
         threshold = float(np.median(np.minimum(conf_a, conf_b)))
@@ -1443,7 +1432,8 @@ class TestBatchedMine:
     def test_topk_rows(self, mine_dataset, predictors):
         a, _ = predictors["boe"]
         token_lists = [s.tokens for s in mine_dataset.valid[:4]]
-        ids, confs = a.topk(token_lists, k=5)
+        ids, confs = top_classes(predict_proba(
+            a.model, a.featurizer.transform_token_lists(token_lists)), 5)
         assert ids.shape == confs.shape == (4, 5)
         for row_ids, row_confs in zip(ids.tolist(), confs.tolist()):
             assert row_confs == sorted(row_confs, reverse=True)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import ouv_classifier
 import ouv_classifier.cli
-from ouv_classifier import json_fields
+from ouv_classifier import atomic_open, commit_files, json_fields
 from ouv_classifier.cli import main
 from ouv_classifier.corpus import (parse_syndication, read_dataset,
                                    read_sites, write_samples)
@@ -177,6 +177,154 @@ def test_no_blanket_exception_handler():
     found = {path.name: blanket_handlers(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the calls that move a file over another, or make or remove a place to
+# stage one
+PLACING_CALLS = {"os.replace", "os.rename", "os.renames", "shutil.move",
+                 "tempfile.mkdtemp", "tempfile.mkstemp", "shutil.rmtree"}
+
+
+def placing_calls(source: str) -> list[str]:
+    """The calls of ``PLACING_CALLS`` a module makes, by line, named
+    through their module (under any alias) or imported from it, and the
+    ``Path`` moves: any ``.rename(...)``, and a ``.replace(...)`` of one
+    argument, as ``Path.replace`` takes (``str.replace`` takes two)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name: alias.name
+                             for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            imported.update({alias.asname or alias.name:
+                             f"{node.module}.{alias.name}"
+                             for alias in node.names})
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        head, dot, rest = name.partition(".")
+        method = getattr(node.func, "attr", None)
+        if (imported.get(head, head) + dot + rest in PLACING_CALLS
+                or method == "rename"
+                or method == "replace"
+                and len(node.args) + len(node.keywords) == 1):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_sees_file_placing_calls():
+    source = ("import os, shutil\n"
+              "import shutil as sh\n"
+              "from tempfile import mkdtemp as make, mkstemp\n"
+              "from os import rename\n"
+              "os.replace(a, b)\n"
+              "staging = make()\n"
+              "shutil.rmtree(staging)\n"
+              "mkstemp()\n"
+              "name.replace('a', 'b')\n"
+              "os.remove(a)\n"
+              "os.rename(a, b)\n"
+              "shutil.move(a, b)\n"
+              "Path(a).replace(b)\n"
+              "path.rename(target=b)\n"
+              "sh.rmtree(a)\n"
+              "rename(a, b)\n"
+              "dataclasses.replace(config, output_dir=b)\n")
+    assert placing_calls(source) == [
+        "line 5: os.replace", "line 6: make", "line 7: shutil.rmtree",
+        "line 8: mkstemp", "line 11: os.rename", "line 12: shutil.move",
+        "line 13: Path(a).replace", "line 14: path.rename",
+        "line 15: sh.rmtree", "line 16: rename"]
+
+
+def test_only_the_package_root_places_files():
+    """``commit_files``, in ``__init__.py``, is the one way a file is put
+    in place (``atomic_open`` is its one-file form): no other module moves
+    a file over another or makes or removes a staging directory."""
+    found = {path.name: placing_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+class TestCommitFiles:
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """The ``(source, destination)`` of each ``os.replace``, in order."""
+        done, real_replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: done.append(
+            (Path(src), Path(dst))) or real_replace(src, dst))
+        return done
+
+    def test_last_is_moved_after_the_others(self, tmp_path, moves):
+        with commit_files(tmp_path, "a.txt") as staging:
+            for name in ("a.txt", "b.json", "sub/c.json"):
+                (staging / name).parent.mkdir(exist_ok=True)
+                (staging / name).write_text(name, encoding="utf-8")
+        assert [dst.relative_to(tmp_path) for _, dst in moves] == [
+            Path("b.json"), Path("sub/c.json"), Path("a.txt")]
+        assert (tmp_path / "sub/c.json").read_text("utf-8") == "sub/c.json"
+
+    def test_files_land_under_a_target_that_does_not_exist_yet(self,
+                                                               tmp_path):
+        target = tmp_path / "new/run"
+        with commit_files(target, "x.json") as staging:
+            assert staging.parent == tmp_path  # the nearest existing one
+            (staging / "deeper/sub").mkdir(parents=True)
+            (staging / "deeper/sub/y.txt").write_bytes(b"y")
+            (staging / "x.json").write_bytes(b"x")
+        assert sorted(str(path.relative_to(tmp_path))
+                      for path in tmp_path.rglob("*") if path.is_file()) == [
+            "new/run/deeper/sub/y.txt", "new/run/x.json"]
+        assert (target / "deeper/sub/y.txt").read_bytes() == b"y"
+
+    def test_a_block_that_raises_changes_nothing(self, tmp_path, moves):
+        (tmp_path / "a.json").write_bytes(b"old\x00bytes")
+        with pytest.raises(KeyError):
+            with commit_files(tmp_path, "a.json") as staging:
+                (staging / "a.json").write_bytes(b"new")
+                (staging / "b.json").write_bytes(b"new")
+                raise KeyError("failed")
+        assert moves == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.json"]
+        assert (tmp_path / "a.json").read_bytes() == b"old\x00bytes"
+
+    @pytest.mark.parametrize("mode, data", [("w", "new ✓"), ("wb", b"new")])
+    def test_atomic_open_keeps_the_old_bytes_when_its_block_raises(
+            self, tmp_path, mode, data):
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"old")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_open(path, mode) as fh:
+                fh.write(data)
+                fh.flush()
+                raise OSError("disk full")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"
+        with atomic_open(path, mode) as fh:
+            fh.write(data)
+        assert path.read_bytes() == (data if mode == "wb"
+                                     else data.encode("utf-8"))
+
+    def test_a_nested_atomic_open_is_moved_once_by_the_outer_loop(
+            self, tmp_path, moves):
+        target = tmp_path / "final"
+        with commit_files(target, "final.json") as staging:
+            with atomic_open(staging / "model.json", "wb") as fh:
+                fh.write(b"model")
+            assert moves[0][1] == staging / "model.json"
+            assert not (target / "model.json").exists()
+            (staging / "final.json").write_bytes(b"final")
+        assert [dst for _, dst in moves] == [
+            staging / "model.json", target / "model.json",
+            target / "final.json"]
+        assert moves[1][0] == staging / "model.json"
+        assert (target / "model.json").read_bytes() == b"model"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "final", "final.json", "model.json"]
 
 
 def test_cli_main_catches_only_the_three_input_errors():
