@@ -61,11 +61,11 @@ def atomic_open(path, mode: str = "w"):
 @contextmanager
 def input_error(path, message: str = "{}"):
     """Re-raise a ``KeyError``, ``TypeError`` or ``ValueError`` from the
-    block, which reads the values of the file at ``path``, as the one kind
-    of bad-input error: a ``ValueError`` reading ``"<path>: "`` and
-    ``message`` with its ``{}`` filled by the error's text, which for a
-    ``KeyError`` is ``missing key 'k'``. So is an ``OverflowError``, which
-    a JSON integer too large for a float gives."""
+    block, which checks values from ``path`` (a file, or a config field such
+    as ``seeds``), as the one bad-input error: a ``ValueError`` reading
+    ``"<path>: "`` and ``message`` with its ``{}`` filled by the error's
+    text, which for a ``KeyError`` is ``missing key 'k'``. So is an
+    ``OverflowError``, which a JSON integer too large for a float gives."""
     try:
         yield
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

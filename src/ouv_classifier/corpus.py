@@ -165,18 +165,10 @@ def _criteria_from_text(text: str) -> frozenset[int]:
 
 def _split_justification(text: str) -> dict[int, str]:
     """Split a combined justification field on 'Criterion (x):' markers."""
-    parts: dict[int, str] = {}
-    matches = list(_CRITERION_HEADER.finditer(text))
-    for i, m in enumerate(matches):
-        numeral = m.group(1).lower()
-        if numeral not in ROMAN:
-            continue
-        start = m.end()
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        body = text[start:end].strip()
-        if body:
-            parts[ROMAN[numeral]] = body
-    return parts
+    pieces = _CRITERION_HEADER.split(text)
+    return {ROMAN[numeral.lower()]: body.strip()
+            for numeral, body in zip(pieces[1::2], pieces[2::2])
+            if numeral.lower() in ROMAN and body.strip()}
 
 
 def parse_syndication(file_path: str | Path) -> tuple[list[SiteRecord], list[str]]:
@@ -471,10 +463,8 @@ def sample_lines(samples: list[Sample]) -> Iterator[str]:
 def write_samples(samples: list[Sample], path: str | Path) -> None:
     """Write ``sample_lines(samples)`` to ``path``; a sample it refuses is a
     ``ValueError`` naming ``path`` too, and the file is not written."""
-    try:
+    with input_error(path):
         lines = sample_lines(samples)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     with atomic_open(path) as fh:
         for line in lines:
             fh.write(line + "\n")

@@ -82,8 +82,8 @@ class ExperimentConfig:
         """Reject, before any step runs, a value some step would reject:
         the featurizer's ``baseline``, ``embeddings_path`` and ``min_df``;
         ``train_config`` builds each grid value, ``setting`` with
-        ``smoothing``, and each seed; a sweep list that is empty or repeats
-        a value names its field."""
+        ``smoothing``, and each seed; a sweep or grid list that is empty or
+        repeats a value names its field."""
         if self.baseline not in ("ngram", "boe"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if self.baseline == "boe" and not self.embeddings_path:
@@ -97,22 +97,19 @@ class ExperimentConfig:
             self.train_config(setting, self.smoothing, 0)
         for key, seed in [("grid_seed", self.grid_seed),
                           *(("seeds", seed) for seed in self.seeds)]:
-            try:
+            with input_error(key):
                 self.train_config({}, SmoothingConfig(), seed)
-            except ValueError as exc:  # name the seed's field
-                raise ValueError(f"{key}: {exc}") from exc
         if len(self.seeds) < 2:
             raise ValueError("the sweep requires at least two seeds")
         for variant in self.variants:
             if variant not in VARIANT_ORDER:
                 raise ValueError(f"unknown variant {variant!r}")
         for alpha in self.alpha_grid:
-            try:
+            with input_error("alpha_grid"):
                 SmoothingConfig(alpha=alpha)
-            except ValueError as exc:  # name the alpha's field
-                raise ValueError(f"alpha_grid: {exc}") from exc
-        for key in ("seeds", "variants", "alpha_grid"):
-            values = getattr(self, key)
+        for key, values in [("seeds", self.seeds), ("variants", self.variants),
+                            ("alpha_grid", self.alpha_grid),
+                            *((f"grid.{k}", v) for k, v in self.grid.items())]:
             if not values:
                 raise ValueError(f"{key} must be non-empty")
             for i, value in enumerate(values):

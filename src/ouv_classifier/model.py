@@ -248,7 +248,6 @@ def train(train_x, train_labels: np.ndarray, train_parentals: np.ndarray,
     best_params = MlpParams(**{key: array.copy()
                                for key, array in params.arrays().items()})
     history: list[dict] = []
-    epochs_since_improvement = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
@@ -285,11 +284,8 @@ def train(train_x, train_labels: np.ndarray, train_parentals: np.ndarray,
             for best, now in zip(best_params.arrays().values(),
                                  params.arrays().values()):
                 np.copyto(best, now)
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-            if epochs_since_improvement >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
     return TrainedModel(params=best_params, featurizer_ref="",
                         config=config, best_epoch=best_epoch, history=history)

@@ -387,6 +387,24 @@ def test_a_config_integer_too_large_for_a_float_is_named(workspace, tmp_path,
         10 ** 400)
 
 
+def test_a_repeated_grid_value_is_named_before_training(workspace, tmp_path,
+                                                       capsys, monkeypatch):
+    """16 and 16.0 build the same ``TrainConfig``, so the grid would train
+    and log that cell twice."""
+    calls = []
+    monkeypatch.setattr(harness, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = write_config(workspace, tmp_path / "config.json",
+                               grid={"hidden": [16, 16.0]},
+                               output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: grid.hidden: 16.0 is repeated\n")
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
 def test_ingest_of_too_few_sentences_writes_nothing(tmp_path, capsys):
     csv_path, out = tmp_path / "one_site.csv", tmp_path / "data"
     write_corpus_csv(csv_path, n_sites=1)

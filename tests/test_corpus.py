@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE
 from ouv_classifier.corpus import (CRITERION_DEFINITIONS, MAX_SENT_LEN,
-                                   MIN_SENT_LEN, Dataset, Sample,
-                                   SiteRecord, build_dataset, build_sd_set,
-                                   criterion_columns, label_rows,
+                                   MIN_SENT_LEN, ROMAN, Dataset, Sample,
+                                   SiteRecord, _CRITERION_HEADER,
+                                   _split_justification, build_dataset,
+                                   build_sd_set, criterion_columns, label_rows,
                                    make_samples, parse_syndication,
                                    preprocess, preprocess_many, read_dataset,
                                    read_samples, read_sites, sample_lines,
@@ -409,6 +410,51 @@ class TestParseSyndication:
         sites, errors = parse_syndication(path)
         assert errors == []
         assert [s.site_id for s in sites] == [10]
+
+
+def indexed_split_justification(text):
+    """The reference splitter: each marker's body runs to the next marker,
+    walked by index over the matches."""
+    parts = {}
+    matches = list(_CRITERION_HEADER.finditer(text))
+    for i, m in enumerate(matches):
+        numeral = m.group(1).lower()
+        if numeral not in ROMAN:
+            continue
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
+        body = text[m.end():end].strip()
+        if body:
+            parts[ROMAN[numeral]] = body
+    return parts
+
+
+# a marker, valid or not: any case, any run of numerals (iiii, vx), with
+# or without brackets, spaces and a closing ':' or '.'
+MARKERS = st.builds(
+    "".join, st.tuples(
+        st.sampled_from(["criterion", "Criterion", "CRITERION"]),
+        st.sampled_from(["", " ", "  "]), st.sampled_from(["", "(", "( "]),
+        st.text(alphabet="ivxIVX", min_size=1, max_size=4),
+        st.sampled_from(["", " ", ")", " ) "]),
+        st.sampled_from(["", ":", ".", " :"])))
+BODIES = st.sampled_from(["", " ", "\n", "Art.", " Values here. ", "(ii)",
+                          "criteria", "Criterion"]) | st.text(max_size=4)
+
+
+class TestSplitJustification:
+    @settings(max_examples=300)
+    @given(st.lists(MARKERS | BODIES, max_size=8).map("".join))
+    def test_equals_the_indexed_reference_in_order(self, text):
+        """An unknown numeral or an empty body is skipped, and a repeated
+        criterion takes its last body at its first position."""
+        assert list(_split_justification(text).items()) == list(
+            indexed_split_justification(text).items())
+
+    def test_a_repeated_criterion_keeps_its_first_position(self):
+        text = ("Criterion (ii): Old. criterion (iiii): Lost. CRITERION ( vii"
+                " ) : Kept. Criterion (ii). New. Criterion (vii):")
+        assert list(_split_justification(text).items()) == [
+            (2, "New."), (7, "Kept.")]
 
 
 def long_paragraph(n_sentences, word="alpha"):

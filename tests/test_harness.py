@@ -489,6 +489,8 @@ class TestExperimentConfig:
              learning_rate=math.nan, alpha=0.1)
     @example(grid={"hidden": [8]}, setting={}, seeds=[0, 1], grid_seed=0,
              learning_rate=0.01, alpha=math.inf)
+    @example(grid={"batch_size": [1, 1.0]}, setting={}, seeds=[0, 1],
+             grid_seed=0, learning_rate=0.01, alpha=0.1)
     def test_an_accepted_config_trains_and_a_rejected_one_names_its_key(
             self, tiny_data, grid, setting, seeds, grid_seed, learning_rate,
             alpha):
@@ -503,8 +505,10 @@ class TestExperimentConfig:
             return key in ("hidden", "batch_size", "seed") and not (
                 float(value).is_integer() and value >= low)
 
+        # a value equal (==, so 1 and 1.0) to an earlier one is repeated
         named = {key for key, values in grid.items()
-                 for value in values if bad(key, value)}
+                 for i, value in enumerate(values)
+                 if bad(key, value) or value in values[:i]}
         named |= {key for key, value in setting.items() if bad(key, value)}
         named |= {"seeds"} if any(bad("seed", s) for s in seeds) else set()
         named |= {"grid_seed"} if bad("seed", grid_seed) else set()

@@ -517,6 +517,25 @@ class TestTrain:
         model = train(tx, tl, par, vx, vl, config)
         assert len(model.history) == 2  # epoch 1 sets the best, epoch 2 stops
 
+    @pytest.mark.parametrize("scores, epochs, best_epoch", [
+        ([.1, .1, .2, .2, .2, .3, .3], 5, 3),  # the count restarts at 3
+        ([.1, .2, .2, .2, .3, .3], 4, 2),  # a tie is not an improvement
+    ], ids=["restart", "tie"])
+    def test_patience_counts_from_the_best_epoch(
+            self, toy_dataset, monkeypatch, scores, epochs, best_epoch):
+        """With patience 2, training stops at the second epoch after the
+        best one, whatever came before it; ``scores`` are the validation
+        top-3 rates of the epochs."""
+        scripted = iter(scores)
+        monkeypatch.setattr(model_module, "topk_accuracy",
+                            lambda rankings, labels, k:
+                            next(scripted) if k == 3 else 0.0)
+        _, tx, tl, par, vx, vl = featurized(toy_dataset)
+        model = train(tx, tl, par, vx, vl,
+                      quick_config(patience=2, max_epochs=len(scores)))
+        assert [row["val_topk"] for row in model.history] == scores[:epochs]
+        assert model.best_epoch == best_epoch
+
     @pytest.mark.parametrize("empty", ["train", "valid"])
     def test_an_empty_split_is_refused(self, toy_dataset, empty):
         _, tx, tl, par, vx, vl = featurized(toy_dataset)

@@ -179,6 +179,60 @@ def test_no_blanket_exception_handler():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# the errors ``input_error`` rewraps as a ``ValueError`` naming the input
+REWRAPPED = {"KeyError", "OverflowError", "TypeError", "ValueError"}
+
+
+def hand_written_rewraps(source: str) -> list[str]:
+    """The ``except`` clauses of a module, by line, that catch an error of
+    ``REWRAPPED`` and raise a ``ValueError`` whose f-string formats the
+    caught error itself (``{exc}``, not ``{exc.msg}``): the rewrap that
+    ``input_error`` makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ExceptHandler) and node.name
+                and caught_names(node) & REWRAPPED):
+            continue
+        raised = [part.value for inner in ast.walk(node)
+                  if isinstance(inner, ast.Raise)
+                  and isinstance(inner.exc, ast.Call)
+                  and ast.unparse(inner.exc.func) == "ValueError"
+                  for part in ast.walk(inner.exc)
+                  if isinstance(part, ast.FormattedValue)]
+        if any(isinstance(value, ast.Name) and value.id == node.name
+               for value in raised):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_sees_hand_written_rewraps():
+    source = ("try:\n    pass\nexcept ValueError as exc:\n"
+              "    raise ValueError(f'{key}: {exc}') from exc\n"
+              "try:\n    pass\nexcept (KeyError, TypeError) as err:\n"
+              "    if err:\n        raise ValueError('a: ' + f'{err}')\n"
+              "try:\n    pass\nexcept json.JSONDecodeError as exc:\n"
+              "    raise ValueError(f'{path}: {exc.msg}') from exc\n"
+              "try:\n    pass\nexcept csv.Error as exc:\n"
+              "    raise ValueError(f'{path}: {exc}') from exc\n"
+              "try:\n    pass\nexcept ValueError as exc:\n"
+              "    errors.append(f'line 1: {exc}')\n"
+              "try:\n    pass\nexcept OverflowError:\n"
+              "    raise ValueError(f'{key} is too large') from None\n"
+              "try:\n    pass\nexcept builtins.OverflowError as exc:\n"
+              "    raise RuntimeError(f'{exc}') from exc\n")
+    assert hand_written_rewraps(source) == ["line 3", "line 7"]
+
+
+def test_input_error_is_the_one_rewrap():
+    """A bad value is named by ``input_error``, in ``__init__.py``: no
+    other module catches an error and re-raises its text behind a name of
+    its own."""
+    found = {path.name: hand_written_rewraps(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # the calls that move a file over another, or make or remove a place to
 # stage one
 PLACING_CALLS = {"os.replace", "os.rename", "os.renames", "shutil.move",
