@@ -7,6 +7,8 @@ them with multi-class and multi-label metrics.
 """
 
 import dataclasses
+import functools
+import gc
 import json
 import os
 import shutil
@@ -19,6 +21,23 @@ __version__ = "0.1.0"
 NUM_CRITERIA = 10
 NUM_CLASSES = 11  # ten selection criteria plus the synthetic "Others" class
 OTHERS_NOISE = 0.2
+
+
+def gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector off, and on again after
+    it returns or raises if it was on at entry: ``fn`` builds acyclic
+    objects in bulk, which reference counting frees, and each collection
+    would rescan the live generations."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import (NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE, atomic_open,
-               input_error, read_json, read_lines)
+               gc_paused, input_error, read_json, read_lines)
 
 ROMAN = {
     "i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5,
@@ -379,6 +379,7 @@ class Dataset:
         return getattr(self, name)
 
 
+@gc_paused
 def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
     """Build train/valid/test splits from the justification paragraphs.
 
@@ -413,6 +414,7 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
                    test=samples[n - n_held:n])
 
 
+@gc_paused
 def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
     """Build the independent short-description test set.
 
@@ -553,11 +555,13 @@ def _refuse(line_nos: list[int], key: str, values: list, ok,
                          f"{rule}")
 
 
+@gc_paused
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     for name in ("train", "valid", "test", "sd"):
         write_samples(dataset.split(name), Path(out_dir, f"{name}.jsonl"))
 
 
+@gc_paused
 def read_dataset(in_dir: str | Path) -> Dataset:
     """The splits written by ``write_dataset`` (a missing split file is an
     empty split), each read by ``read_samples``; a null ``sentence_label``

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (atomic_open, check_json_type, commit_files, input_error,
-               json_fields, read_json)
+from . import (atomic_open, check_json_type, commit_files, gc_paused,
+               input_error, json_fields, read_json)
 from .corpus import Dataset, Sample, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows)
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ValueError("BoE baseline requires embeddings_path")
         if self.min_df < 1:
             raise ValueError(f"min_df must be >= 1, got {self.min_df!r}")
-        if not self.grid or not all(self.grid.values()):
+        if not self.grid:
             raise ValueError("grid must be non-empty")
         for setting in [self.setting, *({key: value} for key in self.grid
                                         for value in self.grid[key])]:
@@ -615,6 +615,7 @@ class Predictor:
         return cls(model=model, featurizer=featurizer, featurizer_path=path)
 
 
+@gc_paused
 def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
          confidence_threshold: float = 0.8,
          iou_threshold: float = 0.5) -> list[dict]:

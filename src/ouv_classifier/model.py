@@ -245,7 +245,8 @@ def train(train_x, train_labels: np.ndarray, train_parentals: np.ndarray,
 
     best_topk = -1.0
     best_epoch = 0
-    best_params = MlpParams(**{key: array.copy()
+    # epoch 1 always improves on -1.0 and fills it
+    best_params = MlpParams(**{key: np.empty_like(array)
                                for key, array in params.arrays().items()})
     history: list[dict] = []
 

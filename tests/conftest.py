@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -116,6 +117,17 @@ def no_process_left_running():
         child.terminate()
         child.join(10)
     assert left == [], f"processes left running: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_collector_left_off():
+    """Fail a test after which the cyclic garbage collector is off, as a
+    ``gc_paused`` function that missed turning it back on would leave it;
+    the collector is turned on again."""
+    yield
+    was_on = gc.isenabled()
+    gc.enable()
+    assert was_on, "the cyclic garbage collector was left disabled"
 
 
 # a ``commit_files`` staging directory, ``tempfile.mkdtemp``'s

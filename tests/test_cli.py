@@ -1093,7 +1093,8 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
     ("seeds", [0, 1, 0], "seeds: 0 is repeated"),
     ("alpha_grid", [-0.1], "alpha must be non-negative"),
     ("grid", {}, "grid must be non-empty"),
-    ("grid", {"hidden": [16], "batch_size": []}, "grid must be non-empty"),
+    ("grid", {"hidden": [16], "batch_size": []},
+     "grid.batch_size must be non-empty"),
     ("grid", {"hiden": [16]}, "unknown setting key 'hiden'"),
     ("setting", {"batchsize": 64}, "unknown setting key 'batchsize'"),
     ("max_epochs", 0, "max_epochs must be >= 1"),

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import dataclasses
+import gc
 import importlib
 import json
 import os
@@ -17,15 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import ouv_classifier
 import ouv_classifier.cli
-from ouv_classifier import atomic_open, commit_files, json_fields
+from ouv_classifier import atomic_open, commit_files, gc_paused, json_fields
 from ouv_classifier.cli import main
-from ouv_classifier.corpus import (parse_syndication, read_dataset,
-                                   read_sites, write_samples)
+from ouv_classifier.corpus import (build_dataset, build_sd_set,
+                                   parse_syndication, read_dataset,
+                                   read_sites, write_dataset, write_samples)
 from ouv_classifier.features import EmbeddingTable, load_embeddings
-from ouv_classifier.harness import ExperimentConfig, Featurizer, report
+from ouv_classifier.harness import ExperimentConfig, Featurizer, mine, report
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import MlpParams, TrainConfig, load_checkpoint
-from conftest import make_sample
+from conftest import StubPredictor, make_sample
 from test_cli import write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
@@ -379,6 +381,70 @@ class TestCommitFiles:
         assert (target / "model.json").read_bytes() == b"model"
         assert sorted(path.name for path in tmp_path.rglob("*")) == [
             "final", "final.json", "model.json"]
+
+
+class TestGcPaused:
+    """The bulk builders run with the cyclic collector off. It is on again
+    after each, whether it returned or raised, unless the caller had
+    turned it off; what they build holds no cycle."""
+
+    @pytest.fixture
+    def sites(self, tmp_path):
+        write_corpus_csv(tmp_path / "syndication.csv")
+        return parse_syndication(tmp_path / "syndication.csv")[0]
+
+    @pytest.fixture
+    def bad_dir(self, tmp_path):
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad/train.jsonl").write_text("not json\n",
+                                                  encoding="utf-8")
+        return tmp_path / "bad"
+
+    @pytest.mark.parametrize("name", ["build_dataset", "build_sd_set",
+                                      "write_dataset", "read_dataset",
+                                      "mine"])
+    def test_each_leaves_the_collector_on_and_no_garbage(
+            self, sites, tmp_path, canned_proba, name):
+        dataset = build_dataset(sites)
+        dataset.sd = build_sd_set(sites)
+        write_dataset(dataset, tmp_path / "data")
+        stub = StubPredictor({"site": [(1, 0.5), (2, 0.3), (3, 0.2)]})
+        call = {"build_dataset": lambda: build_dataset(sites),
+                "build_sd_set": lambda: build_sd_set(sites),
+                "write_dataset": lambda: write_dataset(dataset,
+                                                       tmp_path / "out"),
+                "read_dataset": lambda: read_dataset(tmp_path / "data"),
+                "mine": lambda: mine(["Site one.", "Site two."], stub,
+                                     stub)}[name]
+        gc.collect()
+        call()
+        assert gc.isenabled()
+        assert gc.collect() == 0
+
+    def test_the_collector_is_on_again_after_a_raise(self, bad_dir):
+        with pytest.raises(ValueError, match="train.jsonl: line 1"):
+            read_dataset(bad_dir)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_turned_off_stays_off(self, sites,
+                                                         bad_dir):
+        gc.disable()
+        try:
+            build_sd_set(sites)
+            assert not gc.isenabled()
+            gc_paused(build_sd_set)(sites)
+            assert not gc.isenabled()
+            with pytest.raises(ValueError, match="line 1"):
+                read_dataset(bad_dir)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_nested_call_leaves_the_collector_to_the_outer_one(self, sites):
+        outer = gc_paused(lambda: (build_sd_set(sites), gc.isenabled()))
+        samples, on_inside = outer()
+        assert samples and not on_inside
+        assert gc.isenabled()
 
 
 def test_cli_main_catches_only_the_three_input_errors():
