@@ -16,7 +16,7 @@ import unicodedata
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,7 @@ class Sample:
     one_hot: None  # always None: ``soft_targets`` builds one-hot rows
     parental: np.ndarray  # length 11
     site_id: int
-    split: str
+    split: str  # as read, the name of the sample's dataset file
 
 
 def criterion_columns(ids) -> np.ndarray:
@@ -457,8 +457,7 @@ def sample_lines(samples: list[Sample]) -> Iterator[str]:
                          f"read back as {rows[i].tolist()}")
     return (_ENCODE({"tokens": sample.tokens,
                      "sentence_label": sample.sentence_label,
-                     "criteria": sample_criteria, "site_id": sample.site_id,
-                     "split": sample.split})
+                     "criteria": sample_criteria, "site_id": sample.site_id})
             for sample, sample_criteria in zip(samples, criteria))
 
 
@@ -472,17 +471,19 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
             fh.write(line + "\n")
 
 
-def read_samples(path: str | Path) -> list[Sample]:
-    """Read a file written by ``write_samples``, building each sample's
-    ``parental`` by ``make_samples``. Any other file is a ``ValueError``
-    naming it: a line that is not JSON or lacks a sample key; tokens that
-    are not a list of strings, or a token that holds whitespace (tokens are
-    as ``str.split`` gives them, and the n-gram features count on it); a
-    ``sentence_label`` that is neither an integer 1-10 nor null; or
-    ``criteria`` that are not a list of integers 1-10. Each value check
-    runs once over the file's column of that key and names the first bad
-    line. A file whose first line holds ``parental``, as a line of the
-    earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""
+def read_samples(path: str | Path, split: str) -> list[Sample]:
+    """Read a file written by ``write_samples`` as the samples of ``split``,
+    building each sample's ``parental`` by ``make_samples``. Any other file
+    is a ``ValueError`` naming it: a line that is not JSON or lacks a sample
+    key; tokens that are not a list of strings, or a token that holds
+    whitespace (tokens are as ``str.split`` gives them, and the n-gram
+    features count on it); a ``sentence_label`` that is not an integer
+    1-10, or null in ``sd``; ``criteria`` that are not a list of integers
+    1-10; or a ``site_id`` that is not an integer. Each value check runs
+    once over the file's column of that key and names the first bad line.
+    A ``split`` key, which lines of the previous form held, is ignored. A
+    file whose first line holds ``parental``, as a line of the earlier
+    form did, says to rebuild the dataset with ``ouvclf ingest``."""
     records, line_nos = [], []
     for line_no, line in enumerate(read_lines(path), start=1):
         if line.strip():
@@ -496,7 +497,7 @@ def read_samples(path: str | Path) -> list[Sample]:
                          f"{line_nos[0]} holds 'parental'); rebuild it with "
                          "`ouvclf ingest`")
     with input_error(path, "not a dataset file ({})"):
-        criteria, labels, site_ids, splits, tokens = (
+        criteria, labels, site_ids, tokens = (
             list(map(itemgetter(key), records)) for key in _SAMPLE_KEYS)
         del records  # the line dicts: their values are in the columns
         rule = "a list of strings"
@@ -512,21 +513,25 @@ def read_samples(path: str | Path) -> list[Sample]:
                              if token and token.split() != [token])
             raise ValueError(f"line {line_nos[i]}: token {spaced!r} holds "
                              "whitespace")
-        ok, is_int = _typed(labels, type(None)), _typed(labels, int)
+        nullable = split == "sd"  # only an SD sentence has no label
+        ok = _typed(labels, type(None)) & nullable
+        is_int = _typed(labels, int)
         ok[is_int] = np.fromiter(map(_CRITERIA.__contains__,
                                      compress(labels, is_int)), bool)
         _refuse(line_nos, "sentence_label", labels, ok,
-                f"an integer 1-{NUM_CRITERIA} or null")
+                f"an integer 1-{NUM_CRITERIA}" + " or null" * nullable)
         if not (set(map(type, criteria)) <= {list}
                 and _criteria_ok(list(chain.from_iterable(criteria)))):
             _refuse(line_nos, "criteria", criteria,
                     list(map(_criteria_ok, criteria)),
                     f"a list of integers 1-{NUM_CRITERIA}")
-    return make_samples(tokens, labels, criteria, site_ids, splits)
+        _refuse(line_nos, "site_id", site_ids, _typed(site_ids, int),
+                "an integer")
+    return make_samples(tokens, labels, criteria, site_ids, repeat(split))
 
 
 # the keys of a dataset line, in the order ``read_samples`` reads them
-_SAMPLE_KEYS = ("criteria", "sentence_label", "site_id", "split", "tokens")
+_SAMPLE_KEYS = ("criteria", "sentence_label", "site_id", "tokens")
 _CRITERIA = frozenset(range(1, NUM_CRITERIA + 1))
 
 
@@ -564,11 +569,11 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 @gc_paused
 def read_dataset(in_dir: str | Path) -> Dataset:
     """The splits written by ``write_dataset`` (a missing split file is an
-    empty split), each read by ``read_samples``; a null ``sentence_label``
-    outside ``sd.jsonl`` is a ``ValueError`` naming the file. A directory
-    that does not exist is a ``FileNotFoundError`` naming it. An empty
-    string, as a config without ``dataset_dir`` or ``--dataset ""`` gives,
-    is a ``ValueError``, not the current directory."""
+    empty split), each read by ``read_samples`` as the split its file
+    names. A directory that does not exist is a ``FileNotFoundError``
+    naming it. An empty string, as a config without ``dataset_dir`` or
+    ``--dataset ""`` gives, is a ``ValueError``, not the current
+    directory."""
     if in_dir == "":
         raise ValueError(
             "no dataset directory given (empty 'dataset_dir' or --dataset)")
@@ -579,12 +584,7 @@ def read_dataset(in_dir: str | Path) -> Dataset:
     for name in ("train", "valid", "test", "sd"):
         path = src / f"{name}.jsonl"
         if path.exists():
-            samples = read_samples(path)
-            if name != "sd" and None in map(attrgetter("sentence_label"),
-                                            samples):
-                raise ValueError(f"{path}: not a dataset file (a {name} "
-                                 "sample has a null sentence_label)")
-            getattr(dataset, name).extend(samples)
+            dataset.split(name).extend(read_samples(path, name))
     return dataset
 
 

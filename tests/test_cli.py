@@ -1730,13 +1730,19 @@ def test_a_dataset_of_the_earlier_form_says_to_rebuild_it(workspace, tmp_path,
     ("train", "tokens", [1, 2], "tokens [1, 2] is not a list of strings"),
     ("train", "criteria", [0], "criteria [0] is not a list of integers 1-10"),
     ("valid", "sentence_label", "x",
-     "sentence_label 'x' is not an integer 1-10 or null"),
-], ids=["int-tokens", "zero-criteria", "str-label"])
+     "sentence_label 'x' is not an integer 1-10"),
+    ("train", "site_id", "x", "site_id 'x' is not an integer"),
+    ("valid", "site_id", [1], "site_id [1] is not an integer"),
+    ("test", "site_id", True, "site_id True is not an integer"),
+    ("sd", "site_id", 1.5, "site_id 1.5 is not an integer"),
+    ("train", "site_id", None, "site_id None is not an integer"),
+], ids=["int-tokens", "zero-criteria", "str-label", "str-site-id",
+        "list-site-id", "bool-site-id", "float-site-id", "null-site-id"])
 def test_a_bad_dataset_value_is_named_before_training(
         workspace, tmp_path, capsys, monkeypatch, split, key, value, detail):
     """Each of these would end ``ouvclf sweep`` otherwise: a ``TypeError``
     traceback, or criterion 0 read as the Others column of the parental
-    label."""
+    label; a ``site_id`` that is not an integer would read silently."""
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     path = data / f"{split}.jsonl"
@@ -1751,8 +1757,7 @@ def test_a_bad_dataset_value_is_named_before_training(
                                output_dir=str(tmp_path / "runs"))
     capsys.readouterr()
     assert main(["sweep", "--config", str(config_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: not a dataset file (line 2: ")
-    assert detail in err
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a dataset file (line 2: {detail})\n")
     assert calls == []
     assert not (tmp_path / "runs").exists()

@@ -1,6 +1,8 @@
 import json
 import re
+import tempfile
 import unicodedata
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -624,6 +626,33 @@ def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
     assert got.sd == []
 
 
+def sample_fields(sample):
+    """What a dataset file keeps of ``sample``, with its split."""
+    return (sample.tokens, sample.sentence_label, sample.parental.tobytes(),
+            sample.site_id, sample.split)
+
+
+@settings(deadline=None)
+@given(justified_sites(), st.integers(0, 2**32 - 1))
+def test_a_written_dataset_reads_back_split_by_split(sites, seed):
+    """``read_dataset`` gives each split's samples as ``write_dataset`` was
+    given them, each with the split of its file, which no line holds; the
+    SD split is built from the sites' paragraphs."""
+    try:
+        dataset = build_dataset(sites, seed)
+    except ValueError:  # an empty split, as the test above checks
+        return
+    dataset.sd = build_sd_set([replace(site, short_description=paragraph)
+                               for site in sites
+                               for paragraph in site.justification.values()])
+    with tempfile.TemporaryDirectory() as root:
+        write_dataset(dataset, root)
+        got = read_dataset(root)
+    for name in ("train", "valid", "test", "sd"):
+        assert list(map(sample_fields, got.split(name))) == \
+            list(map(sample_fields, dataset.split(name)))
+
+
 class TestBuildSdSet:
     def test_parental_only_labels(self):
         site = SiteRecord(site_id=9, name="x", justification={},
@@ -654,57 +683,61 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         """Each read sample's parental row has the float64 bytes of the
         built sample's, though the file holds only its criteria, and
-        neither carries a one-hot row."""
+        neither carries a one-hot row; its split is the one it is read
+        as."""
         sites = make_justified_sites(5, 5)
         dataset = build_dataset(sites, seed=0)
-        samples = dataset.train + dataset.valid + build_sd_set([SiteRecord(
+        dataset.sd = build_sd_set([SiteRecord(
             site_id=1, name="", justification={},
             short_description="One sentence here. And one more.",
             criteria=frozenset({3, 7}))])
-        path = tmp_path / "samples.jsonl"
-        write_samples(samples, path)
-        loaded = read_samples(path)
-        assert len(loaded) == len(samples)
-        for a, b in zip(samples, loaded):
-            assert a.tokens == b.tokens
-            assert a.sentence_label == b.sentence_label
-            assert (a.site_id, a.split) == (b.site_id, b.split)
-            assert b.parental.dtype == np.float64
-            assert b.parental.tobytes() == a.parental.tobytes()
-            assert a.one_hot is b.one_hot is None
+        for split in ("train", "valid", "sd"):
+            samples = dataset.split(split)
+            path = tmp_path / f"{split}.jsonl"
+            write_samples(samples, path)
+            loaded = read_samples(path, split)
+            assert len(loaded) == len(samples)
+            for a, b in zip(samples, loaded):
+                assert a.tokens == b.tokens
+                assert a.sentence_label == b.sentence_label
+                assert (a.site_id, a.split) == (b.site_id, b.split)
+                assert b.parental.dtype == np.float64
+                assert b.parental.tobytes() == a.parental.tobytes()
+                assert a.one_hot is b.one_hot is None
 
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
         sample = build_dataset(sites, seed=0).train[0]
         assert next(sample_lines([sample])) == next(sample_lines([sample]))
         write_samples([sample], tmp_path / "train.jsonl")
-        rebuilt, = read_samples(tmp_path / "train.jsonl")
+        rebuilt, = read_samples(tmp_path / "train.jsonl", "train")
         assert next(sample_lines([rebuilt])) == next(sample_lines([sample]))
 
     def test_line_bytes(self):
         """Key order, separators, the site's sorted criteria in place of the
-        label rows, and non-ASCII tokens as they are."""
+        label rows, non-ASCII tokens as they are, and no split, which is
+        the file's."""
         parental = label_rows([[5, 2]])[0]
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
                        one_hot=None, parental=parental,
                        site_id=7, split="train")
         assert next(sample_lines([train])) == (
             '{"tokens": ["château", "<num>"], "sentence_label": 2, '
-            '"criteria": [2, 5], "site_id": 7, "split": "train"}')
+            '"criteria": [2, 5], "site_id": 7}')
         sd = Sample(tokens=["sd"], sentence_label=None, one_hot=None,
                     parental=parental, site_id=7, split="sd")
         assert next(sample_lines([sd])) == (
             '{"tokens": ["sd"], "sentence_label": null, "criteria": [2, 5], '
-            '"site_id": 7, "split": "sd"}')
+            '"site_id": 7}')
 
     def test_file_without_tokens_reads(self, tmp_path):
         path = tmp_path / "samples.jsonl"
         write_samples([], path)
-        assert read_samples(path) == []
+        assert read_samples(path, "train") == []
         sample = build_dataset(make_justified_sites(3, 5), seed=0).train[0]
         sample.tokens = []
         write_samples([sample], path)
-        assert read_samples(path)[0].tokens == []
+        assert read_samples(path, "train")[0].tokens == []
 
     @pytest.mark.parametrize("row, read_back", [
         ([0.0] * NUM_CLASSES, [0.0] * 10 + [OTHERS_NOISE]),
@@ -752,7 +785,7 @@ class TestJsonl:
         path = tmp_path / "train.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
-            read_samples(path)
+            read_samples(path, "train")
         assert str(excinfo.value).startswith(
             f"{path}: not a dataset file ({detail}")
 
@@ -800,11 +833,11 @@ class TestJsonl:
         ("train", {"tokens": [1, 2]},
          "tokens [1, 2] is not a list of strings"),
         ("train", {"sentence_label": 0},
-         "sentence_label 0 is not an integer 1-10 or null"),
+         "sentence_label 0 is not an integer 1-10"),
         ("valid", {"sentence_label": "x"},
-         "sentence_label 'x' is not an integer 1-10 or null"),
+         "sentence_label 'x' is not an integer 1-10"),
         ("test", {"sentence_label": True},
-         "sentence_label True is not an integer 1-10 or null"),
+         "sentence_label True is not an integer 1-10"),
         ("train", {"criteria": "x"},
          "criteria 'x' is not a list of integers 1-10"),
         ("valid", {"criteria": [0]},
@@ -819,11 +852,20 @@ class TestJsonl:
          "criteria None is not a list of integers 1-10"),
         ("train", {"criteria": {"a": 1}},
          "criteria {'a': 1} is not a list of integers 1-10"),
+        ("sd", {"sentence_label": 0},
+         "sentence_label 0 is not an integer 1-10 or null"),
+        ("train", {"site_id": "x"}, "site_id 'x' is not an integer"),
+        ("valid", {"site_id": [1]}, "site_id [1] is not an integer"),
+        ("test", {"site_id": True}, "site_id True is not an integer"),
+        ("sd", {"site_id": 1.5}, "site_id 1.5 is not an integer"),
+        ("train", {"site_id": None}, "site_id None is not an integer"),
     ])
     def test_a_bad_value_names_the_file_and_line(self, tmp_path, split, edit,
                                                  detail):
         """Each value check names the first line that fails it; here the
-        second line of the split's file, edited."""
+        second line of the split's file, edited. Only ``sd`` lines may hold
+        a null label, and a ``site_id`` is a JSON integer, which a bool is
+        not."""
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         dataset.sd.extend(build_sd_set([SiteRecord(
             site_id=1, name="", justification={},
@@ -836,9 +878,32 @@ class TestJsonl:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
             read_dataset(tmp_path)
-        assert str(excinfo.value).startswith(
-            f"{path}: not a dataset file (line 2: ")
-        assert detail in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"{path}: not a dataset file (line 2: {detail})")
+
+    def test_a_line_of_the_previous_form_reads_as_its_file(self, tmp_path):
+        """A directory whose every line also holds its ``split``, as lines
+        once did, reads as it was built, though one train line says
+        ``test``: each sample's split is its file's."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        dataset.sd.extend(build_sd_set([SiteRecord(
+            site_id=1, name="", justification={},
+            short_description="One sentence. And another one.",
+            criteria=frozenset({3}))]))
+        write_dataset(dataset, tmp_path)
+        for name in ("train", "valid", "test", "sd"):
+            path = tmp_path / f"{name}.jsonl"
+            records = [{**json.loads(line), "split": name}
+                       for line in path.read_text("utf-8").splitlines()]
+            if name == "train":
+                records[1]["split"] = "test"
+            path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                                    for r in records), encoding="utf-8")
+        got = read_dataset(tmp_path)
+        for name in ("train", "valid", "test", "sd"):
+            assert list(map(sample_fields, got.split(name))) == \
+                list(map(sample_fields, dataset.split(name)))
+        assert got.train[1].split == "train"
 
     def test_a_number_too_large_for_a_float_is_named(self, tmp_path):
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
@@ -863,8 +928,8 @@ class TestJsonl:
         with pytest.raises(ValueError) as excinfo:
             read_dataset(tmp_path)
         assert str(excinfo.value) == (
-            f"{tmp_path / f'{split}.jsonl'}: not a dataset file (a {split} "
-            "sample has a null sentence_label)")
+            f"{tmp_path / f'{split}.jsonl'}: not a dataset file (line 1: "
+            "sentence_label None is not an integer 1-10)")
 
     def test_checked_values_load_as_written(self, tmp_path):
         """Criteria in any order, repeated, without the sentence's label
