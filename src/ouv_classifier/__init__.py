@@ -93,20 +93,21 @@ def input_error(path, message: str = "{}"):
 
 
 def read_lines(path, newline: str | None = None):
-    """The lines of the UTF-8 text file at ``path`` (``newline`` as for
-    ``open``; ``csv`` needs ``""``); bytes that are not UTF-8 are a
-    ``ValueError`` naming the file. Errors raised by the caller between
-    lines pass through as they are."""
-    with open(path, encoding="utf-8", newline=newline) as fh, \
+    """The lines of the UTF-8 text file at ``path``, without a leading
+    byte-order mark (``newline`` as for ``open``; ``csv`` needs ``""``);
+    bytes that are not UTF-8 are a ``ValueError`` naming the file. Errors
+    raised by the caller between lines pass through as they are."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh, \
             input_error(path):
         yield from fh
 
 
 def read_json(path, **defaults):
     """The JSON value in the file at ``path``, checked by ``json_keys``
-    against ``defaults``; bytes that are not UTF-8 or text that is not JSON
-    are a ``ValueError`` naming the file."""
-    with open(path, encoding="utf-8") as fh, input_error(path):
+    against ``defaults``; a leading byte-order mark is skipped, and bytes
+    that are not UTF-8 or text that is not JSON are a ``ValueError`` naming
+    the file."""
+    with open(path, encoding="utf-8-sig") as fh, input_error(path):
         value = json.load(fh)
     return json_keys(path, value, **defaults)
 

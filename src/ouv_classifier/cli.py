@@ -53,10 +53,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_prior(args) -> int:
-    counts = cooccurrence(read_sites(Path(args.dataset) / "sites.json"))
-    mu = prior_weights(counts)
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise ValueError(f"--out {out} is the path of its CSV twin; give "
+                         f"the JSON path, such as {out.with_suffix('.json')}")
+    counts = cooccurrence(read_sites(Path(args.dataset) / "sites.json"))
+    mu = prior_weights(counts)
     payload = {"counts": counts.tolist(), "mu": mu.tolist()}
     # the CSV moves in last: an ``--out`` that is a directory moves nothing
     with commit_files(out.parent, csv_path.name) as staging:

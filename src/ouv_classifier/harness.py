@@ -161,36 +161,40 @@ def load_prior(config: ExperimentConfig) -> np.ndarray:
 
 
 def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
+    """The one writer of the step artifacts: ``payload`` at ``step``'s path
+    under ``output_dir``, through ``atomic_open``."""
     with atomic_open(Path(output_dir, STEP_ARTIFACTS[step][0])) as fh:
         json.dump(payload, fh, indent=1)
 
 
-def read_artifact(output_dir: str | Path, step: str) -> dict:
-    rel, keys = STEP_ARTIFACTS[step]
-    return read_json(Path(output_dir, rel), **keys)
-
-
 def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
-    """The grid and sweep artifacts of one run, and with ``final`` its final
-    artifact: a ``sweep.json`` or ``final.json`` whose ``setting`` is not
-    ``log.json``'s best is a ``ValueError`` naming both files, as a rerun of
-    ``ouvclf sweep`` leaves them; so is a ``sweep.json`` whose chosen
-    variant is not one the sweep tries, or whose chosen alpha
-    ``SmoothingConfig`` refuses."""
+    """The one reader of the step artifacts: the grid and sweep artifacts of
+    one run, and with ``final`` its final artifact. Missing artifacts are
+    one ``FileNotFoundError`` naming ``output_dir`` and them all. A
+    ``sweep.json`` or ``final.json`` whose ``setting`` is not ``log.json``'s
+    best is a ``ValueError`` naming both files, as a rerun of ``ouvclf
+    sweep`` leaves them; so is a ``sweep.json`` whose chosen variant is not
+    one the sweep tries, or whose chosen alpha ``SmoothingConfig``
+    refuses."""
     steps = ("grid", "sweep", "final") if final else ("grid", "sweep")
-    grid, *rest = (read_artifact(output_dir, step) for step in steps)
+    paths = [Path(output_dir, STEP_ARTIFACTS[step][0]) for step in steps]
+    missing = [STEP_ARTIFACTS[step][0]
+               for step, path in zip(steps, paths) if not path.exists()]
+    if missing:
+        raise FileNotFoundError(f"{output_dir}: missing artifacts: "
+                                + ", ".join(missing))
+    grid, *rest = (read_json(path, **STEP_ARTIFACTS[step][1])
+                   for step, path in zip(steps, paths))
     best = setting_of(grid["best"])
     variant, alpha = rest[0]["chosen_variant"], rest[0]["chosen_alpha"]
-    with input_error(Path(output_dir, STEP_ARTIFACTS["sweep"][0])):
+    with input_error(paths[1]):
         if variant not in VARIANT_ORDER:
             raise ValueError(f"unknown chosen_variant {variant!r}")
         SmoothingConfig(variant, alpha)
-    for step, artifact in zip(steps[1:], rest):
+    for step, path, artifact in zip(steps[1:], paths[1:], rest):
         if artifact["setting"] != best:
-            grid_path, path = (Path(output_dir, STEP_ARTIFACTS[name][0])
-                               for name in ("grid", step))
             raise ValueError(f"{path} holds setting {artifact['setting']} "
-                             f"but {grid_path} holds best setting {best}: "
+                             f"but {paths[0]} holds best setting {best}: "
                              f"they come from different runs; rerun "
                              f"`ouvclf {step}`")
     return [grid, *rest]
@@ -416,13 +420,11 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # Step 2: label-smoothing sweep
 
-def confidence_lower_bound(values: list[float]) -> float:
-    """Lower bound of the normal-approximation 95% CI (sample sd)."""
-    n = len(values)
+def confidence_lower_bound(mean: float, sd: float, n: int) -> float:
+    """Lower bound of the normal-approximation 95% CI of ``n`` values with
+    this ``mean`` and sample ``sd``."""
     if n < 2:
         raise ValueError("need at least two values for a confidence interval")
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1))
     return mean - 1.96 * sd / math.sqrt(n)
 
 
@@ -455,16 +457,14 @@ def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
         cell = {**dataclasses.asdict(train_configs[0].smoothing),
                 "runs": runs, "failures": failures}
         if len(runs) >= 2:
-            top1s = [r["val_top1"] for r in runs]
-            topks = [r["val_topk"] for r in runs]
-            cell.update(
-                mean_top1=float(np.mean(top1s)),
-                sd_top1=float(np.std(top1s, ddof=1)),
-                mean_topk=float(np.mean(topks)),
-                sd_topk=float(np.std(topks, ddof=1)),
-                score=confidence_lower_bound(top1s)
-                + confidence_lower_bound(topks),
-            )
+            for key in ("top1", "topk"):
+                values = [r[f"val_{key}"] for r in runs]
+                cell[f"mean_{key}"] = float(np.mean(values))
+                cell[f"sd_{key}"] = float(np.std(values, ddof=1))
+            top1, topk = (confidence_lower_bound(
+                cell[f"mean_{key}"], cell[f"sd_{key}"], len(runs))
+                for key in ("top1", "topk"))
+            cell["score"] = top1 + topk
         cells.append(cell)
 
     scored = [c for c in cells if "score" in c]
@@ -502,12 +502,12 @@ def evaluate_features(model: TrainedModel, x, samples: list[Sample],
     return evaluate_split(rankings, [s.sentence_label for s in samples], k=k)
 
 
-def _stage_final(staging: Path, dataset: Dataset, data: FeaturizedData,
+def _stage_final(final_dir: Path, dataset: Dataset, data: FeaturizedData,
                  test_x, sd_x, mu: np.ndarray | None, k: int,
                  job: tuple[str, TrainConfig]) -> dict:
     """``run_final``'s task: ``fit`` the final model of ``job``, a label
     and its ``TrainConfig``, write its checkpoint, its ``featurizer_ref``
-    naming ``featurizer.json``, to ``model_<label>.json`` in ``staging``,
+    naming ``featurizer.json``, to ``model_<label>.json`` in ``final_dir``,
     and return its ``final.json`` row, so the model never leaves the
     process that trained it."""
     label, train_config = job
@@ -529,12 +529,11 @@ def _stage_final(staging: Path, dataset: Dataset, data: FeaturizedData,
                                       multilabel=True)
         row["sd_top1_match"] = sd_report.top1_match
         row["sd_topk_match"] = sd_report.topk_match
-    row["smoothing"] = {"variant": model.config.smoothing.variant,
-                        "alpha": model.config.smoothing.alpha}
+    row["smoothing"] = dataclasses.asdict(model.config.smoothing)
     row["history"] = model.history
     row["best_epoch"] = model.best_epoch
     model.featurizer_ref = "featurizer.json"
-    save_checkpoint(model, staging / f"model_{label}.json")
+    save_checkpoint(model, final_dir / f"model_{label}.json")
     return row
 
 
@@ -547,8 +546,8 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     is a ``ValueError``, raised before any training. Each split is
     featurized once, before the trainings start, so forked workers inherit
     the rows. Each model is scored and its checkpoint written by the
-    process that trained it (``_stage_final``), into ``commit_files``'
-    staging directory for ``step3_final/``; only the rows come back. Once
+    process that trained it (``_stage_final``), into ``step3_final/`` of
+    ``commit_files``' staging tree; only the rows come back. Once
     every training returns, the featurizer and ``final.json`` are staged
     too, and the four files move into ``step3_final/``, ``final.json``
     last, so on any error before the moves nothing under ``output_dir``
@@ -564,18 +563,18 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     test_x = featurizer.transform(dataset.test)
     sd_x = featurizer.transform(dataset.sd) if dataset.sd else None
 
-    final = Path(config.output_dir, STEP_ARTIFACTS["final"][0])
-    with commit_files(final.parent, final.name) as staging:
-        task = functools.partial(_stage_final, staging, dataset, data, test_x,
-                                 sd_x, mu, config.k)
+    final = STEP_ARTIFACTS["final"][0]
+    with commit_files(config.output_dir, final) as staging:
+        final_dir = Path(staging, final).parent
+        task = functools.partial(_stage_final, final_dir, dataset, data,
+                                 test_x, sd_x, mu, config.k)
         rows = dict(zip(train_configs, run_trainings(
             task, list(train_configs.items()))))
-        featurizer.save(staging / "featurizer.json")
+        featurizer.save(final_dir / "featurizer.json")
         payload = {"baseline": config.baseline, "setting": best_setting,
                    "seed": config.grid_seed, "rows": rows,
                    "sd_evaluated": sd_x is not None}
-        with open(staging / final.name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        write_artifact(staging, "final", payload)
     return payload
 
 
@@ -678,15 +677,10 @@ def mine(texts: Iterable[str], predictor_a: Predictor, predictor_b: Predictor,
 def report(artifacts_dir: str | Path) -> dict:
     """Render a human-readable summary plus machine JSON and curve CSV,
     committed together by ``commit_files``.
-    Missing artifacts are one ``FileNotFoundError`` listing them all; an
+    ``read_run`` refuses missing artifacts and artifacts of two runs; an
     artifact without a key it needs, or with a key, row or score of the
-    wrong JSON type, is a ``ValueError`` naming it, as are artifacts of two
-    runs (``read_run``)."""
+    wrong JSON type, is a ``ValueError`` naming it."""
     root = Path(artifacts_dir)
-    missing = [rel for rel, _ in STEP_ARTIFACTS.values()
-               if not (root / rel).exists()]
-    if missing:
-        raise FileNotFoundError("missing artifacts: " + ", ".join(missing))
     grid, sweep, final = read_run(root, final=True)
 
     final_path, sweep_path = (root / STEP_ARTIFACTS[step][0]

@@ -265,6 +265,58 @@ def test_report_missing_artifacts(tmp_path, capsys):
     assert "missing artifacts" in capsys.readouterr().err
 
 
+GRID_LOG, SWEEP, FINAL = (rel for rel, _ in harness.STEP_ARTIFACTS.values())
+
+
+@pytest.mark.parametrize("command,present", [
+    ("final", []), ("final", [GRID_LOG]), ("final", [SWEEP]),
+    ("report", [GRID_LOG]), ("report", [SWEEP, FINAL]),
+    ("report", [GRID_LOG, FINAL]), ("report", [GRID_LOG, SWEEP])])
+def test_final_and_report_refuse_an_incomplete_run(workspace, tmp_path,
+                                                   capsys, command, present):
+    """``final`` without ``log.json`` or ``sweep.json`` and ``report``
+    without any step artifact exit 1 with one ``error:`` line naming the
+    run directory and every missing artifact, and write nothing."""
+    source = workspace_runs(workspace, "sweep", "final")
+    runs = tmp_path / "runs"
+    for rel in present:
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(source / rel, runs / rel)
+    if command == "final":
+        args = ["--config", str(write_config(
+            workspace, tmp_path / "config.json", output_dir=str(runs)))]
+    else:
+        args = [str(runs)]
+    before = {p: p.read_bytes() if p.is_file() else None
+              for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    read = (GRID_LOG, SWEEP) if command == "final" else (GRID_LOG, SWEEP, FINAL)
+    assert capsys.readouterr().err == (
+        f"error: {runs}: missing artifacts: "
+        + ", ".join(rel for rel in read if rel not in present) + "\n")
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
+def test_prior_refuses_an_out_that_is_its_csv_twin(workspace, tmp_path,
+                                                   capsys):
+    """``--out prior.csv`` would stage the JSON and the CSV under one name:
+    it is refused before the dataset is read, and the earlier prior files
+    keep their bytes."""
+    assert main(["prior", str(workspace["data"]),
+                 "--out", str(tmp_path / "prior.json")]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / "prior.csv"
+    capsys.readouterr()
+    assert main(["prior", str(tmp_path / "no_dataset"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is the path of its CSV twin; give the JSON "
+        f"path, such as {tmp_path / 'prior.json'}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_ingest_reports_row_level_errors(tmp_path, capsys):
     csv_path = tmp_path / "syndication.csv"
     write_corpus_csv(csv_path)
@@ -366,6 +418,85 @@ def test_ingest_of_a_mutated_csv_exits_0_or_1_with_an_error_line(mutation,
         assert last.startswith("error: ")
         if mutation in WHOLE_FILE_MUTATIONS:
             assert str(csv_path) in last
+
+
+# one mutation of a clean ``mine`` input; those of SAME_KEPT_MUTATIONS keep
+# what the clean input keeps, and those of REFUSED_MUTATIONS make
+# ``read_lines`` refuse the file
+MINE_MUTATIONS = ["bom", "crlf", "nul", "long-line", "empty", "not-utf8",
+                  "truncated"]
+SAME_KEPT_MUTATIONS = {"bom", "crlf"}
+REFUSED_MUTATIONS = {"not-utf8", "truncated"}
+MINE_INPUT = ("The ancient walls ensemble shows enduring testimony.\n"
+              "A renowned temple site of great value, its café façade.\n"
+              "\n"
+              "The garden terrace of the harbour quarter — a mosaic.\n")
+
+
+def mine_cli(models, input_path):
+    """``ouvclf mine``'s exit code, stdout and stderr on ``input_path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mine", "--models", *models, "--input", str(input_path),
+                     "--confidence", "0", "--iou", "0"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=st.sampled_from(MINE_MUTATIONS), data=st.data())
+def test_mine_of_a_mutated_input_exits_0_or_1_with_an_error_line(
+        workspace, mutation, data):
+    """``ouvclf mine`` with the module's final models, on ``MINE_INPUT``
+    after one mutation at one drawn place, lets no exception escape: a
+    leading byte-order mark or CRLF line ends keep what the clean input
+    keeps; a NUL byte, a 200,000-character line or an empty file exit 0
+    with a JSON list and ``kept K of N sentences``; a byte that is not
+    UTF-8 or a cut inside a character exit 1 with one ``error:`` line
+    naming the file. The budget: 100 examples, about 1 s under
+    ``-X dev``."""
+    final = workspace_runs(workspace, "sweep", "final") / "step3_final"
+    models = [str(final / f"model_{label}.json") for label in ("no_ls", "ls")]
+    text = MINE_INPUT.encode("utf-8")
+    with tempfile.TemporaryDirectory() as root:
+        input_path = Path(root) / "input.txt"
+        input_path.write_bytes(text)
+        clean = mine_cli(models, input_path)
+        if mutation == "bom":
+            text = b"\xef\xbb\xbf" + text
+        elif mutation == "crlf":
+            text = text.replace(b"\n", b"\r\n")
+        elif mutation in ("nul", "not-utf8"):
+            # at a character boundary: not before a continuation byte
+            at = data.draw(st.sampled_from([
+                i for i in range(len(text) + 1)
+                if i == len(text) or text[i] & 0xc0 != 0x80]))
+            text = (text[:at] + (b"\x00" if mutation == "nul" else b"\xff")
+                    + text[at:])
+        elif mutation == "long-line":
+            at = data.draw(st.sampled_from(
+                [0, *(i + 1 for i, byte in enumerate(text) if byte == 10)]))
+            line = (b"walls " * 40_000)[:200_000] + b"\n"
+            text = text[:at] + line + text[at:]
+        elif mutation == "truncated":
+            # after the first byte of one of the multi-byte characters
+            text = text[:data.draw(st.sampled_from(
+                [i + 1 for i, byte in enumerate(text) if byte >= 0xc0]))]
+        else:
+            text = b""
+        input_path.write_bytes(text)
+        code, out, err = mine_cli(models, input_path)
+    assert "Traceback" not in err
+    if mutation in REFUSED_MUTATIONS:
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {input_path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert code == 0
+    kept = json.loads(out)
+    assert isinstance(kept, list)
+    assert re.fullmatch(f"kept {len(kept)} of [0-9]+ sentences\n", err)
+    if mutation in SAME_KEPT_MUTATIONS:
+        assert (code, out, err) == clean
 
 
 def test_a_config_integer_too_large_for_a_float_is_named(workspace, tmp_path,

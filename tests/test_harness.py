@@ -182,20 +182,27 @@ class TestGridSearch:
         assert not (tmp_path / "runs").exists()
 
 
+def lower_bound_of(values):
+    """``confidence_lower_bound`` of ``values``, from their mean and sample
+    sd as a sweep cell stores them."""
+    return confidence_lower_bound(float(np.mean(values)),
+                                  float(np.std(values, ddof=1)), len(values))
+
+
 class TestConfidenceLowerBound:
     def test_formula(self):
         values = [0.8, 0.9, 1.0]
         expected = np.mean(values) - 1.96 * np.std(values, ddof=1) / math.sqrt(3)
-        assert confidence_lower_bound(values) == pytest.approx(expected)
+        assert lower_bound_of(values) == pytest.approx(expected)
 
     def test_low_variance_can_beat_higher_mean(self):
         steady = [0.9] * 10
         jumpy = list(np.random.default_rng(0).normal(0.91, 0.1, size=10))
-        assert confidence_lower_bound(steady) > confidence_lower_bound(jumpy)
+        assert lower_bound_of(steady) > lower_bound_of(jumpy)
 
     def test_requires_two_values(self):
         with pytest.raises(ValueError):
-            confidence_lower_bound([0.5])
+            confidence_lower_bound(0.5, 0.0, 1)
 
 
 class TestLsSweep:
@@ -975,8 +982,8 @@ class TestReport:
         with pytest.raises(FileNotFoundError) as excinfo:
             report(tmp_path)
         assert str(excinfo.value) == (
-            "missing artifacts: step1_grid/log.json, step2_sweep/sweep.json, "
-            "step3_final/final.json")
+            f"{tmp_path}: missing artifacts: step1_grid/log.json, "
+            "step2_sweep/sweep.json, step3_final/final.json")
 
     def test_full_pipeline_report(self, dataset, tmp_path):
         config = toy_config(tmp_path)
@@ -1177,7 +1184,7 @@ class TestAtomicArtifacts:
             run_all(dataclasses.replace(config, min_df=2, grid_seed=7))
         assert beside() == before
         assert not list((tmp_path / "runs").rglob("*.tmp"))
-        assert not list(tmp_path.rglob(".step3_final.*"))
+        assert not list(tmp_path.rglob(".runs.*"))
 
 
 def _embeddings_file(dataset, path):
@@ -1619,7 +1626,7 @@ class TestWorkers:
         """With "none" chosen the two trainings have equal configs, and
         each still stages a checkpoint of its own, named by its label: a
         first run and a rerun over it leave the same four files and no
-        ``.step3_final.*`` staging directory."""
+        ``.runs.*`` staging directory."""
         for _ in range(2):
             files = self.final_files(dataset, tmp_path, monkeypatch, cpus,
                                      smoothing=SmoothingConfig())
@@ -1628,7 +1635,7 @@ class TestWorkers:
                 if name.startswith("step3_final/"))]
             assert (files["runs/step3_final/model_ls.json"]
                     == files["runs/step3_final/model_no_ls.json"])
-            assert not list(tmp_path.rglob(".step3_final.*"))
+            assert not list(tmp_path.rglob(".runs.*"))
 
     def test_worker_count_is_the_cpus_capped_at_the_trainings(
             self, monkeypatch):

@@ -28,7 +28,7 @@ from ouv_classifier.harness import ExperimentConfig, Featurizer, mine, report
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import MlpParams, TrainConfig, load_checkpoint
 from conftest import StubPredictor, make_sample
-from test_cli import write_corpus_csv
+from test_cli import mine_cli, write_corpus_csv
 
 PACKAGE_DIR = Path(ouv_classifier.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -815,3 +815,50 @@ def test_a_file_that_is_not_utf8_is_named_once(run_files, tmp_path, reader):
     assert str(excinfo.value).startswith(
         f"{path}: 'utf-8' codec can't decode byte 0xe9 in position ")
     assert str(excinfo.value).count(str(path)) == 1
+
+
+def mine_output(path):
+    """``ouvclf mine``'s exit code, stdout and stderr on the input file at
+    ``path`` with the final models of the ``run_files`` run beside it."""
+    final = path.parent / "runs/step3_final"
+    return mine_cli([str(final / f"model_{label}.json")
+                     for label in ("no_ls", "ls")], path)
+
+
+# each text reader that ``run_files`` holds no file for: the file's text and
+# the call that reads it
+TEXT_READERS = {
+    "csv": (None, parse_syndication),
+    "embeddings": ("wall 0.5 -1.0\nhall 0.25 0.1\n",
+                   lambda path: load_embeddings(path, {"wall", "hall"})),
+    "embeddings-with-count": ("2 2\nwall 0.5 -1.0\nhall 0.25 0.1\n",
+                              lambda path: load_embeddings(path, {"wall"})),
+    "mine-input": ("the ancient walls ensemble shows enduring testimony\n"
+                   "a renowned temple site of great value\n", mine_output),
+}
+
+
+@pytest.mark.parametrize("reader", [
+    *(reader for reader in READERS if reader not in ARRAY_FILES),
+    *TEXT_READERS])
+def test_a_leading_byte_order_mark_reads_as_none(run_files, reader):
+    """A UTF-8 byte-order mark at the start of a text input, as Excel's
+    "CSV UTF-8" writes one, gives what the file gives without it: the same
+    value, or the same exit code and output."""
+    if reader in TEXT_READERS:
+        text, read = TEXT_READERS[reader]
+        path = run_files / f"{reader}.txt"
+        if text is None:
+            write_corpus_csv(path)
+        else:
+            path.write_text(text, encoding="utf-8")
+    else:
+        rel, read = READERS[reader]
+        path = run_files / rel
+    original = path.read_bytes()
+    plain = repr(read(path))
+    path.write_bytes(b"\xef\xbb\xbf" + original)
+    try:
+        assert repr(read(path)) == plain
+    finally:
+        path.write_bytes(original)
