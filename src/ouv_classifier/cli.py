@@ -24,12 +24,11 @@ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import NUM_CRITERIA, atomic_open, commit_files, read_lines
 from .corpus import (build_dataset, build_sd_set, parse_syndication,
-                     read_dataset, read_sites, write_dataset, write_sites)
+                     read_dataset, write_dataset, write_sites)
 from .harness import (GRID_FEATURIZER, STEP_ARTIFACTS, ExperimentConfig,
-                      Featurizer, Predictor, build_featurizer, evaluate_model,
-                      featurize, fit, load_prior, mine, read_run, report,
-                      run_final, run_grid_search, run_ls_sweep, setting_of)
-from .labels import SmoothingConfig, cooccurrence, prior_weights
+                      Predictor, build_featurizer, evaluate_model, featurize,
+                      fit, load_prior, mine, read_run, report, run_final,
+                      run_grid_search, run_ls_sweep)
 from .metrics import check_k
 from .model import save_checkpoint
 
@@ -58,8 +57,7 @@ def cmd_prior(args) -> int:
     if csv_path == out:
         raise ValueError(f"--out {out} is the path of its CSV twin; give "
                          f"the JSON path, such as {out.with_suffix('.json')}")
-    counts = cooccurrence(read_sites(Path(args.dataset) / "sites.json"))
-    mu = prior_weights(counts)
+    counts, mu = load_prior(args.dataset)
     payload = {"counts": counts.tolist(), "mu": mu.tolist()}
     # the CSV moves in last: an ``--out`` that is a directory moves nothing
     with commit_files(out.parent, csv_path.name) as staging:
@@ -84,7 +82,7 @@ def cmd_train(args) -> int:
     train_config = config.train_config(config.setting, config.smoothing,
                                        config.grid_seed)
     dataset = read_dataset(config.dataset_dir)
-    mu = load_prior(config)
+    _, mu = load_prior(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     model = fit(featurize(featurizer, dataset), train_config, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
@@ -101,7 +99,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     dataset = read_dataset(config.dataset_dir)
-    mu = load_prior(config)
+    _, mu = load_prior(config.dataset_dir)
     featurizer = build_featurizer(config, dataset)
     # log.json, the featurizer and sweep.json move in once the sweep returns
     sweep = STEP_ARTIFACTS["sweep"][0]
@@ -117,21 +115,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_final(args) -> int:
     config = ExperimentConfig.from_json(args.config)
-    grid, sweep = read_run(config.output_dir)
-    best = setting_of(grid["best"])
-    chosen = SmoothingConfig(variant=sweep["chosen_variant"],
-                             alpha=sweep["chosen_alpha"])
-    path = Path(config.output_dir, GRID_FEATURIZER)
-    try:
-        featurizer = Featurizer.load(path, rebuild="`ouvclf sweep`")
-    except FileNotFoundError:
-        raise ValueError(f"{path} is missing; rerun `ouvclf sweep`") from None
+    run, best, chosen = read_run(config.output_dir)
+    path, featurizer = run["featurizer"]
     if featurizer.kind != config.baseline:
         raise ValueError(f"{path} holds a {featurizer.kind!r} featurizer but "
                          f"the config's baseline is {config.baseline!r}; "
                          "rerun `ouvclf sweep`")
     dataset = read_dataset(config.dataset_dir)
-    mu = load_prior(config)
+    _, mu = load_prior(config.dataset_dir)
     payload = run_final(best, chosen, config, dataset, mu, featurizer)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "

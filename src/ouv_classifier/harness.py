@@ -153,11 +153,15 @@ class ExperimentConfig:
             return cls(**payload)
 
 
-def load_prior(config: ExperimentConfig) -> np.ndarray:
-    """The 10 x 11 prior weights of ``dataset_dir/sites.json``: the ``mu``
-    that ``ouvclf prior`` writes for the same dataset."""
-    sites = read_sites(Path(config.dataset_dir) / "sites.json")
-    return prior_weights(cooccurrence(sites))
+def load_prior(dataset_dir: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The one prior reader: the criterion counts of ``dataset_dir``'s
+    ``sites.json`` and their prior weights ``mu``; a site without criteria,
+    or a criterion no site has, is a ``ValueError`` naming the file."""
+    path = Path(dataset_dir, "sites.json")
+    sites = read_sites(path)
+    with input_error(path):
+        counts = cooccurrence(sites)
+        return counts, prior_weights(counts)
 
 
 def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
@@ -167,37 +171,44 @@ def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
         json.dump(payload, fh, indent=1)
 
 
-def read_run(output_dir: str | Path, final: bool = False) -> list[dict]:
-    """The one reader of the step artifacts: the grid and sweep artifacts of
-    one run, and with ``final`` its final artifact. Missing artifacts are
-    one ``FileNotFoundError`` naming ``output_dir`` and them all. A
-    ``sweep.json`` or ``final.json`` whose ``setting`` is not ``log.json``'s
-    best is a ``ValueError`` naming both files, as a rerun of ``ouvclf
-    sweep`` leaves them; so is a ``sweep.json`` whose chosen variant is not
-    one the sweep tries, or whose chosen alpha ``SmoothingConfig``
-    refuses."""
+def read_run(output_dir: str | Path, final: bool = False):
+    """The one reader of a run directory: ``(run, best, chosen)``. ``run``
+    maps ``"grid"``, ``"sweep"`` and, with ``final`` (for ``report``),
+    ``"final"`` to each artifact's path and JSON value, or without it (for
+    ``ouvclf final``) ``"featurizer"`` to ``GRID_FEATURIZER``'s path and
+    ``Featurizer``; ``best`` is ``log.json``'s best setting and ``chosen``
+    the ``SmoothingConfig`` of ``sweep.json``'s chosen cell. Missing files
+    are one ``FileNotFoundError`` naming ``output_dir`` and them all. A
+    ``sweep.json`` or ``final.json`` whose ``setting`` is not ``best`` is a
+    ``ValueError`` naming both files, as a rerun of ``ouvclf sweep`` leaves
+    them; a chosen cell that ``sweep.json`` did not score names the file."""
     steps = ("grid", "sweep", "final") if final else ("grid", "sweep")
     paths = [Path(output_dir, STEP_ARTIFACTS[step][0]) for step in steps]
-    missing = [STEP_ARTIFACTS[step][0]
-               for step, path in zip(steps, paths) if not path.exists()]
+    featurizer = Path(output_dir, GRID_FEATURIZER)
+    missing = [str(path.relative_to(output_dir)) for path in paths
+               + [featurizer] * (not final) if not path.exists()]
     if missing:
         raise FileNotFoundError(f"{output_dir}: missing artifacts: "
                                 + ", ".join(missing))
-    grid, *rest = (read_json(path, **STEP_ARTIFACTS[step][1])
-                   for step, path in zip(steps, paths))
-    best = setting_of(grid["best"])
-    variant, alpha = rest[0]["chosen_variant"], rest[0]["chosen_alpha"]
+    run = {step: (path, read_json(path, **STEP_ARTIFACTS[step][1]))
+           for step, path in zip(steps, paths)}
+    best = setting_of(run["grid"][1]["best"])
+    sweep = run["sweep"][1]
     with input_error(paths[1]):
-        if variant not in VARIANT_ORDER:
-            raise ValueError(f"unknown chosen_variant {variant!r}")
-        SmoothingConfig(variant, alpha)
-    for step, path, artifact in zip(steps[1:], paths[1:], rest):
+        chosen = SmoothingConfig(sweep["chosen_variant"],
+                                 sweep["chosen_alpha"])
+        if not any("score" in cell and dataclasses.asdict(chosen).items()
+                   <= cell.items() for cell in sweep["cells"]):
+            raise ValueError(f"chosen {chosen} is not a cell the sweep scored")
+    for step, (path, artifact) in list(run.items())[1:]:
         if artifact["setting"] != best:
-            raise ValueError(f"{path} holds setting {artifact['setting']} "
-                             f"but {paths[0]} holds best setting {best}: "
-                             f"they come from different runs; rerun "
-                             f"`ouvclf {step}`")
-    return [grid, *rest]
+            raise ValueError(f"{path} holds setting {artifact['setting']} but "
+                             f"{paths[0]} holds best setting {best}: they come"
+                             f" from different runs; rerun `ouvclf {step}`")
+    if not final:
+        run["featurizer"] = featurizer, Featurizer.load(
+            featurizer, rebuild="`ouvclf sweep`")
+    return run, best, chosen
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +691,8 @@ def report(artifacts_dir: str | Path) -> dict:
     ``read_run`` refuses missing artifacts and artifacts of two runs; an
     artifact without a key it needs, or with a key, row or score of the
     wrong JSON type, is a ``ValueError`` naming it."""
-    root = Path(artifacts_dir)
-    grid, sweep, final = read_run(root, final=True)
-
-    final_path, sweep_path = (root / STEP_ARTIFACTS[step][0]
-                              for step in ("final", "sweep"))
+    run, _, _ = read_run(artifacts_dir, final=True)
+    (_, grid), (sweep_path, sweep), (final_path, final) = run.values()
     wrong = "a missing key or a value of the wrong type ({})"
     with input_error(final_path, wrong):
         row_lines = [
@@ -725,7 +733,7 @@ def report(artifacts_dir: str | Path) -> dict:
                           if k not in ("history", "valid_report",
                                        "test_report")}
                   for label, row in final["rows"].items()}}
-    with commit_files(root, "summary.json") as staging:
+    with commit_files(artifacts_dir, "summary.json") as staging:
         with open(staging / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=1)
         with open(staging / "summary.txt", "w", encoding="utf-8") as fh:

@@ -274,9 +274,10 @@ GRID_LOG, SWEEP, FINAL = (rel for rel, _ in harness.STEP_ARTIFACTS.values())
     ("report", [GRID_LOG, FINAL]), ("report", [GRID_LOG, SWEEP])])
 def test_final_and_report_refuse_an_incomplete_run(workspace, tmp_path,
                                                    capsys, command, present):
-    """``final`` without ``log.json`` or ``sweep.json`` and ``report``
-    without any step artifact exit 1 with one ``error:`` line naming the
-    run directory and every missing artifact, and write nothing."""
+    """``final`` without ``log.json``, ``sweep.json`` or the sweep's
+    featurizer and ``report`` without any step artifact exit 1 with one
+    ``error:`` line naming the run directory and every missing file, and
+    write nothing."""
     source = workspace_runs(workspace, "sweep", "final")
     runs = tmp_path / "runs"
     for rel in present:
@@ -291,7 +292,8 @@ def test_final_and_report_refuse_an_incomplete_run(workspace, tmp_path,
               for p in tmp_path.rglob("*")}
     capsys.readouterr()
     assert main([command, *args]) == 1
-    read = (GRID_LOG, SWEEP) if command == "final" else (GRID_LOG, SWEEP, FINAL)
+    read = ((GRID_LOG, SWEEP, harness.GRID_FEATURIZER) if command == "final"
+            else (GRID_LOG, SWEEP, FINAL))
     assert capsys.readouterr().err == (
         f"error: {runs}: missing artifacts: "
         + ", ".join(rel for rel in read if rel not in present) + "\n")
@@ -557,9 +559,51 @@ def test_train_missing_config(tmp_path):
 
 
 def test_load_prior_fallback_equals_prior_command(workspace):
-    written = json.loads(workspace["prior"].read_text())["mu"]
-    derived = load_prior(ExperimentConfig(dataset_dir=str(workspace["data"])))
-    np.testing.assert_array_equal(derived, np.asarray(written))
+    written = json.loads(workspace["prior"].read_text())
+    counts, mu = load_prior(workspace["data"])
+    np.testing.assert_array_equal(counts, np.asarray(written["counts"]))
+    np.testing.assert_array_equal(mu, np.asarray(written["mu"]))
+
+
+# a sites.json change that leaves no prior -> the error it gives
+UNUSABLE_SITES = {
+    # a cultural-only export: no site is justified under criteria vii-x
+    "cultural-only": (lambda sites: [dict(site, criteria=[
+        c for c in site["criteria"] if c <= 6] or [1]) for site in sites],
+        "criterion 7 never occurs; cannot normalize prior"),
+    "no-criteria": (lambda sites: [dict(sites[0], criteria=[]), *sites[1:]],
+                    "site 1 has no criteria"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UNUSABLE_SITES))
+@pytest.mark.parametrize("command", ["prior", "train", "sweep", "final"])
+def test_a_sites_file_that_gives_no_prior_is_named(workspace, tmp_path,
+                                                   capsys, command, damage):
+    """Each command that reads the prior names ``sites.json`` when it gives
+    none, and writes nothing."""
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    shutil.copytree(workspace["data"], data)
+    sites = data / "sites.json"
+    change, message = UNUSABLE_SITES[damage]
+    sites.write_text(json.dumps(change(json.loads(sites.read_text()))),
+                     encoding="utf-8")
+    if command == "final":
+        copy_steps_1_and_2(workspace, runs)
+    config = write_config(workspace, tmp_path / "config.json",
+                          dataset_dir=str(data), output_dir=str(runs))
+    args = {"prior": ["prior", str(data), "--out",
+                      str(tmp_path / "out/prior.json")],
+            "train": ["train", "--config", str(config)],
+            "sweep": ["sweep", "--config", str(config)],
+            "final": ["final", "--config", str(config)]}[command]
+    before = {p: p.read_bytes() if p.is_file() else None
+              for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {sites}: {message}\n"
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
 
 
 def test_train_honours_setting_and_smoothing(workspace, tmp_path):
@@ -900,7 +944,7 @@ def test_evaluate_names_a_checkpoint_without_a_featurizer(workspace, tmp_path,
     model = harness.fit(harness.featurize(featurizer, dataset),
                         config.train_config(config.setting, config.smoothing,
                                             config.grid_seed),
-                        load_prior(config))
+                        load_prior(config.dataset_dir)[1])
     assert model.featurizer_ref == ""
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
@@ -965,13 +1009,27 @@ def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
     assert not (runs / "step3_final").exists()
 
 
+UNSCORED = ("chosen SmoothingConfig(variant={chosen_variant!r}, "
+            "alpha={chosen_alpha!r}) is not a cell the sweep scored")
+
+
+# each id names the key, its value and the fault of the chosen cell
 @pytest.mark.parametrize("key,value,message", [
-    ("chosen_variant", "bogus", "unknown chosen_variant 'bogus'"),
-    ("chosen_variant", "none", "unknown chosen_variant 'none'"),
+    ("chosen_variant", "bogus", "unknown smoothing variant 'bogus'"),
+    ("chosen_variant", "none", UNSCORED),
     ("chosen_alpha", -0.5, "alpha must be non-negative"),
-])
+    ("chosen_alpha", 0.3, UNSCORED),
+    ("chosen_alpha", 1e308, UNSCORED),
+], ids=["chosen_variant-bogus-unknown chosen_variant 'bogus'",
+        "chosen_variant-none-unknown chosen_variant 'none'",
+        "chosen_alpha--0.5-alpha must be non-negative",
+        "chosen_alpha-0.3-a cell the sweep never scored",
+        "chosen_alpha-1e+308-a cell the sweep never scored"])
 def test_final_names_a_bad_chosen_smoothing(workspace, tmp_path, capsys, key,
                                             value, message):
+    """A chosen variant and alpha that ``SmoothingConfig`` refuses, or that
+    are not those of a cell the sweep scored (its cells hold alpha 0.0 and
+    0.1 of each variant), are refused before any training."""
     runs = tmp_path / "runs"
     copy_steps_1_and_2(workspace, runs)
     sweep = runs / "step2_sweep/sweep.json"
@@ -982,7 +1040,8 @@ def test_final_names_a_bad_chosen_smoothing(workspace, tmp_path, capsys, key,
                                output_dir=str(runs))
     capsys.readouterr()
     assert main(["final", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err == f"error: {sweep}: {message}\n"
+    assert capsys.readouterr().err == (
+        f"error: {sweep}: {message.format(**payload)}\n")
     assert not (runs / "step3_final").exists()
 
 
@@ -1041,6 +1100,80 @@ def test_report_names_a_malformed_artifact(workspace, tmp_path, capsys,
     assert not (runs / "summary.json").exists()
 
 
+# the JSON files each command reads: run artifacts, or the dataset's
+# sites.json; and the changes made to one of them
+RUN_JSON_INPUTS = {"report": [GRID_LOG, SWEEP, FINAL],
+                   "final": [GRID_LOG, SWEEP, "sites.json"]}
+RUN_JSON_CHANGES = ["other-type", "huge-integer", "1e308", "truncated"]
+JSON_VALUES = [None, True, 7, 0.5, "", "x", [], [1], {}, {"k": 1}]
+
+
+def json_places(value, place=()):
+    """The key path of ``value`` and of each value nested in it."""
+    yield place
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_places(item, (*place, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(RUN_JSON_INPUTS)),
+       change=st.sampled_from(RUN_JSON_CHANGES), data=st.data())
+def test_final_and_report_of_a_changed_json_input_name_it(workspace, command,
+                                                          change, data):
+    """``ouvclf final`` or ``report`` after one change to one JSON file it
+    reads lets no exception escape. The change puts, at one drawn place of
+    the file (at a drawn depth), a value of another JSON type, an integer
+    too large for a float or 1e308, or cuts the file at one drawn byte. The command exits
+    0, 2 (``final`` without SD data), or 1 with one ``error:`` line naming
+    the changed file or the run directory. The budget: 300 examples, about
+    6 s under ``-X dev``."""
+    source = workspace_runs(workspace, "sweep", "final")
+    rel = data.draw(st.sampled_from(RUN_JSON_INPUTS[command]))
+    with tempfile.TemporaryDirectory() as root:
+        runs, dataset = Path(root, "runs"), Path(root, "data")
+        for name in (GRID_LOG, SWEEP, FINAL, harness.GRID_FEATURIZER):
+            (runs / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source / name, runs / name)
+        shutil.copytree(workspace["data"], dataset)
+        path = dataset / rel if rel == "sites.json" else runs / rel
+        text = path.read_bytes()
+        if change == "truncated":
+            path.write_bytes(text[:data.draw(st.integers(0, len(text) - 1))])
+        else:
+            box = [json.loads(text)]  # the value at place () is box[0]
+            # a depth first, so the few top-level keys are changed as often
+            # as the many nested values of histories and reports
+            places = list(json_places(box[0]))
+            depth = data.draw(st.integers(0, max(map(len, places))))
+            holder, key = box, 0
+            for step in data.draw(st.sampled_from(
+                    [place for place in places if len(place) == depth])):
+                holder, key = holder[key], step
+            new = {"huge-integer": 10 ** 400, "1e308": 1e308}.get(change)
+            if change == "other-type":
+                new = data.draw(st.sampled_from([
+                    v for v in JSON_VALUES
+                    if type(v) is not type(holder[key])]))
+            holder[key] = new
+            path.write_text(json.dumps(box[0]), encoding="utf-8")
+        config = write_config(workspace, Path(root, "config.json"),
+                              dataset_dir=str(dataset), output_dir=str(runs))
+        args = (["final", "--config", str(config)] if command == "final"
+                else ["report", str(runs)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(args)
+    err = err.getvalue()
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err or str(runs) in err, err
+    else:
+        assert code == 0 or (code == 2 and command == "final"), err
+
+
 @pytest.mark.parametrize("k", ["0", "-1", "12"])
 @pytest.mark.parametrize("split", ["valid", "sd"])
 def test_evaluate_rejects_k_outside_one_to_eleven(workspace, capsys, k,
@@ -1089,7 +1222,8 @@ def test_config_k_outside_one_to_eleven_trains_nothing(workspace, tmp_path,
 def test_final_without_the_sweeps_featurizer_says_to_rerun_sweep(
         workspace, tmp_path, capsys):
     """A run directory whose ``sweep`` saved no featurizer (one an earlier
-    version wrote) is refused before any training, naming the file."""
+    version wrote) is refused before any training, in ``read_run``'s one
+    line naming the run directory and the missing file."""
     runs = tmp_path / "runs"
     copy_steps_1_and_2(workspace, runs)
     missing = runs / "step1_grid/featurizer.json"
@@ -1099,7 +1233,7 @@ def test_final_without_the_sweeps_featurizer_says_to_rerun_sweep(
     capsys.readouterr()
     assert main(["final", "--config", str(config)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {missing} is missing; rerun `ouvclf sweep`\n")
+        f"error: {runs}: missing artifacts: step1_grid/featurizer.json\n")
     assert not (runs / "step3_final").exists()
 
 
