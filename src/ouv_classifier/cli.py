@@ -27,13 +27,16 @@ from .corpus import (build_dataset, build_sd_set, parse_syndication,
                      read_dataset, write_dataset, write_sites)
 from .harness import (GRID_FEATURIZER, STEP_ARTIFACTS, ExperimentConfig,
                       Predictor, build_featurizer, evaluate_model, featurize,
-                      fit, load_prior, mine, read_run, report, run_final,
-                      run_grid_search, run_ls_sweep)
+                      fit, load_prior, mine, prior_for, read_run, report,
+                      run_final, run_grid_search, run_ls_sweep)
+from .labels import SmoothingConfig
 from .metrics import check_k
 from .model import save_checkpoint
 
 
 def cmd_ingest(args) -> int:
+    if args.seed < 0:  # ``build_dataset`` would refuse it only at its end
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     sites, errors = parse_syndication(args.csv)
     if errors:
         print(f"{len(errors)} row-level errors:", file=sys.stderr)
@@ -82,7 +85,7 @@ def cmd_train(args) -> int:
     train_config = config.train_config(config.setting, config.smoothing,
                                        config.grid_seed)
     dataset = read_dataset(config.dataset_dir)
-    _, mu = load_prior(config.dataset_dir)
+    mu = prior_for(config.dataset_dir, [config.smoothing])
     featurizer = build_featurizer(config, dataset)
     model = fit(featurize(featurizer, dataset), train_config, mu)
     out = Path(args.out or Path(config.output_dir) / "model.json")
@@ -99,7 +102,9 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     dataset = read_dataset(config.dataset_dir)
-    _, mu = load_prior(config.dataset_dir)
+    mu = prior_for(config.dataset_dir, [
+        SmoothingConfig(variant, alpha) for variant in config.variants
+        for alpha in config.alpha_grid])
     featurizer = build_featurizer(config, dataset)
     # log.json, the featurizer and sweep.json move in once the sweep returns
     sweep = STEP_ARTIFACTS["sweep"][0]
@@ -122,7 +127,7 @@ def cmd_final(args) -> int:
                          f"the config's baseline is {config.baseline!r}; "
                          "rerun `ouvclf sweep`")
     dataset = read_dataset(config.dataset_dir)
-    _, mu = load_prior(config.dataset_dir)
+    mu = prior_for(config.dataset_dir, [chosen])
     payload = run_final(best, chosen, config, dataset, mu, featurizer)
     for label, row in payload["rows"].items():
         print(f"{label}: val_top1={row['val_top1']:.4f} "

@@ -85,10 +85,11 @@ class Sample:
     criteria; a dataset line stores those criteria in place of the row."""
     tokens: list[str]
     sentence_label: int | None  # criterion 1-10; None for SD samples
-    one_hot: None  # always None: ``soft_targets`` builds one-hot rows
     parental: np.ndarray  # length 11
     site_id: int
-    split: str  # as read, the name of the sample's dataset file
+    # set only by bench/workloads.py's reference_kept; both go when it stops
+    one_hot: None = None
+    split: str | None = None
 
 
 def criterion_columns(ids) -> np.ndarray:
@@ -112,12 +113,10 @@ def label_rows(criteria: list[list[int]]) -> np.ndarray:
     return rows
 
 
-def make_samples(tokens, labels, criteria, site_ids, splits) -> list[Sample]:
-    """Samples from a column of each field but ``parental``, the row that
-    ``label_rows`` builds from the site's ``criteria``; ``one_hot`` is
-    None."""
-    return list(map(Sample, tokens, labels, repeat(None),
-                    label_rows(criteria), site_ids, splits))
+def make_samples(tokens, labels, criteria, site_ids) -> list[Sample]:
+    """Samples from the four columns of a dataset line, each ``parental``
+    the row that ``label_rows`` builds from the site's ``criteria``."""
+    return list(map(Sample, tokens, labels, label_rows(criteria), site_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +405,7 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
     # a definition sentence is labelled as the one-criterion site 0
     kept += [(tokens, criterion, [criterion], 0)
              for criterion, tokens in zip(defined, token_lists[len(found):])]
-    samples = make_samples(*zip(*kept), ["train"] * n_train
-                           + ["valid"] * n_held + ["test"] * n_held
-                           + ["train"] * len(defined))
+    samples = make_samples(*zip(*kept))
     return Dataset(train=samples[:n_train] + samples[n:],
                    valid=samples[n_train:n - n_held],
                    test=samples[n - n_held:n])
@@ -427,7 +424,7 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
     token_lists = preprocess_many([sentence for _, sentence in found])
     kept = [(tokens, None, sorted(site.criteria), site.site_id)
             for (site, _), tokens in zip(found, token_lists) if tokens]
-    return make_samples(*zip(*kept), repeat("sd")) if kept else []
+    return make_samples(*zip(*kept)) if kept else []
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +469,18 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 
 
 def read_samples(path: str | Path, split: str) -> list[Sample]:
-    """Read a file written by ``write_samples`` as the samples of ``split``,
-    building each sample's ``parental`` by ``make_samples``. Any other file
-    is a ``ValueError`` naming it: a line that is not JSON or lacks a sample
-    key; tokens that are not a list of strings, or a token that holds
-    whitespace (tokens are as ``str.split`` gives them, and the n-gram
-    features count on it); a ``sentence_label`` that is not an integer
-    1-10, or null in ``sd``; ``criteria`` that are not a list of integers
-    1-10; or a ``site_id`` that is not an integer. Each value check runs
-    once over the file's column of that key and names the first bad line.
-    A ``split`` key, which lines of the previous form held, is ignored. A
-    file whose first line holds ``parental``, as a line of the earlier
-    form did, says to rebuild the dataset with ``ouvclf ingest``."""
+    """Read a file written by ``write_samples``, building each sample's
+    ``parental`` by ``make_samples``; ``split`` sets only the label rule
+    below. Any other file is a ``ValueError`` naming it: a line that is not
+    JSON or lacks a sample key; tokens that are not a list of strings, or a
+    token that holds whitespace (tokens are as ``str.split`` gives them,
+    and the n-gram features count on it); a ``sentence_label`` that is not
+    an integer 1-10, or null in ``sd``; ``criteria`` that are not a list of
+    integers 1-10; or a ``site_id`` that is not an integer. Each value
+    check runs once over the file's column of that key and names the first
+    bad line. A ``split`` key, which lines of the previous form held, is
+    ignored. A file whose first line holds ``parental``, as a line of the
+    earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""
     records, line_nos = [], []
     for line_no, line in enumerate(read_lines(path), start=1):
         if line.strip():
@@ -527,7 +524,7 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
                     f"a list of integers 1-{NUM_CRITERIA}")
         _refuse(line_nos, "site_id", site_ids, _typed(site_ids, int),
                 "an integer")
-    return make_samples(tokens, labels, criteria, site_ids, repeat(split))
+    return make_samples(tokens, labels, criteria, site_ids)
 
 
 # the keys of a dataset line, in the order ``read_samples`` reads them

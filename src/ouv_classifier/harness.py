@@ -164,6 +164,16 @@ def load_prior(dataset_dir: str | Path) -> tuple[np.ndarray, np.ndarray]:
         return counts, prior_weights(counts)
 
 
+def prior_for(dataset_dir: str | Path,
+              smoothings: Iterable[SmoothingConfig]) -> np.ndarray | None:
+    """``load_prior``'s ``mu`` if one of ``smoothings`` reads it, as
+    ``soft_targets`` does for ``prior`` at an alpha above 0; otherwise None,
+    and ``sites.json`` is not read."""
+    if any(s.variant == "prior" and s.alpha > 0 for s in smoothings):
+        return load_prior(dataset_dir)[1]
+    return None
+
+
 def write_artifact(output_dir: str | Path, step: str, payload: dict) -> None:
     """The one writer of the step artifacts: ``payload`` at ``step``'s path
     under ``output_dir``, through ``atomic_open``."""
@@ -447,7 +457,7 @@ class SweepResult:
 
 
 def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
-                 dataset: Dataset, mu: np.ndarray,
+                 dataset: Dataset, mu: np.ndarray | None,
                  featurizer: Featurizer) -> SweepResult:
     """Train each (variant, alpha, seed) cell on the run's ``featurizer``;
     pick the cell maximizing the summed 95%-CI lower bounds of val top-1
@@ -514,7 +524,7 @@ def evaluate_features(model: TrainedModel, x, samples: list[Sample],
 
 
 def _stage_final(final_dir: Path, dataset: Dataset, data: FeaturizedData,
-                 test_x, sd_x, mu: np.ndarray | None, k: int,
+                 test_x, sd_x, mu: np.ndarray | None,
                  job: tuple[str, TrainConfig]) -> dict:
     """``run_final``'s task: ``fit`` the final model of ``job``, a label
     and its ``TrainConfig``, write its checkpoint, its ``featurizer_ref``
@@ -522,6 +532,7 @@ def _stage_final(final_dir: Path, dataset: Dataset, data: FeaturizedData,
     and return its ``final.json`` row, so the model never leaves the
     process that trained it."""
     label, train_config = job
+    k = train_config.k
     model = fit(data, train_config, mu)
     valid_report = evaluate_features(model, data.valid_x, dataset.valid, k=k)
     test_report = evaluate_features(model, test_x, dataset.test, k=k)
@@ -549,8 +560,8 @@ def _stage_final(final_dir: Path, dataset: Dataset, data: FeaturizedData,
 
 
 def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
-              config: ExperimentConfig, dataset: Dataset, mu: np.ndarray,
-              featurizer: Featurizer) -> dict:
+              config: ExperimentConfig, dataset: Dataset,
+              mu: np.ndarray | None, featurizer: Featurizer) -> dict:
     """Train the chosen-LS and no-LS models on the grid seed and the run's
     ``featurizer``, evaluate them on valid/test plus the SD set when
     present, then save them and write ``final.json``. An empty test split
@@ -578,7 +589,7 @@ def run_final(best_setting: dict, chosen_ls: SmoothingConfig,
     with commit_files(config.output_dir, final) as staging:
         final_dir = Path(staging, final).parent
         task = functools.partial(_stage_final, final_dir, dataset, data,
-                                 test_x, sd_x, mu, config.k)
+                                 test_x, sd_x, mu)
         rows = dict(zip(train_configs, run_trainings(
             task, list(train_configs.items()))))
         featurizer.save(final_dir / "featurizer.json")

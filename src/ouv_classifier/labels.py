@@ -16,6 +16,11 @@ from .corpus import SiteRecord, criterion_columns, label_rows
 
 VARIANTS = ("none", "vanilla", "uniform", "prior")
 ALPHA_GRID = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
+# the largest alpha whose vanilla row, the largest any variant builds (one
+# entry alpha + 1, ten alpha), sums e^z - 1 to a finite float: the float
+# below ln(max / (e + 10)), which rounds up past it
+MAX_ALPHA = math.nextafter(
+    math.log(np.finfo(float).max / (math.e + NUM_CLASSES - 1)), 0)
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,9 @@ class SmoothingConfig:
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        if self.alpha > MAX_ALPHA:
+            raise ValueError(f"alpha must be at most {MAX_ALPHA!r} (above it "
+                             f"a row's sum overflows), got {self.alpha!r}")
 
 
 def cooccurrence(sites: list[SiteRecord]) -> np.ndarray:
@@ -75,15 +83,19 @@ def soft_softmax(z: np.ndarray) -> np.ndarray:
 
     f(z)_t = (e^{z_t} - 1) / (sum_l e^{z_l} - d). The denominator is
     computed as the row sum of numerators so each row sums to 1 exactly up
-    to rounding.
+    to rounding; a row whose sum is not a finite float (an entry above
+    about 709, or NaN) is a ``ValueError``, as is an all-zero row.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError(f"expected a 2-d batch of rows, got {z.ndim}-d input")
     if np.any(z < 0):
         raise ValueError("entries must be non-negative")
-    numerators = np.expm1(z)
-    denoms = numerators.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # refused just below
+        numerators = np.expm1(z)
+        denoms = numerators.sum(axis=1, keepdims=True)
+    if not np.isfinite(denoms).all():
+        raise ValueError("a row's sum of e^z - 1 is not a finite float")
     if np.any(denoms <= 0):
         raise ValueError("all-zero row: denominator is zero")
     return numerators / denoms

@@ -30,15 +30,13 @@ def make_one_hot(criterion):
     return np.eye(NUM_CLASSES)[criterion - 1]
 
 
-def make_sample(tokens, criterion, parental_criteria=None, split="train",
-                site_id=1):
+def make_sample(tokens, criterion, parental_criteria=None, site_id=1):
     parental = np.zeros(NUM_CLASSES)
     for k in (parental_criteria or [criterion]):
         parental[k - 1] = 1.0
     parental[NUM_CLASSES - 1] = OTHERS_NOISE
     return Sample(tokens=list(tokens), sentence_label=criterion,
-                  one_hot=None, parental=parental,
-                  site_id=site_id, split=split)
+                  parental=parental, site_id=site_id)
 
 
 def make_separable_dataset(n_train=300, n_valid=60, n_classes=3, seed=7,
@@ -55,7 +53,7 @@ def make_separable_dataset(n_train=300, n_valid=60, n_classes=3, seed=7,
             length = int(rng.integers(8, 13))
             tokens = list(rng.choice(vocab[criterion], size=length))
             dataset.split(split).append(
-                make_sample(tokens, criterion, split=split, site_id=j))
+                make_sample(tokens, criterion, site_id=j))
     return dataset
 
 

@@ -18,6 +18,7 @@ from ouv_classifier.cli import main
 from ouv_classifier.corpus import read_dataset
 from ouv_classifier.features import TfidfVocabulary
 from ouv_classifier.harness import ExperimentConfig, load_prior
+from ouv_classifier.labels import MAX_ALPHA
 from ouv_classifier.model import (MlpParams, TrainConfig, TrainedModel,
                                   TrainingDiverged, save_checkpoint)
 from conftest import edit_head, use_cpus
@@ -549,6 +550,19 @@ def test_ingest_of_too_few_sentences_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_refuses_a_negative_seed_before_reading_the_csv(
+        tmp_path, capsys, monkeypatch):
+    csv_path, out = tmp_path / "corpus.csv", tmp_path / "data"
+    write_corpus_csv(csv_path)
+    monkeypatch.setattr(cli, "parse_syndication",
+                        lambda *args: pytest.fail("the CSV was read"))
+    capsys.readouterr()
+    assert main(["ingest", str(csv_path), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_ingest_missing_file(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 1
@@ -588,10 +602,12 @@ def test_a_sites_file_that_gives_no_prior_is_named(workspace, tmp_path,
     change, message = UNUSABLE_SITES[damage]
     sites.write_text(json.dumps(change(json.loads(sites.read_text()))),
                      encoding="utf-8")
-    if command == "final":
-        copy_steps_1_and_2(workspace, runs)
+    if command == "final":  # the workspace sweep scored this cell
+        choose_cell(workspace, runs, "prior", 0.1)
+    # ``train`` smooths with ``prior`` at alpha 0.1, as the sweep's cells do
     config = write_config(workspace, tmp_path / "config.json",
-                          dataset_dir=str(data), output_dir=str(runs))
+                          dataset_dir=str(data), output_dir=str(runs),
+                          smoothing={"variant": "prior", "alpha": 0.1})
     args = {"prior": ["prior", str(data), "--out",
                       str(tmp_path / "out/prior.json")],
             "train": ["train", "--config", str(config)],
@@ -604,6 +620,44 @@ def test_a_sites_file_that_gives_no_prior_is_named(workspace, tmp_path,
     assert capsys.readouterr().err == f"error: {sites}: {message}\n"
     assert {p: p.read_bytes() if p.is_file() else None
             for p in tmp_path.rglob("*")} == before
+
+
+def choose_cell(workspace, runs, variant, alpha):
+    """The workspace sweep's steps 1 and 2 in ``runs``, its ``sweep.json``
+    choosing the cell of ``variant`` and ``alpha``."""
+    copy_steps_1_and_2(workspace, runs)
+    sweep = runs / "step2_sweep/sweep.json"
+    payload = json.loads(sweep.read_text())
+    payload.update(chosen_variant=variant, chosen_alpha=alpha)
+    sweep.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("train", {}),
+    ("train", {"smoothing": {"variant": "prior", "alpha": 0.0}}),
+    ("sweep", {"variants": ["vanilla", "uniform"]}),
+    ("sweep", {"alpha_grid": [0.0]}),
+    ("final", {}),
+], ids=["train-none", "train-prior-at-0", "sweep-without-prior",
+        "sweep-at-alpha-0", "final-vanilla"])
+def test_a_sites_file_without_a_prior_stops_no_training_that_needs_none(
+        workspace, tmp_path, capsys, command, changes):
+    """A cultural-only ``sites.json`` gives no prior, but only a training
+    that smooths with ``prior`` at an alpha above 0 reads it."""
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    shutil.copytree(workspace["data"], data)
+    sites = data / "sites.json"
+    change, _ = UNUSABLE_SITES["cultural-only"]
+    sites.write_text(json.dumps(change(json.loads(sites.read_text()))),
+                     encoding="utf-8")
+    if command == "final":
+        choose_cell(workspace, runs, "vanilla", 0.1)
+    config = write_config(workspace, tmp_path / "config.json",
+                          dataset_dir=str(data), output_dir=str(runs),
+                          **changes)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_train_honours_setting_and_smoothing(workspace, tmp_path):
@@ -1011,6 +1065,9 @@ def test_final_names_a_malformed_artifact(workspace, tmp_path, capsys,
 
 UNSCORED = ("chosen SmoothingConfig(variant={chosen_variant!r}, "
             "alpha={chosen_alpha!r}) is not a cell the sweep scored")
+# ``SmoothingConfig``'s refusal of an alpha above ``MAX_ALPHA``
+TOO_LARGE = (f"alpha must be at most {MAX_ALPHA!r} (above it a row's sum "
+             "overflows), got {}")
 
 
 # each id names the key, its value and the fault of the chosen cell
@@ -1019,12 +1076,14 @@ UNSCORED = ("chosen SmoothingConfig(variant={chosen_variant!r}, "
     ("chosen_variant", "none", UNSCORED),
     ("chosen_alpha", -0.5, "alpha must be non-negative"),
     ("chosen_alpha", 0.3, UNSCORED),
-    ("chosen_alpha", 1e308, UNSCORED),
+    ("chosen_alpha", 1e308, TOO_LARGE.format(1e308)),
+    ("chosen_alpha", 708.0, TOO_LARGE.format(708.0)),
 ], ids=["chosen_variant-bogus-unknown chosen_variant 'bogus'",
         "chosen_variant-none-unknown chosen_variant 'none'",
         "chosen_alpha--0.5-alpha must be non-negative",
         "chosen_alpha-0.3-a cell the sweep never scored",
-        "chosen_alpha-1e+308-a cell the sweep never scored"])
+        "chosen_alpha-1e+308-a cell the sweep never scored",
+        "chosen_alpha-708.0-above the largest alpha"])
 def test_final_names_a_bad_chosen_smoothing(workspace, tmp_path, capsys, key,
                                             value, message):
     """A chosen variant and alpha that ``SmoothingConfig`` refuses, or that
@@ -1378,6 +1437,9 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
      "smoothing: alpha must be finite, got inf"),
     ("alpha_grid", [math.inf], "alpha_grid: alpha must be finite, got inf"),
     ("alpha_grid", [math.nan], "alpha_grid: alpha must be finite, got nan"),
+    ("alpha_grid", [0.1, 1000], "alpha_grid: " + TOO_LARGE.format(1000)),
+    ("smoothing", {"variant": "vanilla", "alpha": 708.0},
+     "smoothing: " + TOO_LARGE.format(708.0)),
     ("variants", [], "variants must be non-empty"),
     ("alpha_grid", [], "alpha_grid must be non-empty"),
     ("variants", ["prior", "uniform", "prior"],
@@ -1391,9 +1453,9 @@ def test_a_directory_where_a_file_is_expected_is_an_error(workspace, tmp_path,
         "zero-epochs", "zero-patience", "grid-dropout", "grid-zero-hidden",
         "negative-seed", "nan-learning-rate", "setting-infinite-learning-rate",
         "grid-negative-l2", "infinite-smoothing-alpha", "infinite-alpha",
-        "nan-alpha", "no-variants", "no-alphas", "repeated-variant",
-        "repeated-alpha", "unknown-baseline", "boe-without-embeddings",
-        "zero-min-df"])
+        "nan-alpha", "huge-alpha", "huge-smoothing-alpha", "no-variants",
+        "no-alphas", "repeated-variant", "repeated-alpha", "unknown-baseline",
+        "boe-without-embeddings", "zero-min-df"])
 @pytest.mark.parametrize("command", ["sweep", "train", "final"])
 def test_bad_config_value_fails_before_training(workspace, tmp_path, capsys,
                                                 monkeypatch, command, key,
@@ -1895,7 +1957,8 @@ def test_a_sites_entry_without_criteria_is_named(workspace, tmp_path, capsys,
                       str(tmp_path / "prior.json")],
             "train": ["train", "--config", str(write_config(
                 workspace, tmp_path / "config.json", dataset_dir=str(data),
-                output_dir=str(tmp_path / "runs")))]}
+                output_dir=str(tmp_path / "runs"),
+                smoothing={"variant": "prior", "alpha": 0.1}))]}
     capsys.readouterr()
     assert main(args[command]) == 1
     assert capsys.readouterr().err == (

@@ -554,7 +554,7 @@ def build_dataset_by_rank(sites, seed):
     n = len(kept)
     kept += [(tokens, criterion, [criterion], 0)
              for criterion, tokens in zip(defined, token_lists[len(found):])]
-    samples = make_samples(*zip(*kept), ["train"] * len(kept))
+    samples = make_samples(*zip(*kept))
     pool, definitions = samples[:n], samples[n:]
     order = np.random.default_rng(seed).permutation(n)
     n_valid = n_test = n // 10
@@ -564,10 +564,8 @@ def build_dataset_by_rank(sites, seed):
         if rank < n - n_valid - n_test:
             dataset.train.append(sample)
         elif rank < n - n_test:
-            sample.split = "valid"
             dataset.valid.append(sample)
         else:
-            sample.split = "test"
             dataset.test.append(sample)
     dataset.train.extend(definitions)
     for name in ("train", "valid", "test"):
@@ -606,8 +604,8 @@ def justified_sites(draw):
 @given(justified_sites(), st.integers(0, 2**32 - 1))
 def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
     """Each split holds the samples the reference's rank loop puts there,
-    in its order, with equal tokens, labels, parental bytes, site ids and
-    split names, and no one-hot row; where the reference refuses an empty split, so does
+    in its order, with equal tokens, labels, parental bytes and site ids,
+    and no one-hot row; where the reference refuses an empty split, so does
     ``build_dataset``."""
     try:
         want = build_dataset_by_rank(sites, seed)
@@ -618,26 +616,26 @@ def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
     got = build_dataset(sites, seed)
     for name in ("train", "valid", "test"):
         assert [(s.tokens, s.sentence_label, s.one_hot,
-                 s.parental.tobytes(), s.site_id, s.split)
+                 s.parental.tobytes(), s.site_id)
                 for s in got.split(name)] == \
             [(s.tokens, s.sentence_label, None,
-              s.parental.tobytes(), s.site_id, s.split)
+              s.parental.tobytes(), s.site_id)
              for s in want.split(name)]
     assert got.sd == []
 
 
 def sample_fields(sample):
-    """What a dataset file keeps of ``sample``, with its split."""
+    """What a dataset file keeps of ``sample``."""
     return (sample.tokens, sample.sentence_label, sample.parental.tobytes(),
-            sample.site_id, sample.split)
+            sample.site_id)
 
 
 @settings(deadline=None)
 @given(justified_sites(), st.integers(0, 2**32 - 1))
 def test_a_written_dataset_reads_back_split_by_split(sites, seed):
     """``read_dataset`` gives each split's samples as ``write_dataset`` was
-    given them, each with the split of its file, which no line holds; the
-    SD split is built from the sites' paragraphs."""
+    given them, in the split of its file, which no line holds; the SD split
+    is built from the sites' paragraphs."""
     try:
         dataset = build_dataset(sites, seed)
     except ValueError:  # an empty split, as the test above checks
@@ -665,7 +663,6 @@ class TestBuildSdSet:
             assert s.one_hot is None
             assert s.parental[1] == 1 and s.parental[3] == 1
             assert s.parental[NUM_CLASSES - 1] == 0.2
-            assert s.split == "sd"
 
     def test_empty_description_contributes_nothing(self):
         site = SiteRecord(site_id=9, name="x", justification={},
@@ -683,8 +680,7 @@ class TestJsonl:
     def test_round_trip(self, tmp_path):
         """Each read sample's parental row has the float64 bytes of the
         built sample's, though the file holds only its criteria, and
-        neither carries a one-hot row; its split is the one it is read
-        as."""
+        neither carries a one-hot row."""
         sites = make_justified_sites(5, 5)
         dataset = build_dataset(sites, seed=0)
         dataset.sd = build_sd_set([SiteRecord(
@@ -700,7 +696,7 @@ class TestJsonl:
             for a, b in zip(samples, loaded):
                 assert a.tokens == b.tokens
                 assert a.sentence_label == b.sentence_label
-                assert (a.site_id, a.split) == (b.site_id, b.split)
+                assert a.site_id == b.site_id
                 assert b.parental.dtype == np.float64
                 assert b.parental.tobytes() == a.parental.tobytes()
                 assert a.one_hot is b.one_hot is None
@@ -719,13 +715,12 @@ class TestJsonl:
         the file's."""
         parental = label_rows([[5, 2]])[0]
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
-                       one_hot=None, parental=parental,
-                       site_id=7, split="train")
+                       parental=parental, site_id=7)
         assert next(sample_lines([train])) == (
             '{"tokens": ["château", "<num>"], "sentence_label": 2, '
             '"criteria": [2, 5], "site_id": 7}')
-        sd = Sample(tokens=["sd"], sentence_label=None, one_hot=None,
-                    parental=parental, site_id=7, split="sd")
+        sd = Sample(tokens=["sd"], sentence_label=None, parental=parental,
+                    site_id=7)
         assert next(sample_lines([sd])) == (
             '{"tokens": ["sd"], "sentence_label": null, "criteria": [2, 5], '
             '"site_id": 7}')
@@ -749,8 +744,8 @@ class TestJsonl:
         sentence has, reads back with 0.2 in Others; 0.5 as 1.0) names the
         file and the sample's index, and the file is left as it was."""
         good = label_rows([[3]])[0]
-        samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
-                          parental=parental, site_id=1, split="sd")
+        samples = [Sample(tokens=["a"], sentence_label=None,
+                          parental=parental, site_id=1)
                    for parental in (good, good, np.array(row))]
         path = tmp_path / "sd.jsonl"
         write_samples(samples[:2], path)
@@ -767,9 +762,9 @@ class TestJsonl:
         """Two rows of 22, each a valid row twice over, are not four
         samples' rows: the file is not written."""
         row = label_rows([[3]])[0]
-        samples = [Sample(tokens=["a"], sentence_label=None, one_hot=None,
-                          parental=np.concatenate([row, row]), site_id=1,
-                          split="sd") for _ in range(2)]
+        samples = [Sample(tokens=["a"], sentence_label=None,
+                          parental=np.concatenate([row, row]), site_id=1)
+                   for _ in range(2)]
         path = tmp_path / "sd.jsonl"
         with pytest.raises(ValueError, match=(
                 f"^{re.escape(str(path))}: cannot reshape array of size 44 "
@@ -884,7 +879,7 @@ class TestJsonl:
     def test_a_line_of_the_previous_form_reads_as_its_file(self, tmp_path):
         """A directory whose every line also holds its ``split``, as lines
         once did, reads as it was built, though one train line says
-        ``test``: each sample's split is its file's."""
+        ``test``: each sample is in its file's split."""
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         dataset.sd.extend(build_sd_set([SiteRecord(
             site_id=1, name="", justification={},
@@ -903,7 +898,6 @@ class TestJsonl:
         for name in ("train", "valid", "test", "sd"):
             assert list(map(sample_fields, got.split(name))) == \
                 list(map(sample_fields, dataset.split(name)))
-        assert got.train[1].split == "train"
 
     def test_a_number_too_large_for_a_float_is_named(self, tmp_path):
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA
 from ouv_classifier.corpus import label_rows
-from ouv_classifier.labels import (ALPHA_GRID, VARIANTS, SmoothingConfig,
-                                   cooccurrence, prior_weights,
-                                   soft_softmax, soft_targets)
+from ouv_classifier.labels import (ALPHA_GRID, MAX_ALPHA, VARIANTS,
+                                   SmoothingConfig, cooccurrence,
+                                   prior_weights, soft_softmax, soft_targets)
 from conftest import make_one_hot, make_sites
 
 
@@ -84,6 +84,16 @@ class TestSoftSoftmax:
     def test_batch_with_one_all_zero_row_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             soft_softmax([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("row", [[709.0] * 3, [707.5] * NUM_CLASSES,
+                                     [1.0, math.nan]])
+    def test_a_row_whose_sum_is_not_finite_is_rejected(self, row):
+        """Not a row of zeros (709 overflows each entry; eleven of 707.5
+        overflow only the sum) nor of NaN."""
+        with pytest.raises(ValueError,
+                           match="^a row's sum of e\\^z - 1 is not a finite "
+                                 "float$"):
+            soft_softmax([np.ones(len(row)), row])
 
     @given(st.lists(st.floats(0, 5), min_size=2, max_size=12)
            .filter(lambda xs: max(xs) > 0))
@@ -221,6 +231,28 @@ class TestSmooth:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             SmoothingConfig("vanilla", -0.1)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "uniform", "prior"])
+    def test_every_row_sums_to_one_at_the_largest_alpha(self, variant):
+        """At ``MAX_ALPHA`` each label's row sums to 1, with every parental
+        entry and weight 1, the largest rows ``uniform`` and ``prior``
+        build."""
+        labels = np.arange(1, NUM_CRITERIA + 1)
+        got = soft_targets(labels, np.ones((NUM_CRITERIA, NUM_CLASSES)),
+                           np.ones((NUM_CRITERIA, NUM_CLASSES)),
+                           SmoothingConfig(variant, MAX_ALPHA))
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_an_alpha_above_the_largest_is_rejected(self):
+        """One float above ``MAX_ALPHA`` the vanilla row's sum overflows."""
+        above = math.nextafter(MAX_ALPHA, math.inf)
+        with pytest.raises(ValueError, match="not a finite float"):
+            soft_softmax(np.eye(NUM_CLASSES)[:1] + above)
+        with pytest.raises(ValueError, match=(
+                f"^alpha must be at most {re.escape(repr(MAX_ALPHA))} "
+                rf"\(above it a row's sum overflows\), got {above!r}$")):
+            SmoothingConfig("vanilla", above)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, alpha):

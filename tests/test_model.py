@@ -916,6 +916,9 @@ class TestCheckpoint:
          "'config': l2 must be finite and >= 0, got -1e-05"),
         (lambda p: p["config"]["smoothing"].update(alpha=math.inf),
          "config.smoothing: alpha must be finite, got inf"),
+        (lambda p: p["config"]["smoothing"].update(alpha=708.0),
+         r"config.smoothing: alpha must be at most 707.2396724209746 \(above "
+         r"it a row's sum overflows\), got 708.0"),
         (lambda p: p["params"].update(b2=[11.0]),
          r"'b2' has shape \[11.0\], not a list of integers >= 0"),
         (lambda p: p["params"].update(b2=[True, 11]),
@@ -931,7 +934,7 @@ class TestCheckpoint:
             "hidden-str",
             "k-list", "learning-rate-bool", "variant-typo", "best-epoch-str",
             "history-int", "history-item-int", "featurizer-ref-int",
-            "nan-learning-rate", "negative-l2", "infinite-alpha",
+            "nan-learning-rate", "negative-l2", "infinite-alpha", "huge-alpha",
             "float-shape", "bool-shape", "negative-shape", "huge-learning-rate",
             "unknown-head-key"])
     def test_malformed_checkpoint_names_file_and_fault(self, tmp_path, edit,

@@ -515,6 +515,85 @@ def test_no_unreferenced_public_names():
     assert unreferenced_public_names(sources, bench) == []
 
 
+# the ``Sample`` fields that only the benchmark's hand-built sample sets,
+# after the four a dataset line holds
+BENCH_ONLY_FIELDS = {"one_hot", "split"}
+LINE_FIELDS = 4
+
+
+def sample_field_uses(source: str) -> list[str]:
+    """By line, each call of a module that passes a ``BENCH_ONLY_FIELDS``
+    keyword, or more than ``LINE_FIELDS`` positional values to ``Sample``
+    (directly or through ``map``), each ``.one_hot`` it reads or writes and
+    each ``.split`` it writes, and each use of the name ``Sample`` outside
+    ``make_samples`` other than in an annotation or an import."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        parts = [getattr(node, "annotation", None),
+                 getattr(node, "returns", None)]
+        if isinstance(node, ast.FunctionDef) and node.name == "make_samples":
+            parts.append(node)
+        allowed |= {id(inner) for part in parts if part is not None
+                    for inner in ast.walk(part)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            found += [(node.lineno, f"{keyword.arg}=")
+                      for keyword in node.keywords
+                      if keyword.arg in BENCH_ONLY_FIELDS]
+            callee, args = node.func, node.args
+            if ast.unparse(callee) == "map" and args:
+                callee, *args = args
+            if (ast.unparse(callee).endswith("Sample")
+                    and len(args) > LINE_FIELDS):
+                found.append((node.lineno, f"{len(args)} columns"))
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "one_hot" or node.attr == "split"
+                and isinstance(node.ctx, ast.Store)):
+            found.append((node.lineno, f".{node.attr}"))
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name == "Sample" and id(node) not in allowed:
+            found.append((node.lineno, name))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_detector_sees_sample_field_uses():
+    source = ("from .corpus import Sample\n"
+              "def make_samples(a, b):\n    return list(map(Sample, a, b))\n"
+              "def f(samples: list[Sample], x) -> Sample:\n"
+              "    y: Sample = samples[0]\n"
+              "    s = Sample(tokens=[], split='sd')\n"
+              "    s.split = 'train'\n"
+              "    return s.one_hot, x.split(), dataset.split('sd')\n"
+              "rows = map(corpus.Sample, samples)\n"
+              "dataclasses.replace(s, one_hot=None)\n"
+              "def make_samples(a, b, c, d, e):\n"
+              "    return list(map(Sample, a, b, c, d, e))\n")
+    assert sample_field_uses(source) == [
+        "line 6: Sample", "line 6: split=", "line 7: .split",
+        "line 8: .one_hot", "line 9: Sample", "line 10: one_hot=",
+        "line 12: 5 columns"]
+    corpus = (PACKAGE_DIR / "corpus.py").read_text(encoding="utf-8")
+    built = "return make_samples(*zip(*kept)) if kept else []"
+    assert corpus.count(built) == 1
+    mutant = corpus.replace(built, "return [Sample(*f, split='sd') "
+                                   "for f in zip(*kept)]")
+    line = corpus[:corpus.index(built)].count("\n") + 1
+    assert sample_field_uses(mutant) == [f"line {line}: Sample",
+                                         f"line {line}: split="]
+
+
+def test_the_package_sets_no_bench_only_sample_field():
+    """No package code passes ``one_hot=`` or ``split=``, reads or writes
+    ``.one_hot`` or writes ``.split``, and ``make_samples`` is the one
+    place that builds a ``Sample``, so the two fields go with their two
+    lines in the class once the benchmark stops passing them."""
+    found = {path.name: sample_field_uses(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def third_party_imports(source: str) -> set[str]:
     """Top-level names of the absolute imports that are neither the
     standard library nor this package."""
