@@ -48,6 +48,8 @@ STEP_ARTIFACTS = {
 }
 # the featurizer ``ouvclf sweep`` builds and ``ouvclf final`` reuses
 GRID_FEATURIZER = "step1_grid/featurizer.json"
+# ``input_error``'s message for a key missing inside a run artifact
+_WRONG = "a missing key or a value of the wrong type ({})"
 # input lines read, preprocessed, featurized and scored per step of
 # ``mine``'s one loop; bounds its text, tokens and features on large inputs
 _MINE_BLOCK = 4096
@@ -191,7 +193,9 @@ def read_run(output_dir: str | Path, final: bool = False):
     are one ``FileNotFoundError`` naming ``output_dir`` and them all. A
     ``sweep.json`` or ``final.json`` whose ``setting`` is not ``best`` is a
     ``ValueError`` naming both files, as a rerun of ``ouvclf sweep`` leaves
-    them; a chosen cell that ``sweep.json`` did not score names the file."""
+    them, and so is a ``final.json`` whose ``ls`` row was trained at another
+    smoothing than the chosen one; a chosen cell that ``sweep.json`` did not
+    score names the file."""
     steps = ("grid", "sweep", "final") if final else ("grid", "sweep")
     paths = [Path(output_dir, STEP_ARTIFACTS[step][0]) for step in steps]
     featurizer = Path(output_dir, GRID_FEATURIZER)
@@ -215,7 +219,14 @@ def read_run(output_dir: str | Path, final: bool = False):
             raise ValueError(f"{path} holds setting {artifact['setting']} but "
                              f"{paths[0]} holds best setting {best}: they come"
                              f" from different runs; rerun `ouvclf {step}`")
-    if not final:
+    if final:
+        with input_error(paths[2], _WRONG):
+            trained = run["final"][1]["rows"]["ls"]["smoothing"]
+        if trained != dataclasses.asdict(chosen):
+            raise ValueError(f"{paths[2]} holds an ls row trained at "
+                             f"{trained} but {paths[1]} chose {chosen}: they "
+                             "come from different runs; rerun `ouvclf final`")
+    else:
         run["featurizer"] = featurizer, Featurizer.load(
             featurizer, rebuild="`ouvclf sweep`")
     return run, best, chosen
@@ -416,6 +427,19 @@ def run_trainings(task: Callable, jobs: list) -> list:
 # ---------------------------------------------------------------------------
 # Step 1: grid search
 
+def grid_log(settings: list[dict], records: list[dict], seed: int) -> dict:
+    """``log.json``'s payload from the grid's ``settings`` and their
+    ``training_record``s, in job order; no training, no I/O. Each setting
+    with its record, the first highest-``val_topk`` entry as ``best``."""
+    log = [dict(setting, **record)
+           for setting, record in zip(settings, records)]
+    scored = [entry for entry in log if "error" not in entry]
+    if not scored:
+        raise RuntimeError("every grid setting failed to train")
+    best = max(scored, key=lambda entry: entry["val_topk"])  # first wins
+    return {"log": log, "best": best, "seed": seed}
+
+
 def run_grid_search(config: ExperimentConfig, dataset: Dataset,
                     featurizer: Featurizer) -> dict:
     """Single-seed grid search on the run's ``featurizer``; best setting by
@@ -423,31 +447,17 @@ def run_grid_search(config: ExperimentConfig, dataset: Dataset,
     keys = sorted(config.grid)
     settings = [dict(zip(keys, values))
                 for values in itertools.product(*map(config.grid.get, keys))]
-    train_configs = [config.train_config(s, SmoothingConfig(),
-                                         config.grid_seed) for s in settings]
+    jobs = [config.train_config(s, SmoothingConfig(), config.grid_seed)
+            for s in settings]
     data = featurize(featurizer, dataset)
     task = functools.partial(training_record, data, mu=None)
-    log = [dict(setting, **record) for setting, record
-           in zip(settings, run_trainings(task, train_configs))]
-    scored = [entry for entry in log if "error" not in entry]
-    if not scored:
-        raise RuntimeError("every grid setting failed to train")
-    best = max(scored, key=lambda entry: entry["val_topk"])  # first wins
-    write_artifact(config.output_dir, "grid",
-                   {"log": log, "best": best, "seed": config.grid_seed})
-    return setting_of(best)
+    payload = grid_log(settings, run_trainings(task, jobs), config.grid_seed)
+    write_artifact(config.output_dir, "grid", payload)
+    return setting_of(payload["best"])
 
 
 # ---------------------------------------------------------------------------
 # Step 2: label-smoothing sweep
-
-def confidence_lower_bound(mean: float, sd: float, n: int) -> float:
-    """Lower bound of the normal-approximation 95% CI of ``n`` values with
-    this ``mean`` and sample ``sd``."""
-    if n < 2:
-        raise ValueError("need at least two values for a confidence interval")
-    return mean - 1.96 * sd / math.sqrt(n)
-
 
 @dataclass
 class SweepResult:
@@ -456,48 +466,49 @@ class SweepResult:
     chosen_alpha: float
 
 
+def sweep_result(jobs: list[TrainConfig], records: list[dict]) -> SweepResult:
+    """The sweep's cells and choice from its ``jobs`` (each smoothing's
+    seeds contiguous) and their ``training_record``s; no training, no I/O.
+    A cell of 2+ runs scores the sum over top-1 and top-k of their 95%-CI
+    lower bound ``mean - 1.96 * sd / sqrt(n)``; the highest score wins."""
+    cells = []
+    for smoothing, pairs in itertools.groupby(zip(jobs, records),
+                                              lambda pair: pair[0].smoothing):
+        seeded = [dict(seed=job.seed, **record) for job, record in pairs]
+        runs = [r for r in seeded if "error" not in r]
+        cell = {**dataclasses.asdict(smoothing), "runs": runs,
+                "failures": [r for r in seeded if "error" in r]}
+        if len(runs) >= 2:
+            bounds = []
+            for key in ("top1", "topk"):
+                values = [r[f"val_{key}"] for r in runs]
+                cell[f"mean_{key}"] = mean = float(np.mean(values))
+                cell[f"sd_{key}"] = sd = float(np.std(values, ddof=1))
+                bounds.append(mean - 1.96 * sd / math.sqrt(len(runs)))
+            cell["score"] = bounds[0] + bounds[1]
+        cells.append(cell)
+    scored = [c for c in cells if "score" in c]
+    if not scored:
+        raise RuntimeError("no sweep cell completed at least two seeds")
+    # ties: smallest alpha first, then vanilla < uniform < prior
+    winner = min(scored, key=lambda c: (-c["score"], c["alpha"],
+                                        VARIANT_ORDER.index(c["variant"])))
+    return SweepResult(cells=cells, chosen_variant=winner["variant"],
+                       chosen_alpha=winner["alpha"])
+
+
 def run_ls_sweep(best_setting: dict, config: ExperimentConfig,
                  dataset: Dataset, mu: np.ndarray | None,
                  featurizer: Featurizer) -> SweepResult:
     """Train each (variant, alpha, seed) cell on the run's ``featurizer``;
     pick the cell maximizing the summed 95%-CI lower bounds of val top-1
     and top-k. Every ``TrainConfig`` is built before the first training."""
-    plan = [[config.train_config(best_setting,
-                                 SmoothingConfig(variant=variant, alpha=alpha),
-                                 seed) for seed in config.seeds]
-            for variant in config.variants for alpha in config.alpha_grid]
+    jobs = [config.train_config(best_setting, SmoothingConfig(v, a), seed)
+            for v in config.variants for a in config.alpha_grid
+            for seed in config.seeds]
     data = featurize(featurizer, dataset)
     task = functools.partial(training_record, data, mu=mu)
-    trained = iter(run_trainings(task, [c for cell in plan for c in cell]))
-    cells = []
-    for train_configs in plan:
-        records = [dict(seed=train_config.seed, **next(trained))
-                   for train_config in train_configs]
-        runs = [r for r in records if "error" not in r]
-        failures = [r for r in records if "error" in r]
-        cell = {**dataclasses.asdict(train_configs[0].smoothing),
-                "runs": runs, "failures": failures}
-        if len(runs) >= 2:
-            for key in ("top1", "topk"):
-                values = [r[f"val_{key}"] for r in runs]
-                cell[f"mean_{key}"] = float(np.mean(values))
-                cell[f"sd_{key}"] = float(np.std(values, ddof=1))
-            top1, topk = (confidence_lower_bound(
-                cell[f"mean_{key}"], cell[f"sd_{key}"], len(runs))
-                for key in ("top1", "topk"))
-            cell["score"] = top1 + topk
-        cells.append(cell)
-
-    scored = [c for c in cells if "score" in c]
-    if not scored:
-        raise RuntimeError("no sweep cell completed at least two seeds")
-    # ties: smallest alpha first, then vanilla < uniform < prior
-    def sort_key(cell):
-        return (-cell["score"], cell["alpha"],
-                VARIANT_ORDER.index(cell["variant"]))
-    winner = min(scored, key=sort_key)
-    result = SweepResult(cells=cells, chosen_variant=winner["variant"],
-                         chosen_alpha=winner["alpha"])
+    result = sweep_result(jobs, run_trainings(task, jobs))
     write_artifact(config.output_dir, "sweep",
                    {"setting": best_setting, **dataclasses.asdict(result)})
     return result
@@ -704,8 +715,7 @@ def report(artifacts_dir: str | Path) -> dict:
     wrong JSON type, is a ``ValueError`` naming it."""
     run, _, _ = read_run(artifacts_dir, final=True)
     (_, grid), (sweep_path, sweep), (final_path, final) = run.values()
-    wrong = "a missing key or a value of the wrong type ({})"
-    with input_error(final_path, wrong):
+    with input_error(final_path, _WRONG):
         row_lines = [
             f"{label:>6} {row['val_top1']:7.4f} {row['val_topk']:7.4f} "
             f"{row['val_macro_f1']:7.4f} {row['test_top1']:7.4f} "
@@ -718,7 +728,7 @@ def report(artifacts_dir: str | Path) -> dict:
             f"{entry['val_top1']},{entry['val_topk']}"
             for label, row in final["rows"].items()
             for entry in row["history"]]
-    with input_error(sweep_path, wrong):
+    with input_error(sweep_path, _WRONG):
         cell_lines = [
             f"  {cell['variant']:>8} alpha={cell['alpha']:<5} "
             f"top1={cell['mean_top1']:.4f}±{cell['sd_top1']:.4f} "

@@ -1924,6 +1924,45 @@ def test_report_refuses_a_final_of_an_earlier_grid(workspace, tmp_path,
     assert main(["report", str(runs)]) == 0
 
 
+def test_report_refuses_a_final_trained_at_another_chosen_cell(
+        workspace, tmp_path, capsys):
+    """A sweep rerun with another ``alpha_grid`` keeps the best setting but
+    chooses another cell, and leaves the old ``final.json``, whose ``ls``
+    row was trained at the old one; ``report`` names both files and says
+    to rerun ``ouvclf final``. A ``final.json`` without that row's
+    ``smoothing`` is named alone."""
+    runs = tmp_path / "runs"
+    copy_steps_1_and_2(workspace, runs)
+    first = write_config(workspace, tmp_path / "first.json",
+                         output_dir=str(runs))
+    assert main(["final", "--config", str(first)]) == 0
+    final_path, sweep_path = runs / FINAL, runs / SWEEP
+    trained = json.loads(final_path.read_text())["rows"]["ls"]["smoothing"]
+    second = write_config(workspace, tmp_path / "second.json",
+                          output_dir=str(runs), variants=["uniform"],
+                          alpha_grid=[0.5])
+    assert main(["sweep", "--config", str(second)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(runs)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {final_path} holds an ls row trained at {trained} but "
+        f"{sweep_path} chose SmoothingConfig(variant='uniform', alpha=0.5):"
+        " they come from different runs; rerun `ouvclf final`\n")
+    assert not (runs / "summary.json").exists()
+    assert main(["final", "--config", str(second)]) == 0
+    assert main(["report", str(runs)]) == 0
+    payload = json.loads(final_path.read_text())
+    for holder, key in ((payload["rows"]["ls"], "smoothing"),
+                        (payload["rows"], "ls")):
+        del holder[key]
+        final_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(runs)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {final_path}: a missing key or a value of the wrong "
+            f"type (missing key '{key}')\n")
+
+
 @pytest.mark.parametrize("split", ["train", "valid"])
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_a_missing_training_split_is_named_before_training(

@@ -15,15 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, harness
 from ouv_classifier.harness import (ExperimentConfig, Featurizer, Predictor,
-                                    SETTING_KEYS, build_featurizer,
-                                    confidence_lower_bound,
-                                    featurize, mine, report, run_final,
-                                    run_grid_search, run_ls_sweep,
-                                    worker_count)
+                                    SETTING_KEYS, VARIANT_ORDER,
+                                    build_featurizer, featurize, grid_log,
+                                    mine, report, run_final, run_grid_search,
+                                    run_ls_sweep, sweep_result, worker_count)
 from ouv_classifier.labels import SmoothingConfig
-from ouv_classifier.model import (TrainedModel, TrainingDiverged,
-                                  load_checkpoint, predict_proba,
-                                  save_checkpoint, top_classes)
+from ouv_classifier.model import (TrainConfig, TrainedModel,
+                                  TrainingDiverged, load_checkpoint,
+                                  predict_proba, save_checkpoint, top_classes)
 from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
                                    preprocess_many)
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
@@ -182,27 +181,190 @@ class TestGridSearch:
         assert not (tmp_path / "runs").exists()
 
 
-def lower_bound_of(values):
-    """``confidence_lower_bound`` of ``values``, from their mean and sample
-    sd as a sweep cell stores them."""
-    return confidence_lower_bound(float(np.mean(values)),
-                                  float(np.std(values, ddof=1)), len(values))
+def record(top1, topk):
+    """A ``training_record`` of a training that finished."""
+    return {"val_top1": top1, "val_topk": topk, "best_epoch": 1}
 
 
-class TestConfidenceLowerBound:
-    def test_formula(self):
-        values = [0.8, 0.9, 1.0]
-        expected = np.mean(values) - 1.96 * np.std(values, ddof=1) / math.sqrt(3)
-        assert lower_bound_of(values) == pytest.approx(expected)
+def sweep_of(cells):
+    """``sweep_result`` of ``cells``, ``(variant, alpha, records)`` in job
+    order, each record of the next seed from 0, with no training."""
+    jobs, records = [], []
+    for variant, alpha, cell_records in cells:
+        for seed, cell_record in enumerate(cell_records):
+            jobs.append(TrainConfig(seed=seed,
+                                    smoothing=SmoothingConfig(variant, alpha)))
+            records.append(cell_record)
+    return sweep_result(jobs, records)
+
+
+class TestGridLog:
+    def test_first_entry_wins_a_tie_and_failures_are_logged(self):
+        grid = [{"hidden": 8}, {"hidden": 16}, {"hidden": 32}]
+        records = [{"error": "diverged"}, record(0.5, 0.75),
+                   record(0.625, 0.75)]
+        payload = grid_log(grid, records, 7)
+        assert payload == {"log": [{"hidden": 8, "error": "diverged"},
+                                   {"hidden": 16, **record(0.5, 0.75)},
+                                   {"hidden": 32, **record(0.625, 0.75)}],
+                           "best": {"hidden": 16, **record(0.5, 0.75)},
+                           "seed": 7}
+        assert payload["best"] is payload["log"][1]
+
+    def test_every_setting_failed_raises(self):
+        with pytest.raises(RuntimeError,
+                           match="^every grid setting failed to train$"):
+            grid_log([{"hidden": 8}], [{"error": "diverged"}], 7)
+
+
+class TestSweepResult:
+    def test_score_is_the_summed_ci_lower_bound(self):
+        top1s, topks = [0.8, 0.9, 1.0], [0.5, 0.625, 0.875]
+        result = sweep_of([("uniform", 0.1, list(map(record, top1s, topks)))])
+        cell, = result.cells
+        expected = [np.mean(v) - 1.96 * np.std(v, ddof=1) / math.sqrt(3)
+                    for v in (top1s, topks)]
+        assert cell["score"] == pytest.approx(sum(expected))
+        assert cell["mean_topk"] == pytest.approx(np.mean(topks))
+        assert cell["sd_top1"] == pytest.approx(np.std(top1s, ddof=1))
 
     def test_low_variance_can_beat_higher_mean(self):
         steady = [0.9] * 10
         jumpy = list(np.random.default_rng(0).normal(0.91, 0.1, size=10))
-        assert lower_bound_of(steady) > lower_bound_of(jumpy)
+        assert np.mean(jumpy) > np.mean(steady)
+        result = sweep_of([("prior", 0.1, list(map(record, jumpy, jumpy))),
+                           ("uniform", 0.1, list(map(record, steady,
+                                                     steady)))])
+        assert (result.chosen_variant, result.chosen_alpha) == ("uniform",
+                                                                0.1)
 
-    def test_requires_two_values(self):
-        with pytest.raises(ValueError):
-            confidence_lower_bound(0.5, 0.0, 1)
+    def test_a_one_run_cell_gets_no_score(self):
+        result = sweep_of([
+            ("vanilla", 0.1, [record(1.0, 1.0), {"error": "diverged"}]),
+            ("prior", 0.1, [record(0.5, 0.5), record(0.5, 0.5)])])
+        one_run, scored = result.cells
+        assert one_run == {"variant": "vanilla", "alpha": 0.1,
+                           "runs": [{"seed": 0, **record(1.0, 1.0)}],
+                           "failures": [{"seed": 1, "error": "diverged"}]}
+        assert scored["score"] == pytest.approx(2 * 0.5)
+        assert result.chosen_variant == "prior"
+        with pytest.raises(RuntimeError, match=(
+                "^no sweep cell completed at least two seeds$")):
+            sweep_of([("vanilla", 0.1, [record(1.0, 1.0)])])
+
+    def test_ties_go_to_the_smallest_alpha_first(self):
+        # the larger alpha comes first, under the first variant
+        runs = [record(0.5, 0.75), record(0.75, 0.5)]
+        result = sweep_of([("vanilla", 0.2, runs), ("uniform", 0.2, runs),
+                           ("prior", 0.1, runs), ("uniform", 0.1, runs)])
+        assert len({cell["score"] for cell in result.cells}) == 1
+        assert (result.chosen_variant, result.chosen_alpha) == ("uniform",
+                                                                0.1)
+
+
+def oracle_lower_bound(mean, sd, n):
+    """The sweep's 95%-CI lower bound as a function of its own, before the
+    bound moved into ``sweep_result``."""
+    if n < 2:
+        raise ValueError("need at least two values for a confidence interval")
+    return mean - 1.96 * sd / math.sqrt(n)
+
+
+def oracle_grid_log(settings, records, seed):
+    """``run_grid_search``'s log loop before ``grid_log``: the oracle."""
+    log = [dict(setting, **record) for setting, record
+           in zip(settings, records)]
+    scored = [entry for entry in log if "error" not in entry]
+    if not scored:
+        raise RuntimeError("every grid setting failed to train")
+    best = max(scored, key=lambda entry: entry["val_topk"])
+    return {"log": log, "best": best, "seed": seed}
+
+
+def oracle_sweep(plan, records):
+    """``run_ls_sweep``'s cell loop before ``sweep_result``, over the
+    nested ``plan`` of each cell's ``TrainConfig``s: the oracle."""
+    trained = iter(records)
+    cells = []
+    for train_configs in plan:
+        seeded = [dict(seed=train_config.seed, **next(trained))
+                  for train_config in train_configs]
+        runs = [r for r in seeded if "error" not in r]
+        failures = [r for r in seeded if "error" in r]
+        cell = {**dataclasses.asdict(train_configs[0].smoothing),
+                "runs": runs, "failures": failures}
+        if len(runs) >= 2:
+            for key in ("top1", "topk"):
+                values = [r[f"val_{key}"] for r in runs]
+                cell[f"mean_{key}"] = float(np.mean(values))
+                cell[f"sd_{key}"] = float(np.std(values, ddof=1))
+            top1, topk = (oracle_lower_bound(
+                cell[f"mean_{key}"], cell[f"sd_{key}"], len(runs))
+                for key in ("top1", "topk"))
+            cell["score"] = top1 + topk
+        cells.append(cell)
+    scored = [c for c in cells if "score" in c]
+    if not scored:
+        raise RuntimeError("no sweep cell completed at least two seeds")
+
+    def sort_key(cell):
+        return (-cell["score"], cell["alpha"],
+                VARIANT_ORDER.index(cell["variant"]))
+    winner = min(scored, key=sort_key)
+    return {"cells": cells, "chosen_variant": winner["variant"],
+            "chosen_alpha": winner["alpha"]}
+
+
+def bytes_or_error(build, *args):
+    """``build(*args)`` as ``json.dumps(indent=1)`` bytes, or the message of
+    the ``RuntimeError`` it raises."""
+    try:
+        payload = build(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+    if not isinstance(payload, dict):
+        payload = dataclasses.asdict(payload)
+    return json.dumps(payload, indent=1)
+
+
+# records as ``training_record`` returns them, from few values, so that
+# ties and all-failed steps occur
+RECORDS = st.one_of(
+    st.fixed_dictionaries({"val_top1": st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+                           "val_topk": st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+                           "best_epoch": st.integers(1, 3)}),
+    st.sampled_from([{"error": "non-finite loss at epoch 1, batch 0"},
+                     {"error": "non-finite loss at epoch 2, batch 3"}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       variants=st.lists(st.sampled_from(VARIANT_ORDER), min_size=1,
+                         max_size=3, unique=True),
+       alphas=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5]), min_size=1,
+                       max_size=3, unique=True),
+       seeds=st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True),
+       settings_=st.lists(st.fixed_dictionaries(
+           {"hidden": st.sampled_from([8, 16]),
+            "dropout": st.sampled_from([0.1, 0.5])}), min_size=1, max_size=6))
+def test_builders_give_the_bytes_of_the_step_loops(data, variants, alphas,
+                                                   seeds, settings_):
+    """``grid_log`` and ``sweep_result`` give the bytes of the loops they
+    replaced, or raise the same ``RuntimeError``, on any records. The sweep
+    oracle reads the records cell by cell from a nested plan; the builder
+    groups the flat job list. The budget: 300 examples, about 2 s under
+    the ``ci`` profile and ``-X dev``."""
+    grid_records = data.draw(st.lists(RECORDS, min_size=len(settings_),
+                                      max_size=len(settings_)))
+    assert (bytes_or_error(grid_log, settings_, grid_records, 1337)
+            == bytes_or_error(oracle_grid_log, settings_, grid_records, 1337))
+    plan = [[TrainConfig(seed=seed, smoothing=SmoothingConfig(variant, alpha))
+             for seed in seeds] for variant in variants for alpha in alphas]
+    jobs = [job for cell in plan for job in cell]
+    records = data.draw(st.lists(RECORDS, min_size=len(jobs),
+                                 max_size=len(jobs)))
+    assert (bytes_or_error(sweep_result, jobs, records)
+            == bytes_or_error(oracle_sweep, plan, records))
 
 
 class TestLsSweep:

@@ -306,6 +306,57 @@ def test_only_the_package_root_places_files():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+BUILDERS = ("grid_log", "sweep_result")
+IMPURE_NAMES = {"train", "fit", "training_record", "run_trainings",
+                "featurize", "write_artifact", "open"}
+
+
+def impure_uses(source: str) -> dict[str, list[str]]:
+    """For each of ``BUILDERS`` that ``source`` defines at its top level,
+    by line, each ``IMPURE_NAMES`` name its body calls or passes on, bare
+    or as an attribute (``fit(...)``, ``harness.train(...)``,
+    ``path.open()``, ``partial(training_record, ...)``)."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in BUILDERS:
+            uses = sorted((inner.lineno, name) for inner in ast.walk(node)
+                          if (name := getattr(inner, "id", getattr(
+                              inner, "attr", None))) in IMPURE_NAMES)
+            found[node.name] = [f"line {line}: {name}" for line, name in uses]
+    return found
+
+
+def test_detector_sees_impure_uses():
+    source = ("def grid_log(settings, records, seed):\n"
+              "    fitted, trainer = fit_all(records), model.trainer\n"
+              "    task = partial(training_record, data)\n"
+              "    with Path(seed).open() as fh, open(seed) as gh:\n"
+              "        return harness.train(x), fit(y)\n"
+              "def run_grid_search(config):\n"
+              "    return train(config), write_artifact(config)\n"
+              "def sweep_result(jobs, records):\n"
+              "    return [featurize(job) for job in jobs]\n")
+    assert impure_uses(source) == {
+        "grid_log": ["line 3: training_record", "line 4: open",
+                     "line 4: open", "line 5: fit", "line 5: train"],
+        "sweep_result": ["line 9: featurize"]}
+    harness = (PACKAGE_DIR / "harness.py").read_text(encoding="utf-8")
+    pure = "    return {\"log\": log, \"best\": best, \"seed\": seed}\n"
+    assert harness.count(pure) == 1
+    mutant = harness.replace(pure, "    write_artifact(\"runs\", \"grid\", "
+                                   "log)\n" + pure)
+    line = harness[:harness.index(pure)].count("\n") + 1
+    assert impure_uses(mutant)["grid_log"] == [f"line {line}: write_artifact"]
+
+
+def test_the_artifact_builders_train_nothing_and_touch_no_file():
+    """``grid_log`` and ``sweep_result`` turn a step's jobs and records
+    into its artifact and nothing else: they train, featurize, write and
+    open nothing, so a stored list of records rebuilds the artifact."""
+    source = (PACKAGE_DIR / "harness.py").read_text(encoding="utf-8")
+    assert impure_uses(source) == {name: [] for name in BUILDERS}
+
+
 class TestCommitFiles:
     @pytest.fixture
     def moves(self, monkeypatch):
