@@ -251,7 +251,8 @@ ABBREVIATIONS = {
     "sr.", "vol.", "fig.", "km.", "m.", "ft.", "sq.",
 }
 
-_TERMINATOR = re.compile(r"[.!?]")
+# '.', '!' or '?' before whitespace (group 1: the next character) or the end
+_BOUNDARY = re.compile(r"[.!?](?=\s+(\S)|\Z)")
 
 
 def split_sentences(paragraph: str) -> list[str]:
@@ -262,18 +263,13 @@ def split_sentences(paragraph: str) -> list[str]:
     known abbreviation.
     """
     text = paragraph.strip()
-    if not text:
-        return []
     sentences = []
     start = 0
-    for m in _TERMINATOR.finditer(text):
+    for m in _BOUNDARY.finditer(text):
+        if m[1] is not None and not m[1].isupper():
+            continue
         end = m.end()
-        if end < len(text):
-            # ``text`` is stripped, so ``rest`` ends in a non-space
-            rest = text[end:]
-            if not (rest[0].isspace() and rest.lstrip()[0].isupper()):
-                continue
-        last_word = text[:end].rsplit(None, 1)[-1].lower()
+        last_word = text[start:end].rsplit(None, 1)[-1].lower()
         if last_word in ABBREVIATIONS:
             continue
         candidate = text[start:end].strip()
@@ -288,13 +284,8 @@ def split_sentences(paragraph: str) -> list[str]:
 
 # Each pattern begins with the character it consumes (any lookbehind comes
 # after it), so ``re`` skips to candidates instead of trying every position.
-# A digit with a letter-like neighbour: group 1 holds the one before it,
-# group 2 the one after it when group 1 is set ("x9y" -> "x 9 y", "16th" ->
-# "16 th")
-_DIGIT_BY_LETTER = re.compile(
-    r"\d(?:(?<=([^\d\s.,])\d)(?=([^\d\s.,]))?|(?=[^\d\s.,]))")
-# a whole token of digits, with at most one inner '.' or ','
-_NUM_TOKEN = re.compile(r"\d(?<!\S\d)\d*(?:[.,]\d+)?(?!\S)")
+# a digit run, with at most one inner '.' or ','
+_DIGIT_RUN = re.compile(r"\d+(?:[.,]\d+)?")
 # punctuation to pad with spaces, but a '.' or ',' between two characters of
 # the class {0} is a decimal or thousands separator and stays
 _PAD = "[.,;:!?()\"'](?:(?<![{0}][.,])|(?![{0}]))"
@@ -303,11 +294,15 @@ _PAD = "[.,;:!?()\"'](?:(?<![{0}][.,])|(?![{0}]))"
 _NON_ASCII = re.compile(r"([^\x00-\x7f])")
 
 
-def _pad_digit(m: re.Match) -> str:
-    """A ``_DIGIT_BY_LETTER`` match with a space on each letter-like side."""
-    if m[1] is None:
-        return m[0] + " "
-    return f" {m[0]} " if m[2] else " " + m[0]
+def _number(m: re.Match) -> str:
+    """A ``_DIGIT_RUN`` match with a space on each letter-like side (not a
+    space, '.' or ','; no digit touches a maximal run), as "<num>" when it
+    is then a whole token: when no '.' or ',' touches it."""
+    text, (start, end) = m.string, m.span()
+    sides = (text[start - 1] if start else " ", text[end:end + 1] or " ")
+    before, after = ("" if c.isspace() or c in ".," else " " for c in sides)
+    run = m[0] if sides[0] in ".," or sides[1] in ".," else "<num>"
+    return before + run + after
 
 
 def _fold_accents(char: str) -> str:
@@ -331,9 +326,10 @@ def preprocess_many(sentences: list[str]) -> list[list[str]]:
     distinct characters it holds. That equals NFKD over the whole text, then
     dropping every combining character: NFKD decomposes each code point on
     its own, and its canonical reordering (UAX #15) moves only combining
-    characters, which are all dropped. One pass then pads each digit on
-    the side of a letter-like neighbour: the character before a digit is
-    never a space this pass inserts.
+    characters, which are all dropped. Padding punctuation before the digit
+    runs gives the tokens of the other order: the digit pass puts no space
+    beside a '.' or ',', and either pass splits a digit from other
+    punctuation.
     """
     if not sentences:
         return []
@@ -351,9 +347,8 @@ def preprocess_many(sentences: list[str]) -> list[list[str]]:
              if c.isdigit() and not c.isdecimal()})))
     text = text.lower()
     # functions, not ``\g<0>`` templates, which ``re`` expands per match
-    text = _DIGIT_BY_LETTER.sub(_pad_digit, text)
     text = re.sub(_PAD.format(digits), lambda m: f" {m[0]} ", text)
-    text = _NUM_TOKEN.sub("<num>", text)
+    text = _DIGIT_RUN.sub(_number, text)
     return [line.split() for line in text.split("\n")]
 
 

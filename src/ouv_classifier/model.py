@@ -334,8 +334,8 @@ def read_arrays(path, shapes_of,
     one ``np.fromfile``, so it is writable and C-contiguous. A head that
     is not a line of UTF-8 JSON (a file of the earlier one-object form
     says to rebuild it with ``rebuild``, the commands that write it), a
-    shape that is not a list of integers >= 0, or a body of another size
-    than the shapes give is a ``ValueError`` naming the file."""
+    shape that is not a list of integers >= 0, a body of another size than
+    the shapes give, or an inf or NaN is a ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         with input_error(path):
             line = fh.readline()
@@ -360,6 +360,9 @@ def read_arrays(path, shapes_of,
             arrays = {name: np.fromfile(fh, "<f8", count).reshape(shape)
                       for (name, shape), count in zip(shapes.items(),
                                                        counts)}
+            for name, array in arrays.items():
+                if not np.isfinite(array).all():
+                    raise ValueError(f"{name!r} holds a non-finite value")
     return head, arrays
 
 

@@ -14,6 +14,25 @@ from ouv_classifier.corpus import Dataset, Sample, SiteRecord
 # selected with --hypothesis-profile=ci: a failure prints the blob that
 # reproduces it, and tests with no @settings of their own run 200 examples
 settings.register_profile("ci", print_blob=True, max_examples=200)
+# selected with --hypothesis-profile=deep, as the weekly CI job runs the
+# text-rule properties: every selected property runs this many examples,
+# its own max_examples raised to it (below) and with no deadline
+DEEP_EXAMPLES = 20_000
+settings.register_profile("deep", print_blob=True, deadline=None,
+                          max_examples=DEEP_EXAMPLES)
+
+
+def pytest_collection_modifyitems(items):
+    """Under the ``deep`` profile, raise each property's ``@settings``
+    budget, which a profile does not override, to the profile's."""
+    if settings.default.max_examples != DEEP_EXAMPLES:
+        return
+    for item in items:
+        test = getattr(item, "function", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=DEEP_EXAMPLES)
 
 
 def edit_head(path, edit) -> None:

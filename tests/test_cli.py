@@ -753,6 +753,26 @@ def test_train_rejects_a_non_integer_int_setting(workspace, tmp_path, capsys,
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_setting_too_large_to_allocate_is_an_error_line(
+        workspace, tmp_path, capsys, monkeypatch, command):
+    """A hidden layer of 10**12 units asks numpy for petabytes, which it
+    refuses before allocating any: the ``MemoryError`` is one error line
+    and exit 1, also from the sweep's two forked grid trainings, whose
+    worker passes it back."""
+    use_cpus(monkeypatch, 2)
+    config_path = write_config(
+        workspace, tmp_path / "config.json", setting={"hidden": 1e12},
+        grid={"hidden": [10 ** 12, 2 * 10 ** 12], "batch_size": [32]},
+        output_dir=str(tmp_path / "runs"))
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count(
+        "\n") == 1
+    assert not list(tmp_path.glob("runs/**/*.json"))
+
+
 def test_smoothing_key_typo_is_fatal(workspace, tmp_path, capsys):
     config = json.loads(workspace["config"].read_text())
     config.update(smoothing={"varient": "prior", "alpha": 0.1},

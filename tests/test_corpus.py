@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ouv_classifier import NUM_CLASSES, NUM_CRITERIA, OTHERS_NOISE
-from ouv_classifier.corpus import (CRITERION_DEFINITIONS, MAX_SENT_LEN,
-                                   MIN_SENT_LEN, ROMAN, Dataset, Sample,
+from ouv_classifier.corpus import (ABBREVIATIONS, CRITERION_DEFINITIONS,
+                                   MAX_SENT_LEN, MIN_SENT_LEN, ROMAN,
+                                   Dataset, Sample,
                                    SiteRecord, _CRITERION_HEADER,
                                    _split_justification, build_dataset,
                                    build_sd_set, criterion_columns, label_rows,
@@ -55,7 +56,51 @@ class TestCriterionColumns:
         assert label_rows([]).shape == (0, NUM_CLASSES)
 
 
+def loop_split_sentences(paragraph):
+    """The splitter as a loop over every terminator, testing what follows
+    each one by hand: the rule that ``split_sentences``' one lookahead
+    pattern replaced, kept as the reference it must equal."""
+    text = paragraph.strip()
+    if not text:
+        return []
+    sentences = []
+    start = 0
+    for m in re.finditer(r"[.!?]", text):
+        end = m.end()
+        if end < len(text):
+            rest = text[end:]
+            if not (rest[0].isspace() and rest.lstrip()[0].isupper()):
+                continue
+        last_word = text[:end].rsplit(None, 1)[-1].lower()
+        if last_word in ABBREVIATIONS:
+            continue
+        candidate = text[start:end].strip()
+        if candidate:
+            sentences.append(candidate)
+        start = end
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# paragraphs of terminators, abbreviations, spaces that str.split and
+# str.strip treat as whitespace (an ASCII separator, NEL, NBSP, an em
+# space, and runs of two), a titlecase digraph that is not isupper, a
+# capital whose lowercase is two characters (İ), the Kelvin sign, whose
+# lowercase is ASCII k, and short runs of any text
+PARAGRAPHS = st.lists(st.sampled_from([
+    ".", "!", "?", "St.", "e.g.", "No.", "\x1c", "\x85", "\xa0", "\u2003",
+    " \n", "ǅ", "İ", "\u212a", " ", "\n", "a", "B"])
+    | st.text(max_size=3)).map("".join)
+
+
 class TestSplitSentences:
+    @settings(deadline=None, max_examples=500)
+    @given(PARAGRAPHS)
+    def test_equals_the_loop_over_every_terminator(self, paragraph):
+        assert split_sentences(paragraph) == loop_split_sentences(paragraph)
+
     def test_one_split_per_terminator(self):
         assert split_sentences("A. B? C!") == ["A.", "B?", "C!"]
 
@@ -208,6 +253,18 @@ class TestPreprocess:
         ("3.5km", ["<num>", "km"]),
         # ① folds to 1, so the ',' is a separator between two digits
         ("①,2", ["<num>"]),
+        # the edges of the digit rule: a run holds at most one separator,
+        # and a token with more is left as it is
+        ("1.2.3", ["1.2.3"]),
+        ("12,345.67", ["12,345.67"]),
+        ("x1.5y", ["x", "<num>", "y"]),
+        ("a1b2", ["a", "<num>", "b", "<num>"]),
+        # Arabic-Indic digits are decimal digits (\d)
+        ("٣.٥", ["<num>"]),
+        # a Kharoshthi digit is str.isdigit but not \d: it keeps the '.'
+        # a separator, but is no digit of the run
+        ("𐩀.5x", ["𐩀.5", "x"]),
+        ("5.", ["<num>", "."]),
     ]
 
     @pytest.mark.parametrize("text,expected", GOLDEN)

@@ -944,13 +944,15 @@ class TestFeaturizer:
             loaded.transform_token_lists([dataset.valid[0].tokens]))
 
     def test_round_trips_are_bit_exact(self, tmp_path):
+        """Signed zeros, subnormals and the largest magnitudes; an inf or a
+        NaN is refused on load (the test below)."""
         tiny, huge = np.finfo(float).tiny, 1.7976931348623157e308
         table = EmbeddingTable({"b": 0, "a": 1, "<unk>": 2}, np.array([
-            [-0.0, 5e-324, np.inf], [-tiny / 3, 0.1, -np.inf],
-            [np.nan, huge, -huge]]))
+            [-0.0, 5e-324, tiny], [-tiny / 3, 0.1, -5e-324],
+            [0.0, huge, -huge]]))
         vocab = fit_tfidf([make_sample(doc.split(), 1)
                            for doc in ("a b c", "a d", "b e f")], min_df=1)
-        vocab.idf[:5] = [-0.0, 5e-324, np.inf, huge, -huge]
+        vocab.idf[:5] = [-0.0, 5e-324, -tiny / 3, huge, -huge]
         boe, ngram = tmp_path / "boe.json", tmp_path / "ngram.json"
         Featurizer(kind="boe", table=table).save(boe)
         Featurizer(kind="ngram", vocab=vocab).save(ngram)
@@ -966,6 +968,23 @@ class TestFeaturizer:
             assert array.flags.writeable and array.flags.c_contiguous
         np.testing.assert_array_equal(loaded_vocab.idf.view(np.uint64),
                                       vocab.idf.view(np.uint64))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,key", [("ngram", "idf"),
+                                          ("boe", "vectors")])
+    def test_a_non_finite_array_names_the_file(self, tmp_path, kind, key,
+                                               value):
+        """``fit_tfidf`` gives a finite idf and ``load_embeddings`` refuses
+        a non-finite vector, so an array with an inf or NaN is a damaged
+        file."""
+        path = tmp_path / "feat.json"
+        featurizer_of(kind).save(path)
+        path.write_bytes(path.read_bytes()[:-8]
+                         + np.array(value, "<f8").tobytes())
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: '{key}' holds a non-finite "
+                "value$")):
+            Featurizer.load(path)
 
     def test_boe_file_is_tokens_plus_one_matrix(self, tmp_path):
         vectors = np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]])

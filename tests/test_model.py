@@ -708,11 +708,13 @@ class TestCheckpoint:
                                           model.params.arrays()[key])
 
     def test_round_trip_keeps_negative_zero_and_subnormals(self, tmp_path):
+        """The largest magnitudes too; an inf or a NaN is refused on load
+        (``test_a_non_finite_param_names_the_file``)."""
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max
         params = random_params(5, 3, seed=30)
-        params.W1[:, 0] = [-0.0, 0.0, 5e-324, -tiny / 3, np.inf]
+        params.W1[:, 0] = [-0.0, 0.0, 5e-324, -tiny / 3, tiny]
         params.W1[:2, 1] = [huge, -huge]
-        params.b2[:3] = [np.nan, -np.inf, -5e-324]
+        params.b2[:3] = [-0.0, -tiny, -5e-324]
         model = TrainedModel(params=params, featurizer_ref="f.json",
                              config=quick_config(), best_epoch=1,
                              history=[{"epoch": 1}])
@@ -803,6 +805,23 @@ class TestCheckpoint:
                 f"^{re.escape(str(path))}: the body holds {size} bytes, but "
                 r"the shapes \[\[4, 3\], \[11, 3\], \[3\], \[11\]\] "
                 "need 472$")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    def test_a_non_finite_param_names_the_file(self, tmp_path, name, value):
+        """Training never writes one (a non-finite loss raises
+        ``TrainingDiverged``), so a param with an inf or NaN is a damaged
+        file, not one to rank with."""
+        params = random_params(4, 3, seed=32)
+        getattr(params, name).flat[-1] = value
+        path = tmp_path / "m.json"
+        save_checkpoint(TrainedModel(params=params, featurizer_ref="",
+                                     config=quick_config(), best_epoch=1,
+                                     history=[]), path)
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: '{name}' holds a non-finite "
+                "value$")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("head", [b"{not json", b'{"best_epoch":\xff}',

@@ -130,7 +130,7 @@ def test_no_exception_class_but_training_diverged():
     """Bad input is a ``ValueError`` naming the file, an unreadable file an
     ``OSError``, and a step with no usable training a ``RuntimeError``, of
     which ``TrainingDiverged`` is the one subclass; ``ouvclf`` catches
-    exactly these three."""
+    exactly these three and ``MemoryError``."""
     found = {path.name: exception_classes(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: classes for name, classes in found.items() if classes} == {
@@ -498,18 +498,19 @@ class TestGcPaused:
         assert gc.isenabled()
 
 
-def test_cli_main_catches_only_the_three_input_errors():
+def test_cli_main_catches_only_the_error_contract():
     """``ouvclf`` turns bad input (``ValueError``), an unreadable file
-    (``OSError``) and a step with no usable training (``RuntimeError``)
-    into ``error: `` and exit 1, in one handler; the reader that owns an
-    input turns its other faults into one of these."""
+    (``OSError``), an allocation too large for the machine
+    (``MemoryError``) and a step with no usable training
+    (``RuntimeError``) into ``error: `` and exit 1, in one handler; the
+    reader that owns an input turns its other faults into one of these."""
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     main_def, = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "main"]
     handlers = [node for node in ast.walk(main_def)
                 if isinstance(node, ast.ExceptHandler)]
     assert [caught_names(h) for h in handlers] == [
-        {"OSError", "ValueError", "RuntimeError"}]
+        {"OSError", "MemoryError", "ValueError", "RuntimeError"}]
 
 
 def names_read(source: str) -> set[str]:
