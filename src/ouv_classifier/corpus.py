@@ -253,6 +253,11 @@ ABBREVIATIONS = {
 
 # '.', '!' or '?' before whitespace (group 1: the next character) or the end
 _BOUNDARY = re.compile(r"[.!?](?=\s+(\S)|\Z)")
+# the characters before a boundary that its abbreviation test reads: a
+# shorter last word lies in them whole, after whitespace or at the sentence's
+# start, and a longer one fills them and matches no entry, since
+# ``str.lower`` never shortens a string
+_WIDTH = max(map(len, ABBREVIATIONS)) + 1
 
 
 def split_sentences(paragraph: str) -> list[str]:
@@ -269,8 +274,9 @@ def split_sentences(paragraph: str) -> list[str]:
         if m[1] is not None and not m[1].isupper():
             continue
         end = m.end()
-        last_word = text[start:end].rsplit(None, 1)[-1].lower()
-        if last_word in ABBREVIATIONS:
+        lo = end - _WIDTH  # a conditional, not max(), which costs a call
+        last_word = text[lo if lo > start else start:end].rsplit(None, 1)[-1]
+        if last_word.lower() in ABBREVIATIONS:
             continue
         candidate = text[start:end].strip()
         if candidate:
@@ -466,23 +472,25 @@ def write_samples(samples: list[Sample], path: str | Path) -> None:
 def read_samples(path: str | Path, split: str) -> list[Sample]:
     """Read a file written by ``write_samples``, building each sample's
     ``parental`` by ``make_samples``; ``split`` sets only the label rule
-    below. Any other file is a ``ValueError`` naming it: a line that is not
-    JSON or lacks a sample key; tokens that are not a list of strings, or a
-    token that holds whitespace (tokens are as ``str.split`` gives them,
-    and the n-gram features count on it); a ``sentence_label`` that is not
-    an integer 1-10, or null in ``sd``; ``criteria`` that are not a list of
+    below. Equal tokens of the file are read as one string. Any other file
+    is a ``ValueError`` naming it: a line that is not JSON or lacks a
+    sample key; tokens that are not a list of strings, or a token that
+    holds whitespace (tokens are as ``str.split`` gives them, and the
+    n-gram features count on it); a ``sentence_label`` that is not an
+    integer 1-10, or null in ``sd``; ``criteria`` that are not a list of
     integers 1-10; or a ``site_id`` that is not an integer. Each value
     check runs once over the file's column of that key and names the first
     bad line. A ``split`` key, which lines of the previous form held, is
     ignored. A file whose first line holds ``parental``, as a line of the
     earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""
-    records, line_nos = [], []
+    records, shared, line_nos, pool = [], [], [], {}
     for line_no, line in enumerate(read_lines(path), start=1):
         if line.strip():
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
+            shared.append(_share_tokens(records[-1], pool))
             line_nos.append(line_no)
     if records and isinstance(records[0], dict) and "parental" in records[0]:
         raise ValueError(f"{path}: not a dataset file of this version (line "
@@ -492,13 +500,8 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
         criteria, labels, site_ids, tokens = (
             list(map(itemgetter(key), records)) for key in _SAMPLE_KEYS)
         del records  # the line dicts: their values are in the columns
-        rule = "a list of strings"
-        _refuse(line_nos, "tokens", tokens, _typed(tokens, list), rule)
-        try:
-            text = "".join(chain.from_iterable(tokens))
-        except TypeError:
-            _refuse(line_nos, "tokens", tokens,
-                    [set(map(type, t)) <= {str} for t in tokens], rule)
+        _refuse(line_nos, "tokens", tokens, shared, "a list of strings")
+        text = "".join(chain.from_iterable(tokens))
         if text and text.split() != [text]:
             i, spaced = next((i, token) for i, t in enumerate(tokens)
                              for token in t
@@ -520,6 +523,24 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
         _refuse(line_nos, "site_id", site_ids, _typed(site_ids, int),
                 "an integer")
     return make_samples(tokens, labels, criteria, site_ids)
+
+
+def _share_tokens(record, pool: dict) -> bool:
+    """Whether the ``tokens`` of the decoded line ``record`` are a list of
+    strings; if so, they are replaced by ``pool``'s equal strings, adding
+    those it lacks, so a file's equal tokens are one string and each line's
+    own copies are freed as it is read. Anything else is left as decoded,
+    so the column check names the line with its own values: a pool that
+    also took numbers would give ``[1, True]`` back as ``[1, 1]``."""
+    tokens = record.get("tokens") if type(record) is dict else None
+    if type(tokens) is not list:
+        return False
+    try:
+        "".join(tokens)
+    except TypeError:
+        return False
+    record["tokens"] = list(map(pool.setdefault, tokens, tokens))
+    return True
 
 
 # the keys of a dataset line, in the order ``read_samples`` reads them

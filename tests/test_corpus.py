@@ -3,6 +3,7 @@ import re
 import tempfile
 import unicodedata
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ class TestSplitSentences:
     @given(PARAGRAPHS)
     def test_equals_the_loop_over_every_terminator(self, paragraph):
         assert split_sentences(paragraph) == loop_split_sentences(paragraph)
+
+    def test_a_long_abbreviation_chain_equals_the_loop(self):
+        """Each rejected candidate reads only the characters its last word
+        can be in, not the whole sentence, so a chain of abbreviations
+        splits in linear time; the loop's copies make it quadratic."""
+        for chain in ("St. Mary ", "St. ", "Mr. e.g. Approx. "):
+            paragraph = chain * 3000 + "End. Next one."
+            assert split_sentences(paragraph) == \
+                loop_split_sentences(paragraph)
 
     def test_one_split_per_terminator(self):
         assert split_sentences("A. B? C!") == ["A.", "B?", "C!"]
@@ -691,8 +701,9 @@ def sample_fields(sample):
 @given(justified_sites(), st.integers(0, 2**32 - 1))
 def test_a_written_dataset_reads_back_split_by_split(sites, seed):
     """``read_dataset`` gives each split's samples as ``write_dataset`` was
-    given them, in the split of its file, which no line holds; the SD split
-    is built from the sites' paragraphs."""
+    given them, in the split of its file, which no line holds, and writing
+    them again, with their equal tokens shared, gives each file's bytes; the
+    SD split is built from the sites' paragraphs."""
     try:
         dataset = build_dataset(sites, seed)
     except ValueError:  # an empty split, as the test above checks
@@ -703,6 +714,10 @@ def test_a_written_dataset_reads_back_split_by_split(sites, seed):
     with tempfile.TemporaryDirectory() as root:
         write_dataset(dataset, root)
         got = read_dataset(root)
+        write_dataset(got, Path(root, "again"))
+        for name in ("train", "valid", "test", "sd"):
+            assert Path(root, "again", f"{name}.jsonl").read_bytes() == \
+                Path(root, f"{name}.jsonl").read_bytes()
     for name in ("train", "valid", "test", "sd"):
         assert list(map(sample_fields, got.split(name))) == \
             list(map(sample_fields, dataset.split(name)))
@@ -757,6 +772,22 @@ class TestJsonl:
                 assert b.parental.dtype == np.float64
                 assert b.parental.tobytes() == a.parental.tobytes()
                 assert a.one_hot is b.one_hot is None
+
+    def test_a_split_holds_one_string_per_distinct_token(self, tmp_path):
+        """Equal tokens of a file are read as one string object, so a split
+        holds each distinct token once, not once per occurrence."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        dataset.sd = build_sd_set([SiteRecord(
+            site_id=1, name="", justification={},
+            short_description="One château here. And one more château.",
+            criteria=frozenset({3, 7}))])
+        write_dataset(dataset, tmp_path)
+        got = read_dataset(tmp_path)
+        for name in ("train", "valid", "test", "sd"):
+            tokens = [token for sample in got.split(name)
+                      for token in sample.tokens]
+            assert len(tokens) > len(set(tokens)) > 1
+            assert len(set(map(id, tokens))) == len(set(tokens))
 
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
@@ -911,6 +942,8 @@ class TestJsonl:
         ("test", {"site_id": True}, "site_id True is not an integer"),
         ("sd", {"site_id": 1.5}, "site_id 1.5 is not an integer"),
         ("train", {"site_id": None}, "site_id None is not an integer"),
+        ("train", {"tokens": [1, True]},
+         "tokens [1, True] is not a list of strings"),
     ])
     def test_a_bad_value_names_the_file_and_line(self, tmp_path, split, edit,
                                                  detail):
