@@ -3,8 +3,8 @@
 Turns the per-site justification paragraphs into sentence-level samples,
 each with its sentence label (a criterion id) and its site-level parental
 label, and builds the independent short-description (SD) test set. The
-parental label is a function of the site's criteria, built by one rule
-(``make_samples``), so a dataset line stores those and not the label row.
+parental label is the site's criteria, as a sample and its dataset line
+hold them; ``label_rows`` builds the label row only where one is read.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class SiteRecord:
 
 @dataclass
 class Sample:
-    """One sentence. ``make_samples`` builds ``parental`` from the site's
-    criteria; a dataset line stores those criteria in place of the row."""
+    """One sentence, as its dataset line holds it; ``parental`` is the line's
+    ``criteria``, whose row ``label_rows`` builds."""
     tokens: list[str]
     sentence_label: int | None  # criterion 1-10; None for SD samples
-    parental: np.ndarray  # length 11
+    parental: list[int]  # the site's criterion ids
     site_id: int
     # set only by bench/workloads.py's reference_kept; both go when it stops
     one_hot: None = None
@@ -115,8 +115,8 @@ def label_rows(criteria: list[list[int]]) -> np.ndarray:
 
 def make_samples(tokens, labels, criteria, site_ids) -> list[Sample]:
     """Samples from the four columns of a dataset line, each ``parental``
-    the row that ``label_rows`` builds from the site's ``criteria``."""
-    return list(map(Sample, tokens, labels, label_rows(criteria), site_ids))
+    its site's ``criteria``."""
+    return list(map(Sample, tokens, labels, criteria, site_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -436,42 +436,24 @@ _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def sample_lines(samples: list[Sample]) -> Iterator[str]:
-    """The dataset line of each of ``samples``, encoded as it is drawn. Its
-    ``criteria`` are the criteria whose ``parental`` entries are positive,
-    in order. A ``parental`` that is not the row ``label_rows`` builds from
-    them would read back as that row, so it is a ``ValueError`` naming the
-    sample's index, raised by the call, from one comparison over all
-    rows."""
-    parentals = np.array([s.parental for s in samples]).reshape(
-        len(samples), NUM_CLASSES)
-    criteria = [[k for k, positive in enumerate(row, start=1) if positive]
-                for row in (parentals[:, :NUM_CRITERIA] > 0).tolist()]
-    rows = label_rows(criteria)
-    wrong = np.flatnonzero((parentals != rows).any(axis=1))
-    if wrong.size:
-        i = int(wrong[0])
-        raise ValueError(f"sample {i}: parental {parentals[i].tolist()} is "
-                         "not the label row of any criteria set; it would "
-                         f"read back as {rows[i].tolist()}")
+    """The dataset line of each of ``samples``, encoded as it is drawn; its
+    ``criteria`` are the sample's ``parental``."""
     return (_ENCODE({"tokens": sample.tokens,
                      "sentence_label": sample.sentence_label,
-                     "criteria": sample_criteria, "site_id": sample.site_id})
-            for sample, sample_criteria in zip(samples, criteria))
+                     "criteria": sample.parental, "site_id": sample.site_id})
+            for sample in samples)
 
 
 def write_samples(samples: list[Sample], path: str | Path) -> None:
-    """Write ``sample_lines(samples)`` to ``path``; a sample it refuses is a
-    ``ValueError`` naming ``path`` too, and the file is not written."""
-    with input_error(path):
-        lines = sample_lines(samples)
+    """Write ``sample_lines(samples)`` to ``path``."""
     with atomic_open(path) as fh:
-        for line in lines:
+        for line in sample_lines(samples):
             fh.write(line + "\n")
 
 
 def read_samples(path: str | Path, split: str) -> list[Sample]:
-    """Read a file written by ``write_samples``, building each sample's
-    ``parental`` by ``make_samples``; ``split`` sets only the label rule
+    """Read a file written by ``write_samples``, each sample's ``parental``
+    its line's ``criteria``; ``split`` sets only the label rule
     below. Equal tokens of the file are read as one string. Any other file
     is a ``ValueError`` naming it: a line that is not JSON or lacks a
     sample key; tokens that are not a list of strings, or a token that

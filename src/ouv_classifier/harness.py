@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (atomic_open, check_json_type, commit_files, gc_paused,
                input_error, json_fields, read_json)
-from .corpus import Dataset, Sample, preprocess_many, read_sites
+from .corpus import Dataset, Sample, label_rows, preprocess_many, read_sites
 from .features import (EmbeddingTable, TfidfVocabulary, boe_rows, fit_tfidf,
                        load_embeddings, tfidf_rows)
 from .labels import (ALPHA_GRID, VARIANTS, SmoothingConfig, cooccurrence,
@@ -351,7 +351,7 @@ def featurize(featurizer: Featurizer, dataset: Dataset) -> FeaturizedData:
     return FeaturizedData(
         train_x=featurizer.transform(dataset.train),
         train_labels=np.array([s.sentence_label for s in dataset.train]),
-        train_parentals=np.stack([s.parental for s in dataset.train]),
+        train_parentals=label_rows([s.parental for s in dataset.train]),
         valid_x=featurizer.transform(dataset.valid),
         valid_labels=np.array([s.sentence_label for s in dataset.valid]),
     )
@@ -530,7 +530,8 @@ def evaluate_features(model: TrainedModel, x, samples: list[Sample],
     """``evaluate_model`` on ``x``, the feature rows of ``samples``."""
     rankings = rank_classes(predict_proba(model, x))
     if multilabel:
-        return evaluate_matches(rankings, [s.parental for s in samples], k=k)
+        return evaluate_matches(
+            rankings, label_rows([s.parental for s in samples]), k=k)
     return evaluate_split(rankings, [s.sentence_label for s in samples], k=k)
 
 

@@ -107,16 +107,20 @@ def soft_targets(labels: np.ndarray, parentals: np.ndarray,
     """Combine each row's sentence label, a criterion id 1-10 (any other is
     a ``ValueError``), and its parental labels into a soft label; the
     label's one-hot row (0 for Others) is built here, in one indexing step.
+    Any ``parentals`` but one ``label_rows`` row per label is a ``ValueError``.
 
     The prior variant weighs each row's parental labels by the prior of its
     sentence criterion, ``mu[label - 1]``.
     """
     rows = criterion_columns(labels)
+    parentals = np.asarray(parentals, dtype=float)
+    if parentals.shape != (len(rows), NUM_CLASSES):
+        raise ValueError(f"parentals of shape {parentals.shape}, not "
+                         f"{(len(rows), NUM_CLASSES)}: one row per label")
     one_hots = np.eye(NUM_CLASSES)[rows]
     if config.variant == "none" or config.alpha == 0:
         return one_hots
     alpha = config.alpha
-    parentals = np.asarray(parentals, dtype=float)
     if config.variant == "vanilla":
         combined = one_hots + alpha
     elif config.variant == "uniform":

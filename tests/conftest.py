@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ouv_classifier import NUM_CLASSES, OTHERS_NOISE, harness
+from ouv_classifier import NUM_CLASSES, harness
 from ouv_classifier.corpus import Dataset, Sample, SiteRecord
 
 # selected with --hypothesis-profile=ci: a failure prints the blob that
@@ -50,12 +50,9 @@ def make_one_hot(criterion):
 
 
 def make_sample(tokens, criterion, parental_criteria=None, site_id=1):
-    parental = np.zeros(NUM_CLASSES)
-    for k in (parental_criteria or [criterion]):
-        parental[k - 1] = 1.0
-    parental[NUM_CLASSES - 1] = OTHERS_NOISE
     return Sample(tokens=list(tokens), sentence_label=criterion,
-                  parental=parental, site_id=site_id)
+                  parental=list(parental_criteria or [criterion]),
+                  site_id=site_id)
 
 
 def make_separable_dataset(n_train=300, n_valid=60, n_classes=3, seed=7,

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from ouv_classifier import NUM_CLASSES, OTHERS_NOISE
-from ouv_classifier.corpus import build_dataset, build_sd_set, parse_syndication
+from ouv_classifier.corpus import (build_dataset, build_sd_set, label_rows,
+                                   parse_syndication)
 from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.harness import ExperimentConfig, build_featurizer, mine
 from ouv_classifier.labels import (ALPHA_GRID, SmoothingConfig, cooccurrence,
@@ -203,7 +204,7 @@ def _toy_features():
     vocab = fit_tfidf(dataset.train, min_df=1)
     return (tfidf_rows(vocab, [s.tokens for s in dataset.train]),
             np.array([s.sentence_label for s in dataset.train]),
-            np.stack([s.parental for s in dataset.train]),
+            label_rows([s.parental for s in dataset.train]),
             tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
             np.array([s.sentence_label for s in dataset.valid]))
 
@@ -344,7 +345,7 @@ def _real_run(dataset, features_fn, smoothing=SmoothingConfig()):
     train_x, valid_x = features_fn(dataset)
     model = train(train_x,
                   np.array([s.sentence_label for s in dataset.train]),
-                  np.stack([s.parental for s in dataset.train]),
+                  label_rows([s.parental for s in dataset.train]),
                   valid_x,
                   np.array([s.sentence_label for s in dataset.valid]),
                   config)

@@ -579,8 +579,10 @@ class TestBuildDataset:
             for s in dataset.split(split):
                 assert 8 <= len(s.tokens) <= 64
                 assert s.one_hot is None
-                assert s.parental[s.sentence_label - 1] == 1
-                assert s.parental[NUM_CLASSES - 1] == 0.2
+                assert s.parental == [s.sentence_label]  # one per site
+                row, = label_rows([s.parental])
+                assert row[s.sentence_label - 1] == 1
+                assert row[NUM_CLASSES - 1] == 0.2
                 assert not any(t != t.lower() for t in s.tokens)
 
     def test_definitions_appended_to_train(self):
@@ -591,9 +593,11 @@ class TestBuildDataset:
         assert sorted(s.sentence_label for s in definition_samples) == \
             list(range(1, 11))
         for sample in definition_samples:
+            assert sample.parental == [sample.sentence_label]
             want = np.zeros(11)
             want[sample.sentence_label - 1], want[10] = 1.0, 0.2
-            np.testing.assert_array_equal(sample.parental, want)
+            np.testing.assert_array_equal(label_rows([sample.parental])[0],
+                                          want)
 
     def test_length_filter(self):
         site = SiteRecord(site_id=99, name="x",
@@ -671,9 +675,9 @@ def justified_sites(draw):
 @given(justified_sites(), st.integers(0, 2**32 - 1))
 def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
     """Each split holds the samples the reference's rank loop puts there,
-    in its order, with equal tokens, labels, parental bytes and site ids,
-    and no one-hot row; where the reference refuses an empty split, so does
-    ``build_dataset``."""
+    in its order, with equal tokens, labels, criteria, parental row bytes
+    and site ids, and no one-hot row; where the reference refuses an empty
+    split, so does ``build_dataset``."""
     try:
         want = build_dataset_by_rank(sites, seed)
     except ValueError as exc:
@@ -682,19 +686,16 @@ def test_build_dataset_splits_as_the_rank_loop_does(sites, seed):
         return
     got = build_dataset(sites, seed)
     for name in ("train", "valid", "test"):
-        assert [(s.tokens, s.sentence_label, s.one_hot,
-                 s.parental.tobytes(), s.site_id)
-                for s in got.split(name)] == \
-            [(s.tokens, s.sentence_label, None,
-              s.parental.tobytes(), s.site_id)
-             for s in want.split(name)]
+        assert [(s.one_hot, *sample_fields(s)) for s in got.split(name)] == \
+            [(None, *sample_fields(s)) for s in want.split(name)]
     assert got.sd == []
 
 
 def sample_fields(sample):
-    """What a dataset file keeps of ``sample``."""
-    return (sample.tokens, sample.sentence_label, sample.parental.tobytes(),
-            sample.site_id)
+    """What a dataset file keeps of ``sample``, and the bytes of the
+    parental row ``label_rows`` builds from its criteria."""
+    return (sample.tokens, sample.sentence_label, sample.parental,
+            label_rows([sample.parental]).tobytes(), sample.site_id)
 
 
 @settings(deadline=None)
@@ -733,8 +734,10 @@ class TestBuildSdSet:
         for s in samples:
             assert s.sentence_label is None
             assert s.one_hot is None
-            assert s.parental[1] == 1 and s.parental[3] == 1
-            assert s.parental[NUM_CLASSES - 1] == 0.2
+            assert s.parental == [2, 4]
+            row, = label_rows([s.parental])
+            assert row[1] == 1 and row[3] == 1
+            assert row[NUM_CLASSES - 1] == 0.2
 
     def test_empty_description_contributes_nothing(self):
         site = SiteRecord(site_id=9, name="x", justification={},
@@ -750,9 +753,9 @@ class TestBuildSdSet:
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
-        """Each read sample's parental row has the float64 bytes of the
-        built sample's, though the file holds only its criteria, and
-        neither carries a one-hot row."""
+        """Each read sample holds the built sample's criteria, as ints,
+        whose parental row has the built sample's bytes, and neither
+        carries a one-hot row."""
         sites = make_justified_sites(5, 5)
         dataset = build_dataset(sites, seed=0)
         dataset.sd = build_sd_set([SiteRecord(
@@ -769,8 +772,10 @@ class TestJsonl:
                 assert a.tokens == b.tokens
                 assert a.sentence_label == b.sentence_label
                 assert a.site_id == b.site_id
-                assert b.parental.dtype == np.float64
-                assert b.parental.tobytes() == a.parental.tobytes()
+                assert b.parental == a.parental
+                assert set(map(type, b.parental)) == {int}
+                assert label_rows([b.parental]).tobytes() == \
+                    label_rows([a.parental]).tobytes()
                 assert a.one_hot is b.one_hot is None
 
     def test_a_split_holds_one_string_per_distinct_token(self, tmp_path):
@@ -798,10 +803,9 @@ class TestJsonl:
         assert next(sample_lines([rebuilt])) == next(sample_lines([sample]))
 
     def test_line_bytes(self):
-        """Key order, separators, the site's sorted criteria in place of the
-        label rows, non-ASCII tokens as they are, and no split, which is
-        the file's."""
-        parental = label_rows([[5, 2]])[0]
+        """Key order, separators, the sample's criteria as it holds them,
+        non-ASCII tokens as they are, and no split, which is the file's."""
+        parental = [2, 5]
         train = Sample(tokens=["château", "<num>"], sentence_label=2,
                        parental=parental, site_id=7)
         assert next(sample_lines([train])) == (
@@ -822,43 +826,21 @@ class TestJsonl:
         write_samples([sample], path)
         assert read_samples(path, "train")[0].tokens == []
 
-    @pytest.mark.parametrize("row, read_back", [
-        ([0.0] * NUM_CLASSES, [0.0] * 10 + [OTHERS_NOISE]),
-        ([0.5] * 10 + [OTHERS_NOISE], [1.0] * 10 + [OTHERS_NOISE]),
-    ])
-    def test_a_parental_of_no_criteria_set_is_refused(self, tmp_path, row,
-                                                      read_back):
-        """A row that would read back as another (all zeros, as a mined
-        sentence has, reads back with 0.2 in Others; 0.5 as 1.0) names the
-        file and the sample's index, and the file is left as it was."""
-        good = label_rows([[3]])[0]
-        samples = [Sample(tokens=["a"], sentence_label=None,
-                          parental=parental, site_id=1)
-                   for parental in (good, good, np.array(row))]
-        path = tmp_path / "sd.jsonl"
-        write_samples(samples[:2], path)
-        before = path.read_bytes()
-        with pytest.raises(ValueError) as info:
-            write_samples(samples, path)
-        assert str(info.value) == (
-            f"{path}: sample 2: parental {row} is not the label row of any "
-            f"criteria set; it would read back as {read_back}")
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["sd.jsonl"]
-
-    def test_parentals_of_the_wrong_length_are_refused(self, tmp_path):
-        """Two rows of 22, each a valid row twice over, are not four
-        samples' rows: the file is not written."""
-        row = label_rows([[3]])[0]
-        samples = [Sample(tokens=["a"], sentence_label=None,
-                          parental=np.concatenate([row, row]), site_id=1)
-                   for _ in range(2)]
-        path = tmp_path / "sd.jsonl"
-        with pytest.raises(ValueError, match=(
-                f"^{re.escape(str(path))}: cannot reshape array of size 44 "
-                r"into shape \(2,\s?11\)$")):
-            write_samples(samples, path)
-        assert list(tmp_path.iterdir()) == []
+    def test_a_read_sample_holds_its_line_criteria(self, tmp_path):
+        """Each read sample's ``parental`` is its line's ``criteria``, the
+        same list of ids (``test_checked_values_load_as_written`` reads
+        unsorted and repeated ones)."""
+        dataset = build_dataset(make_justified_sites(5, 5), seed=0)
+        dataset.sd = build_sd_set([SiteRecord(
+            site_id=1, name="", justification={},
+            short_description="One sentence here. And one more.",
+            criteria=frozenset({3, 7, 10}))])
+        write_dataset(dataset, tmp_path)
+        got = read_dataset(tmp_path)
+        for name in ("train", "valid", "test", "sd"):
+            lines = (tmp_path / f"{name}.jsonl").read_text("utf-8")
+            assert [s.parental for s in got.split(name)] == \
+                [json.loads(line)["criteria"] for line in lines.splitlines()]
 
     @pytest.mark.parametrize("line, detail", [
         ('{"tokens": ["a"]}', "missing key 'criteria'"),
@@ -1017,7 +999,8 @@ class TestJsonl:
 
     def test_checked_values_load_as_written(self, tmp_path):
         """Criteria in any order, repeated, without the sentence's label
-        or none at all are criteria like any others."""
+        or none at all are criteria like any others: read as the line holds
+        them, with the label row of their set, and written back as read."""
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         write_dataset(dataset, tmp_path)
         path = tmp_path / "train.jsonl"
@@ -1027,13 +1010,16 @@ class TestJsonl:
         path.write_text("".join(json.dumps(r) + "\n" for r in records),
                         encoding="utf-8")
         samples = read_dataset(tmp_path).train
+        assert [s.parental for s in samples] == [[9, 2, 9], []]
         for sample, criteria in zip(samples, ([2, 9], [])):
             want = np.zeros(NUM_CLASSES)
             want[-1] = OTHERS_NOISE
             for k in criteria:
                 want[k - 1] = 1.0
-            assert sample.parental.tobytes() == want.tobytes()
+            assert label_rows([sample.parental]).tobytes() == want.tobytes()
             assert (sample.sentence_label, sample.one_hot) == (4, None)
+        write_samples(samples, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 class TestAtomicWrites:

@@ -23,8 +23,8 @@ from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.model import (TrainConfig, TrainedModel,
                                   TrainingDiverged, load_checkpoint,
                                   predict_proba, save_checkpoint, top_classes)
-from ouv_classifier.corpus import (SiteRecord, build_sd_set, preprocess,
-                                   preprocess_many)
+from ouv_classifier.corpus import (SiteRecord, build_sd_set, label_rows,
+                                   preprocess, preprocess_many)
 from ouv_classifier.features import (EmbeddingTable, TfidfVocabulary,
                                      fit_tfidf, load_embeddings)
 from conftest import (StubPredictor, edit_head, make_sample,
@@ -550,6 +550,22 @@ class TestRunFinal:
                 f"^the '{split}' split is empty; training needs train and "
                 "valid samples$")):
             featurize(featurizer, empty)
+
+    def test_train_parentals_are_the_rows_samples_held(self, dataset,
+                                                       tmp_path):
+        """``featurize`` builds the train split's parental rows from its
+        samples' criteria, with the float64 bytes of the rows each sample
+        held when it stored its own ``label_rows`` row."""
+        criteria = itertools.cycle([[1], [2, 7], [10, 3, 3], [4, 1]])
+        mixed = dataclasses.replace(dataset, train=[
+            make_sample(s.tokens, s.sentence_label, next(criteria), s.site_id)
+            for s in dataset.train])
+        got = featurize(build_featurizer(toy_config(tmp_path), mixed), mixed)
+        # one row per sample, then stacked, as samples and featurize once did
+        want = np.stack([label_rows([s.parental])[0] for s in mixed.train])
+        assert got.train_parentals.dtype == np.float64
+        assert got.train_parentals.shape == (len(mixed.train), NUM_CLASSES)
+        assert got.train_parentals.tobytes() == want.tobytes()
 
     def test_absolute_featurizer_ref_still_loads(self, dataset, tmp_path,
                                                  monkeypatch):

@@ -228,6 +228,22 @@ class TestSmooth:
             soft_targets(np.array([3, label]), label_rows([[3], [3]]),
                          identity_mu(), config)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("labels, parentals", [
+        ([1, 2], np.array([[1], [2]])),  # criterion ids, not label rows
+        ([3] * NUM_CLASSES, label_rows([[3]])[0]),  # one row, 11 labels
+        ([3, 4], label_rows([[3]])),  # one row for two labels
+    ])
+    def test_parentals_not_one_row_per_label_are_refused(
+            self, labels, parentals, variant):
+        """Whatever the variant, and before any use: numpy would broadcast
+        each of these into targets, the ids into mass on every column."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"parentals of shape {parentals.shape}, not "
+                f"({len(labels)}, {NUM_CLASSES})")):
+            soft_targets(np.array(labels), parentals, identity_mu(),
+                         SmoothingConfig(variant, 0.5))
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             SmoothingConfig("vanilla", -0.1)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ouv_classifier import NUM_CLASSES, model as model_module
+from ouv_classifier import NUM_CLASSES, NUM_CRITERIA, model as model_module
+from ouv_classifier.corpus import label_rows
 from ouv_classifier.features import fit_tfidf, tfidf_rows
 from ouv_classifier.labels import SmoothingConfig
 from ouv_classifier.metrics import evaluate_split
@@ -440,7 +441,7 @@ def featurized(dataset):
     return (vocab,
             tfidf_rows(vocab, [s.tokens for s in dataset.train]),
             np.array([s.sentence_label for s in dataset.train]),
-            np.stack([s.parental for s in dataset.train]),
+            label_rows([s.parental for s in dataset.train]),
             tfidf_rows(vocab, [s.tokens for s in dataset.valid]),
             np.array([s.sentence_label for s in dataset.valid]))
 
@@ -568,6 +569,26 @@ class TestTrain:
                             lambda *args: steps.append(args))
         with pytest.raises(ValueError, match=f"out of range: {label}$"):
             train(tx, tl, par, vx[:20], np.full(20, label), quick_config())
+        assert steps == []
+
+    @pytest.mark.parametrize("variant", ["uniform", "prior"])
+    def test_parentals_of_criterion_ids_are_refused_before_training(
+            self, toy_dataset, monkeypatch, variant):
+        """The samples' criteria stacked as they are, an ``(n, 1)`` int
+        array, not their ``label_rows``, would broadcast into targets with
+        mass on every column; they are refused before the first Adam
+        step."""
+        _, tx, tl, _, vx, vl = featurized(toy_dataset)
+        ids = np.stack([s.parental for s in toy_dataset.train])
+        steps = []
+        monkeypatch.setattr(model_module, "adam_step",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=re.escape(
+                f"parentals of shape {ids.shape}, not "
+                f"({len(tl)}, {NUM_CLASSES})")):
+            train(tx, tl, ids, vx, vl,
+                  quick_config(smoothing=SmoothingConfig(variant, 0.1)),
+                  mu=np.ones((NUM_CRITERIA, NUM_CLASSES)))
         assert steps == []
 
     def test_best_epoch_is_argmax_of_history(self, toy_dataset):
