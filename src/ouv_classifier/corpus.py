@@ -385,7 +385,8 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
 
     Sentences of length 8-64 tokens are kept and partitioned 8:1:1 by a
     seeded shuffle; the ten criterion definition sentences are then
-    appended to the train split.
+    appended to the train split. Equal tokens of the three splits are one
+    string (``_share_tokens``).
     """
     found = [(site, criterion, sentence) for site in sites
              for criterion, paragraph in sorted(site.justification.items())
@@ -393,7 +394,9 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
     defined = sorted(CRITERION_DEFINITIONS)
     token_lists = preprocess_many([sentence for *_, sentence in found]
                                   + [CRITERION_DEFINITIONS[c] for c in defined])
-    kept = [(tokens, criterion, sorted(site.criteria), site.site_id)
+    pool: dict[str, str] = {}
+    kept = [(_share_tokens(tokens, pool), criterion, sorted(site.criteria),
+             site.site_id)
             for (site, criterion, _), tokens in zip(found, token_lists)
             if MIN_SENT_LEN <= len(tokens) <= MAX_SENT_LEN]
     n = len(kept)
@@ -404,7 +407,7 @@ def build_dataset(sites: list[SiteRecord], seed: int = 1337) -> Dataset:
                          "and valid and test each take a tenth")
     n_train = n - 2 * n_held
     # a definition sentence is labelled as the one-criterion site 0
-    kept += [(tokens, criterion, [criterion], 0)
+    kept += [(_share_tokens(tokens, pool), criterion, [criterion], 0)
              for criterion, tokens in zip(defined, token_lists[len(found):])]
     samples = make_samples(*zip(*kept))
     return Dataset(train=samples[:n_train] + samples[n:],
@@ -417,13 +420,16 @@ def build_sd_set(sites: list[SiteRecord]) -> list[Sample]:
     """Build the independent short-description test set.
 
     SD samples carry only the parental label; no sentence-length filter
-    is applied beyond dropping empty sentences.
+    is applied beyond dropping empty sentences. Equal tokens of the set are
+    one string (``_share_tokens``).
     """
     found = [(site, sentence) for site in sites
              if site.short_description and site.criteria
              for sentence in split_sentences(site.short_description)]
     token_lists = preprocess_many([sentence for _, sentence in found])
-    kept = [(tokens, None, sorted(site.criteria), site.site_id)
+    pool: dict[str, str] = {}
+    kept = [(_share_tokens(tokens, pool), None, sorted(site.criteria),
+             site.site_id)
             for (site, _), tokens in zip(found, token_lists) if tokens]
     return make_samples(*zip(*kept)) if kept else []
 
@@ -456,14 +462,14 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
     its line's ``criteria``; ``split`` sets only the label rule
     below. Equal tokens of the file are read as one string. Any other file
     is a ``ValueError`` naming it: a line that is not JSON or lacks a
-    sample key; tokens that are not a list of strings, or a token that
-    holds whitespace (tokens are as ``str.split`` gives them, and the
-    n-gram features count on it); a ``sentence_label`` that is not an
-    integer 1-10, or null in ``sd``; ``criteria`` that are not a list of
-    integers 1-10; or a ``site_id`` that is not an integer. Each value
-    check runs once over the file's column of that key and names the first
-    bad line. A ``split`` key, which lines of the previous form held, is
-    ignored. A file whose first line holds ``parental``, as a line of the
+    sample key; tokens that are not a non-empty list of strings, or a token
+    that is empty or holds whitespace (tokens are as ``str.split`` gives a
+    sentence's, and the features count on it); a ``sentence_label`` that is
+    not an integer 1-10, or null in ``sd``; ``criteria`` that are not a
+    list of integers 1-10; or a ``site_id`` that is not an integer. Each
+    value check runs once over the file's column of that key and names the
+    first bad line. A ``split`` key, which lines of the previous form held,
+    is ignored. A file whose first line holds ``parental``, as a line of the
     earlier form did, says to rebuild the dataset with ``ouvclf ingest``."""
     records, shared, line_nos, pool = [], [], [], {}
     for line_no, line in enumerate(read_lines(path), start=1):
@@ -472,7 +478,7 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc.msg}") from exc
-            shared.append(_share_tokens(records[-1], pool))
+            shared.append(_share_line(records[-1], pool))
             line_nos.append(line_no)
     if records and isinstance(records[0], dict) and "parental" in records[0]:
         raise ValueError(f"{path}: not a dataset file of this version (line "
@@ -483,11 +489,16 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
             list(map(itemgetter(key), records)) for key in _SAMPLE_KEYS)
         del records  # the line dicts: their values are in the columns
         _refuse(line_nos, "tokens", tokens, shared, "a list of strings")
+        if not min(map(len, tokens), default=1):
+            _refuse(line_nos, "tokens", tokens, list(map(len, tokens)),
+                    "a non-empty list of strings")
+        if "" in pool:
+            i = next(i for i, t in enumerate(tokens) if "" in t)
+            raise ValueError(f"line {line_nos[i]}: token '' is empty")
         text = "".join(chain.from_iterable(tokens))
         if text and text.split() != [text]:
             i, spaced = next((i, token) for i, t in enumerate(tokens)
-                             for token in t
-                             if token and token.split() != [token])
+                             for token in t if token.split() != [token])
             raise ValueError(f"line {line_nos[i]}: token {spaced!r} holds "
                              "whitespace")
         nullable = split == "sd"  # only an SD sentence has no label
@@ -507,13 +518,19 @@ def read_samples(path: str | Path, split: str) -> list[Sample]:
     return make_samples(tokens, labels, criteria, site_ids)
 
 
-def _share_tokens(record, pool: dict) -> bool:
+def _share_tokens(tokens: list[str], pool: dict[str, str]) -> list[str]:
+    """``tokens`` as ``pool``'s equal strings, adding those it lacks: with
+    one pool per built or read split, its equal tokens are one string, and
+    a list's own copies are freed once it is shared."""
+    return list(map(pool.setdefault, tokens, tokens))
+
+
+def _share_line(record, pool: dict[str, str]) -> bool:
     """Whether the ``tokens`` of the decoded line ``record`` are a list of
-    strings; if so, they are replaced by ``pool``'s equal strings, adding
-    those it lacks, so a file's equal tokens are one string and each line's
-    own copies are freed as it is read. Anything else is left as decoded,
-    so the column check names the line with its own values: a pool that
-    also took numbers would give ``[1, True]`` back as ``[1, 1]``."""
+    strings; if so, they are shared through ``pool`` (``_share_tokens``) as
+    the line is read. Anything else is left as decoded, so the column check
+    names the line with its own values: a pool that also took numbers would
+    give ``[1, True]`` back as ``[1, 1]``."""
     tokens = record.get("tokens") if type(record) is dict else None
     if type(tokens) is not list:
         return False
@@ -521,7 +538,7 @@ def _share_tokens(record, pool: dict) -> bool:
         "".join(tokens)
     except TypeError:
         return False
-    record["tokens"] = list(map(pool.setdefault, tokens, tokens))
+    record["tokens"] = _share_tokens(tokens, pool)
     return True
 
 

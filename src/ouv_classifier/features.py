@@ -128,7 +128,10 @@ def tfidf_rows(vocab: TfidfVocabulary,
     words open and close some bigram is matched against the bigram keys by
     one ``np.searchsorted``. One
     ``np.unique`` over ``row * V + column`` then gives every row's sorted
-    columns and counts, and the CSR is built once.
+    columns and counts, and the CSR is built once. The arrays of ids,
+    pairs and rows are freed before that sort, which copies the keys, so
+    the call's peak, while the keys are built or sorted, is about 40 bytes
+    per token where the vocabulary holds most of the rows' grams.
     """
     tables, n_vocab = vocab.id_tables, vocab.size
     n_rows = len(token_lists)
@@ -145,14 +148,22 @@ def tfidf_rows(vocab: TfidfVocabulary,
     pair_keys = first.take(pairs) * (miss + 1) + second.take(pairs)
     at = np.searchsorted(tables.bigram_keys, pair_keys)
     bigram = tables.bigram_keys.take(at) == pair_keys
+    # each hit's key ``row * V + column``, the bigrams' then the unigrams';
+    # np.unique sorts a copy of ``keys``, so what it is built from goes first
+    bigram_keys = (rows.take(pairs[bigram]) * n_vocab
+                   + tables.bigram_cols.take(at[bigram]))
+    del pairs, pair_keys, at, bigram
     unigram_cols = tables.unigram_col.take(ids)
     unigram = unigram_cols >= 0
-    rows = np.concatenate((rows[unigram], rows.take(pairs[bigram])))
-    cols = np.concatenate((unigram_cols[unigram],
-                           tables.bigram_cols.take(at[bigram])))
-    keys, counts = np.unique(rows * n_vocab + cols, return_counts=True)
+    keys = rows[unigram]
+    keys *= n_vocab
+    keys += unigram_cols[unigram]
+    keys = np.concatenate((bigram_keys, keys))
+    del ids, first, second, rows, unigram_cols, unigram, bigram_keys
+    keys, counts = np.unique(keys, return_counts=True)
     rows, indices = np.divmod(keys, n_vocab)
     data = counts * vocab.idf.take(indices)
+    del keys, counts
     nnz = np.bincount(rows, minlength=n_rows)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])

@@ -2123,13 +2123,18 @@ def test_a_dataset_of_the_earlier_form_says_to_rebuild_it(workspace, tmp_path,
     ("test", "site_id", True, "site_id True is not an integer"),
     ("sd", "site_id", 1.5, "site_id 1.5 is not an integer"),
     ("train", "site_id", None, "site_id None is not an integer"),
+    ("test", "tokens", [], "tokens [] is not a non-empty list of strings"),
+    ("sd", "tokens", ["a", ""], "token '' is empty"),
 ], ids=["int-tokens", "zero-criteria", "str-label", "str-site-id",
-        "list-site-id", "bool-site-id", "float-site-id", "null-site-id"])
+        "list-site-id", "bool-site-id", "float-site-id", "null-site-id",
+        "no-tokens", "empty-token"])
 def test_a_bad_dataset_value_is_named_before_training(
         workspace, tmp_path, capsys, monkeypatch, split, key, value, detail):
     """Each of these would end ``ouvclf sweep`` otherwise: a ``TypeError``
     traceback, or criterion 0 read as the Others column of the parental
-    label; a ``site_id`` that is not an integer would read silently."""
+    label; a ``site_id`` that is not an integer would read silently, and a
+    line with no tokens, or an empty one, would be scored as an all-zero
+    n-gram row, or end ``final`` later without naming the file."""
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     path = data / f"{split}.jsonl"

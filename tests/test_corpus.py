@@ -794,6 +794,20 @@ class TestJsonl:
             assert len(tokens) > len(set(tokens)) > 1
             assert len(set(map(id, tokens))) == len(set(tokens))
 
+    def test_a_built_split_holds_one_string_per_distinct_token(self):
+        """The builders share equal tokens too: one string per distinct
+        token over ``build_dataset``'s three splits, definitions included,
+        and over ``build_sd_set``'s set, as ``read_dataset`` gives them."""
+        sites = [replace(site, short_description=paragraph)
+                 for site in make_justified_sites(5, 5)
+                 for paragraph in site.justification.values()]
+        dataset = build_dataset(sites, seed=0)
+        for samples in (dataset.train + dataset.valid + dataset.test,
+                        build_sd_set(sites)):
+            tokens = [token for sample in samples for token in sample.tokens]
+            assert len(tokens) > len(set(tokens)) > 1
+            assert len(set(map(id, tokens))) == len(set(tokens))
+
     def test_deterministic_serialization(self, tmp_path):
         sites = make_justified_sites(3, 5)
         sample = build_dataset(sites, seed=0).train[0]
@@ -818,13 +832,14 @@ class TestJsonl:
             '"site_id": 7}')
 
     def test_file_without_tokens_reads(self, tmp_path):
+        """A file of no lines, or of blank ones, reads as no samples; a line
+        whose token list is empty is refused
+        (``test_a_bad_value_names_the_file_and_line``)."""
         path = tmp_path / "samples.jsonl"
         write_samples([], path)
         assert read_samples(path, "train") == []
-        sample = build_dataset(make_justified_sites(3, 5), seed=0).train[0]
-        sample.tokens = []
-        write_samples([sample], path)
-        assert read_samples(path, "train")[0].tokens == []
+        path.write_text("\n \n", encoding="utf-8")
+        assert read_samples(path, "train") == []
 
     def test_a_read_sample_holds_its_line_criteria(self, tmp_path):
         """Each read sample's ``parental`` is its line's ``criteria``, the
@@ -926,13 +941,20 @@ class TestJsonl:
         ("train", {"site_id": None}, "site_id None is not an integer"),
         ("train", {"tokens": [1, True]},
          "tokens [1, True] is not a list of strings"),
+        ("test", {"tokens": []},
+         "tokens [] is not a non-empty list of strings"),
+        ("sd", {"tokens": []},
+         "tokens [] is not a non-empty list of strings"),
+        ("valid", {"tokens": ["a", ""]}, "token '' is empty"),
+        ("sd", {"tokens": [""]}, "token '' is empty"),
     ])
     def test_a_bad_value_names_the_file_and_line(self, tmp_path, split, edit,
                                                  detail):
         """Each value check names the first line that fails it; here the
         second line of the split's file, edited. Only ``sd`` lines may hold
         a null label, and a ``site_id`` is a JSON integer, which a bool is
-        not."""
+        not. ``str.split`` gives no empty token, nor an empty list for a
+        sentence that is kept, so a line holds neither."""
         dataset = build_dataset(make_justified_sites(5, 5), seed=0)
         dataset.sd.extend(build_sd_set([SiteRecord(
             site_id=1, name="", justification={},
